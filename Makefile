@@ -58,9 +58,14 @@ bench:
 # `go test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 5x`).
 # The obs-overhead guard holds metrics+tracing near the <5% EXPERIMENTS.md
 # expectation (10% tripwire budget: noise headroom on a contended box).
+# The shard and bitmap lines also run the kernels under a sharded batch — the
+# linear k-way merges and the galloping array ∩ run AND — with their
+# allocation counts reported (the AllocsPerRun guards beside them run in
+# `make test`).
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 1x
-	$(GO) test ./internal/shard/ -run '^$$' -bench Sharded -benchtime 1x
+	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps' -benchtime 1x
+	$(GO) test ./internal/bitmap/ -run '^$$' -bench AndInPlaceArrayRun -benchtime 1x
 	$(GO) test ./internal/bench/ -run TestObsOverheadSmoke -count=1 -v
 
 # The workload record→replay round trip at smoke scale: capture a mixed

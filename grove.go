@@ -110,9 +110,11 @@ func FlattenSequence(stops []string, legMeasures []float64) (*Record, error) {
 // ExecuteBatch / AggregateBatch (see DESIGN.md, "Concurrency model").
 //
 // A store opened with Open has one shard; NewSharded partitions the records
-// across N shards so writes on different shards proceed concurrently and
-// every query scatter-gathers across the shards in parallel (DESIGN.md §12).
-// Answers are bit-identical regardless of the shard count.
+// across N shards so writes on different shards proceed concurrently. A
+// single query scatter-gathers across the shards in parallel; a batch runs
+// query-major — each worker takes a query, runs it on every shard in turn
+// and merges the partials itself (DESIGN.md §12). Answers are bit-identical
+// regardless of the shard count.
 type Store struct {
 	coord *shard.Coordinator
 
@@ -390,8 +392,11 @@ func (s *Store) MatchPath(nodes ...string) (*Result, error) {
 // worker pool of the given size (workers ≤ 0 selects runtime.NumCPU(); 1
 // runs sequentially). Results arrive in query order and are bit-for-bit
 // identical to a sequential run; workers share the store's result cache.
-// The paper's experiments all evaluate batches of 100 queries — this is
-// the parallel path for that shape of workload.
+// On a sharded store workers is still the batch's total concurrency: the
+// worker that takes a query runs its shard sub-queries inline and merges
+// them, so shards add no goroutines. The paper's experiments all evaluate
+// batches of 100 queries — this is the parallel path for that shape of
+// workload.
 func (s *Store) ExecuteBatch(graphs []*Graph, workers int) ([]*Result, error) {
 	results, errs := s.ExecuteBatchContext(context.Background(), graphs, workers)
 	if err := firstBatchError(errs); err != nil {

@@ -10,7 +10,7 @@ package bitmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -29,12 +29,52 @@ func New() *Bitmap { return &Bitmap{} }
 // FromSlice builds a bitmap from arbitrary (unsorted, possibly duplicated)
 // values.
 func FromSlice(values []uint32) *Bitmap {
-	sorted := make([]uint32, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return FromSorted(slices.Compact(sorted))
+}
+
+// FromSorted builds a bitmap from strictly ascending values in one pass: each
+// 64K chunk's values are cut out of the input once and stored as an array
+// (or, past arrayMaxCardinality, a bitset) — the layouts Add would have
+// reached, without its per-value chunk search and insertion shift. All array
+// containers share one backing slice, capacity-clipped per chunk so a later
+// Add to one reallocates instead of overwriting its neighbour. values is not
+// retained.
+func FromSorted(values []uint32) *Bitmap {
 	b := New()
-	for _, v := range sorted {
-		b.Add(v)
+	if len(values) == 0 {
+		return b
+	}
+	chunks := int(values[len(values)-1]>>16) - int(values[0]>>16) + 1
+	chunks = min(chunks, len(values))
+	b.keys = make([]uint16, 0, chunks)
+	b.containers = make([]container, 0, chunks)
+	lows := make([]uint16, len(values))
+	for start := 0; start < len(values); {
+		key := uint16(values[start] >> 16)
+		end := start + 1
+		for end < len(values) && uint16(values[end]>>16) == key {
+			end++
+		}
+		var c container
+		if n := end - start; n > arrayMaxCardinality {
+			bs := newBitsetContainer()
+			for _, v := range values[start:end] {
+				bs.words[uint16(v)>>6] |= 1 << (v & 63)
+			}
+			bs.card = n
+			c = bs
+		} else {
+			chunk := lows[start:end:end]
+			for i, v := range values[start:end] {
+				chunk[i] = uint16(v)
+			}
+			c = &arrayContainer{values: chunk}
+		}
+		b.keys = append(b.keys, key)
+		b.containers = append(b.containers, c)
+		start = end
 	}
 	return b
 }
@@ -104,9 +144,9 @@ func (b *Bitmap) AddRange(lo, hi uint32) {
 		run := interval16{start: uint16(v), length: uint16(runLen - 1)}
 		i, found := b.chunkIndex(key)
 		if !found {
-			b.insertChunk(i, key, &runContainer{runs: []interval16{run}})
+			b.insertChunk(i, key, newRunContainer([]interval16{run}))
 		} else {
-			merged := b.containers[i].or(&runContainer{runs: []interval16{run}})
+			merged := b.containers[i].or(newRunContainer([]interval16{run}))
 			b.containers[i] = merged
 		}
 		v = end
@@ -403,7 +443,7 @@ func toRunsIfSmaller(c container) container {
 	if start >= 0 {
 		runs = append(runs, interval16{start: uint16(start), length: uint16(prev - start)})
 	}
-	rc := &runContainer{runs: runs}
+	rc := newRunContainer(runs)
 	if rc.sizeBytes() < c.sizeBytes() {
 		return rc
 	}

@@ -1,5 +1,7 @@
 package bitmap
 
+import "slices"
+
 // Container is the per-64K-chunk storage unit of a Bitmap. The low 16 bits of
 // the values in a chunk are held in one of three physical layouts — a sorted
 // uint16 array, a 1024-word bitset, or a sequence of runs — mirroring the
@@ -119,12 +121,7 @@ func (a *arrayContainer) and(other container) container {
 		}
 		return &arrayContainer{values: out}
 	case *runContainer:
-		var out []uint16
-		for _, v := range a.values {
-			if o.contains(v) {
-				out = append(out, v)
-			}
-		}
+		out := intersectArrayRuns(make([]uint16, 0, min(len(a.values), o.card)), a.values, o.runs)
 		if len(out) == 0 {
 			return nil
 		}
@@ -401,11 +398,28 @@ type interval16 struct {
 	length uint16
 }
 
+// end returns the last value of the run, widened so 65535 does not wrap.
+func (r interval16) end() uint32 { return uint32(r.start) + uint32(r.length) }
+
 // runContainer stores sorted, non-overlapping, non-adjacent runs. It is the
 // layout of choice for chunks with long consecutive stretches, which arise
-// naturally in grove when record ids are assigned sequentially.
+// naturally in grove when record ids are assigned sequentially. card caches
+// the number of values the runs cover: every multi-way AND orders its operands
+// by cardinality, and summing a few hundred runs per operand per query showed
+// up in profiles. It is set at construction and kept exact by add/remove —
+// never computed lazily, because column bitmaps are read concurrently.
 type runContainer struct {
 	runs []interval16
+	card int
+}
+
+// newRunContainer wraps sorted, non-overlapping, non-adjacent runs.
+func newRunContainer(runs []interval16) *runContainer {
+	card := 0
+	for _, run := range runs {
+		card += int(run.length) + 1
+	}
+	return &runContainer{runs: runs, card: card}
 }
 
 func (r *runContainer) searchRun(v uint16) (int, bool) {
@@ -430,19 +444,14 @@ func (r *runContainer) contains(v uint16) bool {
 	return found
 }
 
-func (r *runContainer) cardinality() int {
-	n := 0
-	for _, run := range r.runs {
-		n += int(run.length) + 1
-	}
-	return n
-}
+func (r *runContainer) cardinality() int { return r.card }
 
 func (r *runContainer) add(v uint16) (container, bool) {
 	i, found := r.searchRun(v)
 	if found {
 		return r, false
 	}
+	r.card++
 	// Try extending the previous or next run, merging if they now touch.
 	extendPrev := i > 0 && uint32(r.runs[i-1].start)+uint32(r.runs[i-1].length)+1 == uint32(v)
 	extendNext := i < len(r.runs) && uint32(r.runs[i].start) == uint32(v)+1
@@ -468,6 +477,7 @@ func (r *runContainer) remove(v uint16) (container, bool) {
 	if !found {
 		return r, false
 	}
+	r.card--
 	run := r.runs[i]
 	end := uint32(run.start) + uint32(run.length)
 	switch {
@@ -535,7 +545,9 @@ func (r *runContainer) and(other container) container {
 		if len(out) == 0 {
 			return nil
 		}
-		return &runContainer{runs: out}
+		return newRunContainer(out)
+	case *arrayContainer:
+		return o.and(r)
 	default:
 		return other.and(r.toGeneric())
 	}
@@ -544,8 +556,7 @@ func (r *runContainer) and(other container) container {
 func (r *runContainer) or(other container) container {
 	switch o := other.(type) {
 	case *runContainer:
-		out := &runContainer{runs: mergeRuns(r.runs, o.runs)}
-		return out
+		return newRunContainer(mergeRuns(r.runs, o.runs))
 	case *arrayContainer:
 		out := r.clone().(*runContainer)
 		c := container(out)
@@ -580,7 +591,7 @@ func (r *runContainer) each(f func(uint16) bool) bool {
 func (r *runContainer) clone() container {
 	out := make([]interval16, len(r.runs))
 	copy(out, r.runs)
-	return &runContainer{runs: out}
+	return &runContainer{runs: out, card: r.card}
 }
 
 func (r *runContainer) sizeBytes() int { return 4 * len(r.runs) }
@@ -620,6 +631,62 @@ func intersectSorted(a, b []uint16) []uint16 {
 		}
 	}
 	return out
+}
+
+// intersectArrayRuns appends to dst the values of sorted a that runs cover
+// and returns the extended slice. dst may be a[:0]: the write index never
+// passes the read index. Both cursors gallop — an exponential probe, then a
+// binary search inside the bracket it found — so the cost is linear when the
+// two interleave finely and logarithmic in the stretch either side skips,
+// instead of one full binary search over the runs per array value.
+//
+//grove:hotpath
+func intersectArrayRuns(dst, a []uint16, runs []interval16) []uint16 {
+	i, r := 0, 0
+	for i < len(a) && r < len(runs) {
+		v, run := a[i], runs[r]
+		switch {
+		case uint32(v) > run.end():
+			r = gallopRuns(runs, r+1, v)
+		case v < run.start:
+			i = gallopValues(a, i+1, run.start)
+		default:
+			dst = append(dst, v) //grovevet:ignore hotalloc never grows: in place dst aliases a, and the allocating caller sizes dst to min(len(a), run cardinality)
+			i++
+		}
+	}
+	return dst
+}
+
+// gallopValues returns the smallest index j >= lo with a[j] >= target, or
+// len(a) when there is none.
+func gallopValues(a []uint16, lo int, target uint16) int {
+	hi, step := lo, 1
+	for hi < len(a) && a[hi] < target {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	j, _ := slices.BinarySearch(a[lo:min(hi, len(a))], target)
+	return lo + j
+}
+
+// gallopRuns returns the smallest index j >= lo whose run ends at or after
+// v, or len(runs) when every remaining run lies below v.
+func gallopRuns(runs []interval16, lo int, v uint16) int {
+	hi, step := lo, 1
+	for hi < len(runs) && runs[hi].end() < uint32(v) {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	j, _ := slices.BinarySearchFunc(runs[lo:min(hi, len(runs))], uint32(v), func(r interval16, v uint32) int {
+		if r.end() < v {
+			return -1
+		}
+		return 1 // never "found": the search lands on the first run not below v
+	})
+	return lo + j
 }
 
 func unionSorted(a, b []uint16) []uint16 {

@@ -147,12 +147,15 @@ func (b *Bitmap) andInto(x, y *Bitmap) {
 func andContainerInPlace(dst, src container) container {
 	switch d := dst.(type) {
 	case *arrayContainer:
-		if s, ok := src.(*arrayContainer); ok {
+		switch s := src.(type) {
+		case *arrayContainer:
 			d.values = intersectSortedInPlace(d.values, s.values)
-		} else {
+		case *runContainer:
+			d.values = intersectArrayRuns(d.values[:0], d.values, s.runs)
+		case *bitsetContainer:
 			out := 0
 			for _, v := range d.values {
-				if src.contains(v) {
+				if s.get(v) {
 					d.values[out] = v
 					out++
 				}
@@ -181,7 +184,8 @@ func andContainerInPlace(dst, src container) container {
 		return d
 	default:
 		// Run accumulators are rare (only a run ∩ run first step yields
-		// one); fall back to the allocating kernel.
+		// one); fall back to the allocating kernel, which walks run ∩ array
+		// with the same galloping cursors as the array receiver above.
 		c := dst.and(src)
 		if c == nil || c.cardinality() == 0 {
 			return nil

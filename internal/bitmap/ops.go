@@ -80,7 +80,7 @@ func (b *Bitmap) RemoveRange(lo, hi uint32) {
 		if chunkLo == 0 && chunkHi == 0xffff {
 			continue // chunk fully covered: drop it whole
 		}
-		doomed := &runContainer{runs: []interval16{{start: chunkLo, length: chunkHi - chunkLo}}}
+		doomed := newRunContainer([]interval16{{start: chunkLo, length: chunkHi - chunkLo}})
 		if c := b.containers[i].andNot(doomed); c != nil && c.cardinality() > 0 {
 			b.keys[write] = key
 			b.containers[write] = c

@@ -181,7 +181,7 @@ func readContainer(r io.Reader) (uint16, container, error) {
 			}
 			prevEnd = end
 		}
-		return key, &runContainer{runs: runs}, nil
+		return key, newRunContainer(runs), nil
 	default:
 		return 0, nil, fmt.Errorf("bitmap: unknown container kind %d", kind)
 	}

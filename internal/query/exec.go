@@ -165,24 +165,56 @@ func (e *Engine) checkCtx(ctx context.Context, tr *obs.ActiveTrace) error {
 	return nil
 }
 
-// queryEdgeIDs resolves the structural elements of a query graph to edge
+// unseenEdgeBase lifts the ids minted for elements the registry has never
+// seen far above the registered range.
+const unseenEdgeBase = 1 << 24
+
+// resolveEdges resolves the structural elements of a query graph to edge
 // ids. Elements unknown to the registry resolve to a sentinel id that has an
 // empty bitmap, so queries referencing never-seen elements return empty
 // answers (after paying for the fetch, as a real column store would).
-func (e *Engine) queryEdgeIDs(g *graph.Graph) []colstore.EdgeID {
+func resolveEdges(reg *graph.Registry, g *graph.Graph) []colstore.EdgeID {
 	elems := g.Elements()
 	out := make([]colstore.EdgeID, 0, len(elems))
 	seen := make(map[colstore.EdgeID]struct{}, len(elems))
 	for _, k := range elems {
-		id, ok := e.Reg.Lookup(k)
+		id, ok := reg.Lookup(k)
 		if !ok {
 			// Stable unseen id outside the registered range.
-			id = colstore.EdgeID(uint32(e.Reg.Len()) + uint32(len(out)) + 1<<24)
+			id = colstore.EdgeID(uint32(reg.Len()) + uint32(len(out)) + unseenEdgeBase)
 		}
 		if _, dup := seen[id]; !dup {
 			seen[id] = struct{}{}
 			out = append(out, id)
 		}
+	}
+	return out
+}
+
+// resolvePathEdges resolves every path's edge sequence to edge ids. Each
+// element the registry has never seen gets its own sentinel id (an empty
+// column slot, as in resolveEdges — a shared sentinel would alias distinct
+// unknown edges to one column), the same id wherever it recurs.
+func resolvePathEdges(reg *graph.Registry, paths []gpath.Path) [][]colstore.EdgeID {
+	var unknown map[graph.EdgeKey]colstore.EdgeID
+	out := make([][]colstore.EdgeID, len(paths))
+	for pi, p := range paths {
+		edges := p.Edges()
+		ids := make([]colstore.EdgeID, len(edges))
+		for i, ek := range edges {
+			id, ok := reg.Lookup(ek)
+			if !ok {
+				if id, ok = unknown[ek]; !ok {
+					if unknown == nil {
+						unknown = make(map[graph.EdgeKey]colstore.EdgeID)
+					}
+					id = colstore.EdgeID(uint32(reg.Len()) + uint32(len(unknown)) + unseenEdgeBase)
+					unknown[ek] = id
+				}
+			}
+			ids[i] = id
+		}
+		out[pi] = ids
 	}
 	return out
 }
@@ -265,7 +297,10 @@ func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*
 // aggregation, boolean expressions — route through this). tr, when non-nil,
 // receives the plan/fetch/intersect lifecycle spans.
 func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr *obs.ActiveTrace) (*Result, error) {
-	universe := e.queryEdgeIDs(q.G)
+	universe := q.edges
+	if universe == nil {
+		universe = resolveEdges(e.Reg, q.G)
+	}
 	// Read under the lock: the version cannot move while we hold it, so the
 	// cache entry written below is tagged with exactly the version whose
 	// data produced the answer.
@@ -575,6 +610,24 @@ func (r *AggResult) FoldAcrossPaths() []float64 {
 	return out
 }
 
+// Scalar folds the result all the way down — Fold over every record's
+// FoldAcrossPaths value in record order, NULLs skipped, NaN when nothing
+// contributed: the general row plan's answer to a scalar aggregation.
+func (r *AggResult) Scalar() *ScalarAggResult {
+	out := &ScalarAggResult{Query: r.Query, Records: len(r.RecordIDs), Value: math.NaN()}
+	acc := r.Query.Agg.Identity
+	for _, v := range r.FoldAcrossPaths() {
+		if !math.IsNaN(v) {
+			acc = r.Query.Agg.Fold(acc, v)
+			out.Folded++
+		}
+	}
+	if out.Folded > 0 {
+		out.Value = acc
+	}
+	return out
+}
+
 // coverPath covers a path's edge sequence with materialized aggregate views
 // of the same function (longest match at each position), falling back to raw
 // edges — the measure-side rewriting of §5.1.2. Views are matched on their
@@ -809,7 +862,7 @@ func (e *Engine) executePathAggQuery(ctx context.Context, q *PathAggQuery, tr *o
 // lock already held (the scalar executor routes its general fallback through
 // here under its own lock — BeginRead is not reentrant).
 func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*AggResult, error) {
-	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G}, tr)
+	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -832,13 +885,13 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 	}
 	k := agg.KernelFor(q.Agg)
 
-	// Column caches so shared segments across paths are fetched once, and
-	// per-element sentinel ids for edges the registry has never seen (each
-	// unknown element gets its own empty column slot, as in queryEdgeIDs —
-	// a shared sentinel would alias distinct unknown edges to one column).
+	// Column caches so shared segments across paths are fetched once.
 	measureCols := make(map[colstore.EdgeID]*colstore.MeasureColumn)
 	viewCols := make(map[string]*colstore.MeasureColumn)
-	unknown := make(map[graph.EdgeKey]colstore.EdgeID)
+	pathEdges := q.pathEdges
+	if pathEdges == nil {
+		pathEdges = resolvePathEdges(e.Reg, paths)
+	}
 	fetchMeasure := func(id colstore.EdgeID) *colstore.MeasureColumn {
 		if c, ok := measureCols[id]; ok {
 			return c
@@ -858,28 +911,14 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 		viewCols[name] = c
 		return c, nil
 	}
-	resolve := func(p gpath.Path) []colstore.EdgeID {
-		ids := make([]colstore.EdgeID, 0, p.Len())
-		for _, ek := range p.Edges() {
-			id, ok := e.Reg.Lookup(ek)
-			if !ok {
-				id, ok = unknown[ek]
-				if !ok {
-					id = colstore.EdgeID(uint32(e.Reg.Len()) + uint32(len(unknown)) + 1<<24)
-					unknown[ek] = id
-				}
-			}
-			ids = append(ids, id)
-		}
-		return ids
-	}
 	// planPath covers p with aggregate views and fetches every column the
 	// fold will read, appending the fold operands to dst: required segments
 	// in path order, then the optional node-measure columns. Covering is
 	// plan work, fetching is measure-scan work; the span boundary sits
 	// between them.
-	planPath := func(dst []plannedSeg, p gpath.Path) ([]plannedSeg, [2]int, error) {
-		segs := coverPath(e.Rel, resolve(p), q.Agg.Name, q.Measure, e.UseViews)
+	planPath := func(dst []plannedSeg, pi int) ([]plannedSeg, [2]int, error) {
+		p := paths[pi]
+		segs := coverPath(e.Rel, pathEdges[pi], q.Agg.Name, q.Measure, e.UseViews)
 		if tr != nil {
 			tr.Begin(obs.PhaseMeasureScan, e.ioNow())
 		}
@@ -921,12 +960,12 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 		// each path on its own goroutine with its own pooled scratch. The
 		// relation read lock held above keeps writers out for the duration.
 		plans := make([][]plannedSeg, len(paths))
-		for pi, p := range paths {
+		for pi := range paths {
 			if err := e.checkCtx(ctx, tr); err != nil {
 				return nil, err
 			}
 			var counts [2]int
-			plans[pi], counts, err = planPath(nil, p)
+			plans[pi], counts, err = planPath(nil, pi)
 			if err != nil {
 				return nil, err
 			}
@@ -962,7 +1001,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 		}
 	} else {
 		sc := pathScratchPool.Get().(*pathScratch)
-		for _, p := range paths {
+		for pi := range paths {
 			if err := e.checkCtx(ctx, tr); err != nil {
 				pathScratchPool.Put(sc)
 				return nil, err
@@ -971,7 +1010,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 				tr.Begin(obs.PhasePlan, e.ioNow()) // cover the path with agg views
 			}
 			var counts [2]int
-			sc.planned, counts, err = planPath(sc.planned[:0], p)
+			sc.planned, counts, err = planPath(sc.planned[:0], pi)
 			if err != nil {
 				pathScratchPool.Put(sc)
 				return nil, err
@@ -1107,28 +1146,19 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	eligible := isMin || q.Agg.Name == agg.Max.Name
 	var plans []pathSegment // the single segment of each path, in path order
 	if eligible {
-		unknown := make(map[graph.EdgeKey]colstore.EdgeID)
+		pathEdges := q.pathEdges
+		if pathEdges == nil {
+			pathEdges = resolvePathEdges(e.Reg, paths)
+		}
 	plan:
-		for _, p := range paths {
+		for pi, p := range paths {
 			for _, nk := range p.MeasuredNodes() {
 				if id, ok := e.Reg.Lookup(graph.NodeKey(nk)); ok && e.Rel.MeasureColumn(id) != nil {
 					eligible = false
 					break plan
 				}
 			}
-			ids := make([]colstore.EdgeID, 0, p.Len())
-			for _, ek := range p.Edges() {
-				id, ok := e.Reg.Lookup(ek)
-				if !ok {
-					id, ok = unknown[ek]
-					if !ok {
-						id = colstore.EdgeID(uint32(e.Reg.Len()) + uint32(len(unknown)) + 1<<24)
-						unknown[ek] = id
-					}
-				}
-				ids = append(ids, id)
-			}
-			segs := coverPath(e.Rel, ids, q.Agg.Name, q.Measure, e.UseViews)
+			segs := coverPath(e.Rel, pathEdges[pi], q.Agg.Name, q.Measure, e.UseViews)
 			if len(segs) != 1 {
 				eligible = false
 				break plan
@@ -1141,24 +1171,10 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 		if err != nil {
 			return nil, err
 		}
-		out := &ScalarAggResult{Query: q, Records: len(res.RecordIDs)}
-		acc := q.Agg.Identity
-		folded := 0
-		for _, v := range res.FoldAcrossPaths() {
-			if !math.IsNaN(v) {
-				acc = q.Agg.Fold(acc, v)
-				folded++
-			}
-		}
-		if folded == 0 {
-			acc = math.NaN()
-		}
-		out.Value = acc
-		out.Folded = folded
-		return out, nil
+		return res.Scalar(), nil
 	}
 
-	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G}, tr)
+	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
 	if err != nil {
 		return nil, err
 	}

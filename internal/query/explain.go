@@ -60,7 +60,7 @@ func (e *Engine) Explain(q *GraphQuery) (Explanation, error) {
 			unknown = append(unknown, k.String())
 		}
 	}
-	universe := e.queryEdgeIDs(q.G)
+	universe := resolveEdges(e.Reg, q.G)
 	e.Rel.BeginRead()
 	defer e.Rel.EndRead()
 	var plan CoverPlan

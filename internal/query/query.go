@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"grove/internal/colstore"
 	"grove/internal/gpath"
 	"grove/internal/graph"
 )
@@ -22,10 +23,28 @@ func NewPathAggQueryAlong(p gpath.Path, agg AggFunc, measure string) *PathAggQue
 type GraphQuery struct {
 	G *graph.Graph
 
+	// edges, when non-nil, is G's elements already resolved to edge ids (see
+	// Resolved); the engine then skips its own registry lookups.
+	edges []colstore.EdgeID
+
 	// str caches the rendered query text. The query graph is immutable after
 	// construction, so the first render wins; tracing reads it per execution
 	// and must not re-render a 16-edge query every time.
 	str atomic.Pointer[string]
+}
+
+// Resolved returns q with its elements resolved to edge ids against reg, once,
+// so that executing it on several engines sharing reg — the shards of one
+// store — does not repeat the element sort and the registry lookups per
+// engine. The copy shares G and the cached text; an empty or already resolved
+// query is returned as is (the engine reports the former).
+func (q *GraphQuery) Resolved(reg *graph.Registry) *GraphQuery {
+	if q == nil || q.G == nil || q.edges != nil {
+		return q
+	}
+	rq := &GraphQuery{G: q.G, edges: resolveEdges(reg, q.G)}
+	rq.str.Store(q.str.Load())
+	return rq
 }
 
 // NewGraphQuery wraps a query graph.
@@ -72,8 +91,35 @@ type PathAggQuery struct {
 	// (D,E,G) to exclude endpoint node measures (§3.3).
 	Paths []gpath.Path
 
+	// edges and pathEdges are the pre-resolved form Resolved fills: G's
+	// elements and, aligned with Paths, every path's edge sequence as edge ids.
+	edges     []colstore.EdgeID
+	pathEdges [][]colstore.EdgeID
+
 	// str caches the rendered query text (see GraphQuery.str).
 	str atomic.Pointer[string]
+}
+
+// Resolved is GraphQuery.Resolved for a path aggregation: besides the
+// structural elements it derives the maximal paths (when Paths does not name
+// explicit ones) and resolves every path's edges, all once against reg. It
+// never fails: a graph whose paths cannot be derived is left for the engine
+// to reject, in the engine's own order of checks.
+func (q *PathAggQuery) Resolved(reg *graph.Registry) *PathAggQuery {
+	if q == nil || q.G == nil || q.edges != nil {
+		return q
+	}
+	rq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths, edges: resolveEdges(reg, q.G)}
+	rq.str.Store(q.str.Load())
+	if len(rq.Paths) == 0 {
+		paths, err := gpath.MaximalPaths(q.G)
+		if err != nil {
+			return rq
+		}
+		rq.Paths = paths
+	}
+	rq.pathEdges = resolvePathEdges(reg, rq.Paths)
+	return rq
 }
 
 // NewPathAggQuery builds a path aggregation query over the default measure.

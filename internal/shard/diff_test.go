@@ -2,8 +2,11 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"grove/internal/gpath"
@@ -263,10 +266,43 @@ func TestDifferentialRandomCorpus(t *testing.T) {
 	}
 }
 
+// extremeRecords adds what randomRecords' pool leaves out, on a path of its
+// own (X0→X1→X2): every pairing of ±MaxFloat64 (sums overflow to ±Inf),
+// signed zeros, an ordinary value and a bare element (present structurally,
+// no measure: the path folds to NULL, reported as NaN).
+func extremeRecords(t testing.TB) []*graph.Record {
+	t.Helper()
+	const bare = 12345.0
+	pool := []float64{math.MaxFloat64, -math.MaxFloat64, math.Copysign(0, -1), 0, 1, bare}
+	set := func(rec *graph.Record, from, to string, v float64) {
+		if v == bare {
+			rec.AddBareElement(graph.E(from, to))
+		} else if err := rec.SetEdge(from, to, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []*graph.Record
+	for _, a := range pool {
+		for _, b := range pool {
+			rec := graph.NewRecord()
+			set(rec, "X0", "X1", a)
+			set(rec, "X1", "X2", b)
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// TestDifferentialBatchesAndScanTotals drives the query-major batch path
+// against the single-shard executor at every shard count × worker count the
+// pool treats differently (one worker: the caller's goroutine; fewer workers
+// than queries; more workers than queries): answers, aggregate cells (by
+// Float64bits), error slots and scan totals must agree, with deleted records,
+// an element no record has, an empty query and a panicking query in the
+// batch — the last two failing alone in their slots.
 func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	records := randomRecords(t, rng, 80)
-	c1, cn := buildPair(t, records, 8)
+	records := append(randomRecords(t, rng, 80), extremeRecords(t)...)
 
 	var graphQs []*query.GraphQuery
 	var aggQs []*query.PathAggQuery
@@ -280,42 +316,114 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 		graphQs = append(graphQs, query.NewGraphQuery(g))
 		aggQs = append(aggQs, query.NewPathAggQuery(g, query.Sum))
 	}
+	extreme := gpath.Closed("X0", "X1", "X2").ToGraph()
+	for i, f := range []query.AggFunc{query.Sum, query.Min, query.Max} {
+		graphQs[20+i], aggQs[20+i] = query.NewGraphQuery(extreme), query.NewPathAggQuery(extreme, f)
+	}
+	// An element no record has: empty answers, same sentinel handling.
+	unknown := gpath.Closed("A0", "B0", "Z9").ToGraph()
+	graphQs[3], aggQs[3] = query.NewGraphQuery(unknown), query.NewPathAggQuery(unknown, query.Sum)
+	// An empty query in the middle: only its slot errors.
+	const emptyAt = 11
+	graphQs[emptyAt], aggQs[emptyAt] = query.NewGraphQuery(graph.NewGraph()), query.NewPathAggQuery(graph.NewGraph(), query.Sum)
+	// The same aggregates with one query whose fold panics wherever a record
+	// matches. It runs apart from the scan totals: a failed query stops at
+	// its first failing shard, so what it had scanned by then differs.
+	const panicAt = 17
+	faulty := append([]*query.PathAggQuery(nil), aggQs...)
+	faulty[panicAt] = query.NewPathAggQuery(gpath.Closed("A0", "B0").ToGraph(), query.AggFunc{
+		Name: "BOOM", Lift: func(v float64) float64 { return v },
+		Fold: func(a, b float64) float64 { panic("kernel exploded") },
+	})
 
-	res1, errs1 := c1.ExecuteGraphBatchContext(context.Background(), graphQs, 4)
-	resn, errsn := cn.ExecuteGraphBatchContext(context.Background(), graphQs, 4)
-	for i := range graphQs {
-		if (errs1[i] == nil) != (errsn[i] == nil) {
-			t.Fatalf("batch %d: errors diverge: %v vs %v", i, errs1[i], errsn[i])
+	sameErrors := func(label string, errs1, errsn []error, failing ...int) {
+		t.Helper()
+		for i := range errs1 {
+			if (errs1[i] == nil) != (errsn[i] == nil) || (errs1[i] != nil && errs1[i].Error() != errsn[i].Error()) {
+				t.Fatalf("%s %d: errors diverge: %v vs %v", label, i, errs1[i], errsn[i])
+			}
+			if want := slices.Contains(failing, i); (errsn[i] != nil) != want {
+				t.Fatalf("%s %d: err = %v, want failure: %v", label, i, errsn[i], want)
+			}
 		}
-		if errs1[i] != nil {
+	}
+
+	for _, n := range []int{2, 3, 8} {
+		c1, cn := buildPair(t, records, n)
+		for _, id := range []uint32{0, 5, 17, 44, 81, 101, 115} {
+			if _, err := c1.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cn.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2, 5, len(graphQs) + 9} {
+			label := fmt.Sprintf("shards=%d workers=%d", n, workers)
+			res1, errs1 := c1.ExecuteGraphBatchContext(context.Background(), graphQs, workers)
+			resn, errsn := cn.ExecuteGraphBatchContext(context.Background(), graphQs, workers)
+			sameErrors(label+" batch", errs1, errsn, emptyAt)
+			for i := range graphQs {
+				if errs1[i] == nil && !res1[i].Answer.Equals(resn[i].Answer) {
+					t.Fatalf("%s batch %d: answers diverge", label, i)
+				}
+			}
+			if !resn[3].Answer.IsEmpty() {
+				t.Fatalf("%s: a query over an unknown element matched %d records", label, resn[3].NumRecords())
+			}
+
+			// MeasuresScanned totals: run the aggregation batch with clean
+			// counters on both sides; the shard partition must scan each
+			// record's measures exactly once, so the totals agree exactly.
+			c1.ResetIOStats()
+			cn.ResetIOStats()
+			ares1, aerrs1 := c1.ExecutePathAggBatchContext(context.Background(), aggQs, workers)
+			aresn, aerrsn := cn.ExecutePathAggBatchContext(context.Background(), aggQs, workers)
+			sameErrors(label+" agg batch", aerrs1, aerrsn, emptyAt)
+			for i := range aggQs {
+				if aerrs1[i] == nil {
+					assertAggEqual(t, label+" "+aggQs[i].String(), ares1[i], aresn[i])
+				}
+			}
+			s1, sn := c1.IOStats(), cn.IOStats()
+			if s1.MeasuresScanned != sn.MeasuresScanned {
+				t.Fatalf("%s: MeasuresScanned diverges: 1-shard %d, n-shard %d", label, s1.MeasuresScanned, sn.MeasuresScanned)
+			}
+			if s1.RecordsReturned != sn.RecordsReturned {
+				t.Fatalf("%s: RecordsReturned diverges: 1-shard %d, n-shard %d", label, s1.RecordsReturned, sn.RecordsReturned)
+			}
+
+			fres1, ferrs1 := c1.ExecutePathAggBatchContext(context.Background(), faulty, workers)
+			fresn, ferrsn := cn.ExecutePathAggBatchContext(context.Background(), faulty, workers)
+			sameErrors(label+" faulty batch", ferrs1, ferrsn, emptyAt, panicAt)
+			if !strings.Contains(ferrsn[panicAt].Error(), "panicked") {
+				t.Fatalf("%s: panicking slot reports %v", label, ferrsn[panicAt])
+			}
+			for i := range faulty {
+				if ferrs1[i] == nil {
+					assertAggEqual(t, label+" beside the panic "+faulty[i].String(), fres1[i], fresn[i])
+				}
+			}
+		}
+	}
+
+	// The corpus must have produced what the merge could get wrong.
+	var nan, negZero, inf bool
+	_, cn := buildPair(t, records, 3)
+	ares, _ := cn.ExecutePathAggBatchContext(context.Background(), aggQs, 2)
+	for _, r := range ares {
+		if r == nil {
 			continue
 		}
-		if !res1[i].Answer.Equals(resn[i].Answer) {
-			t.Fatalf("batch %d: answers diverge", i)
+		for _, row := range r.Values {
+			for _, v := range row {
+				nan = nan || math.IsNaN(v)
+				inf = inf || math.IsInf(v, 0)
+				negZero = negZero || (v == 0 && math.Signbit(v))
+			}
 		}
 	}
-
-	// MeasuresScanned totals: run the aggregation batch with clean counters
-	// on both sides; the shard partition must scan each record's measures
-	// exactly once, so the totals agree exactly.
-	c1.ResetIOStats()
-	cn.ResetIOStats()
-	ares1, aerrs1 := c1.ExecutePathAggBatchContext(context.Background(), aggQs, 4)
-	aresn, aerrsn := cn.ExecutePathAggBatchContext(context.Background(), aggQs, 4)
-	for i := range aggQs {
-		if (aerrs1[i] == nil) != (aerrsn[i] == nil) {
-			t.Fatalf("agg batch %d: errors diverge: %v vs %v", i, aerrs1[i], aerrsn[i])
-		}
-		if aerrs1[i] != nil {
-			continue
-		}
-		assertAggEqual(t, aggQs[i].String(), ares1[i], aresn[i])
-	}
-	s1, sn := c1.IOStats(), cn.IOStats()
-	if s1.MeasuresScanned != sn.MeasuresScanned {
-		t.Fatalf("MeasuresScanned diverges: 1-shard %d, 8-shard %d", s1.MeasuresScanned, sn.MeasuresScanned)
-	}
-	if s1.RecordsReturned != sn.RecordsReturned {
-		t.Fatalf("RecordsReturned diverges: 1-shard %d, 8-shard %d", s1.RecordsReturned, sn.RecordsReturned)
+	if !nan || !negZero || !inf {
+		t.Fatalf("corpus too tame: NaN cell %v, -0 cell %v, ±Inf cell %v", nan, negZero, inf)
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grove/internal/agg"
@@ -22,23 +21,11 @@ import (
 // sub-queries instead of letting the stragglers run to completion. A panic
 // in a shard goroutine is recovered into an error (on the single-relation
 // path a query panic unwinds the caller's goroutine; here it would kill the
-// process otherwise).
-//
-// With one shard, fn runs inline on the caller's goroutine — no goroutine,
-// channel, or context allocation — so the n=1 store keeps the exact
-// single-relation execution profile.
+// process otherwise). Every caller has taken the n=1 early return first —
+// one shard runs inline on the caller's goroutine, with the exact
+// single-relation execution profile — so scatter always has siblings.
 func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Context, s int, u *Unit) (T, error)) ([]T, error) {
 	n := len(c.units)
-	if n == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		v, err := fn(ctx, 0, u)
-		if err != nil {
-			return nil, err
-		}
-		return []T{v}, nil
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]T, n)
@@ -72,41 +59,30 @@ func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Con
 	return results, nil
 }
 
+// isCancellation reports whether err is a context cancellation or deadline.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // scatterError picks the error to surface from a scatter round. When one
 // shard fails for a real reason, its siblings abort with context.Canceled
 // from the induced cancellation — surfacing one of those would mask the
 // cause — so cancellation errors are only returned when no shard reports
 // anything else (i.e. the caller's own context was cancelled).
 func scatterError(errs []error) error {
-	var cancelled error
+	var first error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
-		}
-		return err
+		first = preferErr(first, err)
 	}
-	return cancelled
+	return first
 }
 
-// preferErr merges two per-query error slots, preferring a real error over a
-// cancellation one (same masking concern as scatterError).
+// preferErr merges two error slots, keeping the earlier one unless it is a
+// cancellation and the later one a real error (same masking concern as
+// scatterError).
 func preferErr(cur, next error) error {
-	if next == nil {
-		return cur
-	}
-	if cur == nil {
+	if cur == nil || (next != nil && isCancellation(cur) && !isCancellation(next)) {
 		return next
-	}
-	if errors.Is(cur, context.Canceled) || errors.Is(cur, context.DeadlineExceeded) {
-		if !errors.Is(next, context.Canceled) && !errors.Is(next, context.DeadlineExceeded) {
-			return next
-		}
 	}
 	return cur
 }
@@ -268,7 +244,7 @@ func (c *Coordinator) slowObserve(kind, qstr string, start time.Time, startIO ob
 	}
 	if err != nil {
 		sq.Error = err.Error()
-		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		sq.Cancelled = isCancellation(err)
 	}
 	c.slow.Add(sq)
 }
@@ -299,7 +275,7 @@ func (c *Coordinator) mergeResults(q *query.GraphQuery, subs []*query.Result) *q
 		Query:  q,
 		Plan:   subs[0].Plan,
 		Answer: c.mergeBitmaps(answers),
-		Subs:   subs,
+		Subs:   append([]*query.Result(nil), subs...), // retained: a batch worker reuses its buffer
 	}
 }
 
@@ -311,9 +287,10 @@ func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*q
 		defer u.pending.Add(-1)
 		return u.Eng.ExecuteGraphQueryContext(ctx, q)
 	}
+	rq := q.Resolved(c.reg) // once, not per shard
 	return runScattered(ctx, c, obs.KindGraph, c.queryName(q),
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.Result, error) {
-			return eng.ExecuteGraphQueryContext(ctx, q)
+			return eng.ExecuteGraphQueryContext(ctx, rq)
 		},
 		func(subs []*query.Result) *query.Result { return c.mergeResults(q, subs) })
 }
@@ -349,45 +326,116 @@ func (c *Coordinator) evalScattered(ctx context.Context, kind, qstr string, expr
 // per-path folds were computed entirely inside its shard — merging is pure
 // reordering by ascending global id, never re-association of float folds —
 // so an n-shard aggregate is bit-identical to the single-shard one,
-// including NaN and signed-zero values.
+// including NaN and signed-zero values. The per-shard rows are already
+// ascending runs (global = local·N + s is monotone within a shard), so one
+// linear k-way merge emits ids and copies values verbatim, and the answer
+// bitmap is bulk-built from the merged ids.
 func (c *Coordinator) mergeAgg(q *query.PathAggQuery, subs []*query.AggResult) *query.AggResult {
-	n := uint32(len(c.units))
-	type ref struct {
-		g uint32 // global record id
-		s int    // shard
-		i int    // index within subs[s].RecordIDs
-	}
 	total := 0
 	for _, r := range subs {
 		total += len(r.RecordIDs)
 	}
-	refs := make([]ref, 0, total)
-	for s, r := range subs {
-		for i, local := range r.RecordIDs {
-			refs = append(refs, ref{g: local*n + uint32(s), s: s, i: i})
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].g < refs[b].g })
-
 	out := &query.AggResult{
 		Query:           q,
-		Answer:          bitmap.New(),
-		RecordIDs:       make([]uint32, len(refs)),
+		RecordIDs:       make([]uint32, total),
 		Paths:           subs[0].Paths,
 		SegmentsPerPath: subs[0].SegmentsPerPath,
 		Values:          make([][]float64, len(subs[0].Values)),
 	}
+	cells := make([]float64, len(out.Values)*total)
 	for p := range out.Values {
-		out.Values[p] = make([]float64, len(refs))
+		out.Values[p] = cells[p*total : (p+1)*total : (p+1)*total]
 	}
-	for j, r := range refs {
-		out.RecordIDs[j] = r.g
-		out.Answer.Add(r.g)
-		for p := range out.Values {
-			out.Values[p][j] = subs[r.s].Values[p][r.i]
+	sc := mergePool.Get().(*mergeScratch)
+	sc.reset(len(subs))
+	for s, r := range subs {
+		sc.ids[s], sc.vals[s] = r.RecordIDs, r.Values
+	}
+	mergeRows(sc, out.RecordIDs, out.Values)
+	sc.release()
+	out.Answer = bitmap.FromSorted(out.RecordIDs)
+	return out
+}
+
+// mergeBitmaps unions per-shard answers into one global-id bitmap: decode
+// every shard's local ids into one pooled slab, k-way merge them into
+// ascending global ids, bulk-build the result.
+func (c *Coordinator) mergeBitmaps(subs []*bitmap.Bitmap) *bitmap.Bitmap {
+	total := 0
+	for _, b := range subs {
+		total += b.Cardinality()
+	}
+	sc := mergePool.Get().(*mergeScratch)
+	sc.reset(len(subs))
+	if cap(sc.slab) < 2*total {
+		sc.slab = make([]uint32, 0, 2*total)
+	}
+	slab := sc.slab[:0]
+	for s, b := range subs {
+		start := len(slab)
+		slab = b.AppendInto(slab) // within capacity: earlier windows stay valid
+		sc.ids[s] = slab[start:]
+	}
+	merged := slab[total : 2*total]
+	mergeRows(sc, merged, nil)
+	out := bitmap.FromSorted(merged)
+	sc.release()
+	return out
+}
+
+// mergeScratch is the pooled working state of one merge: per shard the
+// ascending local ids, the value rows aligned with them (aggregates only) and
+// the merge cursor, plus the slab bitmap merges decode into.
+type mergeScratch struct {
+	ids  [][]uint32
+	vals [][][]float64
+	pos  []int
+	slab []uint32
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+func (sc *mergeScratch) reset(n int) {
+	if cap(sc.ids) < n {
+		sc.ids, sc.vals, sc.pos = make([][]uint32, n), make([][][]float64, n), make([]int, n)
+	}
+	sc.ids, sc.vals, sc.pos = sc.ids[:n], sc.vals[:n], sc.pos[:n]
+	clear(sc.pos)
+}
+
+// release drops the references into per-shard results and returns the
+// scratch to the pool.
+func (sc *mergeScratch) release() {
+	clear(sc.ids)
+	clear(sc.vals)
+	mergePool.Put(sc)
+}
+
+// mergeRows is the merge kernel: it fills outIDs (whose length is the total
+// number of rows) with the ascending global ids of the per-shard local-id
+// lists in sc, and outVals[p][j] with the value row of the record at outIDs[j]
+// (outVals is nil for a bitmap merge). Each step takes the smallest head among
+// the N shard cursors: N compares per row, no sort, no allocation.
+//
+//grove:hotpath
+func mergeRows(sc *mergeScratch, outIDs []uint32, outVals [][]float64) {
+	n := uint64(len(sc.ids))
+	for j := range outIDs {
+		best, bestG := 0, uint64(math.MaxUint64)
+		for s, ids := range sc.ids {
+			if p := sc.pos[s]; p < len(ids) {
+				if g := uint64(ids[p])*n + uint64(s); g < bestG {
+					best, bestG = s, g
+				}
+			}
+		}
+		i := sc.pos[best]
+		sc.pos[best] = i + 1
+		outIDs[j] = uint32(bestG)
+		for p, row := range outVals {
+			row[j] = sc.vals[best][p][i]
 		}
 	}
-	return out
 }
 
 // AggregateContext executes a path-aggregation query across all shards.
@@ -404,9 +452,10 @@ func (c *Coordinator) AggregateContext(ctx context.Context, q *query.PathAggQuer
 // aggregateScattered is the multi-shard path-aggregation body, parameterized
 // on the trace/slow-log labels (see evalScattered).
 func (c *Coordinator) aggregateScattered(ctx context.Context, kind, qstr string, q *query.PathAggQuery) (*query.AggResult, error) {
+	rq := q.Resolved(c.reg) // once, not per shard
 	return runScattered(ctx, c, kind, qstr,
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.AggResult, error) {
-			return eng.ExecutePathAggQueryContext(ctx, q)
+			return eng.ExecutePathAggQueryContext(ctx, rq)
 		},
 		func(subs []*query.AggResult) *query.AggResult { return c.mergeAgg(q, subs) })
 }
@@ -437,21 +486,7 @@ func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathA
 	if err != nil {
 		return nil, err
 	}
-	out := &query.ScalarAggResult{Query: q, Records: len(res.RecordIDs)}
-	acc := q.Agg.Identity
-	folded := 0
-	for _, v := range res.FoldAcrossPaths() {
-		if !math.IsNaN(v) {
-			acc = q.Agg.Fold(acc, v)
-			folded++
-		}
-	}
-	if folded == 0 {
-		acc = math.NaN()
-	}
-	out.Value = acc
-	out.Folded = folded
-	return out, nil
+	return res.Scalar(), nil
 }
 
 // mergeScalar combines per-shard scalar aggregates of a MIN/MAX query in
@@ -517,133 +552,116 @@ func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) 
 
 // --- batches -----------------------------------------------------------------
 
-// batchWorkers splits a worker budget across shards: each shard's batch
-// executor gets workers/n (at least 1), so total concurrency stays near the
-// requested budget instead of multiplying by the shard count.
-func (c *Coordinator) batchWorkers(workers int) int {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+// runBatch is the query-major batch body of a multi-shard coordinator. One
+// pool of workers (query.RunWorkers: the pool, error slots, cancellation
+// drain and panic isolation of a single-shard batch) hands out query indexes;
+// each worker holds one engine clone per shard, and the worker that takes
+// query i resolves it once against the shared registry, runs its N shard
+// sub-queries inline and merges them in place — no per-shard pool, barrier or
+// cross-goroutine hand-off, merges overlapping other queries' shard work, and
+// workers still the batch's total concurrency.
+//
+// A query errors if it failed on any shard, a real error winning over a
+// cancellation. For the gauges a batch is one scatter round: every shard
+// counts one pending unit while the batch is in flight, and queueWait[s]
+// observes once per batch, from dispatch to the start of the first sub-query
+// on shard s. mergeDur observes each query's merge.
+func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, workers int,
+	resolve func(q Q) Q,
+	run func(ctx context.Context, eng *query.Engine, q Q) (R, error),
+	merge func(q Q, subs []R) R) ([]R, []error) {
+
+	type worker struct {
+		engs []*query.Engine
+		subs []R
 	}
-	if n := len(c.units); n > 1 {
-		workers /= n
-		if workers < 1 {
-			workers = 1
-		}
+	c.addPending(1)
+	defer c.addPending(-1)
+	var dispatch time.Time
+	var started []atomic.Bool
+	if c.queueWait != nil {
+		dispatch, started = time.Now(), make([]atomic.Bool, len(c.units))
 	}
-	return workers
+	out := make([]R, len(queries))
+	errs := query.RunWorkers(ctx, c.metrics, workers, len(queries),
+		func() *worker {
+			w := &worker{engs: make([]*query.Engine, len(c.units)), subs: make([]R, len(c.units))}
+			for s, u := range c.units {
+				w.engs[s] = u.Eng.Clone()
+			}
+			return w
+		},
+		func(w *worker, i int) error {
+			q := resolve(queries[i])
+			var qerr error
+			for s, eng := range w.engs {
+				if started != nil && !started[s].Load() && started[s].CompareAndSwap(false, true) {
+					c.queueWait[s].Observe(time.Since(dispatch).Seconds())
+				}
+				sub, err := run(ctx, eng, q)
+				if err != nil {
+					// A real error is the query's answer; after a cancellation
+					// the remaining shards bail at their first check, unless
+					// one of them has a real error to report instead.
+					if qerr = preferErr(qerr, err); !isCancellation(err) {
+						break
+					}
+				}
+				w.subs[s] = sub
+			}
+			if qerr != nil {
+				return qerr
+			}
+			var mstart time.Time
+			if c.mergeDur != nil {
+				mstart = time.Now()
+			}
+			out[i] = merge(queries[i], w.subs)
+			if c.mergeDur != nil {
+				c.mergeDur.Observe(time.Since(mstart).Seconds())
+			}
+			return nil
+		})
+	return out, errs
+}
+
+// addPending moves every shard's pending gauge by d.
+func (c *Coordinator) addPending(d int64) {
+	for _, u := range c.units {
+		u.pending.Add(d)
+	}
 }
 
 // ExecuteGraphBatchContext runs a batch of structural queries across all
-// shards: every shard executes the whole batch through its own worker pool,
-// and the per-query partials merge by query index. Error slots follow batch
-// semantics — one query's failure does not abort the rest — and a merged
-// query errors if it failed on any shard.
+// shards with up to workers queries in flight (see runBatch).
 func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*query.GraphQuery, workers int) ([]*query.Result, []error) {
-	per := c.batchWorkers(workers)
 	if len(c.units) == 1 {
 		u := c.units[0]
 		u.pending.Add(1)
 		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, per).ExecuteGraphQueriesContext(ctx, queries)
+		return query.NewBatchExecutor(u.Eng, workers).ExecuteGraphQueriesContext(ctx, queries)
 	}
-	type shardOut struct {
-		res  []*query.Result
-		errs []error
-	}
-	var dispatch time.Time
-	if c.queueWait != nil {
-		dispatch = time.Now()
-	}
-	subs, err := scatter(ctx, c, func(ctx context.Context, s int, u *Unit) (shardOut, error) {
-		if c.queueWait != nil {
-			c.queueWait[s].Observe(time.Since(dispatch).Seconds())
-		}
-		res, errs := query.NewBatchExecutor(u.Eng, per).ExecuteGraphQueriesContext(ctx, queries)
-		return shardOut{res: res, errs: errs}, nil
-	})
-	out := make([]*query.Result, len(queries))
-	outErrs := make([]error, len(queries))
-	if err != nil { // only a recovered panic can surface here
-		for i := range outErrs {
-			outErrs[i] = err
-		}
-		return out, outErrs
-	}
-	subsI := make([]*query.Result, len(subs))
-	var mstart time.Time
-	if c.mergeDur != nil {
-		mstart = time.Now()
-	}
-	for i, q := range queries {
-		var qerr error
-		for s := range subs {
-			qerr = preferErr(qerr, subs[s].errs[i])
-			subsI[s] = subs[s].res[i]
-		}
-		if qerr != nil {
-			outErrs[i] = qerr
-			continue
-		}
-		out[i] = c.mergeResults(q, append([]*query.Result(nil), subsI...))
-	}
-	if c.mergeDur != nil {
-		c.mergeDur.Observe(time.Since(mstart).Seconds())
-	}
-	return out, outErrs
+	return runBatch(ctx, c, queries, workers,
+		func(q *query.GraphQuery) *query.GraphQuery { return q.Resolved(c.reg) },
+		func(ctx context.Context, eng *query.Engine, q *query.GraphQuery) (*query.Result, error) {
+			return eng.ExecuteGraphQueryContext(ctx, q)
+		},
+		c.mergeResults)
 }
 
 // ExecutePathAggBatchContext is ExecuteGraphBatchContext for
 // path-aggregation batches.
 func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []*query.PathAggQuery, workers int) ([]*query.AggResult, []error) {
-	per := c.batchWorkers(workers)
 	if len(c.units) == 1 {
 		u := c.units[0]
 		u.pending.Add(1)
 		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, per).ExecutePathAggQueriesContext(ctx, queries)
+		return query.NewBatchExecutor(u.Eng, workers).ExecutePathAggQueriesContext(ctx, queries)
 	}
-	type shardOut struct {
-		res  []*query.AggResult
-		errs []error
-	}
-	var dispatch time.Time
-	if c.queueWait != nil {
-		dispatch = time.Now()
-	}
-	subs, err := scatter(ctx, c, func(ctx context.Context, s int, u *Unit) (shardOut, error) {
-		if c.queueWait != nil {
-			c.queueWait[s].Observe(time.Since(dispatch).Seconds())
-		}
-		res, errs := query.NewBatchExecutor(u.Eng, per).ExecutePathAggQueriesContext(ctx, queries)
-		return shardOut{res: res, errs: errs}, nil
-	})
-	out := make([]*query.AggResult, len(queries))
-	outErrs := make([]error, len(queries))
-	if err != nil {
-		for i := range outErrs {
-			outErrs[i] = err
-		}
-		return out, outErrs
-	}
-	subsI := make([]*query.AggResult, len(subs))
-	var mstart time.Time
-	if c.mergeDur != nil {
-		mstart = time.Now()
-	}
-	for i, q := range queries {
-		var qerr error
-		for s := range subs {
-			qerr = preferErr(qerr, subs[s].errs[i])
-			subsI[s] = subs[s].res[i]
-		}
-		if qerr != nil {
-			outErrs[i] = qerr
-			continue
-		}
-		out[i] = c.mergeAgg(q, subsI)
-	}
-	if c.mergeDur != nil {
-		c.mergeDur.Observe(time.Since(mstart).Seconds())
-	}
-	return out, outErrs
+	return runBatch(ctx, c, queries, workers,
+		func(q *query.PathAggQuery) *query.PathAggQuery { return q.Resolved(c.reg) },
+		func(ctx context.Context, eng *query.Engine, q *query.PathAggQuery) (*query.AggResult, error) {
+			return eng.ExecutePathAggQueryContext(ctx, q)
+		},
+		c.mergeAgg)
 }

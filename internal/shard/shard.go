@@ -1,8 +1,9 @@
 // Package shard partitions the record collection horizontally into N
 // independent shards, each owning its own colstore.Relation (bitmap columns,
 // measure columns, result-cache slice, snapshot generation), and executes
-// queries by scatter-gather: fan the query across every shard in parallel,
-// then merge the partials.
+// queries by scatter-gather: a single query fans across every shard in
+// parallel and the partials merge; a batch runs query-major — each of its
+// workers takes a query, runs it on every shard inline and merges.
 //
 // The merge is exact, not approximate, because everything grove computes is
 // distributive over a disjoint record partition (paper §3.4): a graph query
@@ -53,12 +54,13 @@ type Unit struct {
 	// shard's ingestMu at once to cut a consistent cross-shard snapshot.
 	ingestMu sync.Mutex
 
-	// pending counts the shard sub-queries currently queued or running on
-	// this shard — the per-shard queue-depth gauge on /metrics.
+	// pending counts the scatter rounds currently queued or running on this
+	// shard — one per single query's sub-query, one per batch in flight —
+	// the per-shard queue-depth gauge on /metrics.
 	pending atomic.Int64
 }
 
-// Pending returns the number of sub-queries currently queued or running.
+// Pending returns the number of scatter rounds currently queued or running.
 func (u *Unit) Pending() int64 { return u.pending.Load() }
 
 // Coordinator owns N shards and a shared element registry (the universal
@@ -80,11 +82,14 @@ type Coordinator struct {
 	// only nil checks). traces is the coordinator-owned ring: with N > 1 a
 	// scatter-gathered query records one hierarchical root trace (fan-out /
 	// queue-wait / merge spans, per-shard engine traces as children); the ring
-	// is also attached to every shard engine so batch sub-queries — executed
-	// whole-batch per shard — record flat, shard-labelled traces. slow is the
-	// shared slow-query log. queueWait (one histogram per shard) and mergeDur
+	// is also attached to every shard engine so batch sub-queries — run inline
+	// by the batch worker that took their query — record flat, shard-labelled
+	// traces. slow is the shared slow-query log. metrics is the bundle every
+	// shard engine shares; the coordinator keeps it to count a batch once,
+	// not once per shard. queueWait (one histogram per shard) and mergeDur
 	// observe scatter dispatch latency and merge wall time. Attach all of them
 	// before serving queries, like Engine.SetTraces.
+	metrics   *obs.QueryMetrics
 	traces    *obs.TraceRing
 	slow      *obs.SlowLog
 	queueWait []*obs.Histogram
@@ -160,30 +165,6 @@ func (c *Coordinator) Locate(g uint32) (*Unit, uint32, error) {
 		return nil, 0, fmt.Errorf("shard: record %d out of range (have %d)", g, c.NumRecords())
 	}
 	return u, local, nil
-}
-
-// translateInto adds shard s's local record ids into out as global ids.
-func (c *Coordinator) translateInto(out, local *bitmap.Bitmap, s int) {
-	n := uint32(len(c.units))
-	local.Each(func(l uint32) bool {
-		out.Add(l*n + uint32(s))
-		return true
-	})
-}
-
-// mergeBitmaps unions per-shard answers into one global-id bitmap. For a
-// single shard local ids are global ids and the answer passes through.
-func (c *Coordinator) mergeBitmaps(subs []*bitmap.Bitmap) *bitmap.Bitmap {
-	if len(c.units) == 1 {
-		return subs[0]
-	}
-	out := bitmap.New()
-	for s, b := range subs {
-		if b != nil {
-			c.translateInto(out, b, s)
-		}
-	}
-	return out
 }
 
 // --- mutators ---------------------------------------------------------------
@@ -279,18 +260,16 @@ func (c *Coordinator) Tag(g uint32, key, value string) error {
 // result is always a fresh bitmap copied under each shard's read lock, so it
 // stays valid after concurrent mutations.
 func (c *Coordinator) TaggedWith(key, value string) *bitmap.Bitmap {
-	out := bitmap.New()
+	subs := make([]*bitmap.Bitmap, len(c.units))
 	for i, u := range c.units {
 		u.Rel.BeginRead()
-		b := u.Rel.FetchTagBitmap(key, value)
-		if len(c.units) == 1 {
-			out = out.Or(b)
-		} else {
-			c.translateInto(out, b, i)
-		}
+		subs[i] = u.Rel.FetchTagBitmap(key, value).Clone()
 		u.Rel.EndRead()
 	}
-	return out
+	if len(subs) == 1 {
+		return subs[0]
+	}
+	return c.mergeBitmaps(subs)
 }
 
 // Optimize recompresses every shard's bitmap columns.
@@ -447,6 +426,7 @@ func (c *Coordinator) CacheStats() query.CacheStats {
 // SetMetrics attaches one shared metrics bundle to every shard engine
 // (QueryMetrics is atomic counters, safe to share).
 func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
+	c.metrics = m
 	for _, u := range c.units {
 		u.Eng.SetMetrics(m)
 	}
@@ -455,8 +435,9 @@ func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
 // SetTraces attaches a trace ring (nil disables). The coordinator owns it:
 // with N > 1 each scatter-gathered query records one hierarchical root trace
 // whose children are the per-shard engine traces. The ring is also attached
-// to every shard engine, so batch sub-queries (executed whole-batch per
-// shard) record flat traces labelled with their shard id.
+// to every shard engine, so batch sub-queries (run inline, shard after
+// shard, by the worker that took their query) record flat traces labelled
+// with their shard id.
 func (c *Coordinator) SetTraces(t *obs.TraceRing) {
 	c.traces = t
 	for _, u := range c.units {

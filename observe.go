@@ -207,7 +207,7 @@ func (s *Store) Metrics() *MetricsRegistry {
 			}
 			return out
 		})
-	r.GaugeVecFunc(MetricShardQueueDepth, "Scatter-gather sub-queries queued or running per shard.",
+	r.GaugeVecFunc(MetricShardQueueDepth, "Scatter rounds (single queries, or whole batches) queued or running per shard.",
 		func() map[string]float64 {
 			out := make(map[string]float64, s.coord.NumShards())
 			for i := 0; i < s.coord.NumShards(); i++ {
@@ -244,7 +244,7 @@ func (s *Store) Metrics() *MetricsRegistry {
 	for i := range queueWait {
 		queueWait[i] = r.Histogram(
 			MetricShardQueueWait+"{"+obs.Labels("shard", strconv.Itoa(i))+"}",
-			"Scatter-gather sub-query wait from dispatch to execution start, per shard.", nil)
+			"Scatter-gather wait from dispatch to sub-query start, per shard; a batch observes once per shard, at its first sub-query there.", nil)
 	}
 	mergeDur := r.Histogram(MetricScatterMerge,
 		"Coordinator merge-phase latency of scatter-gathered queries.", nil)
@@ -316,8 +316,9 @@ func (s *Store) Metrics() *MetricsRegistry {
 // with tracing off the query path pays a single nil check.
 // On a sharded store a scatter-gathered query records one hierarchical root
 // trace — coordinator fan-out / per-shard queue-wait / merge spans, with each
-// shard engine's trace attached as a child — while batch sub-queries record
-// flat shard-labelled traces into the same ring.
+// shard engine's trace attached as a child — while a batch, which does not
+// fan out (its workers run each query's shard sub-queries inline), records
+// one flat shard-labelled trace per sub-query into the same ring.
 func (s *Store) EnableTracing(capacity int) {
 	s.coord.SetTraces(obs.NewTraceRing(capacity))
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -335,5 +336,123 @@ func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
 	})
 	if disabled > baseline {
 		t.Errorf("disabled observability allocates: %.1f/op vs %.1f/op never-instrumented", disabled, baseline)
+	}
+
+	// The same promise for one batch call, on one worker: with more, which
+	// worker takes which query — and so what each scratch pool hands back —
+	// is the scheduler's choice.
+	graphs := []*Graph{g, PathOf("A", "B", "F").ToGraph(), PathOf("C", "H", "K").ToGraph(), g}
+	batch := func(st *Store) func() {
+		return func() {
+			if _, err := st.ExecuteBatch(graphs, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.AggregateBatch(graphs, Sum, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, st := range []*Store{base, inst} {
+		for i := 0; i < 5; i++ {
+			batch(st)()
+		}
+	}
+	baseline, disabled = testing.AllocsPerRun(100, batch(base)), testing.AllocsPerRun(100, batch(inst))
+	if disabled > baseline {
+		t.Errorf("disabled observability allocates in a batch: %.1f/op vs %.1f/op never-instrumented", disabled, baseline)
+	}
+}
+
+// metricsText renders the store's registry the way /metrics serves it.
+func metricsText(t *testing.T, st *Store) string {
+	t.Helper()
+	var b strings.Builder
+	if err := st.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestShardedBatchCountsOnce: one ExecuteBatch of 10 queries on a 4-shard
+// store is one batch of 10 queries on /metrics — not one per shard — and the
+// worker gauge returns to 0.
+func TestShardedBatchCountsOnce(t *testing.T) {
+	st := NewSharded(4)
+	loadSCMOrders(t, st)
+	st.Metrics()
+	graphs := make([]*Graph, 10)
+	for i := range graphs {
+		graphs[i] = PathOf("A", "D", "E").ToGraph()
+	}
+	if _, err := st.ExecuteBatch(graphs, 3); err != nil {
+		t.Fatal(err)
+	}
+	text := metricsText(t, st)
+	for _, want := range []string{
+		"\ngrove_batch_batches_total 1\n",
+		"\ngrove_batch_queries_total 10\n",
+		"\ngrove_batch_workers_busy 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q after one 10-query batch on 4 shards", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestShardedBatchObservability pins what a batch means to the per-shard
+// signals (DESIGN.md §8): it is one scatter round — each shard's queue-wait
+// histogram gains exactly one observation per batch call, the queue-depth
+// gauge is back to 0 afterwards — and its sub-queries record flat,
+// shard-labelled traces, one per (query, shard), never a coordinator root.
+func TestShardedBatchObservability(t *testing.T) {
+	const shards = 4
+	st := NewSharded(shards)
+	loadSCMOrders(t, st)
+	st.Metrics()
+	st.EnableTracing(64)
+	graphs := []*Graph{PathOf("A", "D", "E").ToGraph(), PathOf("A", "B", "F").ToGraph(), PathOf("C", "H", "K").ToGraph()}
+
+	if _, err := st.ExecuteBatch(graphs, 2); err != nil {
+		t.Fatal(err)
+	}
+	traces := st.RecentTraces()
+	if len(traces) != len(graphs)*shards {
+		t.Fatalf("a %d-query batch on %d shards recorded %d traces, want one per sub-query", len(graphs), shards, len(traces))
+	}
+	perShard := make([]int, shards)
+	for _, tr := range traces {
+		if tr.Shard < 0 || tr.Shard >= shards || tr.Kind != "graph" || len(tr.Children) != 0 {
+			t.Fatalf("batch sub-query trace = kind %q shard %d with %d children, want a flat engine trace", tr.Kind, tr.Shard, len(tr.Children))
+		}
+		for _, sp := range tr.Spans {
+			if sp.Shard != tr.Shard {
+				t.Errorf("span %q of a shard-%d trace labelled shard %d", sp.Phase, tr.Shard, sp.Shard)
+			}
+		}
+		perShard[tr.Shard]++
+	}
+	for s, n := range perShard {
+		if n != len(graphs) {
+			t.Errorf("shard %d recorded %d traces, want %d", s, n, len(graphs))
+		}
+	}
+
+	if _, err := st.AggregateBatch(graphs, Sum, 2); err != nil {
+		t.Fatal(err)
+	}
+	text := metricsText(t, st)
+	for s := 0; s < shards; s++ {
+		label := `{shard="` + strconv.Itoa(s) + `"}`
+		for _, want := range []string{
+			MetricShardQueueWait + "_count" + label + " 2\n", // two batch calls
+			MetricShardQueueDepth + label + " 0\n",
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("/metrics missing %q after two batches", strings.TrimSpace(want))
+			}
+		}
+	}
+	if want := MetricScatterMerge + "_count " + strconv.Itoa(2*len(graphs)) + "\n"; !strings.Contains(text, want) {
+		t.Errorf("/metrics missing %q: one merge observation per merged query", strings.TrimSpace(want))
 	}
 }
