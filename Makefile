@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench bench-smoke replay-smoke durability shard-diff paged-diff wal-diff check
+.PHONY: build test race lint fuzz-smoke bench bench-smoke replay-smoke durability shard-diff paged-diff check
 
 build:
 	$(GO) build ./...
@@ -75,15 +75,23 @@ bench-smoke:
 replay-smoke:
 	$(GO) run ./cmd/grovebench -exp replay -ny 2000 -q 20
 
-# The durability gate: crash Save at every injected I/O fault (with and
-# without torn writes) and prove Load always recovers a complete snapshot —
-# single-relation and sharded-manifest protocols both — then exercise
-# recovery, GC, rollback and cancellation paths.
+# The durability gate — one commit protocol (DESIGN.md §11), one gate. Crash
+# Save, WAL-logged ingest and checkpoints at every injected I/O fault (plain
+# and torn-write modes) and prove Load always recovers: a complete old or new
+# snapshot cut, flat and manifest layouts both; under a log, a clean prefix of
+# the op sequence — every fsync-acknowledged op present, no partial op
+# applied, sharded recovery bit-identical to single-shard, views maintained
+# incrementally matching a from-scratch rebuild. Then the facade-vs-coordinator
+# byte-identity table, the shadowed-save refusal, recovery, GC, rollback and
+# cancellation paths, and the frame/scan unit suite.
 durability:
 	$(GO) test ./internal/colstore/ -run \
-		'TestSaveFaultSweep|TestLoadFallbackRecovery|TestSnapshotGCKeepCount|TestGenerationsInventoryAndRollback|TestConcurrentSaveLoadMutate' -v
+		'TestSaveFaultSweep|TestLoadFallbackRecovery|TestSnapshotGCKeepCount|TestGenerationsInventoryAndRollback|TestConcurrentSaveLoadMutate|TestLoadRejectsRetiredFormats' -v
 	$(GO) test ./internal/shard/ -run \
-		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip' -v
+		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout' -v
+	$(GO) test . -run \
+		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped|TestOneDurabilityPath|TestShadowedSaveRefused' -v
+	$(GO) test ./internal/wal/ -count=1
 	$(GO) test ./internal/query/ -run 'Cancel|Batch' -v
 	$(GO) test . -run 'TestStoreContextCancelled|TestStoreExecuteBatchContextCancelled|TestStoreBatchPanicIsolated' -v
 
@@ -106,22 +114,9 @@ paged-diff:
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs' -v
 
-# The write-ahead-log gate: crash WAL-logged ingest and checkpoints at every
-# injected I/O fault (plain and torn-write modes) and prove recovery always
-# lands on a clean prefix of the op sequence — every fsync-acknowledged op
-# present, no partial op applied, sharded recovery bit-identical to
-# single-shard, views maintained incrementally matching a from-scratch
-# rebuild — plus the frame/scan unit suite and the snapshot-GC crash sweep
-# the checkpoint's truncation ordering leans on.
-wal-diff:
-	$(GO) test . -run \
-		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped' -v
-	$(GO) test ./internal/wal/ -count=1
-	$(GO) test ./internal/colstore/ -run 'TestSaveFaultSweepSnapshotGC' -v
-
-# The full gate CI runs: vet, lint, build, tests, the durability sweep, then
-# the race-detector pass (which re-vets; harmless and keeps `make race`
-# self-contained).
+# The full gate CI runs: vet, lint, build, tests, the smoke and differential
+# gates, then the race-detector pass (which re-vets; harmless and keeps
+# `make race` self-contained).
 check:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -132,5 +127,4 @@ check:
 	$(MAKE) durability
 	$(MAKE) shard-diff
 	$(MAKE) paged-diff
-	$(MAKE) wal-diff
 	$(MAKE) race

@@ -169,8 +169,12 @@ func usage() {
 // marked; their loadable state is the SHARDS.json manifest, so per-shard
 // force-install is refused.
 func recoverStore(dir string, args []string) {
-	if shard.IsShardedDir(dir) {
-		recoverSharded(dir, args)
+	dirs, pinned, err := shard.ShardDirs(dir)
+	if err != nil {
+		fatal(err)
+	}
+	if pinned != nil {
+		recoverSharded(dirs, pinned, args)
 		return
 	}
 	switch len(args) {
@@ -207,17 +211,9 @@ func recoverStore(dir string, args []string) {
 // recoverSharded inventories every shard's generations, marking the cut the
 // durable SHARDS.json manifest pins (which is what Load reconstructs, even
 // when a crashed save left newer per-shard CURRENT pointers behind).
-func recoverSharded(dir string, args []string) {
+func recoverSharded(dirs, pinned []string, args []string) {
 	if len(args) > 0 {
 		fatal(fmt.Errorf("sharded stores recover through the SHARDS.json manifest, which always pins a consistent cross-shard cut; per-shard force-install would tear it"))
-	}
-	dirs, err := shard.ShardDirs(dir)
-	if err != nil {
-		fatal(err)
-	}
-	pinned, err := shard.PinnedGenerations(dir)
-	if err != nil {
-		fatal(err)
 	}
 	fmt.Printf("%-10s %-14s %12s  %-8s %-8s %s\n", "SHARD", "GENERATION", "BYTES", "CURRENT", "PINNED", "STATUS")
 	for i, sd := range dirs {

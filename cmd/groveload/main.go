@@ -37,7 +37,7 @@ func main() {
 		maxE    = flag.Int("max", 0, "max edges per record (0 = family default)")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		keep    = flag.Int("keep", 0, "snapshot generations to retain on disk (0 = default)")
-		shards  = flag.Int("shards", 1, "shards to partition the store into (1 = flat single-relation layout)")
+		shards  = flag.Int("shards", 1, "shards to partition the store into")
 		fsync   = flag.String("fsync", "", "write-ahead log the ingest under this fsync policy: always | interval | never (empty = no WAL)")
 	)
 	flag.Parse()
@@ -88,59 +88,20 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "building %s dataset: %d records, %d-edge domain, %d shard(s) ...\n",
 		spec.Name, spec.NumRecords, spec.EdgeDomain, *shards)
-	// Sharded and WAL-logged ingests reroute records through the coordinator.
-	spec.KeepRecords = *shards > 1 || walled
+	spec.KeepRecords = true
 	ds, err := workload.Build(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "groveload:", err)
 		os.Exit(1)
 	}
-	if walled {
-		// Durable ingest: EnableWAL bootstraps out with an empty snapshot and
-		// fresh logs, every Append is logged before it applies, and the final
-		// Save checkpoints — folding the log back into the snapshot.
-		st := grove.NewSharded(*shards)
-		st.SetSnapshotKeep(*keep)
-		if err := st.EnableWAL(*out, walCfg); err != nil {
-			fmt.Fprintln(os.Stderr, "groveload:", err)
-			os.Exit(1)
-		}
-		for _, rec := range ds.Records {
-			if _, err := st.Append(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "groveload:", err)
-				os.Exit(1)
-			}
-		}
-		st.Optimize()
-		ws := st.WALStats()
-		fmt.Fprintf(os.Stderr, "wal: %d appends, %d bytes, %d fsyncs (policy %s)\n",
-			ws.Appends, ws.AppendedBytes, ws.Fsyncs, ws.Policy)
-		if err := st.Save(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "groveload:", err)
-			os.Exit(1)
-		}
-	} else if *shards > 1 {
-		st := grove.NewSharded(*shards)
-		for _, rec := range ds.Records {
-			st.Add(rec)
-		}
-		st.Optimize()
-		st.SetSnapshotKeep(*keep)
-		if err := st.Save(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "groveload:", err)
-			os.Exit(1)
-		}
-	} else {
-		ds.Rel.SetSnapshotKeep(*keep)
-		if err := ds.Rel.Save(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "groveload:", err)
-			os.Exit(1)
-		}
-		if err := ds.Reg.Save(*out + "/registry.json"); err != nil {
+	st := openStore(*out, *shards, walled, walCfg)
+	for _, rec := range ds.Records {
+		if _, err := st.Append(rec); err != nil {
 			fmt.Fprintln(os.Stderr, "groveload:", err)
 			os.Exit(1)
 		}
 	}
+	saveStore(st, *out, *keep)
 	sz, err := diskSize(*out)
 	if err != nil {
 		sz = -1
@@ -149,8 +110,7 @@ func main() {
 	fmt.Printf("saved to %s (%.2f MB on disk)\n", *out, float64(sz)/(1<<20))
 }
 
-// diskSize totals every file under dir — unlike colstore.DiskSizeBytes it
-// also covers the sharded layout's nested shard-NNN directories.
+// diskSize totals every file under dir, whatever the store layout.
 func diskSize(dir string) (int64, error) {
 	var total int64
 	err := filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
@@ -167,6 +127,37 @@ func diskSize(dir string) (int64, error) {
 	return total, err
 }
 
+// openStore creates the store every ingest goes through. With walled set,
+// EnableWAL bootstraps out with an empty snapshot and fresh logs first, so
+// every record takes the logged Append path.
+func openStore(out string, shards int, walled bool, walCfg grove.WALConfig) *grove.Store {
+	st := grove.NewSharded(shards)
+	if walled {
+		if err := st.EnableWAL(out, walCfg); err != nil {
+			fmt.Fprintln(os.Stderr, "groveload:", err)
+			os.Exit(1)
+		}
+	}
+	return st
+}
+
+// saveStore commits the ingested store to out through Store.Save — the one
+// save path, whatever the shard count; on a WAL-logged store it is the
+// checkpoint that folds the log into the snapshot.
+func saveStore(st *grove.Store, out string, keep int) {
+	st.Optimize()
+	st.SetSnapshotKeep(keep)
+	if st.WALEnabled() {
+		ws := st.WALStats()
+		fmt.Fprintf(os.Stderr, "wal: %d appends, %d bytes, %d fsyncs (policy %s)\n",
+			ws.Appends, ws.AppendedBytes, ws.Fsyncs, ws.Policy)
+	}
+	if err := st.Save(out); err != nil {
+		fmt.Fprintln(os.Stderr, "groveload:", err)
+		os.Exit(1)
+	}
+}
+
 func importTraces(input, out string, keep, shards int, walled bool, walCfg grove.WALConfig) {
 	f, err := os.Open(input)
 	if err != nil {
@@ -174,26 +165,13 @@ func importTraces(input, out string, keep, shards int, walled bool, walCfg grove
 		os.Exit(1)
 	}
 	defer f.Close()
-	st := grove.NewSharded(shards)
-	if walled {
-		// With WAL enabled first, every imported record takes the logged
-		// Append path; the Save below checkpoints the log away.
-		if err := st.EnableWAL(out, walCfg); err != nil {
-			fmt.Fprintln(os.Stderr, "groveload:", err)
-			os.Exit(1)
-		}
-	}
+	st := openStore(out, shards, walled, walCfg)
 	n, err := st.ImportTraces(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "groveload:", err)
 		os.Exit(1)
 	}
-	st.Optimize()
-	st.SetSnapshotKeep(keep)
-	if err := st.Save(out); err != nil {
-		fmt.Fprintln(os.Stderr, "groveload:", err)
-		os.Exit(1)
-	}
+	saveStore(st, out, keep)
 	fmt.Printf("imported %d trace records (%d distinct edges) into %s\n",
 		n, st.NumEdges(), out)
 }

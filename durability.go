@@ -74,34 +74,21 @@ func (s *Store) EnableWAL(dir string, cfg WALConfig) error {
 //	st.Append(rec)        // durable once it returns
 //	st.Save(dir)          // checkpoint: fold the log into a snapshot
 func OpenDurable(dir string, cfg WALConfig, opts ...Option) (*Store, error) {
-	st, err := LoadStore(dir)
-	if err != nil {
-		if storeExists(dir) {
+	// "Nothing there yet" is created; a store that is there but fails to load
+	// is an error, never silently overwritten.
+	var st *Store
+	if shard.Exists(dir) {
+		var err error
+		if st, err = LoadStore(dir); err != nil {
 			return nil, err
 		}
+	} else {
 		st = Open(opts...)
 	}
 	if err := st.EnableWAL(dir, cfg); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// storeExists reports whether dir holds something that should load as a
-// store — distinguishing "nothing there yet" (OpenDurable creates it) from
-// "a store that failed to load" (OpenDurable must not silently overwrite).
-func storeExists(dir string) bool {
-	fs := fsio.OS()
-	if _, err := fs.Stat(filepath.Join(dir, "CURRENT")); err == nil {
-		return true
-	}
-	if _, err := fs.Stat(filepath.Join(dir, "SHARDS.json")); err == nil {
-		return true
-	}
-	if _, err := fs.Stat(filepath.Join(dir, "registry.json")); err == nil {
-		return true
-	}
-	return false
 }
 
 // Append adds a record like Add but reports the write-ahead log's verdict: a
@@ -175,21 +162,14 @@ type WALFileInfo struct {
 // (never modifying them) and reports their health. It works on damaged
 // stores: a torn or corrupt log is described, not rejected.
 func InspectWAL(dir string) ([]WALFileInfo, error) {
-	fs := fsio.OS()
-	paths := []string{filepath.Join(dir, wal.FileName)}
-	if shard.IsShardedDir(dir) {
-		dirs, err := shard.ShardDirs(dir)
-		if err != nil {
-			return nil, err
-		}
-		paths = paths[:0]
-		for _, d := range dirs {
-			paths = append(paths, filepath.Join(d, wal.FileName))
-		}
+	dirs, _, err := shard.ShardDirs(dir)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]WALFileInfo, 0, len(paths))
-	for _, p := range paths {
-		res, err := wal.Scan(fs, p)
+	out := make([]WALFileInfo, 0, len(dirs))
+	for _, d := range dirs {
+		p := filepath.Join(d, wal.FileName)
+		res, err := wal.Scan(fsio.OS(), p)
 		if err != nil {
 			return nil, err
 		}

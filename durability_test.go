@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"grove/internal/colstore"
 	"grove/internal/fsio"
+	"grove/internal/shard"
 	"grove/internal/wal"
 )
 
@@ -49,6 +51,46 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// treeBytes reads every file under dir, keyed by its path relative to dir.
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(p)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameTree fails the test unless two treeBytes snapshots hold the same file
+// set with the same bytes.
+func sameTree(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	for p, b := range want {
+		if g, ok := got[p]; !ok {
+			t.Errorf("%s: file %s missing", what, p)
+		} else if g != b {
+			t.Errorf("%s: file %s differs", what, p)
+		}
+	}
+	for p := range got {
+		if _, ok := want[p]; !ok {
+			t.Errorf("%s: unexpected file %s", what, p)
+		}
 	}
 }
 
@@ -185,12 +227,21 @@ func sortedKeysF(m map[string]map[uint32]float64) []string {
 	return out
 }
 
-// buildWALBase saves the sweep's starting store to dir: four records (one
-// already inside the view, others one edge short of it), a graph view and an
-// aggregate view over the path a→b→c.
+// buildWALBase saves the sweep's starting store (fillWALBase) to dir.
 func buildWALBase(t *testing.T, shards int, dir string) {
 	t.Helper()
 	st := NewSharded(shards)
+	fillWALBase(t, st)
+	if err := st.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fillWALBase loads the sweeps' starting state into st: four records (one
+// already inside the view, others one edge short of it), a graph view and an
+// aggregate view over the path a→b→c.
+func fillWALBase(t *testing.T, st *Store) {
+	t.Helper()
 	r0 := NewRecord()
 	mustSet(t, r0.SetEdge("a", "b", 1))
 	r1 := NewRecord()
@@ -207,9 +258,6 @@ func buildWALBase(t *testing.T, shards int, dir string) {
 		t.Fatal(err)
 	}
 	if err := st.MaterializeAggViewPath("sv", Sum, "a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -811,5 +859,140 @@ func TestIncrementalViewDifferential(t *testing.T) {
 	// And the two maintained stores agree with each other completely.
 	if stateDigest(t, live) != stateDigest(t, replayed) {
 		t.Fatal("live and crash-replayed stores digest differently")
+	}
+}
+
+// --- one durability path -------------------------------------------------------
+
+// TestOneDurabilityPath drives the same store twice for every shard count ×
+// WAL setting — once committed through the facade (Store.Save, which
+// checkpoints under WAL), once through the coordinator's own entry points
+// (SaveFS / Checkpoint) — and requires one protocol behind both: the two
+// directories hold the same files with the same bytes, each loads through
+// grove.LoadStore AND shard.LoadFS to the live state, and with a log attached
+// the five op kinds replayed from it digest exactly as they did live.
+func TestOneDurabilityPath(t *testing.T) {
+	cfg := WALConfig{Policy: SyncAlways}
+	for _, n := range []int{1, 3} {
+		for _, walOn := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/wal=%v", n, walOn), func(t *testing.T) {
+				// drive runs the whole lifecycle on one store: base state, a
+				// first cut (so the views are in the snapshot), every op kind
+				// live, then the final cut. It returns the live digest.
+				drive := func(dir string, enableWAL func(*Store) error, commit func(*Store) error) string {
+					st := NewSharded(n)
+					defer st.Close()
+					if walOn {
+						if err := enableWAL(st); err != nil {
+							t.Fatal(err)
+						}
+					}
+					fillWALBase(t, st)
+					if err := commit(st); err != nil {
+						t.Fatal(err)
+					}
+					for _, op := range walOps() {
+						if err := op.apply(st); err != nil {
+							t.Fatalf("%s: %v", op.name, err)
+						}
+					}
+					live := stateDigest(t, st)
+					if walOn {
+						// Crash here: snapshot + log must replay to the live state.
+						if err := st.SyncWAL(); err != nil {
+							t.Fatal(err)
+						}
+						replayed := mustLoad(t, dir)
+						if ws := replayed.WALStats(); ws.ReplayedOps != int64(len(walOps())) {
+							t.Fatalf("replayed %d ops, want %d", ws.ReplayedOps, len(walOps()))
+						}
+						if got := stateDigest(t, replayed); got != live {
+							t.Fatalf("replay diverged from live:\n%s\nwant:\n%s", got, live)
+						}
+					}
+					if err := commit(st); err != nil {
+						t.Fatal(err)
+					}
+					return live
+				}
+
+				facadeDir := filepath.Join(t.TempDir(), "store")
+				live := drive(facadeDir,
+					func(st *Store) error { return st.EnableWAL(facadeDir, cfg) },
+					func(st *Store) error { return st.Save(facadeDir) })
+				coordDir := filepath.Join(t.TempDir(), "store")
+				coordLive := drive(coordDir,
+					func(st *Store) error { return st.coord.AttachWALFS(fsio.OS(), coordDir, cfg) },
+					func(st *Store) error {
+						if walOn {
+							return st.coord.Checkpoint()
+						}
+						return st.coord.SaveFS(fsio.OS(), coordDir)
+					})
+				if coordLive != live {
+					t.Fatal("the two drives diverged before any save")
+				}
+
+				sameTree(t, "coordinator vs facade directory", treeBytes(t, coordDir), treeBytes(t, facadeDir))
+				for _, dir := range []string{facadeDir, coordDir} {
+					if got := stateDigest(t, mustLoad(t, dir)); got != live {
+						t.Errorf("LoadStore(%s) diverged from live:\n%s\nwant:\n%s", dir, got, live)
+					}
+					co, err := shard.LoadFS(fsio.OS(), dir)
+					if err != nil {
+						t.Fatalf("shard.LoadFS(%s): %v", dir, err)
+					}
+					if got := stateDigest(t, newStore(co)); got != live {
+						t.Errorf("shard.LoadFS(%s) diverged from live:\n%s\nwant:\n%s", dir, got, live)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShadowedSaveRefused: committing a single-shard cut into a directory
+// that holds a sharded store used to succeed and then be shadowed — LoadStore
+// follows SHARDS.json first and kept answering from the stale sharded cut.
+// Save and EnableWAL (whose bootstrap is a checkpoint) must refuse with
+// ErrShadowedSave before touching the directory.
+func TestShadowedSaveRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit func(st *Store, dir string) error
+	}{
+		{"save", func(st *Store, dir string) error { return st.Save(dir) }},
+		{"enable-wal", func(st *Store, dir string) error {
+			if err := st.EnableWAL(dir, WALConfig{Policy: SyncAlways}); err != nil {
+				return err
+			}
+			return st.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildWALBase(t, 2, dir)
+			before := treeBytes(t, dir)
+
+			st := Open()
+			r := NewRecord()
+			mustSet(t, r.SetEdge("p", "q", 1))
+			st.Add(r)
+			if err := tc.commit(st, dir); !errors.Is(err, ErrShadowedSave) {
+				t.Fatalf("err = %v, want ErrShadowedSave", err)
+			}
+			sameTree(t, "refused save touched the directory", treeBytes(t, dir), before)
+			if got := mustLoad(t, dir); got.NumShards() != 2 || got.NumRecords() != 4 {
+				t.Fatalf("directory now loads as shards=%d records=%d", got.NumShards(), got.NumRecords())
+			}
+			// The same store commits fine into a directory of its own.
+			own := filepath.Join(t.TempDir(), "own")
+			if err := st.Save(own); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustLoad(t, own); got.NumShards() != 1 || got.NumRecords() != 1 {
+				t.Fatalf("own directory loads as shards=%d records=%d", got.NumShards(), got.NumRecords())
+			}
+		})
 	}
 }

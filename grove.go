@@ -36,7 +36,6 @@ import (
 
 	"grove/internal/bitmap"
 	"grove/internal/colstore"
-	"grove/internal/fsio"
 	"grove/internal/gpath"
 	"grove/internal/graph"
 	"grove/internal/obs"
@@ -182,7 +181,9 @@ func (s *Store) NumShards() int { return s.coord.NumShards() }
 
 // Add appends a record, returning its record id. Cyclic records are
 // flattened to DAGs first. Concurrent Adds landing on different shards of a
-// sharded store proceed in parallel.
+// sharded store proceed in parallel. Add is Append minus the error: under a
+// write-ahead log the record is logged the same way, and a log failure
+// latches and surfaces through WALError instead of per call.
 func (s *Store) Add(rec *Record) uint32 {
 	return s.coord.Add(rec)
 }
@@ -192,11 +193,11 @@ func (s *Store) Add(rec *Record) uint32 {
 // and named) from the measure columns. Aliased nodes from DAG flattening
 // (A#2) appear under their aliases.
 func (s *Store) GetRecord(id uint32) (*Record, error) {
-	u, local, err := s.coord.Locate(id)
+	si, local, err := s.coord.Locate(id)
 	if err != nil {
 		return nil, fmt.Errorf("grove: record %d out of range (have %d)", id, s.coord.NumRecords())
 	}
-	rel := u.Rel
+	rel := s.coord.Unit(si).Rel
 	rel.BeginRead() //grovevet:ignore lockorder paged columns may fault value blocks from disk during Get; that I/O happens under the read lock by design (readers proceed, only writers wait) and the reconstruction must see one consistent cut
 	defer rel.EndRead()
 	if int(local) >= rel.NumRecords() {
@@ -853,20 +854,16 @@ func (s *Store) AggViewNames() []string {
 
 // --- persistence & accounting --------------------------------------------------
 
-// Save writes the store (columns, views, registry) to a directory,
-// atomically: the relation lands as a new snapshot generation installed by
-// a CURRENT-pointer flip, so a crash mid-save leaves the previous snapshot
-// intact and loadable. The registry is written first — it is append-only,
-// so a newer registry next to an older relation snapshot is harmless,
-// while the reverse could leave relation columns whose edge ids the
-// registry cannot name.
-// A sharded store saves one generational snapshot store per shard plus a
-// SHARDS.json manifest, committed last, that pins the exact cross-shard
-// generation cut (DESIGN.md §12); a single-shard store keeps the layout
-// above, so every store written by earlier versions round-trips unchanged.
+// Save commits the store (registry, columns, views) to dir as one crash-safe
+// cut: every shard's relation lands as a new snapshot generation and the
+// cut's commit point — the CURRENT flip of a single-shard store, the
+// SHARDS.json manifest of a sharded one — is written last, so a crash
+// mid-save leaves the previous cut intact and loadable (DESIGN.md §11 has the
+// protocol and the two layouts). A single-shard store refuses, with
+// ErrShadowedSave, a directory that already holds a sharded store.
 //
 // With a write-ahead log enabled on dir, Save is a checkpoint (DESIGN.md
-// §14): ingest stalls, the snapshot cuts, and past the commit point the log
+// §14): ingest stalls, the cut commits, and past the commit point the log
 // truncates, pinned to the new generation. Saving a WAL-enabled store to a
 // *different* directory writes an ordinary full snapshot there and leaves
 // the log untouched.
@@ -874,17 +871,14 @@ func (s *Store) Save(dir string) error {
 	if s.coord.WALEnabled() && cleanPath(dir) == cleanPath(s.coord.WALDir()) {
 		return s.coord.Checkpoint()
 	}
-	if s.coord.NumShards() > 1 {
-		return s.coord.Save(dir)
-	}
-	if err := fsio.OS().MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("grove: save: %w", err)
-	}
-	if err := s.reg.Save(dir + "/registry.json"); err != nil {
-		return err
-	}
-	return s.rel.Save(dir)
+	return s.coord.Save(dir)
 }
+
+// ErrShadowedSave is returned by Save, EnableWAL and OpenDurable when a
+// single-shard store would be written into a directory that holds a sharded
+// store: LoadStore follows the sharded manifest first, so the new cut would
+// commit and then never be read. Save to a fresh directory instead.
+var ErrShadowedSave = shard.ErrShadowedSave
 
 // SetSnapshotKeep sets how many snapshot generations Save retains on disk
 // (older ones are garbage-collected after each successful Save); n < 1
@@ -902,8 +896,9 @@ type GenerationInfo = colstore.GenerationInfo
 // no Store needs to load — so it works on damaged stores.
 func Generations(dir string) ([]GenerationInfo, error) { return colstore.Generations(dir) }
 
-// CurrentGeneration returns the generation name the store's CURRENT pointer
-// designates, or "" for a legacy flat store.
+// CurrentGeneration returns the generation name the CURRENT pointer of a
+// single-shard store directory designates, or "" when the pointer is missing
+// or corrupt.
 func CurrentGeneration(dir string) string { return colstore.CurrentGeneration(dir) }
 
 // Rollback force-installs gen (e.g. "gen-000001") as the store's current
@@ -912,32 +907,15 @@ func CurrentGeneration(dir string) string { return colstore.CurrentGeneration(di
 // whose newest generation is unloadable can be rolled back without loading.
 func Rollback(dir, gen string) error { return colstore.Rollback(dir, gen) }
 
-// LoadStore reads a store previously written with Save, detecting the
-// layout: a SHARDS.json manifest marks a sharded store (loaded at its
-// committed cross-shard generation cut), anything else loads as the
-// single-shard layout. A write-ahead log next to the snapshot (wal.log, per
-// shard) replays atop it when its header pins the loaded generation,
+// LoadStore reads a store previously written with Save, whichever layout it
+// has, at its committed cut. A write-ahead log next to a shard's snapshot
+// (wal.log) replays atop it when its header pins the loaded generation,
 // recovering every op the log persisted since the last checkpoint; torn
 // tails stop the replay at the last whole frame. LoadStore never modifies
 // the directory — truncating a torn tail is EnableWAL's job.
 func LoadStore(dir string) (*Store, error) {
-	if shard.IsShardedDir(dir) {
-		coord, err := shard.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		return newStore(coord), nil
-	}
-	rel, err := colstore.Load(dir)
+	coord, err := shard.Load(dir)
 	if err != nil {
-		return nil, err
-	}
-	reg, err := graph.LoadRegistry(dir + "/registry.json")
-	if err != nil {
-		return nil, err
-	}
-	coord := shard.NewFromRelations([]*colstore.Relation{rel}, reg)
-	if err := coord.ReplayWALFS(fsio.OS(), dir, nil); err != nil {
 		return nil, err
 	}
 	return newStore(coord), nil

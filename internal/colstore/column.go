@@ -18,9 +18,9 @@ import (
 // NULL values" (§4.1).
 //
 // The values live in exactly one of two places: a resident dense slice
-// (columns being written, and v1 snapshots) or a paged block index backed by
-// a snapshot file (v2 snapshots), faulted in block-at-a-time through the
-// relation's buffer pool. Readers go through valueReader / the paged
+// (columns being written) or a paged block index backed by a snapshot file
+// (loaded columns), faulted in block-at-a-time through the relation's buffer
+// pool. Readers go through valueReader / the paged
 // accessors so both representations answer identically; the first mutation
 // of a paged column materializes it (see paged.go).
 type MeasureColumn struct {

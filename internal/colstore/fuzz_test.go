@@ -98,10 +98,11 @@ func FuzzReadMeasureColumn(f *testing.F) {
 
 // FuzzLoadCorrupt writes fuzzed manifest.json and data.bin files and checks
 // Load either succeeds or errors — a corrupt on-disk relation must never
-// panic the loader. Seeds include a real v2 (paged) snapshot so the fuzzer
-// mutates block indexes and zone maps, not just v1 bytes; when a corrupted
-// store does load, every measure column is scanned to fault its value blocks
-// in — corrupt payloads must surface as sticky page errors, never panics.
+// panic the loader. Seeds include retired format-version-1 manifests (always
+// rejected) and a real paged snapshot so the fuzzer mutates block indexes and
+// zone maps; when a corrupted store does load, every measure column is
+// scanned to fault its value blocks in — corrupt payloads must surface as
+// sticky page errors, never panics.
 func FuzzLoadCorrupt(f *testing.F) {
 	f.Add([]byte(`{"format_version":1}`), []byte{})
 	f.Add([]byte(`{"format_version":1,"num_records":3,"partition_width":1000,"edges":[1]}`), []byte{0x42, 0x56, 0x52, 0x47})
@@ -141,8 +142,10 @@ func FuzzLoadCorrupt(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "data.bin"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if r, err := Load(dir); err == nil && r == nil {
-			t.Fatal("Load returned nil relation with nil error")
+		// At the directory root the bytes are the retired pre-generational
+		// layout: whatever they hold, Load must refuse them.
+		if _, err := Load(dir); err == nil {
+			t.Fatal("Load accepted a snapshot at the directory root")
 		}
 		// The same bytes inside a generational layout: a fuzzed snapshot
 		// behind a valid CURRENT pointer must also never panic Load.
@@ -165,7 +168,7 @@ func FuzzLoadCorrupt(f *testing.F) {
 			t.Fatal("generational Load returned nil relation with nil error")
 		}
 		if err == nil {
-			// A v2 load is lazy: corrupt block payloads only show up when a
+			// A load is lazy: corrupt block payloads only show up when a
 			// block faults in. Scan every column — any corruption must come
 			// back as zero values plus a sticky page error, never a panic.
 			scan := func(c *MeasureColumn) {

@@ -24,10 +24,6 @@ import (
 // any step leaves the previous generation installed and loadable. Load
 // follows CURRENT and, if the installed generation turns out damaged, falls
 // back to the newest older generation that still loads.
-//
-// Stores written before this layout existed keep manifest.json + data.bin at
-// the directory root; Load and DiskSizeBytes fall back to that flat layout
-// when no generation is present.
 
 const (
 	currentFile = "CURRENT"
@@ -122,23 +118,21 @@ func installCurrent(fs fsio.FS, dir, gen string) error {
 }
 
 // snapshotDir resolves the directory holding the currently installed
-// snapshot: the CURRENT generation, else the newest generation, else dir
-// itself (legacy flat layout).
-func snapshotDir(fs fsio.FS, dir string) string {
+// snapshot: the CURRENT generation, else the newest generation.
+func snapshotDir(fs fsio.FS, dir string) (string, error) {
 	if cur, ok := readCurrent(fs, dir); ok {
-		return filepath.Join(dir, cur)
+		return filepath.Join(dir, cur), nil
 	}
 	if gens := listGenerations(fs, dir); len(gens) > 0 {
-		return filepath.Join(dir, gens[0])
+		return filepath.Join(dir, gens[0]), nil
 	}
-	return dir
+	return "", fmt.Errorf("colstore: no generations in %s", dir)
 }
 
 // GenerationInfo describes one on-disk generation for operator tooling
 // (`grovecli recover`).
 type GenerationInfo struct {
-	// Name is the generation directory name ("gen-000002"), or "(flat)" for
-	// a legacy store with manifest.json at the directory root.
+	// Name is the generation directory name ("gen-000002").
 	Name string
 	// SizeBytes is the combined size of manifest.json and data.bin.
 	SizeBytes int64
@@ -157,12 +151,6 @@ func Generations(dir string) ([]GenerationInfo, error) {
 	gens := listGenerations(fs, dir)
 	cur, curOK := readCurrent(fs, dir)
 	if len(gens) == 0 {
-		if _, err := fs.Stat(filepath.Join(dir, "manifest.json")); err == nil {
-			info := inspectSnapshot(fs, dir)
-			info.Name = "(flat)"
-			info.Current = true
-			return []GenerationInfo{info}, nil
-		}
 		return nil, fmt.Errorf("colstore: no generations in %s", dir)
 	}
 	out := make([]GenerationInfo, 0, len(gens))
@@ -191,7 +179,7 @@ func inspectSnapshot(fs fsio.FS, dir string) GenerationInfo {
 }
 
 // CurrentGeneration returns the generation name CURRENT points at, or ""
-// for a legacy flat store (or a store whose pointer is missing/corrupt).
+// when the pointer is missing or corrupt.
 func CurrentGeneration(dir string) string {
 	cur, _ := readCurrent(fsio.OS(), dir)
 	return cur

@@ -23,13 +23,11 @@ import (
 //	data.bin      — column payloads, in manifest order
 //
 // Measure columns are stored as presence bitmap + value payload, so NULLs
-// occupy no space on disk either. Format version 2 stores the values paged:
-// a block index (per-block encoding tag, payload length, value count and
-// zone map, see paged.go) followed by the compressed block payloads. Version
-// 2 snapshots load lazily — only the presence bitmaps and block indexes are
-// decoded up front; value blocks fault in through the relation's buffer
-// pool on first access. Version 1 snapshots (packed raw float64 values)
-// still load, eagerly, exactly as before.
+// occupy no space on disk either. The values are stored paged: a block index
+// (per-block encoding tag, payload length, value count and zone map, see
+// paged.go) followed by the compressed block payloads. Snapshots load lazily
+// — only the presence bitmaps and block indexes are decoded up front; value
+// blocks fault in through the relation's buffer pool on first access.
 
 type manifest struct {
 	FormatVersion int    `json:"format_version"`
@@ -71,12 +69,9 @@ type manifestAgg struct {
 	Measure string   `json:"measure,omitempty"` // measure name ("" = default)
 }
 
-// formatVersion is what Save writes. Load additionally accepts
-// formatVersionV1 (eager packed-value measure columns).
-const (
-	formatVersionV1 = 1
-	formatVersion   = 2
-)
+// formatVersion is the one snapshot format Save writes and Load accepts
+// (paged measure columns); any other version is rejected by name.
+const formatVersion = 2
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -299,8 +294,7 @@ func (r *Relation) writeColumns(w io.Writer, m *manifest) error {
 // Load reads a relation previously written with Save. It follows the
 // CURRENT pointer; when the installed generation is missing or damaged it
 // falls back to the newest older generation that still loads, counting the
-// recovery in PersistRecoveries. Stores written before the generational
-// layout (manifest.json at the directory root) load transparently.
+// recovery in PersistRecoveries.
 func Load(dir string) (*Relation, error) { return LoadFS(fsio.OS(), dir) }
 
 // LoadFS is Load against an explicit filesystem.
@@ -308,9 +302,14 @@ func LoadFS(fs fsio.FS, dir string) (*Relation, error) {
 	gens := listGenerations(fs, dir)
 	cur, curOK := readCurrent(fs, dir)
 	if !curOK && len(gens) == 0 {
-		// Legacy flat layout (or a missing store — loadSnapshot reports
-		// that as its own error).
-		return loadSnapshot(fs, dir)
+		// No generation to load. A manifest.json at the root is the
+		// pre-generational layout, last written at format version 1: refuse
+		// it by the version found (readManifest), or report it missing.
+		m, err := readManifest(fs, dir)
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("colstore: unsupported pre-generational layout (format version %d at the root of %s)", m.FormatVersion, dir)
 	}
 	cands := make([]string, 0, len(gens)+1)
 	if curOK {
@@ -352,7 +351,7 @@ func readManifest(fs fsio.FS, dir string) (*manifest, error) {
 	if err := json.Unmarshal(mb, &m); err != nil {
 		return nil, fmt.Errorf("colstore: load manifest: %w", err)
 	}
-	if m.FormatVersion != formatVersion && m.FormatVersion != formatVersionV1 {
+	if m.FormatVersion != formatVersion {
 		return nil, fmt.Errorf("colstore: unsupported format version %d", m.FormatVersion)
 	}
 	return &m, nil
@@ -395,8 +394,8 @@ func verifySnapshot(fs fsio.FS, dir string) error {
 
 // loadSnapshot decodes the single snapshot in dir. Integrity is verified up
 // front: a flipped bit deep in a column must not surface later as a
-// silently wrong answer — for a v2 snapshot the full-file checksum is what
-// lets the value blocks stay on disk unread until first access.
+// silently wrong answer — the full-file checksum is what lets the value
+// blocks stay on disk unread until first access.
 func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 	m, err := readManifest(fs, dir)
 	if err != nil {
@@ -411,18 +410,17 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 	}
 	defer f.Close()
 	// The counting reader tracks the absolute data.bin offset so the block
-	// indexes of a v2 snapshot can record where each payload lives.
+	// indexes can record where each payload lives.
 	rd := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
 
 	r := NewRelation(m.PartWidth)
 	r.numRecords.Store(m.NumRecords)
 
-	ld := snapLoader{cr: rd, ver: m.FormatVersion}
-	if m.FormatVersion >= formatVersion {
-		ld.src = newPageSource(fs, filepath.Join(dir, "data.bin"))
-		ld.pool = pagepool.New(DefaultPageCacheBytes)
-		r.pagePool = ld.pool
-		r.pageSrcs = append(r.pageSrcs, ld.src)
+	src := newPageSource(fs, filepath.Join(dir, "data.bin"))
+	r.pagePool = pagepool.New(DefaultPageCacheBytes)
+	r.pageSrcs = append(r.pageSrcs, src)
+	measureColumn := func() (*MeasureColumn, error) {
+		return readPagedMeasureColumn(rd, src, r.pagePool)
 	}
 
 	for _, me := range m.Edges {
@@ -432,14 +430,14 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 		}
 		r.bitmaps[me.ID] = NewBitmapColumnFrom(b)
 		if me.HasMeasure {
-			mc, err := ld.measureColumn()
+			mc, err := measureColumn()
 			if err != nil {
 				return nil, fmt.Errorf("colstore: load edge %d measures: %w", me.ID, err)
 			}
 			r.measures[me.ID] = mc
 		}
 		for _, name := range me.MeasureNames {
-			mc, err := ld.measureColumn()
+			mc, err := measureColumn()
 			if err != nil {
 				return nil, fmt.Errorf("colstore: load edge %d measure %q: %w", me.ID, name, err)
 			}
@@ -463,7 +461,7 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 		if _, err := b.ReadFrom(rd); err != nil {
 			return nil, fmt.Errorf("colstore: load agg view %q bitmap: %w", ma.Name, err)
 		}
-		mc, err := ld.measureColumn()
+		mc, err := measureColumn()
 		if err != nil {
 			return nil, fmt.Errorf("colstore: load agg view %q measures: %w", ma.Name, err)
 		}
@@ -502,11 +500,13 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 }
 
 // DiskSizeBytes returns the on-disk footprint of the installed snapshot
-// (manifest.json + data.bin of the CURRENT generation, or of the directory
-// itself for a legacy flat store).
+// (manifest.json + data.bin of the CURRENT generation).
 func DiskSizeBytes(dir string) (int64, error) {
 	fs := fsio.OS()
-	snap := snapshotDir(fs, dir)
+	snap, err := snapshotDir(fs, dir)
+	if err != nil {
+		return 0, err
+	}
 	var n int64
 	for _, name := range []string{"manifest.json", "data.bin"} {
 		fi, err := fs.Stat(filepath.Join(snap, name))
@@ -530,22 +530,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// snapLoader dispatches measure-column decoding by snapshot format version.
-type snapLoader struct {
-	cr   *countingReader
-	ver  int
-	src  *pageSource // v2 only
-	pool *pagepool.Pool
-}
-
-func (l *snapLoader) measureColumn() (*MeasureColumn, error) {
-	if l.ver == formatVersionV1 {
-		return readMeasureColumnV1(l.cr)
-	}
-	return readPagedMeasureColumn(l.cr, l.src, l.pool)
-}
-
-// writeMeasureColumn writes a measure column in the v2 paged format:
+// writeMeasureColumn writes a measure column in the paged format:
 // presence bitmap, u32 value count, u32 block count, the block index
 // (per-block u32 payload length, u8 encoding, u16 value count, u64 zone min
 // bits, u64 zone max bits), then the concatenated block payloads.
@@ -599,7 +584,7 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	return err
 }
 
-// readBlockIndex reads and validates a v2 column's value count and block
+// readBlockIndex reads and validates a column's value count and block
 // index from rd. Every field is treated as hostile input: block counts must
 // be exactly ceil(count/BlockValues), per-block value counts must tile the
 // column, encoding tags and payload lengths are bounded. Offsets are NOT
@@ -647,7 +632,7 @@ func readBlockIndex(rd io.Reader) (count int, metas []blockMeta, err error) {
 	return count, metas, nil
 }
 
-// readPagedMeasureColumn reads a v2 column header and block index from the
+// readPagedMeasureColumn reads a column header and block index from the
 // stream, skips over the payloads, and returns a lazily paged column whose
 // blocks fault in from src through pool.
 func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.Pool) (*MeasureColumn, error) {
@@ -685,7 +670,7 @@ func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.
 	return m, m.validate()
 }
 
-// readMeasureColumn eagerly decodes a v2 measure column from rd into a
+// readMeasureColumn eagerly decodes a measure column from rd into a
 // resident column: the round-trip complement of writeMeasureColumn for
 // contexts without a seekable source (fuzzers, tools).
 func readMeasureColumn(rd io.Reader) (*MeasureColumn, error) {
@@ -714,42 +699,6 @@ func readMeasureColumn(rd io.Reader) (*MeasureColumn, error) {
 			return nil, fmt.Errorf("colstore: block %d: %w", bi, err)
 		}
 		m.values = append(m.values, dst...)
-	}
-	return m, m.validate()
-}
-
-// readMeasureColumnV1 decodes the version-1 packed-value layout: presence
-// bitmap, u32 count, count raw little-endian float64s.
-func readMeasureColumnV1(rd io.Reader) (*MeasureColumn, error) {
-	m := NewMeasureColumn()
-	if _, err := m.present.ReadFrom(rd); err != nil {
-		return nil, err
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n != m.present.Cardinality() {
-		return nil, fmt.Errorf("colstore: measure count %d does not match presence %d",
-			n, m.present.Cardinality())
-	}
-	// Read the values in bounded chunks: the count is attacker-controlled
-	// input (run-compressed presence bitmaps can claim a huge cardinality
-	// from a few bytes), so allocation must track bytes actually read
-	// rather than the header's claim.
-	const chunk = 1 << 16
-	buf := make([]byte, 8*min(n, chunk))
-	m.values = make([]float64, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(rd, buf[:8*c]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			m.values = append(m.values, floatFromBits(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-		remaining -= c
 	}
 	return m, m.validate()
 }

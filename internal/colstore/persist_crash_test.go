@@ -27,7 +27,10 @@ func refBytes(tb testing.TB, r *Relation) []byte {
 
 func installedSnapshotBytes(tb testing.TB, dir string) []byte {
 	tb.Helper()
-	snap := snapshotDir(fsio.OS(), dir)
+	snap, err := snapshotDir(fsio.OS(), dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var buf []byte
 	for _, name := range []string{"manifest.json", "data.bin"} {
 		b, err := os.ReadFile(filepath.Join(snap, name))

@@ -3,6 +3,7 @@ package colstore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"grove/internal/agg"
@@ -35,7 +36,10 @@ func savedFixture(t *testing.T) string {
 // manifest.json + data.bin, so corruption tests can damage the real files.
 func installedDir(t *testing.T, dir string) string {
 	t.Helper()
-	snap := snapshotDir(fsio.OS(), dir)
+	snap, err := snapshotDir(fsio.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(filepath.Join(snap, "manifest.json")); err != nil {
 		t.Fatalf("no installed snapshot under %s: %v", dir, err)
 	}
@@ -65,7 +69,7 @@ func TestLoadRejectsCorruptManifest(t *testing.T) {
 	cases := map[string]string{
 		"not json":        "{{{",
 		"bad version":     `{"format_version": 99}`,
-		"unknown aggfunc": `{"format_version":1,"num_records":3,"partition_width":1000,"agg_views":[{"name":"p","path":[6,7],"func":"MEDIAN"}]}`,
+		"unknown aggfunc": `{"format_version":2,"num_records":3,"partition_width":1000,"agg_views":[{"name":"p","path":[6,7],"func":"MEDIAN"}]}`,
 	}
 	for name, content := range cases {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -75,6 +79,54 @@ func TestLoadRejectsCorruptManifest(t *testing.T) {
 			t.Errorf("Load accepted manifest case %q", name)
 		}
 	}
+}
+
+// TestLoadRejectsRetiredFormats: format version 1 and the pre-generational
+// layout (manifest.json + data.bin at the directory root) no longer load;
+// both are refused with an error naming the version found, never skipped.
+func TestLoadRejectsRetiredFormats(t *testing.T) {
+	const v1 = `{"format_version":1,"num_records":3,"partition_width":1000}`
+	wantVersion := func(t *testing.T, dir string, version string) {
+		t.Helper()
+		_, err := Load(dir)
+		if err == nil || !strings.Contains(err.Error(), "format version "+version) {
+			t.Fatalf("Load = %v, want an unsupported-format error naming version %s", err, version)
+		}
+	}
+	t.Run("v1 generation", func(t *testing.T) {
+		dir := savedFixture(t)
+		if err := os.WriteFile(filepath.Join(installedDir(t, dir), "manifest.json"), []byte(v1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantVersion(t, dir, "1")
+	})
+	t.Run("v1 at the root", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantVersion(t, dir, "1")
+		if _, err := Generations(dir); err == nil {
+			t.Error("Generations inventoried a pre-generational directory")
+		}
+		if _, err := DiskSizeBytes(dir); err == nil {
+			t.Error("DiskSizeBytes sized a pre-generational directory")
+		}
+	})
+	t.Run("current format at the root", func(t *testing.T) {
+		src := installedDir(t, savedFixture(t))
+		dir := t.TempDir()
+		for _, name := range []string{"manifest.json", "data.bin"} {
+			b, err := os.ReadFile(filepath.Join(src, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantVersion(t, dir, "2")
+	})
 }
 
 func TestLoadRejectsFlippedBitmapMagic(t *testing.T) {

@@ -2,51 +2,45 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	iofs "io/fs"
 	"path/filepath"
 
 	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
+	"grove/internal/wal"
 )
 
-// On-disk layout of a sharded store directory:
+// On-disk layout of a store directory. This file is the only place that
+// knows it; DESIGN.md §11 ("commit cut") is the protocol in prose.
 //
-//	registry.json          — shared element registry (append-only schema)
-//	shard-000/             — shard 0's own generational snapshot store
-//	  gen-000001/ CURRENT …
-//	shard-001/
-//	…
-//	SHARDS.json            — the cross-shard manifest (committed LAST)
+//	one shard (flat)            several shards (manifest)
+//	registry.json               registry.json
+//	gen-000001/ CURRENT …       shard-000/ gen-000001/ CURRENT …
+//	wal.log                     shard-000/wal.log
+//	                            shard-001/ …
+//	                            SHARDS.json
 //
-// Commit protocol, in write order:
-//
-//  1. registry.json — atomic (temp+fsync+rename). The registry is
-//     append-only, so a newer registry next to older shard snapshots is
-//     harmless: ids never change meaning, extra ids are simply unused.
-//  2. each shard's snapshot via its own generational save — every shard
-//     runs the full §11 protocol (tmp dir, fsync, rename, CURRENT flip),
-//     so a crash inside any shard leaves that shard's previous generation
-//     installed and loadable.
-//  3. SHARDS.json — atomic, LAST. It pins the exact generation name of
-//     every shard, so Load reconstructs the committed cross-shard cut by
-//     loading those generations directly, ignoring the per-shard CURRENT
-//     pointers (some of which may already point at generations from a save
-//     that crashed before reaching step 3).
-//
-// The manifest write is therefore the commit point: a crash anywhere before
-// it leaves the old SHARDS.json naming the old (complete, consistent)
-// generation set; the instant after, the new set. No crash point can yield a
-// mixed cut. The generations a durable manifest pins are GC-protected in
-// each shard (Relation.SetGCProtect) so repeated crashed saves cannot
-// collect the rollback cut out from under the manifest.
+// Every shard owns a generational snapshot store (colstore, generation.go)
+// and, with a write-ahead log attached, a wal.log next to it. One shard keeps
+// that store at the directory root and its CURRENT flip is the commit point;
+// several shards each get a shard-NNN subdirectory and SHARDS.json, written
+// last, is the commit point: it pins every shard's generation (and, for a
+// checkpoint, every log's cut LSN), so Load follows it and ignores the
+// per-shard CURRENT pointers a crashed later save may have advanced.
 
-// manifestFile is the cross-shard manifest name; its presence marks a
-// directory as a sharded store.
-const manifestFile = "SHARDS.json"
+const (
+	manifestFile = "SHARDS.json"
+	registryFile = "registry.json"
+)
 
-// registryFile matches the single-shard layout's registry name.
-const registryFile = "registry.json"
+// ErrShadowedSave is returned when a single-shard store is saved (or
+// checkpointed) into a directory whose committed layout is a SHARDS.json
+// manifest: loads follow the manifest first, so the flat cut would commit
+// and then never be read.
+var ErrShadowedSave = errors.New("shard: directory holds a SHARDS.json manifest that would shadow a single-shard save")
 
 // shardsManifest is the decoded SHARDS.json.
 type shardsManifest struct {
@@ -63,42 +57,27 @@ type shardsManifest struct {
 	WALLSNs []uint64 `json:"wal_lsns,omitempty"`
 }
 
-// shardDirName returns shard i's subdirectory name.
-func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
+// flatLayout is the one layout decision that depends on the shard count:
+// what an n-shard store is written as (and where its logs live).
+func flatLayout(n int) bool { return n == 1 }
 
-// IsShardedDir reports whether dir holds a sharded store (has SHARDS.json).
-func IsShardedDir(dir string) bool {
-	_, err := fsio.OS().Stat(filepath.Join(dir, manifestFile))
-	return err == nil
+// shardDir returns the directory of shard s's snapshot store in the store at
+// dir: dir itself in the flat layout, a shard-NNN subdirectory under a
+// manifest.
+func shardDir(dir string, s int, flat bool) string {
+	if flat {
+		return dir
+	}
+	return filepath.Join(dir, fmt.Sprintf("shard-%03d", s))
 }
 
-// ShardDirs returns the per-shard snapshot directories the manifest at dir
-// commits, in shard order.
-func ShardDirs(dir string) ([]string, error) {
-	m, err := readShardsManifest(fsio.OS(), dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, m.NumShards)
-	for i := range out {
-		out[i] = filepath.Join(dir, shardDirName(i))
-	}
-	return out, nil
+// walPath returns shard s's log path in an n-shard store at dir.
+func walPath(dir string, s, n int) string {
+	return filepath.Join(shardDir(dir, s, flatLayout(n)), wal.FileName)
 }
 
-// PinnedGenerations returns, per shard, the snapshot generation the durable
-// SHARDS.json manifest commits. After a crashed save these may lag the
-// shards' own CURRENT pointers — the manifest, not CURRENT, names the
-// loadable cross-shard cut.
-func PinnedGenerations(dir string) ([]string, error) {
-	m, err := readShardsManifest(fsio.OS(), dir)
-	if err != nil {
-		return nil, err
-	}
-	return append([]string(nil), m.Generations...), nil
-}
-
-// readShardsManifest reads and validates SHARDS.json.
+// readShardsManifest reads and validates SHARDS.json. A directory without
+// one (the flat layout, or no store at all) yields an fs.ErrNotExist error.
 func readShardsManifest(fs fsio.FS, dir string) (*shardsManifest, error) {
 	b, err := fsio.ReadFile(fs, filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -120,85 +99,161 @@ func readShardsManifest(fs fsio.FS, dir string) (*shardsManifest, error) {
 	return &m, nil
 }
 
-// Save persists the coordinator to dir using the OS filesystem.
-func (c *Coordinator) Save(dir string) error { return c.SaveFS(fsio.OS(), dir) }
-
-// SaveFS persists the coordinator to dir following the commit protocol
-// above. On success the new generation set is durable and pinned; after a
-// crash at any point, Load recovers the previous committed cut bit-for-bit.
-func (c *Coordinator) SaveFS(fs fsio.FS, dir string) error {
-	c.saveMu.Lock() //grovevet:ignore lockorder saveMu serializes whole cross-shard commit cuts; it is expected to block on fsio for their duration
-	defer c.saveMu.Unlock()
-
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
+// Exists reports whether dir holds something that should load as a store (a
+// commit point or a registry), as opposed to nothing yet.
+func Exists(dir string) bool {
+	for _, name := range []string{manifestFile, registryFile} {
+		if _, err := fsio.OS().Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
 	}
-	if err := c.reg.SaveFS(fs, filepath.Join(dir, registryFile)); err != nil {
-		return err
-	}
+	return colstore.CurrentGeneration(dir) != ""
+}
 
-	// Protect the generations the durable manifest still pins: until the new
-	// SHARDS.json lands, those are the rollback cut, and the per-shard saves
-	// below must not GC them even across repeated crashed attempts.
-	if prev, err := readShardsManifest(fs, dir); err == nil && prev.NumShards == len(c.units) {
+// ShardDirs describes the committed layout of the store at dir without
+// loading it: each shard's directory (snapshot generations, wal.log) in shard
+// order and, for a manifest layout, the generation SHARDS.json pins per
+// shard — which after a crashed save may lag that shard's CURRENT pointer.
+// pinned is nil for the flat layout, whose only shard directory is dir.
+func ShardDirs(dir string) (dirs, pinned []string, err error) {
+	m, err := readShardsManifest(fsio.OS(), dir)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return []string{dir}, nil, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	dirs = make([]string, m.NumShards)
+	for i := range dirs {
+		dirs[i] = shardDir(dir, i, false)
+	}
+	return dirs, m.Generations, nil
+}
+
+// commitCut writes one commit cut of the store to dir — the only writer of
+// the layout above. In write order:
+//
+//  1. registry.json, atomically. The registry is append-only, so a newer
+//     registry next to older snapshots is harmless (ids never change
+//     meaning); the reverse could leave columns whose ids nothing names.
+//  2. every shard's snapshot as a new generation of its own store (tmp dir,
+//     fsync, rename, CURRENT flip), so a crash inside any shard leaves that
+//     shard's previous generation loadable.
+//  3. the commit point: the one shard's CURRENT flip of step 2 in the flat
+//     layout, SHARDS.json (atomic, last) otherwise.
+//
+// A crash before the commit point leaves the previous cut committed; after
+// it, the new one; no crash point yields a mix. The generations a durable
+// manifest pins are GC-protected in each shard until the next manifest
+// lands, so repeated crashed saves cannot collect the rollback cut.
+//
+// lsns is nil for a plain save. A checkpoint passes each log's next LSN; the
+// caller then holds every shard's ingestMu so generations and LSNs describe
+// one instant, and resets the logs strictly after commitCut returns. The
+// caller holds saveMu. Returns the generation each shard installed.
+func (c *Coordinator) commitCut(fs fsio.FS, dir string, lsns []uint64) ([]string, error) {
+	n := len(c.units)
+	flat := flatLayout(n)
+	if flat {
+		// Refuse before touching the directory: a committed manifest here
+		// would keep answering loads from its own stale cut.
+		if _, err := fs.Stat(filepath.Join(dir, manifestFile)); err == nil {
+			return nil, fmt.Errorf("shard: save %s: %w", dir, ErrShadowedSave)
+		} else if !errors.Is(err, iofs.ErrNotExist) {
+			return nil, fmt.Errorf("shard: save: %w", err)
+		}
+	} else if prev, err := readShardsManifest(fs, dir); err == nil && prev.NumShards == n {
 		for i, u := range c.units {
 			u.Rel.SetGCProtect(prev.Generations[i])
 		}
 	}
-
-	gens := make([]string, len(c.units))
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("shard: save: %w", err)
+	}
+	if err := c.reg.SaveFS(fs, filepath.Join(dir, registryFile)); err != nil {
+		return nil, err
+	}
+	gens := make([]string, n)
 	for i, u := range c.units {
-		gen, err := u.Rel.SaveFSGen(fs, filepath.Join(dir, shardDirName(i)))
+		gen, err := u.Rel.SaveFSGen(fs, shardDir(dir, i, flat))
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		gens[i] = gen
 	}
-
-	if err := writeShardsManifest(fs, dir, shardsManifest{
-		FormatVersion: 1, NumShards: len(c.units), Generations: gens,
-	}); err != nil {
-		return err
+	if flat {
+		return gens, nil
 	}
-
-	// The new cut is durable: move GC protection onto it.
+	b, err := json.Marshal(&shardsManifest{FormatVersion: 1, NumShards: n, Generations: gens, WALLSNs: lsns})
+	if err != nil {
+		return nil, fmt.Errorf("shard: save: %w", err)
+	}
+	if err := fsio.WriteFileAtomic(fs, filepath.Join(dir, manifestFile), b); err != nil {
+		return nil, fmt.Errorf("shard: save %s: %w", manifestFile, err)
+	}
 	for i, u := range c.units {
 		u.Rel.SetGCProtect(gens[i])
 	}
-	return nil
+	return gens, nil
 }
 
-// Load reads a sharded store from dir using the OS filesystem.
+// Save persists the coordinator to dir using the OS filesystem.
+func (c *Coordinator) Save(dir string) error { return c.SaveFS(fsio.OS(), dir) }
+
+// SaveFS commits a full snapshot cut of the coordinator to dir (commitCut).
+// On success the new cut is durable; after a crash at any point, Load
+// recovers the previous committed cut bit-for-bit.
+func (c *Coordinator) SaveFS(fs fsio.FS, dir string) error {
+	c.saveMu.Lock() //grovevet:ignore lockorder saveMu serializes whole commit cuts; it is expected to block on fsio for their duration
+	defer c.saveMu.Unlock()
+	_, err := c.commitCut(fs, dir, nil)
+	return err
+}
+
+// Load reads a store from dir using the OS filesystem.
 func Load(dir string) (*Coordinator, error) { return LoadFS(fsio.OS(), dir) }
 
-// LoadFS reads a sharded store from dir: the manifest names the committed
-// cross-shard cut, and every shard loads exactly its pinned generation —
-// never its CURRENT pointer, which a crashed later save may have advanced.
-// Each shard's write-ahead log (when present and pinned to exactly this cut)
-// then replays atop its snapshot, recovering every op the log persisted
-// since the checkpoint.
+// LoadFS reads the store committed at dir, whichever layout it has. With a
+// SHARDS.json manifest, every shard loads exactly the generation the manifest
+// pins — never its CURRENT pointer, which a crashed later save may have
+// advanced. Without one the directory is a single shard's own snapshot store,
+// loaded through CURRENT with colstore's fallback to older generations. Each
+// shard's write-ahead log (when present and pinned to exactly this cut) then
+// replays atop its snapshot, recovering every op the log persisted since the
+// checkpoint. LoadFS never modifies the directory.
 func LoadFS(fs fsio.FS, dir string) (*Coordinator, error) {
 	m, err := readShardsManifest(fs, dir)
-	if err != nil {
+	var rels []*colstore.Relation
+	var lsns []uint64
+	switch {
+	case err == nil:
+		lsns = m.WALLSNs
+		rels = make([]*colstore.Relation, m.NumShards)
+		for i, gen := range m.Generations {
+			rel, err := colstore.LoadGenerationFS(fs, shardDir(dir, i, false), gen)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+			// The loaded cut stays the rollback target until the next manifest
+			// commits, so re-arm its GC protection.
+			rel.SetGCProtect(gen)
+			rels[i] = rel
+		}
+	case errors.Is(err, iofs.ErrNotExist):
+		rel, err := colstore.LoadFS(fs, dir)
+		if err != nil {
+			return nil, err
+		}
+		rels = []*colstore.Relation{rel}
+	default:
 		return nil, fmt.Errorf("shard: load %s: %w", dir, err)
 	}
 	reg, err := graph.LoadRegistryFS(fs, filepath.Join(dir, registryFile))
 	if err != nil {
 		return nil, err
 	}
-	rels := make([]*colstore.Relation, m.NumShards)
-	for i := range rels {
-		rel, err := colstore.LoadGenerationFS(fs, filepath.Join(dir, shardDirName(i)), m.Generations[i])
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		// The loaded cut stays the rollback target until the next manifest
-		// commits, so re-arm its GC protection.
-		rel.SetGCProtect(m.Generations[i])
-		rels[i] = rel
-	}
 	c := NewFromRelations(rels, reg)
-	if err := c.ReplayWALFS(fs, dir, m.WALLSNs); err != nil {
+	if err := c.ReplayWALFS(fs, dir, lsns); err != nil {
 		return nil, err
 	}
 	return c, nil

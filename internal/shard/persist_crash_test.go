@@ -80,7 +80,7 @@ func stateBytes(t testing.TB, c *Coordinator) []byte {
 		buf = append(buf, 0)
 	}
 	for i := 0; i < m.NumShards; i++ {
-		snap := filepath.Join(dir, shardDirName(i), m.Generations[i])
+		snap := filepath.Join(shardDir(dir, i, false), m.Generations[i])
 		appendFile(filepath.Join(snap, "manifest.json"))
 		appendFile(filepath.Join(snap, "data.bin"))
 	}
@@ -240,8 +240,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !IsShardedDir(dir) {
-		t.Fatal("saved directory not detected as sharded")
+	if _, pinned, err := ShardDirs(dir); err != nil || len(pinned) != 3 {
+		t.Fatalf("saved directory not detected as sharded: pinned=%v err=%v", pinned, err)
 	}
 	got, err := Load(dir)
 	if err != nil {
@@ -261,5 +261,43 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 	if id := got.Add(rec); id != 9 {
 		t.Fatalf("post-load Add assigned id %d, want 9", id)
+	}
+}
+
+// TestOneShardManifestLayout: a one-shard store under a SHARDS.json manifest
+// is a layout only earlier Coordinator.SaveFS callers produced (one shard now
+// commits flat). LoadFS still reads it; saving one shard back into it is
+// refused, since the manifest would shadow the flat cut.
+func TestOneShardManifestLayout(t *testing.T) {
+	c := New(1, 0)
+	for i := 0; i < 3; i++ {
+		rec := graph.NewRecord()
+		if err := rec.SetEdge("A", "B", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		c.Add(rec)
+	}
+	dir := t.TempDir()
+	sub := shardDir(dir, 0, false)
+	if err := c.Save(sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(sub, registryFile), filepath.Join(dir, registryFile)); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"format_version":1,"num_shards":1,"generations":["gen-000001"]}`
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumShards() != 1 || got.NumRecords() != 3 {
+		t.Fatalf("loaded %d shards, %d records", got.NumShards(), got.NumRecords())
+	}
+	if err := got.Save(dir); !errors.Is(err, ErrShadowedSave) {
+		t.Fatalf("save into a manifest directory: err = %v, want ErrShadowedSave", err)
 	}
 }

@@ -28,6 +28,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,19 +156,84 @@ func (c *Coordinator) globalID(s int, local uint32) uint32 {
 	return local*uint32(len(c.units)) + uint32(s)
 }
 
-// Locate translates a global record id to its shard and local id, reporting
-// an error when no such record exists.
-func (c *Coordinator) Locate(g uint32) (*Unit, uint32, error) {
+// Locate translates a global record id to its shard index and local id,
+// reporting an error when no such record exists.
+func (c *Coordinator) Locate(g uint32) (s int, local uint32, err error) {
 	n := uint32(len(c.units))
-	u := c.units[g%n]
-	local := g / n
-	if int64(local) >= int64(u.Rel.NumRecords()) {
-		return nil, 0, fmt.Errorf("shard: record %d out of range (have %d)", g, c.NumRecords())
+	s, local = int(g%n), g/n
+	if int64(local) >= int64(c.units[s].Rel.NumRecords()) {
+		return 0, 0, fmt.Errorf("shard: record %d out of range (have %d)", g, c.NumRecords())
 	}
-	return u, local, nil
+	return s, local, nil
 }
 
 // --- mutators ---------------------------------------------------------------
+//
+// Every mutator builds a wal.Op and hands it to mutate: one logged-apply
+// path, whose in-memory half (applyOp) is also what WAL replay runs.
+
+// mutate applies op to shard s. With no log attached that is applyOp and
+// nothing else — no ingestMu, no frame. With one attached, the frame is
+// appended and the op applied under the shard's ingestMu, so file order
+// always equals apply order and replay reconstructs identical record ids;
+// the fsync (Commit) happens outside the lock so concurrent writers on one
+// shard batch onto one fsync (group commit). An apply error outranks a log
+// error; a log error alone means the op IS applied in memory but not
+// guaranteed durable (the log latched the failure, see WALError).
+func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err error) {
+	u := c.units[s]
+	w := c.wal.Load()
+	if w == nil {
+		return applyOp(u, c.reg, op)
+	}
+	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
+	lsn, werr := w.logs[s].Append(op)
+	local, was, err = applyOp(u, c.reg, op)
+	u.ingestMu.Unlock()
+	if werr == nil {
+		werr = w.logs[s].Commit(lsn)
+	}
+	if err == nil && werr != nil {
+		err = fmt.Errorf("shard %d: %w", s, werr)
+	}
+	return local, was, err
+}
+
+// applyOp is the in-memory effect of one op on shard u: the single switch
+// behind both the live mutators and WAL replay, so a replayed op maintains
+// views exactly as the live one did. local is the new record's shard-local id
+// (add-record); was reports whether a delete/undelete changed the record.
+// Record ids are range-checked here because replay feeds it ops decoded from
+// disk.
+func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, err error) {
+	if n := u.Rel.NumRecords(); op.Kind != wal.OpAddRecord && int64(op.Rec) >= int64(n) {
+		return 0, false, fmt.Errorf("shard: %s targets record %d of %d", op.Kind, op.Rec, n)
+	}
+	switch op.Kind {
+	case wal.OpAddRecord:
+		local = graph.LoadRecord(u.Rel, reg, op.Record)
+	case wal.OpAppendEdge:
+		eid := reg.ID(graph.E(op.From, op.To))
+		switch {
+		case !op.HasValue:
+			u.Rel.SetEdge(op.Rec, eid)
+		case op.Measure == graph.DefaultMeasure:
+			u.Rel.SetEdgeMeasure(op.Rec, eid, op.Value)
+		default:
+			u.Rel.SetEdgeMeasureNamed(op.Rec, eid, op.Measure, op.Value)
+		}
+		u.Rel.UpdateViewsForRecord(op.Rec)
+	case wal.OpDelete:
+		was, err = u.Rel.Delete(op.Rec)
+	case wal.OpUndelete:
+		was = u.Rel.Undelete(op.Rec)
+	case wal.OpTag:
+		err = u.Rel.Tag(op.Rec, op.Key, op.Val)
+	default:
+		err = fmt.Errorf("shard: cannot apply unknown op kind %d", op.Kind)
+	}
+	return local, was, err
+}
 
 // Add appends a record to the next shard in round-robin order and returns
 // its global record id. Concurrent Adds to different shards proceed in
@@ -179,81 +245,65 @@ func (c *Coordinator) Add(rec *graph.Record) uint32 {
 	return id
 }
 
+// Append adds a record like Add but also reports the write-ahead log's
+// verdict: a non-nil error means the op is applied in memory yet NOT
+// guaranteed durable (the log latched a failure). With WAL disabled it never
+// errors.
+func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
+	s := int((c.rr.Add(1) - 1) % uint64(len(c.units)))
+	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Record: rec})
+	return c.globalID(s, local), err
+}
+
+// AppendEdge adds one element (edge, or node when from == to) to record g,
+// optionally with a measure value under name ("" = default). The record's
+// membership in every matching view updates incrementally. Durability
+// follows the attached log's policy, like Append.
+func (c *Coordinator) AppendEdge(g uint32, from, to, name string, v float64, hasValue bool) error {
+	if hasValue && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return fmt.Errorf("shard: append-edge measure must be finite, got %v", v)
+	}
+	s, local, err := c.Locate(g)
+	if err != nil {
+		return err
+	}
+	_, _, err = c.mutate(s, wal.Op{Kind: wal.OpAppendEdge, Rec: local, From: from, To: to, Measure: name, Value: v, HasValue: hasValue})
+	return err
+}
+
 // Delete soft-deletes the record with global id g.
 func (c *Coordinator) Delete(g uint32) (bool, error) {
-	u, local, err := c.Locate(g)
+	s, local, err := c.Locate(g)
 	if err != nil {
 		return false, err
 	}
-	w := c.wal.Load()
-	if w == nil {
-		return u.Rel.Delete(local)
-	}
-	s := int(g % uint32(len(c.units)))
-	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(wal.Op{Kind: wal.OpDelete, Rec: local})
-	was, derr := u.Rel.Delete(local)
-	u.ingestMu.Unlock()
-	if werr == nil {
-		werr = w.logs[s].Commit(lsn)
-	}
-	if derr != nil {
-		return was, derr
-	}
-	if werr != nil {
-		return was, fmt.Errorf("shard %d: %w", s, werr)
-	}
-	return was, nil
+	_, was, err := c.mutate(s, wal.Op{Kind: wal.OpDelete, Rec: local})
+	return was, err
 }
 
 // Undelete restores a soft-deleted record.
 func (c *Coordinator) Undelete(g uint32) bool {
-	u, local, err := c.Locate(g)
+	s, local, err := c.Locate(g)
 	if err != nil {
 		return false
 	}
-	w := c.wal.Load()
-	if w == nil {
-		return u.Rel.Undelete(local)
-	}
-	s := int(g % uint32(len(c.units)))
-	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(wal.Op{Kind: wal.OpUndelete, Rec: local})
-	was := u.Rel.Undelete(local)
-	u.ingestMu.Unlock()
-	if werr == nil {
-		w.logs[s].Commit(lsn) //grovevet:ignore droppederr Undelete keeps its bool signature; a commit failure latches and surfaces via WALError
-	}
+	_, was, _ := c.mutate(s, wal.Op{Kind: wal.OpUndelete, Rec: local}) //grovevet:ignore droppederr Undelete keeps its bool signature; a commit failure latches and surfaces via WALError
 	return was
 }
 
 // Tag attaches a key=value tag to the record with global id g.
 func (c *Coordinator) Tag(g uint32, key, value string) error {
-	u, local, err := c.Locate(g)
+	s, local, err := c.Locate(g)
 	if err != nil {
 		return err
 	}
-	w := c.wal.Load()
-	if w == nil || key == "" {
+	if key == "" {
 		// An empty key never reaches the log: the relation rejects it, and
 		// logging an op replay would refuse to decode would tear the prefix.
-		return u.Rel.Tag(local, key, value)
+		return c.units[s].Rel.Tag(local, key, value)
 	}
-	s := int(g % uint32(len(c.units)))
-	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(wal.Op{Kind: wal.OpTag, Rec: local, Key: key, Val: value})
-	terr := u.Rel.Tag(local, key, value)
-	u.ingestMu.Unlock()
-	if werr == nil {
-		werr = w.logs[s].Commit(lsn)
-	}
-	if terr != nil {
-		return terr
-	}
-	if werr != nil {
-		return fmt.Errorf("shard %d: %w", s, werr)
-	}
-	return werr
+	_, _, err = c.mutate(s, wal.Op{Kind: wal.OpTag, Rec: local, Key: key, Val: value})
+	return err
 }
 
 // TaggedWith returns the global ids of the records tagged key=value. The

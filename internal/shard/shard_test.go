@@ -47,11 +47,11 @@ func TestRecordIDMappingRoundTrips(t *testing.T) {
 				t.Fatalf("n=%d: duplicate id %d", n, g)
 			}
 			seen[g] = true
-			u, local, err := c.Locate(g)
+			s, local, err := c.Locate(g)
 			if err != nil {
 				t.Fatalf("n=%d: Locate(%d): %v", n, g, err)
 			}
-			if c.globalID(int(g)%n, local) != g || u != c.Unit(int(g)%n) {
+			if c.globalID(s, local) != g || s != int(g)%n {
 				t.Fatalf("n=%d: Locate(%d) did not round-trip", n, g)
 			}
 		}

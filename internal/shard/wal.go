@@ -1,37 +1,25 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"path/filepath"
 
 	"grove/internal/fsio"
-	"grove/internal/graph"
 	"grove/internal/obs"
 	"grove/internal/wal"
 )
 
-// Write-ahead logging across the shard layer.
-//
-// One log per shard, living next to that shard's snapshot store:
-//
-//	single shard:  dir/wal.log
-//	sharded:       dir/shard-000/wal.log, dir/shard-001/wal.log, …
-//
-// Every mutator follows the same discipline: under the shard's ingestMu it
-// first appends the op's frame to the log, then applies the op in memory, so
-// file order always equals apply order and replay reconstructs identical
-// record ids. The fsync (Commit) happens outside ingestMu so concurrent
-// writers on one shard batch onto one fsync (group commit).
+// Write-ahead logging across the shard layer: one log per shard, next to
+// that shard's snapshot store (walPath). Mutators log and apply through
+// Coordinator.mutate; this file attaches, replays, checkpoints and closes the
+// logs.
 //
 // Cross-shard consistency: a checkpoint stalls ingest on every shard (all
-// ingestMu held), snapshots each shard, writes the SHARDS.json manifest
-// recording each log's LSN at the cut, and only after that commit point
-// resets the logs. The manifest's generation pins + WAL LSNs mean a load can
-// never mix a shard's snapshot with another cut's log frames: a log replays
-// only over exactly the generation its header pins, starting at exactly the
-// LSN the manifest recorded.
+// ingestMu held), commits one cut whose manifest records each log's LSN at
+// that instant, and only after that commit point resets the logs. The
+// manifest's generation pins + WAL LSNs mean a load can never mix a shard's
+// snapshot with another cut's log frames: a log replays only over exactly the
+// generation its header pins, starting at exactly the LSN the manifest
+// recorded.
 //
 // Failure model: the log is the durability *floor*, never an availability
 // ceiling. If an append or fsync fails, the log latches the error, stops
@@ -56,14 +44,6 @@ type walAnchor struct {
 	nextLSN uint64
 	applied int
 	version uint64
-}
-
-// walPath returns shard s's log path under the store layout for n shards.
-func walPath(dir string, s, n int) string {
-	if n == 1 {
-		return filepath.Join(dir, wal.FileName)
-	}
-	return filepath.Join(dir, shardDirName(s), wal.FileName)
 }
 
 // WALEnabled reports whether a write-ahead log is attached.
@@ -134,59 +114,6 @@ func (c *Coordinator) WALStats() WALStats {
 
 // --- replay -----------------------------------------------------------------
 
-// walApplier routes decoded ops into one shard through exactly the live
-// mutator code paths (LoadRecord, SetEdge*, UpdateViewsForRecord), so replay
-// maintains views incrementally the same way live ingest does.
-type walApplier struct {
-	c *Coordinator
-	u *Unit
-}
-
-func (a walApplier) ApplyAdd(op wal.Op) error {
-	graph.LoadRecord(a.u.Rel, a.c.reg, op.Record)
-	return nil
-}
-
-func (a walApplier) ApplyAppendEdge(op wal.Op) error {
-	if int64(op.Rec) >= int64(a.u.Rel.NumRecords()) {
-		return fmt.Errorf("append-edge targets record %d of %d", op.Rec, a.u.Rel.NumRecords())
-	}
-	applyAppendEdge(a.u, a.c.reg, op)
-	return nil
-}
-
-func (a walApplier) ApplyDelete(op wal.Op) error {
-	_, err := a.u.Rel.Delete(op.Rec)
-	return err
-}
-
-func (a walApplier) ApplyUndelete(op wal.Op) error {
-	if int64(op.Rec) >= int64(a.u.Rel.NumRecords()) {
-		return fmt.Errorf("undelete targets record %d of %d", op.Rec, a.u.Rel.NumRecords())
-	}
-	a.u.Rel.Undelete(op.Rec)
-	return nil
-}
-
-func (a walApplier) ApplyTag(op wal.Op) error {
-	return a.u.Rel.Tag(op.Rec, op.Key, op.Val)
-}
-
-// applyAppendEdge is the shared in-memory effect of an append-edge op, used
-// by both the live path and replay.
-func applyAppendEdge(u *Unit, reg *graph.Registry, op wal.Op) {
-	eid := reg.ID(graph.E(op.From, op.To))
-	switch {
-	case !op.HasValue:
-		u.Rel.SetEdge(op.Rec, eid)
-	case op.Measure == graph.DefaultMeasure:
-		u.Rel.SetEdgeMeasure(op.Rec, eid, op.Value)
-	default:
-		u.Rel.SetEdgeMeasureNamed(op.Rec, eid, op.Measure, op.Value)
-	}
-	u.Rel.UpdateViewsForRecord(op.Rec)
-}
-
 // ReplayWALFS replays each shard's write-ahead log atop its loaded snapshot.
 // pinned, when non-nil, is the manifest's per-shard replay LSN floor: a log
 // whose BaseLSN disagrees belongs to a different cut and is skipped. Shards
@@ -198,7 +125,9 @@ func applyAppendEdge(u *Unit, reg *graph.Registry, op wal.Op) {
 // here, truncated later by EnableWAL (the writer). A log pinned to a
 // generation other than the one actually loaded is skipped entirely — its
 // ops are either already inside the newer snapshot or belong to a cut that
-// was rolled back; applying them would double-apply or corrupt.
+// was rolled back; applying them would double-apply or corrupt. Valid frames
+// run through applyOp, the live mutators' own in-memory path, so replay
+// maintains views incrementally the same way live ingest does.
 func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error {
 	n := len(c.units)
 	anchors := make([]walAnchor, n)
@@ -227,9 +156,8 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 			// generation / cut: never apply a frame of it.
 			c.walSkipped.Add(1)
 		default:
-			a := walApplier{c: c, u: u}
 			for _, op := range res.Ops {
-				if err := wal.Apply(a, op); err != nil {
+				if _, _, err := applyOp(u, c.reg, op); err != nil {
 					return fmt.Errorf("shard %d: wal replay of LSN %d: %w", i, op.LSN, err)
 				}
 			}
@@ -330,13 +258,12 @@ func (c *Coordinator) AttachWALFS(fs fsio.FS, dir string, cfg wal.Config) error 
 
 // --- checkpoint -------------------------------------------------------------
 
-// Checkpoint folds the write-ahead log into a fresh snapshot generation:
-// ingest stalls, every shard snapshots, the commit point lands (CURRENT flip
-// for one shard, SHARDS.json for many — recording each log's cut LSN), and
-// only then are the logs reset, pinned to the new generations. A crash at
-// any point recovers the same state: before the commit point the old
-// snapshot + old log still replay to it; after, the new snapshot alone (or
-// plus whatever landed in the reset log) carries it.
+// Checkpoint folds the write-ahead log into a fresh snapshot cut: ingest
+// stalls, the cut commits (commitCut, recording each log's cut LSN), and only
+// then are the logs reset, pinned to the new generations. A crash at any
+// point recovers the same state: before the commit point the old snapshot +
+// old log still replay to it; after, the new snapshot alone (or plus whatever
+// landed in the reset log) carries it.
 func (c *Coordinator) Checkpoint() error {
 	w := c.wal.Load()
 	if w == nil {
@@ -348,8 +275,8 @@ func (c *Coordinator) Checkpoint() error {
 }
 
 // checkpointLocked is the body of Checkpoint; it also serves AttachWALFS's
-// bootstrap (w == nil: no logs yet — create them pinned to the snapshot this
-// call writes). Caller holds saveMu.
+// bootstrap (w == nil: no logs yet — create them pinned to the cut this call
+// commits). Caller holds saveMu.
 func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w *walState) error {
 	// Stall ingest on every shard for the whole cut: the snapshot contents,
 	// the manifest's LSNs and the log resets must describe one instant.
@@ -383,44 +310,9 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 			lsns[i] = 1
 		}
 	}
-
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: checkpoint: %w", err)
-	}
-	if err := c.reg.SaveFS(fs, filepath.Join(dir, registryFile)); err != nil {
+	gens, err := c.commitCut(fs, dir, lsns)
+	if err != nil {
 		return err
-	}
-
-	gens := make([]string, n)
-	if n == 1 {
-		// Single shard keeps the flat layout; SaveFSGen's CURRENT flip is
-		// the commit point.
-		gen, err := c.units[0].Rel.SaveFSGen(fs, dir)
-		if err != nil {
-			return err
-		}
-		gens[0] = gen
-	} else {
-		if prev, err := readShardsManifest(fs, dir); err == nil && prev.NumShards == n {
-			for i, u := range c.units {
-				u.Rel.SetGCProtect(prev.Generations[i])
-			}
-		}
-		for i, u := range c.units {
-			gen, err := u.Rel.SaveFSGen(fs, filepath.Join(dir, shardDirName(i)))
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-			gens[i] = gen
-		}
-		if err := writeShardsManifest(fs, dir, shardsManifest{
-			FormatVersion: 1, NumShards: n, Generations: gens, WALLSNs: lsns,
-		}); err != nil {
-			return err
-		}
-		for i, u := range c.units {
-			u.Rel.SetGCProtect(gens[i])
-		}
 	}
 
 	// Past the commit point: the new cut is durable, so the logs' frames are
@@ -463,18 +355,6 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 	return firstErr
 }
 
-// writeShardsManifest atomically replaces SHARDS.json.
-func writeShardsManifest(fs fsio.FS, dir string, m shardsManifest) error {
-	b, err := json.Marshal(&m)
-	if err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	if err := fsio.WriteFileAtomic(fs, filepath.Join(dir, manifestFile), b); err != nil {
-		return fmt.Errorf("shard: save %s: %w", manifestFile, err)
-	}
-	return nil
-}
-
 // SyncWAL forces an fsync on every shard's log regardless of policy; a
 // no-op when WAL is disabled.
 func (c *Coordinator) SyncWAL() error {
@@ -506,67 +386,4 @@ func (c *Coordinator) CloseWAL() error {
 		}
 	}
 	return first
-}
-
-// --- logged mutators --------------------------------------------------------
-
-// Append adds a record like Add but also reports the write-ahead log's
-// verdict: a non-nil error means the op is applied in memory yet NOT
-// guaranteed durable (the log latched a failure). With WAL disabled it never
-// errors.
-func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
-	n := len(c.units)
-	s := 0
-	if n > 1 {
-		s = int((c.rr.Add(1) - 1) % uint64(n))
-	}
-	u := c.units[s]
-	w := c.wal.Load()
-	if w == nil {
-		return c.globalID(s, graph.LoadRecord(u.Rel, c.reg, rec)), nil
-	}
-	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(wal.Op{Kind: wal.OpAddRecord, Record: rec})
-	local := graph.LoadRecord(u.Rel, c.reg, rec)
-	u.ingestMu.Unlock()
-	id := c.globalID(s, local)
-	if werr == nil {
-		werr = w.logs[s].Commit(lsn)
-	}
-	if werr != nil {
-		return id, fmt.Errorf("shard %d: %w", s, werr)
-	}
-	return id, nil
-}
-
-// AppendEdge adds one element (edge, or node when from == to) to record g,
-// optionally with a measure value under name ("" = default). The record's
-// membership in every matching view updates incrementally. Durability
-// follows the attached log's policy, like Append.
-func (c *Coordinator) AppendEdge(g uint32, from, to, name string, v float64, hasValue bool) error {
-	if hasValue && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		return fmt.Errorf("shard: append-edge measure must be finite, got %v", v)
-	}
-	u, local, err := c.Locate(g)
-	if err != nil {
-		return err
-	}
-	op := wal.Op{Kind: wal.OpAppendEdge, Rec: local, From: from, To: to, Measure: name, Value: v, HasValue: hasValue}
-	w := c.wal.Load()
-	if w == nil {
-		applyAppendEdge(u, c.reg, op)
-		return nil
-	}
-	s := int(g % uint32(len(c.units)))
-	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(op)
-	applyAppendEdge(u, c.reg, op)
-	u.ingestMu.Unlock()
-	if werr == nil {
-		werr = w.logs[s].Commit(lsn)
-	}
-	if werr != nil {
-		return fmt.Errorf("shard %d: %w", s, werr)
-	}
-	return nil
 }

@@ -85,32 +85,3 @@ func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 	}
 	return res, nil
 }
-
-// Applier is the surface replay drives: the shard layer implements it on top
-// of the column store so a replayed op flows through exactly the same code
-// path as a live one (including incremental view maintenance).
-type Applier interface {
-	ApplyAdd(op Op) error
-	ApplyAppendEdge(op Op) error
-	ApplyDelete(op Op) error
-	ApplyUndelete(op Op) error
-	ApplyTag(op Op) error
-}
-
-// Apply routes one decoded op to the applier.
-func Apply(a Applier, op Op) error {
-	switch op.Kind {
-	case OpAddRecord:
-		return a.ApplyAdd(op)
-	case OpAppendEdge:
-		return a.ApplyAppendEdge(op)
-	case OpDelete:
-		return a.ApplyDelete(op)
-	case OpUndelete:
-		return a.ApplyUndelete(op)
-	case OpTag:
-		return a.ApplyTag(op)
-	default:
-		return fmt.Errorf("wal: cannot apply unknown op kind %d", op.Kind)
-	}
-}
