@@ -61,11 +61,15 @@ bench:
 # The shard and bitmap lines also run the kernels under a sharded batch — the
 # linear k-way merges and the galloping array ∩ run AND — with their
 # allocation counts reported (the AllocsPerRun guards beside them run in
-# `make test`).
+# `make test`). The last three are the write path's flat-row probes: one
+# add-record frame decoded, one record appended below the coordinator, one
+# whole recovery (1 000-record snapshot, 100 views, 2 000 logged records).
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 1x
-	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps' -benchtime 1x
+	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench AndInPlaceArrayRun -benchtime 1x
+	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
+	$(GO) test ./internal/graph/ -run '^$$' -bench LoadRecord -benchtime 1x
 	$(GO) test ./internal/bench/ -run TestObsOverheadSmoke -count=1 -v
 
 # The workload record→replay round trip at smoke scale: capture a mixed

@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"grove"
+	"grove/internal/obs"
 	"grove/internal/shard"
 )
 
@@ -320,6 +321,27 @@ func info(st *grove.Store) {
 	if p := stg.Pool; p.Hits+p.Misses > 0 || p.BudgetBytes > 0 {
 		fmt.Printf("buffer pool:     %d hits, %d misses, %d evictions, %d/%d bytes\n",
 			p.Hits, p.Misses, p.Evictions, p.ResidentBytes, p.BudgetBytes)
+	}
+	logReplay(st)
+}
+
+// logReplay prints where this load's write-ahead-log replay went, shard by
+// shard, from the wal-replay trace the load recorded (DESIGN.md §14): the
+// trace is handed to the first ring attached after the load.
+func logReplay(st *grove.Store) {
+	if st.RecentTraces() == nil {
+		st.EnableTracing(0)
+	}
+	for _, t := range st.RecentTraces() {
+		if t.Kind != obs.KindWALReplay {
+			continue
+		}
+		ws := st.WALStats()
+		fmt.Printf("log replay:      %d op(s) in %.1f ms, %d log(s) skipped\n",
+			ws.ReplayedOps, float64(t.DurationNanos)/1e6, ws.SkippedLogs)
+		for _, sp := range t.Spans {
+			fmt.Printf("  shard %d %-9s %.1f ms\n", sp.Shard, sp.Phase, float64(sp.DurationNanos)/1e6)
+		}
 	}
 }
 

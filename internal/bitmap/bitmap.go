@@ -206,11 +206,7 @@ func (b *Bitmap) Maximum() (v uint32, ok bool) {
 		return 0, false
 	}
 	last := len(b.containers) - 1
-	b.containers[last].each(func(low uint16) bool {
-		v = uint32(b.keys[last])<<16 | uint32(low)
-		return true
-	})
-	return v, true
+	return uint32(b.keys[last])<<16 | uint32(b.containers[last].max()), true
 }
 
 // And returns the intersection of b and other as a new bitmap.

@@ -72,6 +72,37 @@ func TestMinimumMaximum(t *testing.T) {
 	}
 }
 
+// TestMaximumEveryLayout: Maximum reads the last container's own maximum
+// (array tail, highest set bitset word, last run end); appending in
+// ascending order — the tail fast paths of add and contains — must agree with
+// it at every step, across the array → bitset conversion and a chunk border.
+func TestMaximumEveryLayout(t *testing.T) {
+	b := New()
+	for v := uint32(60000); v < 80000; v += 2 {
+		if b.Contains(v) || !b.Add(v) || !b.Contains(v) || b.Contains(v+1) || b.Add(v) {
+			t.Fatalf("tail append of %d misbehaved", v)
+		}
+		if got, ok := b.Maximum(); !ok || got != v {
+			t.Fatalf("Maximum = %d,%v after adding %d", got, ok, v)
+		}
+	}
+	if _, isBitset := b.containers[1].(*bitsetContainer); !isBitset {
+		t.Fatalf("second chunk is %T, want a bitset", b.containers[1])
+	}
+	if b.Cardinality() != 10000 {
+		t.Fatalf("cardinality = %d, want 10000", b.Cardinality())
+	}
+	r := New()
+	r.AddRange(100, 70000)
+	r.RunOptimize()
+	if _, isRun := r.containers[1].(*runContainer); !isRun {
+		t.Fatalf("second chunk is %T, want runs", r.containers[1])
+	}
+	if got, _ := r.Maximum(); got != 69999 {
+		t.Fatalf("run Maximum = %d, want 69999", got)
+	}
+}
+
 func TestAddRange(t *testing.T) {
 	b := New()
 	b.AddRange(10, 20)

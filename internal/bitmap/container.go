@@ -1,6 +1,9 @@
 package bitmap
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Container is the per-64K-chunk storage unit of a Bitmap. The low 16 bits of
 // the values in a chunk are held in one of three physical layouts — a sorted
@@ -17,6 +20,8 @@ type container interface {
 	remove(v uint16) (container, bool)
 	contains(v uint16) bool
 	cardinality() int
+	// max returns the largest value; containers are never empty.
+	max() uint16
 	and(other container) container
 	or(other container) container
 	andNot(other container) container
@@ -61,6 +66,11 @@ func (a *arrayContainer) indexOf(v uint16) (int, bool) {
 }
 
 func (a *arrayContainer) add(v uint16) (container, bool) {
+	if n := len(a.values); n > 0 && n < arrayMaxCardinality && v > a.values[n-1] {
+		// Tail append: record ids arrive in ascending order.
+		a.values = append(a.values, v)
+		return a, true
+	}
 	i, found := a.indexOf(v)
 	if found {
 		return a, false
@@ -86,11 +96,17 @@ func (a *arrayContainer) remove(v uint16) (container, bool) {
 }
 
 func (a *arrayContainer) contains(v uint16) bool {
+	if n := len(a.values); n == 0 || v >= a.values[n-1] {
+		// At or past the tail — view maintenance probing for the newest record.
+		return n > 0 && v == a.values[n-1]
+	}
 	_, found := a.indexOf(v)
 	return found
 }
 
 func (a *arrayContainer) cardinality() int { return len(a.values) }
+
+func (a *arrayContainer) max() uint16 { return a.values[len(a.values)-1] }
 
 func (a *arrayContainer) toBitset() *bitsetContainer {
 	b := newBitsetContainer()
@@ -250,6 +266,15 @@ func (b *bitsetContainer) remove(v uint16) (container, bool) {
 func (b *bitsetContainer) contains(v uint16) bool { return b.get(v) }
 
 func (b *bitsetContainer) cardinality() int { return b.card }
+
+func (b *bitsetContainer) max() uint16 {
+	for wi := bitsetWords - 1; wi >= 0; wi-- {
+		if w := b.words[wi]; w != 0 {
+			return uint16(wi*64 + 63 - bits.LeadingZeros64(w))
+		}
+	}
+	return 0
+}
 
 func (b *bitsetContainer) toArray() *arrayContainer {
 	out := make([]uint16, 0, b.card)
@@ -445,6 +470,8 @@ func (r *runContainer) contains(v uint16) bool {
 }
 
 func (r *runContainer) cardinality() int { return r.card }
+
+func (r *runContainer) max() uint16 { return uint16(r.runs[len(r.runs)-1].end()) }
 
 func (r *runContainer) add(v uint16) (container, bool) {
 	i, found := r.searchRun(v)

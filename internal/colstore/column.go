@@ -35,7 +35,8 @@ func NewMeasureColumn() *MeasureColumn {
 }
 
 // Set stores v for record rec, replacing any prior value. Appending in
-// ascending record order is O(1); out-of-order sets pay an O(n) insert. A
+// ascending record order is O(1); out-of-order sets pay a rank and an O(n)
+// insert. A
 // paged column is materialized in full on its first Set: written columns are
 // resident columns, and re-paging happens at the next Save/Load cycle.
 func (c *MeasureColumn) Set(rec uint32, v float64) {
@@ -46,6 +47,13 @@ func (c *MeasureColumn) Set(rec uint32, v float64) {
 			// Relation.PageError.
 			return
 		}
+	}
+	if last, ok := c.present.Maximum(); !ok || rec > last {
+		// Tail append, the only case a growing collection produces: no
+		// membership probe, no rank.
+		c.present.Add(rec)
+		c.values = append(c.values, v)
+		return
 	}
 	if c.present.Contains(rec) {
 		c.values[c.present.Rank(rec)-1] = v

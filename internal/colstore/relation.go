@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -332,20 +333,7 @@ func (r *Relation) SetEdge(rec uint32, edge EdgeID) {
 // SetEdgeMeasure marks record rec as containing edge with default-measure
 // value v.
 func (r *Relation) SetEdgeMeasure(rec uint32, edge EdgeID, v float64) {
-	r.mu.Lock() //grovevet:ignore lockorder the first Set on a paged column faults its blocks in to materialize it; that one-time I/O must happen under the write lock or a reader could see a half-materialized column
-	defer r.mu.Unlock()
-	r.setEdgeMeasureLocked(rec, edge, v)
-}
-
-func (r *Relation) setEdgeMeasureLocked(rec uint32, edge EdgeID, v float64) {
-	r.bumpVersion()
-	r.edgeBitmap(edge).Set(rec)
-	m, ok := r.measures[edge]
-	if !ok {
-		m = NewMeasureColumn()
-		r.measures[edge] = m
-	}
-	m.Set(rec, v)
+	r.SetEdgeMeasureNamed(rec, edge, "", v)
 }
 
 // SetEdgeMeasureNamed marks record rec as containing edge with a value in
@@ -353,23 +341,87 @@ func (r *Relation) setEdgeMeasureLocked(rec uint32, edge EdgeID, v float64) {
 func (r *Relation) SetEdgeMeasureNamed(rec uint32, edge EdgeID, name string, v float64) {
 	r.mu.Lock() //grovevet:ignore lockorder the first Set on a paged column faults its blocks in to materialize it; that one-time I/O must happen under the write lock or a reader could see a half-materialized column
 	defer r.mu.Unlock()
-	if name == "" {
-		r.setEdgeMeasureLocked(rec, edge, v)
-		return
-	}
 	r.bumpVersion()
 	r.edgeBitmap(edge).Set(rec)
-	cols, ok := r.named[name]
-	if !ok {
-		cols = make(map[EdgeID]*MeasureColumn)
-		r.named[name] = cols
+	r.measureColumn(edge, name).Set(rec, v)
+}
+
+// measureColumn returns measure column m_edge^name ("" = default), creating
+// it on first use.
+func (r *Relation) measureColumn(edge EdgeID, name string) *MeasureColumn {
+	cols := r.measures
+	if name != "" {
+		cols = r.named[name]
 	}
-	m, ok := cols[edge]
-	if !ok {
-		m = NewMeasureColumn()
-		cols[edge] = m
+	if m, ok := cols[edge]; ok {
+		return m
 	}
-	m.Set(rec, v)
+	return r.addMeasureColumn(edge, name)
+}
+
+// addMeasureColumn is measureColumn's first-use arm, kept out of line so the
+// allocation stays out of AppendRow's body (hotalloc holds that to zero). name
+// is cloned when it becomes a map key: it may be a substring of a write-ahead
+// log frame, which the relation must not pin.
+//
+//go:noinline
+func (r *Relation) addMeasureColumn(edge EdgeID, name string) *MeasureColumn {
+	cols := r.measures
+	if name != "" {
+		var ok bool
+		if cols, ok = r.named[name]; !ok {
+			cols = make(map[EdgeID]*MeasureColumn)
+			r.named[strings.Clone(name)] = cols
+		}
+	}
+	m := NewMeasureColumn()
+	cols[edge] = m
+	return m
+}
+
+// NamedValue is one named measure of a row cell.
+type NamedValue struct {
+	Name  string
+	Value float64
+}
+
+// Cell is one structural element of a flat record row: its column id, its
+// default measure (HasValue false = a bare element, bit set but NULL
+// measure) and its named measures.
+type Cell struct {
+	Edge     EdgeID
+	Value    float64
+	HasValue bool
+	Named    []NamedValue
+}
+
+// AppendRow appends one whole record — the paper's master-relation insert
+// (§4.1): a bitmap append plus a column append per element — and returns its
+// record id. Everything happens in one write-lock section: the id is
+// allocated, every cell's bit and measures are set, the materialized views
+// are maintained and the version is bumped once, so a reader sees the record
+// either not at all or complete, views included. It is the only way a whole
+// record enters the relation, for live ingest and log replay alike.
+//
+//grove:hotpath
+func (r *Relation) AppendRow(cells []Cell) uint32 {
+	r.mu.Lock() //grovevet:ignore lockorder the first Set on a paged column faults its blocks in to materialize it, and view maintenance reads the record's measures; both must happen under the same write lock as the row they belong to
+	defer r.mu.Unlock()
+	rec := r.numRecords.Load()
+	for i := range cells {
+		c := &cells[i]
+		r.edgeBitmap(c.Edge).Set(rec)
+		if c.HasValue {
+			r.measureColumn(c.Edge, "").Set(rec, c.Value)
+		}
+		for _, nv := range c.Named {
+			r.measureColumn(c.Edge, nv.Name).Set(rec, nv.Value)
+		}
+	}
+	r.maintainViews(rec)
+	r.numRecords.Store(rec + 1)
+	r.bumpVersion()
+	return rec
 }
 
 // MeasureNames lists the named measures stored (excluding the default), in
@@ -384,11 +436,19 @@ func (r *Relation) MeasureNames() []string {
 }
 
 func (r *Relation) edgeBitmap(edge EdgeID) *BitmapColumn {
-	b, ok := r.bitmaps[edge]
-	if !ok {
-		b = NewBitmapColumn()
-		r.bitmaps[edge] = b
+	if b, ok := r.bitmaps[edge]; ok {
+		return b
 	}
+	return r.addEdgeBitmap(edge)
+}
+
+// addEdgeBitmap is edgeBitmap's first-use arm, out of line like
+// addMeasureColumn.
+//
+//go:noinline
+func (r *Relation) addEdgeBitmap(edge EdgeID) *BitmapColumn {
+	b := NewBitmapColumn()
+	r.bitmaps[edge] = b
 	return b
 }
 
@@ -717,6 +777,12 @@ func (r *Relation) UpdateViewsForRecord(rec uint32) {
 	r.mu.Lock() //grovevet:ignore lockorder aggregate-view maintenance reads the record's measures, which may fault paged blocks in; views must be updated under the same write lock as the row they reflect
 	defer r.mu.Unlock()
 	r.bumpVersion()
+	r.maintainViews(rec)
+}
+
+// maintainViews adds rec to every view it now satisfies. Caller holds the
+// write lock.
+func (r *Relation) maintainViews(rec uint32) {
 	for _, v := range r.views {
 		all := true
 		for _, e := range v.Edges {
@@ -734,7 +800,6 @@ func (r *Relation) UpdateViewsForRecord(rec uint32) {
 		if !v.fn.Valid() {
 			continue
 		}
-		vals := make([]float64, len(v.Path))
 		contains := true
 		for _, e := range v.Path {
 			b, ok := r.bitmaps[e]
@@ -743,7 +808,11 @@ func (r *Relation) UpdateViewsForRecord(rec uint32) {
 				break
 			}
 		}
-		if contains && r.pathMeasures(rec, v.Path, v.MeasureName, vals) {
+		if !contains {
+			continue
+		}
+		vals := make([]float64, len(v.Path))
+		if r.pathMeasures(rec, v.Path, v.MeasureName, vals) {
 			v.Measure.Set(rec, v.fn.Aggregate(vals))
 			v.Col.Set(rec)
 		}

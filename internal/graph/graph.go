@@ -7,7 +7,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // EdgeKey names a structural element. A node X is represented as the special
@@ -35,11 +37,14 @@ func (k EdgeKey) String() string {
 }
 
 // Less orders edge keys lexicographically; used for deterministic iteration.
-func (k EdgeKey) Less(o EdgeKey) bool {
-	if k.From != o.From {
-		return k.From < o.From
+func (k EdgeKey) Less(o EdgeKey) bool { return k.compare(o) < 0 }
+
+// compare is the three-way form of Less.
+func (k EdgeKey) compare(o EdgeKey) int {
+	if c := strings.Compare(k.From, o.From); c != 0 {
+		return c
 	}
-	return k.To < o.To
+	return strings.Compare(k.To, o.To)
 }
 
 // Graph is a directed graph over named nodes. It stores the structural
@@ -128,7 +133,7 @@ func (g *Graph) Elements() []EdgeKey {
 	for k := range g.elems {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, EdgeKey.compare)
 	return out
 }
 
@@ -249,11 +254,6 @@ func (g *Graph) Equals(h *Graph) bool {
 // HasCycle reports whether the proper-edge structure contains a directed
 // cycle.
 func (g *Graph) HasCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
 	state := make(map[string]int, len(g.nodes))
 	var visit func(string) bool
 	visit = func(n string) bool {

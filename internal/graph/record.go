@@ -208,11 +208,6 @@ func FlattenToDAG(r *Record) *Record {
 			}
 		}
 	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
 	state := make(map[string]int)
 	aliasN := make(map[string]int)
 	nextAlias := func(s string) string {

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 
 	"grove/internal/colstore"
@@ -45,6 +46,41 @@ func (r *Registry) ID(k EdgeKey) colstore.EdgeID {
 	r.ids[k] = id
 	r.keys = append(r.keys, k)
 	return id
+}
+
+// resolve fills row.Cells[i].Edge with the id of row.Keys[i], assigning ids
+// in row order for keys seen for the first time. The common case — every
+// element already known — is one read-lock section. A key is cloned only
+// when it is assigned: row keys may be substrings of a write-ahead log frame,
+// and the registry must not pin the frame.
+func (r *Registry) resolve(row *Row) {
+	r.mu.RLock()
+	missing := -1
+	for i, k := range row.Keys {
+		id, ok := r.ids[k]
+		if !ok {
+			missing = i
+			break
+		}
+		row.Cells[i].Edge = id
+	}
+	r.mu.RUnlock()
+	if missing < 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := missing; i < len(row.Keys); i++ {
+		k := row.Keys[i]
+		id, ok := r.ids[k]
+		if !ok {
+			k = EdgeKey{From: strings.Clone(k.From), To: strings.Clone(k.To)}
+			id = colstore.EdgeID(len(r.keys))
+			r.ids[k] = id
+			r.keys = append(r.keys, k)
+		}
+		row.Cells[i].Edge = id
+	}
 }
 
 // Lookup returns the id of k without assigning.
@@ -135,31 +171,4 @@ func LoadRegistryFS(fs fsio.FS, path string) (*Registry, error) {
 		r.ID(EdgeKey{From: e.From, To: e.To})
 	}
 	return r, nil
-}
-
-// LoadRecord appends a record to the master relation, assigning ids for any
-// new elements, and returns the record id. Records containing cycles are
-// flattened to DAGs first (§6.2), so path aggregation downstream behaves as
-// intended.
-func LoadRecord(rel *colstore.Relation, reg *Registry, rec *Record) uint32 {
-	if rec.HasCycle() {
-		rec = FlattenToDAG(rec)
-	}
-	id := rel.NewRecord()
-	names := rec.MeasureNames()
-	for _, k := range rec.Elements() {
-		eid := reg.ID(k)
-		if m := rec.Measure(k); m.Valid {
-			rel.SetEdgeMeasure(id, eid, m.Value)
-		} else {
-			rel.SetEdge(id, eid)
-		}
-		for _, name := range names {
-			if m := rec.MeasureNamed(k, name); m.Valid {
-				rel.SetEdgeMeasureNamed(id, eid, name, m.Value)
-			}
-		}
-	}
-	rel.UpdateViewsForRecord(id)
-	return id
 }

@@ -38,8 +38,10 @@ const (
 	PhaseQueueWait = "queue-wait" // dispatch → execution start, one span per shard
 	PhaseMerge     = "merge"      // per-shard partials combined
 
-	// WAL phases (DESIGN.md §14). Replay traces carry one wal-apply span per
-	// shard; checkpoint traces a snapshot span and a wal-truncate span.
+	// WAL phases (DESIGN.md §14). Replay traces carry one wal-scan and one
+	// wal-apply span per shard; checkpoint traces a snapshot span and a
+	// wal-truncate span.
+	PhaseWALScan     = "wal-scan"     // log file read and its frames decoded
 	PhaseWALApply    = "wal-apply"    // decoded ops re-applied atop the snapshot
 	PhaseSnapshot    = "snapshot"     // generational save inside a checkpoint
 	PhaseWALTruncate = "wal-truncate" // log reset after the commit point

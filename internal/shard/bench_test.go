@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"testing"
 
+	"grove/internal/agg"
+	"grove/internal/colstore"
+	"grove/internal/fsio"
 	"grove/internal/gpath"
 	"grove/internal/graph"
 	"grove/internal/query"
+	"grove/internal/wal"
+	"grove/internal/workload"
 )
 
 // benchCoordinator builds an n-shard coordinator holding count path records
@@ -74,5 +79,76 @@ func BenchmarkShardedConcurrentAdd(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// writeReplayFixture leaves in dir what a crash leaves: a one-shard snapshot
+// of snap NY-like records (35–100 edges each) under views views — half graph
+// views, half SUM aggregate views, on 2- and 3-edge paths of the same walks —
+// and, past it, an un-checkpointed log of ops add-record frames.
+func writeReplayFixture(tb testing.TB, dir string, snap, ops, views int) {
+	tb.Helper()
+	gen, err := workload.NewGenerator(workload.NewRoadNetwork(1000), 35, 100, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := New(1, 0)
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			rec, err := gen.NextRecord()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := c.Append(rec); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	add(snap)
+	for v := 0; v < views; v++ {
+		nodes := gen.QueryPath(2 + v%2)
+		path := make([]colstore.EdgeID, len(nodes)-1)
+		for i := range path {
+			path[i] = c.Registry().ID(graph.E(nodes[i], nodes[i+1]))
+		}
+		name := fmt.Sprintf("v%d", v)
+		if v%2 == 0 {
+			err = c.MaterializeView(name, path)
+		} else {
+			err = c.MaterializeAggViewOn(name, path, agg.Sum, "")
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := c.AttachWALFS(fsio.OS(), dir, wal.Config{Policy: wal.SyncNever}); err != nil {
+		tb.Fatal(err)
+	}
+	add(ops)
+	if err := c.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkReplayWAL is recovery as LoadStore runs it: a 1 000-record
+// snapshot with 100 views to maintain, then 2 000 logged records replayed on
+// top. ns/op ÷ 2 000 is the per-op replay cost the recover-wal workload
+// reports.
+func BenchmarkReplayWAL(b *testing.B) {
+	dir := b.TempDir()
+	writeReplayFixture(b, dir, 1000, 2000, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := LoadFS(fsio.OS(), dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := c.WALStats().ReplayedOps; got != 2000 {
+			b.Fatalf("replayed %d ops, want 2000", got)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -105,6 +105,9 @@ type Coordinator struct {
 	walLoadDir  string
 	walReplayed atomic.Int64
 	walSkipped  atomic.Int64
+	// replayTrace is the load-time wal-replay trace, parked until SetTraces
+	// attaches the first ring (LoadFS replays before a caller can).
+	replayTrace *obs.Trace
 }
 
 // New creates a coordinator over n empty shards (n < 1 is clamped to 1) with
@@ -201,17 +204,22 @@ func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err erro
 
 // applyOp is the in-memory effect of one op on shard u: the single switch
 // behind both the live mutators and WAL replay, so a replayed op maintains
-// views exactly as the live one did. local is the new record's shard-local id
-// (add-record); was reports whether a delete/undelete changed the record.
-// Record ids are range-checked here because replay feeds it ops decoded from
-// disk.
+// views exactly as the live one did. An add-record op carries its flat row —
+// built once by Append, or decoded straight from the log — and
+// graph.AppendRow applies it in one relation lock section. local is the new
+// record's shard-local id (add-record); was reports whether a delete/undelete
+// changed the record. Record ids are range-checked here because replay feeds
+// it ops decoded from disk.
 func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, err error) {
 	if n := u.Rel.NumRecords(); op.Kind != wal.OpAddRecord && int64(op.Rec) >= int64(n) {
 		return 0, false, fmt.Errorf("shard: %s targets record %d of %d", op.Kind, op.Rec, n)
 	}
 	switch op.Kind {
 	case wal.OpAddRecord:
-		local = graph.LoadRecord(u.Rel, reg, op.Record)
+		if op.Row == nil {
+			return 0, false, fmt.Errorf("shard: add-record op without a row")
+		}
+		local = graph.AppendRow(u.Rel, reg, op.Row)
 	case wal.OpAppendEdge:
 		eid := reg.ID(graph.E(op.From, op.To))
 		switch {
@@ -251,7 +259,7 @@ func (c *Coordinator) Add(rec *graph.Record) uint32 {
 // errors.
 func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
 	s := int((c.rr.Add(1) - 1) % uint64(len(c.units)))
-	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Record: rec})
+	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Row: rec.Row()})
 	return c.globalID(s, local), err
 }
 
@@ -490,6 +498,10 @@ func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
 // with their shard id.
 func (c *Coordinator) SetTraces(t *obs.TraceRing) {
 	c.traces = t
+	if t != nil && c.replayTrace != nil {
+		t.Add(*c.replayTrace)
+		c.replayTrace = nil
+	}
 	for _, u := range c.units {
 		u.Eng.SetTraces(t)
 	}

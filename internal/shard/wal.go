@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"time"
 
 	"grove/internal/fsio"
 	"grove/internal/obs"
@@ -128,20 +129,24 @@ func (c *Coordinator) WALStats() WALStats {
 // was rolled back; applying them would double-apply or corrupt. Valid frames
 // run through applyOp, the live mutators' own in-memory path, so replay
 // maintains views incrementally the same way live ingest does.
+//
+// Every replay records one wal-replay trace with a wal-scan span (file read +
+// frame decode) and a wal-apply span per shard.
 func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error {
 	n := len(c.units)
 	anchors := make([]walAnchor, n)
-	var root *obs.ActiveTrace
-	if c.traces != nil {
-		root = obs.StartTrace(obs.KindWALReplay, dir, c.ioNow())
-		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseWALApply, c.ioNow())
-	}
+	// Always traced: two clock reads per shard per load. The query-I/O
+	// deltas stay zero — replay fetches no column through the tracker.
+	root := obs.StartTrace(obs.KindWALReplay, dir, obs.IODelta{})
+	root.SetShard(obs.ShardCoordinator)
 	for i, u := range c.units {
+		start := time.Now()
 		res, err := wal.Scan(fs, walPath(dir, i, n))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
+		scanned := time.Now()
+		root.AddSpan(obs.Span{Phase: obs.PhaseWALScan, Shard: i, DurationNanos: scanned.Sub(start).Nanoseconds()})
 		gen := u.Rel.SourceGeneration()
 		next := uint64(1)
 		if pinned != nil && pinned[i] > 0 {
@@ -167,14 +172,20 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 		}
 		anchors[i].nextLSN = next
 		anchors[i].version = u.Rel.Version()
+		root.AddSpan(obs.Span{Phase: obs.PhaseWALApply, Shard: i, DurationNanos: time.Since(scanned).Nanoseconds()})
 	}
 	// Replayed adds moved the record counts; resume round-robin placement
 	// past them, exactly as NewFromRelations does for snapshot records.
 	c.rr.Store(uint64(c.NumRecords()))
 	c.walAnchor = anchors
 	c.walLoadDir = dir
-	if root != nil {
-		c.traces.Add(root.Finish(c.ioNow()))
+	// A load replays before anyone can attach a ring; SetTraces hands the
+	// trace to the first ring attached afterwards.
+	t := root.Finish(obs.IODelta{})
+	if c.traces != nil {
+		c.traces.Add(t)
+	} else {
+		c.replayTrace = &t
 	}
 	return nil
 }

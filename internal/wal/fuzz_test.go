@@ -3,8 +3,10 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
 )
@@ -58,12 +60,11 @@ func FuzzWALRecord(f *testing.F) {
 			op2.Value != op.Value || op2.Key != op.Key || op2.Val != op.Val {
 			t.Fatalf("round trip changed the op: %+v vs %+v", op, op2)
 		}
-		if (op.Record == nil) != (op2.Record == nil) {
-			t.Fatal("round trip changed record presence")
+		if op.Record != nil || op2.Record != nil {
+			t.Fatal("the decoder filled Op.Record")
 		}
-		if op.Record != nil && len(op.Record.Elements()) != len(op2.Record.Elements()) {
-			t.Fatalf("round trip changed the record: %v vs %v",
-				op.Record.Elements(), op2.Record.Elements())
+		if !reflect.DeepEqual(op.Row, op2.Row) {
+			t.Fatalf("round trip changed the row: %+v vs %+v", op.Row, op2.Row)
 		}
 	})
 }
@@ -108,6 +109,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("GROVEWAL"))
 	f.Add([]byte{})
+	// Rows the encoder never writes but a hand-made log can hold: unsorted,
+	// with a repeated element, cyclic. Each is one whole checksum-valid log.
+	for _, row := range offPathRows() {
+		f.Add(logOf(f, row))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), FileName)
@@ -141,5 +147,94 @@ func FuzzWALReplay(f *testing.F) {
 		if string(data) == string(valid) && len(res.Ops) != 3 {
 			t.Fatalf("valid log scanned to %d ops", len(res.Ops))
 		}
+		// Whatever add-record frames survived must apply without a panic, and
+		// what they load must be acyclic: a non-canonical or cyclic row takes
+		// the slow path, it is never loaded raw.
+		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
+		for _, op := range res.Ops {
+			if op.Kind != OpAddRecord {
+				continue
+			}
+			if op.Record != nil || op.Row == nil {
+				t.Fatalf("add-record op decoded to Record %v, Row %v", op.Record, op.Row)
+			}
+			requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, op.Row))
+		}
 	})
+}
+
+// offPathRows are add-record rows that must not reach the row append as they
+// stand.
+func offPathRows() []*graph.Row {
+	cell := func(v float64) colstore.Cell { return colstore.Cell{Value: v, HasValue: true} }
+	return []*graph.Row{
+		{Keys: []graph.EdgeKey{graph.E("b", "c"), graph.E("a", "b")}, Cells: []colstore.Cell{cell(1), cell(2)}},                        // unsorted
+		{Keys: []graph.EdgeKey{graph.E("a", "b"), graph.E("a", "b")}, Cells: []colstore.Cell{cell(1), cell(2)}},                        // repeated element
+		{Keys: []graph.EdgeKey{graph.E("a", "b"), graph.E("b", "c"), graph.E("c", "a")}, Cells: []colstore.Cell{cell(1), {}, cell(3)}}, // cyclic
+	}
+}
+
+// logOf returns the bytes of a one-frame log holding row exactly as given.
+func logOf(tb testing.TB, row *graph.Row) []byte {
+	tb.Helper()
+	hdr, err := encodeHeader(Header{Version: formatVersion, BaseLSN: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	op := Op{Kind: OpAddRecord, Row: row}
+	payload, err := op.encodePayload()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame, err := encodeFrame(OpAddRecord, 1, payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(hdr, frame...)
+}
+
+// requireAcyclic rebuilds record rec's edges from the relation's bitmap
+// columns and fails the test if they contain a directed cycle.
+func requireAcyclic(t *testing.T, rel *colstore.Relation, reg *graph.Registry, rec uint32) {
+	t.Helper()
+	g := graph.NewGraph()
+	for id := colstore.EdgeID(0); int(id) < reg.Len(); id++ {
+		if b := rel.EdgeBitmap(id); b != nil && b.Contains(rec) {
+			k, _ := reg.Key(id)
+			g.AddElement(k)
+		}
+	}
+	if g.HasCycle() {
+		t.Fatalf("record %d was loaded with a cycle: %v", rec, g.Elements())
+	}
+}
+
+// TestOffPathRowsTakeTheSlowPath runs the fuzz seeds above as a plain test:
+// each scans as one valid frame (the decoder does not sort or reject them)
+// and loads as the Record built by the same sequence of Set calls would.
+func TestOffPathRowsTakeTheSlowPath(t *testing.T) {
+	for i, row := range offPathRows() {
+		p := filepath.Join(t.TempDir(), FileName)
+		if err := os.WriteFile(p, logOf(t, row), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Scan(fsio.OS(), p)
+		if err != nil || len(res.Ops) != 1 || res.TornBytes() != 0 {
+			t.Fatalf("row %d: scanned %d ops, %d torn bytes, err %v", i, len(res.Ops), res.TornBytes(), err)
+		}
+		if !reflect.DeepEqual(res.Ops[0].Row.Keys, row.Keys) {
+			t.Fatalf("row %d: the decoder reordered the keys: %v", i, res.Ops[0].Row.Keys)
+		}
+		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
+		requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, res.Ops[0].Row))
+		if first, _ := reg.Key(0); first.From != "a" {
+			t.Fatalf("row %d: first id went to %v: the slow path must assign in sorted order", i, first)
+		}
+		if i == 1 {
+			ab, _ := reg.Lookup(graph.E("a", "b"))
+			if v, _ := rel.MeasureColumn(ab).Get(0); v != 2 || reg.Len() != 1 {
+				t.Fatalf("repeated element: value %v in %d columns, want the last value 2 in one", v, reg.Len())
+			}
+		}
+	}
 }

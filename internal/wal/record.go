@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"grove/internal/colstore"
 	"grove/internal/graph"
 )
 
@@ -67,7 +68,11 @@ type Op struct {
 	LSN uint64
 	// Rec is the shard-local record id (every kind except OpAddRecord).
 	Rec uint32
-	// Record is the full record for OpAddRecord.
+	// Row is the flat record of an OpAddRecord: what the log encodes, what the
+	// decoder yields and what replay appends.
+	Row *graph.Row
+	// Record is an input convenience for OpAddRecord: Log.Append logs
+	// Record.Row() when Row is nil. The decoder never sets it.
 	Record *graph.Record
 	// From, To, Measure, Value, HasValue describe an OpAppendEdge element;
 	// Measure "" is the default measure, HasValue false a bare element.
@@ -181,41 +186,38 @@ func (o *Op) encodePayload() ([]byte, error) {
 	e := &enc{}
 	switch o.Kind {
 	case OpAddRecord:
-		if o.Record == nil {
-			return nil, fmt.Errorf("wal: add-record op without a record")
+		row := o.Row
+		if row == nil {
+			if o.Record == nil {
+				return nil, fmt.Errorf("wal: add-record op without a record")
+			}
+			row = o.Record.Row()
 		}
-		elems := o.Record.Elements()
-		names := o.Record.MeasureNames()
-		e.u32(uint32(len(elems)))
-		for _, k := range elems {
+		e.b = make([]byte, 0, 4+32*len(row.Keys))
+		e.u32(uint32(len(row.Keys)))
+		for i, k := range row.Keys {
 			if err := e.str(k.From); err != nil {
 				return nil, err
 			}
 			if err := e.str(k.To); err != nil {
 				return nil, err
 			}
-			m := o.Record.Measure(k)
-			if m.Valid {
+			c := &row.Cells[i]
+			if c.HasValue {
 				e.u8(1)
-				e.f64(m.Value)
+				e.f64(c.Value)
 			} else {
 				e.u8(0)
 			}
-			// Count first, then emit: named measures are sparse per element.
-			var n uint16
-			for _, name := range names {
-				if o.Record.MeasureNamed(k, name).Valid {
-					n++
-				}
+			if len(c.Named) > maxStringLen {
+				return nil, fmt.Errorf("wal: element %s carries %d named measures, over the %d payload limit", k, len(c.Named), maxStringLen)
 			}
-			e.u16(n)
-			for _, name := range names {
-				if nm := o.Record.MeasureNamed(k, name); nm.Valid {
-					if err := e.str(name); err != nil {
-						return nil, err
-					}
-					e.f64(nm.Value)
+			e.u16(uint16(len(c.Named)))
+			for _, nv := range c.Named {
+				if err := e.str(nv.Name); err != nil {
+					return nil, err
 				}
+				e.f64(nv.Value)
 			}
 		}
 	case OpAppendEdge:
@@ -259,41 +261,12 @@ func decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
 	d := &dec{b: payload}
 	switch kind {
 	case OpAddRecord:
-		n := int(d.u32())
-		// Each element needs at least from+to lengths, a flag byte and a
-		// named-measure count: 7 bytes. Reject counts the payload cannot hold
-		// before allocating anything.
-		if d.err == nil && n > (len(payload)-d.off)/7+1 {
-			return Op{}, fmt.Errorf("wal: add-record claims %d elements in a %d-byte payload", n, len(payload))
+		row, err := decodeRow(payload)
+		if err != nil {
+			return Op{}, err
 		}
-		rec := graph.NewRecord()
-		for i := 0; i < n && d.err == nil; i++ {
-			from := d.str()
-			to := d.str()
-			k := graph.E(from, to)
-			if d.u8() == 1 {
-				if err := rec.SetElement(k, d.f64()); err != nil {
-					return Op{}, err
-				}
-			} else {
-				rec.AddBareElement(k)
-			}
-			named := int(d.u16())
-			for j := 0; j < named && d.err == nil; j++ {
-				name := d.str()
-				v := d.f64()
-				if d.err != nil {
-					break
-				}
-				if name == graph.DefaultMeasure {
-					return Op{}, fmt.Errorf("wal: add-record element %s names the default measure explicitly", k)
-				}
-				if err := rec.SetElementNamed(k, name, v); err != nil {
-					return Op{}, err
-				}
-			}
-		}
-		op.Record = rec
+		op.Row = row
+		return op, nil
 	case OpAppendEdge:
 		op.Rec = d.u32()
 		op.From = d.str()
@@ -325,6 +298,143 @@ func decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
 		return Op{}, fmt.Errorf("wal: %d trailing bytes after %s payload", len(payload)-d.off, kind)
 	}
 	return op, nil
+}
+
+// decodeRow parses an add-record payload straight into a flat row: no
+// graph.Record, no maps. Element and measure names are substrings of one
+// string copy of the payload, so a frame costs a handful of allocations
+// however many elements it carries. The row comes back in payload order;
+// graph.AppendRow checks that order (the encoder writes it sorted) instead of
+// re-sorting.
+func decodeRow(payload []byte) (*graph.Row, error) {
+	elems, named, why := measureRow(payload)
+	if why != "" {
+		return nil, fmt.Errorf("wal: add-record payload of %d bytes: %s", len(payload), why)
+	}
+	row := &graph.Row{Keys: make([]graph.EdgeKey, elems), Cells: make([]colstore.Cell, elems)}
+	var backing []colstore.NamedValue
+	if named > 0 {
+		backing = make([]colstore.NamedValue, named)
+	}
+	if why := fillRow(row, backing, string(payload)); why != "" {
+		return nil, fmt.Errorf("wal: add-record payload: %s", why)
+	}
+	return row, nil
+}
+
+// le16 reads the little-endian u16 at b[off:], from payload bytes or from the
+// string copy of them.
+func le16[T []byte | string](b T, off int) int {
+	return int(uint16(b[off]) | uint16(b[off+1])<<8)
+}
+
+// measureRow walks an add-record payload without building anything: it
+// bounds-checks every length, so fillRow can slice freely, and counts the
+// elements and named measures so the row is allocated exactly once. why is
+// non-empty when the payload is not a whole add-record.
+//
+//grove:hotpath
+func measureRow(b []byte) (elems, named int, why string) {
+	if len(b) < 4 {
+		return 0, 0, "truncated element count"
+	}
+	elems = int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+	off := 4
+	// Each element needs at least from+to lengths, a flag byte and a
+	// named-measure count: 7 bytes. Reject counts the payload cannot hold
+	// before anything is allocated for them.
+	if elems > (len(b)-off)/7 {
+		return 0, 0, "element count exceeds the payload"
+	}
+	for i := 0; i < elems; i++ {
+		for s := 0; s < 2; s++ { // from, to
+			if off+2 > len(b) {
+				return 0, 0, "truncated element name"
+			}
+			off += 2 + le16(b, off)
+		}
+		if off+1 > len(b) {
+			return 0, 0, "truncated element name"
+		}
+		if b[off] == 1 {
+			off += 8
+		}
+		off++
+		if off+2 > len(b) {
+			return 0, 0, "truncated element"
+		}
+		n := le16(b, off)
+		off += 2
+		named += n
+		for j := 0; j < n; j++ {
+			if off+2 > len(b) {
+				return 0, 0, "truncated measure name"
+			}
+			off += 2 + le16(b, off) + 8
+		}
+	}
+	if off != len(b) {
+		if off > len(b) {
+			return 0, 0, "truncated element"
+		}
+		return 0, 0, "trailing bytes"
+	}
+	return elems, named, ""
+}
+
+// fillRow decodes s — an add-record payload measureRow accepted — into the
+// pre-sized row, carving each cell's named measures out of backing. It
+// rejects what the encoder never writes and the apply path must never see: a
+// non-finite value, or a named measure spelling out the default name.
+//
+//grove:hotpath
+func fillRow(row *graph.Row, backing []colstore.NamedValue, s string) (why string) {
+	off := 4
+	str := func() string {
+		n := le16(s, off)
+		v := s[off+2 : off+2+n]
+		off += 2 + n
+		return v
+	}
+	f64 := func() (float64, bool) {
+		var u uint64
+		for i := 7; i >= 0; i-- {
+			u = u<<8 | uint64(s[off+i])
+		}
+		off += 8
+		v := math.Float64frombits(u)
+		return v, !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	for i := range row.Keys {
+		row.Keys[i].From = str()
+		row.Keys[i].To = str()
+		c := &row.Cells[i]
+		flag := s[off]
+		off++
+		if flag == 1 {
+			var ok bool
+			if c.Value, ok = f64(); !ok {
+				return "non-finite measure"
+			}
+			c.HasValue = true
+		}
+		n := le16(s, off)
+		off += 2
+		c.Named = backing[:n:n]
+		backing = backing[n:]
+		for j := range c.Named {
+			name := str()
+			v, ok := f64()
+			if !ok {
+				return "non-finite measure"
+			}
+			if name == graph.DefaultMeasure {
+				return "element names the default measure explicitly"
+			}
+			c.Named[j] = colstore.NamedValue{Name: name, Value: v}
+		}
+	}
+	return ""
 }
 
 // encodeFrame wraps a payload in the on-disk frame: length, CRC-32C of the

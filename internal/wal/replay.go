@@ -44,7 +44,8 @@ func (r *ScanResult) Missing() bool { return r.FileSize == 0 && !r.HeaderOK && r
 // back as a describable ScanResult instead. Scan never mutates the file.
 func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 	res := &ScanResult{Path: path}
-	if _, err := fs.Stat(path); err != nil {
+	fi, err := fs.Stat(path)
+	if err != nil {
 		// Stat errors other than absence surface when Open fails below;
 		// keeping the single existence probe here keeps the fault-op count
 		// of the replay path small and deterministic.
@@ -54,7 +55,14 @@ func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	b, err := io.ReadAll(f)
+	// One buffer of the size Stat reported, filled in place: the log is read
+	// once, not grown into. A file that shrank since the Stat reads short.
+	b := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, b)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	b = b[:n]
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -120,7 +120,7 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 	// The add-record payload round-trips the record exactly.
-	rec := res.Ops[0].Record
+	rec := res.Ops[0].Row.Record()
 	want := testRecord(t)
 	if len(rec.Elements()) != len(want.Elements()) {
 		t.Fatalf("record elements = %v, want %v", rec.Elements(), want.Elements())
