@@ -23,14 +23,14 @@ lint:
 # Race-detector gate for the concurrent read path: vet everything, then run
 # the packages that share state across goroutines (engine scratch pool,
 # sharded result cache, relation RWMutex, registry, metrics endpoint, view
-# advisor, graphdb facade, fault-injection FS, scatter-gather coordinator)
-# plus the root facade.
+# advisor, graphdb facade, fault-injection FS, scatter-gather coordinator,
+# the buffer pool's pinned frames) plus the root facade.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/query/... ./internal/bitmap/... \
 		./internal/colstore/... ./internal/obs/... ./internal/view/... \
 		./internal/graphdb/... ./internal/fsio/... ./internal/shard/... \
-		./internal/wal/...
+		./internal/wal/... ./internal/pagepool/...
 
 # Short fuzz pass over every decoder that consumes untrusted bytes: the
 # bitmap wire format, the query parser, the colstore on-disk format, the
@@ -61,11 +61,16 @@ bench:
 # The shard and bitmap lines also run the kernels under a sharded batch — the
 # linear k-way merges and the galloping array ∩ run AND — with their
 # allocation counts reported (the AllocsPerRun guards beside them run in
-# `make test`). The last three are the write path's flat-row probes: one
-# add-record frame decoded, one record appended below the coordinator, one
-# whole recovery (1 000-record snapshot, 100 views, 2 000 logged records).
+# `make test`). PathAgg includes the cold paged run (PathAggPagedCold: every
+# query faults all its blocks through a 1% pool), and PageFault prices one
+# fault per block encoding in ns/value and allocs/op — the decode gap the
+# encoder's choice rule is built on (DESIGN.md §13). The last three are the
+# write path's flat-row probes: one add-record frame decoded, one record
+# appended below the coordinator, one whole recovery (1 000-record snapshot,
+# 100 views, 2 000 logged records).
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 1x
+	$(GO) test ./internal/colstore/ -run '^$$' -bench PageFault -benchtime 1x
 	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench AndInPlaceArrayRun -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x

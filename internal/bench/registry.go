@@ -30,7 +30,6 @@ func Registry() []Experiment {
 		{"batch", "Parallel batch execution vs sequential (tentpole)", ExpBatch},
 		{"shard", "Sharded scatter-gather: concurrent writes and query fan-out (tentpole)", ExpShard},
 		{"measurescan", "Vectorized measure-scan kernels vs scalar lookups (tentpole)", ExpMeasureScan},
-		{"paged", "Paged compressed columns: resident bytes vs scan throughput across pool budgets (tentpole)", ExpPaged},
 		{"obs", "Observability overhead: metrics and tracing vs off", ExpObs},
 		{"replay", "Workload record→replay round trip, digests verified across shard counts", ExpReplay},
 		{"wal", "Write-ahead log: ingest cost per fsync policy, crash-recovery verified (tentpole)", ExpWAL},

@@ -20,9 +20,10 @@ import (
 // The values live in exactly one of two places: a resident dense slice
 // (columns being written) or a paged block index backed by a snapshot file
 // (loaded columns), faulted in block-at-a-time through the relation's buffer
-// pool. Readers go through valueReader / the paged
-// accessors so both representations answer identically; the first mutation
-// of a paged column materializes it (see paged.go).
+// pool, where a reader pins the block it is on. Readers go through
+// valueReader / the paged accessors so both representations answer
+// identically; the first mutation of a paged column materializes it (see
+// paged.go).
 type MeasureColumn struct {
 	present *bitmap.Bitmap
 	values  []float64
@@ -89,6 +90,7 @@ func (c *MeasureColumn) Count() int { return c.valueCount() }
 func (c *MeasureColumn) ForEach(f func(rec uint32, v float64) bool) {
 	var rd valueReader
 	rd.init(c)
+	defer rd.release()
 	i := 0
 	c.present.Each(func(rec uint32) bool {
 		ok := f(rec, rd.at(i))

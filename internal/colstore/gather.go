@@ -47,6 +47,7 @@ func (c *MeasureColumn) GatherInto(recs []uint32, values []float64, present []bo
 	}
 	var rd valueReader
 	rd.init(c)
+	defer rd.release()
 	if !mergeGather(len(recs), c.Count()) {
 		scratch := rankScratchPool.Get().(*[]int32)
 		idx := *scratch
@@ -129,6 +130,7 @@ func (c *MeasureColumn) AggregateInto(recs []uint32, acc float64, reduce func(ac
 	}
 	var rd valueReader
 	rd.init(c)
+	defer rd.release()
 	var block [bitmap.BlockSize]float64 //grovevet:ignore hotalloc the block escapes through the reduce func value: one fixed-size buffer per call, amortized over BlockSize-wide folds
 	bn, n := 0, 0
 	if !mergeGather(len(recs), c.Count()) {

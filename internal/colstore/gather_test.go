@@ -196,3 +196,76 @@ func TestAggregateIntoBlockSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestPagedKernelsBalancePins runs every reader of a paged column — the
+// gather and fold kernels on both their paths, the zone-skipping scan,
+// ForEach stopped early, point Gets — against a pool too small to keep a
+// block, so each of them faults and moves its window across blocks. Each must
+// answer as the resident column does, bit for bit, and leave no block pinned:
+// a pin that outlives its kernel is a block the pool can never evict.
+func TestPagedKernelsBalancePins(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	r := NewRelation(0)
+	for i := 0; i < 3*BlockValues/2+BlockValues; i++ {
+		rec := r.NewRecord()
+		if i%7 != 3 { // holes, so ranks and record ids differ
+			r.SetEdgeMeasure(rec, 1, (rng.Float64()-0.5)*1e3)
+		}
+	}
+	mem := r.MeasureColumn(1)
+	loaded := reloadPaged(t, r, 1)
+	col := loaded.MeasureColumn(1)
+	balanced := func(kernel string) {
+		t.Helper()
+		if n := loaded.PagePoolStats().PinnedBlocks; n != 0 {
+			t.Fatalf("%d blocks left pinned after %s", n, kernel)
+		}
+	}
+	sum := agg.KernelFor(agg.Sum)
+	for _, n := range []int{1, 300, 2 * BlockValues} { // batch-rank path, then the merge path
+		recs := randomRecs(rng, mem, n)
+		want, wantP := mem.ValuesFor(recs)
+		got, gotP := col.ValuesFor(recs)
+		balanced("GatherInto")
+		for i := range recs {
+			if gotP[i] != wantP[i] || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d rec %d: paged (%v, %v), resident (%v, %v)", n, recs[i], got[i], gotP[i], want[i], wantP[i])
+			}
+		}
+		wantAcc, wantN := mem.AggregateInto(recs, 0, sum.Reduce)
+		gotAcc, gotN := col.AggregateInto(recs, 0, sum.Reduce)
+		balanced("AggregateInto")
+		if gotN != wantN || math.Float64bits(gotAcc) != math.Float64bits(wantAcc) {
+			t.Fatalf("n=%d: paged AggregateInto (%v, %d), resident (%v, %d)", n, gotAcc, gotN, wantAcc, wantN)
+		}
+		wantMin, wantF, _, _ := mem.AggregateSkip(recs, math.Inf(1), true)
+		gotMin, gotF, _, _ := col.AggregateSkip(recs, math.Inf(1), true)
+		balanced("AggregateSkip")
+		if math.Float64bits(gotMin) != math.Float64bits(wantMin) || gotF > wantF {
+			t.Fatalf("n=%d: paged AggregateSkip (%v, %d folded), resident (%v, %d)", n, gotMin, gotF, wantMin, wantF)
+		}
+	}
+	seen := 0
+	col.ForEach(func(rec uint32, v float64) bool {
+		if want, _ := mem.Get(rec); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("ForEach rec %d = %v, resident %v", rec, v, want)
+		}
+		seen++
+		return seen < BlockValues+10 // stop inside the second block, its frame pinned
+	})
+	balanced("an early-stopped ForEach")
+	for _, rec := range []uint32{0, BlockValues + 5, uint32(r.NumRecords()) - 1} {
+		got, ok := col.Get(rec)
+		want, wantOK := mem.Get(rec)
+		if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Get(%d) = (%v, %v), resident (%v, %v)", rec, got, ok, want, wantOK)
+		}
+	}
+	balanced("Get")
+	if err := loaded.PageError(); err != nil {
+		t.Fatal(err)
+	}
+	if s := loaded.PagePoolStats(); s.ResidentBlocks > 1 {
+		t.Fatalf("the pool kept %d blocks on a 1-byte budget", s.ResidentBlocks)
+	}
+}

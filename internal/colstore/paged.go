@@ -16,11 +16,14 @@ import (
 // Paged measure columns. The v2 snapshot format stores a measure column's
 // values as fixed-size blocks of BlockValues values in rank space (value
 // index x lives in block x/BlockValues). Each block carries a zone map
-// (total-order min/max of its values) and is compressed with whichever of
-// four lightweight encodings is smallest for its data. Loading a v2 snapshot
-// decodes nothing: blocks are paged in lazily through the relation's
-// pagepool.Pool on first access and evicted under memory pressure, so the
-// resident footprint tracks the working set instead of the dataset.
+// (total-order min/max of its values) and is stored raw unless one of three
+// lightweight encodings saves at least an eighth of its bytes (see
+// blockEncoder.encode). Loading a v2 snapshot decodes nothing: blocks are
+// paged in lazily through the relation's pagepool.Pool on first access and
+// evicted under memory pressure, so the resident footprint tracks the working
+// set instead of the dataset. A reader holds a block only while it has the
+// block's pool frame pinned; every kernel in this package unpins before it
+// returns.
 //
 // Zone-map skipping: MinReplaces/MaxReplaces define a total order on
 // non-NaN float64 (with -0 ordered before +0), and a block's zone min is its
@@ -32,7 +35,7 @@ import (
 // BlockValues is the number of measure values per storage block.
 const BlockValues = 4096
 
-// Block encodings, chosen per block at write time by encoded size.
+// Block encodings, chosen per block at write time.
 const (
 	encRaw       = 0 // 8 bytes per value, little-endian float64 bits
 	encXor       = 1 // first value raw, then uvarint(bits XOR prev bits) per value
@@ -100,7 +103,7 @@ type pageSource struct {
 	fs   fsio.FS
 	path string
 
-	mu  sync.Mutex
+	mu  sync.RWMutex // guards f: written by the lazy open and close, read-held across a positional read
 	f   fsio.File
 	err atomic.Pointer[error]
 }
@@ -122,29 +125,45 @@ func (s *pageSource) Err() error {
 	return nil
 }
 
-// readAt fills p from the absolute offset off. Serialized: lazy open and the
-// positional read share one mutex — block faults are already amortized by
-// the pool, and fsio.File only guarantees ReadAt is safe per-handle.
+// readAt fills p from the absolute offset off. Reads of different blocks run
+// concurrently on the one shared handle (fsio.File.ReadAt allows it); the
+// read lock only keeps close from pulling the handle out from under them.
 func (s *pageSource) readAt(p []byte, off int64) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock() //grovevet:ignore lockorder the mutex exists to serialize the lazy open with positional reads on one shared handle; waiting for that I/O is its purpose
-	defer s.mu.Unlock()
-	if s.f == nil {
-		f, err := s.fs.Open(s.path)
-		if err != nil {
-			err = fmt.Errorf("colstore: page source %s: %w", s.path, err)
-			s.fail(err)
+	for {
+		s.mu.RLock() //grovevet:ignore lockorder the read lock spans the positional read so close cannot release the handle mid-read; readers do not wait for each other
+		if f := s.f; f != nil {
+			_, err := f.ReadAt(p, off)
+			s.mu.RUnlock()
+			if err != nil {
+				err = fmt.Errorf("colstore: page read %s @%d: %w", s.path, off, err)
+				s.fail(err)
+			}
 			return err
 		}
-		s.f = f
+		s.mu.RUnlock()
+		if err := s.open(); err != nil {
+			return err
+		}
 	}
-	if _, err := s.f.ReadAt(p, off); err != nil {
-		err = fmt.Errorf("colstore: page read %s @%d: %w", s.path, off, err)
+}
+
+// open opens the file handle unless another reader already has.
+func (s *pageSource) open() error {
+	s.mu.Lock() //grovevet:ignore lockorder the write lock serializes the lazy open so one handle is opened, once; it is held for that open only
+	defer s.mu.Unlock()
+	if s.f != nil {
+		return nil
+	}
+	f, err := s.fs.Open(s.path)
+	if err != nil {
+		err = fmt.Errorf("colstore: page source %s: %w", s.path, err)
 		s.fail(err)
 		return err
 	}
+	s.f = f
 	return nil
 }
 
@@ -175,61 +194,62 @@ type pagedData struct {
 
 func (p *pagedData) numBlocks() int { return len(p.metas) }
 
-// block returns the decoded block containing value index x along with the
-// [lo, hi) value-index window it covers. A nil slice means the fault failed;
-// the error is latched on the source.
+// blockScratchPool recycles the buffer a fault reads a block's encoded bytes
+// into; each holds the largest payload a block index may claim.
+var blockScratchPool = sync.Pool{New: func() any {
+	b := make([]byte, maxBlockEncLen)
+	return &b
+}}
+
+// pageIn returns block bi decoded in a pinned pool frame, consulting the pool
+// first; the caller reads frame.Vals and must Unpin the frame. On a miss the
+// block is decoded into a frame the pool reserved — a recycled one when the
+// pool is at its budget — so the steady-state fault allocates nothing. A nil
+// frame means bi is out of range or the fault failed; the error is latched on
+// the source.
 //
 //grove:hotpath
-func (p *pagedData) block(x int) (vals []float64, lo, hi int) {
-	bi := x / BlockValues
+func (p *pagedData) pageIn(bi int) *pagepool.Frame {
 	if bi < 0 || bi >= len(p.metas) {
-		return nil, 0, 0
+		return nil
 	}
-	vals = p.pageIn(uint32(bi))
-	lo = bi * BlockValues
-	return vals, lo, lo + len(vals)
+	key := pagepool.Key{Col: p.token, Block: uint32(bi)}
+	if f := p.pool.Pin(key); f != nil {
+		return f
+	}
+	f := p.pool.Reserve(int(p.metas[bi].count))
+	if err := p.readBlock(bi, f.Vals); err != nil {
+		p.pool.Abandon(f)
+		return nil
+	}
+	return p.pool.Publish(key, f)
 }
 
-// pageIn returns block bi decoded, consulting the pool first.
+// readBlock reads block bi from the snapshot file and decodes it into dst
+// (len(dst) = the block's value count), bypassing the pool. An error is also
+// latched on the source.
 //
 //grove:hotpath
-func (p *pagedData) pageIn(bi uint32) []float64 {
-	if p.pool != nil {
-		if vals := p.pool.Get(pagepool.Key{Col: p.token, Block: bi}); vals != nil {
-			return vals
-		}
-	}
-	vals := p.readBlock(int(bi))
-	if vals == nil {
-		return nil
-	}
-	if p.pool != nil {
-		vals = p.pool.Put(pagepool.Key{Col: p.token, Block: bi}, vals)
-	}
-	return vals
-}
-
-// readBlock reads and decodes block bi from the snapshot file, bypassing the
-// pool. The allocations live here, outside the hotpath-annotated callers.
-func (p *pagedData) readBlock(bi int) []float64 {
-	m := p.metas[bi]
-	buf := make([]byte, m.encLen)
+func (p *pagedData) readBlock(bi int, dst []float64) error {
+	m := &p.metas[bi]
+	scratch := blockScratchPool.Get().(*[]byte)
+	defer blockScratchPool.Put(scratch)
+	buf := (*scratch)[:m.encLen]
 	if err := p.src.readAt(buf, m.off); err != nil {
-		return nil
+		return err
 	}
-	vals := make([]float64, m.count)
-	if err := decodeBlock(m.enc, buf, vals); err != nil {
-		p.src.fail(fmt.Errorf("colstore: block %d of %s: %w", bi, p.src.path, err))
-		return nil
+	if err := decodeBlock(m.enc, buf, dst); err != nil {
+		return p.failBlock(bi, err)
 	}
-	return vals
+	return nil
 }
 
-// invalidate drops the column's cached blocks from the pool.
-func (p *pagedData) invalidate() {
-	if p.pool != nil {
-		p.pool.InvalidateColumn(p.token)
-	}
+// failBlock latches a decode failure of block bi on the source. Apart from
+// readBlock so that the error's formatting stays off the hot path.
+func (p *pagedData) failBlock(bi int, err error) error {
+	err = fmt.Errorf("colstore: block %d of %s: %w", bi, p.src.path, err)
+	p.src.fail(err)
+	return err
 }
 
 // --- per-column paged accessors ----------------------------------------------
@@ -245,17 +265,20 @@ func (c *MeasureColumn) valueCount() int {
 	return len(c.values)
 }
 
-// valueAt reads value index x through the pool. Only for cold paths (Get,
-// ForEach); kernels use valueReader to amortize the block lookup.
+// valueAt reads value index x through the pool, pinning its block for the one
+// read. Only for point lookups (Get); kernels use valueReader to amortize the
+// block lookup.
 func (c *MeasureColumn) valueAt(x int) float64 {
 	if c.paged == nil {
 		return c.values[x]
 	}
-	vals, lo, _ := c.paged.block(x)
-	if vals == nil {
+	f := c.paged.pageIn(x / BlockValues)
+	if f == nil {
 		return 0
 	}
-	return vals[x-lo]
+	v := f.Vals[x%BlockValues]
+	c.paged.pool.Unpin(f)
+	return v
 }
 
 // blockRange returns the value-index window of block bi.
@@ -268,40 +291,38 @@ func blockRange(bi, count int) (lo, hi int) {
 	return lo, hi
 }
 
-// blockValuesInto decodes block bi into dst (resident columns just slice),
-// bypassing the pool: the save path and materialization stream every block
-// exactly once, so caching them would only evict the query working set.
+// blockValuesInto decodes block bi into dst, which must hold a block's worth
+// of values (resident columns just slice, and ignore dst), bypassing the
+// pool: the save path streams every block exactly once, so caching them would
+// only evict the query working set.
 func (c *MeasureColumn) blockValuesInto(bi int, dst []float64) ([]float64, error) {
+	lo, hi := blockRange(bi, c.valueCount())
 	if c.paged == nil {
-		lo, hi := blockRange(bi, len(c.values))
 		return c.values[lo:hi], nil
 	}
-	vals := c.paged.readBlock(bi)
-	if vals == nil {
-		return nil, c.paged.src.Err()
-	}
-	return vals, nil
+	dst = dst[:hi-lo]
+	return dst, c.paged.readBlock(bi, dst)
 }
 
-// materialize decodes the whole column into a resident values slice and
-// detaches the paged data. Called (under the relation's write lock) before
-// any mutation: written columns are resident columns.
+// materialize decodes the whole column, block by block and past the pool,
+// into a resident values slice and detaches the paged data. Called (under the
+// relation's write lock, so no reader has a block pinned) before any
+// mutation: written columns are resident columns.
 func (c *MeasureColumn) materialize() error {
 	p := c.paged
 	if p == nil {
 		return nil
 	}
-	values := make([]float64, 0, p.count)
+	values := make([]float64, p.count)
 	for bi := 0; bi < p.numBlocks(); bi++ {
-		vals := p.readBlock(bi)
-		if vals == nil {
-			return p.src.Err()
+		lo, hi := blockRange(bi, p.count)
+		if err := p.readBlock(bi, values[lo:hi]); err != nil {
+			return err
 		}
-		values = append(values, vals...)
 	}
 	c.values = values
 	c.paged = nil
-	p.invalidate()
+	p.pool.InvalidateColumn(p.token)
 	return nil
 }
 
@@ -353,13 +374,14 @@ func (c *MeasureColumn) BlockEncodings() [numEncodings]int {
 // --- value reader cursor -----------------------------------------------------
 
 // valueReader is the kernels' cursor over a column's values: a resident
-// column is one full-width window, a paged column a sliding per-block window.
-// The in-window fast path is branch-predictable and allocation-free; the
-// block fault lives in a separate, unannotated method.
+// column is one full-width window, a paged column a sliding per-block window
+// over the one pool frame the reader has pinned. The in-window fast path is
+// branch-predictable and allocation-free. Whoever inits a reader releases it.
 type valueReader struct {
 	c      *MeasureColumn
 	blk    []float64
-	lo, hi int // value-index window [lo, hi) covered by blk
+	lo, hi int             // value-index window [lo, hi) covered by blk
+	pin    *pagepool.Frame // the frame blk lives in; nil for a resident column
 }
 
 //grove:hotpath
@@ -373,6 +395,17 @@ func (rd *valueReader) init(c *MeasureColumn) {
 	}
 }
 
+// release unpins the reader's block, if it holds one, and empties the window
+// over it. A no-op for a resident column.
+//
+//grove:hotpath
+func (rd *valueReader) release() {
+	if rd.pin != nil {
+		rd.c.paged.pool.Unpin(rd.pin)
+		rd.pin, rd.blk, rd.lo, rd.hi = nil, nil, 0, 0
+	}
+}
+
 // at returns value index x, faulting its block in when the window misses.
 //
 //grove:hotpath
@@ -383,17 +416,23 @@ func (rd *valueReader) at(x int) float64 {
 	return rd.fault(x)
 }
 
-// fault repositions the window over x's block. On a failed fault (sticky
-// error on the source) it returns 0 and leaves the window empty; callers'
-// results are discarded by the error check at the end of the operation.
+// fault moves the window over x's block: the old block is unpinned first, so
+// a reader never holds two. On a failed fault (sticky error on the source) it
+// returns 0 and leaves the window empty; callers' results are discarded by
+// the error check at the end of the operation.
+//
+//grove:hotpath
 func (rd *valueReader) fault(x int) float64 {
-	vals, lo, hi := rd.c.paged.block(x)
-	if vals == nil {
-		rd.blk, rd.lo, rd.hi = nil, 0, 0
+	rd.release()
+	bi := x / BlockValues
+	f := rd.c.paged.pageIn(bi)
+	if f == nil {
 		return 0
 	}
-	rd.blk, rd.lo, rd.hi = vals, lo, hi
-	return vals[x-lo]
+	rd.pin, rd.blk = f, f.Vals
+	rd.lo = bi * BlockValues
+	rd.hi = rd.lo + len(f.Vals)
+	return f.Vals[x-rd.lo]
 }
 
 // window returns the contiguous value slice [off, off+n) when it fits inside
@@ -480,13 +519,13 @@ func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (o
 					continue
 				}
 			}
-			vals := p.pageIn(uint32(bi))
-			if vals == nil {
+			f := p.pageIn(bi)
+			if f == nil {
 				// Fault failed; sticky error is latched, result discarded.
 				i = j
 				continue
 			}
-			lo := bi * BlockValues
+			vals, lo := f.Vals, bi*BlockValues
 			if isMin {
 				for k := i; k < j; k++ {
 					if v := vals[int(idx[k])-lo]; agg.MinReplaces(acc, v) {
@@ -500,6 +539,7 @@ func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (o
 					}
 				}
 			}
+			p.pool.Unpin(f)
 		} else {
 			if isMin {
 				for k := i; k < j; k++ {
@@ -552,10 +592,15 @@ type blockEncoder struct {
 }
 
 // encode compresses one block of values, returning the chosen encoding tag
-// and its payload (valid until the next encode call). The choice is purely
-// by encoded size with ties broken in tag order (raw first), so re-encoding
-// a decoded block always reproduces identical bytes — Save stays
-// deterministic, which the crash-sweep's bit-exactness check relies on.
+// and its payload (valid until the next encode call). The choice prices
+// decode: every page fault decodes a whole block, raw decodes at about a
+// tenth of the per-value cost of the uvarint encodings, and on measures with
+// full mantissas XOR "wins" most blocks by a fraction of a percent. So an
+// encoding replaces raw only when its payload is at most 7/8 of the raw one;
+// among those that qualify the smallest wins, ties broken in tag order. The
+// choice stays a pure function of the block's values, so re-encoding a
+// decoded block reproduces identical bytes — Save stays deterministic, which
+// the crash-sweep's bit-exactness check relies on.
 func (e *blockEncoder) encode(vals []float64) (uint8, []byte, error) {
 	for _, v := range vals {
 		if math.IsNaN(v) {
@@ -564,15 +609,16 @@ func (e *blockEncoder) encode(vals []float64) (uint8, []byte, error) {
 	}
 	e.buf = appendRaw(e.buf[:0], vals)
 	best := uint8(encRaw)
-	if alt, ok := e.appendXor(vals, len(e.buf)); ok {
+	limit := 7*len(e.buf)/8 + 1 // a candidate must come in strictly below
+	if alt, ok := e.appendXor(vals, limit); ok {
 		e.buf, e.alt = alt, e.buf
-		best = encXor
+		best, limit = encXor, len(alt)
 	}
-	if alt, ok := e.appendDict(vals, len(e.buf)); ok {
+	if alt, ok := e.appendDict(vals, limit); ok {
 		e.buf, e.alt = alt, e.buf
-		best = encDict
+		best, limit = encDict, len(alt)
 	}
-	if alt, ok := e.appendRLE(vals, len(e.buf)); ok {
+	if alt, ok := e.appendRLE(vals, limit); ok {
 		e.buf, e.alt = alt, e.buf
 		best = encRLE
 	}

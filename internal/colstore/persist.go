@@ -559,8 +559,12 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	index := make([]byte, 0, numBlocks*blockMetaDiskSize)
 	payloads := make([]byte, 0, 8*min(count, BlockValues))
 	var meta [blockMetaDiskSize]byte
+	var decoded []float64 // a paged column's blocks are decoded here, one at a time
+	if m.isPaged() {
+		decoded = make([]float64, min(count, BlockValues))
+	}
 	for bi := 0; bi < numBlocks; bi++ {
-		vals, err := m.blockValuesInto(bi, nil)
+		vals, err := m.blockValuesInto(bi, decoded)
 		if err != nil {
 			return err
 		}

@@ -27,7 +27,9 @@ type File interface {
 	io.Writer
 	// ReadAt reads len(p) bytes from the given absolute offset without
 	// moving the sequential read cursor (io.ReaderAt semantics). The paged
-	// column store uses it for lazy block loads from snapshot files.
+	// column store uses it for lazy block loads from snapshot files, from
+	// several goroutines at once on one handle: like io.ReaderAt, ReadAt
+	// must be safe for concurrent calls (os.File is; wrappers pass through).
 	ReadAt(p []byte, off int64) (int, error)
 	// Sync flushes the file's content to stable storage (fsync).
 	Sync() error

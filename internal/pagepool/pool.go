@@ -1,15 +1,18 @@
 // Package pagepool implements the buffer pool that backs paged measure
 // columns: a byte-budgeted cache of decoded value blocks with clock (second
-// chance) eviction. The pool holds decoded []float64 blocks keyed by
+// chance) eviction. The pool owns the []float64 buffers it caches, keyed by
 // (column token, block index); colstore pages blocks in through it so the
 // resident working set stays under a configurable budget regardless of how
 // much data sits on disk.
 //
-// Safety model: eviction only drops the pool's reference to a block — the
-// slice itself is never reused or cleared, so a reader that obtained a block
-// just before eviction keeps a valid (immutable) snapshot and the garbage
-// collector reclaims the memory once the last reader drops it. Blocks are
-// written once by the loader before Put and never mutated afterwards.
+// Safety model: pin → read → unpin. A reader gets a block only as a pinned
+// Frame (from Pin on a hit, from Publish after a miss) and may read
+// Frame.Vals until it calls Unpin; the pool never evicts, overwrites or hands
+// out the buffer of a frame whose pin count is above zero. An unpinned frame
+// may be evicted at any time, and eviction recycles: Reserve hands the
+// victim's buffer to the reader that is faulting the next block in, so a
+// fault in a pool that is at its budget allocates nothing. A frame is written
+// only between Reserve and Publish, when exactly one goroutine knows it.
 package pagepool
 
 import (
@@ -26,21 +29,34 @@ type Key struct {
 	Block uint32
 }
 
-// frame is one cached block plus its clock reference bit.
-type frame struct {
-	key  Key
-	vals []float64
-	ref  bool
+// Frame is one pool-owned buffer holding one decoded block. Vals is valid and
+// immutable from Pin or Publish until the matching Unpin; between Reserve and
+// Publish it is the reserving goroutine's to fill.
+type Frame struct {
+	Vals []float64
+
+	key Key
+	// pins rises only under Pool.mu (Pin, Publish) and falls without it
+	// (Unpin), so a count of zero read under the mutex stays zero until the
+	// mutex is released: that is what lets eviction take the buffer.
+	pins atomic.Int32
+	ref  bool // clock reference bit
 }
+
+// bytes is what the frame is charged against the budget: its buffer's whole
+// capacity, so a recycled buffer larger than its block is charged in full.
+func (f *Frame) bytes() int64 { return 8 * int64(cap(f.Vals)) }
 
 // Pool is a clock-eviction buffer pool over decoded measure blocks. The
 // zero value is not usable; call New.
 type Pool struct {
-	mu       sync.Mutex
-	budget   int64       // resident-byte budget; <=0 disables eviction (unbounded)
-	resident int64       // bytes currently held (8 bytes per cached value)
-	frames   map[Key]int // key -> index into ring
-	ring     []frame
+	mu     sync.Mutex
+	budget int64 // resident-byte budget; <=0 disables eviction (unbounded)
+	// resident is the bytes of every frame the pool owns: cached frames and
+	// frames reserved but not yet published.
+	resident int64
+	frames   map[Key]*Frame
+	ring     []*Frame
 	hand     int
 
 	hits      atomic.Int64
@@ -51,107 +67,183 @@ type Pool struct {
 // New returns a pool with the given resident-byte budget. A budget <= 0
 // means unbounded (nothing is ever evicted).
 func New(budgetBytes int64) *Pool {
-	return &Pool{budget: budgetBytes, frames: make(map[Key]int)}
+	return &Pool{budget: budgetBytes, frames: make(map[Key]*Frame)}
 }
 
-// SetBudget changes the resident-byte budget and immediately evicts down to
-// it if the pool is over.
+// SetBudget changes the resident-byte budget and immediately evicts unpinned
+// frames down to it. Pinned frames stay; the pool is back under the budget at
+// the first fault after their readers unpin.
 func (p *Pool) SetBudget(budgetBytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.budget = budgetBytes
-	p.evictLocked()
+	for p.over(0) {
+		i := p.victimLocked()
+		if i < 0 {
+			return
+		}
+		p.removeAtLocked(i)
+	}
 }
 
-// Budget returns the current resident-byte budget.
-func (p *Pool) Budget() int64 {
+// Pin returns the cached frame for key with its pin count raised, or nil on
+// a miss. A hit sets the frame's reference bit, granting it a second chance
+// on the clock sweep. Every non-nil result must be passed to Unpin once.
+//
+//grove:hotpath
+func (p *Pool) Pin(key Key) *Frame {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.budget
-}
-
-// Get returns the cached block for key, or nil on a miss. A hit sets the
-// frame's reference bit, granting it a second chance on the clock sweep.
-func (p *Pool) Get(key Key) []float64 {
-	p.mu.Lock()
-	if i, ok := p.frames[key]; ok {
-		p.ring[i].ref = true
-		vals := p.ring[i].vals
-		p.mu.Unlock()
-		p.hits.Add(1)
-		return vals
+	f := p.frames[key]
+	if f != nil {
+		f.ref = true
+		f.pins.Add(1)
 	}
 	p.mu.Unlock()
-	p.misses.Add(1)
-	return nil
+	if f == nil {
+		p.misses.Add(1)
+		return nil
+	}
+	p.hits.Add(1)
+	return f
 }
 
-// Put inserts a freshly decoded block and evicts down to budget. If the key
-// is already cached (two readers raced on the same miss) the existing block
-// wins so all readers share one slice.
-func (p *Pool) Put(key Key, vals []float64) []float64 {
+// Unpin releases one pin. The caller must not touch f.Vals afterwards.
+//
+//grove:hotpath
+func (p *Pool) Unpin(f *Frame) {
+	if f.pins.Add(-1) < 0 {
+		unpinUnderflow()
+	}
+}
+
+// unpinUnderflow is kept out of line so that Unpin, inlined into colstore's
+// kernels, carries no panic argument for the hotalloc check to find there.
+//
+//go:noinline
+func unpinUnderflow() { panic("pagepool: Unpin without a matching Pin") }
+
+// Reserve returns a frame with len(Vals) == n for the caller to decode a
+// block into, evicting unpinned frames until it fits the budget. The first
+// victim whose buffer holds n values is the frame returned, so a pool at its
+// budget serves a fault without allocating; smaller victims are dropped for
+// the collector. When every frame is pinned the pool overshoots its budget by
+// this block — one block per concurrent reader at most, since a reader holds
+// one pin. The frame must go to Publish or Abandon.
+//
+//grove:hotpath
+func (p *Pool) Reserve(n int) *Frame {
+	p.mu.Lock()
+	var f *Frame
+	charge := 8 * int64(n)
+	for p.over(charge) {
+		i := p.victimLocked()
+		if i < 0 {
+			break
+		}
+		v := p.removeAtLocked(i)
+		if f == nil && cap(v.Vals) >= n {
+			f = v
+			f.Vals = f.Vals[:n]
+			charge = f.bytes()
+		}
+	}
+	p.resident += charge
+	p.mu.Unlock()
+	if f == nil {
+		// Allocated outside the mutex: in a pool below its budget every
+		// first touch of a block comes here, from every reader at once.
+		f = &Frame{Vals: make([]float64, n)} //grovevet:ignore hotalloc grow path: a pool below its budget, or a victim too small for the block; plateaus once the recycled buffers fit the largest block faulted
+	}
+	return f
+}
+
+// Publish caches a reserved, filled frame under key and returns it pinned.
+// If the key is already cached (two readers raced on the same miss) the
+// cached frame wins, so all readers share one buffer, and f is given up.
+//
+//grove:hotpath
+func (p *Pool) Publish(key Key, f *Frame) *Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if i, ok := p.frames[key]; ok {
-		p.ring[i].ref = true
-		return p.ring[i].vals
+	if cur := p.frames[key]; cur != nil {
+		p.resident -= f.bytes()
+		cur.ref = true
+		cur.pins.Add(1)
+		return cur
 	}
-	p.frames[key] = len(p.ring)
-	p.ring = append(p.ring, frame{key: key, vals: vals, ref: true})
-	p.resident += 8 * int64(len(vals))
-	p.evictLocked()
-	return vals
+	f.key, f.ref = key, true
+	f.pins.Store(1)
+	p.frames[key] = f
+	p.ring = append(p.ring, f) //grovevet:ignore hotalloc ring growth, amortized; a pool at its budget removed a frame before adding this one
+	return f
 }
 
-// evictLocked runs the clock sweep until the pool fits its budget. At least
-// one frame is always left resident so the block being inserted can be used.
-// Termination: every sweep step either clears a ref bit or evicts a frame,
-// and ref bits are only set outside the sweep, so the sweep clears at most
-// len(ring) bits before it must evict.
-func (p *Pool) evictLocked() {
-	if p.budget <= 0 {
-		return
-	}
-	for p.resident > p.budget && len(p.ring) > 1 {
+// Abandon gives up a reserved frame that will not be published (its block
+// could not be read).
+func (p *Pool) Abandon(f *Frame) {
+	p.mu.Lock()
+	p.resident -= f.bytes()
+	p.mu.Unlock()
+}
+
+// over reports whether the pool would exceed its budget with extra more
+// bytes resident.
+//
+//grove:hotpath
+func (p *Pool) over(extra int64) bool {
+	return p.budget > 0 && p.resident+extra > p.budget
+}
+
+// victimLocked runs the clock sweep to the next unpinned frame whose
+// reference bit is clear and returns its ring index, the hand left on it; -1
+// when every frame is pinned. Two turns of the ring suffice: the first clears
+// the bit of every unpinned frame it passes, so the second stops at one.
+//
+//grove:hotpath
+func (p *Pool) victimLocked() int {
+	for n := 2 * len(p.ring); n > 0; n-- {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
 		}
-		f := &p.ring[p.hand]
-		if f.ref {
+		f := p.ring[p.hand]
+		if f.pins.Load() == 0 {
+			if !f.ref {
+				return p.hand
+			}
 			f.ref = false
-			p.hand++
-			continue
 		}
-		p.evictAtLocked(p.hand)
+		p.hand++
 	}
+	return -1
 }
 
-// evictAtLocked removes ring[i] by swapping the last frame into its slot.
-func (p *Pool) evictAtLocked(i int) {
+// removeAtLocked uncaches ring[i] by swapping the last frame into its slot
+// and returns it, buffer attached, for the caller to recycle or drop.
+//
+//grove:hotpath
+func (p *Pool) removeAtLocked(i int) *Frame {
 	f := p.ring[i]
 	delete(p.frames, f.key)
-	p.resident -= 8 * int64(len(f.vals))
+	p.resident -= f.bytes()
 	last := len(p.ring) - 1
-	if i != last {
-		p.ring[i] = p.ring[last]
-		p.frames[p.ring[i].key] = i
-	}
-	p.ring[last] = frame{} // release the slice reference
+	p.ring[i] = p.ring[last]
+	p.ring[last] = nil
 	p.ring = p.ring[:last]
-	if p.hand > last {
-		p.hand = 0
-	}
 	p.evictions.Add(1)
+	return f
 }
 
-// InvalidateColumn drops every cached block of the given column token. Used
-// when a paged column is materialized for writes or its relation is reloaded.
+// InvalidateColumn uncaches every block of the given column token. Used when
+// a paged column is materialized for writes; that happens under the
+// relation's write lock, so none of the frames is pinned. Were one pinned, it
+// would only be orphaned — no longer cached, its buffer never recycled — and
+// stay valid for its reader.
 func (p *Pool) InvalidateColumn(col uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := 0; i < len(p.ring); {
 		if p.ring[i].key.Col == col {
-			p.evictAtLocked(i)
+			p.removeAtLocked(i)
 			continue // the swapped-in frame now sits at i
 		}
 		i++
@@ -164,7 +256,8 @@ type Stats struct {
 	Misses         int64
 	Evictions      int64
 	ResidentBlocks int
-	ResidentBytes  int64
+	PinnedBlocks   int   // cached blocks some reader holds right now; zero between operations
+	ResidentBytes  int64 // capacity of the buffers the pool owns
 	BudgetBytes    int64
 }
 
@@ -172,6 +265,12 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	blocks := len(p.ring)
+	pinned := 0
+	for _, f := range p.ring {
+		if f.pins.Load() > 0 {
+			pinned++
+		}
+	}
 	bytes := p.resident
 	budget := p.budget
 	p.mu.Unlock()
@@ -180,6 +279,7 @@ func (p *Pool) Stats() Stats {
 		Misses:         p.misses.Load(),
 		Evictions:      p.evictions.Load(),
 		ResidentBlocks: blocks,
+		PinnedBlocks:   pinned,
 		ResidentBytes:  bytes,
 		BudgetBytes:    budget,
 	}

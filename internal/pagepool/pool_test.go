@@ -6,52 +6,70 @@ import (
 	"testing"
 )
 
-func block(n int, fill float64) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = fill
-	}
-	return v
+// put faults one block of n values, all equal to fill, into the pool the way
+// colstore does on a miss — reserve, fill, publish — and unpins it.
+func put(p *Pool, k Key, n int, fill float64) {
+	p.Unpin(putPinned(p, k, n, fill))
 }
 
-func TestGetMissThenHit(t *testing.T) {
+func putPinned(p *Pool, k Key, n int, fill float64) *Frame {
+	f := p.Reserve(n)
+	for i := range f.Vals {
+		f.Vals[i] = fill
+	}
+	return p.Publish(k, f)
+}
+
+// cached reports whether k is in the pool, without leaving it pinned.
+func cached(p *Pool, k Key) bool {
+	f := p.Pin(k)
+	if f != nil {
+		p.Unpin(f)
+	}
+	return f != nil
+}
+
+func TestPinMissThenHit(t *testing.T) {
 	p := New(1 << 20)
 	k := Key{Col: 1, Block: 0}
-	if got := p.Get(k); got != nil {
-		t.Fatalf("expected miss, got %v", got)
+	if got := p.Pin(k); got != nil {
+		t.Fatalf("expected miss, got %v", got.Vals)
 	}
-	want := block(16, 3.5)
-	p.Put(k, want)
-	got := p.Get(k)
-	if got == nil || &got[0] != &want[0] {
-		t.Fatalf("expected the cached slice back")
+	want := putPinned(p, k, 16, 3.5)
+	got := p.Pin(k)
+	if got != want || len(got.Vals) != 16 || got.Vals[15] != 3.5 {
+		t.Fatalf("expected the published frame back")
 	}
-	s := p.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", s.Hits, s.Misses)
+	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 || s.PinnedBlocks != 1 {
+		t.Fatalf("hits=%d misses=%d pinned=%d, want 1/1/1", s.Hits, s.Misses, s.PinnedBlocks)
+	}
+	p.Unpin(got)
+	p.Unpin(want)
+	if s := p.Stats(); s.PinnedBlocks != 0 {
+		t.Fatalf("%d blocks pinned after both readers unpinned", s.PinnedBlocks)
 	}
 }
 
-func TestPutDuplicateKeepsFirst(t *testing.T) {
+func TestPublishDuplicateKeepsFirst(t *testing.T) {
 	p := New(1 << 20)
 	k := Key{Col: 7, Block: 3}
-	a := block(8, 1)
-	b := block(8, 2)
-	p.Put(k, a)
-	got := p.Put(k, b)
-	if &got[0] != &a[0] {
-		t.Fatalf("duplicate Put must return the already-cached slice")
+	a := putPinned(p, k, 8, 1)
+	b := putPinned(p, k, 8, 2)
+	if b != a || b.Vals[0] != 1 {
+		t.Fatalf("a duplicate Publish must return the already-cached frame")
 	}
-	if s := p.Stats(); s.ResidentBlocks != 1 {
-		t.Fatalf("resident blocks = %d, want 1", s.ResidentBlocks)
+	if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 64 {
+		t.Fatalf("resident = %d blocks, %d bytes; want 1 block of 64 bytes", s.ResidentBlocks, s.ResidentBytes)
 	}
+	p.Unpin(a)
+	p.Unpin(b)
 }
 
 func TestBudgetEviction(t *testing.T) {
 	// Budget fits exactly two 128-value blocks (1024 bytes each).
 	p := New(2048)
 	for i := uint32(0); i < 10; i++ {
-		p.Put(Key{Col: 1, Block: i}, block(128, float64(i)))
+		put(p, Key{Col: 1, Block: i}, 128, float64(i))
 	}
 	s := p.Stats()
 	if s.ResidentBytes > 2048 {
@@ -65,23 +83,51 @@ func TestBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionRecyclesBuffers: a pool at its budget serves a fault from the
+// buffer of the frame it evicts, whatever the block's length up to that
+// buffer's capacity, and charges the buffer's capacity, not the block's
+// length, to the budget.
+func TestEvictionRecyclesBuffers(t *testing.T) {
+	p := New(128 * 8) // one 128-value block
+	first := putPinned(p, Key{Col: 1}, 128, 1)
+	buf := &first.Vals[0]
+	p.Unpin(first)
+	for i, n := range []int{128, 40, 128, 7, 100} {
+		f := putPinned(p, Key{Col: 2, Block: uint32(i)}, n, 2)
+		if len(f.Vals) != n || &f.Vals[0] != buf {
+			t.Fatalf("fault %d (%d values) was not served from the evicted frame's buffer", i, n)
+		}
+		p.Unpin(f)
+		if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 128*8 {
+			t.Fatalf("fault %d: %d blocks, %d bytes resident; want 1 block charged its full 1024-byte buffer", i, s.ResidentBlocks, s.ResidentBytes)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		put(p, Key{Col: 3}, 64, 3)
+		put(p, Key{Col: 4}, 128, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("a fault in a pool at its budget allocates %v times, want 0", allocs)
+	}
+}
+
 func TestClockSecondChance(t *testing.T) {
-	// Three-block budget. Freshly inserted frames all carry reference bits,
-	// so the very first sweep degenerates to FIFO — run one warm-up Put to
+	// Three-block budget. Freshly published frames all carry reference bits,
+	// so the very first sweep degenerates to FIFO — run one warm-up fault to
 	// clear them, then keep re-referencing one hot block: the clock must
 	// spare it on every later sweep while the cold blocks rotate out.
 	p := New(3 * 128 * 8)
 	hot := Key{Col: 1, Block: 1}
-	p.Put(Key{Col: 1, Block: 0}, block(128, 0))
-	p.Put(hot, block(128, 1))
-	p.Put(Key{Col: 1, Block: 2}, block(128, 2))
-	p.Put(Key{Col: 2, Block: 0}, block(128, 9)) // warm-up sweep
-	if p.Get(hot) == nil {
+	put(p, Key{Col: 1, Block: 0}, 128, 0)
+	put(p, hot, 128, 1)
+	put(p, Key{Col: 1, Block: 2}, 128, 2)
+	put(p, Key{Col: 2, Block: 0}, 128, 9) // warm-up sweep
+	if !cached(p, hot) {
 		t.Fatalf("hot block lost in warm-up; it was not first in FIFO order")
 	}
 	for n := uint32(1); n < 5; n++ {
-		p.Put(Key{Col: 2, Block: n}, block(128, 9))
-		if p.Get(hot) == nil {
+		put(p, Key{Col: 2, Block: n}, 128, 9)
+		if !cached(p, hot) {
 			t.Fatalf("hot block was evicted despite reference bit (round %d)", n)
 		}
 	}
@@ -90,7 +136,7 @@ func TestClockSecondChance(t *testing.T) {
 func TestSetBudgetShrinks(t *testing.T) {
 	p := New(0) // unbounded
 	for i := uint32(0); i < 8; i++ {
-		p.Put(Key{Col: 1, Block: i}, block(128, 0))
+		put(p, Key{Col: 1, Block: i}, 128, 0)
 	}
 	if s := p.Stats(); s.ResidentBlocks != 8 {
 		t.Fatalf("unbounded pool evicted: %d blocks", s.ResidentBlocks)
@@ -104,20 +150,39 @@ func TestSetBudgetShrinks(t *testing.T) {
 func TestInvalidateColumn(t *testing.T) {
 	p := New(0)
 	for i := uint32(0); i < 4; i++ {
-		p.Put(Key{Col: 1, Block: i}, block(8, 0))
-		p.Put(Key{Col: 2, Block: i}, block(8, 0))
+		put(p, Key{Col: 1, Block: i}, 8, 0)
+		put(p, Key{Col: 2, Block: i}, 8, 0)
 	}
 	p.InvalidateColumn(1)
 	for i := uint32(0); i < 4; i++ {
-		if p.Get(Key{Col: 1, Block: i}) != nil {
+		if cached(p, Key{Col: 1, Block: i}) {
 			t.Fatalf("col 1 block %d survived invalidation", i)
 		}
-		if p.Get(Key{Col: 2, Block: i}) == nil {
+		if !cached(p, Key{Col: 2, Block: i}) {
 			t.Fatalf("col 2 block %d was wrongly dropped", i)
 		}
 	}
+	if s := p.Stats(); s.ResidentBytes != 4*8*8 {
+		t.Fatalf("%d bytes resident after invalidating half of 8 blocks", s.ResidentBytes)
+	}
 }
 
+func TestAbandonReturnsTheCharge(t *testing.T) {
+	p := New(0)
+	f := p.Reserve(128)
+	if s := p.Stats(); s.ResidentBytes != 128*8 {
+		t.Fatalf("a reserved frame is charged %d bytes, want %d", s.ResidentBytes, 128*8)
+	}
+	p.Abandon(f)
+	if s := p.Stats(); s.ResidentBytes != 0 || s.ResidentBlocks != 0 {
+		t.Fatalf("%d bytes, %d blocks resident after Abandon", s.ResidentBytes, s.ResidentBlocks)
+	}
+}
+
+// TestConcurrentAccess: readers fault, hold and check blocks while eviction
+// recycles buffers under them. Every block is filled with its own key's
+// value, so a buffer recycled while a reader still has it pinned shows up as
+// a wrong value (and as a data race under -race).
 func TestConcurrentAccess(t *testing.T) {
 	p := New(64 * 128 * 8)
 	var wg sync.WaitGroup
@@ -125,11 +190,20 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			for i := 0; i < 2000; i++ {
 				k := Key{Col: uint64(g % 3), Block: uint32(i % 200)}
-				if v := p.Get(k); v == nil {
-					p.Put(k, block(128, float64(i)))
+				want := float64(k.Col*1000 + uint64(k.Block))
+				f := p.Pin(k)
+				if f == nil {
+					f = putPinned(p, k, 64+int(k.Block)%65, want)
 				}
+				for _, v := range f.Vals {
+					if v != want {
+						t.Errorf("block %v holds %v while pinned, want %v", k, v, want)
+						break
+					}
+				}
+				p.Unpin(f)
 			}
 		}(g)
 	}
@@ -138,48 +212,100 @@ func TestConcurrentAccess(t *testing.T) {
 	if s.ResidentBytes > 64*128*8 {
 		t.Fatalf("over budget after concurrent load: %d", s.ResidentBytes)
 	}
+	if s.PinnedBlocks != 0 {
+		t.Fatalf("%d blocks still pinned after every reader unpinned", s.PinnedBlocks)
+	}
 }
 
-func TestEvictionNeverMutatesHandedOutBlocks(t *testing.T) {
+// TestPinnedBlockSurvivesPressure is the pool's safety contract: a pinned
+// block stays cached and intact under any eviction pressure, a budget cut or
+// an invalidation of its column; its buffer is recycled only after the unpin.
+func TestPinnedBlockSurvivesPressure(t *testing.T) {
 	p := New(128 * 8) // single-block budget
 	k0 := Key{Col: 1, Block: 0}
-	held := p.Put(k0, block(128, 42))
-	// Force k0 out.
-	for i := uint32(1); i < 5; i++ {
-		p.Put(Key{Col: 1, Block: i}, block(128, 0))
-	}
-	if p.Get(k0) != nil {
-		t.Fatalf("k0 should be evicted under a one-block budget")
-	}
-	for i, v := range held {
-		if v != 42 {
-			t.Fatalf("held[%d] = %v after eviction; evicted blocks must stay intact", i, v)
+	held := putPinned(p, k0, 128, 42)
+	buf := &held.Vals[0]
+	intact := func(when string) {
+		t.Helper()
+		for i, v := range held.Vals {
+			if v != 42 {
+				t.Fatalf("held[%d] = %v %s; a pinned block must stay intact", i, v, when)
+			}
 		}
+	}
+	for i := uint32(1); i < 5; i++ {
+		f := putPinned(p, Key{Col: 2, Block: i}, 128, 0)
+		if &f.Vals[0] == buf {
+			t.Fatalf("fault %d was handed the pinned block's buffer", i)
+		}
+		p.Unpin(f)
+	}
+	intact("after four faults through a one-block pool")
+	if s := p.Stats(); s.ResidentBlocks != 2 || s.PinnedBlocks != 1 {
+		t.Fatalf("%d blocks resident, %d pinned; want the pinned block plus one block of overshoot", s.ResidentBlocks, s.PinnedBlocks)
+	}
+	p.SetBudget(1)
+	intact("after SetBudget(1)")
+	if s := p.Stats(); s.ResidentBlocks != 1 || s.PinnedBlocks != 1 {
+		t.Fatalf("SetBudget(1) left %d blocks, %d pinned; want only the pinned one", s.ResidentBlocks, s.PinnedBlocks)
+	}
+	if f := p.Pin(k0); f != held {
+		t.Fatalf("the pinned block is no longer served from the pool")
+	}
+	p.Unpin(held) // the second pin still holds it
+	f := putPinned(p, Key{Col: 2, Block: 9}, 128, 0)
+	if &f.Vals[0] == buf {
+		t.Fatalf("a block with one of two pins left was recycled")
+	}
+	p.Unpin(f)
+	p.InvalidateColumn(1)
+	intact("after InvalidateColumn")
+	if cached(p, k0) {
+		t.Fatalf("an invalidated block is still served")
+	}
+	p.Unpin(held)
+
+	// Unpinned and still cached, the next fault takes its buffer.
+	q := New(128 * 8)
+	g := putPinned(q, k0, 128, 42)
+	gbuf := &g.Vals[0]
+	q.Unpin(g)
+	if f := putPinned(q, Key{Col: 2}, 128, 0); &f.Vals[0] != gbuf {
+		t.Fatalf("an unpinned victim's buffer was not recycled")
+	}
+	if s := q.Stats(); s.PinnedBlocks != 1 || s.ResidentBlocks != 1 {
+		t.Fatalf("%d blocks resident, %d pinned; want 1 and 1", s.ResidentBlocks, s.PinnedBlocks)
 	}
 }
 
-func BenchmarkGetHit(b *testing.B) {
+func BenchmarkPinHit(b *testing.B) {
 	p := New(1 << 24)
 	keys := make([]Key, 64)
 	for i := range keys {
 		keys[i] = Key{Col: 1, Block: uint32(i)}
-		p.Put(keys[i], block(4096, float64(i)))
+		put(p, keys[i], 4096, float64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p.Get(keys[i%len(keys)]) == nil {
+		f := p.Pin(keys[i%len(keys)])
+		if f == nil {
 			b.Fatal("unexpected miss")
 		}
+		p.Unpin(f)
 	}
 }
 
 func ExamplePool() {
 	p := New(1 << 20)
 	k := Key{Col: 1, Block: 0}
-	if p.Get(k) == nil {
-		p.Put(k, []float64{1, 2, 3})
+	f := p.Pin(k)
+	if f == nil { // a miss: reserve a frame, decode the block into it, publish
+		f = p.Reserve(3)
+		copy(f.Vals, []float64{1, 2, 3})
+		f = p.Publish(k, f)
 	}
-	fmt.Println(len(p.Get(k)))
+	fmt.Println(len(f.Vals))
+	p.Unpin(f)
 	// Output: 3
 }

@@ -116,6 +116,38 @@ func benchmarkPathAggScalar(b *testing.B, zoneSkip bool) {
 func BenchmarkPathAggScalarMinRows(b *testing.B)     { benchmarkPathAggScalar(b, false) }
 func BenchmarkPathAggScalarMinZoneSkip(b *testing.B) { benchmarkPathAggScalar(b, true) }
 
+// BenchmarkPathAggPagedCold is BenchmarkPathAggDense on a saved-and-reloaded
+// store whose buffer pool holds 1% of the measures: every query faults all 65
+// blocks of the chain's five columns in, so ns/op is the price of page faults
+// (read, decode, frame turnover) over the in-memory run next to it.
+func BenchmarkPathAggPagedCold(b *testing.B) {
+	f, nodes := pathChainFixture(b, 50000, 1.0)
+	dir := b.TempDir()
+	if err := f.rel.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	rel, err := colstore.Load(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rel.Close()
+	rel.SetPageCacheBytes(rel.StorageStats().LogicalBytes / 100)
+	eng := NewEngine(rel, f.reg)
+	q := NewPathAggQueryAlong(gpath.Closed(nodes...), Sum, "")
+	if _, err := eng.ExecutePathAggQuery(q); err != nil {
+		b.Fatal(err)
+	}
+	before := rel.PagePoolStats().Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.ExecutePathAggQuery(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rel.PagePoolStats().Misses-before)/float64(b.N), "faults/op")
+}
+
 // BenchmarkPathAggFetchMeasures times the graph-query measure phase (the
 // fused AggregateInto scan) over a fixed structural answer.
 func BenchmarkPathAggFetchMeasures(b *testing.B) {

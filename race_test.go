@@ -3,6 +3,9 @@
 package grove
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -171,4 +174,114 @@ func TestAppendIsAtomicToReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRacePagedBatchAtOnePercent: batch workers and scalar scans share one
+// buffer pool at 1% of the measures, so every one of them faults, pins and
+// unpins blocks while the others' faults evict and recycle buffers, and while
+// the budget is cut to nothing and restored under them. A buffer recycled
+// under a reader that still has it pinned would be a wrong cell here and a
+// data race to the detector; every answer must be bit-identical to the
+// in-memory store's, and no block may stay pinned once the readers are done.
+func TestRacePagedBatchAtOnePercent(t *testing.T) {
+	mem := Open()
+	pagedCorpus(t, mem, 3*4096/2+37)
+	dir := t.TempDir()
+	if err := mem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	onePercent := loaded.StorageStats().LogicalBytes / 100
+	loaded.SetPageCacheBytes(onePercent)
+
+	graphs := []*Graph{
+		PathOf("A", "B", "C", "D", "E").ToGraph(), PathOf("A", "B", "C").ToGraph(),
+		PathOf("B", "C", "D").ToGraph(), PathOf("C", "D", "E").ToGraph(),
+		PathOf("C", "D").ToGraph(), PathOf("D", "E").ToGraph(),
+	}
+	funcs := []AggFunc{Sum, Min, Max}
+	wantRows := make([][]*AggResult, len(funcs))
+	wantScalar := make([][]uint64, len(funcs))
+	for fi, f := range funcs {
+		if wantRows[fi], err = mem.AggregateBatch(graphs, f, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range graphs {
+			sc, err := mem.AggregateScalar(g, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantScalar[fi] = append(wantScalar[fi], math.Float64bits(sc.Value))
+		}
+	}
+
+	done := make(chan struct{})
+	var readers, resizer sync.WaitGroup
+	resizer.Add(1)
+	go func() {
+		defer resizer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			loaded.SetPageCacheBytes([]int64{1, onePercent, 0, onePercent}[i%4]) // nothing, 1%, unbounded, 1%
+			runtime.Gosched()
+		}
+	}()
+	for _, workers := range []int{2, 5} {
+		readers.Add(1)
+		go func(workers int) {
+			defer readers.Done()
+			for round := 0; round < 6; round++ {
+				for fi, f := range funcs {
+					got, err := loaded.AggregateBatch(graphs, f, workers)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for gi, res := range got {
+						want := wantRows[fi][gi]
+						if !slices.Equal(res.RecordIDs, want.RecordIDs) || len(res.Values) != len(want.Values) {
+							t.Errorf("%s graph %d, %d workers: %d records over %d paths, want %d over %d",
+								f.Name, gi, workers, len(res.RecordIDs), len(res.Values), len(want.RecordIDs), len(want.Values))
+							return
+						}
+						for p := range want.Values {
+							for i, w := range want.Values[p] {
+								if math.Float64bits(res.Values[p][i]) != math.Float64bits(w) {
+									t.Errorf("%s graph %d path %d record %d, %d workers: %v, want %v",
+										f.Name, gi, p, res.RecordIDs[i], workers, res.Values[p][i], w)
+									return
+								}
+							}
+						}
+						sc, err := loaded.AggregateScalar(graphs[gi], f)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got := math.Float64bits(sc.Value); got != wantScalar[fi][gi] {
+							t.Errorf("%s graph %d scalar = %x, want %x", f.Name, gi, got, wantScalar[fi][gi])
+							return
+						}
+					}
+				}
+			}
+		}(workers)
+	}
+	readers.Wait()
+	close(done)
+	resizer.Wait()
+	if err := loaded.PageError(); err != nil {
+		t.Fatal(err)
+	}
+	if pool := loaded.StorageStats().Pool; pool.PinnedBlocks != 0 || pool.Misses == 0 {
+		t.Fatalf("%d blocks still pinned after %d faults; every kernel must unpin what it pinned", pool.PinnedBlocks, pool.Misses)
+	}
 }
