@@ -217,7 +217,7 @@ func TestPagedKernelsBalancePins(t *testing.T) {
 	col := loaded.MeasureColumn(1)
 	balanced := func(kernel string) {
 		t.Helper()
-		if n := loaded.PagePoolStats().PinnedBlocks; n != 0 {
+		if n := pinnedBlocks(loaded); n != 0 {
 			t.Fatalf("%d blocks left pinned after %s", n, kernel)
 		}
 	}

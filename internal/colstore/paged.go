@@ -203,10 +203,10 @@ var blockScratchPool = sync.Pool{New: func() any {
 
 // pageIn returns block bi decoded in a pinned pool frame, consulting the pool
 // first; the caller reads frame.Vals and must Unpin the frame. On a miss the
-// block is decoded into a frame the pool reserved — a recycled one when the
-// pool is at its budget — so the steady-state fault allocates nothing. A nil
-// frame means bi is out of range or the fault failed; the error is latched on
-// the source.
+// block is decoded into a frame the pool reserved — in a pool at its budget
+// the evicted frame, when its buffer is within twice the block — so a fault
+// between blocks of like length allocates nothing. A nil frame means bi is
+// out of range or the fault failed; the error is latched on the source.
 //
 //grove:hotpath
 func (p *pagedData) pageIn(bi int) *pagepool.Frame {

@@ -9,10 +9,12 @@
 // Frame (from Pin on a hit, from Publish after a miss) and may read
 // Frame.Vals until it calls Unpin; the pool never evicts, overwrites or hands
 // out the buffer of a frame whose pin count is above zero. An unpinned frame
-// may be evicted at any time, and eviction recycles: Reserve hands the
-// victim's buffer to the reader that is faulting the next block in, so a
-// fault in a pool that is at its budget allocates nothing. A frame is written
-// only between Reserve and Publish, when exactly one goroutine knows it.
+// may be evicted at any time, and eviction recycles: when the victim's buffer
+// fits the block being faulted in without being more than twice its size,
+// Reserve hands it to the faulting reader, so a fault between blocks of like
+// length — every block of a column but its last is full — allocates nothing.
+// A frame is written only between Reserve and Publish, when exactly one
+// goroutine knows it.
 package pagepool
 
 import (
@@ -45,6 +47,7 @@ type Frame struct {
 
 // bytes is what the frame is charged against the budget: its buffer's whole
 // capacity, so a recycled buffer larger than its block is charged in full.
+// Reserve keeps that at most twice the block.
 func (f *Frame) bytes() int64 { return 8 * int64(cap(f.Vals)) }
 
 // Pool is a clock-eviction buffer pool over decoded measure blocks. The
@@ -124,11 +127,14 @@ func unpinUnderflow() { panic("pagepool: Unpin without a matching Pin") }
 
 // Reserve returns a frame with len(Vals) == n for the caller to decode a
 // block into, evicting unpinned frames until it fits the budget. The first
-// victim whose buffer holds n values is the frame returned, so a pool at its
-// budget serves a fault without allocating; smaller victims are dropped for
-// the collector. When every frame is pinned the pool overshoots its budget by
-// this block — one block per concurrent reader at most, since a reader holds
-// one pin. The frame must go to Publish or Abandon.
+// victim whose buffer holds n values and no more than 2n is the frame
+// returned; the other victims are dropped for the collector and the block
+// gets a buffer of its own length. The bound is what keeps the pool's
+// capacity in blocks: frames are charged by buffer, and without it every
+// buffer would in time be one that once held the longest block, however short
+// the blocks cached in them now. When every frame is pinned the pool
+// overshoots its budget by this block — one block per concurrent reader at
+// most, since a reader holds one pin. The frame must go to Publish or Abandon.
 //
 //grove:hotpath
 func (p *Pool) Reserve(n int) *Frame {
@@ -141,7 +147,7 @@ func (p *Pool) Reserve(n int) *Frame {
 			break
 		}
 		v := p.removeAtLocked(i)
-		if f == nil && cap(v.Vals) >= n {
+		if c := cap(v.Vals); f == nil && n <= c && c <= 2*n {
 			f = v
 			f.Vals = f.Vals[:n]
 			charge = f.bytes()
@@ -152,7 +158,7 @@ func (p *Pool) Reserve(n int) *Frame {
 	if f == nil {
 		// Allocated outside the mutex: in a pool below its budget every
 		// first touch of a block comes here, from every reader at once.
-		f = &Frame{Vals: make([]float64, n)} //grovevet:ignore hotalloc grow path: a pool below its budget, or a victim too small for the block; plateaus once the recycled buffers fit the largest block faulted
+		f = &Frame{Vals: make([]float64, n)} //grovevet:ignore hotalloc a pool below its budget, or no victim within 2x of the block; blocks of like length recycle
 	}
 	return f
 }
@@ -256,7 +262,6 @@ type Stats struct {
 	Misses         int64
 	Evictions      int64
 	ResidentBlocks int
-	PinnedBlocks   int   // cached blocks some reader holds right now; zero between operations
 	ResidentBytes  int64 // capacity of the buffers the pool owns
 	BudgetBytes    int64
 }
@@ -265,12 +270,6 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	blocks := len(p.ring)
-	pinned := 0
-	for _, f := range p.ring {
-		if f.pins.Load() > 0 {
-			pinned++
-		}
-	}
 	bytes := p.resident
 	budget := p.budget
 	p.mu.Unlock()
@@ -279,7 +278,6 @@ func (p *Pool) Stats() Stats {
 		Misses:         p.misses.Load(),
 		Evictions:      p.evictions.Load(),
 		ResidentBlocks: blocks,
-		PinnedBlocks:   pinned,
 		ResidentBytes:  bytes,
 		BudgetBytes:    budget,
 	}

@@ -20,6 +20,19 @@ func putPinned(p *Pool, k Key, n int, fill float64) *Frame {
 	return p.Publish(k, f)
 }
 
+// pinned counts the cached frames some reader holds right now.
+func pinned(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, f := range p.ring {
+		if f.pins.Load() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // cached reports whether k is in the pool, without leaving it pinned.
 func cached(p *Pool, k Key) bool {
 	f := p.Pin(k)
@@ -40,13 +53,13 @@ func TestPinMissThenHit(t *testing.T) {
 	if got != want || len(got.Vals) != 16 || got.Vals[15] != 3.5 {
 		t.Fatalf("expected the published frame back")
 	}
-	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 || s.PinnedBlocks != 1 {
-		t.Fatalf("hits=%d misses=%d pinned=%d, want 1/1/1", s.Hits, s.Misses, s.PinnedBlocks)
+	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 || pinned(p) != 1 {
+		t.Fatalf("hits=%d misses=%d pinned=%d, want 1/1/1", s.Hits, s.Misses, pinned(p))
 	}
 	p.Unpin(got)
 	p.Unpin(want)
-	if s := p.Stats(); s.PinnedBlocks != 0 {
-		t.Fatalf("%d blocks pinned after both readers unpinned", s.PinnedBlocks)
+	if n := pinned(p); n != 0 {
+		t.Fatalf("%d blocks pinned after both readers unpinned", n)
 	}
 }
 
@@ -84,15 +97,15 @@ func TestBudgetEviction(t *testing.T) {
 }
 
 // TestEvictionRecyclesBuffers: a pool at its budget serves a fault from the
-// buffer of the frame it evicts, whatever the block's length up to that
-// buffer's capacity, and charges the buffer's capacity, not the block's
-// length, to the budget.
+// buffer of the frame it evicts when the block fills at least half of it, and
+// charges the buffer's capacity, not the block's length, to the budget. A
+// block shorter than that gets a buffer of its own and the victim's is let go.
 func TestEvictionRecyclesBuffers(t *testing.T) {
 	p := New(128 * 8) // one 128-value block
 	first := putPinned(p, Key{Col: 1}, 128, 1)
 	buf := &first.Vals[0]
 	p.Unpin(first)
-	for i, n := range []int{128, 40, 128, 7, 100} {
+	for i, n := range []int{128, 64, 128, 100, 70} {
 		f := putPinned(p, Key{Col: 2, Block: uint32(i)}, n, 2)
 		if len(f.Vals) != n || &f.Vals[0] != buf {
 			t.Fatalf("fault %d (%d values) was not served from the evicted frame's buffer", i, n)
@@ -108,6 +121,15 @@ func TestEvictionRecyclesBuffers(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a fault in a pool at its budget allocates %v times, want 0", allocs)
+	}
+
+	short := putPinned(p, Key{Col: 5}, 63, 5)
+	if &short.Vals[0] == buf || cap(short.Vals) != 63 {
+		t.Fatalf("a 63-value block was put in a buffer of %d values; a recycled buffer may be at most twice its block", cap(short.Vals))
+	}
+	p.Unpin(short)
+	if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 63*8 {
+		t.Fatalf("%d blocks, %d bytes resident; want the one 504-byte block", s.ResidentBlocks, s.ResidentBytes)
 	}
 }
 
@@ -212,8 +234,8 @@ func TestConcurrentAccess(t *testing.T) {
 	if s.ResidentBytes > 64*128*8 {
 		t.Fatalf("over budget after concurrent load: %d", s.ResidentBytes)
 	}
-	if s.PinnedBlocks != 0 {
-		t.Fatalf("%d blocks still pinned after every reader unpinned", s.PinnedBlocks)
+	if n := pinned(p); n != 0 {
+		t.Fatalf("%d blocks still pinned after every reader unpinned", n)
 	}
 }
 
@@ -241,13 +263,13 @@ func TestPinnedBlockSurvivesPressure(t *testing.T) {
 		p.Unpin(f)
 	}
 	intact("after four faults through a one-block pool")
-	if s := p.Stats(); s.ResidentBlocks != 2 || s.PinnedBlocks != 1 {
-		t.Fatalf("%d blocks resident, %d pinned; want the pinned block plus one block of overshoot", s.ResidentBlocks, s.PinnedBlocks)
+	if s := p.Stats(); s.ResidentBlocks != 2 || pinned(p) != 1 {
+		t.Fatalf("%d blocks resident, %d pinned; want the pinned block plus one block of overshoot", s.ResidentBlocks, pinned(p))
 	}
 	p.SetBudget(1)
 	intact("after SetBudget(1)")
-	if s := p.Stats(); s.ResidentBlocks != 1 || s.PinnedBlocks != 1 {
-		t.Fatalf("SetBudget(1) left %d blocks, %d pinned; want only the pinned one", s.ResidentBlocks, s.PinnedBlocks)
+	if s := p.Stats(); s.ResidentBlocks != 1 || pinned(p) != 1 {
+		t.Fatalf("SetBudget(1) left %d blocks, %d pinned; want only the pinned one", s.ResidentBlocks, pinned(p))
 	}
 	if f := p.Pin(k0); f != held {
 		t.Fatalf("the pinned block is no longer served from the pool")
@@ -273,8 +295,8 @@ func TestPinnedBlockSurvivesPressure(t *testing.T) {
 	if f := putPinned(q, Key{Col: 2}, 128, 0); &f.Vals[0] != gbuf {
 		t.Fatalf("an unpinned victim's buffer was not recycled")
 	}
-	if s := q.Stats(); s.PinnedBlocks != 1 || s.ResidentBlocks != 1 {
-		t.Fatalf("%d blocks resident, %d pinned; want 1 and 1", s.ResidentBlocks, s.PinnedBlocks)
+	if s := q.Stats(); pinned(q) != 1 || s.ResidentBlocks != 1 {
+		t.Fatalf("%d blocks resident, %d pinned; want 1 and 1", s.ResidentBlocks, pinned(q))
 	}
 }
 

@@ -616,7 +616,6 @@ func (c *Coordinator) StorageStats() colstore.StorageStats {
 		total.Pool.Misses += st.Pool.Misses
 		total.Pool.Evictions += st.Pool.Evictions
 		total.Pool.ResidentBlocks += st.Pool.ResidentBlocks
-		total.Pool.PinnedBlocks += st.Pool.PinnedBlocks
 		total.Pool.ResidentBytes += st.Pool.ResidentBytes
 		total.Pool.BudgetBytes += st.Pool.BudgetBytes
 	}
