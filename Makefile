@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench bench-smoke replay-smoke durability shard-diff paged-diff check
+.PHONY: build test race lint fuzz-smoke bench bench-smoke replay-smoke e2e-smoke durability shard-diff paged-diff check
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,11 @@ race:
 # Short fuzz pass over every decoder that consumes untrusted bytes: the
 # bitmap wire format, the query parser, the colstore on-disk format, the
 # CURRENT generation pointer, and the write-ahead log (op payloads and whole
-# log files fed to the replay scanner).
+# log files fed to the replay scanner); plus the bitmap read kernels (merge
+# and gallop array ∩ array, per-layout RanksInto) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/bitmap/ -fuzz FuzzReadFrom -fuzztime 3s
+	$(GO) test ./internal/bitmap/ -fuzz FuzzIntersectKernels -fuzztime 3s
 	$(GO) test ./internal/query/ -fuzz FuzzParse -fuzztime 3s
 	$(GO) test ./internal/colstore/ -fuzz FuzzMeasureColumnRoundTrip -fuzztime 3s
 	$(GO) test ./internal/colstore/ -fuzz FuzzReadMeasureColumn -fuzztime 3s
@@ -61,7 +63,9 @@ bench:
 # The shard and bitmap lines also run the kernels under a sharded batch — the
 # linear k-way merges and the galloping array ∩ run AND — with their
 # allocation counts reported (the AllocsPerRun guards beside them run in
-# `make test`). PathAgg includes the cold paged run (PathAggPagedCold: every
+# `make test`). IntersectArrays prices array ∩ array on both sides of the
+# merge-or-gallop ratio (balanced must not lose to skew's gallop), RanksInto
+# the batch rank per container layout (DESIGN.md §10). PathAgg includes the cold paged run (PathAggPagedCold: every
 # query faults all its blocks through a 1% pool), and PageFault prices one
 # fault per block encoding in ns/value and allocs/op — the decode gap the
 # encoder's choice rule is built on (DESIGN.md §13). The last three are the
@@ -72,7 +76,7 @@ bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 1x
 	$(GO) test ./internal/colstore/ -run '^$$' -bench PageFault -benchtime 1x
 	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
-	$(GO) test ./internal/bitmap/ -run '^$$' -bench AndInPlaceArrayRun -benchtime 1x
+	$(GO) test ./internal/bitmap/ -run '^$$' -bench 'AndInPlaceArrayRun|IntersectArrays|RanksInto' -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
 	$(GO) test ./internal/graph/ -run '^$$' -bench LoadRecord -benchtime 1x
 	$(GO) test ./internal/bench/ -run TestObsOverheadSmoke -count=1 -v
@@ -83,6 +87,13 @@ bench-smoke:
 # (grovebench exits non-zero on any mismatch).
 replay-smoke:
 	$(GO) run ./cmd/grovebench -exp replay -ny 2000 -q 20
+
+# The end-to-end benchmark's oracle at smoke length (≈ 13 s on 2 cores): the
+# three workloads that run the bitmap and gather kernels, every answer
+# checked against the 1-shard in-memory oracle; the benchmark exits non-zero
+# on any wrong answer or failed call. Its numbers are not a measurement.
+e2e-smoke:
+	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded -seconds 0.5
 
 # The durability gate — one commit protocol (DESIGN.md §11), one gate. Crash
 # Save, WAL-logged ingest and checkpoints at every injected I/O fault (plain
@@ -133,6 +144,7 @@ check:
 	$(GO) test ./...
 	$(MAKE) bench-smoke
 	$(MAKE) replay-smoke
+	$(MAKE) e2e-smoke
 	$(MAKE) durability
 	$(MAKE) shard-diff
 	$(MAKE) paged-diff

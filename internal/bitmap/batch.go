@@ -1,5 +1,10 @@
 package bitmap
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Block-at-a-time decode and rank kernels. The closure-based Each/Rank APIs
 // cost an indirect call per bit (or a container binary search per lookup),
 // which dominates measure materialization once the structural phase is
@@ -70,7 +75,7 @@ func (it *Iterator) NextMany(buf []uint32) int {
 			for it.wi < len(c.words) {
 				w := it.word
 				for w != 0 && n < len(buf) {
-					buf[n] = high | uint32(it.wi*64+popcountTrailing(w))
+					buf[n] = high | uint32(it.wi*64+bits.TrailingZeros64(w))
 					w &= w - 1
 					n++
 				}
@@ -126,7 +131,7 @@ func (b *Bitmap) AppendInto(dst []uint32) []uint32 {
 		case *bitsetContainer:
 			for wi, w := range cc.words {
 				for w != 0 {
-					dst = append(dst, high|uint32(wi*64+popcountTrailing(w)))
+					dst = append(dst, high|uint32(wi*64+bits.TrailingZeros64(w)))
 					w &= w - 1
 				}
 			}
@@ -145,10 +150,11 @@ func (b *Bitmap) AppendInto(dst []uint32) []uint32 {
 // RanksInto is the batch form of Rank-1/Contains over a sorted query set:
 // for every ascending vs[i] it stores into idx[i] the dense value index
 // (Rank(vs[i])-1) when vs[i] is present, and -1 when absent. idx must have
-// len(vs). One cursored pass over the bitmap's containers serves the whole
-// batch — per-chunk cardinalities are summed once and in-container positions
-// advance monotonically, instead of restarting a binary search and a prefix
-// popcount per lookup.
+// len(vs). The ids of one 64K chunk go to that chunk's container together,
+// and each layout ranks them in its own loop: an array merges or gallops by
+// the merge-or-gallop rule of array ∩ array, a bitset accumulates word
+// popcounts up to each id, a run container sums run lengths up to each id.
+// Container cardinalities before the chunk are summed once per call.
 //
 // Indexes are int32, which bounds the addressable cardinality at 2^31-1
 // values — far beyond the uint32 record-id space a measure column indexes in
@@ -157,83 +163,101 @@ func (b *Bitmap) AppendInto(dst []uint32) []uint32 {
 //grove:hotpath
 func (b *Bitmap) RanksInto(vs []uint32, idx []int32) {
 	_ = idx[:len(vs)]
-	i := 0        // index into vs
-	base := 0     // cardinality of containers before ci
-	ci := 0       // current container index
-	var rk ranker // in-container cursor
-	for i < len(vs) {
-		key := uint16(vs[i] >> 16)
-		// Advance to the container holding key, accumulating cardinalities.
+	base, ci := 0, 0 // base: cardinality of the containers before ci
+	for len(vs) > 0 {
+		key := uint16(vs[0] >> 16)
+		n := len(vs)
+		if uint16(vs[n-1]>>16) != key {
+			n, _ = slices.BinarySearch(vs, uint32(key+1)<<16)
+		}
 		for ci < len(b.keys) && b.keys[ci] < key {
 			base += b.containers[ci].cardinality()
 			ci++
 		}
-		if ci >= len(b.keys) || b.keys[ci] > key {
-			// No container for this chunk: everything in it is absent.
-			for i < len(vs) && uint16(vs[i]>>16) == key {
-				idx[i] = -1
-				i++
-			}
-			continue
+		chunk, out := vs[:n], idx[:n]
+		var c container // nil: no container for this chunk, every id is absent
+		if ci < len(b.keys) && b.keys[ci] == key {
+			c = b.containers[ci]
 		}
-		rk.reset(b.containers[ci])
-		for i < len(vs) && uint16(vs[i]>>16) == key {
-			r, ok := rk.rank(uint16(vs[i]))
-			if ok {
-				idx[i] = int32(base + r)
-			} else {
-				idx[i] = -1
+		switch cc := c.(type) {
+		case *arrayContainer:
+			rankArray(cc.values, chunk, out, base)
+		case *bitsetContainer:
+			rankBitset(cc.words, chunk, out, base)
+		case *runContainer:
+			rankRuns(cc.runs, chunk, out, base)
+		default:
+			for k := range out {
+				out[k] = -1
 			}
-			i++
 		}
-		base += b.containers[ci].cardinality()
-		ci++
+		vs, idx = vs[n:], idx[n:]
 	}
 }
 
-// ranker computes successive in-container ranks for an ascending sequence of
-// low-16-bit values, advancing a cursor instead of recomputing prefixes.
-type ranker struct {
-	c    container
-	ai   int // arrayContainer value cursor / runContainer run cursor
-	wi   int // bitsetContainer word cursor
-	pref int // bitsetContainer: set bits in words[:wi]; runContainer: values in runs[:ai]
+// rankArray ranks one chunk's ascending ids against a sorted array: a merge
+// when the two are comparable in length, a gallop through the array when it
+// is at least gallopRatio times longer — the same rule as array ∩ array.
+//
+//grove:hotpath
+func rankArray(values []uint16, vs []uint32, idx []int32, base int) {
+	idx = idx[:len(vs)]
+	j := 0
+	gallop := len(values) >= gallopRatio*len(vs)
+	for k, v := range vs {
+		low := uint16(v)
+		if gallop {
+			j = gallopValues(values, j, low)
+		} else {
+			for j < len(values) && values[j] < low {
+				j++
+			}
+		}
+		idx[k] = -1
+		if j < len(values) && values[j] == low {
+			idx[k] = int32(base + j)
+		}
+	}
 }
 
-func (r *ranker) reset(c container) { *r = ranker{c: c} }
-
-// rank returns (Rank(v)-1, true) when v is present, (_, false) otherwise.
-// Successive calls must pass non-decreasing v.
-func (r *ranker) rank(v uint16) (int, bool) {
-	switch c := r.c.(type) {
-	case *arrayContainer:
-		for r.ai < len(c.values) && c.values[r.ai] < v {
-			r.ai++
+// rankBitset ranks one chunk's ascending ids against a bitset, carrying the
+// popcount of the words below the cursor from id to id.
+//
+//grove:hotpath
+func rankBitset(words []uint64, vs []uint32, idx []int32, base int) {
+	words = words[:bitsetWords]
+	idx = idx[:len(vs)]
+	wi, pref := 0, base // pref: base + set bits in words[:wi]
+	for k, v := range vs {
+		w := uint16(v) >> 6
+		for ; wi < int(w); wi++ {
+			pref += bits.OnesCount64(words[wi])
 		}
-		if r.ai < len(c.values) && c.values[r.ai] == v {
-			return r.ai, true
+		word, bit := words[w], uint64(1)<<(v&63)
+		r := int32(pref + bits.OnesCount64(word&(bit-1)))
+		if word&bit == 0 {
+			r = -1
 		}
-		return 0, false
-	case *bitsetContainer:
-		w := int(v >> 6)
-		for r.wi < w {
-			r.pref += popcount(c.words[r.wi])
-			r.wi++
-		}
-		bit := uint64(1) << (v & 63)
-		if c.words[w]&bit == 0 {
-			return 0, false
-		}
-		return r.pref + popcount(c.words[w]&(bit-1)), true
-	case *runContainer:
-		for r.ai < len(c.runs) && uint32(c.runs[r.ai].start)+uint32(c.runs[r.ai].length) < uint32(v) {
-			r.pref += int(c.runs[r.ai].length) + 1
-			r.ai++
-		}
-		if r.ai < len(c.runs) && c.runs[r.ai].start <= v {
-			return r.pref + int(v-c.runs[r.ai].start), true
-		}
-		return 0, false
+		idx[k] = r
 	}
-	return 0, false
+}
+
+// rankRuns ranks one chunk's ascending ids against a run list, carrying the
+// number of values in the runs below the cursor from id to id.
+//
+//grove:hotpath
+func rankRuns(runs []interval16, vs []uint32, idx []int32, base int) {
+	idx = idx[:len(vs)]
+	ri, pref := 0, base // pref: base + values in runs[:ri]
+	for k, v := range vs {
+		low := uint16(v)
+		for ri < len(runs) && runs[ri].end() < uint32(low) {
+			pref += int(runs[ri].length) + 1
+			ri++
+		}
+		idx[k] = -1
+		if ri < len(runs) && runs[ri].start <= low {
+			idx[k] = int32(pref + int(low-runs[ri].start))
+		}
+	}
 }

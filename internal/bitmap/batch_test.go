@@ -1,7 +1,9 @@
 package bitmap
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,6 +104,20 @@ func TestAppendIntoMatchesToSlice(t *testing.T) {
 
 func TestRanksIntoMatchesRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	check := func(what string, b *Bitmap, vs []uint32) {
+		t.Helper()
+		idx := make([]int32, len(vs))
+		b.RanksInto(vs, idx)
+		for i, v := range vs {
+			var want int32 = -1
+			if b.Contains(v) {
+				want = int32(b.Rank(v) - 1)
+			}
+			if idx[i] != want {
+				t.Fatalf("%s, %d ids: RanksInto(%d) = %d, want %d", what, len(vs), v, idx[i], want)
+			}
+		}
+	}
 	for trial := 0; trial < 50; trial++ {
 		b := mixedLayoutBitmap(rng)
 		// Query a mix of present and absent values, sorted ascending, with
@@ -117,15 +133,25 @@ func TestRanksIntoMatchesRank(t *testing.T) {
 			vs = append(vs, uint32(rng.Intn(5<<16)))
 		}
 		sortU32(vs)
-		idx := make([]int32, len(vs))
-		b.RanksInto(vs, idx)
-		for i, v := range vs {
-			var want int32 = -1
-			if b.Contains(v) {
-				want = int32(b.Rank(v) - 1)
-			}
-			if idx[i] != want {
-				t.Fatalf("trial %d: RanksInto(%d) = %d, want %d", trial, v, idx[i], want)
+		check(fmt.Sprintf("mixed trial %d", trial), b, vs)
+	}
+	// Every layout of every shape in chunks 0 and 2, probed by batches that
+	// gallop an array (few ids) and merge it (many), with ids present,
+	// absent, in the gap chunk 1 and in chunk 3 past the last container.
+	for si, lows := range lowsShapes(rng) {
+		for layout, c := range layoutsOf(lows) {
+			b := &Bitmap{keys: []uint16{0, 2}, containers: []container{c, c.clone()}}
+			for _, n := range []int{1, 8, 300, 5000} {
+				vs := make([]uint32, 0, n)
+				for len(vs) < n {
+					low := uint16(rng.Intn(1 << 16))
+					if rng.Intn(2) == 0 {
+						low = lows[rng.Intn(len(lows))]
+					}
+					vs = append(vs, uint32(rng.Intn(4))<<16|uint32(low))
+				}
+				slices.Sort(vs)
+				check(fmt.Sprintf("shape %d as %s", si, layout), b, vs)
 			}
 		}
 	}

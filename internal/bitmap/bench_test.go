@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -29,7 +30,7 @@ func (b *naiveBitset) and(o *naiveBitset) *naiveBitset {
 func (b *naiveBitset) cardinality() int {
 	n := 0
 	for _, w := range b.words {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

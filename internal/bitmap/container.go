@@ -126,12 +126,7 @@ func (a *arrayContainer) and(other container) container {
 		}
 		return &arrayContainer{values: out}
 	case *bitsetContainer:
-		var out []uint16
-		for _, v := range a.values {
-			if o.get(v) {
-				out = append(out, v)
-			}
-		}
+		out := intersectArrayBitset(make([]uint16, len(a.values)), a.values, o.words)
 		if len(out) == 0 {
 			return nil
 		}
@@ -281,7 +276,7 @@ func (b *bitsetContainer) toArray() *arrayContainer {
 	for wi, w := range b.words {
 		for w != 0 {
 			t := w & -w
-			out = append(out, uint16(wi*64+popcountTrailing(w)))
+			out = append(out, uint16(wi*64+bits.TrailingZeros64(w)))
 			w ^= t
 		}
 	}
@@ -298,7 +293,7 @@ func (b *bitsetContainer) and(other container) container {
 		for i := range out.words {
 			w := b.words[i] & o.words[i]
 			out.words[i] = w
-			card += popcount(w)
+			card += bits.OnesCount64(w)
 		}
 		if card == 0 {
 			return nil
@@ -326,7 +321,7 @@ func (b *bitsetContainer) or(other container) container {
 		for i := range out.words {
 			w := out.words[i] | o.words[i]
 			out.words[i] = w
-			card += popcount(w)
+			card += bits.OnesCount64(w)
 		}
 		out.card = card
 	case *runContainer:
@@ -351,7 +346,7 @@ func (b *bitsetContainer) andNot(other container) container {
 		for i := range out.words {
 			w := out.words[i] &^ o.words[i]
 			out.words[i] = w
-			card += popcount(w)
+			card += bits.OnesCount64(w)
 		}
 		out.card = card
 	case *runContainer:
@@ -378,7 +373,7 @@ func (b *bitsetContainer) xor(other container) container {
 		for i := range out.words {
 			w := b.words[i] ^ o.words[i]
 			out.words[i] = w
-			card += popcount(w)
+			card += bits.OnesCount64(w)
 		}
 		if card == 0 {
 			return nil
@@ -397,7 +392,7 @@ func (b *bitsetContainer) each(f func(uint16) bool) bool {
 	for wi, w := range b.words {
 		for w != 0 {
 			t := w & -w
-			if !f(uint16(wi*64 + popcountTrailing(w))) {
+			if !f(uint16(wi*64 + bits.TrailingZeros64(w))) {
 				return false
 			}
 			w ^= t
@@ -642,22 +637,95 @@ func genericXor(a, b container) container {
 	return out
 }
 
+// gallopRatio is the length ratio from which array ∩ array gallops through
+// the longer operand instead of merging: the measured crossover (DESIGN.md
+// §10, BenchmarkIntersectArrays).
+const gallopRatio = 8
+
+// intersectSorted returns a ∩ b in a fresh slice, sized once to the smaller
+// operand.
+//
+//grove:hotpath
 func intersectSorted(a, b []uint16) []uint16 {
-	var out []uint16
-	i, j := 0, 0
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	return intersectInto(make([]uint16, min(len(a), len(b))), a, b) //grovevet:ignore hotalloc the allocating kernel's one output
+}
+
+// intersectInto writes a ∩ b to dst and returns dst's filled prefix, costing
+// what the smaller operand costs: a merge when the two are comparable in
+// length, a gallop through the longer one when it is at least gallopRatio
+// times longer. dst needs min(len(a), len(b)) slots and may alias a or b
+// (the in-place form passes a as dst): both kernels write at or behind the
+// index they read.
+//
+//grove:hotpath
+func intersectInto(dst, a, b []uint16) []uint16 {
+	switch {
+	case len(a)*gallopRatio <= len(b):
+		return dst[:gallopIntersect(dst, a, b)]
+	case len(b)*gallopRatio <= len(a):
+		return dst[:gallopIntersect(dst, b, a)]
+	}
+	return dst[:mergeIntersect(dst, a, b)]
+}
+
+// mergeIntersect walks a and b in step. It keeps its branches: a branch-free
+// merge is bound by the load → compare → cursor latency and measured 3×
+// slower (DESIGN.md §10).
+//
+//grove:hotpath
+func mergeIntersect(dst, a, b []uint16) int {
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch va, vb := a[i], b[j]; {
+		case va < vb:
 			i++
-		case a[i] > b[j]:
+		case va > vb:
 			j++
 		default:
-			out = append(out, a[i])
+			dst[k] = va
+			k++
 			i++
 			j++
 		}
 	}
-	return out
+	return k
+}
+
+// gallopIntersect writes the values of short that long holds: one galloping
+// probe into long per value of short, resuming where the last one stopped.
+//
+//grove:hotpath
+func gallopIntersect(dst, short, long []uint16) int {
+	j, k := 0, 0
+	for _, v := range short {
+		if j = gallopValues(long, j, v); j == len(long) {
+			break
+		}
+		if long[j] == v {
+			dst[k] = v
+			k++
+		}
+	}
+	return k
+}
+
+// intersectArrayBitset writes the values of a that words holds to dst (which
+// may alias a) and returns the filled prefix.
+//
+//grove:hotpath
+func intersectArrayBitset(dst, a []uint16, words []uint64) []uint16 {
+	words = words[:bitsetWords]
+	k := 0
+	for _, v := range a {
+		if words[v>>6]&(1<<(v&63)) != 0 {
+			dst[k] = v
+			k++
+		}
+	}
+	return dst[:k]
 }
 
 // intersectArrayRuns appends to dst the values of sorted a that runs cover
@@ -686,7 +754,11 @@ func intersectArrayRuns(dst, a []uint16, runs []interval16) []uint16 {
 }
 
 // gallopValues returns the smallest index j >= lo with a[j] >= target, or
-// len(a) when there is none.
+// len(a) when there is none: an exponential probe from lo, then a binary
+// search inside the bracket the probe found, written out because
+// slices.BinarySearch measured up to 1.7× slower here.
+//
+//grove:hotpath
 func gallopValues(a []uint16, lo int, target uint16) int {
 	hi, step := lo, 1
 	for hi < len(a) && a[hi] < target {
@@ -694,8 +766,17 @@ func gallopValues(a []uint16, lo int, target uint16) int {
 		hi += step
 		step <<= 1
 	}
-	j, _ := slices.BinarySearch(a[lo:min(hi, len(a))], target)
-	return lo + j
+	// a[lo-1] < target, and a[hi] >= target when hi < len(a).
+	for n := min(hi, len(a)) - lo; n > 0; {
+		half := n >> 1
+		if a[lo+half] < target {
+			lo += half + 1
+			n -= half + 1
+		} else {
+			n = half
+		}
+	}
+	return lo
 }
 
 // gallopRuns returns the smallest index j >= lo whose run ends at or after
@@ -776,20 +857,6 @@ func symmetricDiffSorted(a, b []uint16) []uint16 {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-func popcount(w uint64) int {
-	// Hacker's Delight bit-twiddling popcount; avoids math/bits only for
-	// symmetry with popcountTrailing. math/bits would be equally fine.
-	w -= (w >> 1) & 0x5555555555555555
-	w = (w & 0x3333333333333333) + ((w >> 2) & 0x3333333333333333)
-	w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((w * 0x0101010101010101) >> 56)
-}
-
-func popcountTrailing(w uint64) int {
-	// Number of trailing zeros of w (w must be non-zero).
-	return popcount((w & -w) - 1)
 }
 
 func minU32(a, b uint32) uint32 {

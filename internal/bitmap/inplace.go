@@ -1,5 +1,11 @@
 package bitmap
 
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
 // Destructive intersection kernels. The allocating And/AndAll path creates a
 // fresh Bitmap per pairwise step, which dominates the structural phase of
 // wide query plans (one AND per query edge). The kernels below intersect into
@@ -68,9 +74,10 @@ func (b *Bitmap) AndInPlace(other *Bitmap) {
 // containers are owned by dst (cloned or freshly computed), so dst can be
 // retained — e.g. cached — after further mutations to the inputs.
 //
-// Per call this allocates one cardinality scratch slice and the result
-// containers of the first pairwise step; every later step mutates those in
-// place. Bitmap allocations are O(1) regardless of len(bitmaps).
+// Per call this allocates only the result containers of the first pairwise
+// step (plus one sort key slice for plans wider than sortScratch); every later
+// step mutates those in place. Bitmap allocations are O(1) regardless of
+// len(bitmaps).
 //
 //grove:hotpath
 func AndAllInto(dst *Bitmap, bitmaps ...*Bitmap) *Bitmap {
@@ -101,20 +108,35 @@ func AndAllInto(dst *Bitmap, bitmaps ...*Bitmap) *Bitmap {
 	return dst
 }
 
-// sortByCardinality orders bitmaps ascending by cardinality, computing each
-// cardinality once.
+// sortByCardinality orders bitmaps ascending by cardinality, ties in their
+// given order, computing each cardinality once. Plans up to sortScratch wide
+// sort on the stack; wider ones (Fig. 3(b) runs 1 000-edge queries) allocate
+// one key slice and stay O(n log n).
+//
+//grove:hotpath
 func sortByCardinality(bitmaps []*Bitmap) {
-	cards := make([]int, len(bitmaps))
-	for i, bm := range bitmaps {
-		cards[i] = bm.Cardinality()
+	type keyed struct {
+		card, pos int
+		bm        *Bitmap
 	}
-	for i := 1; i < len(bitmaps); i++ {
-		for j := i; j > 0 && cards[j-1] > cards[j]; j-- {
-			cards[j-1], cards[j] = cards[j], cards[j-1]
-			bitmaps[j-1], bitmaps[j] = bitmaps[j], bitmaps[j-1]
-		}
+	var scratch [sortScratch]keyed
+	keys := scratch[:0]
+	if len(bitmaps) > len(scratch) {
+		keys = make([]keyed, 0, len(bitmaps)) //grovevet:ignore hotalloc plans wider than sortScratch only
+	}
+	for i, bm := range bitmaps {
+		keys = append(keys, keyed{bm.Cardinality(), i, bm})
+	}
+	slices.SortFunc(keys, func(x, y keyed) int {
+		return cmp.Or(cmp.Compare(x.card, y.card), cmp.Compare(x.pos, y.pos))
+	})
+	for i, k := range keys {
+		bitmaps[i] = k.bm
 	}
 }
+
+// sortScratch is the widest plan sortByCardinality orders without allocating.
+const sortScratch = 32
 
 // andInto fills the cleared receiver with x ∩ y using the allocating
 // container kernels (the inputs stay untouched).
@@ -149,18 +171,11 @@ func andContainerInPlace(dst, src container) container {
 	case *arrayContainer:
 		switch s := src.(type) {
 		case *arrayContainer:
-			d.values = intersectSortedInPlace(d.values, s.values)
+			d.values = intersectInto(d.values, d.values, s.values)
 		case *runContainer:
 			d.values = intersectArrayRuns(d.values[:0], d.values, s.runs)
 		case *bitsetContainer:
-			out := 0
-			for _, v := range d.values {
-				if s.get(v) {
-					d.values[out] = v
-					out++
-				}
-			}
-			d.values = d.values[:out]
+			d.values = intersectArrayBitset(d.values, d.values, s.words)
 		}
 		if len(d.values) == 0 {
 			return nil
@@ -179,7 +194,7 @@ func andContainerInPlace(dst, src container) container {
 			return nil
 		}
 		if d.card <= arrayMaxCardinality {
-			return d.toArray()
+			return d.toArray() //grovevet:ignore hotalloc a bitset accumulator demotes to an array once, when it falls to array range
 		}
 		return d
 	default:
@@ -194,34 +209,12 @@ func andContainerInPlace(dst, src container) container {
 	}
 }
 
-// intersectSortedInPlace writes the intersection of sorted a and b into a's
-// prefix (safe: the write index never passes the read index) and returns the
-// shortened slice.
-func intersectSortedInPlace(a, b []uint16) []uint16 {
-	out := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			a[out] = a[i]
-			out++
-			i++
-			j++
-		}
-	}
-	return a[:out]
-}
-
 func (b *bitsetContainer) andBitsetInPlace(o *bitsetContainer) {
 	card := 0
 	for i := range b.words {
 		w := b.words[i] & o.words[i]
 		b.words[i] = w
-		card += popcount(w)
+		card += bits.OnesCount64(w)
 	}
 	b.card = card
 }
@@ -239,7 +232,7 @@ func (b *bitsetContainer) andArrayInPlace(o *arrayContainer) {
 		}
 		w := b.words[wi] & mask
 		b.words[wi] = w
-		card += popcount(w)
+		card += bits.OnesCount64(w)
 	}
 	b.card = card
 }
@@ -273,7 +266,7 @@ func (b *bitsetContainer) andRunInPlace(o *runContainer) {
 		}
 		w := b.words[wi] & mask
 		b.words[wi] = w
-		card += popcount(w)
+		card += bits.OnesCount64(w)
 	}
 	b.card = card
 }

@@ -174,12 +174,36 @@ func TestAndAllIntoConstantBitmapAllocs(t *testing.T) {
 		})
 	}
 	narrow, wide := allocsAt(4), allocsAt(32)
-	// Allow slack for the cardinality scratch slice and container layout
-	// conversions, but a linear-in-width regime (≥1 alloc per operand) must
-	// fail.
+	// Allow slack for container layout conversions, but a linear-in-width
+	// regime (≥1 alloc per operand) must fail.
 	if wide > narrow+8 {
 		t.Fatalf("allocations grow with plan width: %v at width 4 vs %v at width 32",
 			narrow, wide)
+	}
+}
+
+// TestAndAllIntoArrayColumnsAllocs pins the match path's allocation budget:
+// over 16 array columns — the layout of a sparse edge column — a conjunction
+// into a reused accumulator allocates only its result container (the
+// container and its one value slice). Ordering the operands, the galloping
+// and merging steps and the in-place steps after the first allocate nothing.
+func TestAndAllIntoArrayColumnsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	bms := make([]*Bitmap, 16)
+	for i := range bms {
+		bms[i] = randomBitmap(rng, 200+rng.Intn(3000), 1<<16)
+		bms[i].Add(12345) // a non-empty answer, so every step runs
+		if _, ok := bms[i].containers[0].(*arrayContainer); !ok {
+			t.Fatalf("column %d is a %T, the fixture wants arrays", i, bms[i].containers[0])
+		}
+	}
+	dst := New()
+	allocs := testing.AllocsPerRun(50, func() { AndAllInto(dst, bms...) })
+	if allocs > 2 {
+		t.Fatalf("AndAllInto over 16 array columns allocates %.1f times per call, want 2 (one array container)", allocs)
+	}
+	if want := AndAll(bms...); dst.IsEmpty() || !dst.Equals(want) {
+		t.Fatalf("AndAllInto holds %d ids, AndAll %d", dst.Cardinality(), want.Cardinality())
 	}
 }
 

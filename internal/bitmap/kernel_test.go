@@ -17,18 +17,7 @@ import (
 // patterns: uniform sparse, uniform dense, a few long runs, many short runs,
 // and the chunk's two ends.
 func lowsShapes(rng *rand.Rand) [][]uint16 {
-	uniform := func(n int) []uint16 {
-		seen := make(map[uint16]struct{}, n)
-		for len(seen) < n {
-			seen[uint16(rng.Intn(1<<16))] = struct{}{}
-		}
-		out := make([]uint16, 0, n)
-		for v := range seen {
-			out = append(out, v)
-		}
-		slices.Sort(out)
-		return out
-	}
+	uniform := func(n int) []uint16 { return uniformLows(rng, n, 1<<16) }
 	runs := func(count, maxLen int) []uint16 {
 		var out []uint16
 		v := rng.Intn(64)
@@ -56,6 +45,20 @@ func lowsShapes(rng *rand.Rand) [][]uint16 {
 		runs(600, 8),
 		runs(2000, 3),
 	}
+}
+
+// uniformLows draws n distinct values uniformly from [0, span), sorted.
+func uniformLows(rng *rand.Rand, n, span int) []uint16 {
+	seen := make(map[uint16]struct{}, n)
+	for len(seen) < n {
+		seen[uint16(rng.Intn(span))] = struct{}{}
+	}
+	out := make([]uint16, 0, n)
+	for v := range seen {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // layoutsOf builds the same value set in every physical layout that can hold
@@ -155,6 +158,95 @@ func TestGallopCursors(t *testing.T) {
 			if got := gallopRuns(runs, lo, v); got != want {
 				t.Fatalf("gallopRuns(lo=%d, v=%d) = %d, want %d", lo, v, got, want)
 			}
+		}
+	}
+}
+
+// TestIntersectArraysAroundGallopRatio runs array ∩ array on both sides of
+// the merge-or-gallop rule — length ratios T−1, T, T+1, 64 and 1 000 around
+// T = gallopRatio, and empty and one-value operands — through the allocating
+// kernel, the in-place kernel with either operand as the accumulator, and
+// the bitmap-level And, AndInPlace and AndAllInto over ids in three chunks.
+func TestIntersectArraysAroundGallopRatio(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	type pair struct{ short, long int }
+	pairs := []pair{{0, 0}, {0, 1}, {1, 1}, {0, 100}, {1, 4000}}
+	for _, ratio := range []int{1, gallopRatio - 1, gallopRatio, gallopRatio + 1, 64, 1000} {
+		for _, short := range []int{1, 3, 40, 500} {
+			if short*ratio <= arrayMaxCardinality {
+				pairs = append(pairs, pair{short, short * ratio})
+			}
+		}
+	}
+	intersect := func(a, b []uint16) []uint16 {
+		var out []uint16
+		for _, v := range a {
+			if _, ok := slices.BinarySearch(b, v); ok {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for _, p := range pairs {
+		span := max(4*p.long, 64)
+		long := uniformLows(rng, p.long, span)
+		// Half of short comes from long, so every ratio has matches to find.
+		short := uniformLows(rng, p.short-p.short/2, span)
+		for _, k := range rng.Perm(len(long))[:min(p.short/2, len(long))] {
+			short = append(short, long[k])
+		}
+		slices.Sort(short)
+		short = slices.Compact(short)
+		want := intersect(short, long)
+		for _, ops := range [][2][]uint16{{short, long}, {long, short}} {
+			a, b := ops[0], ops[1]
+			if got := intersectSorted(a, b); !slices.Equal(got, want) {
+				t.Fatalf("%d ∩ %d values: intersectSorted finds %d, want %d", len(a), len(b), len(got), len(want))
+			}
+			acc := slices.Clone(a)
+			if got := intersectInto(acc, acc, b); !slices.Equal(got, want) {
+				t.Fatalf("%d ∩ %d values: in-place intersectInto finds %d, want %d", len(a), len(b), len(got), len(want))
+			}
+		}
+
+		// The same operands as array containers of chunks {0, 1, 3} and
+		// {1, 2, 3}: chunks 1 and 3 meet, 0 and 2 have no partner.
+		var xs, ys, wantIDs []uint32
+		for _, key := range []uint32{0, 1, 2, 3} {
+			if key != 2 {
+				for _, v := range short {
+					xs = append(xs, key<<16|uint32(v))
+				}
+			}
+			if key != 0 {
+				for _, v := range long {
+					ys = append(ys, key<<16|uint32(v))
+				}
+			}
+			if key == 1 || key == 3 {
+				for _, v := range want {
+					wantIDs = append(wantIDs, key<<16|uint32(v))
+				}
+			}
+		}
+		x, y := FromSorted(xs), FromSorted(ys)
+		check := func(what string, got *Bitmap) {
+			t.Helper()
+			if !slices.Equal(got.ToSlice(), wantIDs) {
+				t.Fatalf("%d ∩ %d values a chunk: %s holds %d ids, want %d", len(short), len(long), what, got.Cardinality(), len(wantIDs))
+			}
+		}
+		check("And", x.And(y))
+		check("And (swapped)", y.And(x))
+		inPlace := x.Clone()
+		inPlace.AndInPlace(y)
+		check("AndInPlace", inPlace)
+		inPlace = y.Clone()
+		inPlace.AndInPlace(x)
+		check("AndInPlace (swapped)", inPlace)
+		check("AndAllInto", AndAllInto(New(), x, y, y.Clone()))
+		if !slices.Equal(x.ToSlice(), xs) || !slices.Equal(y.ToSlice(), ys) {
+			t.Fatalf("%d ∩ %d values: an operand changed", len(short), len(long))
 		}
 	}
 }
@@ -331,5 +423,74 @@ func BenchmarkAndInPlaceArrayRun(b *testing.B) {
 		d.values = d.values[:len(saved)]
 		copy(d.values, saved)
 		work.AndInPlace(col)
+	}
+}
+
+var (
+	sinkLows []uint16
+	sinkIdx  []int32
+)
+
+// BenchmarkIntersectArrays prices array ∩ array on each side of gallopRatio
+// (make bench-smoke). balanced is two edge columns of the benchmark corpus
+// (1 000 of 10 000 records each), the complementary regime the merge serves;
+// skew8 and skew64 are a shrunken accumulator against a column. inplace is
+// the kernel of every AND step after the first, alloc that of the first.
+func BenchmarkIntersectArrays(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		short, long int
+	}{{"balanced", 1000, 1000}, {"skew8", 125, 1000}, {"skew64", 64, 4096}} {
+		rng := rand.New(rand.NewSource(53))
+		short, long := uniformLows(rng, bc.short, 10*bc.long), uniformLows(rng, bc.long, 10*bc.long)
+		b.Run(bc.name+"/inplace", func(b *testing.B) {
+			acc := make([]uint16, len(short))
+			for i := 0; i < b.N; i++ {
+				copy(acc, short)
+				sinkLows = intersectInto(acc, acc, long)
+			}
+		})
+		b.Run(bc.name+"/alloc", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkLows = intersectSorted(short, long)
+			}
+		})
+	}
+}
+
+// BenchmarkRanksInto prices the batch rank of a 64-id answer, half of it in
+// the column, against one column in each layout (make bench-smoke): array is
+// a sparse edge column (1 000 of 10 000 records), bitset a dense one (6 000),
+// run a near-full one (10 000 minus every 97th record).
+func BenchmarkRanksInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(59))
+	var full []uint16
+	for v := 0; v < 10000; v++ {
+		if v%97 != 0 {
+			full = append(full, uint16(v))
+		}
+	}
+	for _, bc := range []struct {
+		layout string
+		lows   []uint16
+	}{{"array", uniformLows(rng, 1000, 10000)}, {"bitset", uniformLows(rng, 6000, 10000)}, {"run", full}} {
+		col := &Bitmap{keys: []uint16{0}, containers: []container{layoutsOf(bc.lows)[bc.layout]}}
+		ids := uniformLows(rng, 32, 10000)
+		for _, k := range rng.Perm(len(bc.lows))[:32] {
+			ids = append(ids, bc.lows[k])
+		}
+		slices.Sort(ids)
+		vs := make([]uint32, 0, len(ids))
+		for _, v := range slices.Compact(ids) {
+			vs = append(vs, uint32(v))
+		}
+		idx := make([]int32, len(vs))
+		b.Run(bc.layout, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				col.RanksInto(vs, idx)
+			}
+			sinkIdx = idx
+		})
 	}
 }

@@ -1,5 +1,7 @@
 package bitmap
 
+import "math/bits"
+
 // Rank returns the number of values in the bitmap that are ≤ v. Together with
 // Contains it lets a sparse column translate a record id into a dense value
 // index: index = Rank(rec) - 1 when Contains(rec).
@@ -33,7 +35,7 @@ func containerRank(c container, v uint16) int {
 		n := 0
 		word := int(v >> 6)
 		for i := 0; i < word; i++ {
-			n += popcount(cc.words[i])
+			n += bits.OnesCount64(cc.words[i])
 		}
 		// Mask off bits above v within its word.
 		shift := uint(v&63) + 1
@@ -43,7 +45,7 @@ func containerRank(c container, v uint16) int {
 		} else {
 			mask = (uint64(1) << shift) - 1
 		}
-		n += popcount(cc.words[word] & mask)
+		n += bits.OnesCount64(cc.words[word] & mask)
 		return n
 	case *runContainer:
 		n := 0
