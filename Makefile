@@ -71,10 +71,13 @@ bench:
 # encoder's choice rule is built on (DESIGN.md §13). The last three are the
 # write path's flat-row probes: one add-record frame decoded, one record
 # appended below the coordinator, one whole recovery (1 000-record snapshot,
-# 100 views, 2 000 logged records).
+# 100 views, 2 000 logged records). PlanCover and CoverPath price view
+# rewriting against 0, 100 and 1 000 views through the view catalog, and
+# MaterializeAggView the catalog rebuild every view-set change pays at 1 000
+# views (DESIGN.md §3).
 bench-smoke:
-	$(GO) test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 1x
-	$(GO) test ./internal/colstore/ -run '^$$' -bench PageFault -benchtime 1x
+	$(GO) test ./internal/query/ -run '^$$' -bench 'PathAgg|PlanCover|CoverPath' -benchtime 1x
+	$(GO) test ./internal/colstore/ -run '^$$' -bench 'PageFault|MaterializeAggView' -benchtime 1x
 	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench 'AndInPlaceArrayRun|IntersectArrays|RanksInto' -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
@@ -88,12 +91,14 @@ bench-smoke:
 replay-smoke:
 	$(GO) run ./cmd/grovebench -exp replay -ny 2000 -q 20
 
-# The end-to-end benchmark's oracle at smoke length (≈ 13 s on 2 cores): the
-# three workloads that run the bitmap and gather kernels, every answer
-# checked against the 1-shard in-memory oracle; the benchmark exits non-zero
-# on any wrong answer or failed call. Its numbers are not a measurement.
+# The end-to-end benchmark's oracle at smoke length (≈ 18 s on 2 cores): the
+# three workloads that run the bitmap and gather kernels, and agg-zipf-views,
+# the one whose answers come from view-rewritten plans; every answer checked
+# against the 1-shard in-memory view-less oracle. The benchmark exits
+# non-zero on any wrong answer or failed call. Its numbers are not a
+# measurement.
 e2e-smoke:
-	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded -seconds 0.5
+	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views -seconds 0.5
 
 # The durability gate — one commit protocol (DESIGN.md §11), one gate. Crash
 # Save, WAL-logged ingest and checkpoints at every injected I/O fault (plain

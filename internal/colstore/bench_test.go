@@ -1,8 +1,11 @@
 package colstore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"grove/internal/agg"
 )
 
 // benchColumn builds a measure column with ~density fraction of numRecords
@@ -90,6 +93,38 @@ func BenchmarkMaterializeView(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.DropView(name)
+	}
+}
+
+// BenchmarkMaterializeAggView materializes and drops one SUM view over a
+// relation already holding 1 000 aggregate views: the mutation-heavy regime,
+// where every change to the view set pays the catalog rebuild (twice per
+// op here) on top of building the view's columns over 1 000 records.
+func BenchmarkMaterializeAggView(b *testing.B) {
+	r := NewRelation(0)
+	rng := rand.New(rand.NewSource(7))
+	for rec := 0; rec < 1000; rec++ {
+		id := r.NewRecord()
+		for j := 0; j < 30; j++ {
+			r.SetEdgeMeasure(id, EdgeID(rng.Intn(200)), 1)
+		}
+	}
+	path := func() []EdgeID {
+		return []EdgeID{EdgeID(rng.Intn(200)), EdgeID(rng.Intn(200)), EdgeID(rng.Intn(200))}
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := r.MaterializeAggView(fmt.Sprintf("p%d", i), path(), agg.Sum); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p := path()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.MaterializeAggView("new", p, agg.Sum); err != nil {
+			b.Fatal(err)
+		}
+		r.DropAggView("new")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"grove/internal/agg"
@@ -265,12 +266,12 @@ func (r *Relation) writeColumns(w io.Writer, m *manifest) error {
 		}
 	}
 	for _, mv := range m.Views {
-		if _, err := r.views[mv.Name].Col.Bits().WriteTo(w); err != nil {
+		if _, err := r.View(mv.Name).Col.Bits().WriteTo(w); err != nil {
 			return fmt.Errorf("colstore: save view %q: %w", mv.Name, err)
 		}
 	}
 	for _, ma := range m.AggViews {
-		av := r.aggViews[ma.Name]
+		av := r.AggView(ma.Name)
 		if _, err := av.Col.Bits().WriteTo(w); err != nil {
 			return fmt.Errorf("colstore: save agg view %q bitmap: %w", ma.Name, err)
 		}
@@ -354,7 +355,31 @@ func readManifest(fs fsio.FS, dir string) (*manifest, error) {
 	if m.FormatVersion != formatVersion {
 		return nil, fmt.Errorf("colstore: unsupported format version %d", m.FormatVersion)
 	}
+	if err := m.checkViews(); err != nil {
+		return nil, err
+	}
 	return &m, nil
+}
+
+// checkViews rejects view definitions no Materialize call can produce — a
+// duplicate name, a graph view without edges, an aggregate path shorter than
+// two edges — before the view catalog indexes them.
+func (m *manifest) checkViews() error {
+	seen := make(map[string]bool, len(m.Views))
+	for _, mv := range m.Views {
+		if seen[mv.Name] || len(mv.Edges) == 0 {
+			return fmt.Errorf("colstore: load manifest: bad graph view %q", mv.Name)
+		}
+		seen[mv.Name] = true
+	}
+	clear(seen)
+	for _, ma := range m.AggViews {
+		if seen[ma.Name] || len(ma.Path) < 2 {
+			return fmt.Errorf("colstore: load manifest: bad aggregate view %q", ma.Name)
+		}
+		seen[ma.Name] = true
+	}
+	return nil
 }
 
 // verifyChecksum streams dir's data.bin and compares it against the
@@ -449,13 +474,15 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 			cols[me.ID] = mc
 		}
 	}
+	views := make([]*GraphView, 0, len(m.Views))
 	for _, mv := range m.Views {
 		b := bitmap.New()
 		if _, err := b.ReadFrom(rd); err != nil {
 			return nil, fmt.Errorf("colstore: load view %q: %w", mv.Name, err)
 		}
-		r.views[mv.Name] = &GraphView{Name: mv.Name, Edges: mv.Edges, Col: NewBitmapColumnFrom(b)}
+		views = append(views, &GraphView{Name: mv.Name, Edges: mv.Edges, Col: NewBitmapColumnFrom(b)})
 	}
+	aggViews := make([]*AggregateView, 0, len(m.AggViews))
 	for _, ma := range m.AggViews {
 		b := bitmap.New()
 		if _, err := b.ReadFrom(rd); err != nil {
@@ -469,11 +496,14 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 		if !ok {
 			return nil, fmt.Errorf("colstore: load agg view %q: unknown aggregate function %q", ma.Name, ma.Func)
 		}
-		r.aggViews[ma.Name] = &AggregateView{
+		aggViews = append(aggViews, &AggregateView{
 			Name: ma.Name, Path: ma.Path, Func: ma.Func, MeasureName: ma.Measure,
 			Measure: mc, Col: NewBitmapColumnFrom(b), fn: fn,
-		}
+		})
 	}
+	slices.SortFunc(views, func(a, b *GraphView) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(aggViews, func(a, b *AggregateView) int { return strings.Compare(a.Name, b.Name) })
+	r.catalog.Store(buildCatalog(views, aggViews))
 	for _, mt := range m.Tags {
 		b := bitmap.New()
 		if _, err := b.ReadFrom(rd); err != nil {

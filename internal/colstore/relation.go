@@ -69,7 +69,9 @@ func (v *AggregateView) Uses() int64 { return v.uses.Load() }
 // each query with BeginRead/EndRead (the fetch accessors return shared
 // bitmap pointers that are iterated after the fetch call returns, so the
 // read lock must span the whole query, not just the fetch). Version and
-// NumRecords are atomics so caches can snapshot them without any lock.
+// NumRecords are atomics so caches can snapshot them without any lock, and
+// the view set is an immutable ViewCatalog behind an atomic pointer, so
+// listing views needs no lock either.
 type Relation struct {
 	mu         sync.RWMutex
 	numRecords atomic.Uint32
@@ -77,8 +79,7 @@ type Relation struct {
 	measures   map[EdgeID]*MeasureColumn            // default measure columns m_i
 	named      map[string]map[EdgeID]*MeasureColumn // named measure columns m_i^name
 	bitmaps    map[EdgeID]*BitmapColumn
-	views      map[string]*GraphView
-	aggViews   map[string]*AggregateView
+	catalog    atomic.Pointer[ViewCatalog]         // materialized views, rebuilt per view-set change
 	tags       map[string]map[string]*BitmapColumn // key → value → records
 	partMap    map[EdgeID]int                      // optional clustered partition assignment (§6.1)
 	deleted    *bitmap.Bitmap                      // soft-deleted record ids
@@ -264,7 +265,7 @@ func (r *Relation) StorageStats() StorageStats {
 			add(m)
 		}
 	}
-	for _, v := range r.aggViews {
+	for _, v := range r.Catalog().aggViews {
 		add(v.Measure)
 	}
 	if r.pagePool != nil {
@@ -280,14 +281,14 @@ func NewRelation(partitionWidth int) *Relation {
 	if partitionWidth <= 0 {
 		partitionWidth = DefaultPartitionWidth
 	}
-	return &Relation{
+	r := &Relation{
 		partWidth: partitionWidth,
 		measures:  make(map[EdgeID]*MeasureColumn),
 		named:     make(map[string]map[EdgeID]*MeasureColumn),
 		bitmaps:   make(map[EdgeID]*BitmapColumn),
-		views:     make(map[string]*GraphView),
-		aggViews:  make(map[string]*AggregateView),
 	}
+	r.catalog.Store(emptyCatalog)
+	return r
 }
 
 // Tracker returns the relation's I/O accounting tracker.
@@ -471,6 +472,8 @@ func (r *Relation) Edges() []EdgeID {
 // TotalMeasures counts all non-NULL measure values, named included
 // (Table 2's "total number of measures").
 func (r *Relation) TotalMeasures() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var n int64
 	for _, m := range r.measures {
 		n += int64(m.Count())
@@ -529,8 +532,8 @@ func (r *Relation) FetchMeasureColumnNamed(edge EdgeID, name string) *MeasureCol
 
 // FetchViewBitmap reads graph-view column b_v by name.
 func (r *Relation) FetchViewBitmap(name string) (*bitmap.Bitmap, error) {
-	v, ok := r.views[name]
-	if !ok {
+	v, _ := r.Catalog().view(name)
+	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown graph view %q", name)
 	}
 	v.uses.Add(1)
@@ -540,8 +543,8 @@ func (r *Relation) FetchViewBitmap(name string) (*bitmap.Bitmap, error) {
 
 // FetchAggViewBitmap reads aggregate-view bitmap column b_p by name.
 func (r *Relation) FetchAggViewBitmap(name string) (*bitmap.Bitmap, error) {
-	v, ok := r.aggViews[name]
-	if !ok {
+	v, _ := r.Catalog().aggView(name)
+	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown aggregate view %q", name)
 	}
 	v.uses.Add(1)
@@ -551,8 +554,8 @@ func (r *Relation) FetchAggViewBitmap(name string) (*bitmap.Bitmap, error) {
 
 // FetchAggViewMeasure reads aggregate-view measure column m_p by name.
 func (r *Relation) FetchAggViewMeasure(name string) (*MeasureColumn, error) {
-	v, ok := r.aggViews[name]
-	if !ok {
+	v, _ := r.Catalog().aggView(name)
+	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown aggregate view %q", name)
 	}
 	v.uses.Add(1)
@@ -663,7 +666,9 @@ func (r *Relation) MaterializeView(name string, edges []EdgeID) (*GraphView, err
 	if name == "" {
 		return nil, fmt.Errorf("colstore: graph view needs a name")
 	}
-	if _, dup := r.views[name]; dup {
+	cat := r.Catalog()
+	dup, at := cat.view(name)
+	if dup != nil {
 		return nil, fmt.Errorf("colstore: graph view %q already exists", name)
 	}
 	if len(edges) == 0 {
@@ -683,7 +688,7 @@ func (r *Relation) MaterializeView(name string, edges []EdgeID) (*GraphView, err
 		Edges: es,
 		Col:   NewBitmapColumnFrom(bitmap.AndAll(bms...)),
 	}
-	r.views[name] = v
+	r.catalog.Store(buildCatalog(inserted(cat.views, at, v), cat.aggViews))
 	return v, nil
 }
 
@@ -707,7 +712,9 @@ func (r *Relation) MaterializeAggViewOn(name string, path []EdgeID, fn agg.Func,
 	if name == "" {
 		return nil, fmt.Errorf("colstore: aggregate view needs a name")
 	}
-	if _, dup := r.aggViews[name]; dup {
+	cat := r.Catalog()
+	dup, at := cat.aggView(name)
+	if dup != nil {
 		return nil, fmt.Errorf("colstore: aggregate view %q already exists", name)
 	}
 	if len(path) < 2 {
@@ -746,7 +753,7 @@ func (r *Relation) MaterializeAggViewOn(name string, path []EdgeID, fn agg.Func,
 		Col:         col,
 		fn:          fn,
 	}
-	r.aggViews[name] = v
+	r.catalog.Store(buildCatalog(cat.views, inserted(cat.aggViews, at, v)))
 	return v, nil
 }
 
@@ -783,7 +790,8 @@ func (r *Relation) UpdateViewsForRecord(rec uint32) {
 // maintainViews adds rec to every view it now satisfies. Caller holds the
 // write lock.
 func (r *Relation) maintainViews(rec uint32) {
-	for _, v := range r.views {
+	cat := r.Catalog()
+	for _, v := range cat.views {
 		all := true
 		for _, e := range v.Edges {
 			b, ok := r.bitmaps[e]
@@ -796,7 +804,7 @@ func (r *Relation) maintainViews(rec uint32) {
 			v.Col.Set(rec)
 		}
 	}
-	for _, v := range r.aggViews {
+	for _, v := range cat.aggViews {
 		if !v.fn.Valid() {
 			continue
 		}
@@ -819,46 +827,36 @@ func (r *Relation) maintainViews(rec uint32) {
 	}
 }
 
-// HasViews reports whether any view (graph or aggregate) is materialized.
-func (r *Relation) HasViews() bool { return len(r.views) > 0 || len(r.aggViews) > 0 }
-
 // View returns a graph view by name, or nil.
-func (r *Relation) View(name string) *GraphView { return r.views[name] }
+func (r *Relation) View(name string) *GraphView {
+	v, _ := r.Catalog().view(name)
+	return v
+}
 
 // AggView returns an aggregate view by name, or nil.
-func (r *Relation) AggView(name string) *AggregateView { return r.aggViews[name] }
-
-// Views returns all graph views sorted by name.
-func (r *Relation) Views() []*GraphView {
-	out := make([]*GraphView, 0, len(r.views))
-	for _, v := range r.views {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+func (r *Relation) AggView(name string) *AggregateView {
+	v, _ := r.Catalog().aggView(name)
+	return v
 }
 
-// AggViews returns all aggregate views sorted by name.
-func (r *Relation) AggViews() []*AggregateView {
-	out := make([]*AggregateView, 0, len(r.aggViews))
-	for _, v := range r.aggViews {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Views returns all graph views sorted by name. The slice belongs to the
+// view catalog and must not be modified.
+func (r *Relation) Views() []*GraphView { return r.Catalog().views }
+
+// AggViews returns all aggregate views sorted by name. The slice belongs to
+// the view catalog and must not be modified.
+func (r *Relation) AggViews() []*AggregateView { return r.Catalog().aggViews }
 
 // ViewUsage returns the per-view query-visible fetch counts (graph and
 // aggregate views together), keyed by view name.
 func (r *Relation) ViewUsage() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.views)+len(r.aggViews))
-	for name, v := range r.views {
-		out[name] = v.Uses()
+	cat := r.Catalog()
+	out := make(map[string]int64, cat.Len())
+	for _, v := range cat.views {
+		out[v.Name] = v.Uses()
 	}
-	for name, v := range r.aggViews {
-		out[name] = v.Uses()
+	for _, v := range cat.aggViews {
+		out[v.Name] = v.Uses()
 	}
 	return out
 }
@@ -868,10 +866,12 @@ func (r *Relation) DropView(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bumpVersion()
-	if _, ok := r.views[name]; !ok {
+	cat := r.Catalog()
+	v, i := cat.view(name)
+	if v == nil {
 		return false
 	}
-	delete(r.views, name)
+	r.catalog.Store(buildCatalog(removed(cat.views, i), cat.aggViews))
 	return true
 }
 
@@ -880,10 +880,12 @@ func (r *Relation) DropAggView(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bumpVersion()
-	if _, ok := r.aggViews[name]; !ok {
+	cat := r.Catalog()
+	v, i := cat.aggView(name)
+	if v == nil {
 		return false
 	}
-	delete(r.aggViews, name)
+	r.catalog.Store(buildCatalog(cat.views, removed(cat.aggViews, i)))
 	return true
 }
 
@@ -893,8 +895,7 @@ func (r *Relation) DropAllViews() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bumpVersion()
-	r.views = make(map[string]*GraphView)
-	r.aggViews = make(map[string]*AggregateView)
+	r.catalog.Store(emptyCatalog)
 }
 
 // --- sizing ------------------------------------------------------------------
@@ -902,6 +903,8 @@ func (r *Relation) DropAllViews() {
 // BaseSizeBytes is the payload size of base data: measure (default and
 // named) and bitmap columns.
 func (r *Relation) BaseSizeBytes() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var n int64
 	for _, m := range r.measures {
 		n += int64(m.SizeBytes())
@@ -919,11 +922,14 @@ func (r *Relation) BaseSizeBytes() int64 {
 
 // ViewSizeBytes is the payload size of all materialized view columns.
 func (r *Relation) ViewSizeBytes() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var n int64
-	for _, v := range r.views {
+	cat := r.Catalog()
+	for _, v := range cat.views {
 		n += int64(v.Col.SizeBytes())
 	}
-	for _, v := range r.aggViews {
+	for _, v := range cat.aggViews {
 		n += int64(v.Col.SizeBytes()) + int64(v.Measure.SizeBytes())
 	}
 	return n
@@ -948,10 +954,11 @@ func (r *Relation) RunOptimize() {
 			m.Present().RunOptimize()
 		}
 	}
-	for _, v := range r.views {
+	cat := r.Catalog()
+	for _, v := range cat.views {
 		v.Col.Bits().RunOptimize()
 	}
-	for _, v := range r.aggViews {
+	for _, v := range cat.aggViews {
 		v.Col.Bits().RunOptimize()
 		v.Measure.Present().RunOptimize()
 	}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -629,49 +629,27 @@ func (r *AggResult) Scalar() *ScalarAggResult {
 }
 
 // coverPath covers a path's edge sequence with materialized aggregate views
-// of the same function (longest match at each position), falling back to raw
-// edges — the measure-side rewriting of §5.1.2. Views are matched on their
-// exact edge sequence so stored folds compose correctly.
+// of the same function and measure (longest match at each position), falling
+// back to raw edges — the measure-side rewriting of §5.1.2. Views are matched
+// on their exact edge sequence so stored folds compose correctly. The views
+// tried at a position are the catalog's list for that edge, already longest
+// first, then by name; the first that matches wins.
 func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, measureName string, useViews bool) []pathSegment {
-	var views []*colstore.AggregateView
+	var chains colstore.AggChains
 	if useViews {
-		for _, v := range rel.AggViews() {
-			if v.Func == funcName && v.MeasureName == measureName && len(v.Path) <= len(pathEdges) {
-				views = append(views, v)
-			}
-		}
-		sort.Slice(views, func(i, j int) bool {
-			if len(views[i].Path) != len(views[j].Path) {
-				return len(views[i].Path) > len(views[j].Path) // longest first
-			}
-			return views[i].Name < views[j].Name
-		})
+		chains = rel.Catalog().AggViewsFrom(funcName, measureName)
 	}
-	var out []pathSegment
+	out := make([]pathSegment, 0, len(pathEdges))
 	for i := 0; i < len(pathEdges); {
-		matched := false
-		for _, v := range views {
-			if i+len(v.Path) > len(pathEdges) {
-				continue
-			}
-			ok := true
-			for j, e := range v.Path {
-				if pathEdges[i+j] != e {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, pathSegment{ViewName: v.Name, Length: len(v.Path)})
-				i += len(v.Path)
-				matched = true
+		seg := pathSegment{Edge: pathEdges[i], Length: 1}
+		for _, v := range chains.From(pathEdges[i]) {
+			if rest := pathEdges[i:]; len(v.Path) <= len(rest) && slices.Equal(rest[:len(v.Path)], v.Path) {
+				seg = pathSegment{ViewName: v.Name, Length: len(v.Path)}
 				break
 			}
 		}
-		if !matched {
-			out = append(out, pathSegment{Edge: pathEdges[i], Length: 1})
-			i++
-		}
+		out = append(out, seg)
+		i += seg.Length
 	}
 	return out
 }

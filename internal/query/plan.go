@@ -1,7 +1,8 @@
 package query
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"grove/internal/colstore"
 )
@@ -22,13 +23,6 @@ func (p CoverPlan) NumBitmaps() int {
 	return len(p.Views) + len(p.AggViews) + len(p.Edges)
 }
 
-// candidate is one coverable set during greedy selection.
-type candidate struct {
-	name  string
-	isAgg bool
-	edges []colstore.EdgeID
-}
-
 // PlanCover rewrites a query with edge universe `universe` using the greedy
 // set-cover algorithm of §5.3: the candidate sets are the materialized views
 // whose edge sets are subgraphs of the query, plus the atomic single-edge
@@ -38,42 +32,65 @@ type candidate struct {
 // rewriting.
 //
 // Only views that are subsets of the query are usable: ANDing a bitmap of a
-// non-subset view would over-filter the answer.
+// non-subset view would over-filter the answer. The relation's view catalog
+// hands over only the views whose smallest edge is in the query, and they
+// are walked in catalog order (graph views, then aggregate views, each by
+// name) — the tie-break between equal gains — so planning costs the views a
+// query touches, not the whole view set.
 func PlanCover(rel *colstore.Relation, universe []colstore.EdgeID) CoverPlan {
-	if !rel.HasViews() {
+	cat := rel.Catalog()
+	if cat.Len() == 0 {
 		return PlanWithoutViews(universe) // nothing to rewrite against
 	}
-	uncovered := make(map[colstore.EdgeID]struct{}, len(universe))
-	for _, e := range universe {
-		uncovered[e] = struct{}{}
-	}
+	return planCover(cat, universe)
+}
 
-	var cands []candidate
-	for _, v := range rel.Views() {
-		if subsetOf(v.Edges, uncovered) {
-			cands = append(cands, candidate{name: v.Name, edges: v.Edges})
+// planCover is PlanCover over a non-empty catalog, kept out of line so the
+// view-less path does not pay for its stack buffers.
+func planCover(cat *colstore.ViewCatalog, universe []colstore.EdgeID) CoverPlan {
+	// The query's edges, sorted and deduplicated; whatever no view covers
+	// stays in the plan, in this order.
+	edges := slices.Compact(PlanWithoutViews(universe).Edges)
+	var coveredBuf [64]bool
+	covered := coveredBuf[:]
+	if len(edges) > len(covered) {
+		covered = make([]bool, len(edges))
+	}
+	covered = covered[:len(edges)]
+
+	// Mark the usable views by catalog position; reading the marks back in
+	// bit order yields the candidates in catalog order without a sort.
+	var marksBuf [16]uint64
+	marks := marksBuf[:]
+	if w := (cat.Len() + 63) / 64; w > len(marks) {
+		marks = make([]uint64, w)
+	}
+	lo, hi := len(marks), 0
+	for _, e := range edges {
+		for _, pos := range cat.Postings(e) {
+			if _, vedges, _ := cat.Entry(pos); subsetOf(vedges, edges) {
+				w := int(pos / 64)
+				marks[w] |= 1 << (pos % 64)
+				lo, hi = min(lo, w), max(hi, w)
+			}
 		}
 	}
-	for _, v := range rel.AggViews() {
-		if subsetOf(v.Path, uncovered) {
-			cands = append(cands, candidate{name: v.Name, isAgg: true, edges: v.Path})
+	var candsBuf [32]int32
+	cands := candsBuf[:0]
+	for w := lo; w <= hi; w++ {
+		for m := marks[w]; m != 0; m &= m - 1 {
+			cands = append(cands, int32(w*64+bits.TrailingZeros64(m)))
 		}
 	}
-	// Deterministic order: graph views before aggregate views, then by name.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].isAgg != cands[j].isAgg {
-			return !cands[i].isAgg
-		}
-		return cands[i].name < cands[j].name
-	})
 
 	var plan CoverPlan
-	for len(uncovered) > 0 {
+	for uncovered := len(edges); uncovered > 0; {
 		bestIdx, bestGain := -1, 1 // a view must beat a single-edge bitmap
-		for i, c := range cands {
+		for i, pos := range cands {
+			_, vedges, _ := cat.Entry(pos)
 			gain := 0
-			for _, e := range c.edges {
-				if _, ok := uncovered[e]; ok {
+			for _, e := range vedges {
+				if k, _ := slices.BinarySearch(edges, e); !covered[k] {
 					gain++
 				}
 			}
@@ -84,22 +101,25 @@ func PlanCover(rel *colstore.Relation, universe []colstore.EdgeID) CoverPlan {
 		if bestIdx < 0 {
 			break // atomic edges are at least as good; stop per §5.2
 		}
-		c := cands[bestIdx]
-		if c.isAgg {
-			plan.AggViews = append(plan.AggViews, c.name)
+		name, vedges, isAgg := cat.Entry(cands[bestIdx])
+		if isAgg {
+			plan.AggViews = append(plan.AggViews, name)
 		} else {
-			plan.Views = append(plan.Views, c.name)
+			plan.Views = append(plan.Views, name)
 		}
-		for _, e := range c.edges {
-			delete(uncovered, e)
+		for _, e := range vedges {
+			if k, _ := slices.BinarySearch(edges, e); !covered[k] {
+				covered[k] = true
+				uncovered--
+			}
 		}
 	}
-	// Residual single-edge bitmaps, in ascending id order for determinism.
-	plan.Edges = make([]colstore.EdgeID, 0, len(uncovered))
-	for e := range uncovered {
-		plan.Edges = append(plan.Edges, e)
+	plan.Edges = edges[:0]
+	for i, e := range edges {
+		if !covered[i] {
+			plan.Edges = append(plan.Edges, e)
+		}
 	}
-	sort.Slice(plan.Edges, func(i, j int) bool { return plan.Edges[i] < plan.Edges[j] })
 	return plan
 }
 
@@ -108,13 +128,14 @@ func PlanCover(rel *colstore.Relation, universe []colstore.EdgeID) CoverPlan {
 // "oblivious to the existing materialized graph views" comparison uses.
 func PlanWithoutViews(universe []colstore.EdgeID) CoverPlan {
 	edges := append([]colstore.EdgeID(nil), universe...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+	slices.Sort(edges)
 	return CoverPlan{Edges: edges}
 }
 
-func subsetOf(edges []colstore.EdgeID, set map[colstore.EdgeID]struct{}) bool {
+// subsetOf reports whether every edge is in set, which is sorted.
+func subsetOf(edges, set []colstore.EdgeID) bool {
 	for _, e := range edges {
-		if _, ok := set[e]; !ok {
+		if _, ok := slices.BinarySearch(set, e); !ok {
 			return false
 		}
 	}

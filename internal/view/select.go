@@ -1,6 +1,7 @@
 package view
 
 import (
+	"slices"
 	"sort"
 
 	"grove/internal/colstore"
@@ -119,68 +120,75 @@ func (p PathSeq) occurrencesIn(path PathSeq) []int {
 // covering L edges with one stored column saves L−1 measure fetches.
 // Occurrences within one path are taken leftmost, non-overlapping.
 // Selection stops early when no candidate covers more than one position.
+//
+// Occurrences do not depend on what is covered, so each candidate's are
+// found once, from the positions of its first edge; a round re-counts only
+// the uncovered positions under them. A candidate whose benefit has fallen
+// to one can never be picked again (benefits only fall) and leaves the pool.
 func SelectAggViews(cands []PathSeq, queryPaths []PathSeq, k int) []PathSeq {
 	if k <= 0 || len(cands) == 0 || len(queryPaths) == 0 {
 		return nil
 	}
+	type pos struct{ path, off int }
 	covered := make([][]bool, len(queryPaths))
-	for i, p := range queryPaths {
-		covered[i] = make([]bool, len(p))
-	}
-	gainOf := func(c PathSeq) int {
-		total := 0
-		for pi, p := range queryPaths {
-			occ := c.occurrencesIn(p)
-			last := -len(c)
-			for _, o := range occ {
-				if o < last+len(c) {
-					continue // overlap with previous occurrence
-				}
-				g := 0
-				for j := 0; j < len(c); j++ {
-					if !covered[pi][o+j] {
-						g++
-					}
-				}
-				total += g
-				last = o
-			}
-		}
-		return total
-	}
-	markCovered := func(c PathSeq) {
-		for pi, p := range queryPaths {
-			occ := c.occurrencesIn(p)
-			last := -len(c)
-			for _, o := range occ {
-				if o < last+len(c) {
-					continue
-				}
-				for j := 0; j < len(c); j++ {
-					covered[pi][o+j] = true
-				}
-				last = o
-			}
+	starts := make(map[colstore.EdgeID][]pos) // every position of an edge, path-major
+	for pi, p := range queryPaths {
+		covered[pi] = make([]bool, len(p))
+		for o, e := range p {
+			starts[e] = append(starts[e], pos{pi, o})
 		}
 	}
-	picked := make([]bool, len(cands))
+	occ := make([][]pos, len(cands))
+	live := make([]int, 0, len(cands))
+	for ci, c := range cands {
+		if len(c) == 0 {
+			continue
+		}
+		last := pos{path: -1}
+		for _, s := range starts[c[0]] {
+			p := queryPaths[s.path]
+			if s.off+len(c) > len(p) || !slices.Equal(p[s.off:s.off+len(c)], c) {
+				continue
+			}
+			if s.path == last.path && s.off < last.off+len(c) {
+				continue // overlaps the previous occurrence
+			}
+			occ[ci] = append(occ[ci], s)
+			last = s
+		}
+		live = append(live, ci)
+	}
 	var out []PathSeq
 	for len(out) < k {
 		bestIdx, bestGain := -1, 1 // must beat a raw single-edge column
-		for ci, c := range cands {
-			if picked[ci] {
+		kept := live[:0]
+		for _, ci := range live {
+			gain := 0
+			for _, o := range occ[ci] {
+				for _, cov := range covered[o.path][o.off : o.off+len(cands[ci])] {
+					if !cov {
+						gain++
+					}
+				}
+			}
+			if gain <= 1 {
 				continue
 			}
-			if g := gainOf(c); g > bestGain {
-				bestIdx, bestGain = ci, g
+			kept = append(kept, ci)
+			if gain > bestGain {
+				bestIdx, bestGain = ci, gain
 			}
 		}
+		live = kept
 		if bestIdx < 0 {
 			break
 		}
-		picked[bestIdx] = true
 		out = append(out, cands[bestIdx])
-		markCovered(cands[bestIdx])
+		for _, o := range occ[bestIdx] {
+			for j := range cands[bestIdx] {
+				covered[o.path][o.off+j] = true
+			}
+		}
 	}
 	return out
 }

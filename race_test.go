@@ -3,6 +3,7 @@
 package grove
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -168,6 +169,75 @@ func TestAppendIsAtomicToReaders(t *testing.T) {
 				}
 				if len(viewed.RecordIDs) < counted.Cardinality() {
 					t.Errorf("view-rewritten aggregate knows %d records after the base plan counted %d", len(viewed.RecordIDs), counted.Cardinality())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRaceViewListingsAgainstViewChanges: Stats, the view listings and the
+// size walks behind the store gauges run while a writer materializes
+// aggregate views, drops them all every twenty, materializes graph views and
+// appends records. The listings read the immutable view catalog and the size
+// walks take the read lock; when both iterated the relation's view maps
+// unlocked, the detector caught MaterializeAggViewOn's map write against
+// ViewSizeBytes' iteration. Every listing must be one the store held at some
+// point: never more views than were materialized since the last drop.
+func TestRaceViewListingsAgainstViewChanges(t *testing.T) {
+	st := Open()
+	loadSCMOrders(t, st)
+	const rounds = 200
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			if i%20 == 0 {
+				st.DropAllViews()
+			}
+			if err := st.MaterializeAggViewPath(fmt.Sprintf("p%d", i), Sum, "A", "D", "E"); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%5 == 0 {
+				if err := st.MaterializeView(fmt.Sprintf("v%d", i), PathOf("A", "D").ToGraph()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			rec := NewRecord()
+			if err := rec.SetEdge("A", "D", float64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			st.Add(rec)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				stats := st.Stats()
+				if stats.AggregateViews > 20 || stats.GraphViews > 4 || stats.BaseSizeBytes <= 0 {
+					t.Errorf("stats list %d aggregate and %d graph views over %d base bytes", stats.AggregateViews, stats.GraphViews, stats.BaseSizeBytes)
+					return
+				}
+				if n := len(st.AggViewNames()) + len(st.ViewNames()); n > 24 {
+					t.Errorf("%d views listed, at most 24 exist at once", n)
+					return
+				}
+				if st.SizeBytes() < stats.BaseSizeBytes {
+					t.Error("the store shrank below its base columns")
 					return
 				}
 			}
