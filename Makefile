@@ -91,14 +91,15 @@ bench-smoke:
 replay-smoke:
 	$(GO) run ./cmd/grovebench -exp replay -ny 2000 -q 20
 
-# The end-to-end benchmark's oracle at smoke length (≈ 18 s on 2 cores): the
-# three workloads that run the bitmap and gather kernels, and agg-zipf-views,
-# the one whose answers come from view-rewritten plans; every answer checked
+# The end-to-end benchmark's oracle at smoke length (≈ 22 s on 2 cores): the
+# three workloads that run the bitmap and gather kernels, agg-zipf-views, the
+# one whose answers come from view-rewritten plans, and agg-paged-1pct, the
+# one whose answers pass through the buffer pool; every answer checked
 # against the 1-shard in-memory view-less oracle. The benchmark exits
 # non-zero on any wrong answer or failed call. Its numbers are not a
 # measurement.
 e2e-smoke:
-	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views -seconds 0.5
+	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views,agg-paged-1pct -seconds 0.5
 
 # The durability gate — one commit protocol (DESIGN.md §11), one gate. Crash
 # Save, WAL-logged ingest and checkpoints at every injected I/O fault (plain
@@ -132,12 +133,15 @@ shard-diff:
 # return bit-identical answers to the in-memory store it was saved from —
 # signed zeros, ±MaxFloat64, denormals, deletions, all four block encodings,
 # single-shard and sharded, at pool budgets down to 1% — with the zone-skip
-# scalar plan engaged, the multi-block crash sweep green, and the hot
-# block-decode/zone-skip kernels allocation-free.
+# scalar plan engaged, the multi-block crash sweep green, the pool's gauge
+# under its budget after a cut, the hot block-decode/zone-skip kernels and
+# the page fault itself allocation-free on any mix of block lengths, cold and
+# warm, and the pool in lockstep with its clock model.
 paged-diff:
-	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical' -v
+	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagePoolGaugeHonoursACut' -v
 	$(GO) test ./internal/colstore/ -run \
-		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs' -v
+		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
+	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v
 
 # The full gate CI runs: vet, lint, build, tests, the smoke and differential
 # gates, then the race-detector pass (which re-vets; harmless and keeps

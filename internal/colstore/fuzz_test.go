@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"grove/internal/bitmap"
+	"grove/internal/pagepool"
 )
 
 // buildColumn decodes the fuzz input as (rec uint32, value float64) pairs,
@@ -232,14 +233,46 @@ func FuzzDecodeBlock(f *testing.F) {
 		f.Add(tag, uint16(len(vals)), append([]byte(nil), payload...))
 	}
 	f.Add(uint8(encRLE), uint16(BlockValues), []byte{0xff, 0xff})
+	raw := make([]byte, 8*300) // three chunks, the last one partial
+	for i := range raw {
+		raw[i] = byte(i * 131)
+	}
+	f.Add(uint8(encRaw), uint16(300), raw)
+	pool := pagepool.New(0)
+	scratch := make([]float64, BlockValues)
 	f.Fuzz(func(t *testing.T, tag uint8, count uint16, payload []byte) {
 		n := int(count) % (BlockValues + 1)
 		dst := make([]float64, n)
-		if err := decodeBlock(tag, payload, dst); err != nil {
+		err := decodeBlock(tag, payload, dst)
+		// The fault path decodes into a frame's chunks, and a raw block by
+		// memmove: it must accept and produce exactly what decodeBlock and
+		// the portable raw decoder do.
+		fr := pool.Reserve(n)
+		defer pool.Abandon(fr)
+		if ferr := decodeFrame(tag, payload, fr, scratch); (ferr == nil) != (err == nil) {
+			t.Fatalf("decodeBlock: %v, decodeFrame: %v", err, ferr)
+		}
+		if tag == encRaw {
+			portable := make([]float64, n)
+			if perr := decodeRaw(payload, portable); (perr == nil) != (err == nil) {
+				t.Fatalf("decodeBlock: %v, decodeRaw: %v", err, perr)
+			}
+			for i := range dst {
+				if math.Float64bits(portable[i]) != math.Float64bits(dst[i]) {
+					t.Fatalf("value %d: decodeRaw %x, decodeBlock %x", i, math.Float64bits(portable[i]), math.Float64bits(dst[i]))
+				}
+			}
+		}
+		if err != nil {
 			return // rejected without panic: the contract for corrupt pages
 		}
 		if tag >= numEncodings {
 			t.Fatalf("decoder accepted unknown encoding %d", tag)
+		}
+		for i := range dst {
+			if math.Float64bits(fr.At(i)) != math.Float64bits(dst[i]) {
+				t.Fatalf("value %d: frame %x, decodeBlock %x", i, math.Float64bits(fr.At(i)), math.Float64bits(dst[i]))
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"grove/internal/agg"
 	"grove/internal/fsio"
@@ -34,6 +35,13 @@ import (
 
 // BlockValues is the number of measure values per storage block.
 const BlockValues = 4096
+
+// A block fits one pool frame, and a chunk of the pool never straddles two
+// blocks, so chunk boundaries fall on the same value indexes in every block.
+const (
+	_ uint = pagepool.MaxValues - BlockValues
+	_ uint = -(BlockValues % pagepool.ChunkValues)
+)
 
 // Block encodings, chosen per block at write time.
 const (
@@ -194,19 +202,22 @@ type pagedData struct {
 
 func (p *pagedData) numBlocks() int { return len(p.metas) }
 
-// blockScratchPool recycles the buffer a fault reads a block's encoded bytes
-// into; each holds the largest payload a block index may claim.
-var blockScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, maxBlockEncLen)
-	return &b
-}}
+// blockScratch is what a fault reads and decodes a block through: the
+// largest payload a block index may claim, and a block of values for the
+// encodings that cannot decode straight into the frame's chunks.
+type blockScratch struct {
+	enc  [maxBlockEncLen]byte
+	vals [BlockValues]float64
+}
 
-// pageIn returns block bi decoded in a pinned pool frame, consulting the pool
-// first; the caller reads frame.Vals and must Unpin the frame. On a miss the
-// block is decoded into a frame the pool reserved — in a pool at its budget
-// the evicted frame, when its buffer is within twice the block — so a fault
-// between blocks of like length allocates nothing. A nil frame means bi is
-// out of range or the fault failed; the error is latched on the source.
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// pageIn returns block bi in a pinned pool frame, consulting the pool first;
+// the caller reads the frame's chunks and must Unpin it. On a miss the block
+// is read into a frame the pool reserved — in a pool that has owned its
+// budget, chunks an eviction freed — so a fault allocates nothing whatever
+// the block's length. A nil frame means bi is out of range or the fault
+// failed; the error is latched on the source.
 //
 //grove:hotpath
 func (p *pagedData) pageIn(bi int) *pagepool.Frame {
@@ -218,11 +229,29 @@ func (p *pagedData) pageIn(bi int) *pagepool.Frame {
 		return f
 	}
 	f := p.pool.Reserve(int(p.metas[bi].count))
-	if err := p.readBlock(bi, f.Vals); err != nil {
+	if err := p.readFrame(bi, f); err != nil {
 		p.pool.Abandon(f)
 		return nil
 	}
 	return p.pool.Publish(key, f)
+}
+
+// readFrame reads block bi from the snapshot file into the chunks of f. An
+// error is also latched on the source.
+//
+//grove:hotpath
+func (p *pagedData) readFrame(bi int, f *pagepool.Frame) error {
+	s := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(s)
+	m := &p.metas[bi]
+	payload := s.enc[:m.encLen]
+	if err := p.src.readAt(payload, m.off); err != nil {
+		return err
+	}
+	if err := decodeFrame(m.enc, payload, f, s.vals[:]); err != nil {
+		return p.failBlock(bi, err)
+	}
+	return nil
 }
 
 // readBlock reads block bi from the snapshot file and decodes it into dst
@@ -231,14 +260,14 @@ func (p *pagedData) pageIn(bi int) *pagepool.Frame {
 //
 //grove:hotpath
 func (p *pagedData) readBlock(bi int, dst []float64) error {
+	s := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(s)
 	m := &p.metas[bi]
-	scratch := blockScratchPool.Get().(*[]byte)
-	defer blockScratchPool.Put(scratch)
-	buf := (*scratch)[:m.encLen]
-	if err := p.src.readAt(buf, m.off); err != nil {
+	payload := s.enc[:m.encLen]
+	if err := p.src.readAt(payload, m.off); err != nil {
 		return err
 	}
-	if err := decodeBlock(m.enc, buf, dst); err != nil {
+	if err := decodeBlock(m.enc, payload, dst); err != nil {
 		return p.failBlock(bi, err)
 	}
 	return nil
@@ -276,7 +305,7 @@ func (c *MeasureColumn) valueAt(x int) float64 {
 	if f == nil {
 		return 0
 	}
-	v := f.Vals[x%BlockValues]
+	v := f.At(x % BlockValues)
 	c.paged.pool.Unpin(f)
 	return v
 }
@@ -374,14 +403,17 @@ func (c *MeasureColumn) BlockEncodings() [numEncodings]int {
 // --- value reader cursor -----------------------------------------------------
 
 // valueReader is the kernels' cursor over a column's values: a resident
-// column is one full-width window, a paged column a sliding per-block window
-// over the one pool frame the reader has pinned. The in-window fast path is
-// branch-predictable and allocation-free. Whoever inits a reader releases it.
+// column is one full-width window, a paged column a sliding window over one
+// chunk of the one pool frame the reader has pinned. Moving to another chunk
+// of the same block is an index computation, not a pool call. The in-window
+// fast path is branch-predictable and allocation-free. Whoever inits a reader
+// releases it.
 type valueReader struct {
 	c      *MeasureColumn
-	blk    []float64
+	blk    []float64       // the window: a resident column's values, or one chunk of pin
 	lo, hi int             // value-index window [lo, hi) covered by blk
 	pin    *pagepool.Frame // the frame blk lives in; nil for a resident column
+	base   int             // value index of pin's first value
 }
 
 //grove:hotpath
@@ -406,7 +438,7 @@ func (rd *valueReader) release() {
 	}
 }
 
-// at returns value index x, faulting its block in when the window misses.
+// at returns value index x, moving the window when it misses.
 //
 //grove:hotpath
 func (rd *valueReader) at(x int) float64 {
@@ -416,29 +448,34 @@ func (rd *valueReader) at(x int) float64 {
 	return rd.fault(x)
 }
 
-// fault moves the window over x's block: the old block is unpinned first, so
-// a reader never holds two. On a failed fault (sticky error on the source) it
+// fault moves the window over x's chunk, faulting x's block in first unless
+// the reader already has it pinned; the old block is unpinned before, so a
+// reader never holds two. On a failed fault (sticky error on the source) it
 // returns 0 and leaves the window empty; callers' results are discarded by
 // the error check at the end of the operation.
 //
 //grove:hotpath
 func (rd *valueReader) fault(x int) float64 {
-	rd.release()
-	bi := x / BlockValues
-	f := rd.c.paged.pageIn(bi)
-	if f == nil {
-		return 0
+	if rd.pin == nil || x < rd.base || x-rd.base >= rd.pin.Len() {
+		rd.release()
+		bi := x / BlockValues
+		f := rd.c.paged.pageIn(bi)
+		if f == nil {
+			return 0
+		}
+		rd.pin, rd.base = f, bi*BlockValues
 	}
-	rd.pin, rd.blk = f, f.Vals
-	rd.lo = bi * BlockValues
-	rd.hi = rd.lo + len(f.Vals)
-	return f.Vals[x-rd.lo]
+	ci := (x - rd.base) / pagepool.ChunkValues
+	rd.blk = rd.pin.Chunk(ci)
+	rd.lo = rd.base + ci*pagepool.ChunkValues
+	rd.hi = rd.lo + len(rd.blk)
+	return rd.blk[x-rd.lo]
 }
 
 // window returns the contiguous value slice [off, off+n) when it fits inside
-// one block window, faulting that block in if needed; nil means the span
-// straddles a block boundary (or the fault failed) and the caller must fall
-// back to per-value reads.
+// one window, moving the window over it if needed; nil means the span
+// straddles a chunk of a paged column (or the fault failed) and the caller
+// must fall back to per-value reads.
 //
 //grove:hotpath
 func (rd *valueReader) window(off, n int) []float64 {
@@ -448,7 +485,7 @@ func (rd *valueReader) window(off, n int) []float64 {
 	if rd.c.paged == nil {
 		return nil
 	}
-	if off/BlockValues != (off+n-1)/BlockValues {
+	if off/pagepool.ChunkValues != (off+n-1)/pagepool.ChunkValues {
 		return nil
 	}
 	if rd.fault(off); rd.blk == nil {
@@ -525,16 +562,16 @@ func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (o
 				i = j
 				continue
 			}
-			vals, lo := f.Vals, bi*BlockValues
+			lo := bi * BlockValues
 			if isMin {
 				for k := i; k < j; k++ {
-					if v := vals[int(idx[k])-lo]; agg.MinReplaces(acc, v) {
+					if v := f.At(int(idx[k]) - lo); agg.MinReplaces(acc, v) {
 						acc = v
 					}
 				}
 			} else {
 				for k := i; k < j; k++ {
-					if v := vals[int(idx[k])-lo]; agg.MaxReplaces(acc, v) {
+					if v := f.At(int(idx[k]) - lo); agg.MaxReplaces(acc, v) {
 						acc = v
 					}
 				}
@@ -740,7 +777,7 @@ var (
 func decodeBlock(enc uint8, payload []byte, dst []float64) error {
 	switch enc {
 	case encRaw:
-		return decodeRaw(payload, dst)
+		return rawInto(payload, dst)
 	case encXor:
 		return decodeXor(payload, dst)
 	case encDict:
@@ -751,6 +788,64 @@ func decodeBlock(enc uint8, payload []byte, dst []float64) error {
 	return errUnknownEncoding
 }
 
+// decodeFrame decodes one block payload into the chunks of f. A raw block
+// lands chunk by chunk straight from the payload; the other encodings decode
+// into scratch (at least f.Len() values) and are copied over.
+//
+//grove:hotpath
+func decodeFrame(enc uint8, payload []byte, f *pagepool.Frame, scratch []float64) error {
+	if enc == encRaw {
+		if len(payload) != 8*f.Len() {
+			return errRawCorrupt
+		}
+		for i := 0; i < f.NumChunks(); i++ {
+			c := f.Chunk(i)
+			off := 8 * i * pagepool.ChunkValues
+			if err := rawInto(payload[off:off+8*len(c)], c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	vals := scratch[:f.Len()]
+	if err := decodeBlock(enc, payload, vals); err != nil {
+		return err
+	}
+	for i := 0; i < f.NumChunks(); i++ {
+		copy(f.Chunk(i), vals[i*pagepool.ChunkValues:])
+	}
+	return nil
+}
+
+// littleEndian reports whether this host lays a float64 out in memory the
+// way the raw encoding stores it.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rawInto lands a raw payload in dst: one memmove on a little-endian host,
+// decodeRaw's per-value loop on any other.
+//
+//grove:hotpath
+func rawInto(payload []byte, dst []float64) error {
+	if !littleEndian {
+		return decodeRaw(payload, dst)
+	}
+	if len(payload) != 8*len(dst) {
+		return errRawCorrupt
+	}
+	copy(float64Bytes(dst), payload)
+	return nil
+}
+
+// float64Bytes is the memory of vals as bytes: the package's one use of
+// unsafe.
+//
+//grove:hotpath
+func float64Bytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// decodeRaw is the portable raw decoder, value by value.
+//
 //grove:hotpath
 func decodeRaw(payload []byte, dst []float64) error {
 	if len(payload) != 8*len(dst) {

@@ -3,6 +3,8 @@ package colstore
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,47 +63,61 @@ func pinnedBlocks(r *Relation) int {
 	return r.PagePoolStats().ResidentBlocks
 }
 
-// TestPageFaultAllocs pins the page fault itself at zero allocations: with a
-// pool too small to keep anything, every gather over columns of mixed sizes
-// faults each block in, and as long as every block fills at least half of a
-// full block's buffer — the bound on what the pool recycles — the loop
-// allocates nothing once that buffer exists: not the frame, not the decoded
-// values, not the encoded bytes.
+// unlikeLengths is a relation of one column per length: a single value, short
+// single-block columns ending mid-chunk, a block plus a short tail, and three
+// blocks plus a five-value tail. Its values have full mantissas, so every
+// block is raw.
+var unlikeLengths = []int{1, 37, 300, 2500, BlockValues + 17, 3*BlockValues + 5}
+
+func unlikeLengthsRelation() *Relation {
+	r := NewRelation(0)
+	longest := slices.Max(unlikeLengths)
+	for i := 0; i < longest; i++ {
+		rec := r.NewRecord()
+		for e, n := range unlikeLengths {
+			if i < n {
+				r.SetEdgeMeasure(rec, EdgeID(e+1), float64(i)*1.1+float64(e))
+			}
+		}
+	}
+	return r
+}
+
+// TestPageFaultAllocs pins the page fault itself at zero allocations on any
+// mix of block lengths: with a pool too small to keep anything, every gather
+// over the columns of unlikeLengths faults each block in, and once the pool
+// has held the longest block the loop allocates nothing — not the frame, not
+// its chunks, not the encoded bytes.
 func TestPageFaultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	r := NewRelation(0)
-	sizes := []int{BlockValues + 2100, 3000, 2*BlockValues + 2048, 2500}
-	for i := 0; i < sizes[2]; i++ {
-		rec := r.NewRecord()
-		for e, n := range sizes {
-			if i < n {
-				r.SetEdgeMeasure(rec, EdgeID(e+1), float64(i)*1.1+float64(e)) // full mantissas: raw blocks
-			}
-		}
-	}
-	loaded := reloadPaged(t, r, 1)
-	recs := make([]uint32, 0, sizes[2]/3+1)
-	for i := 0; i < sizes[2]; i += 3 {
+	loaded := reloadPaged(t, unlikeLengthsRelation(), 1)
+	longest := slices.Max(unlikeLengths)
+	recs := make([]uint32, 0, longest/3+1)
+	for i := 0; i < longest; i += 3 {
 		recs = append(recs, uint32(i))
 	}
 	values, present := make([]float64, len(recs)), make([]bool, len(recs))
+	blocks := 0
+	for _, n := range unlikeLengths {
+		blocks += (n + BlockValues - 1) / BlockValues
+	}
 	sweep := func() {
-		for e := range sizes {
+		for e := range unlikeLengths {
 			loaded.MeasureColumn(EdgeID(e+1)).GatherInto(recs, values, present)
 		}
 	}
-	sweep() // allocates the recycled buffer and grows the rank scratch to its plateau
+	sweep() // the pool grows to the longest block, the rank scratch to its plateau
 	before := loaded.PagePoolStats()
 	allocs := testing.AllocsPerRun(20, sweep)
 	after := loaded.PagePoolStats()
 	if allocs != 0 {
 		t.Errorf("a sweep of cold gathers allocates %v times, want 0", allocs)
 	}
-	if after.Hits != before.Hits || after.Misses-before.Misses < 21*7 {
-		t.Errorf("the sweeps were not cold: %d hits, %d misses over 21 sweeps of 7 blocks",
-			after.Hits-before.Hits, after.Misses-before.Misses)
+	if after.Hits != before.Hits || after.Misses-before.Misses < int64(21*blocks) {
+		t.Errorf("the sweeps were not cold: %d hits, %d misses over 21 sweeps of %d blocks",
+			after.Hits-before.Hits, after.Misses-before.Misses, blocks)
 	}
 	if n := pinnedBlocks(loaded); n != 0 {
 		t.Errorf("%d blocks left pinned after GatherInto returned", n)
@@ -109,6 +125,70 @@ func TestPageFaultAllocs(t *testing.T) {
 	if err := loaded.PageError(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWarmPageFaultAllocs is the same guarantee in the regime a pool serves
+// most of its life: a quarter of the data cached, Zipf-skewed point reads over
+// the blocks of unlikeLengths, so that hits and faults interleave and every
+// fault evicts blocks of other lengths than its own. Once the pool has owned
+// its budget, no access allocates.
+func TestWarmPageFaultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	r := unlikeLengthsRelation()
+	var total int64
+	type block struct {
+		col      *MeasureColumn
+		lo, size int
+	}
+	var blocks []block
+	for _, n := range unlikeLengths {
+		total += 8 * int64(n)
+	}
+	loaded := reloadPaged(t, r, total/4)
+	for e, n := range unlikeLengths {
+		for lo := 0; lo < n; lo += BlockValues {
+			blocks = append(blocks, block{loaded.MeasureColumn(EdgeID(e + 1)), lo, min(BlockValues, n-lo)})
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(blocks)-1))
+	order := rng.Perm(len(blocks)) // popularity rank -> block, unrelated to length
+	reads := make([]block, 2000)
+	for i := range reads {
+		b := blocks[order[zipf.Uint64()]]
+		b.lo += rng.Intn(b.size) // the record whose value is read; ids and ranks coincide here
+		reads[i] = b
+	}
+	var sink float64
+	pass := func() {
+		for _, b := range reads {
+			v, _ := b.col.Get(uint32(b.lo))
+			sink += v
+		}
+	}
+	pass() // the pool grows to its budget
+	before := loaded.PagePoolStats()
+	allocs := testing.AllocsPerRun(5, pass)
+	after := loaded.PagePoolStats()
+	if allocs != 0 {
+		t.Errorf("a pass of warm reads allocates %v times, want 0", allocs)
+	}
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	if hits == 0 || misses == 0 {
+		t.Errorf("the reads were not warm: %d hits, %d misses", hits, misses)
+	}
+	if after.ResidentBytes > total/4 {
+		t.Errorf("the pool owns %d bytes over a budget of %d", after.ResidentBytes, total/4)
+	}
+	if n := pinnedBlocks(loaded); n != 0 {
+		t.Errorf("%d blocks left pinned after Get returned", n)
+	}
+	if err := loaded.PageError(); err != nil {
+		t.Fatal(err)
+	}
+	_ = sink
 }
 
 // TestAggregateSkipAllocs pins the zone-skipping scan's steady-state

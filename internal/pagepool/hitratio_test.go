@@ -5,56 +5,154 @@ import (
 	"testing"
 )
 
-// exactClock is the cache this pool's recycling is held against: the same
-// clock sweep over blocks charged exactly their length, nothing recycled.
-type exactClock struct {
-	budget, resident int64
-	at               map[uint32]int // block -> ring index
-	ring             []exactFrame
-	hand, hits       int
+// clockModel is the reference the pool is held against: the same clock sweep
+// over frames that carry a key, a length, a reference bit and a pin count —
+// no memory, nothing recycled. charge prices a block of n values: its exact
+// length when the model stands for an ideal cache, its chunks when the pool
+// must match it step for step.
+type clockModel struct {
+	budget, resident        int64
+	charge                  func(n int) int64
+	at                      map[Key]int // key -> ring index
+	ring                    []modelFrame
+	hand                    int
+	hits, misses, evictions int64
+	nextID                  int
 }
 
-type exactFrame struct {
-	block uint32
-	n     int
-	ref   bool
+// modelFrame is one cached block of the model; id tells a republished key
+// from the frame that was invalidated before it.
+type modelFrame struct {
+	key  Key
+	n    int
+	ref  bool
+	pins int32
+	id   int
 }
 
-func (c *exactClock) access(block uint32, n int) {
-	if i, ok := c.at[block]; ok {
-		c.ring[i].ref = true
-		c.hits++
-		return
-	}
-	c.at[block] = len(c.ring)
-	c.ring = append(c.ring, exactFrame{block, n, true})
-	c.resident += 8 * int64(n)
-	for c.resident > c.budget && len(c.ring) > 1 {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
+func newClockModel(budget int64, charge func(n int) int64) *clockModel {
+	return &clockModel{budget: budget, charge: charge, at: map[Key]int{}}
+}
+
+func exactBytes(n int) int64 { return 8 * int64(n) }
+
+func chunkedBytes(n int) int64 { return chunkBytes * int64(chunksFor(n)) }
+
+func (m *clockModel) over(extra int64) bool {
+	return m.budget > 0 && m.resident+extra > m.budget
+}
+
+func (m *clockModel) victim() int {
+	for k := 2 * len(m.ring); k > 0; k-- {
+		if m.hand >= len(m.ring) {
+			m.hand = 0
 		}
-		if f := &c.ring[c.hand]; f.ref {
+		if f := &m.ring[m.hand]; f.pins == 0 {
+			if !f.ref {
+				return m.hand
+			}
 			f.ref = false
-			c.hand++
+		}
+		m.hand++
+	}
+	return -1
+}
+
+func (m *clockModel) removeAt(i int) {
+	delete(m.at, m.ring[i].key)
+	m.resident -= m.charge(m.ring[i].n)
+	last := len(m.ring) - 1
+	m.ring[i] = m.ring[last]
+	m.ring = m.ring[:last]
+	if i < last {
+		m.at[m.ring[i].key] = i
+	}
+	m.evictions++
+}
+
+func (m *clockModel) evict(extra int64) {
+	for m.over(extra) {
+		i := m.victim()
+		if i < 0 {
+			return
+		}
+		m.removeAt(i)
+	}
+}
+
+// pin returns the id of the frame cached under k, pinned, or -1 on a miss.
+func (m *clockModel) pin(k Key) int {
+	i, ok := m.at[k]
+	if !ok {
+		m.misses++
+		return -1
+	}
+	m.hits++
+	m.ring[i].ref = true
+	m.ring[i].pins++
+	return m.ring[i].id
+}
+
+// unpin releases a pin on frame id; an invalidated frame is no longer the
+// model's to count.
+func (m *clockModel) unpin(k Key, id int) {
+	if i, ok := m.at[k]; ok && m.ring[i].id == id {
+		m.ring[i].pins--
+	}
+}
+
+func (m *clockModel) reserve(n int) {
+	m.evict(m.charge(n))
+	m.resident += m.charge(n)
+}
+
+// publish caches a reserved block of n values under k, pinned, and returns
+// the id of the frame a reader now holds: the one already cached, if any.
+func (m *clockModel) publish(k Key, n int) int {
+	if i, ok := m.at[k]; ok {
+		m.resident -= m.charge(n)
+		m.ring[i].ref = true
+		m.ring[i].pins++
+		return m.ring[i].id
+	}
+	m.nextID++
+	m.at[k] = len(m.ring)
+	m.ring = append(m.ring, modelFrame{key: k, n: n, ref: true, pins: 1, id: m.nextID})
+	return m.nextID
+}
+
+func (m *clockModel) abandon(n int) { m.resident -= m.charge(n) }
+
+func (m *clockModel) setBudget(b int64) {
+	m.budget = b
+	m.evict(0)
+}
+
+func (m *clockModel) invalidate(col uint64) {
+	for i := 0; i < len(m.ring); {
+		if m.ring[i].key.Col == col {
+			m.removeAt(i)
 			continue
 		}
-		v := c.ring[c.hand]
-		delete(c.at, v.block)
-		c.resident -= 8 * int64(v.n)
-		last := len(c.ring) - 1
-		if c.hand != last {
-			c.ring[c.hand] = c.ring[last]
-			c.at[c.ring[c.hand].block] = c.hand
-		}
-		c.ring = c.ring[:last]
+		i++
 	}
 }
 
-// TestRecyclingKeepsTheHitRatio: frames are charged by buffer capacity, so a
-// recycling rule that let buffers outgrow their blocks would buy its saved
-// allocations with cached blocks. Over blocks of mixed lengths (nine in ten
-// the only block of a short column, one in ten full) under skewed access, at
-// budgets where hits matter, the pool must hold about as many blocks and
+// access is one reader's pin → (reserve → publish) → unpin of k.
+func (m *clockModel) access(k Key, n int) {
+	id := m.pin(k)
+	if id < 0 {
+		m.reserve(n)
+		id = m.publish(k, n)
+	}
+	m.unpin(k, id)
+}
+
+// TestRecyclingKeepsTheHitRatio: frames are charged by the chunks they hold,
+// so a recycling rule that let frames outgrow their blocks would buy its
+// saved allocations with cached blocks. Over blocks of mixed lengths (nine in
+// ten the only block of a short column, one in ten full) under skewed access,
+// at budgets where hits matter, the pool must hold about as many blocks and
 // answer about as many accesses from memory as a cache that charges each
 // block exactly its length.
 func TestRecyclingKeepsTheHitRatio(t *testing.T) {
@@ -73,12 +171,12 @@ func TestRecyclingKeepsTheHitRatio(t *testing.T) {
 	for _, pct := range []int64{10, 25, 50} {
 		budget := total * pct / 100
 		zipf := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 8, uint64(len(lens)-1))
-		exact := &exactClock{budget: budget, at: map[uint32]int{}}
+		exact := newClockModel(budget, exactBytes)
 		p := New(budget)
 		for i := 0; i < accesses; i++ {
 			b := uint32(order[zipf.Uint64()])
-			exact.access(b, lens[b])
 			k := Key{Col: 1, Block: b}
+			exact.access(k, lens[b])
 			f := p.Pin(k)
 			if f == nil {
 				f = p.Publish(k, p.Reserve(lens[b]))

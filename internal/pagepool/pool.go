@@ -1,19 +1,22 @@
 // Package pagepool implements the buffer pool that backs paged measure
 // columns: a byte-budgeted cache of decoded value blocks with clock (second
-// chance) eviction. The pool owns the []float64 buffers it caches, keyed by
-// (column token, block index); colstore pages blocks in through it so the
-// resident working set stays under a configurable budget regardless of how
-// much data sits on disk.
+// chance) eviction, keyed by (column token, block index); colstore pages
+// blocks in through it so the resident working set stays under a
+// configurable budget regardless of how much data sits on disk.
+//
+// The pool's unit of memory is a chunk of ChunkValues values (1 KiB). A frame
+// holds one block in ceil(n/ChunkValues) chunks and is charged for them, so
+// the chunks an eviction frees fit the next block whatever its length: a
+// fault in a pool that has once owned its budget allocates nothing, on any
+// mix of block lengths.
 //
 // Safety model: pin → read → unpin. A reader gets a block only as a pinned
-// Frame (from Pin on a hit, from Publish after a miss) and may read
-// Frame.Vals until it calls Unpin; the pool never evicts, overwrites or hands
-// out the buffer of a frame whose pin count is above zero. An unpinned frame
-// may be evicted at any time, and eviction recycles: when the victim's buffer
-// fits the block being faulted in without being more than twice its size,
-// Reserve hands it to the faulting reader, so a fault between blocks of like
-// length — every block of a column but its last is full — allocates nothing.
-// A frame is written only between Reserve and Publish, when exactly one
+// Frame (from Pin on a hit, from Publish after a miss) and may read its chunks
+// until it calls Unpin; the pool never evicts, overwrites or hands out the
+// chunks of a frame whose pin count is above zero. A chunk returns to the
+// pool's free list only from a frame the clock sweep found unpinned under the
+// mutex, or from a frame no reader has seen (Abandon, a lost Publish race). A
+// frame is written only between Reserve and Publish, when exactly one
 // goroutine knows it.
 package pagepool
 
@@ -21,6 +24,28 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// ChunkValues is the number of values in one chunk, the pool's unit of
+// memory: a constant, so that chunk boundaries sit at the same offsets of
+// every block.
+const ChunkValues = 128
+
+// MaxValues is the longest block a frame holds: 4 096 values, colstore's
+// block. A frame's chunk table is that long, so that any spare frame takes
+// any block without growing.
+const MaxValues = maxChunks * ChunkValues
+
+const (
+	maxChunks  = 32
+	chunkBytes = 8 * ChunkValues
+)
+
+type chunk [ChunkValues]float64
+
+// chunksFor is the number of chunks a block of n values occupies.
+//
+//grove:hotpath
+func chunksFor(n int) int { return (n + ChunkValues - 1) / ChunkValues }
 
 // Key identifies one decoded block: Col is a process-unique column token
 // (columns from different snapshot generations get different tokens, so stale
@@ -31,33 +56,63 @@ type Key struct {
 	Block uint32
 }
 
-// Frame is one pool-owned buffer holding one decoded block. Vals is valid and
+// Frame is one block's worth of pool chunks. Its values are valid and
 // immutable from Pin or Publish until the matching Unpin; between Reserve and
-// Publish it is the reserving goroutine's to fill.
+// Publish they are the reserving goroutine's to fill, chunk by chunk.
 type Frame struct {
-	Vals []float64
+	chunks [maxChunks]*chunk
+	n      int
 
 	key Key
 	// pins rises only under Pool.mu (Pin, Publish) and falls without it
 	// (Unpin), so a count of zero read under the mutex stays zero until the
-	// mutex is released: that is what lets eviction take the buffer.
+	// mutex is released: that is what lets eviction take the chunks.
 	pins atomic.Int32
 	ref  bool // clock reference bit
 }
 
-// bytes is what the frame is charged against the budget: its buffer's whole
-// capacity, so a recycled buffer larger than its block is charged in full.
-// Reserve keeps that at most twice the block.
-func (f *Frame) bytes() int64 { return 8 * int64(cap(f.Vals)) }
+// Len is the number of values in the frame's block.
+//
+//grove:hotpath
+func (f *Frame) Len() int { return f.n }
+
+// NumChunks is the number of chunks the block occupies.
+//
+//grove:hotpath
+func (f *Frame) NumChunks() int { return chunksFor(f.n) }
+
+// Chunk returns values [i*ChunkValues, min((i+1)*ChunkValues, Len())) of the
+// block: ChunkValues of them in every chunk but the last.
+//
+//grove:hotpath
+func (f *Frame) Chunk(i int) []float64 {
+	c := f.chunks[i][:]
+	if rest := f.n - i*ChunkValues; rest < ChunkValues {
+		return c[:rest]
+	}
+	return c
+}
+
+// At returns value i of the block.
+//
+//grove:hotpath
+func (f *Frame) At(i int) float64 {
+	return f.chunks[uint(i)/ChunkValues][uint(i)%ChunkValues]
+}
+
+// bytes is what the frame is charged against the budget: its chunks.
+func (f *Frame) bytes() int64 { return chunkBytes * int64(chunksFor(f.n)) }
 
 // Pool is a clock-eviction buffer pool over decoded measure blocks. The
 // zero value is not usable; call New.
 type Pool struct {
 	mu     sync.Mutex
 	budget int64 // resident-byte budget; <=0 disables eviction (unbounded)
-	// resident is the bytes of every frame the pool owns: cached frames and
-	// frames reserved but not yet published.
+	// resident is the bytes of the chunks of every frame the pool owns:
+	// cached frames and frames reserved but not yet published.
 	resident int64
+	free     []*chunk // chunks no frame holds
+	spare    []*Frame // frames no reader can reach, for Reserve to refill
 	frames   map[Key]*Frame
 	ring     []*Frame
 	hand     int
@@ -73,9 +128,11 @@ func New(budgetBytes int64) *Pool {
 	return &Pool{budget: budgetBytes, frames: make(map[Key]*Frame)}
 }
 
-// SetBudget changes the resident-byte budget and immediately evicts unpinned
-// frames down to it. Pinned frames stay; the pool is back under the budget at
-// the first fault after their readers unpin.
+// SetBudget changes the resident-byte budget, immediately evicts unpinned
+// frames down to it and lets go of the free chunks beyond it. Pinned frames
+// stay: the cached frames are back under the budget at the first fault after
+// their readers unpin, and the chunks that frees stay on the free list for
+// later faults until the budget is next set.
 func (p *Pool) SetBudget(budgetBytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -83,9 +140,22 @@ func (p *Pool) SetBudget(budgetBytes int64) {
 	for p.over(0) {
 		i := p.victimLocked()
 		if i < 0 {
-			return
+			break
 		}
-		p.removeAtLocked(i)
+		p.releaseLocked(p.removeAtLocked(i))
+	}
+	if p.budget <= 0 {
+		return
+	}
+	for len(p.free) > 0 && p.over(chunkBytes*int64(len(p.free))) {
+		last := len(p.free) - 1
+		p.free[last] = nil
+		p.free = p.free[:last]
+	}
+	for len(p.spare) > len(p.free) {
+		last := len(p.spare) - 1
+		p.spare[last] = nil
+		p.spare = p.spare[:last]
 	}
 }
 
@@ -110,7 +180,7 @@ func (p *Pool) Pin(key Key) *Frame {
 	return f
 }
 
-// Unpin releases one pin. The caller must not touch f.Vals afterwards.
+// Unpin releases one pin. The caller must not touch f afterwards.
 //
 //grove:hotpath
 func (p *Pool) Unpin(f *Frame) {
@@ -125,47 +195,55 @@ func (p *Pool) Unpin(f *Frame) {
 //go:noinline
 func unpinUnderflow() { panic("pagepool: Unpin without a matching Pin") }
 
-// Reserve returns a frame with len(Vals) == n for the caller to decode a
-// block into, evicting unpinned frames until it fits the budget. The first
-// victim whose buffer holds n values and no more than 2n is the frame
-// returned; the other victims are dropped for the collector and the block
-// gets a buffer of its own length. The bound is what keeps the pool's
-// capacity in blocks: frames are charged by buffer, and without it every
-// buffer would in time be one that once held the longest block, however short
-// the blocks cached in them now. When every frame is pinned the pool
-// overshoots its budget by this block — one block per concurrent reader at
-// most, since a reader holds one pin. The frame must go to Publish or Abandon.
+// Reserve returns a frame of n values (at most MaxValues) for the caller to
+// fill, evicting unpinned frames by the clock until its chunks fit the
+// budget. The frame and its chunks come from the free lists the evictions
+// fed; only what they lack is allocated, which happens while the pool has
+// never owned its budget, or when pinned frames push it past its peak. When
+// every frame is pinned the pool overshoots its budget by this block — one
+// block per concurrent reader at most, since a reader holds one pin. The
+// frame must go to Publish or Abandon.
 //
 //grove:hotpath
 func (p *Pool) Reserve(n int) *Frame {
+	need := chunksFor(n)
+	charge := chunkBytes * int64(need)
 	p.mu.Lock()
-	var f *Frame
-	charge := 8 * int64(n)
 	for p.over(charge) {
 		i := p.victimLocked()
 		if i < 0 {
 			break
 		}
-		v := p.removeAtLocked(i)
-		if c := cap(v.Vals); f == nil && n <= c && c <= 2*n {
-			f = v
-			f.Vals = f.Vals[:n]
-			charge = f.bytes()
-		}
+		p.releaseLocked(p.removeAtLocked(i))
 	}
 	p.resident += charge
-	p.mu.Unlock()
-	if f == nil {
-		// Allocated outside the mutex: in a pool below its budget every
-		// first touch of a block comes here, from every reader at once.
-		f = &Frame{Vals: make([]float64, n)} //grovevet:ignore hotalloc a pool below its budget, or no victim within 2x of the block; blocks of like length recycle
+	var f *Frame
+	if k := len(p.spare) - 1; k >= 0 {
+		f = p.spare[k]
+		p.spare[k] = nil
+		p.spare = p.spare[:k]
+	} else {
+		f = new(Frame) //grovevet:ignore hotalloc no spare frame: the pool holds more blocks at once than it ever has
 	}
+	have := min(need, len(p.free))
+	rest := len(p.free) - have
+	copy(f.chunks[:have], p.free[rest:])
+	clear(p.free[rest:])
+	p.free = p.free[:rest]
+	p.mu.Unlock()
+	// Allocated outside the mutex: in a pool below its budget every first
+	// touch of a block comes here, from every reader at once.
+	for i := have; i < need; i++ {
+		f.chunks[i] = new(chunk) //grovevet:ignore hotalloc the pool grows: below its budget, or past its peak under pinned frames
+	}
+	f.n = n
 	return f
 }
 
 // Publish caches a reserved, filled frame under key and returns it pinned.
 // If the key is already cached (two readers raced on the same miss) the
-// cached frame wins, so all readers share one buffer, and f is given up.
+// cached frame wins, so all readers share one copy, and f — which no other
+// reader has seen — goes back to the free lists.
 //
 //grove:hotpath
 func (p *Pool) Publish(key Key, f *Frame) *Frame {
@@ -173,6 +251,7 @@ func (p *Pool) Publish(key Key, f *Frame) *Frame {
 	defer p.mu.Unlock()
 	if cur := p.frames[key]; cur != nil {
 		p.resident -= f.bytes()
+		p.releaseLocked(f)
 		cur.ref = true
 		cur.pins.Add(1)
 		return cur
@@ -185,10 +264,11 @@ func (p *Pool) Publish(key Key, f *Frame) *Frame {
 }
 
 // Abandon gives up a reserved frame that will not be published (its block
-// could not be read).
+// could not be read); its chunks go back to the free lists.
 func (p *Pool) Abandon(f *Frame) {
 	p.mu.Lock()
 	p.resident -= f.bytes()
+	p.releaseLocked(f)
 	p.mu.Unlock()
 }
 
@@ -224,7 +304,7 @@ func (p *Pool) victimLocked() int {
 }
 
 // removeAtLocked uncaches ring[i] by swapping the last frame into its slot
-// and returns it, buffer attached, for the caller to recycle or drop.
+// and returns it, chunks attached, for the caller to release or drop.
 //
 //grove:hotpath
 func (p *Pool) removeAtLocked(i int) *Frame {
@@ -239,10 +319,23 @@ func (p *Pool) removeAtLocked(i int) *Frame {
 	return f
 }
 
+// releaseLocked moves the chunks of a frame no reader holds onto the free
+// list and the frame onto the spare list.
+//
+//grove:hotpath
+func (p *Pool) releaseLocked(f *Frame) {
+	need := chunksFor(f.n)
+	p.free = append(p.free, f.chunks[:need]...) //grovevet:ignore hotalloc free-list growth, amortized: it plateaus at the chunks the pool owns
+	clear(f.chunks[:need])
+	f.n = 0
+	p.spare = append(p.spare, f) //grovevet:ignore hotalloc spare-list growth, amortized: it plateaus at the frames the pool has held at once
+}
+
 // InvalidateColumn uncaches every block of the given column token. Used when
 // a paged column is materialized for writes; that happens under the
-// relation's write lock, so none of the frames is pinned. Were one pinned, it
-// would only be orphaned — no longer cached, its buffer never recycled — and
+// relation's write lock, so none of the frames is pinned. Their chunks go
+// with them to the collector, not to the free list: were a frame pinned, it
+// would only be orphaned — no longer cached, its chunks never reused — and
 // stay valid for its reader.
 func (p *Pool) InvalidateColumn(col uint64) {
 	p.mu.Lock()
@@ -262,7 +355,7 @@ type Stats struct {
 	Misses         int64
 	Evictions      int64
 	ResidentBlocks int
-	ResidentBytes  int64 // capacity of the buffers the pool owns
+	ResidentBytes  int64 // every chunk the pool owns: cached, reserved and free
 	BudgetBytes    int64
 }
 
@@ -270,7 +363,7 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	blocks := len(p.ring)
-	bytes := p.resident
+	bytes := p.resident + chunkBytes*int64(len(p.free))
 	budget := p.budget
 	p.mu.Unlock()
 	return Stats{

@@ -14,10 +14,37 @@ func put(p *Pool, k Key, n int, fill float64) {
 
 func putPinned(p *Pool, k Key, n int, fill float64) *Frame {
 	f := p.Reserve(n)
-	for i := range f.Vals {
-		f.Vals[i] = fill
-	}
+	fillFrame(f, fill)
 	return p.Publish(k, f)
+}
+
+// fillFrame writes v into every value of f.
+func fillFrame(f *Frame, v float64) {
+	for i := 0; i < f.NumChunks(); i++ {
+		c := f.Chunk(i)
+		for j := range c {
+			c[j] = v
+		}
+	}
+}
+
+// holds reports whether every value of f is v.
+func holds(f *Frame, v float64) bool {
+	for i := 0; i < f.Len(); i++ {
+		if f.At(i) != v {
+			return false
+		}
+	}
+	return true
+}
+
+// chunkSet is the addresses of the chunks f holds.
+func chunkSet(f *Frame) map[*float64]bool {
+	set := map[*float64]bool{}
+	for i := 0; i < f.NumChunks(); i++ {
+		set[&f.Chunk(i)[0]] = true
+	}
+	return set
 }
 
 // pinned counts the cached frames some reader holds right now.
@@ -46,11 +73,11 @@ func TestPinMissThenHit(t *testing.T) {
 	p := New(1 << 20)
 	k := Key{Col: 1, Block: 0}
 	if got := p.Pin(k); got != nil {
-		t.Fatalf("expected miss, got %v", got.Vals)
+		t.Fatalf("expected miss, got a frame of %d values", got.Len())
 	}
 	want := putPinned(p, k, 16, 3.5)
 	got := p.Pin(k)
-	if got != want || len(got.Vals) != 16 || got.Vals[15] != 3.5 {
+	if got != want || got.Len() != 16 || got.At(15) != 3.5 {
 		t.Fatalf("expected the published frame back")
 	}
 	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 || pinned(p) != 1 {
@@ -68,14 +95,19 @@ func TestPublishDuplicateKeepsFirst(t *testing.T) {
 	k := Key{Col: 7, Block: 3}
 	a := putPinned(p, k, 8, 1)
 	b := putPinned(p, k, 8, 2)
-	if b != a || b.Vals[0] != 1 {
+	if b != a || b.At(0) != 1 {
 		t.Fatalf("a duplicate Publish must return the already-cached frame")
 	}
-	if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 64 {
-		t.Fatalf("resident = %d blocks, %d bytes; want 1 block of 64 bytes", s.ResidentBlocks, s.ResidentBytes)
+	// The loser's chunk is free, and still the pool's.
+	if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 2*chunkBytes {
+		t.Fatalf("resident = %d blocks, %d bytes; want 1 block and 2 chunks of %d bytes", s.ResidentBlocks, s.ResidentBytes, chunkBytes)
 	}
 	p.Unpin(a)
 	p.Unpin(b)
+	put(p, Key{Col: 7, Block: 4}, 100, 3)
+	if s := p.Stats(); s.ResidentBlocks != 2 || s.ResidentBytes != 2*chunkBytes {
+		t.Fatalf("resident = %d blocks, %d bytes; the next fault did not take the free chunk", s.ResidentBlocks, s.ResidentBytes)
+	}
 }
 
 func TestBudgetEviction(t *testing.T) {
@@ -96,40 +128,36 @@ func TestBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestEvictionRecyclesBuffers: a pool at its budget serves a fault from the
-// buffer of the frame it evicts when the block fills at least half of it, and
-// charges the buffer's capacity, not the block's length, to the budget. A
-// block shorter than that gets a buffer of its own and the victim's is let go.
+// TestEvictionRecyclesBuffers: a pool at its budget serves every fault from
+// the chunks of the frames it evicts, whatever the lengths of the blocks, and
+// charges each frame the chunks it holds.
 func TestEvictionRecyclesBuffers(t *testing.T) {
-	p := New(128 * 8) // one 128-value block
-	first := putPinned(p, Key{Col: 1}, 128, 1)
-	buf := &first.Vals[0]
+	p := New(2 * chunkBytes) // two chunks
+	first := putPinned(p, Key{Col: 1}, 2*ChunkValues, 1)
+	owned := chunkSet(first)
 	p.Unpin(first)
-	for i, n := range []int{128, 64, 128, 100, 70} {
+	for i, n := range []int{200, 1, 128, 63, 129, 256, 37, 2} {
 		f := putPinned(p, Key{Col: 2, Block: uint32(i)}, n, 2)
-		if len(f.Vals) != n || &f.Vals[0] != buf {
-			t.Fatalf("fault %d (%d values) was not served from the evicted frame's buffer", i, n)
+		for c := range chunkSet(f) {
+			if !owned[c] {
+				t.Fatalf("fault %d (%d values) was given a chunk the pool did not own", i, n)
+			}
+		}
+		if f.Len() != n || !holds(f, 2) {
+			t.Fatalf("fault %d: a frame of %d values, want %d, all 2", i, f.Len(), n)
 		}
 		p.Unpin(f)
-		if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 128*8 {
-			t.Fatalf("fault %d: %d blocks, %d bytes resident; want 1 block charged its full 1024-byte buffer", i, s.ResidentBlocks, s.ResidentBytes)
+		if s := p.Stats(); s.ResidentBytes != 2*chunkBytes {
+			t.Fatalf("fault %d: the pool owns %d bytes; want its two chunks", i, s.ResidentBytes)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		put(p, Key{Col: 3}, 64, 3)
-		put(p, Key{Col: 4}, 128, 4)
+		put(p, Key{Col: 3}, 1, 3)
+		put(p, Key{Col: 4}, 256, 4)
+		put(p, Key{Col: 5}, 70, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("a fault in a pool at its budget allocates %v times, want 0", allocs)
-	}
-
-	short := putPinned(p, Key{Col: 5}, 63, 5)
-	if &short.Vals[0] == buf || cap(short.Vals) != 63 {
-		t.Fatalf("a 63-value block was put in a buffer of %d values; a recycled buffer may be at most twice its block", cap(short.Vals))
-	}
-	p.Unpin(short)
-	if s := p.Stats(); s.ResidentBlocks != 1 || s.ResidentBytes != 63*8 {
-		t.Fatalf("%d blocks, %d bytes resident; want the one 504-byte block", s.ResidentBlocks, s.ResidentBytes)
 	}
 }
 
@@ -169,6 +197,37 @@ func TestSetBudgetShrinks(t *testing.T) {
 	}
 }
 
+// TestSetBudgetReleasesFreeChunks: the free chunks a pool keeps for its next
+// faults count as resident, and a budget cut lets go of those beyond the new
+// budget. The chunks of a pinned frame stay through a cut; once its reader
+// has unpinned, the next cut takes the pool under the budget.
+func TestSetBudgetReleasesFreeChunks(t *testing.T) {
+	p := New(64 * chunkBytes)
+	p.Abandon(p.Reserve(MaxValues))
+	for i := uint32(0); i < 4; i++ {
+		put(p, Key{Col: 1, Block: i}, 1, 1)
+	}
+	if s := p.Stats(); s.ResidentBlocks != 4 || s.ResidentBytes != MaxValues*8 {
+		t.Fatalf("%d blocks, %d bytes; want 4 blocks and the free rest of the abandoned frame's %d bytes",
+			s.ResidentBlocks, s.ResidentBytes, MaxValues*8)
+	}
+	p.SetBudget(8 * chunkBytes)
+	if s := p.Stats(); s.ResidentBlocks != 4 || s.ResidentBytes != 8*chunkBytes {
+		t.Fatalf("after a cut to 8 chunks: %d blocks, %d bytes; want the 4 blocks and 4 free chunks", s.ResidentBlocks, s.ResidentBytes)
+	}
+
+	held := putPinned(p, Key{Col: 2}, MaxValues, 2)
+	p.SetBudget(2 * chunkBytes)
+	if s := p.Stats(); s.ResidentBytes != MaxValues*8 {
+		t.Fatalf("a cut under a pinned frame leaves %d bytes; want the pinned frame's %d", s.ResidentBytes, MaxValues*8)
+	}
+	p.Unpin(held)
+	p.SetBudget(2 * chunkBytes)
+	if s := p.Stats(); s.ResidentBytes > 2*chunkBytes {
+		t.Fatalf("a cut once the reader unpinned leaves %d bytes over a budget of %d", s.ResidentBytes, 2*chunkBytes)
+	}
+}
+
 func TestInvalidateColumn(t *testing.T) {
 	p := New(0)
 	for i := uint32(0); i < 4; i++ {
@@ -184,7 +243,7 @@ func TestInvalidateColumn(t *testing.T) {
 			t.Fatalf("col 2 block %d was wrongly dropped", i)
 		}
 	}
-	if s := p.Stats(); s.ResidentBytes != 4*8*8 {
+	if s := p.Stats(); s.ResidentBytes != 4*chunkBytes {
 		t.Fatalf("%d bytes resident after invalidating half of 8 blocks", s.ResidentBytes)
 	}
 }
@@ -192,18 +251,25 @@ func TestInvalidateColumn(t *testing.T) {
 func TestAbandonReturnsTheCharge(t *testing.T) {
 	p := New(0)
 	f := p.Reserve(128)
+	buf := &f.Chunk(0)[0]
 	if s := p.Stats(); s.ResidentBytes != 128*8 {
 		t.Fatalf("a reserved frame is charged %d bytes, want %d", s.ResidentBytes, 128*8)
 	}
 	p.Abandon(f)
-	if s := p.Stats(); s.ResidentBytes != 0 || s.ResidentBlocks != 0 {
-		t.Fatalf("%d bytes, %d blocks resident after Abandon", s.ResidentBytes, s.ResidentBlocks)
+	if p.resident != 0 {
+		t.Fatalf("%d bytes still charged after Abandon", p.resident)
+	}
+	if s := p.Stats(); s.ResidentBytes != chunkBytes || s.ResidentBlocks != 0 {
+		t.Fatalf("%d bytes, %d blocks after Abandon; want the one free chunk and no block", s.ResidentBytes, s.ResidentBlocks)
+	}
+	if g := p.Reserve(100); &g.Chunk(0)[0] != buf {
+		t.Fatalf("the abandoned frame's chunk was not reused")
 	}
 }
 
 // TestConcurrentAccess: readers fault, hold and check blocks while eviction
-// recycles buffers under them. Every block is filled with its own key's
-// value, so a buffer recycled while a reader still has it pinned shows up as
+// recycles chunks under them. Every block is filled with its own key's
+// value, so a chunk recycled while a reader still has it pinned shows up as
 // a wrong value (and as a data race under -race).
 func TestConcurrentAccess(t *testing.T) {
 	p := New(64 * 128 * 8)
@@ -217,13 +283,10 @@ func TestConcurrentAccess(t *testing.T) {
 				want := float64(k.Col*1000 + uint64(k.Block))
 				f := p.Pin(k)
 				if f == nil {
-					f = putPinned(p, k, 64+int(k.Block)%65, want)
+					f = putPinned(p, k, 1+int(k.Block)*37%300, want)
 				}
-				for _, v := range f.Vals {
-					if v != want {
-						t.Errorf("block %v holds %v while pinned, want %v", k, v, want)
-						break
-					}
+				if !holds(f, want) {
+					t.Errorf("block %v changed while pinned, want all %v", k, want)
 				}
 				p.Unpin(f)
 			}
@@ -241,24 +304,22 @@ func TestConcurrentAccess(t *testing.T) {
 
 // TestPinnedBlockSurvivesPressure is the pool's safety contract: a pinned
 // block stays cached and intact under any eviction pressure, a budget cut or
-// an invalidation of its column; its buffer is recycled only after the unpin.
+// an invalidation of its column; its chunks are recycled only after the unpin.
 func TestPinnedBlockSurvivesPressure(t *testing.T) {
 	p := New(128 * 8) // single-block budget
 	k0 := Key{Col: 1, Block: 0}
 	held := putPinned(p, k0, 128, 42)
-	buf := &held.Vals[0]
+	buf := &held.Chunk(0)[0]
 	intact := func(when string) {
 		t.Helper()
-		for i, v := range held.Vals {
-			if v != 42 {
-				t.Fatalf("held[%d] = %v %s; a pinned block must stay intact", i, v, when)
-			}
+		if !holds(held, 42) {
+			t.Fatalf("the held block changed %s; a pinned block must stay intact", when)
 		}
 	}
 	for i := uint32(1); i < 5; i++ {
 		f := putPinned(p, Key{Col: 2, Block: i}, 128, 0)
-		if &f.Vals[0] == buf {
-			t.Fatalf("fault %d was handed the pinned block's buffer", i)
+		if &f.Chunk(0)[0] == buf {
+			t.Fatalf("fault %d was handed the pinned block's chunk", i)
 		}
 		p.Unpin(f)
 	}
@@ -276,7 +337,7 @@ func TestPinnedBlockSurvivesPressure(t *testing.T) {
 	}
 	p.Unpin(held) // the second pin still holds it
 	f := putPinned(p, Key{Col: 2, Block: 9}, 128, 0)
-	if &f.Vals[0] == buf {
+	if &f.Chunk(0)[0] == buf {
 		t.Fatalf("a block with one of two pins left was recycled")
 	}
 	p.Unpin(f)
@@ -290,10 +351,10 @@ func TestPinnedBlockSurvivesPressure(t *testing.T) {
 	// Unpinned and still cached, the next fault takes its buffer.
 	q := New(128 * 8)
 	g := putPinned(q, k0, 128, 42)
-	gbuf := &g.Vals[0]
+	gbuf := &g.Chunk(0)[0]
 	q.Unpin(g)
-	if f := putPinned(q, Key{Col: 2}, 128, 0); &f.Vals[0] != gbuf {
-		t.Fatalf("an unpinned victim's buffer was not recycled")
+	if f := putPinned(q, Key{Col: 2}, 128, 0); &f.Chunk(0)[0] != gbuf {
+		t.Fatalf("an unpinned victim's chunk was not recycled")
 	}
 	if s := q.Stats(); pinned(q) != 1 || s.ResidentBlocks != 1 {
 		t.Fatalf("%d blocks resident, %d pinned; want 1 and 1", s.ResidentBlocks, pinned(q))
@@ -324,10 +385,10 @@ func ExamplePool() {
 	f := p.Pin(k)
 	if f == nil { // a miss: reserve a frame, decode the block into it, publish
 		f = p.Reserve(3)
-		copy(f.Vals, []float64{1, 2, 3})
+		copy(f.Chunk(0), []float64{1, 2, 3})
 		f = p.Publish(k, f)
 	}
-	fmt.Println(len(f.Vals))
+	fmt.Println(f.Len(), f.At(2))
 	p.Unpin(f)
-	// Output: 3
+	// Output: 3 3
 }

@@ -262,7 +262,7 @@ func (s *Store) Metrics() *MetricsRegistry {
 		func() float64 { return float64(s.coord.StorageStats().Pool.Misses) })
 	r.CounterFunc(MetricPagePoolEvictions, "Decoded blocks evicted by the clock sweep (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().Pool.Evictions) })
-	r.GaugeFunc(MetricPagePoolResidentBytes, "Decoded value bytes resident in the buffer pools (all shards).",
+	r.GaugeFunc(MetricPagePoolResidentBytes, "Bytes the buffer pools own: the chunks of cached and reserved blocks, and free chunks kept for later faults (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().Pool.ResidentBytes) })
 	r.GaugeFunc(MetricPagePoolBudgetBytes, "Configured buffer pool budget (all shards; 0 = unbounded).",
 		func() float64 { return float64(s.coord.StorageStats().Pool.BudgetBytes) })

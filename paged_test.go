@@ -2,6 +2,8 @@ package grove
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -64,6 +66,28 @@ func pagedCorpus(t *testing.T, st *Store, n int) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// raggedColumns adds records whose columns end where pagedCorpus's do not:
+// E→F runs a block and 300 values, so its tail ends mid-chunk; F→G ends one
+// value into its second chunk, G→H after 37 values, and H→I holds one.
+func raggedColumns(t *testing.T, st *Store) {
+	t.Helper()
+	lens := []struct {
+		from, to string
+		n        int
+	}{{"E", "F", 4096 + 300}, {"F", "G", 129}, {"G", "H", 37}, {"H", "I", 1}}
+	for i := 0; i < lens[0].n; i++ {
+		rec := NewRecord()
+		for j, e := range lens {
+			if i < e.n {
+				if err := rec.SetEdge(e.from, e.to, float64(i)*1.25+float64(j)/3); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st.Add(rec)
 	}
 }
 
@@ -215,6 +239,53 @@ func TestPagedBitIdentical(t *testing.T) {
 		if math.Float64bits(wf[i]) != math.Float64bits(gf[i]) {
 			t.Fatalf("named measure row %d: %x want %x", i, math.Float64bits(gf[i]), math.Float64bits(wf[i]))
 		}
+	}
+}
+
+// TestPagePoolGaugeHonoursACut: the pool's resident gauge counts every chunk
+// the pool owns, the free ones kept for later faults included, and a budget
+// cut lets go of those beyond the new budget: once the readers have unpinned,
+// the gauge is at most the budget.
+func TestPagePoolGaugeHonoursACut(t *testing.T) {
+	mem := Open()
+	pagedCorpus(t, mem, 3*4096/2+37)
+	raggedColumns(t, mem)
+	dir := t.TempDir()
+	if err := mem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	gauge := func() int64 {
+		t.Helper()
+		const name = MetricPagePoolResidentBytes + " "
+		for _, line := range strings.Split(metricsText(t, loaded), "\n") {
+			if v, ok := strings.CutPrefix(line, name); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return int64(f)
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	logical := loaded.StorageStats().LogicalBytes
+	loaded.SetPageCacheBytes(logical / 4)
+	for _, path := range [][]string{{"A", "B", "C", "D", "E"}, {"E", "F", "G", "H"}, {"F", "G", "H", "I"}, {"D", "E", "F"}} {
+		collectAnswers(t, loaded, path...)
+	}
+	if g, pool := gauge(), loaded.StorageStats().Pool; g != pool.ResidentBytes || g == 0 || g > logical/4 {
+		t.Fatalf("at a quarter of the data: gauge %d, pool stats %d, budget %d", g, pool.ResidentBytes, logical/4)
+	}
+	cut := logical / 100
+	loaded.SetPageCacheBytes(cut)
+	if g := gauge(); g > cut {
+		t.Fatalf("after a cut to %d bytes the gauge reads %d", cut, g)
 	}
 }
 

@@ -248,14 +248,16 @@ func TestRaceViewListingsAgainstViewChanges(t *testing.T) {
 
 // TestRacePagedBatchAtOnePercent: batch workers and scalar scans share one
 // buffer pool at 1% of the measures, so every one of them faults, pins and
-// unpins blocks while the others' faults evict and recycle buffers, and while
-// the budget is cut to nothing and restored under them. A buffer recycled
-// under a reader that still has it pinned would be a wrong cell here and a
-// data race to the detector; every answer must be bit-identical to the
-// in-memory store's, and no block may stay pinned once the readers are done.
+// unpins blocks while the others' faults evict and recycle chunks between
+// blocks of unlike lengths, and while the budget is cut to nothing and
+// restored under them. A chunk recycled under a reader that still has it
+// pinned would be a wrong cell here and a data race to the detector; every
+// answer must be bit-identical to the in-memory store's, and no block may
+// stay pinned once the readers are done.
 func TestRacePagedBatchAtOnePercent(t *testing.T) {
 	mem := Open()
 	pagedCorpus(t, mem, 3*4096/2+37)
+	raggedColumns(t, mem)
 	dir := t.TempDir()
 	if err := mem.Save(dir); err != nil {
 		t.Fatal(err)
@@ -272,6 +274,8 @@ func TestRacePagedBatchAtOnePercent(t *testing.T) {
 		PathOf("A", "B", "C", "D", "E").ToGraph(), PathOf("A", "B", "C").ToGraph(),
 		PathOf("B", "C", "D").ToGraph(), PathOf("C", "D", "E").ToGraph(),
 		PathOf("C", "D").ToGraph(), PathOf("D", "E").ToGraph(),
+		PathOf("E", "F").ToGraph(), PathOf("E", "F", "G", "H").ToGraph(),
+		PathOf("F", "G", "H", "I").ToGraph(),
 	}
 	funcs := []AggFunc{Sum, Min, Max}
 	wantRows := make([][]*AggResult, len(funcs))
@@ -279,6 +283,11 @@ func TestRacePagedBatchAtOnePercent(t *testing.T) {
 	for fi, f := range funcs {
 		if wantRows[fi], err = mem.AggregateBatch(graphs, f, 1); err != nil {
 			t.Fatal(err)
+		}
+		for gi, res := range wantRows[fi] {
+			if len(res.RecordIDs) == 0 {
+				t.Fatalf("graph %d matches no record; its columns would go unread", gi)
+			}
 		}
 		for _, g := range graphs {
 			sc, err := mem.AggregateScalar(g, f)
