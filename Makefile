@@ -8,15 +8,17 @@ build:
 test: build
 	$(GO) test ./...
 
-# Project-specific static analysis (internal/lint via cmd/grovevet). Two
-# tiers: per-function syntax/type checks (the colstore lock protocol, dropped
-# errors, fsio-mediated persistence I/O, metric naming, the stdlib-only
-# dependency policy, sync/atomic hygiene) and interprocedural dataflow over a
-# module-wide call graph (context threading, goroutine join/recovery, lock
-# ordering and blocking-under-lock, compiler-verified allocation-free
-# //grove:hotpath functions). Exits non-zero on findings; -deadline doubles
-# as the lint-runtime smoke — the whole suite, including the hotalloc
-# `go build -gcflags=-m` pass, must finish inside 30s or the gate fails.
+# Project-specific static analysis (internal/lint via cmd/grovevet), nine
+# analyzers in two tiers: per-function syntax/type checks (the colstore lock
+# protocol, dropped errors, fsio-mediated persistence I/O, metric naming, the
+# stdlib-only dependency policy, mixed atomic/plain field access) and
+# interprocedural dataflow over a module-wide call graph (goroutine
+# join/recovery, lock ordering and blocking-under-lock, compiler-verified
+# allocation-free //grove:hotpath functions). Copied locks are go vet's
+# -copylocks check, which `make check` runs first. Exits non-zero on
+# findings; -deadline doubles as the lint-runtime smoke — the whole suite,
+# including the hotalloc `go build -gcflags=-m` pass, must finish inside 30s
+# or the gate fails.
 lint:
 	$(GO) run ./cmd/grovevet -deadline 30s
 

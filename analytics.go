@@ -60,11 +60,15 @@ func Summarize(values []float64) Summary {
 // with the returned record ids. Both sub-aggregations reuse any SUM/COUNT
 // aggregate views independently.
 func (s *Store) AveragePath(nodes ...string) (recordIDs []uint32, avgs []float64, err error) {
-	sumRes, err := s.AggregatePath(Sum, nodes...)
+	if len(nodes) < 2 {
+		return nil, nil, errShortPath
+	}
+	g := PathOf(nodes...).ToGraph()
+	sumRes, err := s.Aggregate(g, Sum)
 	if err != nil {
 		return nil, nil, err
 	}
-	countRes, err := s.AggregatePath(Count, nodes...)
+	countRes, err := s.Aggregate(g, Count)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -51,10 +51,10 @@ func TestAveragePathUsesViews(t *testing.T) {
 	st := buildSCMStore(t)
 	// Materialize SUM and COUNT views over the same subpath; AVG must still
 	// be exact.
-	if err := st.MaterializeAggViewPath("s", Sum, "A", "D", "E"); err != nil {
+	if err := st.MaterializeAggViewPath("s", Sum, "", "A", "D", "E"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MaterializeAggViewPath("c", Count, "A", "D", "E"); err != nil {
+	if err := st.MaterializeAggViewPath("c", Count, "", "A", "D", "E"); err != nil {
 		t.Fatal(err)
 	}
 	_, avgs, err := st.AveragePath("A", "D", "E", "G", "I")
@@ -92,7 +92,7 @@ func TestSummarizeByTag(t *testing.T) {
 	if err := st.Tag(2, "type", "regular"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.AggregatePath(Sum, "A", "D", "E", "G")
+	res, err := st.Aggregate(PathOf("A", "D", "E", "G").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSummarizeByTagUntaggedGroup(t *testing.T) {
 	if err := st.Tag(0, "type", "fast"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.AggregatePath(Sum, "A", "D", "E", "G")
+	res, err := st.Aggregate(PathOf("A", "D", "E", "G").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}

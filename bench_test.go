@@ -9,6 +9,7 @@
 package grove_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -91,7 +92,7 @@ func BenchmarkFig3a_DatasetSize(b *testing.B) {
 		for i, q := range queries {
 			elems[i] = q.Elements()
 		}
-		for _, sys := range bench.AllSystems(ds) {
+		for _, sys := range bench.AllSystems(context.Background(), ds) {
 			b.Run(fmt.Sprintf("records=%d/%s", spec.NumRecords, sys.Name()), func(b *testing.B) {
 				matched := 0
 				for i := 0; i < b.N; i++ {
@@ -109,7 +110,7 @@ func BenchmarkFig3a_DatasetSize(b *testing.B) {
 // from 1 to 1000 edges (Fig. 3b).
 func BenchmarkFig3b_QuerySize(b *testing.B) {
 	ny, _ := fixtures(b)
-	sys := bench.NewColumnSystem(ny)
+	sys := bench.NewColumnSystem(context.Background(), ny)
 	for _, qe := range []int{1, 10, 100, 1000} {
 		queries := ny.Gen.UniformQueries(20, qe)
 		elems := make([][]graph.EdgeKey, len(queries))
@@ -135,7 +136,7 @@ func BenchmarkFig3c_Density(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys := bench.NewColumnSystem(ds)
+		sys := bench.NewColumnSystem(context.Background(), ds)
 		queries := ds.Gen.UniformQueries(20, int(density*40))
 		elems := make([][]graph.EdgeKey, len(queries))
 		for i, q := range queries {
@@ -159,7 +160,7 @@ func BenchmarkFig4_DiskSpace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sys := range bench.AllSystems(ds) {
+	for _, sys := range bench.AllSystems(context.Background(), ds) {
 		b.Run(sys.Name(), func(b *testing.B) {
 			var total int64
 			for i := 0; i < b.N; i++ {
@@ -179,7 +180,7 @@ func BenchmarkFig5_EdgeDomain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys := bench.NewColumnSystem(ds)
+		sys := bench.NewColumnSystem(context.Background(), ds)
 		queries := ds.Gen.UniformQueries(20, 10)
 		elems := make([][]graph.EdgeKey, len(queries))
 		for i, q := range queries {
@@ -207,7 +208,7 @@ func BenchmarkFig6_GraphViews(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -236,7 +237,7 @@ func BenchmarkFig7_AggViews(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				if _, err := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum)); err != nil {
+				if _, err := eng.ExecutePathAggQueryContext(context.Background(), query.NewPathAggQuery(qg, query.Sum)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +264,7 @@ func BenchmarkFig8_Zipf(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -345,7 +346,7 @@ func BenchmarkFig11_GIndexAgg(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				if _, err := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum)); err != nil {
+				if _, err := eng.ExecutePathAggQueryContext(context.Background(), query.NewPathAggQuery(qg, query.Sum)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -86,9 +87,10 @@ func main() {
 		experiments = []bench.Experiment{e}
 	}
 
+	ctx := context.Background()
 	for _, e := range experiments {
 		fmt.Fprintf(os.Stderr, "running %s: %s ...\n", e.ID, e.Description)
-		tab, err := e.Run(sc)
+		tab, err := e.Run(ctx, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)

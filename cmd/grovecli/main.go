@@ -297,8 +297,8 @@ func info(st *grove.Store) {
 	}
 	fmt.Println()
 	fmt.Printf("payload bytes:   %d base + %d views\n", s.BaseSizeBytes, s.ViewSizeBytes)
-	fmt.Printf("graph views:     %d  %s\n", s.GraphViews, strings.Join(st.ViewNames(), " "))
-	fmt.Printf("aggregate views: %d  %s\n", s.AggregateViews, strings.Join(st.AggViewNames(), " "))
+	fmt.Printf("graph views:     %d  %s\n", len(s.ViewNames), strings.Join(s.ViewNames, " "))
+	fmt.Printf("aggregate views: %d  %s\n", len(s.AggViewNames), strings.Join(s.AggViewNames, " "))
 	if len(s.TagKeys) > 0 {
 		fmt.Printf("tag keys:        %s\n", strings.Join(s.TagKeys, " "))
 	}
@@ -346,7 +346,7 @@ func logReplay(st *grove.Store) {
 }
 
 func match(st *grove.Store, nodes []string, limit int) {
-	res, err := st.MatchPath(nodes...)
+	res, err := st.Match(grove.PathOf(nodes...).ToGraph())
 	if err != nil {
 		fatal(err)
 	}
@@ -365,7 +365,7 @@ func aggregate(st *grove.Store, fname string, nodes []string, limit int) {
 	if !ok {
 		fatal(fmt.Errorf("unknown aggregate function %q (SUM|MIN|MAX|COUNT)", fname))
 	}
-	res, err := st.AggregatePath(f, nodes...)
+	res, err := st.Aggregate(grove.PathOf(nodes...).ToGraph(), f)
 	if err != nil {
 		fatal(err)
 	}
@@ -422,7 +422,7 @@ func summary(st *grove.Store, fname string, nodes []string) {
 	if !ok {
 		fatal(fmt.Errorf("unknown aggregate function %q", fname))
 	}
-	res, err := st.AggregatePath(f, nodes...)
+	res, err := st.Aggregate(grove.PathOf(nodes...).ToGraph(), f)
 	if err != nil {
 		fatal(err)
 	}
@@ -546,12 +546,13 @@ func tagRecord(st *grove.Store, dir, recStr, key, value string) {
 }
 
 func listViews(st *grove.Store) {
+	s := st.Stats()
 	fmt.Println("graph views:")
-	for _, v := range st.ViewNames() {
+	for _, v := range s.ViewNames {
 		fmt.Printf("  %s\n", v)
 	}
 	fmt.Println("aggregate views:")
-	for _, v := range st.AggViewNames() {
+	for _, v := range s.AggViewNames {
 		fmt.Printf("  %s\n", v)
 	}
 }
@@ -571,7 +572,7 @@ func addAggView(st *grove.Store, dir, name, fname string, nodes []string) {
 	if !ok {
 		fatal(fmt.Errorf("unknown aggregate function %q", fname))
 	}
-	if err := st.MaterializeAggViewPath(name, f, nodes...); err != nil {
+	if err := st.MaterializeAggViewPath(name, f, "", nodes...); err != nil {
 		fatal(err)
 	}
 	if err := st.Save(dir); err != nil {

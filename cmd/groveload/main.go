@@ -94,14 +94,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "groveload:", err)
 		os.Exit(1)
 	}
-	st := openStore(*out, *shards, walled, walCfg)
+	st := openStore(*out, *shards, *keep, walled, walCfg)
 	for _, rec := range ds.Records {
 		if _, err := st.Append(rec); err != nil {
 			fmt.Fprintln(os.Stderr, "groveload:", err)
 			os.Exit(1)
 		}
 	}
-	saveStore(st, *out, *keep)
+	saveStore(st, *out)
 	sz, err := diskSize(*out)
 	if err != nil {
 		sz = -1
@@ -129,9 +129,10 @@ func diskSize(dir string) (int64, error) {
 
 // openStore creates the store every ingest goes through. With walled set,
 // EnableWAL bootstraps out with an empty snapshot and fresh logs first, so
-// every record takes the logged Append path.
-func openStore(out string, shards int, walled bool, walCfg grove.WALConfig) *grove.Store {
-	st := grove.NewSharded(shards)
+// every record takes the logged Append path. keep is the number of snapshot
+// generations Save retains.
+func openStore(out string, shards, keep int, walled bool, walCfg grove.WALConfig) *grove.Store {
+	st := grove.NewSharded(shards, grove.WithSnapshotKeep(keep))
 	if walled {
 		if err := st.EnableWAL(out, walCfg); err != nil {
 			fmt.Fprintln(os.Stderr, "groveload:", err)
@@ -144,11 +145,9 @@ func openStore(out string, shards int, walled bool, walCfg grove.WALConfig) *gro
 // saveStore commits the ingested store to out through Store.Save — the one
 // save path, whatever the shard count; on a WAL-logged store it is the
 // checkpoint that folds the log into the snapshot.
-func saveStore(st *grove.Store, out string, keep int) {
+func saveStore(st *grove.Store, out string) {
 	st.Optimize()
-	st.SetSnapshotKeep(keep)
-	if st.WALEnabled() {
-		ws := st.WALStats()
+	if ws := st.WALStats(); ws.Enabled {
 		fmt.Fprintf(os.Stderr, "wal: %d appends, %d bytes, %d fsyncs (policy %s)\n",
 			ws.Appends, ws.AppendedBytes, ws.Fsyncs, ws.Policy)
 	}
@@ -165,13 +164,13 @@ func importTraces(input, out string, keep, shards int, walled bool, walCfg grove
 		os.Exit(1)
 	}
 	defer f.Close()
-	st := openStore(out, shards, walled, walCfg)
+	st := openStore(out, shards, keep, walled, walCfg)
 	n, err := st.ImportTraces(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "groveload:", err)
 		os.Exit(1)
 	}
-	saveStore(st, out, keep)
+	saveStore(st, out)
 	fmt.Printf("imported %d trace records (%d distinct edges) into %s\n",
-		n, st.NumEdges(), out)
+		n, st.Stats().DistinctEdges, out)
 }

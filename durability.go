@@ -67,8 +67,8 @@ func (s *Store) EnableWAL(dir string, cfg WALConfig) error {
 
 // OpenDurable opens a write-ahead-logged store at dir: an existing store
 // loads (replaying its log), an absent one is created, and either way WAL is
-// enabled with cfg before OpenDurable returns. It is the one-call durable
-// lifecycle:
+// enabled with cfg before OpenDurable returns; opts configure the store on
+// either path. It is the one-call durable lifecycle:
 //
 //	st, _ := grove.OpenDurable(dir, grove.WALConfig{Policy: grove.SyncAlways})
 //	st.Append(rec)        // durable once it returns
@@ -79,7 +79,7 @@ func OpenDurable(dir string, cfg WALConfig, opts ...Option) (*Store, error) {
 	var st *Store
 	if shard.Exists(dir) {
 		var err error
-		if st, err = LoadStore(dir); err != nil {
+		if st, err = LoadStore(dir, opts...); err != nil {
 			return nil, err
 		}
 	} else {
@@ -96,17 +96,12 @@ func OpenDurable(dir string, cfg WALConfig, opts ...Option) (*Store, error) {
 // valid) but NOT guaranteed durable. Without WAL it never errors.
 func (s *Store) Append(rec *Record) (uint32, error) { return s.coord.Append(rec) }
 
-// AppendEdge adds one edge (or node, when from == to) with a default-measure
-// value to an existing record. The record's membership in every matching
-// view updates incrementally — a new edge that completes a view's defining
-// query ORs the record into that view's bitmap, and aggregate views
-// recompute the record's pre-aggregated measure.
-func (s *Store) AppendEdge(rec uint32, from, to string, v float64) error {
-	return s.coord.AppendEdge(rec, from, to, "", v, true)
-}
-
-// AppendEdgeMeasure is AppendEdge under a named measure ("" = default).
-func (s *Store) AppendEdgeMeasure(rec uint32, from, to, measure string, v float64) error {
+// AppendEdge adds one edge (or node, when from == to) with a value under
+// measure ("" = default) to an existing record. The record's membership in
+// every matching view updates incrementally — a new edge that completes a
+// view's defining query ORs the record into that view's bitmap, and
+// aggregate views recompute the record's pre-aggregated measure.
+func (s *Store) AppendEdge(rec uint32, from, to, measure string, v float64) error {
 	return s.coord.AppendEdge(rec, from, to, measure, v, true)
 }
 
@@ -115,11 +110,9 @@ func (s *Store) AppendBareEdge(rec uint32, from, to string) error {
 	return s.coord.AppendEdge(rec, from, to, "", 0, false)
 }
 
-// WALEnabled reports whether a write-ahead log is attached.
-func (s *Store) WALEnabled() bool { return s.coord.WALEnabled() }
-
-// WALStats snapshots the write-ahead log counters: appended records/bytes,
-// fsyncs, truncations, replayed ops, per-shard LSN ranges.
+// WALStats snapshots the write-ahead log counters: whether a log is attached
+// (Enabled), appended records/bytes, fsyncs, truncations, replayed ops,
+// per-shard LSN ranges.
 func (s *Store) WALStats() WALStats { return s.coord.WALStats() }
 
 // WALError returns the first sticky write-ahead log failure, if any: non-nil

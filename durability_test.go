@@ -123,7 +123,7 @@ func stateDigest(t *testing.T, st *Store) string {
 	t.Helper()
 	var b strings.Builder
 	n := st.NumRecords()
-	ns := uint32(st.NumShards())
+	ns := uint32(st.Stats().Shards)
 	fmt.Fprintf(&b, "records=%d\n", n)
 	for id := uint32(0); int(id) < n; id++ {
 		u := st.coord.Unit(int(id % ns))
@@ -257,7 +257,7 @@ func fillWALBase(t *testing.T, st *Store) {
 	if err := st.MaterializeView("v", PathOf("a", "b", "c").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.MaterializeAggViewPath("sv", Sum, "a", "b", "c"); err != nil {
+	if err := st.MaterializeAggViewPath("sv", Sum, "", "a", "b", "c"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,8 +306,8 @@ func walOps() []walOp {
 			_, err := st.Append(r)
 			return err
 		}},
-		{"edge-completes-0", func(st *Store) error { return st.AppendEdge(0, "b", "c", 5) }},
-		{"edge-named-3", func(st *Store) error { return st.AppendEdgeMeasure(3, "b", "c", "cost", 7) }},
+		{"edge-completes-0", func(st *Store) error { return st.AppendEdge(0, "b", "c", "", 5) }},
+		{"edge-named-3", func(st *Store) error { return st.AppendEdge(3, "b", "c", "cost", 7) }},
 		{"bare-edge-2", func(st *Store) error { return st.AppendBareEdge(2, "y", "z") }},
 		{"tag-0", func(st *Store) error { return st.Tag(0, "type", "hot") }},
 		{"delete-1", func(st *Store) error {
@@ -332,7 +332,7 @@ func walOps() []walOp {
 			return nil
 		}},
 		{"tag-4", func(st *Store) error { return st.Tag(4, "kind", "cold") }},
-		{"edge-completes-4", func(st *Store) error { return st.AppendEdge(4, "b", "c", 1) }},
+		{"edge-completes-4", func(st *Store) error { return st.AppendEdge(4, "b", "c", "", 1) }},
 		{"delete-2", func(st *Store) error {
 			_, err := st.Delete(2)
 			return err
@@ -606,7 +606,7 @@ func TestOpenDurableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.WALEnabled() {
+	if !st.WALStats().Enabled {
 		t.Fatal("OpenDurable did not enable WAL")
 	}
 	r := NewRecord()
@@ -615,7 +615,7 @@ func TestOpenDurableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendEdge(id, "b", "c", 2); err != nil {
+	if err := st.AppendEdge(id, "b", "c", "", 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -754,7 +754,7 @@ func TestWALGenMismatchSkipped(t *testing.T) {
 	if ws.ReplayedOps != 0 || ws.SkippedLogs != 1 {
 		t.Fatalf("stats = %+v, want 0 replayed / 1 skipped", ws)
 	}
-	if st.NumDeleted() != 0 {
+	if st.Stats().Deleted != 0 {
 		t.Fatal("a stale-generation log's delete was applied")
 	}
 	// The stale log survives on disk for inspection.
@@ -806,7 +806,7 @@ func TestIncrementalViewDifferential(t *testing.T) {
 	if err := rebuilt.MaterializeView("v", PathOf("a", "b", "c").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuilt.MaterializeAggViewPath("sv", Sum, "a", "b", "c"); err != nil {
+	if err := rebuilt.MaterializeAggViewPath("sv", Sum, "", "a", "b", "c"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rebuilt.Delete(2); err != nil {
@@ -942,7 +942,7 @@ func TestOneDurabilityPath(t *testing.T) {
 					if err != nil {
 						t.Fatalf("shard.LoadFS(%s): %v", dir, err)
 					}
-					if got := stateDigest(t, newStore(co)); got != live {
+					if got := stateDigest(t, newStore(co, options{})); got != live {
 						t.Errorf("shard.LoadFS(%s) diverged from live:\n%s\nwant:\n%s", dir, got, live)
 					}
 				}
@@ -982,16 +982,16 @@ func TestShadowedSaveRefused(t *testing.T) {
 				t.Fatalf("err = %v, want ErrShadowedSave", err)
 			}
 			sameTree(t, "refused save touched the directory", treeBytes(t, dir), before)
-			if got := mustLoad(t, dir); got.NumShards() != 2 || got.NumRecords() != 4 {
-				t.Fatalf("directory now loads as shards=%d records=%d", got.NumShards(), got.NumRecords())
+			if got := mustLoad(t, dir); got.Stats().Shards != 2 || got.NumRecords() != 4 {
+				t.Fatalf("directory now loads as shards=%d records=%d", got.Stats().Shards, got.NumRecords())
 			}
 			// The same store commits fine into a directory of its own.
 			own := filepath.Join(t.TempDir(), "own")
 			if err := st.Save(own); err != nil {
 				t.Fatal(err)
 			}
-			if got := mustLoad(t, own); got.NumShards() != 1 || got.NumRecords() != 1 {
-				t.Fatalf("own directory loads as shards=%d records=%d", got.NumShards(), got.NumRecords())
+			if got := mustLoad(t, own); got.Stats().Shards != 1 || got.NumRecords() != 1 {
+				t.Fatalf("own directory loads as shards=%d records=%d", got.Stats().Shards, got.NumRecords())
 			}
 		})
 	}

@@ -32,9 +32,9 @@ func load() *grove.Store {
 	return st
 }
 
-func ExampleStore_MatchPath() {
+func ExampleStore_Match() {
 	st := load()
-	res, err := st.MatchPath("A", "C", "E")
+	res, err := st.Match(grove.PathOf("A", "C", "E").ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func ExampleStore_MatchPath() {
 	// Output: records containing path [A,C,E]: [0 1]
 }
 
-func ExampleStore_AggregatePath() {
+func ExampleStore_Aggregate() {
 	st := load()
 	// The paper's §3.4 example: SUM along (A,C,E,F) matches only record 2.
-	agg, err := st.AggregatePath(grove.Sum, "A", "C", "E", "F")
+	agg, err := st.Aggregate(grove.PathOf("A", "C", "E", "F").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}

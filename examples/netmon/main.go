@@ -29,21 +29,21 @@ func main() {
 	}
 	st := ds.Store
 	fmt.Printf("loaded %d flow traces over %d distinct overlay links\n\n",
-		st.NumRecords(), st.NumEdges())
+		st.NumRecords(), st.Stats().DistinctEdges)
 
 	// Pick a frequently-used corridor from the walk pool.
 	corridor := ds.QueryPath(3)
 	fmt.Printf("corridor under investigation: %v\n", corridor)
 
 	// Which flows crossed the whole corridor?
-	res, err := st.MatchPath(corridor...)
+	res, err := st.Match(grove.PathOf(corridor...).ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("flows crossing the full corridor: %d\n", res.NumRecords())
 
 	// Total MB per flow along the corridor, and the top-3 heaviest flows.
-	agg, err := st.AggregatePath(grove.Sum, corridor...)
+	agg, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// Hottest single link of the corridor (MAX leg per flow, max over flows).
-	hot, err := st.AggregatePath(grove.Max, corridor...)
+	hot, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Max)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,16 +83,16 @@ func main() {
 	// the nightly report re-runs the SUM for every corridor in the watch
 	// list, so materialize and compare I/O.
 	st.ResetIOStats()
-	if _, err := st.AggregatePath(grove.Sum, corridor...); err != nil {
+	if _, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Sum); err != nil {
 		log.Fatal(err)
 	}
 	before := st.IOStatsSnapshot().ColumnsFetched()
 
-	if err := st.MaterializeAggViewPath("corridor", grove.Sum, corridor...); err != nil {
+	if err := st.MaterializeAggViewPath("corridor", grove.Sum, "", corridor...); err != nil {
 		log.Fatal(err)
 	}
 	st.ResetIOStats()
-	if _, err := st.AggregatePath(grove.Sum, corridor...); err != nil {
+	if _, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Sum); err != nil {
 		log.Fatal(err)
 	}
 	after := st.IOStatsSnapshot().ColumnsFetched()

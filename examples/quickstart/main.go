@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// §3.4: SUM along path (A,C,E,F) — only record 2 contains it, total 7.
-	agg, err := st.AggregatePath(grove.Sum, "A", "C", "E", "F")
+	agg, err := st.Aggregate(grove.PathOf("A", "C", "E", "F").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,10 +57,11 @@ func main() {
 	if err := st.MaterializeView("bv1", bv1); err != nil {
 		log.Fatal(err)
 	}
-	if err := st.MaterializeAggViewPath("p1", grove.Sum, "E", "F", "G"); err != nil {
+	if err := st.MaterializeAggViewPath("p1", grove.Sum, "", "E", "F", "G"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmaterialized views: %v + aggregate %v\n", st.ViewNames(), st.AggViewNames())
+	views := st.Stats()
+	fmt.Printf("\nmaterialized views: %v + aggregate %v\n", views.ViewNames, views.AggViewNames)
 
 	// A query covered by bv1 now fetches ONE bitmap instead of four.
 	st.ResetIOStats()
@@ -73,7 +74,7 @@ func main() {
 		res.NumRecords(), stats.BitmapColumnsFetched)
 
 	// The aggregate view answers SUM(E,F,G) from the stored column.
-	agg2, err := st.AggregatePath(grove.Sum, "E", "F", "G")
+	agg2, err := st.Aggregate(grove.PathOf("E", "F", "G").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,11 +65,12 @@ func main() {
 		}
 	}
 	st.Optimize()
+	stats := st.Stats()
 	fmt.Printf("loaded %d order traces over %d distinct delivery legs (measures: time + %v)\n\n",
-		st.NumRecords(), st.NumEdges(), st.MeasureNames())
+		stats.Records, stats.DistinctEdges, stats.MeasureNames)
 
 	// Q1: delivery time for all articles shipped via path [A,D,E,G,I].
-	q1, err := st.AggregatePath(grove.Sum, "A", "D", "E", "G", "I")
+	q1, err := st.Aggregate(grove.PathOf("A", "D", "E", "G", "I").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func main() {
 		len(q1.RecordIDs), mean(q1.Values[0]))
 
 	// Q2: delivery COST on the leased legs [C,H] and [F,J,K].
-	costCH, err := st.AggregatePathMeasure(grove.Sum, "cost", "C", "H")
+	costCH, err := st.AggregateMeasure(grove.PathOf("C", "H").ToGraph(), grove.Sum, "cost")
 	if err != nil {
 		log.Fatal(err)
 	}
-	costFJK, err := st.AggregatePathMeasure(grove.Sum, "cost", "F", "J", "K")
+	costFJK, err := st.AggregateMeasure(grove.PathOf("F", "J", "K").ToGraph(), grove.Sum, "cost")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func main() {
 		if p.End() != "I" {
 			continue
 		}
-		q3, err := st.AggregatePath(grove.Max, p.Nodes...)
+		q3, err := st.Aggregate(grove.PathOf(p.Nodes...).ToGraph(), grove.Max)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -123,11 +124,11 @@ func main() {
 	fmt.Printf("Q3: longest single-leg delay to I via region-2 hubs: %.2fh\n", worst)
 
 	// Tag-sliced analysis: fast-track orders on the main corridor.
-	fast, err := st.MatchTagged(grove.PathOf("A", "D", "E", "G").ToGraph(),
-		map[string]string{"type": "fast-track"})
+	corridor, err := st.Match(grove.PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
+	fast := corridor.Answer.And(st.TaggedWith("type", "fast-track"))
 	fmt.Printf("fast-track orders via A→D→E→G: %d\n\n", fast.Cardinality())
 
 	// View advisor session: the analysts' dashboard re-runs the four route

@@ -69,10 +69,10 @@ func main() {
 	}
 	st.Optimize()
 	fmt.Printf("loaded %d process instances (%d rejected) over %d distinct states/transitions\n\n",
-		st.NumRecords(), rejected, st.NumEdges())
+		st.NumRecords(), rejected, st.Stats().DistinctEdges)
 
 	// How many instances went through the happy path?
-	happy, err := st.MatchPath("Received", "Validated", "Approved", "Packed", "Shipped")
+	happy, err := st.Match(grove.PathOf("Received", "Validated", "Approved", "Packed", "Shipped").ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func main() {
 
 	// End-to-end latency per instance: closed path ⇒ node processing times
 	// of every state PLUS transition delays.
-	e2e, err := st.AggregatePath(grove.Sum, "Received", "Validated", "Approved", "Packed", "Shipped")
+	e2e, err := st.Aggregate(grove.PathOf("Received", "Validated", "Approved", "Packed", "Shipped").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	closed, err := st.AggregatePath(grove.Sum, "Approved", "Packed", "Shipped")
+	closed, err := st.Aggregate(grove.PathOf("Approved", "Packed", "Shipped").ToGraph(), grove.Sum)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func main() {
 		grove.Summarize(closed.FoldAcrossPaths()).Mean)
 
 	// Which resubmitted instances (flattened aliases!) still shipped?
-	resub, err := st.MatchPath("Validated", "Received#2")
+	resub, err := st.Match(grove.PathOf("Validated", "Received#2").ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
-	shipped, err := st.MatchPath("Packed", "Shipped")
+	shipped, err := st.Match(grove.PathOf("Packed", "Shipped").ToGraph())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func main() {
 		both.Cardinality(), resub.NumRecords())
 
 	// Longest single processing bottleneck along the happy path per instance.
-	bottleneck, err := st.AggregatePath(grove.Max, "Received", "Validated", "Approved", "Packed", "Shipped")
+	bottleneck, err := st.Aggregate(grove.PathOf("Received", "Validated", "Approved", "Packed", "Shipped").ToGraph(), grove.Max)
 	if err != nil {
 		log.Fatal(err)
 	}

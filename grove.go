@@ -18,8 +18,9 @@
 //	rec.SetEdge("A", "D", 3.5) // shipping leg A→D took 3.5h
 //	st.Add(rec)
 //
-//	res, _ := st.MatchPath("A", "D")      // records routed via A→D
-//	agg, _ := st.AggregatePath(grove.Sum, "A", "D", "E") // total time per record
+//	path := grove.PathOf("A", "D", "E").ToGraph()
+//	res, _ := st.Match(path)                // records routed via A→D→E
+//	agg, _ := st.Aggregate(path, grove.Sum) // total time per record
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package grove
@@ -27,6 +28,7 @@ package grove
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -133,31 +135,87 @@ type Store struct {
 	rec atomic.Pointer[obs.WorkloadRecorder]
 }
 
-// newStore wraps a coordinator as a Store.
-func newStore(c *shard.Coordinator) *Store {
+// newStore wraps a coordinator as a Store and applies the engine
+// configuration once, before any query can run: the settings below have no
+// setter, so a running query never sees them change.
+func newStore(c *shard.Coordinator, o options) *Store {
+	if o.noViews {
+		c.DisableViews()
+	}
+	if o.cache {
+		c.EnableCache(o.cacheCapacity)
+	}
+	if o.snapshotKeep > 0 {
+		c.SetSnapshotKeep(o.snapshotKeep)
+	}
+	if o.parallelPaths {
+		c.EnableParallelPaths()
+	}
 	return &Store{coord: c, rel: c.Unit(0).Rel, reg: c.Registry(), eng: c.Unit(0).Eng}
 }
 
-// Option configures Open.
+// Option configures a store at construction: Open, NewSharded, LoadStore and
+// OpenDurable all accept every option.
 type Option func(*options)
 
 type options struct {
 	partitionWidth int
+	noViews        bool
+	cache          bool
+	cacheCapacity  int
+	snapshotKeep   int
+	parallelPaths  bool
 }
 
-// WithPartitionWidth overrides the vertical partition width (the maximum
-// number of edge columns per sub-relation; default 1000).
-func WithPartitionWidth(w int) Option {
-	return func(o *options) { o.partitionWidth = w }
-}
-
-// Open creates an empty single-shard store.
-func Open(opts ...Option) *Store {
+func parseOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newStore(shard.New(1, o.partitionWidth))
+	return o
+}
+
+// WithPartitionWidth overrides the vertical partition width (the maximum
+// number of edge columns per sub-relation; default 1000). A loaded store
+// keeps the width it was saved with.
+func WithPartitionWidth(w int) Option {
+	return func(o *options) { o.partitionWidth = w }
+}
+
+// WithoutViews turns off view-aware query rewriting: queries read base
+// columns even where a materialized view covers them.
+func WithoutViews() Option {
+	return func(o *options) { o.noViews = true }
+}
+
+// WithResultCache attaches a bounded structural-answer cache (capacity ≤ 0
+// selects a default; a sharded store splits the capacity across per-shard
+// caches). A mutation invalidates only the mutated shard's slice, so cached
+// answers are always exact. Stats().Cache reports its counters.
+func WithResultCache(capacity int) Option {
+	return func(o *options) { o.cache, o.cacheCapacity = true, capacity }
+}
+
+// WithSnapshotKeep sets how many snapshot generations Save retains on disk
+// (older ones are garbage-collected after each successful Save); n < 1 keeps
+// the default of colstore.DefaultSnapshotKeep. Keeping at least two means
+// Load can fall back to the previous generation if the newest is damaged.
+func WithSnapshotKeep(n int) Option {
+	return func(o *options) { o.snapshotKeep = n }
+}
+
+// WithParallelPaths runs the paths of a multi-path aggregation query
+// concurrently. Answers are identical to the sequential plan; it only engages
+// while query tracing is disabled, since a lifecycle trace records per-path
+// phase spans in order.
+func WithParallelPaths() Option {
+	return func(o *options) { o.parallelPaths = true }
+}
+
+// Open creates an empty single-shard store.
+func Open(opts ...Option) *Store {
+	o := parseOptions(opts)
+	return newStore(shard.New(1, o.partitionWidth), o)
 }
 
 // NewSharded creates an empty store partitioned into n shards (n < 1 selects
@@ -166,18 +224,12 @@ func Open(opts ...Option) *Store {
 // every query answer is bit-identical to a single-shard store's. n = 1 is
 // exactly Open.
 func NewSharded(n int, opts ...Option) *Store {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := parseOptions(opts)
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return newStore(shard.New(n, o.partitionWidth))
+	return newStore(shard.New(n, o.partitionWidth), o)
 }
-
-// NumShards returns the store's shard count (1 unless built by NewSharded).
-func (s *Store) NumShards() int { return s.coord.NumShards() }
 
 // Add appends a record, returning its record id. Cyclic records are
 // flattened to DAGs first. Concurrent Adds landing on different shards of a
@@ -249,56 +301,60 @@ func (s *Store) Delete(rec uint32) (bool, error) { return s.coord.Delete(rec) }
 // Undelete restores a soft-deleted record.
 func (s *Store) Undelete(rec uint32) bool { return s.coord.Undelete(rec) }
 
-// NumDeleted returns the number of soft-deleted records across all shards.
-func (s *Store) NumDeleted() int { return s.coord.NumDeleted() }
-
 // NumRecords returns the number of stored records across all shards.
 func (s *Store) NumRecords() int { return s.coord.NumRecords() }
-
-// NumEdges returns the size of the edge-id universe seen so far.
-func (s *Store) NumEdges() int { return s.reg.Len() }
-
-// SizeBytes returns the in-memory payload size (base columns + views) summed
-// across all shards.
-func (s *Store) SizeBytes() int64 { return s.coord.SizeBytes() }
 
 // StoreStats summarizes a store, Table 2 style. All counts and sizes
 // aggregate across every shard of a sharded store.
 type StoreStats struct {
-	Records        int
-	Deleted        int
-	DistinctEdges  int
-	TotalMeasures  int64
-	MeasureNames   []string
-	BaseSizeBytes  int64
-	ViewSizeBytes  int64
-	GraphViews     int
-	AggregateViews int
-	Partitions     int
-	Shards         int
-	TagKeys        []string
+	Records       int
+	Deleted       int // soft-deleted records
+	DistinctEdges int // size of the edge-id universe seen so far
+	TotalMeasures int64
+	// MeasureNames lists the named measures (the default measure is always
+	// present and unnamed).
+	MeasureNames []string
+	// BaseSizeBytes + ViewSizeBytes is the in-memory payload size.
+	BaseSizeBytes int64
+	ViewSizeBytes int64
+	// ViewNames and AggViewNames list the materialized graph and aggregate
+	// views.
+	ViewNames    []string
+	AggViewNames []string
+	Partitions   int
+	Shards       int
+	TagKeys      []string
 	// Storage is the paged-columnar residency breakdown: logical vs.
 	// on-disk vs. resident measure bytes, per-encoding block counts, and
 	// buffer pool counters, summed across shards.
 	Storage StorageStats
+	// Cache holds the result cache's cumulative counters (zero without
+	// WithResultCache).
+	Cache CacheStats
+	// ViewUsage counts, per materialized view (graph and aggregate), how
+	// many times it answered part of a query.
+	ViewUsage map[string]int64
 }
 
 // Stats returns the store's summary statistics, aggregated across shards.
 func (s *Store) Stats() StoreStats {
+	graphViews, aggViews := s.viewNames()
 	return StoreStats{
-		Records:        s.coord.NumRecords(),
-		Deleted:        s.coord.NumDeleted(),
-		DistinctEdges:  s.reg.Len(),
-		TotalMeasures:  s.coord.TotalMeasures(),
-		MeasureNames:   s.coord.MeasureNames(),
-		BaseSizeBytes:  s.coord.BaseSizeBytes(),
-		ViewSizeBytes:  s.coord.ViewSizeBytes(),
-		GraphViews:     len(s.rel.Views()),
-		AggregateViews: len(s.rel.AggViews()),
-		Partitions:     s.coord.MaxPartitions(),
-		Shards:         s.coord.NumShards(),
-		TagKeys:        s.coord.TagKeys(),
-		Storage:        s.coord.StorageStats(),
+		Records:       s.coord.NumRecords(),
+		Deleted:       s.coord.NumDeleted(),
+		DistinctEdges: s.reg.Len(),
+		TotalMeasures: s.coord.TotalMeasures(),
+		MeasureNames:  s.coord.MeasureNames(),
+		BaseSizeBytes: s.coord.BaseSizeBytes(),
+		ViewSizeBytes: s.coord.ViewSizeBytes(),
+		ViewNames:     graphViews,
+		AggViewNames:  aggViews,
+		Partitions:    s.coord.MaxPartitions(),
+		Shards:        s.coord.NumShards(),
+		TagKeys:       s.coord.TagKeys(),
+		Storage:       s.coord.StorageStats(),
+		Cache:         s.coord.CacheStats(),
+		ViewUsage:     s.coord.ViewUsage(),
 	}
 }
 
@@ -341,23 +397,6 @@ func (s *Store) Close() error { return s.coord.Close() }
 // loading.
 func (s *Store) Optimize() { s.coord.Optimize() }
 
-// SetUseViews toggles view-aware query rewriting (on by default).
-func (s *Store) SetUseViews(use bool) { s.coord.SetUseViews(use) }
-
-// SetParallelPaths toggles concurrent per-path aggregation for multi-path
-// aggregation queries (off by default). Answers are identical to the
-// sequential path; it only engages while query tracing is disabled, since a
-// lifecycle trace records per-path phase spans in order.
-func (s *Store) SetParallelPaths(on bool) { s.coord.SetParallelPaths(on) }
-
-// EnableResultCache attaches a bounded structural-answer cache to the store
-// (capacity ≤ 0 selects a default; a sharded store splits the capacity
-// across per-shard caches). A mutation invalidates only the mutated shard's
-// slice, so cached answers are always exact. Pass enable=false to detach.
-func (s *Store) EnableResultCache(enable bool, capacity int) {
-	s.coord.EnableCache(enable, capacity)
-}
-
 // Match answers a graph query: the records containing the query graph. On a
 // sharded store the query fans out across every shard in parallel and the
 // answer is the union of the per-shard answers.
@@ -379,14 +418,6 @@ func (s *Store) MatchContext(ctx context.Context, g *Graph) (*Result, error) {
 	res, err := s.coord.MatchContext(ctx, q)
 	s.recordMatch(rec, q, start, res, err)
 	return res, err
-}
-
-// MatchPath answers a single-path graph query over the given nodes.
-func (s *Store) MatchPath(nodes ...string) (*Result, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("grove: a path query needs at least 2 nodes")
-	}
-	return s.Match(PathOf(nodes...).ToGraph())
 }
 
 // ExecuteBatch answers a batch of graph queries, fanning them across a
@@ -490,14 +521,6 @@ func (s *Store) aggregateQuery(ctx context.Context, q *query.PathAggQuery) (*Agg
 	return res, err
 }
 
-// AggregatePath aggregates f along the single path over the given nodes.
-func (s *Store) AggregatePath(f AggFunc, nodes ...string) (*AggResult, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("grove: a path aggregation needs at least 2 nodes")
-	}
-	return s.Aggregate(PathOf(nodes...).ToGraph(), f)
-}
-
 // AggregateMeasure is Aggregate over a named measure — e.g. fold "cost"
 // instead of the default measure when records carry several measures per
 // element (§3.1).
@@ -505,13 +528,8 @@ func (s *Store) AggregateMeasure(g *Graph, f AggFunc, measure string) (*AggResul
 	return s.aggregateQuery(context.Background(), query.NewPathAggQueryOn(g, f, measure))
 }
 
-// AggregatePathMeasure aggregates a named measure along a single path.
-func (s *Store) AggregatePathMeasure(f AggFunc, measure string, nodes ...string) (*AggResult, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("grove: a path aggregation needs at least 2 nodes")
-	}
-	return s.AggregateMeasure(PathOf(nodes...).ToGraph(), f, measure)
-}
+// errShortPath rejects a path aggregation over fewer than two nodes.
+var errShortPath = errors.New("grove: a path aggregation needs at least 2 nodes")
 
 // AggregateAlong aggregates f along one explicit path, honouring open
 // endpoints: an open end excludes that endpoint node's own measure (§3.3's
@@ -519,7 +537,7 @@ func (s *Store) AggregatePathMeasure(f AggFunc, measure string, nodes ...string)
 // G"). measure selects the measure ("" = default).
 func (s *Store) AggregateAlong(f AggFunc, p Path, measure string) (*AggResult, error) {
 	if len(p.Nodes) < 2 {
-		return nil, fmt.Errorf("grove: a path aggregation needs at least 2 nodes")
+		return nil, errShortPath
 	}
 	return s.aggregateQuery(context.Background(), query.NewPathAggQueryAlong(p, f, measure))
 }
@@ -539,24 +557,6 @@ func (s *Store) AggregateScalar(g *Graph, f AggFunc) (*ScalarAggResult, error) {
 func (s *Store) AggregateScalarContext(ctx context.Context, g *Graph, f AggFunc) (*ScalarAggResult, error) {
 	return s.coord.AggregateScalarContext(ctx, query.NewPathAggQuery(g, f))
 }
-
-// AggregateScalarMeasure is AggregateScalar over a named measure.
-func (s *Store) AggregateScalarMeasure(g *Graph, f AggFunc, measure string) (*ScalarAggResult, error) {
-	return s.coord.AggregateScalarContext(context.Background(), query.NewPathAggQueryOn(g, f, measure))
-}
-
-// AggregateScalarPath folds f along the single path over the given nodes
-// into one scalar.
-func (s *Store) AggregateScalarPath(f AggFunc, nodes ...string) (*ScalarAggResult, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("grove: a path aggregation needs at least 2 nodes")
-	}
-	return s.AggregateScalar(PathOf(nodes...).ToGraph(), f)
-}
-
-// MeasureNames lists the named measures stored across all shards (the
-// default measure is always present and unnamed).
-func (s *Store) MeasureNames() []string { return s.coord.MeasureNames() }
 
 // Expr is a boolean combination of graph queries.
 type Expr = query.Expr
@@ -726,20 +726,6 @@ func (s *Store) TaggedWith(key, value string) *Bitmap {
 	return s.coord.TaggedWith(key, value)
 }
 
-// MatchTagged answers a graph query restricted to records carrying all the
-// given tags.
-func (s *Store) MatchTagged(g *Graph, tags map[string]string) (*Bitmap, error) {
-	res, err := s.Match(g)
-	if err != nil {
-		return nil, err
-	}
-	answer := res.Answer
-	for k, v := range tags {
-		answer = answer.And(s.coord.TaggedWith(k, v))
-	}
-	return answer, nil
-}
-
 // --- materialized views -------------------------------------------------------
 
 // AdvisorOptions tunes view selection.
@@ -800,15 +786,9 @@ func (s *Store) MaterializeView(name string, g *Graph) error {
 	return s.coord.MaterializeView(name, s.reg.GraphIDs(g))
 }
 
-// MaterializeAggViewPath materializes one aggregate view for f along the
-// closed path over the given nodes (default measure).
-func (s *Store) MaterializeAggViewPath(name string, f AggFunc, nodes ...string) error {
-	return s.MaterializeAggViewPathMeasure(name, f, "", nodes...)
-}
-
-// MaterializeAggViewPathMeasure materializes one aggregate view for f over a
-// named measure along the closed path over the given nodes.
-func (s *Store) MaterializeAggViewPathMeasure(name string, f AggFunc, measure string, nodes ...string) error {
+// MaterializeAggViewPath materializes one aggregate view for f over measure
+// ("" = default) along the closed path over the given nodes.
+func (s *Store) MaterializeAggViewPath(name string, f AggFunc, measure string, nodes ...string) error {
 	p := PathOf(nodes...)
 	edges := make([]colstore.EdgeID, 0, p.Len())
 	for _, k := range p.Edges() {
@@ -832,24 +812,15 @@ func (s *Store) ClusterColumns(workload []*Graph) error {
 // DropAllViews removes every materialized view on every shard.
 func (s *Store) DropAllViews() { s.coord.DropAllViews() }
 
-// ViewNames lists materialized graph views.
-func (s *Store) ViewNames() []string {
-	views := s.rel.Views()
-	out := make([]string, len(views))
-	for i, v := range views {
-		out[i] = v.Name
+// viewNames lists the materialized graph and aggregate views by name.
+func (s *Store) viewNames() (graphViews, aggViews []string) {
+	for _, v := range s.rel.Views() {
+		graphViews = append(graphViews, v.Name)
 	}
-	return out
-}
-
-// AggViewNames lists materialized aggregate views.
-func (s *Store) AggViewNames() []string {
-	views := s.rel.AggViews()
-	out := make([]string, len(views))
-	for i, v := range views {
-		out[i] = v.Name
+	for _, v := range s.rel.AggViews() {
+		aggViews = append(aggViews, v.Name)
 	}
-	return out
+	return graphViews, aggViews
 }
 
 // --- persistence & accounting --------------------------------------------------
@@ -880,13 +851,6 @@ func (s *Store) Save(dir string) error {
 // commit and then never be read. Save to a fresh directory instead.
 var ErrShadowedSave = shard.ErrShadowedSave
 
-// SetSnapshotKeep sets how many snapshot generations Save retains on disk
-// (older ones are garbage-collected after each successful Save); n < 1
-// resets to the default of colstore.DefaultSnapshotKeep. Keeping at least
-// two means Load can fall back to the previous generation if the newest is
-// damaged.
-func (s *Store) SetSnapshotKeep(n int) { s.coord.SetSnapshotKeep(n) }
-
 // GenerationInfo describes one on-disk snapshot generation of a saved
 // store, as reported by Generations.
 type GenerationInfo = colstore.GenerationInfo
@@ -912,13 +876,14 @@ func Rollback(dir, gen string) error { return colstore.Rollback(dir, gen) }
 // (wal.log) replays atop it when its header pins the loaded generation,
 // recovering every op the log persisted since the last checkpoint; torn
 // tails stop the replay at the last whole frame. LoadStore never modifies
-// the directory — truncating a torn tail is EnableWAL's job.
-func LoadStore(dir string) (*Store, error) {
+// the directory — truncating a torn tail is EnableWAL's job. opts configure
+// the loaded store as they do Open.
+func LoadStore(dir string, opts ...Option) (*Store, error) {
 	coord, err := shard.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	return newStore(coord), nil
+	return newStore(coord, parseOptions(opts)), nil
 }
 
 // ResetIOStats zeroes the I/O accounting counters on every shard.

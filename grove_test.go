@@ -10,9 +10,9 @@ import (
 var errWrongAnswer = errors.New("wrong answer under concurrency")
 
 // buildSCMStore loads a small supply-chain dataset shaped like paper Fig. 1.
-func buildSCMStore(t *testing.T) *Store {
+func buildSCMStore(t *testing.T, opts ...Option) *Store {
 	t.Helper()
-	st := Open()
+	st := Open(opts...)
 	// Order 1: A→D→E→G→I, 2h per leg.
 	// Order 2: A→B→F→J→K plus C→H→K.
 	// Order 3: A→D→E→G→K, slower legs.
@@ -42,32 +42,33 @@ func TestStoreBasics(t *testing.T) {
 	if st.NumRecords() != 3 {
 		t.Fatalf("NumRecords = %d", st.NumRecords())
 	}
-	if st.NumEdges() != 11 {
-		t.Fatalf("NumEdges = %d, want 11 distinct legs", st.NumEdges())
+	s := st.Stats()
+	if s.DistinctEdges != 11 {
+		t.Fatalf("DistinctEdges = %d, want 11 distinct legs", s.DistinctEdges)
 	}
-	if st.SizeBytes() <= 0 {
-		t.Error("SizeBytes = 0")
+	if s.BaseSizeBytes <= 0 {
+		t.Error("BaseSizeBytes = 0")
 	}
 }
 
 func TestMatchPath(t *testing.T) {
 	st := buildSCMStore(t)
-	res, err := st.MatchPath("A", "D", "E", "G")
+	res, err := st.Match(PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Answer.ToSlice(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("answer = %v, want [0 2]", got)
 	}
-	if _, err := st.MatchPath("A"); err == nil {
-		t.Error("single-node path accepted")
+	if _, err := st.Query("[A]"); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+		t.Errorf("single-node path: err = %v", err)
 	}
 }
 
 func TestAggregatePathQ1(t *testing.T) {
 	// Q1 (§2): delivery time via [A,D,E,G,I].
 	st := buildSCMStore(t)
-	agg, err := st.AggregatePath(Sum, "A", "D", "E", "G", "I")
+	agg, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +78,18 @@ func TestAggregatePathQ1(t *testing.T) {
 	if agg.Values[0][0] != 8 {
 		t.Fatalf("total time = %v, want 8", agg.Values[0][0])
 	}
-	if _, err := st.AggregatePath(Sum, "A"); err == nil {
-		t.Error("single-node aggregation accepted")
+	if _, err := st.AggregateAlong(Sum, PathOf("A"), ""); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+		t.Errorf("single-node aggregation: err = %v", err)
+	}
+	if _, _, err := st.AveragePath("A"); err == nil {
+		t.Error("single-node average accepted")
 	}
 }
 
 func TestQ3StyleMaxOverPaths(t *testing.T) {
 	// Longest leg delay from A to K via the D-E-G route.
 	st := buildSCMStore(t)
-	agg, err := st.AggregatePath(Max, "A", "D", "E", "G", "K")
+	agg, err := st.Aggregate(PathOf("A", "D", "E", "G", "K").ToGraph(), Max)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,53 +116,50 @@ func TestBooleanExpressions(t *testing.T) {
 }
 
 func TestViewsEndToEnd(t *testing.T) {
-	st := buildSCMStore(t)
 	workload := []*Graph{
 		PathOf("A", "D", "E", "G", "I").ToGraph(),
 		PathOf("A", "D", "E", "G", "K").ToGraph(),
 	}
-	names, err := st.MaterializeGraphViews(workload, 3, AdvisorOptions{})
-	if err != nil {
-		t.Fatal(err)
+	fetches := func(st *Store) int {
+		t.Helper()
+		names, err := st.MaterializeGraphViews(workload, 3, AdvisorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) == 0 {
+			t.Fatal("no views selected")
+		}
+		if got := st.Stats().ViewNames; len(got) != len(names) {
+			t.Fatalf("ViewNames = %v", got)
+		}
+		st.ResetIOStats()
+		if _, err := st.Match(PathOf("A", "D", "E", "G", "I").ToGraph()); err != nil {
+			t.Fatal(err)
+		}
+		return st.IOStatsSnapshot().BitmapColumnsFetched
 	}
-	if len(names) == 0 {
-		t.Fatal("no views selected")
-	}
-	if got := st.ViewNames(); len(got) != len(names) {
-		t.Fatalf("ViewNames = %v", got)
-	}
-
-	st.ResetIOStats()
-	if _, err := st.MatchPath("A", "D", "E", "G", "I"); err != nil {
-		t.Fatal(err)
-	}
-	with := st.IOStatsSnapshot().BitmapColumnsFetched
-
-	st.SetUseViews(false)
-	st.ResetIOStats()
-	if _, err := st.MatchPath("A", "D", "E", "G", "I"); err != nil {
-		t.Fatal(err)
-	}
-	without := st.IOStatsSnapshot().BitmapColumnsFetched
+	st := buildSCMStore(t)
+	with := fetches(st)
+	without := fetches(buildSCMStore(t, WithoutViews()))
 	if with >= without {
 		t.Errorf("views did not reduce fetches: %d vs %d", with, without)
 	}
 
 	st.DropAllViews()
-	if len(st.ViewNames()) != 0 {
+	if len(st.Stats().ViewNames) != 0 {
 		t.Error("views survived DropAllViews")
 	}
 }
 
 func TestAggViewsEndToEnd(t *testing.T) {
 	st := buildSCMStore(t)
-	if err := st.MaterializeAggViewPath("deg", Sum, "D", "E", "G"); err != nil {
+	if err := st.MaterializeAggViewPath("deg", Sum, "", "D", "E", "G"); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.AggViewNames(); len(got) != 1 || got[0] != "deg" {
+	if got := st.Stats().AggViewNames; len(got) != 1 || got[0] != "deg" {
 		t.Fatalf("AggViewNames = %v", got)
 	}
-	agg, err := st.AggregatePath(Sum, "A", "D", "E", "G", "I")
+	agg, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +199,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRecords() != 3 || got.NumEdges() != 11 {
-		t.Fatalf("reloaded: records=%d edges=%d", got.NumRecords(), got.NumEdges())
+	if got.NumRecords() != 3 || got.Stats().DistinctEdges != 11 {
+		t.Fatalf("reloaded: records=%d edges=%d", got.NumRecords(), got.Stats().DistinctEdges)
 	}
-	res, err := got.MatchPath("A", "D", "E", "G", "I")
+	res, err := got.Match(PathOf("A", "D", "E", "G", "I").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRecords() != 1 {
 		t.Fatalf("reloaded query answer = %d", res.NumRecords())
 	}
-	if len(got.ViewNames()) != 1 {
+	if len(got.Stats().ViewNames) != 1 {
 		t.Error("view lost in round trip")
 	}
 }
@@ -220,7 +221,7 @@ func TestFlattenSequenceFacade(t *testing.T) {
 	}
 	st := Open()
 	st.Add(rec)
-	res, err := st.MatchPath("B", "A#2")
+	res, err := st.Match(PathOf("B", "A#2").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestFoldAcrossPathsNaN(t *testing.T) {
 	}
 	rec.AddBareElement(EdgeKey{From: "B", To: "C"})
 	st.Add(rec)
-	agg, err := st.AggregatePath(Sum, "A", "B", "C")
+	agg, err := st.Aggregate(PathOf("A", "B", "C").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestPartitionWidthOption(t *testing.T) {
 	}
 	st.Add(rec)
 	st.ResetIOStats()
-	res, err := st.MatchPath("A", "B", "C", "D", "E")
+	res, err := st.Match(PathOf("A", "B", "C", "D", "E").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +279,12 @@ func TestTagsEndToEnd(t *testing.T) {
 		t.Fatalf("TaggedWith = %v", got)
 	}
 	// Orders via A→D→E→G restricted to regular ones: only record 2.
-	ids, err := st.MatchTagged(PathOf("A", "D", "E", "G").ToGraph(), map[string]string{"type": "regular"})
+	res, err := st.Match(PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ids.ToSlice(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("MatchTagged = %v, want [2]", got)
+	if got := res.Answer.And(st.TaggedWith("type", "regular")).ToSlice(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("tag-restricted match = %v, want [2]", got)
 	}
 	// Tagging an unknown record errors.
 	if err := st.Tag(999, "k", "v"); err == nil {
@@ -350,7 +351,7 @@ func TestClusterColumnsReducesPartitionJoins(t *testing.T) {
 
 func TestConcurrentReaders(t *testing.T) {
 	st := buildSCMStore(t)
-	if err := st.MaterializeAggViewPath("deg", Sum, "D", "E", "G"); err != nil {
+	if err := st.MaterializeAggViewPath("deg", Sum, "", "D", "E", "G"); err != nil {
 		t.Fatal(err)
 	}
 	// The documented contract: concurrent readers are safe between
@@ -359,7 +360,7 @@ func TestConcurrentReaders(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				res, err := st.MatchPath("A", "D", "E", "G")
+				res, err := st.Match(PathOf("A", "D", "E", "G").ToGraph())
 				if err != nil {
 					done <- err
 					return
@@ -368,7 +369,7 @@ func TestConcurrentReaders(t *testing.T) {
 					done <- errWrongAnswer
 					return
 				}
-				agg, err := st.AggregatePath(Sum, "A", "D", "E", "G", "I")
+				agg, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum)
 				if err != nil {
 					done <- err
 					return
@@ -403,7 +404,7 @@ func TestAggregateAlongOpenPath(t *testing.T) {
 	}
 	st.Add(rec)
 
-	closed, err := st.AggregatePath(Sum, "A", "B", "C")
+	closed, err := st.Aggregate(PathOf("A", "B", "C").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestGetRecordRoundTrip(t *testing.T) {
 
 func TestSoftDelete(t *testing.T) {
 	st := buildSCMStore(t)
-	res, err := st.MatchPath("A", "D", "E", "G")
+	res, err := st.Match(PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,14 +512,14 @@ func TestSoftDelete(t *testing.T) {
 	if err != nil || !live {
 		t.Fatalf("Delete = %v,%v", live, err)
 	}
-	if st.NumDeleted() != 1 {
-		t.Errorf("NumDeleted = %d", st.NumDeleted())
+	if st.Stats().Deleted != 1 {
+		t.Errorf("NumDeleted = %d", st.Stats().Deleted)
 	}
 	// Second delete is idempotent.
 	if live, _ := st.Delete(0); live {
 		t.Error("second delete reported live")
 	}
-	res, err = st.MatchPath("A", "D", "E", "G")
+	res, err = st.Match(PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +527,7 @@ func TestSoftDelete(t *testing.T) {
 		t.Fatalf("after delete: %v, want [2]", got)
 	}
 	// Aggregation answers exclude deleted records too.
-	agg, err := st.AggregatePath(Sum, "A", "D", "E", "G", "I")
+	agg, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +546,7 @@ func TestSoftDelete(t *testing.T) {
 	if !st.Undelete(0) {
 		t.Error("Undelete failed")
 	}
-	res, err = st.MatchPath("A", "D", "E", "G")
+	res, err = st.Match(PathOf("A", "D", "E", "G").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,10 +571,10 @@ func TestSoftDeleteSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumDeleted() != 1 {
-		t.Fatalf("NumDeleted after reload = %d", got.NumDeleted())
+	if got.Stats().Deleted != 1 {
+		t.Fatalf("NumDeleted after reload = %d", got.Stats().Deleted)
 	}
-	res, err := got.MatchPath("A", "B")
+	res, err := got.Match(PathOf("A", "B").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +617,7 @@ SUM [A,D,E,G,K]
 		t.Errorf("rendered advice:\n%s", sb.String())
 	}
 	// Advising must not have materialized anything.
-	if len(st.ViewNames()) != 0 {
+	if len(st.Stats().ViewNames) != 0 {
 		t.Error("AdviseGraphViews materialized views")
 	}
 }
@@ -654,8 +655,8 @@ func TestStoreStats(t *testing.T) {
 	if s.Records != 3 || s.Deleted != 1 || s.DistinctEdges != 11 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.GraphViews != 1 || s.AggregateViews != 0 {
-		t.Errorf("view counts = %d/%d", s.GraphViews, s.AggregateViews)
+	if len(s.ViewNames) != 1 || len(s.AggViewNames) != 0 {
+		t.Errorf("views = %v / %v", s.ViewNames, s.AggViewNames)
 	}
 	if s.TotalMeasures != 14 { // 4+6+4 measured legs
 		t.Errorf("TotalMeasures = %d", s.TotalMeasures)
@@ -669,24 +670,25 @@ func TestStoreStats(t *testing.T) {
 }
 
 func TestResultCacheFacade(t *testing.T) {
-	st := buildSCMStore(t)
-	st.EnableResultCache(true, 8)
-	if _, err := st.MatchPath("A", "D", "E"); err != nil {
+	st := buildSCMStore(t, WithResultCache(8))
+	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.MatchPath("A", "D", "E")
+	res, err := st.Match(PathOf("A", "D", "E").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.FromCache() {
 		t.Error("facade cache missed")
 	}
-	st.EnableResultCache(false, 0)
-	res, err = st.MatchPath("A", "D", "E")
-	if err != nil {
-		t.Fatal(err)
+	plain := buildSCMStore(t)
+	for i := 0; i < 2; i++ {
+		res, err = plain.Match(PathOf("A", "D", "E").ToGraph())
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if res.FromCache() {
-		t.Error("cache still active after disable")
+		t.Error("cache active without WithResultCache")
 	}
 }

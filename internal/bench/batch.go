@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -10,11 +11,11 @@ import (
 
 // sequentialGraphWorkload times a plain one-query-at-a-time run and returns
 // the results so the parallel run can be checked against them.
-func sequentialGraphWorkload(eng *query.Engine, queries []*query.GraphQuery) ([]*query.Result, time.Duration, error) {
+func sequentialGraphWorkload(ctx context.Context, eng *query.Engine, queries []*query.GraphQuery) ([]*query.Result, time.Duration, error) {
 	results := make([]*query.Result, len(queries))
 	start := time.Now()
 	for i, q := range queries {
-		res, err := eng.ExecuteGraphQuery(q)
+		res, err := eng.ExecuteGraphQueryContext(ctx, q)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -24,18 +25,24 @@ func sequentialGraphWorkload(eng *query.Engine, queries []*query.GraphQuery) ([]
 }
 
 // parallelGraphWorkload times the same batch through the worker pool.
-func parallelGraphWorkload(eng *query.Engine, queries []*query.GraphQuery, workers int) ([]*query.Result, time.Duration, error) {
+func parallelGraphWorkload(ctx context.Context, eng *query.Engine, queries []*query.GraphQuery, workers int) ([]*query.Result, time.Duration, error) {
 	be := query.NewBatchExecutor(eng, workers)
 	start := time.Now()
-	results, err := be.ExecuteGraphQueries(queries)
-	return results, time.Since(start), err
+	results, errs := be.ExecuteGraphQueriesContext(ctx, queries)
+	d := time.Since(start)
+	for i, err := range errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return results, d, nil
 }
 
 // ExpBatch measures the tentpole: batch query execution across a worker pool
 // vs the sequential baseline, on the NY-like dataset with 100 uniform
 // queries. The parallel answers are checked bit-for-bit against the
 // sequential ones before any timing is reported.
-func ExpBatch(sc Scale) (*Table, error) {
+func ExpBatch(ctx context.Context, sc Scale) (*Table, error) {
 	workers := sc.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -57,14 +64,14 @@ func ExpBatch(sc Scale) (*Table, error) {
 	}
 
 	// Warm-up pass so page-in and allocator noise doesn't land on either side.
-	if _, _, err := sequentialGraphWorkload(eng, queries); err != nil {
+	if _, _, err := sequentialGraphWorkload(ctx, eng, queries); err != nil {
 		return nil, err
 	}
-	seq, seqDur, err := sequentialGraphWorkload(eng, queries)
+	seq, seqDur, err := sequentialGraphWorkload(ctx, eng, queries)
 	if err != nil {
 		return nil, err
 	}
-	par, parDur, err := parallelGraphWorkload(eng, queries, workers)
+	par, parDur, err := parallelGraphWorkload(ctx, eng, queries, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -28,8 +29,11 @@ func benchmarkBatch(b *testing.B, workers int) {
 	be := query.NewBatchExecutor(eng, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := be.ExecuteGraphQueries(queries); err != nil {
-			b.Fatal(err)
+		_, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -49,7 +53,7 @@ func TestBatchExperimentAnswersIdentical(t *testing.T) {
 	sc.NYRecords = 1000
 	sc.NumQueries = 30
 	sc.Workers = 4
-	if _, err := ExpBatch(sc); err != nil {
+	if _, err := ExpBatch(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 }

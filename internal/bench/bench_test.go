@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(sc)
+			tab, err := e.Run(context.Background(), sc)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -96,7 +97,7 @@ func TestFig6ViewsReduceRestTime(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.NYRecords = 3000
-	tab, err := Fig6(sc)
+	tab, err := Fig6(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -52,7 +53,7 @@ func DefaultScale() Scale {
 
 // Table2 rebuilds the dataset-statistics table (§7.1, Table 2) at the given
 // scale.
-func Table2(sc Scale) (*Table, error) {
+func Table2(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Table 2: Description of Datasets (scaled stand-ins)",
 		Columns: []string{"Statistic", "NY", "GNU"},
@@ -79,7 +80,7 @@ func Table2(sc Scale) (*Table, error) {
 
 // Fig3a measures total execution time of NumQueries uniform graph queries
 // on all four systems as the dataset grows ×1, ×5, ×10 (Fig. 3(a)).
-func Fig3a(sc Scale) (*Table, error) {
+func Fig3a(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 3(a): Query time vs dataset size (ms total, 100 uniform queries)",
 		Columns: []string{"Records", "Column Store", "Neo4j-like Store", "RDF Store", "Row Store"},
@@ -94,7 +95,7 @@ func Fig3a(sc Scale) (*Table, error) {
 		}
 		queries := queriesToElements(ds.Gen.UniformQueries(sc.NumQueries, 4))
 		row := []string{fmt.Sprint(n)}
-		for _, sys := range AllSystems(ds) {
+		for _, sys := range AllSystems(ctx, ds) {
 			d, _ := runWorkload(sys, queries)
 			row = append(row, fmtMS(float64(d.Microseconds())/1000))
 		}
@@ -106,7 +107,7 @@ func Fig3a(sc Scale) (*Table, error) {
 
 // Fig3b measures query time as the query graph grows from 1 to 1000 edges on
 // the ×1 dataset (Fig. 3(b)).
-func Fig3b(sc Scale) (*Table, error) {
+func Fig3b(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 3(b): Query time vs query size (ms total, 100 uniform queries)",
 		Columns: []string{"QueryEdges", "Column Store", "Neo4j-like Store", "RDF Store", "Row Store"},
@@ -117,7 +118,7 @@ func Fig3b(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	systems := AllSystems(ds)
+	systems := AllSystems(ctx, ds)
 	for _, qe := range []int{1, 10, 100, 1000} {
 		queries := queriesToElements(ds.Gen.UniformQueries(sc.NumQueries, qe))
 		row := []string{fmt.Sprint(qe)}
@@ -133,7 +134,7 @@ func Fig3b(sc Scale) (*Table, error) {
 
 // Fig3c measures query time as record density grows to 10%, 20%, 50% of a
 // 1000-edge domain (Fig. 3(c)).
-func Fig3c(sc Scale) (*Table, error) {
+func Fig3c(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 3(c): Query time vs record density (ms total, 100 uniform queries)",
 		Columns: []string{"Density", "Column Store", "Neo4j-like Store", "RDF Store", "Row Store"},
@@ -147,7 +148,7 @@ func Fig3c(sc Scale) (*Table, error) {
 		qe := int(density * 40)
 		queries := queriesToElements(ds.Gen.UniformQueries(sc.NumQueries, qe))
 		row := []string{fmt.Sprintf("%.0f%%", density*100)}
-		for _, sys := range AllSystems(ds) {
+		for _, sys := range AllSystems(ctx, ds) {
 			d, _ := runWorkload(sys, queries)
 			row = append(row, fmtMS(float64(d.Microseconds())/1000))
 		}
@@ -159,7 +160,7 @@ func Fig3c(sc Scale) (*Table, error) {
 
 // Fig4 measures storage footprint vs record density for the four systems
 // (Fig. 4).
-func Fig4(sc Scale) (*Table, error) {
+func Fig4(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 4: Disk space vs record density (MB)",
 		Columns: []string{"Density", "Column Store", "Neo4j-like Store", "RDF Store", "Row Store"},
@@ -170,7 +171,7 @@ func Fig4(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		row := []string{fmt.Sprintf("%.0f%%", density*100)}
-		for _, sys := range AllSystems(ds) {
+		for _, sys := range AllSystems(ctx, ds) {
 			row = append(row, fmtMB(sys.DiskSizeBytes()))
 		}
 		t.AddRow(row...)
@@ -181,7 +182,7 @@ func Fig4(sc Scale) (*Table, error) {
 
 // Fig5 measures query time as the edge domain grows (vertical partitioning
 // kicks in past 1000 columns), column store vs graph database (Fig. 5).
-func Fig5(sc Scale) (*Table, error) {
+func Fig5(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 5: Query time vs edge-domain size (ms total, 100 uniform queries, 10% density)",
 		Columns: []string{"DistinctEdges", "Column Store", "Neo4j-like Store", "Partitions"},
@@ -193,7 +194,7 @@ func Fig5(sc Scale) (*Table, error) {
 		}
 		queries := queriesToElements(ds.Gen.UniformQueries(sc.NumQueries, 10))
 
-		col := NewColumnSystem(ds)
+		col := NewColumnSystem(ctx, ds)
 		dCol, _ := runWorkload(col, queries)
 
 		gdb := graphdb.New()
@@ -232,10 +233,10 @@ func buildGNU(sc Scale, keep bool) (*workload.Dataset, error) {
 // timedGraphWorkload runs graph queries against an engine, timing the
 // structural phase and the measure-fetch phase separately — the two parts of
 // the Fig. 6 breakdown.
-func timedGraphWorkload(eng *query.Engine, queries []*graph.Graph) (structural, fetch time.Duration, err error) {
+func timedGraphWorkload(ctx context.Context, eng *query.Engine, queries []*graph.Graph) (structural, fetch time.Duration, err error) {
 	for _, qg := range queries {
 		s0 := time.Now()
-		res, e := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+		res, e := eng.ExecuteGraphQueryContext(ctx, query.NewGraphQuery(qg))
 		if e != nil {
 			return 0, 0, e
 		}
@@ -249,10 +250,10 @@ func timedGraphWorkload(eng *query.Engine, queries []*graph.Graph) (structural, 
 
 // timedAggWorkload runs path-aggregation queries, splitting structural time
 // from measure/aggregation time (Fig. 7 breakdown).
-func timedAggWorkload(eng *query.Engine, queries []*graph.Graph) (structural, measure time.Duration, err error) {
+func timedAggWorkload(ctx context.Context, eng *query.Engine, queries []*graph.Graph) (structural, measure time.Duration, err error) {
 	for _, qg := range queries {
 		t0 := time.Now()
-		res, e := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum))
+		res, e := eng.ExecutePathAggQueryContext(ctx, query.NewPathAggQuery(qg, query.Sum))
 		if e != nil {
 			return 0, 0, e
 		}
@@ -260,7 +261,7 @@ func timedAggWorkload(eng *query.Engine, queries []*graph.Graph) (structural, me
 		// Attribute time in proportion to the work split: the structural
 		// part is re-run in isolation for an exact split.
 		s0 := time.Now()
-		if _, e := eng.ExecuteGraphQuery(query.NewGraphQuery(qg)); e != nil {
+		if _, e := eng.ExecuteGraphQueryContext(ctx, query.NewGraphQuery(qg)); e != nil {
 			return 0, 0, e
 		}
 		s := time.Since(s0)

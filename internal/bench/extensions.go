@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // ExtCluster measures the §6.1 clustering extension: cross-partition join
 // work for a fixed query workload under the default id/width partitioning
 // versus the workload-driven clustered assignment.
-func ExtCluster(sc Scale) (*Table, error) {
+func ExtCluster(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ext: workload-driven column clustering (partition joins per workload)",
 		Columns: []string{"EdgeDomain", "Partitions", "Joins (default)", "Joins (clustered)", "Reduction"},
@@ -30,7 +31,7 @@ func ExtCluster(sc Scale) (*Table, error) {
 		run := func() (int64, error) {
 			ds.Rel.Tracker().Reset()
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(ctx, query.NewGraphQuery(qg))
 				if err != nil {
 					return 0, err
 				}
@@ -70,7 +71,7 @@ func ExtCluster(sc Scale) (*Table, error) {
 // ExtMaintenance measures incremental view maintenance: cost of keeping k
 // views fresh per inserted record, versus rematerializing all views after a
 // batch — the trade-off behind grove's streaming-ingest support.
-func ExtMaintenance(sc Scale) (*Table, error) {
+func ExtMaintenance(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ext: incremental view maintenance vs rematerialization",
 		Columns: []string{"Views", "Insert+maintain (µs/record)", "Rematerialize all (ms)"},

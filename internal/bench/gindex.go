@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -24,7 +25,7 @@ type gIndexSetup struct {
 	trainCap int
 }
 
-func newGIndexSetup(sc Scale, pathOnly bool) (*gIndexSetup, error) {
+func newGIndexSetup(ctx context.Context, sc Scale, pathOnly bool) (*gIndexSetup, error) {
 	spec := workload.NYSpec(sc.SensitivityRecords*2, sc.Seed)
 	spec.KeepRecords = true
 	ds, err := workload.Build(spec)
@@ -42,7 +43,7 @@ func newGIndexSetup(sc Scale, pathOnly bool) (*gIndexSetup, error) {
 	eng := query.NewEngine(ds.Rel, ds.Reg)
 	answering := make(map[uint32]struct{})
 	for _, qg := range queries {
-		res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+		res, err := eng.ExecuteGraphQueryContext(ctx, query.NewGraphQuery(qg))
 		if err != nil {
 			return nil, err
 		}
@@ -118,8 +119,8 @@ func (g *gIndexSetup) materializeFragments(frags []mine.Fragment, k int, prefix 
 
 // runGIndexSweep measures workload time at each fragment/view budget for the
 // three configurations of Figs. 10–11.
-func runGIndexSweep(sc Scale, pathOnly bool, title string) (*Table, error) {
-	setup, err := newGIndexSetup(sc, pathOnly)
+func runGIndexSweep(ctx context.Context, sc Scale, pathOnly bool, title string) (*Table, error) {
+	setup, err := newGIndexSetup(ctx, sc, pathOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +134,13 @@ func runGIndexSweep(sc Scale, pathOnly bool, title string) (*Table, error) {
 	run := func() (float64, error) {
 		var ms float64
 		if pathOnly {
-			a, b, err := timedAggWorkload(eng, setup.queries)
+			a, b, err := timedAggWorkload(ctx, eng, setup.queries)
 			if err != nil {
 				return 0, err
 			}
 			ms = float64((a + b).Microseconds()) / 1000
 		} else {
-			a, b, err := timedGraphWorkload(eng, setup.queries)
+			a, b, err := timedGraphWorkload(ctx, eng, setup.queries)
 			if err != nil {
 				return 0, err
 			}
@@ -197,12 +198,12 @@ func runGIndexSweep(sc Scale, pathOnly bool, title string) (*Table, error) {
 
 // Fig10 compares gIndex fragments with graph views on 100 uniform graph
 // queries (Fig. 10).
-func Fig10(sc Scale) (*Table, error) {
-	return runGIndexSweep(sc, false, "Fig 10: gIndex fragments vs graph views (100 uniform graph queries)")
+func Fig10(ctx context.Context, sc Scale) (*Table, error) {
+	return runGIndexSweep(ctx, sc, false, "Fig 10: gIndex fragments vs graph views (100 uniform graph queries)")
 }
 
 // Fig11 compares gIndex fragments with aggregate views on 100 uniform
 // aggregate queries (Fig. 11).
-func Fig11(sc Scale) (*Table, error) {
-	return runGIndexSweep(sc, true, "Fig 11: gIndex fragments vs aggregate views (100 uniform aggregate queries)")
+func Fig11(ctx context.Context, sc Scale) (*Table, error) {
+	return runGIndexSweep(ctx, sc, true, "Fig 11: gIndex fragments vs aggregate views (100 uniform aggregate queries)")
 }

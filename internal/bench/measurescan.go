@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,7 +18,7 @@ import (
 // 4/5-coverage hybrid threshold inside GatherInto: batch-rank wins on sparse
 // answers, the block-decoded merge on near-full ones. Every variant's fold is
 // checked bit-for-bit against the scalar sum before any timing is reported.
-func ExpMeasureScan(sc Scale) (*Table, error) {
+func ExpMeasureScan(ctx context.Context, sc Scale) (*Table, error) {
 	numRecords := sc.NYRecords * 4
 	if numRecords <= 0 {
 		numRecords = 100000

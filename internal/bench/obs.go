@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // tracing. Metrics are pure atomics and should be in the noise; tracing
 // allocates one trace per query and is the number the <5% expectation in
 // EXPERIMENTS.md refers to.
-func ExpObs(sc Scale) (*Table, error) {
+func ExpObs(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Observability overhead: %d uniform graph queries, NY, sequential",
 			sc.NumQueries),
@@ -24,7 +25,7 @@ func ExpObs(sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	off, metricsDur, tracingDur, err := obsOverheadDurations(eng, queries)
+	off, metricsDur, tracingDur, err := obsOverheadDurations(ctx, eng, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ const obsPasses, obsRounds = 5, 7
 // round starts — so a patch of scheduler or GC noise lands on all modes of
 // that round rather than skewing one mode's entire measurement window; the
 // best round per mode is kept.
-func obsOverheadDurations(eng *query.Engine, queries []*query.GraphQuery) (off, withMetrics, withTracing time.Duration, err error) {
+func obsOverheadDurations(ctx context.Context, eng *query.Engine, queries []*query.GraphQuery) (off, withMetrics, withTracing time.Duration, err error) {
 	metered := eng.Clone()
 	metered.SetMetrics(obs.NewQueryMetrics(obs.NewRegistry()))
 	traced := metered.Clone()
@@ -60,7 +61,7 @@ func obsOverheadDurations(eng *query.Engine, queries []*query.GraphQuery) (off, 
 
 	// Warm-up pass per mode so page-in and allocator noise lands on none.
 	for _, e := range modes {
-		if _, _, err := sequentialGraphWorkload(e, queries); err != nil {
+		if _, _, err := sequentialGraphWorkload(ctx, e, queries); err != nil {
 			return 0, 0, 0, err
 		}
 	}
@@ -69,7 +70,7 @@ func obsOverheadDurations(eng *query.Engine, queries []*query.GraphQuery) (off, 
 		for m, e := range modes {
 			total := time.Duration(0)
 			for j := 0; j < obsPasses; j++ {
-				_, d, err := sequentialGraphWorkload(e, queries)
+				_, d, err := sequentialGraphWorkload(ctx, e, queries)
 				if err != nil {
 					return 0, 0, 0, err
 				}

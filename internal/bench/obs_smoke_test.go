@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestObsOverheadSmoke is the bench-smoke guard on the tracing budget: on the
 // sequential uniform-graph workload, metrics plus full lifecycle tracing must
@@ -31,7 +34,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 	const attempts = 3
 	best := 0.0
 	for i := 0; i < attempts; i++ {
-		off, _, tracing, err := obsOverheadDurations(eng, queries)
+		off, _, tracing, err := obsOverheadDurations(context.Background(), eng, queries)
 		if err != nil {
 			t.Fatal(err)
 		}

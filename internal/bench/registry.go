@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -9,7 +10,7 @@ import (
 type Experiment struct {
 	ID          string
 	Description string
-	Run         func(Scale) (*Table, error)
+	Run         func(context.Context, Scale) (*Table, error)
 }
 
 // Registry lists every experiment, keyed by the paper's table/figure id.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -22,7 +23,7 @@ var replayShardCounts = []int{1, 2, 4}
 // digest must match). With Scale.ReplayLog set, it instead replays that
 // captured log against the store at Scale.ReplayStore — re-executing a
 // production capture against any store configuration.
-func ExpReplay(sc Scale) (*Table, error) {
+func ExpReplay(ctx context.Context, sc Scale) (*Table, error) {
 	if sc.ReplayLog != "" {
 		return replayExternal(sc)
 	}
@@ -59,11 +60,11 @@ func ExpReplay(sc Scale) (*Table, error) {
 	recStart := time.Now()
 	for i, g := range graphs {
 		if i%2 == 0 {
-			if _, err := base.Match(g); err != nil {
+			if _, err := base.MatchContext(ctx, g); err != nil {
 				return nil, err
 			}
 		} else {
-			if _, err := base.Aggregate(g, grove.Sum); err != nil {
+			if _, err := base.AggregateContext(ctx, g, grove.Sum); err != nil {
 				return nil, err
 			}
 		}
@@ -123,7 +124,7 @@ func replayExternal(sc Scale) (*Table, error) {
 	}
 	d := time.Since(start)
 	t := &Table{
-		Title:   fmt.Sprintf("Workload replay: %s against %s (%d shard(s))", sc.ReplayLog, sc.ReplayStore, st.NumShards()),
+		Title:   fmt.Sprintf("Workload replay: %s against %s (%d shard(s))", sc.ReplayLog, sc.ReplayStore, st.Stats().Shards),
 		Columns: []string{"Events", "Replayed", "Skipped", "Verified", "Mismatched", "Replay (ms)"},
 	}
 	t.AddRow(fmt.Sprint(stats.Queries), fmt.Sprint(stats.Replayed), fmt.Sprint(stats.Skipped),

@@ -53,7 +53,7 @@ func sequentialCoordinator(n int, records []*graph.Record) *shard.Coordinator {
 // ingest throughput and batch query latency as the shard count doubles from
 // 1 to 8. Every shard count's batch answers are checked bit-for-bit against
 // the single-shard baseline before any timing is reported.
-func ExpShard(sc Scale) (*Table, error) {
+func ExpShard(ctx context.Context, sc Scale) (*Table, error) {
 	workers := sc.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -78,7 +78,6 @@ func ExpShard(sc Scale) (*Table, error) {
 		Columns: []string{"Shards", "Ingest (ms)", "Ingest speedup", "Ingest (rec/s)", "Batch (ms)", "Batch speedup"},
 	}
 
-	ctx := context.Background() //grovevet:ignore ctxflow bench experiments own their root context; there is no caller deadline to thread
 	var baseline []*query.Result
 	var baseWrite, baseBatch time.Duration
 	for _, n := range shardCounts {

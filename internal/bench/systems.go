@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"grove/internal/graph"
@@ -23,14 +24,16 @@ type System interface {
 	DiskSizeBytes() int64
 }
 
-// columnSystem wraps grove's engine.
+// columnSystem wraps grove's engine; its queries run under the experiment's
+// ctx.
 type columnSystem struct {
+	ctx context.Context
 	eng *query.Engine
 }
 
 // NewColumnSystem adapts a built dataset to the System interface.
-func NewColumnSystem(ds *workload.Dataset) System {
-	return &columnSystem{eng: query.NewEngine(ds.Rel, ds.Reg)}
+func NewColumnSystem(ctx context.Context, ds *workload.Dataset) System {
+	return &columnSystem{ctx: ctx, eng: query.NewEngine(ds.Rel, ds.Reg)}
 }
 
 func (c *columnSystem) Name() string { return "Column Store" }
@@ -40,7 +43,7 @@ func (c *columnSystem) RunQuery(elements []graph.EdgeKey) int {
 	for _, k := range elements {
 		g.AddElement(k)
 	}
-	res, err := c.eng.ExecuteGraphQuery(query.NewGraphQuery(g))
+	res, err := c.eng.ExecuteGraphQueryContext(c.ctx, query.NewGraphQuery(g))
 	if err != nil {
 		return 0
 	}
@@ -116,9 +119,9 @@ func (r *rdfSystem) DiskSizeBytes() int64 { return r.st.DiskSizeBytes() }
 
 // AllSystems builds the four systems over one dataset (which must have been
 // built with KeepRecords).
-func AllSystems(ds *workload.Dataset) []System {
+func AllSystems(ctx context.Context, ds *workload.Dataset) []System {
 	return []System{
-		NewColumnSystem(ds),
+		NewColumnSystem(ctx, ds),
 		NewGraphSystem(ds.Records),
 		NewRDFSystem(ds.Records),
 		NewRowSystem(ds.Records),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"grove/internal/graph"
@@ -16,30 +17,30 @@ var budgets = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 // Fig6 reruns the graph-view benefit experiment (Fig. 6): 100 uniform graph
 // queries on the NY dataset, total run time vs number of materialized graph
 // views, broken into measure-fetch time and the rest.
-func Fig6(sc Scale) (*Table, error) {
+func Fig6(ctx context.Context, sc Scale) (*Table, error) {
 	ds, err := buildNY(sc, false)
 	if err != nil {
 		return nil, err
 	}
 	queries := ds.Gen.UniformQueries(sc.NumQueries, 16)
-	return viewBudgetSweep("Fig 6: Run time vs space budget (100 uniform graph queries, NY)",
+	return viewBudgetSweep(ctx, "Fig 6: Run time vs space budget (100 uniform graph queries, NY)",
 		ds, queries, sc, false)
 }
 
 // Fig7 reruns the aggregate-view benefit experiment (Fig. 7): 100 uniform
 // path-aggregation queries on the GNU dataset vs number of aggregate views.
-func Fig7(sc Scale) (*Table, error) {
+func Fig7(ctx context.Context, sc Scale) (*Table, error) {
 	ds, err := buildGNU(sc, false)
 	if err != nil {
 		return nil, err
 	}
 	queries := ds.Gen.UniformPathQueries(sc.NumQueries, 4, 8)
-	return viewBudgetSweep("Fig 7: Run time vs space budget (100 uniform aggregate queries, GNU)",
+	return viewBudgetSweep(ctx, "Fig 7: Run time vs space budget (100 uniform aggregate queries, GNU)",
 		ds, queries, sc, true)
 }
 
 // viewBudgetSweep implements the shared budget loop of Figs. 6 and 7.
-func viewBudgetSweep(title string, ds *workload.Dataset, queries []*graph.Graph, sc Scale, aggregate bool) (*Table, error) {
+func viewBudgetSweep(ctx context.Context, title string, ds *workload.Dataset, queries []*graph.Graph, sc Scale, aggregate bool) (*Table, error) {
 	cols := []string{"Budget", "Q-time fetch measures (ms)", "Q-time rest (ms)", "Total (ms)", "Views", "ViewSpace(%)"}
 	t := &Table{Title: title, Columns: cols}
 	eng := query.NewEngine(ds.Rel, ds.Reg)
@@ -64,14 +65,14 @@ func viewBudgetSweep(title string, ds *workload.Dataset, queries []*graph.Graph,
 		var fetchMS, restMS float64
 		for pass := 0; pass < 2; pass++ {
 			if aggregate {
-				structural, measure, err := timedAggWorkload(eng, queries)
+				structural, measure, err := timedAggWorkload(ctx, eng, queries)
 				if err != nil {
 					return nil, err
 				}
 				fetchMS = float64(measure.Microseconds()) / 1000
 				restMS = float64(structural.Microseconds()) / 1000
 			} else {
-				structural, fetch, err := timedGraphWorkload(eng, queries)
+				structural, fetch, err := timedGraphWorkload(ctx, eng, queries)
 				if err != nil {
 					return nil, err
 				}
@@ -95,7 +96,7 @@ func viewBudgetSweep(title string, ds *workload.Dataset, queries []*graph.Graph,
 // Fig8 reruns the Zipf-workload experiment (Fig. 8): relative execution time
 // (vs no views) across the budget sweep, for graph and aggregate queries on
 // both datasets.
-func Fig8(sc Scale) (*Table, error) {
+func Fig8(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Fig 8: Relative time of Zipf query workloads vs space budget",
 		Columns: []string{"Budget", "Graph-NY", "Graph-GNU",
@@ -149,13 +150,13 @@ func Fig8(sc Scale) (*Table, error) {
 			var totalMS float64
 			for pass := 0; pass < 2; pass++ {
 				if s.aggregate {
-					a, b, err := timedAggWorkload(eng, s.queries)
+					a, b, err := timedAggWorkload(ctx, eng, s.queries)
 					if err != nil {
 						return nil, err
 					}
 					totalMS = float64((a + b).Microseconds()) / 1000
 				} else {
-					a, b, err := timedGraphWorkload(eng, s.queries)
+					a, b, err := timedGraphWorkload(ctx, eng, s.queries)
 					if err != nil {
 						return nil, err
 					}
@@ -184,7 +185,7 @@ func Fig8(sc Scale) (*Table, error) {
 // Fig9 reruns the candidate-view counting experiment (Fig. 9): number of
 // candidates vs minimum support, for graph and aggregate views under Zipf
 // and uniform workloads.
-func Fig9(sc Scale) (*Table, error) {
+func Fig9(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Fig 9: Number of candidate views vs min-support",
 		Columns: []string{"MinSup", "GraphViews-Zipf", "GraphViews-Uniform",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -22,7 +23,7 @@ const walMaxRecords = 5000
 // store must hold every record and answer a probe workload bit-identically
 // to a never-crashed baseline, which also exercises incremental view
 // maintenance on the replay path.
-func ExpWAL(sc Scale) (*Table, error) {
+func ExpWAL(ctx context.Context, sc Scale) (*Table, error) {
 	n := sc.NYRecords
 	if n > walMaxRecords {
 		n = walMaxRecords
@@ -46,7 +47,7 @@ func ExpWAL(sc Scale) (*Table, error) {
 	baseDur := time.Since(start)
 	baseline := make([]*grove.Result, len(graphs))
 	for i, g := range graphs {
-		if baseline[i], err = base.Match(g); err != nil {
+		if baseline[i], err = base.MatchContext(ctx, g); err != nil {
 			return nil, err
 		}
 	}
@@ -98,7 +99,7 @@ func ExpWAL(sc Scale) (*Table, error) {
 			return nil, fmt.Errorf("bench: wal %s: recovered %d of %d records", pol, got, len(records))
 		}
 		for i, g := range graphs {
-			res, err := rec.Match(g)
+			res, err := rec.MatchContext(ctx, g)
 			if err != nil {
 				return nil, err
 			}

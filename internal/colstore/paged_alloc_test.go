@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"grove/internal/raceflag"
 )
 
 // TestDecodeBlockAllocs pins the block decoders' steady-state allocation
@@ -89,7 +91,7 @@ func unlikeLengthsRelation() *Relation {
 // has held the longest block the loop allocates nothing — not the frame, not
 // its chunks, not the encoded bytes.
 func TestPageFaultAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	loaded := reloadPaged(t, unlikeLengthsRelation(), 1)
@@ -133,7 +135,7 @@ func TestPageFaultAllocs(t *testing.T) {
 // fault evicts blocks of other lengths than its own. Once the pool has owned
 // its budget, no access allocates.
 func TestWarmPageFaultAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	r := unlikeLengthsRelation()

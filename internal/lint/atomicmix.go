@@ -12,8 +12,7 @@ import (
 // (s.f) in the same package. Mixing the two is a data race the race detector
 // only catches when the schedule cooperates; the fix is to route every
 // access through sync/atomic or, better, to use the typed atomic.Int64-style
-// wrappers (which this analyzer's sibling, mutexbyvalue, keeps from being
-// copied).
+// wrappers (which `go vet -copylocks` keeps from being copied).
 //
 // The check is per-package and keys on the field's types.Object, so embedded
 // and pointer accesses resolve to the same field.

@@ -8,10 +8,8 @@ import (
 
 // The interprocedural layer: a module-wide call graph over go/types with one
 // summary node per declared function. Per-package analyzers see one function
-// at a time; the graph lets the ctxflow, goroleak, lockorder and hotalloc
-// passes reason about what a callee does (acquire locks, block on I/O,
-// recover panics, accept a context) and about reachability from the public
-// *Context facades.
+// at a time; the graph lets the goroleak, lockorder and hotalloc passes reason
+// about what a callee does (acquire locks, block on I/O, recover panics).
 //
 // The graph is static and intentionally modest: only calls that resolve to a
 // declared module function become edges (interface dispatch and function
@@ -30,11 +28,6 @@ type FuncInfo struct {
 	// Calls lists the static calls to other module functions, in source
 	// order, including calls made inside nested function literals.
 	Calls []CallSite
-
-	// CtxParamName is the name of the function's own context.Context
-	// parameter ("" when the function does not accept a context, "_" when it
-	// accepts and discards one).
-	CtxParamName string
 
 	// Hotpath records a //grove:hotpath annotation in the doc comment.
 	Hotpath bool
@@ -67,9 +60,8 @@ func (f *FuncInfo) Name() string {
 
 // CallGraph indexes every declared function in the module.
 type CallGraph struct {
-	Funcs  []*FuncInfo // declaration order (per sorted package)
-	byObj  map[*types.Func]*FuncInfo
-	byName map[string]*FuncInfo // scope key (see scopeKey) → function
+	Funcs []*FuncInfo // declaration order (per sorted package)
+	byObj map[*types.Func]*FuncInfo
 }
 
 // hotpathMarker annotates a function whose body the hotalloc analyzer must
@@ -81,10 +73,7 @@ func (m *Module) CallGraph() *CallGraph {
 	if m.cg != nil {
 		return m.cg
 	}
-	cg := &CallGraph{
-		byObj:  map[*types.Func]*FuncInfo{},
-		byName: map[string]*FuncInfo{},
-	}
+	cg := &CallGraph{byObj: map[*types.Func]*FuncInfo{}}
 	// First pass: one node per declaration.
 	for _, pkg := range m.Pkgs {
 		for _, file := range pkg.Files {
@@ -100,10 +89,8 @@ func (m *Module) CallGraph() *CallGraph {
 						cg.byObj[obj] = fi
 					}
 				}
-				fi.CtxParamName = ctxParamName(fd.Type)
 				fi.Hotpath = docHasMarker(fd.Doc, hotpathMarker)
 				cg.Funcs = append(cg.Funcs, fi)
-				cg.byName[scopeKey(pkg, fd)] = fi
 			}
 		}
 	}
@@ -122,50 +109,6 @@ func (cg *CallGraph) Lookup(obj *types.Func) *FuncInfo {
 		return nil
 	}
 	return cg.byObj[obj]
-}
-
-// Sibling returns the function named name in the same scope as f — the same
-// receiver type for methods, the same package for plain functions.
-func (cg *CallGraph) Sibling(f *FuncInfo, name string) *FuncInfo {
-	key := scopeKey(f.Pkg, f.Decl)
-	if i := strings.LastIndexByte(key, '.'); i >= 0 {
-		key = key[:i]
-	}
-	return cg.byName[key+"."+name]
-}
-
-// Reachable computes the functions reachable from roots over call edges,
-// including the roots themselves.
-func (cg *CallGraph) Reachable(roots []*FuncInfo) map[*FuncInfo]bool {
-	seen := make(map[*FuncInfo]bool, len(roots))
-	var walk func(f *FuncInfo)
-	walk = func(f *FuncInfo) {
-		if f == nil || seen[f] {
-			return
-		}
-		seen[f] = true
-		for _, cs := range f.Calls {
-			walk(cs.Callee)
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return seen
-}
-
-// ContextFacades returns the module's context-carrying facade set: every
-// declared function whose name ends in "Context" and that accepts a
-// context.Context parameter. These are the roots the ctxflow reachability
-// rule bans context.Background()/TODO() under.
-func (cg *CallGraph) ContextFacades() []*FuncInfo {
-	var roots []*FuncInfo
-	for _, f := range cg.Funcs {
-		if f.CtxParamName != "" && strings.HasSuffix(f.Decl.Name.Name, "Context") {
-			roots = append(roots, f)
-		}
-	}
-	return roots
 }
 
 // summarize fills a node's call edges and body facts.
@@ -216,86 +159,6 @@ func usedFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// scopeKey renders "pkgpath.RecvType.name" for methods and "pkgpath..name"
-// for plain functions — the sibling-lookup namespace.
-func scopeKey(pkg *Package, fd *ast.FuncDecl) string {
-	recv := ""
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		t := fd.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver T[P]
-			t = idx.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			recv = id.Name
-		}
-	}
-	return pkg.Path + "." + recv + "." + fd.Name.Name
-}
-
-// ctxParamName returns the name of ft's context.Context parameter, or "".
-// The check is syntactic-first (context.Context / ctx aliases resolve via
-// types when available) so fixture code with partial type info still works.
-func ctxParamName(ft *ast.FuncType) string {
-	if ft.Params == nil {
-		return ""
-	}
-	for _, fld := range ft.Params.List {
-		if !isContextType(fld.Type) {
-			continue
-		}
-		if len(fld.Names) == 0 {
-			return "_"
-		}
-		return fld.Names[0].Name
-	}
-	return ""
-}
-
-// isContextType matches the syntactic form context.Context.
-func isContextType(e ast.Expr) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "context"
-}
-
-// sigAcceptsContext reports whether the called function's static signature
-// has a context.Context parameter.
-func sigAcceptsContext(info *types.Info, call *ast.CallExpr) bool {
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[unparen(call.Fun)]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextParamType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// isContextParamType reports whether t is context.Context.
-func isContextParamType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 // receiverIsType reports whether recv's static type is (a pointer to) the

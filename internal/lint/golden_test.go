@@ -25,9 +25,7 @@ func TestGolden(t *testing.T) {
 		{"fsioonly", FsioOnly},
 		{"metricname", MetricName},
 		{"stdlibonly", StdlibOnly},
-		{"mutexbyvalue", MutexByValue},
 		{"atomicmix", AtomicMix},
-		{"ctxflow", CtxFlow},
 		{"goroleak", GoroLeak},
 		{"lockorder", LockOrder},
 		{"hotalloc", HotAlloc},

@@ -9,15 +9,15 @@
 // packages (droppederr), the fsio-mediated-I/O rule for the persistence
 // layer (fsioonly), the Prometheus metric-name contract of the obs registry
 // (metricname), the module's stdlib-only dependency policy (stdlibonly), and
-// lock/atomic hygiene (mutexbyvalue, atomicmix).
+// mixed atomic/plain field access (atomicmix). Copied locks are `go vet
+// -copylocks`'s job, which `make check` runs first.
 //
 // A second, interprocedural tier builds a module-wide call graph with
 // per-function summaries (see callgraph.go) and reasons across function
-// boundaries: context threading from the *Context API facades (ctxflow),
-// goroutine join/termination and panic-recovery obligations (goroleak), a
-// global lock-acquisition order free of cycles and of blocking operations
-// under locks (lockorder), and compiler-verified allocation-freedom of
-// //grove:hotpath kernels (hotalloc).
+// boundaries: goroutine join/termination and panic-recovery obligations
+// (goroleak), a global lock-acquisition order free of cycles and of blocking
+// operations under locks (lockorder), and compiler-verified
+// allocation-freedom of //grove:hotpath kernels (hotalloc).
 //
 // A finding can be acknowledged in source with a pragma comment on the same
 // line or the line directly above:
@@ -97,8 +97,8 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns grove's full analyzer suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		LockPair, DroppedErr, FsioOnly, MetricName, StdlibOnly, MutexByValue, AtomicMix,
-		CtxFlow, GoroLeak, LockOrder, HotAlloc,
+		LockPair, DroppedErr, FsioOnly, MetricName, StdlibOnly, AtomicMix,
+		GoroLeak, LockOrder, HotAlloc,
 	}
 }
 

@@ -214,26 +214,6 @@ var X = 1
 			},
 		},
 		{
-			name:     "mutexbyvalue pointers and fresh constructions pass",
-			analyzer: MutexByValue,
-			files: map[string]string{"a.go": `package neg
-
-import "sync"
-
-type G struct {
-	mu sync.Mutex
-	n  int
-}
-
-func ptr(g *G) int { return g.n }
-
-func fresh() *G {
-	g := G{}
-	return &g
-}
-`},
-		},
-		{
 			name:     "atomicmix uniformly atomic access passes",
 			analyzer: AtomicMix,
 			files: map[string]string{"a.go": `package neg
@@ -245,51 +225,6 @@ type s struct{ hits int64 }
 func bump(v *s) { atomic.AddInt64(&v.hits, 1) }
 
 func read(v *s) int64 { return atomic.LoadInt64(&v.hits) }
-`},
-		},
-		{
-			name:     "ctxflow convenience wrapper and ctx-scoped literals pass",
-			analyzer: CtxFlow,
-			files: map[string]string{"a.go": `package neg
-
-import "context"
-
-type E struct{}
-
-func (e *E) MatchContext(ctx context.Context, q int) int { return q }
-
-func (e *E) Match(q int) int { return e.MatchContext(context.Background(), q) }
-
-func run(ctx context.Context, e *E) {
-	f := func(ctx context.Context) { _ = e.MatchContext(ctx, 1) }
-	f(ctx)
-}
-`},
-		},
-		{
-			name:     "ctxflow root contexts in main packages pass",
-			analyzer: CtxFlow,
-			files: map[string]string{"a.go": `package main
-
-import "context"
-
-func main() {
-	ctx := context.Background()
-	_ = ctx
-}
-`},
-		},
-		{
-			name:     "ctxflow pragma acknowledges an intentional root",
-			analyzer: CtxFlow,
-			files: map[string]string{"a.go": `package neg
-
-import "context"
-
-func daemon() {
-	ctx := context.Background() //grovevet:ignore ctxflow the daemon loop owns its root; there is no caller to inherit from
-	_ = ctx
-}
 `},
 		},
 		{

@@ -3,6 +3,7 @@
 package obs_test
 
 import (
+	"context"
 	"testing"
 
 	"grove/internal/colstore"
@@ -10,6 +11,7 @@ import (
 	"grove/internal/graph"
 	"grove/internal/obs"
 	"grove/internal/query"
+	"grove/internal/raceflag"
 )
 
 // buildEngine loads the paper's Fig. 2 running example and returns an engine
@@ -39,12 +41,12 @@ func buildEngine(tb testing.TB) (*query.Engine, *query.GraphQuery) {
 // single allocation to Engine.ExecuteGraphQuery — the instrumentation is
 // atomics and time.Now only.
 func TestMetricsPathAddsNoAllocations(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
 	}
 	off, q := buildEngine(t)
 	baseline := testing.AllocsPerRun(200, func() {
-		if _, err := off.ExecuteGraphQuery(q); err != nil {
+		if _, err := off.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -52,7 +54,7 @@ func TestMetricsPathAddsNoAllocations(t *testing.T) {
 	on := off.Clone()
 	on.SetMetrics(obs.NewQueryMetrics(obs.NewRegistry()))
 	metered := testing.AllocsPerRun(200, func() {
-		if _, err := on.ExecuteGraphQuery(q); err != nil {
+		if _, err := on.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -68,7 +70,7 @@ func TestTracingRecordsLifecycle(t *testing.T) {
 	eng, q := buildEngine(t)
 	ring := obs.NewTraceRing(4)
 	eng.SetTraces(ring)
-	res, err := eng.ExecuteGraphQuery(q)
+	res, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func BenchmarkExecuteObsOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteGraphQuery(q); err != nil {
+		if _, err := eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +123,7 @@ func BenchmarkExecuteMetrics(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteGraphQuery(q); err != nil {
+		if _, err := eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +136,7 @@ func BenchmarkExecuteMetricsAndTracing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteGraphQuery(q); err != nil {
+		if _, err := eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"grove/internal/bitmap"
-	"grove/internal/graph"
 	"grove/internal/obs"
 )
 
@@ -18,16 +17,11 @@ type StatementResult struct {
 	Agg *AggResult
 }
 
-// ExecuteStatement parses and executes one statement of the text query
-// language as a single traced unit: the trace covers parsing too (the
+// ExecuteStatementContext parses and executes one statement of the text
+// query language as a single traced unit: the trace covers parsing too (the
 // "parse" phase), and the statement is metered under the "statement" kind
-// rather than as a bare expression or aggregation.
-func (e *Engine) ExecuteStatement(text string) (*StatementResult, error) {
-	return e.ExecuteStatementContext(context.Background(), text)
-}
-
-// ExecuteStatementContext is ExecuteStatement with cancellation, checked
-// between column fetches and per-path aggregation chunks.
+// rather than as a bare expression or aggregation. ctx is checked between
+// column fetches and per-path aggregation chunks.
 func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
 	var start time.Time
 	if e.metrics != nil || e.slow != nil {
@@ -126,7 +120,7 @@ func (a *ExplainAnalysis) String() string {
 // run bypasses the result cache (a hit would observe zero fetches and say
 // nothing about the plan) and the serving metrics/trace ring, so diagnostics
 // don't distort production counters.
-func (e *Engine) ExplainAnalyze(q *GraphQuery) (*ExplainAnalysis, error) {
+func (e *Engine) ExplainAnalyze(ctx context.Context, q *GraphQuery) (*ExplainAnalysis, error) {
 	plan, err := e.Explain(q)
 	if err != nil {
 		return nil, err
@@ -137,16 +131,10 @@ func (e *Engine) ExplainAnalyze(q *GraphQuery) (*ExplainAnalysis, error) {
 	run.slow = nil
 	ring := obs.NewTraceRing(1)
 	run.traces = ring
-	res, err := run.ExecuteGraphQuery(q)
+	res, err := run.ExecuteGraphQueryContext(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	return &ExplainAnalysis{Plan: plan, Trace: ring.Recent()[0],
 		Records: res.NumRecords(), Answer: res.Answer}, nil
-}
-
-// ExplainAnalyzeGraph is a convenience wrapper over ExplainAnalyze for a
-// bare graph.
-func (e *Engine) ExplainAnalyzeGraph(g *graph.Graph) (*ExplainAnalysis, error) {
-	return e.ExplainAnalyze(NewGraphQuery(g))
 }

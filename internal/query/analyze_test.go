@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestExecuteStatementTracesParsePhase(t *testing.T) {
 	ring := obs.NewTraceRing(4)
 	f.eng.SetTraces(ring)
 
-	res, err := f.eng.ExecuteStatement("SUM [A,C,E,F]")
+	res, err := f.eng.ExecuteStatementContext(context.Background(), "SUM [A,C,E,F]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +48,14 @@ func TestExecuteStatementTracesParsePhase(t *testing.T) {
 	}
 
 	// A boolean statement goes down the expression path.
-	res, err = f.eng.ExecuteStatement("[A,C] AND NOT [F,G]")
+	res, err = f.eng.ExecuteStatementContext(context.Background(), "[A,C] AND NOT [F,G]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IDs == nil || res.IDs.Cardinality() != 1 || !res.IDs.Contains(0) {
 		t.Errorf("boolean statement answer = %+v", res.IDs)
 	}
-	if _, err := f.eng.ExecuteStatement("NOT A VALID ((("); err == nil {
+	if _, err := f.eng.ExecuteStatementContext(context.Background(), "NOT A VALID ((("); err == nil {
 		t.Error("parse error not surfaced")
 	}
 }
@@ -63,7 +64,7 @@ func TestExecuteStatementMetrics(t *testing.T) {
 	f := newFig2Fixture(t)
 	m := obs.NewQueryMetrics(obs.NewRegistry())
 	f.eng.SetMetrics(m)
-	if _, err := f.eng.ExecuteStatement("[A,C,E]"); err != nil {
+	if _, err := f.eng.ExecuteStatementContext(context.Background(), "[A,C,E]"); err != nil {
 		t.Fatal(err)
 	}
 	if m.StatementQueries.Value() != 1 || m.StatementLatency.Count() != 1 {
@@ -89,11 +90,11 @@ func TestExplainAnalyzeMatchesPlan(t *testing.T) {
 	// A result cache must not distort the analysis: ExplainAnalyze bypasses it.
 	f.eng.EnableCache(NewResultCache(8))
 	q := pathQuery("A", "C", "E", "F")
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil { // prime the cache
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil { // prime the cache
 		t.Fatal(err)
 	}
 
-	a, err := f.eng.ExplainAnalyze(q)
+	a, err := f.eng.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestExplainAnalyzeMatchesPlan(t *testing.T) {
 	ring := obs.NewTraceRing(4)
 	f.eng.SetMetrics(m)
 	f.eng.SetTraces(ring)
-	if _, err := f.eng.ExplainAnalyze(q); err != nil {
+	if _, err := f.eng.ExplainAnalyze(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if m.GraphQueries.Value() != 0 || ring.Len() != 0 {
@@ -147,10 +148,10 @@ func TestExplainAnalyzeMatchesPlan(t *testing.T) {
 
 func TestExplainAnalyzeErrors(t *testing.T) {
 	f := newFig2Fixture(t)
-	if _, err := f.eng.ExplainAnalyze(nil); err == nil {
+	if _, err := f.eng.ExplainAnalyze(context.Background(), nil); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := f.eng.ExplainAnalyzeGraph(graph.NewGraph()); err == nil {
+	if _, err := f.eng.ExplainAnalyze(context.Background(), NewGraphQuery(graph.NewGraph())); err == nil {
 		t.Error("empty graph accepted")
 	}
 }

@@ -18,13 +18,11 @@ import (
 // result cache; private scratch).
 //
 // Results are deterministic: result slot i always holds the answer of query
-// i, whichever worker computed it. The Context variants return one error
-// slot per query; the non-Context wrappers collapse that to the error of
-// the lowest-index failing query — identical to what a sequential run would
-// report. A query that panics (a malformed plan, a kernel bug) surfaces as
-// that query's error, not as a crashed batch, and a cancelled context fails
-// the not-yet-started queries promptly with the context's error while
-// queries already running finish their current cancellation check.
+// i, whichever worker computed it, and error slot i its error. A query that
+// panics (a malformed plan, a kernel bug) surfaces as that query's error, not
+// as a crashed batch, and a cancelled context fails the not-yet-started
+// queries promptly with the context's error while queries already running
+// finish their current cancellation check.
 type BatchExecutor struct {
 	eng     *Engine
 	workers int
@@ -42,21 +40,12 @@ func NewBatchExecutor(eng *Engine, workers int) *BatchExecutor {
 // Workers returns the configured worker-pool size.
 func (b *BatchExecutor) Workers() int { return b.workers }
 
-// ExecuteGraphQueries runs every query and returns the results in query
-// order. A single worker (or a single query) degrades to a plain sequential
-// loop with no goroutine or synchronization overhead.
-func (b *BatchExecutor) ExecuteGraphQueries(queries []*GraphQuery) ([]*Result, error) {
-	results, errs := b.ExecuteGraphQueriesContext(context.Background(), queries)
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // ExecuteGraphQueriesContext runs every query under ctx and returns the
-// results and one error slot per query (nil on success). Queries not yet
-// started when ctx is cancelled fail with ctx's error; a panicking query
-// fails alone while the rest of the batch completes.
+// results in query order and one error slot per query (nil on success).
+// Queries not yet started when ctx is cancelled fail with ctx's error; a
+// panicking query fails alone while the rest of the batch completes. A
+// single worker (or a single query) degrades to a plain sequential loop with
+// no goroutine or synchronization overhead.
 func (b *BatchExecutor) ExecuteGraphQueriesContext(ctx context.Context, queries []*GraphQuery) ([]*Result, []error) {
 	results := make([]*Result, len(queries))
 	errs := b.run(ctx, len(queries), func(eng *Engine, i int) error {
@@ -68,16 +57,6 @@ func (b *BatchExecutor) ExecuteGraphQueriesContext(ctx context.Context, queries 
 		return nil
 	})
 	return results, errs
-}
-
-// ExecutePathAggQueries runs every path-aggregation query and returns the
-// results in query order.
-func (b *BatchExecutor) ExecutePathAggQueries(queries []*PathAggQuery) ([]*AggResult, error) {
-	results, errs := b.ExecutePathAggQueriesContext(context.Background(), queries)
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // ExecutePathAggQueriesContext is ExecuteGraphQueriesContext for
@@ -93,17 +72,6 @@ func (b *BatchExecutor) ExecutePathAggQueriesContext(ctx context.Context, querie
 		return nil
 	})
 	return results, errs
-}
-
-// firstError collapses per-query errors to the lowest-index failure,
-// wrapped with its query index — what a sequential run would report first.
-func firstError(errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // run executes fn(engine, i) for i in [0, n) on the executor's pool, each

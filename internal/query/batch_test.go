@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -29,7 +30,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
-		res, err := f.eng.ExecuteGraphQuery(q)
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +39,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		be := NewBatchExecutor(f.eng, workers)
-		got, err := be.ExecuteGraphQueries(queries)
-		if err != nil {
+		got, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+		if err := firstErr(errs); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
@@ -67,12 +68,12 @@ func TestBatchWithSharedCache(t *testing.T) {
 	f.eng.EnableCache(cache)
 
 	be := NewBatchExecutor(f.eng, 4)
-	first, err := be.ExecuteGraphQueries(queries)
-	if err != nil {
+	first, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
-	second, err := be.ExecuteGraphQueries(queries)
-	if err != nil {
+	second, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	hits := cache.Stats().Hits
@@ -105,15 +106,15 @@ func TestBatchAggMatchesSequential(t *testing.T) {
 	}
 	want := make([]*AggResult, len(queries))
 	for i, q := range queries {
-		res, err := f.eng.ExecutePathAggQuery(q)
+		res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res
 	}
 	be := NewBatchExecutor(f.eng, 4)
-	got, err := be.ExecutePathAggQueries(queries)
-	if err != nil {
+	got, errs := be.ExecutePathAggQueriesContext(context.Background(), queries)
+	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
@@ -131,8 +132,8 @@ func TestBatchAggMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchErrorLowestIndex pins the error contract: the reported failure is
-// the lowest-index failing query, as in a sequential run.
+// TestBatchErrorLowestIndex pins the error contract: the lowest-index failing
+// slot is the first query a sequential run fails on, with the same error.
 func TestBatchErrorLowestIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	f := newRandomFixture(t, rng, 50)
@@ -141,22 +142,31 @@ func TestBatchErrorLowestIndex(t *testing.T) {
 	queries[13] = &GraphQuery{G: graph.NewGraph()}
 
 	be := NewBatchExecutor(f.eng, 4)
-	_, err := be.ExecuteGraphQueries(queries)
+	_, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	err := firstErr(errs)
 	if err == nil {
 		t.Fatal("batch with invalid queries did not fail")
 	}
 	var seqErr error
 	for i, q := range queries {
-		if _, e := f.eng.ExecuteGraphQuery(q); e != nil {
-			seqErr = e
-			_ = i
+		if _, e := f.eng.ExecuteGraphQueryContext(context.Background(), q); e != nil {
+			seqErr = fmt.Errorf("query %d: %w", i, e)
 			break
 		}
 	}
-	want := "query 7: " + seqErr.Error()
-	if err.Error() != want {
-		t.Fatalf("batch error %q, want %q", err, want)
+	if err.Error() != seqErr.Error() {
+		t.Fatalf("batch error %q, want %q", err, seqErr)
 	}
+}
+
+// firstErr labels the lowest-index failing slot of a batch with its index.
+func firstErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // TestConcurrentQueriesWithWriter is the query-layer half of the ISSUE's
@@ -216,7 +226,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 			qrng := rand.New(rand.NewSource(seed))
 			for round := 0; round < 50; round++ {
 				q := queries[qrng.Intn(len(queries))]
-				res, err := eng.ExecuteGraphQuery(q)
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -236,11 +246,11 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 	// state: a fresh no-cache engine must agree with a cached rerun.
 	fresh := NewEngine(f.rel, f.reg)
 	for _, q := range queries[:10] {
-		cached, err := f.eng.ExecuteGraphQuery(q)
+		cached, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := fresh.ExecuteGraphQuery(q)
+		plain, err := fresh.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

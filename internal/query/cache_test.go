@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,14 +17,14 @@ func TestResultCacheHitsAndInvalidation(t *testing.T) {
 	f.eng.EnableCache(cache)
 
 	q := pathQuery("A", "D", "E")
-	first, err := f.eng.ExecuteGraphQuery(q)
+	first, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.FromCache() {
 		t.Error("first execution served from cache")
 	}
-	second, err := f.eng.ExecuteGraphQuery(q)
+	second, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestResultCacheHitsAndInvalidation(t *testing.T) {
 		}
 	}
 	graph.LoadRecord(f.rel, f.reg, rec)
-	third, err := f.eng.ExecuteGraphQuery(q)
+	third, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +65,13 @@ func TestResultCacheDeleteInvalidates(t *testing.T) {
 	f := newFig2Fixture(t)
 	f.eng.EnableCache(NewResultCache(16))
 	q := pathQuery("A", "D", "E")
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.rel.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.eng.ExecuteGraphQuery(q)
+	res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestResultCacheCapacity(t *testing.T) {
 		pathQuery("A", "D"), pathQuery("D", "E"), pathQuery("E", "F"),
 	}
 	for _, q := range queries {
-		if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+		if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,12 +99,12 @@ func TestResultCacheCapacity(t *testing.T) {
 	// all three yields at least one hit and no wrong answers.
 	hitsBefore := cache.Stats().Hits
 	for _, q := range queries {
-		res, err := f.eng.ExecuteGraphQuery(q)
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.eng.EnableCache(nil)
-		fresh, err := f.eng.ExecuteGraphQuery(q)
+		fresh, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

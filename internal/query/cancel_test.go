@@ -150,15 +150,19 @@ func TestBatchPanicIsolatedPerQuery(t *testing.T) {
 }
 
 // TestBatchContextMatchesPlain: with a background context and no faults the
-// context variant returns exactly what the plain batch API returns.
+// batch returns exactly what plain one-at-a-time execution returns.
 func TestBatchContextMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	f := newRandomFixture(t, rng, 80)
 	queries := batchFixtureQueries(f, rng, 30)
 	be := NewBatchExecutor(f.eng, 4)
-	want, err := be.ExecuteGraphQueries(queries)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
 	}
 	got, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
 	for i := range queries {
@@ -172,8 +176,8 @@ func TestBatchContextMatchesPlain(t *testing.T) {
 }
 
 // TestBatchErrorQueryKeepsBatchAlive: an invalid (empty) query errors alone;
-// its neighbours still answer. The legacy wrapper keeps reporting the
-// lowest-index error.
+// its neighbours still answer, and the lowest failing slot is labelled with
+// its index.
 func TestBatchErrorQueryKeepsBatchAlive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := newRandomFixture(t, rng, 50)
@@ -192,8 +196,8 @@ func TestBatchErrorQueryKeepsBatchAlive(t *testing.T) {
 			t.Fatalf("query %d err=%v result=%v", i, errs[i], results[i])
 		}
 	}
-	if err := firstError(errs); err == nil || !strings.HasPrefix(err.Error(), "query 3: ") {
-		t.Fatalf("firstError = %v", err)
+	if err := firstErr(errs); err == nil || !strings.HasPrefix(err.Error(), "query 3: ") {
+		t.Fatalf("firstErr = %v", err)
 	}
 }
 

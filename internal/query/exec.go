@@ -244,20 +244,15 @@ func (r *Result) FromCache() bool { return r.cached }
 // NumRecords returns the answer cardinality.
 func (r *Result) NumRecords() int { return r.Answer.Cardinality() }
 
-// ExecuteGraphQuery evaluates the structural part of a graph query:
+// ExecuteGraphQueryContext evaluates the structural part of a graph query:
 // plan (greedy rewrite when UseViews), fetch the planned bitmap columns, AND
 // them (§4.2). The relation's read lock is held for the whole query, so the
 // answer — and any cache entry made from it — is consistent with a single
-// relation version even while writers run concurrently.
-func (e *Engine) ExecuteGraphQuery(q *GraphQuery) (*Result, error) {
-	return e.ExecuteGraphQueryContext(context.Background(), q)
-}
-
-// ExecuteGraphQueryContext is ExecuteGraphQuery with cancellation: the
-// engine checks ctx between bitmap fetches and abandons the query with
-// ctx's error once it is cancelled, recording a "cancelled" span on the
-// trace. The read lock is released on every exit path, including a panic
-// in a kernel (batch workers recover those).
+// relation version even while writers run concurrently. The engine checks
+// ctx between bitmap fetches and abandons the query with ctx's error once it
+// is cancelled, recording a "cancelled" span on the trace. The read lock is
+// released on every exit path, including a panic in a kernel (batch workers
+// recover those).
 func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*Result, error) {
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
@@ -457,15 +452,10 @@ func (r *Result) FetchMeasures() int64 {
 	return scanned
 }
 
-// EvalExpr evaluates a boolean combination of graph queries (§3.2) and
-// returns the combined answer set. The whole expression runs under one read
-// lock, so all leaves see the same relation version.
-func (e *Engine) EvalExpr(expr Expr) (*bitmap.Bitmap, error) {
-	return e.EvalExprContext(context.Background(), expr)
-}
-
-// EvalExprContext is EvalExpr with cancellation, checked between the
-// leaves' bitmap fetches.
+// EvalExprContext evaluates a boolean combination of graph queries (§3.2)
+// and returns the combined answer set. The whole expression runs under one
+// read lock, so all leaves see the same relation version; ctx is checked
+// between the leaves' bitmap fetches.
 func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
 	var start time.Time
 	if e.metrics != nil || e.slow != nil {
@@ -654,15 +644,10 @@ func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, me
 	return out
 }
 
-// ExecutePathAggQuery evaluates F_Gq (§3.4): structural filtering as for a
-// graph query, then per-record aggregation along every maximal path, folding
-// stored aggregate-view values where the path is covered by views.
-func (e *Engine) ExecutePathAggQuery(q *PathAggQuery) (*AggResult, error) {
-	return e.ExecutePathAggQueryContext(context.Background(), q)
-}
-
-// ExecutePathAggQueryContext is ExecutePathAggQuery with cancellation: ctx
-// is checked between bitmap fetches of the structural phase and between
+// ExecutePathAggQueryContext evaluates F_Gq (§3.4): structural filtering as
+// for a graph query, then per-record aggregation along every maximal path,
+// folding stored aggregate-view values where the path is covered by views.
+// ctx is checked between bitmap fetches of the structural phase and between
 // per-path aggregation chunks.
 func (e *Engine) ExecutePathAggQueryContext(ctx context.Context, q *PathAggQuery) (*AggResult, error) {
 	var start time.Time
@@ -1048,22 +1033,17 @@ type ScalarAggResult struct {
 	ZoneSkipped bool
 }
 
-// ExecutePathAggScalar evaluates a path aggregation and folds it all the way
-// down to one scalar: Fold across the per-record path aggregates of every
-// answer record. For MIN/MAX queries whose maximal paths each cover to a
-// single segment (one raw edge, or one aggregate view spanning the whole
+// ExecutePathAggScalarContext evaluates a path aggregation and folds it all
+// the way down to one scalar: Fold across the per-record path aggregates of
+// every answer record. For MIN/MAX queries whose maximal paths each cover to
+// a single segment (one raw edge, or one aggregate view spanning the whole
 // path) and that touch no node measures, it runs a zone-skipping scan:
 // per-block zone maps prove most blocks cannot tighten the accumulator and
 // those blocks are never decoded — or even read from disk on a paged store.
 // Every other query falls back to the general per-record plan and folds its
 // result, so the scalar answer is always exactly Fold over
-// AggResult.FoldAcrossPaths() in record order, bit for bit.
-func (e *Engine) ExecutePathAggScalar(q *PathAggQuery) (*ScalarAggResult, error) {
-	return e.ExecutePathAggScalarContext(context.Background(), q)
-}
-
-// ExecutePathAggScalarContext is ExecutePathAggScalar with cancellation,
-// checked between bitmap fetches of the structural phase.
+// AggResult.FoldAcrossPaths() in record order, bit for bit. ctx is checked
+// between bitmap fetches of the structural phase.
 func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
 	var start time.Time
 	if e.metrics != nil || e.slow != nil {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestExplainSavingsMatchExecutedFetches(t *testing.T) {
 	}
 
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	viewAware := f.rel.Tracker().Snapshot().BitmapColumnsFetched
@@ -128,7 +129,7 @@ func TestExplainSavingsMatchExecutedFetches(t *testing.T) {
 
 	f.eng.UseViews = false
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	oblivious := f.rel.Tracker().Snapshot().BitmapColumnsFetched

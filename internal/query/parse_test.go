@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -112,7 +113,7 @@ func TestParseEvalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := f.eng.EvalExpr(st.Expr)
+	ids, err := f.eng.EvalExprContext(context.Background(), st.Expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestParseEvalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.eng.ExecutePathAggQuery(agg.Agg)
+	res, err := f.eng.ExecutePathAggQueryContext(context.Background(), agg.Agg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"grove/internal/colstore"
@@ -18,13 +19,13 @@ func benchmarkPathAgg(b *testing.B, numRecords int, density float64, parallel bo
 	f, nodes := pathChainFixture(b, numRecords, density)
 	f.eng.ParallelPaths = parallel
 	q := NewPathAggQueryAlong(gpath.Closed(nodes...), Sum, "")
-	if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+		if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,13 +43,13 @@ func benchmarkPathAggMultiPath(b *testing.B, parallel bool) {
 		gpath.Closed(nodes[:3]...), gpath.Closed(nodes[1:4]...),
 		gpath.Closed(nodes[2:5]...), gpath.Closed(nodes[3:]...),
 	}}
-	if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+		if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +91,7 @@ func benchmarkPathAggScalar(b *testing.B, zoneSkip bool) {
 	q := NewPathAggQueryAlong(gpath.Closed(nodes[0], nodes[1]), Min, "")
 	run := func() {
 		if zoneSkip {
-			res, err := eng.ExecutePathAggScalar(q)
+			res, err := eng.ExecutePathAggScalarContext(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func benchmarkPathAggScalar(b *testing.B, zoneSkip bool) {
 				b.Fatal("scalar plan did not engage")
 			}
 		} else {
-			res, err := eng.ExecutePathAggQuery(q)
+			res, err := eng.ExecutePathAggQueryContext(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -134,14 +135,14 @@ func BenchmarkPathAggPagedCold(b *testing.B) {
 	rel.SetPageCacheBytes(rel.StorageStats().LogicalBytes / 100)
 	eng := NewEngine(rel, f.reg)
 	q := NewPathAggQueryAlong(gpath.Closed(nodes...), Sum, "")
-	if _, err := eng.ExecutePathAggQuery(q); err != nil {
+	if _, err := eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	before := rel.PagePoolStats().Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecutePathAggQuery(q); err != nil {
+		if _, err := eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +153,7 @@ func BenchmarkPathAggPagedCold(b *testing.B) {
 // fused AggregateInto scan) over a fixed structural answer.
 func BenchmarkPathAggFetchMeasures(b *testing.B) {
 	f, nodes := pathChainFixture(b, 50000, 1.0)
-	res, err := f.eng.ExecuteGraphQuery(pathQuery(nodes...))
+	res, err := f.eng.ExecuteGraphQueryContext(context.Background(), pathQuery(nodes...))
 	if err != nil {
 		b.Fatal(err)
 	}

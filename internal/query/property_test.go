@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,12 +109,12 @@ func TestAggViewsNeverChangeAggregates(t *testing.T) {
 		q := NewPathAggQuery(p.ToGraph(), fn)
 
 		f.eng.UseViews = true
-		with, err := f.eng.ExecutePathAggQuery(q)
+		with, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.eng.UseViews = false
-		without, err := f.eng.ExecutePathAggQuery(q)
+		without, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestAggMatchesBruteForce(t *testing.T) {
 		}
 		p := paths[rng.Intn(len(paths))]
 		q := NewPathAggQuery(p.ToGraph(), Sum)
-		res, err := f.eng.ExecutePathAggQuery(q)
+		res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

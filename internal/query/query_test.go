@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestPaperSection34Example(t *testing.T) {
 	// SUM(A,C,E,F) retrieves record 2 with aggregate 7 (§3.4).
 	f := newFig2Fixture(t)
 	q := NewPathAggQuery(gpath.Closed("A", "C", "E", "F").ToGraph(), Sum)
-	res, err := f.eng.ExecutePathAggQuery(q)
+	res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestGraphQueryAnswers(t *testing.T) {
 		{pathQuery("A", "Z"), nil},
 	}
 	for _, c := range cases {
-		res, err := f.eng.ExecuteGraphQuery(c.q)
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,16 +104,16 @@ func TestGraphQueryAnswers(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	f := newFig2Fixture(t)
-	if _, err := f.eng.ExecuteGraphQuery(NewGraphQuery(graph.NewGraph())); err == nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), NewGraphQuery(graph.NewGraph())); err == nil {
 		t.Error("empty graph query accepted")
 	}
-	if _, err := f.eng.ExecuteGraphQuery(nil); err == nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), nil); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := f.eng.ExecutePathAggQuery(&PathAggQuery{G: graph.NewGraph(), Agg: Sum}); err == nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), &PathAggQuery{G: graph.NewGraph(), Agg: Sum}); err == nil {
 		t.Error("empty agg query accepted")
 	}
-	if _, err := f.eng.ExecutePathAggQuery(&PathAggQuery{G: pathQuery("A", "B").G}); err == nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), &PathAggQuery{G: pathQuery("A", "B").G}); err == nil {
 		t.Error("agg query without function accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestExprEval(t *testing.T) {
 	ef := Leaf{Q: pathQuery("E", "F")}
 	ab := Leaf{Q: pathQuery("A", "B")}
 
-	and, err := f.eng.EvalExpr(And{Operands: []Expr{cde, ef}})
+	and, err := f.eng.EvalExprContext(context.Background(), And{Operands: []Expr{cde, ef}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("AND = %v, want [1 2]", got)
 	}
 
-	or, err := f.eng.EvalExpr(Or{Operands: []Expr{ef, ab}})
+	or, err := f.eng.EvalExprContext(context.Background(), Or{Operands: []Expr{ef, ab}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("OR = %v, want all three", got)
 	}
 
-	diff, err := f.eng.EvalExpr(Diff{A: cde, B: ef})
+	diff, err := f.eng.EvalExprContext(context.Background(), Diff{A: cde, B: ef})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +149,10 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("AND NOT = %v, want [0]", got)
 	}
 
-	if _, err := f.eng.EvalExpr(And{}); err == nil {
+	if _, err := f.eng.EvalExprContext(context.Background(), And{}); err == nil {
 		t.Error("empty AND accepted")
 	}
-	if _, err := f.eng.EvalExpr(Or{}); err == nil {
+	if _, err := f.eng.EvalExprContext(context.Background(), Or{}); err == nil {
 		t.Error("empty OR accepted")
 	}
 }
@@ -215,12 +216,12 @@ func TestViewRewriteSameAnswer(t *testing.T) {
 	q := pathQuery("A", "C", "E", "F")
 
 	f.eng.UseViews = false
-	oblivious, err := f.eng.ExecuteGraphQuery(q)
+	oblivious, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.eng.UseViews = true
-	rewritten, err := f.eng.ExecuteGraphQuery(q)
+	rewritten, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +246,14 @@ func TestViewReducesIOCost(t *testing.T) {
 
 	f.eng.UseViews = false
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	without := f.rel.Tracker().Snapshot().BitmapColumnsFetched
 
 	f.eng.UseViews = true
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecuteGraphQuery(q); err != nil {
+	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	with := f.rel.Tracker().Snapshot().BitmapColumnsFetched
@@ -265,7 +266,7 @@ func TestViewReducesIOCost(t *testing.T) {
 func TestFetchMeasures(t *testing.T) {
 	f := newFig2Fixture(t)
 	q := pathQuery("A", "D", "E") // e4, e5 — present in all 3 records
-	res, err := f.eng.ExecuteGraphQuery(q)
+	res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +294,12 @@ func TestAggViewUsedAndConsistent(t *testing.T) {
 	q := NewPathAggQuery(gpath.Closed("E", "F", "G").ToGraph(), Sum)
 
 	f.eng.UseViews = true
-	with, err := f.eng.ExecutePathAggQuery(q)
+	with, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.eng.UseViews = false
-	without, err := f.eng.ExecutePathAggQuery(q)
+	without, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +339,14 @@ func TestAggViewReducesMeasureColumns(t *testing.T) {
 
 	f.eng.UseViews = false
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	rawCols := f.rel.Tracker().Snapshot().MeasureColumnsFetched
 
 	f.eng.UseViews = true
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	viewCols := f.rel.Tracker().Snapshot().MeasureColumnsFetched
@@ -364,7 +365,7 @@ func TestAggMultiplePaths(t *testing.T) {
 	g.AddEdge("A", "D")
 	g.AddEdge("D", "E")
 	q := NewPathAggQuery(g, Sum)
-	res, err := f.eng.ExecutePathAggQuery(q)
+	res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestAggNullWhenMeasureMissing(t *testing.T) {
 	graph.LoadRecord(rel, reg, rec)
 	eng := NewEngine(rel, reg)
 	q := NewPathAggQuery(gpath.Closed("A", "B", "C").ToGraph(), Sum)
-	res, err := eng.ExecutePathAggQuery(q)
+	res, err := eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestNodeMeasuresInAggregation(t *testing.T) {
 	eng := NewEngine(rel, reg)
 	// Closed path includes A's node measure; internal B always counted.
 	q := NewPathAggQuery(gpath.Closed("A", "B", "C").ToGraph(), Sum)
-	res, err := eng.ExecutePathAggQuery(q)
+	res, err := eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestQueryPropertyMatchesBruteForce(t *testing.T) {
 	f := newRandomFixture(t, rng, 300)
 	for trial := 0; trial < 100; trial++ {
 		qg := f.randomQueryGraph(rng, 5)
-		res, err := f.eng.ExecuteGraphQuery(NewGraphQuery(qg))
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), NewGraphQuery(qg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,12 +486,12 @@ func TestQueryPropertyViewsNeverChangeAnswers(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		qg := f.randomQueryGraph(rng, 6)
 		f.eng.UseViews = true
-		with, err := f.eng.ExecuteGraphQuery(NewGraphQuery(qg))
+		with, err := f.eng.ExecuteGraphQueryContext(context.Background(), NewGraphQuery(qg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.eng.UseViews = false
-		without, err := f.eng.ExecuteGraphQuery(NewGraphQuery(qg))
+		without, err := f.eng.ExecuteGraphQueryContext(context.Background(), NewGraphQuery(qg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"grove/internal/colstore"
 	"grove/internal/gpath"
 	"grove/internal/graph"
+	"grove/internal/raceflag"
 )
 
 // TestPathAggUnknownEdgeSentinelsDistinct is the regression test for the
@@ -18,7 +20,7 @@ func TestPathAggUnknownEdgeSentinelsDistinct(t *testing.T) {
 	f := newFig2Fixture(t)
 	q := NewPathAggQueryAlong(gpath.Closed("A", "X", "Y"), Sum, "")
 	f.rel.Tracker().Reset()
-	res, err := f.eng.ExecutePathAggQuery(q)
+	res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestPathAggUnknownEdgeSentinelsDistinct(t *testing.T) {
 	q2 := &PathAggQuery{G: gpath.Closed("A", "X", "Y").ToGraph(), Agg: Sum,
 		Paths: []gpath.Path{gpath.Closed("A", "X", "Y"), gpath.Closed("A", "X", "Y")}}
 	f.rel.Tracker().Reset()
-	if _, err := f.eng.ExecutePathAggQuery(q2); err != nil {
+	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q2); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.rel.Tracker().Snapshot().MeasureColumnsFetched; got != 2 {
@@ -66,7 +68,7 @@ func TestPathAggSpecializedMatchesGenericKernel(t *testing.T) {
 		for _, fn := range []AggFunc{Sum, Min, Max, Count} {
 			run := func(a AggFunc) (*AggResult, int64) {
 				f.rel.Tracker().Reset()
-				res, err := f.eng.ExecutePathAggQuery(NewPathAggQueryAlong(p, a, ""))
+				res, err := f.eng.ExecutePathAggQueryContext(context.Background(), NewPathAggQueryAlong(p, a, ""))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,13 +111,13 @@ func TestParallelPathsMatchesSequential(t *testing.T) {
 		ran++
 		q := rec.Graph
 		f.rel.Tracker().Reset()
-		seq, err := f.eng.ExecutePathAggQuery(NewPathAggQuery(q, Sum))
+		seq, err := f.eng.ExecutePathAggQueryContext(context.Background(), NewPathAggQuery(q, Sum))
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqScanned := f.rel.Tracker().Snapshot().MeasuresScanned
 		f.rel.Tracker().Reset()
-		got, err := par.ExecutePathAggQuery(NewPathAggQuery(q, Sum))
+		got, err := par.ExecutePathAggQueryContext(context.Background(), NewPathAggQuery(q, Sum))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,18 +174,18 @@ func pathChainFixture(tb testing.TB, numRecords int, density float64) (*fixture,
 // allocate O(1): the per-query allocation count must not grow with the
 // answer set (scratch comes from pools, not per-segment makes).
 func TestPathAggSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	counts := make([]float64, 0, 2)
 	for _, n := range []int{1000, 8000} {
 		f, nodes := pathChainFixture(t, n, 1.0)
 		q := NewPathAggQueryAlong(gpath.Closed(nodes...), Sum, "")
-		if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+		if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 			t.Fatal(err) // and warm the scratch pools
 		}
 		counts = append(counts, testing.AllocsPerRun(20, func() {
-			if _, err := f.eng.ExecutePathAggQuery(q); err != nil {
+			if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -200,13 +202,13 @@ func TestPathAggSteadyStateAllocs(t *testing.T) {
 // phase, which now folds through pooled buffers with no values/present
 // materialization.
 func TestFetchMeasuresSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	counts := make([]float64, 0, 2)
 	for _, n := range []int{1000, 8000} {
 		f, nodes := pathChainFixture(t, n, 1.0)
-		res, err := f.eng.ExecuteGraphQuery(pathQuery(nodes...))
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), pathQuery(nodes...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"context"
+
 	"grove/internal/bitmap"
-	"grove/internal/graph"
 	"grove/internal/obs"
 	"grove/internal/query"
 )
@@ -20,12 +21,12 @@ import (
 // BitmapsFetched against that shard's slice of the records. The per-shard runs
 // bypass result caches, serving metrics, the trace ring, and the slow log
 // (see Engine.ExplainAnalyze).
-func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysis, error) {
+func (c *Coordinator) ExplainAnalyze(ctx context.Context, q *query.GraphQuery) (*query.ExplainAnalysis, error) {
 	if len(c.units) == 1 {
 		u := c.units[0]
 		u.pending.Add(1)
 		defer u.pending.Add(-1)
-		return u.Eng.ExplainAnalyze(q)
+		return u.Eng.ExplainAnalyze(ctx, q)
 	}
 	// Shards share the schema and views, so shard 0's plan represents all.
 	plan, err := c.units[0].Eng.Explain(q)
@@ -40,7 +41,7 @@ func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysi
 	records := 0
 	for s, u := range c.units {
 		u.pending.Add(1)
-		a, err := u.Eng.ExplainAnalyze(q)
+		a, err := u.Eng.ExplainAnalyze(ctx, q)
 		u.pending.Add(-1)
 		if err != nil {
 			return nil, err
@@ -60,10 +61,4 @@ func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysi
 		Records: records,
 		Answer:  merged,
 	}, nil
-}
-
-// ExplainAnalyzeGraph is a convenience wrapper over ExplainAnalyze for a bare
-// graph.
-func (c *Coordinator) ExplainAnalyzeGraph(g *graph.Graph) (*query.ExplainAnalysis, error) {
-	return c.ExplainAnalyze(query.NewGraphQuery(g))
 }

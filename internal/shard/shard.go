@@ -433,37 +433,37 @@ func (c *Coordinator) ViewUsage() map[string]int64 {
 
 // --- engine configuration ---------------------------------------------------
 
-// SetUseViews toggles view-aware rewriting on every shard engine.
-func (c *Coordinator) SetUseViews(use bool) {
+// The engine settings below are construction-time configuration: the
+// facade applies them before the coordinator serves its first query, since
+// running queries read the engine fields without synchronisation.
+
+// DisableViews turns off view-aware rewriting on every shard engine.
+func (c *Coordinator) DisableViews() {
 	for _, u := range c.units {
-		u.Eng.UseViews = use
+		u.Eng.UseViews = false
 	}
 }
 
-// SetParallelPaths toggles concurrent per-path aggregation on every shard
-// engine.
-func (c *Coordinator) SetParallelPaths(on bool) {
+// EnableParallelPaths turns on concurrent per-path aggregation on every
+// shard engine.
+func (c *Coordinator) EnableParallelPaths() {
 	for _, u := range c.units {
-		u.Eng.ParallelPaths = on
+		u.Eng.ParallelPaths = true
 	}
 }
 
 // EnableCache attaches a result cache to every shard engine, splitting the
 // capacity evenly (capacity ≤ 0 selects each cache's default). A mutation
 // invalidates only its own shard's slice — the other shards' cached answers
-// remain exact because their data did not change. enable=false detaches.
-func (c *Coordinator) EnableCache(enable bool, capacity int) {
+// remain exact because their data did not change.
+func (c *Coordinator) EnableCache(capacity int) {
 	n := len(c.units)
 	per := capacity
-	if enable && n > 1 && capacity > 0 {
+	if n > 1 && capacity > 0 {
 		per = (capacity + n - 1) / n
 	}
 	for _, u := range c.units {
-		if enable {
-			u.Eng.EnableCache(query.NewResultCache(per))
-		} else {
-			u.Eng.EnableCache(nil)
-		}
+		u.Eng.EnableCache(query.NewResultCache(per))
 	}
 }
 

@@ -248,7 +248,7 @@ func TestCacheSplitAndAggregatedStats(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Add(smallRecord(t, float64(i)))
 	}
-	c.EnableCache(true, 64)
+	c.EnableCache(64)
 	q := query.FromPath(pathAB())
 	for i := 0; i < 3; i++ {
 		if _, err := c.MatchContext(context.Background(), q); err != nil {
@@ -268,10 +268,6 @@ func TestCacheSplitAndAggregatedStats(t *testing.T) {
 	st = c.CacheStats()
 	if st.Misses != 5 || st.Hits != 11 {
 		t.Fatalf("cache stats after one-shard write = %+v", st)
-	}
-	c.EnableCache(false, 0)
-	if st := c.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("detached cache stats = %+v", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,12 +72,12 @@ func TestAdvisorMaterializeGraphViews(t *testing.T) {
 	for _, qg := range queries {
 		q := query.NewGraphQuery(qg)
 		eng.UseViews = true
-		with, err := eng.ExecuteGraphQuery(q)
+		with, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.UseViews = false
-		without, err := eng.ExecuteGraphQuery(q)
+		without, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestAdvisorViewsReduceWorkloadCost(t *testing.T) {
 	cost := func() int {
 		rel.Tracker().Reset()
 		for _, qg := range queries {
-			if _, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg)); err != nil {
+			if _, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,12 +130,12 @@ func TestAdvisorMaterializeAggViews(t *testing.T) {
 	for _, qg := range queries[:10] {
 		q := query.NewPathAggQuery(qg, query.Sum)
 		eng.UseViews = true
-		with, err := eng.ExecutePathAggQuery(q)
+		with, err := eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.UseViews = false
-		without, err := eng.ExecutePathAggQuery(q)
+		without, err := eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -244,7 +245,7 @@ func TestDatasetQueriesHaveAnswers(t *testing.T) {
 	queries := ds.Gen.UniformPathQueries(50, 2, 4)
 	nonEmpty := 0
 	for _, qg := range queries {
-		res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+		res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func TestRecordNamedMeasures(t *testing.T) {
 func TestAggregateNamedMeasure(t *testing.T) {
 	st := buildMultiMeasureStore(t)
 	// Time along A→D→E (default measure): 5 and 9.
-	timeAgg, err := st.AggregatePath(Sum, "A", "D", "E")
+	timeAgg, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +79,21 @@ func TestAggregateNamedMeasure(t *testing.T) {
 		t.Errorf("time sums = %v, want [5 9]", timeAgg.Values[0])
 	}
 	// Cost along the same path: 30 and 32.
-	costAgg, err := st.AggregatePathMeasure(Sum, "cost", "A", "D", "E")
+	costAgg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if costAgg.Values[0][0] != 30 || costAgg.Values[0][1] != 32 {
 		t.Errorf("cost sums = %v, want [30 32]", costAgg.Values[0])
 	}
-	if names := st.MeasureNames(); len(names) != 1 || names[0] != "cost" {
+	if names := st.Stats().MeasureNames; len(names) != 1 || names[0] != "cost" {
 		t.Errorf("MeasureNames = %v", names)
 	}
 }
 
 func TestAggregateMissingNamedMeasureIsNull(t *testing.T) {
 	st := buildMultiMeasureStore(t)
-	agg, err := st.AggregatePathMeasure(Sum, "weight", "A", "D", "E")
+	agg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestAggregateMissingNamedMeasureIsNull(t *testing.T) {
 
 func TestAggViewOnNamedMeasure(t *testing.T) {
 	st := buildMultiMeasureStore(t)
-	if err := st.MaterializeAggViewPathMeasure("cade", Sum, "cost", "A", "D", "E"); err != nil {
+	if err := st.MaterializeAggViewPath("cade", Sum, "cost", "A", "D", "E"); err != nil {
 		t.Fatal(err)
 	}
 	// The cost view must serve cost queries...
-	costAgg, err := st.AggregatePathMeasure(Sum, "cost", "A", "D", "E")
+	costAgg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAggViewOnNamedMeasure(t *testing.T) {
 		t.Errorf("cost via view = %v, want 30", costAgg.Values[0][0])
 	}
 	// ...but must NOT be used for the default (time) measure.
-	timeAgg, err := st.AggregatePath(Sum, "A", "D", "E")
+	timeAgg, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAggViewOnNamedMeasure(t *testing.T) {
 func TestNamedMeasuresSurviveSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	st := buildMultiMeasureStore(t)
-	if err := st.MaterializeAggViewPathMeasure("c", Sum, "cost", "A", "D", "E"); err != nil {
+	if err := st.MaterializeAggViewPath("c", Sum, "cost", "A", "D", "E"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(dir); err != nil {
@@ -146,7 +146,7 @@ func TestNamedMeasuresSurviveSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costAgg, err := got.AggregatePathMeasure(Sum, "cost", "A", "D", "E")
+	costAgg, err := got.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNamedMeasuresSurviveSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.Add(rec)
-	costAgg, err = got.AggregatePathMeasure(Sum, "cost", "A", "D", "E")
+	costAgg, err = got.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +195,10 @@ func TestNamedMeasuresSurviveFlattening(t *testing.T) {
 	}
 	st := Open()
 	st.Add(rec) // cyclic → flattened
-	if names := st.MeasureNames(); len(names) != 1 || names[0] != "cost" {
+	if names := st.Stats().MeasureNames; len(names) != 1 || names[0] != "cost" {
 		t.Fatalf("MeasureNames after flattening = %v", names)
 	}
-	agg, err := st.AggregatePathMeasure(Sum, "cost", "A", "B", "C")
+	agg, err := st.AggregateMeasure(PathOf("A", "B", "C").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}

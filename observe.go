@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -134,7 +135,7 @@ func (k *ioSink) OnRecordsReturned(n int64) { k.recordsReturned.Add(n) }
 // first call: engine query counters and latency histograms, the column
 // store's I/O tap, cache and view-usage readers, and store-size gauges.
 // Recording is allocation-free; a store that never calls Metrics pays
-// nothing. Like EnableResultCache, first call it before serving queries.
+// nothing. First call it before serving queries.
 func (s *Store) Metrics() *MetricsRegistry {
 	if s.metrics != nil {
 		return s.metrics
@@ -159,18 +160,18 @@ func (s *Store) Metrics() *MetricsRegistry {
 	}
 
 	r.CounterFunc(MetricCacheHits, "Result cache hits.",
-		func() float64 { return float64(s.CacheStats().Hits) })
+		func() float64 { return float64(s.coord.CacheStats().Hits) })
 	r.CounterFunc(MetricCacheMisses, "Result cache misses.",
-		func() float64 { return float64(s.CacheStats().Misses) })
+		func() float64 { return float64(s.coord.CacheStats().Misses) })
 	r.CounterFunc(MetricCacheEvictions, "Result cache LRU evictions.",
-		func() float64 { return float64(s.CacheStats().Evictions) })
+		func() float64 { return float64(s.coord.CacheStats().Evictions) })
 
 	r.CounterFunc(MetricPersistRecoveries, "Loads that fell back to an older snapshot generation because the installed one was missing or damaged (process-wide).",
 		func() float64 { return float64(colstore.PersistRecoveries()) })
 
 	r.CounterVecFunc(MetricViewUses, "Times each materialized view answered part of a query.",
 		func() map[string]float64 {
-			usage := s.ViewUsage()
+			usage := s.coord.ViewUsage()
 			out := make(map[string]float64, len(usage))
 			for name, n := range usage {
 				out[obs.Labels("view", name)] = float64(n)
@@ -356,14 +357,6 @@ func (s *Store) SetSlowQueryThreshold(threshold time.Duration) {
 // the log was never enabled). Entries marshal to JSON.
 func (s *Store) SlowQueries() []SlowQuery { return s.coord.SlowLog().Recent() }
 
-// CacheStats returns the result cache's cumulative counters, summed across
-// all shards (zero when no cache is attached).
-func (s *Store) CacheStats() CacheStats { return s.coord.CacheStats() }
-
-// ViewUsage returns, per materialized view (graph and aggregate), how many
-// times it answered part of a query, summed across all shards.
-func (s *Store) ViewUsage() map[string]int64 { return s.coord.ViewUsage() }
-
 // ServeMetrics starts an HTTP server on addr (use ":0" for an ephemeral
 // port; read it back with Addr) exposing:
 //
@@ -401,5 +394,5 @@ func (s *Store) ServeMetrics(addr string) (*MetricsServer, error) {
 // analysis's root trace carries one child per shard and its observed I/O is
 // the exact sum over the children (see Coordinator.ExplainAnalyze).
 func (s *Store) ExplainAnalyze(g *Graph) (*ExplainAnalysis, error) {
-	return s.coord.ExplainAnalyzeGraph(g)
+	return s.coord.ExplainAnalyze(context.Background(), query.NewGraphQuery(g))
 }

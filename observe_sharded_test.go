@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"grove/internal/raceflag"
 )
 
 // TestShardedTraceTree asserts the shape of a scatter-gathered query's
@@ -20,7 +22,7 @@ func TestShardedTraceTree(t *testing.T) {
 	loadSCMOrders(t, st)
 	st.EnableTracing(8)
 
-	if _, err := st.MatchPath("A", "D", "E"); err != nil {
+	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
 	traces := st.RecentTraces()
@@ -167,10 +169,10 @@ func TestSlowQueryLogThroughStore(t *testing.T) {
 	loadSCMOrders(t, st)
 	st.EnableSlowQueryLog(8, 0)
 
-	if _, err := st.MatchPath("A", "D", "E"); err != nil {
+	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AggregatePath(Sum, "A", "D", "E"); err != nil {
+	if _, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Query("[A,D,E] AND NOT [A,B]"); err != nil {
@@ -205,7 +207,7 @@ func TestSlowQueryLogThroughStore(t *testing.T) {
 
 	// Retuning the threshold stops logging without dropping entries.
 	st.SetSlowQueryThreshold(time.Hour)
-	if _, err := st.MatchPath("A", "D"); err != nil {
+	if _, err := st.Match(PathOf("A", "D").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(st.SlowQueries()); got != 3 {
@@ -280,7 +282,7 @@ func TestSlowQueryLogSingleShard(t *testing.T) {
 	st := Open()
 	loadSCMOrders(t, st)
 	st.EnableSlowQueryLog(4, 0)
-	if _, err := st.MatchPath("A", "D", "E"); err != nil {
+	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
 	slow := st.SlowQueries()
@@ -300,7 +302,7 @@ func TestSlowQueryLogSingleShard(t *testing.T) {
 // are switched off, a scattered query must allocate exactly what a
 // never-instrumented store allocates.
 func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
 	}
 	base := NewSharded(4)

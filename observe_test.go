@@ -14,18 +14,17 @@ import (
 // the endpoint serves parseable Prometheus text including the query latency
 // histogram and the cache hit/miss counters.
 func TestServeMetricsEndpoint(t *testing.T) {
-	st := buildSCMStore(t)
-	st.EnableResultCache(true, 8)
+	st := buildSCMStore(t, WithResultCache(8))
 	st.EnableTracing(0)
 	st.Metrics()
 
 	// One repeated query (a hit on the rerun) and one aggregation.
 	for i := 0; i < 2; i++ {
-		if _, err := st.MatchPath("A", "D", "E"); err != nil {
+		if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.AggregatePath(Sum, "A", "D", "E", "G", "I"); err != nil {
+	if _, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,25 +132,24 @@ func TestExplainAnalyzeThroughStore(t *testing.T) {
 }
 
 func TestCacheStatsAndEvictionsThroughStore(t *testing.T) {
-	st := buildSCMStore(t)
-	if (st.CacheStats() != CacheStats{}) {
-		t.Errorf("no-cache stats = %+v", st.CacheStats())
+	if c := buildSCMStore(t).Stats().Cache; (c != CacheStats{}) {
+		t.Errorf("no-cache stats = %+v", c)
 	}
 	// Capacity 1 degrades to one entry per shard; querying many distinct
 	// two-edge paths that collide in a shard forces LRU evictions.
-	st.EnableResultCache(true, 1)
+	st := buildSCMStore(t, WithResultCache(1))
 	paths := [][]string{
 		{"A", "D", "E"}, {"D", "E", "G"}, {"E", "G", "I"}, {"A", "B", "F"},
 		{"B", "F", "J"}, {"F", "J", "K"}, {"C", "H", "K"}, {"E", "G", "K"},
 	}
 	for round := 0; round < 2; round++ {
 		for _, p := range paths {
-			if _, err := st.MatchPath(p...); err != nil {
+			if _, err := st.Match(PathOf(p...).ToGraph()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	cs := st.CacheStats()
+	cs := st.Stats().Cache
 	if cs.Misses == 0 {
 		t.Error("no misses recorded")
 	}
@@ -168,18 +166,18 @@ func TestViewUsageThroughStore(t *testing.T) {
 	if err := st.MaterializeView("vADE", PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(st.ViewUsage()); n != 1 {
+	if n := len(st.Stats().ViewUsage); n != 1 {
 		t.Fatalf("usage entries = %d", n)
 	}
-	if st.ViewUsage()["vADE"] != 0 {
-		t.Errorf("unused view has uses = %d", st.ViewUsage()["vADE"])
+	if st.Stats().ViewUsage["vADE"] != 0 {
+		t.Errorf("unused view has uses = %d", st.Stats().ViewUsage["vADE"])
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := st.MatchPath("A", "D", "E", "G"); err != nil {
+		if _, err := st.Match(PathOf("A", "D", "E", "G").ToGraph()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := st.ViewUsage()["vADE"]; got != 3 {
+	if got := st.Stats().ViewUsage["vADE"]; got != 3 {
 		t.Errorf("view uses = %d, want 3", got)
 	}
 }

@@ -1,0 +1,221 @@
+package grove
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"grove/internal/colstore"
+	"grove/internal/shard"
+)
+
+// storeMethods is the whole exported surface of *Store. Adding or removing a
+// method must edit this list: the surface grows only on purpose.
+var storeMethods = []string{
+	"Add", "AdviseGraphViews", "Aggregate", "AggregateAlong", "AggregateBatch",
+	"AggregateBatchContext", "AggregateContext", "AggregateMeasure",
+	"AggregateScalar", "AggregateScalarContext", "Append", "AppendBareEdge",
+	"AppendEdge", "AveragePath", "Close", "ClusterColumns", "Delete",
+	"DisableSlowQueryLog", "DisableTracing", "DropAllViews", "EnableSlowQueryLog",
+	"EnableTracing", "EnableWAL", "Eval", "ExecuteBatch", "ExecuteBatchContext",
+	"Explain", "ExplainAnalyze", "ExportTraces", "GetRecord", "IOStatsSnapshot",
+	"ImportTraces", "Match", "MatchContext", "MaterializeAggViewPath",
+	"MaterializeAggViews", "MaterializeGraphViews", "MaterializeView", "Metrics",
+	"NumRecords", "Optimize", "PageError", "Query", "RecentTraces",
+	"RecordingActive", "RenderAdvice", "ReplayEvent", "ReplayWorkload",
+	"ResetIOStats", "Save", "ServeMetrics", "SetPageCacheBytes",
+	"SetSlowQueryThreshold", "SlowQueries", "SnapshotViewUsage",
+	"StartWorkloadRecording", "Stats", "StopWorkloadRecording", "StorageStats",
+	"SummarizeByTag", "SyncWAL", "Tag", "TaggedWith", "Undelete", "WALError",
+	"WALStats",
+}
+
+func TestStoreMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*Store)(nil))
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	want := slices.Clone(storeMethods)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Store methods changed:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
+	}
+}
+
+// optionCtor opens a store through one constructor path, loaded with the
+// loadSCMOrders records and a graph view "vADE" over A→D→E.
+type optionCtor struct {
+	name string
+	open func(t *testing.T, dir string, opts ...Option) *Store
+}
+
+func optionCtors() []optionCtor {
+	prepare := func(t *testing.T, st *Store) *Store {
+		t.Helper()
+		loadSCMOrders(t, st)
+		if err := st.MaterializeView("vADE", PathOf("A", "D", "E").ToGraph()); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	saved := func(t *testing.T, dir string) {
+		t.Helper()
+		if err := prepare(t, Open()).Save(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal := WALConfig{Policy: SyncNever}
+	durable := func(t *testing.T, dir string, opts []Option) *Store {
+		t.Helper()
+		st, err := OpenDurable(dir, wal, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	return []optionCtor{
+		{"Open", func(t *testing.T, _ string, opts ...Option) *Store {
+			return prepare(t, Open(opts...))
+		}},
+		{"NewSharded(3)", func(t *testing.T, _ string, opts ...Option) *Store {
+			return prepare(t, NewSharded(3, opts...))
+		}},
+		{"LoadStore", func(t *testing.T, dir string, opts ...Option) *Store {
+			saved(t, dir)
+			st, err := LoadStore(dir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}},
+		{"OpenDurable/fresh", func(t *testing.T, dir string, opts ...Option) *Store {
+			return prepare(t, durable(t, dir, opts))
+		}},
+		{"OpenDurable/existing", func(t *testing.T, dir string, opts ...Option) *Store {
+			saved(t, dir)
+			return durable(t, dir, opts)
+		}},
+	}
+}
+
+// TestConstructionOptions checks that each construction option takes effect
+// on every constructor, and that the store built without it behaves as the
+// default says.
+func TestConstructionOptions(t *testing.T) {
+	const keep = colstore.DefaultSnapshotKeep + 1
+	viewQuery := PathOf("A", "D", "E", "G").ToGraph()
+	multiPath := NewGraph()
+	for _, leg := range [][2]string{{"A", "B"}, {"B", "F"}, {"F", "J"}, {"J", "K"}, {"C", "H"}, {"H", "K"}} {
+		multiPath.AddEdge(leg[0], leg[1])
+	}
+	reference := Open()
+	loadSCMOrders(t, reference)
+	want, err := reference.Aggregate(multiPath, Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Paths) < 2 || len(want.RecordIDs) == 0 {
+		t.Fatalf("multi-path query has %d paths and %d records", len(want.Paths), len(want.RecordIDs))
+	}
+
+	cacheHits := func(t *testing.T, st *Store) int64 {
+		for i := 0; i < 2; i++ {
+			if _, err := st.Match(viewQuery); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st.Stats().Cache.Hits
+	}
+	viewsUsed := func(t *testing.T, st *Store) int {
+		ex, err := st.Explain(viewQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ex.Views)
+	}
+	generations := func(t *testing.T, st *Store, dir string) int {
+		for i := 0; i < keep+2; i++ {
+			rec := NewRecord()
+			if err := rec.SetEdge("X", "Y", float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			st.Add(rec)
+			if err := st.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirs, _, err := shard.ShardDirs(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := -1
+		for _, d := range dirs {
+			gens, err := Generations(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n >= 0 && len(gens) != n {
+				t.Fatalf("shards keep %d and %d generations", n, len(gens))
+			}
+			n = len(gens)
+		}
+		return n
+	}
+	parallel := func(t *testing.T, st *Store) bool {
+		for i := 0; i < st.coord.NumShards(); i++ {
+			if !st.coord.Unit(i).Eng.ParallelPaths {
+				return false
+			}
+		}
+		got, err := st.Aggregate(multiPath, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAgg(t, "parallel paths", want, got)
+		return true
+	}
+
+	for _, c := range optionCtors() {
+		t.Run(c.name, func(t *testing.T) {
+			t.Run("defaults", func(t *testing.T) {
+				st := c.open(t, t.TempDir())
+				if hits := cacheHits(t, st); hits != 0 {
+					t.Errorf("cache hits without WithResultCache: %d", hits)
+				}
+				if viewsUsed(t, st) == 0 {
+					t.Error("no view used by default")
+				}
+				if parallel(t, st) {
+					t.Error("parallel paths on by default")
+				}
+			})
+			t.Run("WithResultCache", func(t *testing.T) {
+				if hits := cacheHits(t, c.open(t, t.TempDir(), WithResultCache(8))); hits == 0 {
+					t.Error("no cache hits counted in Stats().Cache")
+				}
+			})
+			t.Run("WithoutViews", func(t *testing.T) {
+				if n := viewsUsed(t, c.open(t, t.TempDir(), WithoutViews())); n != 0 {
+					t.Errorf("Explain uses %d views", n)
+				}
+			})
+			t.Run("WithSnapshotKeep", func(t *testing.T) {
+				// A loaded store also protects the generation it loaded, so
+				// compare against the same constructor at the default.
+				plain, kept := t.TempDir(), t.TempDir()
+				base := generations(t, c.open(t, plain), plain)
+				n := generations(t, c.open(t, kept, WithSnapshotKeep(keep)), kept)
+				if n-base != keep-colstore.DefaultSnapshotKeep || n < keep {
+					t.Errorf("kept %d generations, %d at the default keep of %d; want %d more",
+						n, base, colstore.DefaultSnapshotKeep, keep-colstore.DefaultSnapshotKeep)
+				}
+			})
+			t.Run("WithParallelPaths", func(t *testing.T) {
+				if !parallel(t, c.open(t, t.TempDir(), WithParallelPaths())) {
+					t.Error("parallel paths not enabled")
+				}
+			})
+		})
+	}
+}

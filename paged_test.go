@@ -103,13 +103,13 @@ type aggAnswers struct {
 func collectAnswers(t *testing.T, st *Store, nodes ...string) aggAnswers {
 	t.Helper()
 	out := aggAnswers{rows: map[string][]uint64{}, ids: map[string][]uint32{}, scalar: map[string]uint64{}}
-	res, err := st.MatchPath(nodes...)
+	res, err := st.Match(PathOf(nodes...).ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.matched = res.NumRecords()
 	for _, f := range []AggFunc{Sum, Min, Max, Count} {
-		rows, err := st.AggregatePath(f, nodes...)
+		rows, err := st.Aggregate(PathOf(nodes...).ToGraph(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func collectAnswers(t *testing.T, st *Store, nodes ...string) aggAnswers {
 		out.rows[f.Name] = bits
 		out.ids[f.Name] = rows.RecordIDs
 
-		sc, err := st.AggregateScalarPath(f, nodes...)
+		sc, err := st.AggregateScalar(PathOf(nodes...).ToGraph(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +223,11 @@ func TestPagedBitIdentical(t *testing.T) {
 	}
 
 	// Named measures page too.
-	wantW, err := mem.AggregatePathMeasure(Sum, "w", "A", "B")
+	wantW, err := mem.AggregateMeasure(PathOf("A", "B").ToGraph(), Sum, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotW, err := loaded.AggregatePathMeasure(Sum, "w", "A", "B")
+	gotW, err := loaded.AggregateMeasure(PathOf("A", "B").ToGraph(), Sum, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestPagedZoneSkipEngages(t *testing.T) {
 	}
 	defer loaded.Close()
 
-	res, err := loaded.AggregateScalarPath(Min, "C", "D")
+	res, err := loaded.AggregateScalar(PathOf("C", "D").ToGraph(), Min)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +346,8 @@ func TestPagedShardedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if loaded.NumShards() != 3 {
-		t.Fatalf("reloaded store has %d shards, want 3", loaded.NumShards())
+	if loaded.Stats().Shards != 3 {
+		t.Fatalf("reloaded store has %d shards, want 3", loaded.Stats().Shards)
 	}
 	loaded.SetPageCacheBytes(loaded.StorageStats().LogicalBytes / 100)
 	diffAnswers(t, "sharded paged", want, collectAnswers(t, loaded, path...))

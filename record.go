@@ -58,7 +58,7 @@ func (s *Store) StopWorkloadRecording() error {
 	if r == nil {
 		return nil
 	}
-	verr := r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.ViewUsage()})
+	verr := r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.coord.ViewUsage()})
 	cerr := r.Close()
 	if verr != nil {
 		return verr
@@ -77,7 +77,7 @@ func (s *Store) SnapshotViewUsage() error {
 	if r == nil {
 		return nil
 	}
-	return r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.ViewUsage()})
+	return r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.coord.ViewUsage()})
 }
 
 // ReadWorkloadLog parses a workload log written by StartWorkloadRecording, in

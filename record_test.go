@@ -29,10 +29,10 @@ func TestWorkloadRecordReplayRoundTrip(t *testing.T) {
 
 	// A mixed workload: graph match, path aggregations (default and explicit
 	// path), statements, a batch, a boolean expression, and a parse failure.
-	if _, err := src.MatchPath("A", "D", "E"); err != nil {
+	if _, err := src.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.AggregatePath(Sum, "A", "D", "E"); err != nil {
+	if _, err := src.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.AggregateAlong(Min, PathOf("A", "D", "E"), ""); err != nil {
@@ -133,7 +133,7 @@ func TestReplayDigestMismatchDetected(t *testing.T) {
 	if err := src.StartWorkloadRecording(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.MatchPath("A", "D", "E"); err != nil {
+	if _, err := src.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.StopWorkloadRecording(); err != nil {

@@ -72,8 +72,8 @@ func TestShardedPublicDifferential(t *testing.T) {
 	one, four := Open(), NewSharded(4)
 	loadSCMOrders(t, one)
 	loadSCMOrders(t, four)
-	if four.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", four.NumShards())
+	if four.Stats().Shards != 4 {
+		t.Fatalf("NumShards = %d", four.Stats().Shards)
 	}
 	for _, st := range []*Store{one, four} {
 		if _, err := st.Delete(5); err != nil {
@@ -89,25 +89,25 @@ func TestShardedPublicDifferential(t *testing.T) {
 		{"X", "Y"}, // absent everywhere
 	}
 	for _, p := range paths {
-		r1, err1 := one.MatchPath(p...)
-		r4, err4 := four.MatchPath(p...)
+		r1, err1 := one.Match(PathOf(p...).ToGraph())
+		r4, err4 := four.Match(PathOf(p...).ToGraph())
 		if (err1 == nil) != (err4 == nil) {
-			t.Fatalf("MatchPath(%v): %v vs %v", p, err1, err4)
+			t.Fatalf("Match(%v): %v vs %v", p, err1, err4)
 		}
 		if err1 != nil {
 			continue
 		}
 		if !r1.Answer.Equals(r4.Answer) {
-			t.Fatalf("MatchPath(%v): %v vs %v", p, r1.Answer.ToSlice(), r4.Answer.ToSlice())
+			t.Fatalf("Match(%v): %v vs %v", p, r1.Answer.ToSlice(), r4.Answer.ToSlice())
 		}
 		for _, f := range []AggFunc{Sum, Min, Max, Count} {
-			a1, err1 := one.AggregatePath(f, p...)
-			a4, err4 := four.AggregatePath(f, p...)
+			a1, err1 := one.Aggregate(PathOf(p...).ToGraph(), f)
+			a4, err4 := four.Aggregate(PathOf(p...).ToGraph(), f)
 			if (err1 == nil) != (err4 == nil) {
-				t.Fatalf("AggregatePath(%v): %v vs %v", p, err1, err4)
+				t.Fatalf("Aggregate(%v): %v vs %v", p, err1, err4)
 			}
 			if err1 == nil {
-				assertSameAgg(t, "AggregatePath", a1, a4)
+				assertSameAgg(t, "Aggregate", a1, a4)
 			}
 		}
 	}
@@ -199,7 +199,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 	if stats.Records != n || st.NumRecords() != n {
 		t.Fatalf("Stats.Records = %d, want %d", stats.Records, n)
 	}
-	if stats.Deleted != 1 || st.NumDeleted() != 1 {
+	if stats.Deleted != 1 || st.Stats().Deleted != 1 {
 		t.Fatalf("Stats.Deleted = %d", stats.Deleted)
 	}
 	if len(stats.TagKeys) != 1 || stats.TagKeys[0] != "tier" {
@@ -210,8 +210,8 @@ func TestShardedStatsAggregation(t *testing.T) {
 		sum += st.coord.Unit(i).Rel.SizeBytes()
 		base += st.coord.Unit(i).Rel.BaseSizeBytes()
 	}
-	if st.SizeBytes() != sum {
-		t.Fatalf("SizeBytes = %d, shard sum = %d", st.SizeBytes(), sum)
+	if size := stats.BaseSizeBytes + stats.ViewSizeBytes; size != sum {
+		t.Fatalf("payload size = %d, shard sum = %d", size, sum)
 	}
 	if stats.BaseSizeBytes != base {
 		t.Fatalf("BaseSizeBytes = %d, shard sum = %d", stats.BaseSizeBytes, base)
@@ -225,12 +225,11 @@ func TestShardedStatsAggregation(t *testing.T) {
 // store-level gauges must cover all shards, and the per-shard families must
 // carry one labelled sample per shard that sums to the store totals.
 func TestShardedMetricsAggregation(t *testing.T) {
-	st := NewSharded(4)
+	st := NewSharded(4, WithResultCache(32))
 	n := loadSCMOrders(t, st)
-	st.EnableResultCache(true, 32)
 	st.Metrics()
 	for i := 0; i < 3; i++ {
-		if _, err := st.MatchPath("A", "D", "E"); err != nil {
+		if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,15 +271,17 @@ func TestShardedMetricsAggregation(t *testing.T) {
 	if _, samples := sumFamily(MetricShardQueueDepth); samples != 4 {
 		t.Fatalf("%s: %d samples, want 4", MetricShardQueueDepth, samples)
 	}
-	if total, samples := sumFamily(MetricShardSizeBytes); samples != 4 || total != float64(st.SizeBytes()) {
-		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardSizeBytes, samples, total, st.SizeBytes())
+	stats := st.Stats()
+	size := stats.BaseSizeBytes + stats.ViewSizeBytes
+	if total, samples := sumFamily(MetricShardSizeBytes); samples != 4 || total != float64(size) {
+		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardSizeBytes, samples, total, size)
 	}
 	// 3 identical queries: every shard misses once then hits twice.
-	if total, samples := sumFamily(MetricShardCacheHits); samples != 4 || total != float64(st.CacheStats().Hits) {
-		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardCacheHits, samples, total, st.CacheStats().Hits)
+	if total, samples := sumFamily(MetricShardCacheHits); samples != 4 || total != float64(st.Stats().Cache.Hits) {
+		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardCacheHits, samples, total, st.Stats().Cache.Hits)
 	}
-	if st.CacheStats().Hits != 8 {
-		t.Fatalf("aggregated cache hits = %d, want 8", st.CacheStats().Hits)
+	if st.Stats().Cache.Hits != 8 {
+		t.Fatalf("aggregated cache hits = %d, want 8", st.Stats().Cache.Hits)
 	}
 }
 
@@ -300,14 +301,14 @@ func TestShardedStoreSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumShards() != 3 || got.NumRecords() != n || got.NumDeleted() != 1 {
-		t.Fatalf("loaded shards=%d records=%d deleted=%d", got.NumShards(), got.NumRecords(), got.NumDeleted())
+	if got.Stats().Shards != 3 || got.NumRecords() != n || got.Stats().Deleted != 1 {
+		t.Fatalf("loaded shards=%d records=%d deleted=%d", got.Stats().Shards, got.NumRecords(), got.Stats().Deleted)
 	}
-	want, err := st.MatchPath("A", "D", "E")
+	want, err := st.Match(PathOf("A", "D", "E").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := got.MatchPath("A", "D", "E")
+	res, err := got.Match(PathOf("A", "D", "E").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestShardedStoreSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflat.NumShards() != 1 || reflat.NumRecords() != n {
-		t.Fatalf("legacy reload: shards=%d records=%d", reflat.NumShards(), reflat.NumRecords())
+	if reflat.Stats().Shards != 1 || reflat.NumRecords() != n {
+		t.Fatalf("legacy reload: shards=%d records=%d", reflat.Stats().Shards, reflat.NumRecords())
 	}
 }

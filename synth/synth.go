@@ -84,7 +84,7 @@ func build(spec workload.DatasetSpec, cfg Config) (*Dataset, error) {
 // Describe returns the Table 2-style statistics line for the dataset.
 func (d *Dataset) Describe() string {
 	return fmt.Sprintf("%s-like: %d records, %d distinct edges, %d–%d edges/record",
-		d.spec.Name, d.Store.NumRecords(), d.Store.NumEdges(),
+		d.spec.Name, d.Store.NumRecords(), d.Store.Stats().DistinctEdges,
 		d.spec.MinEdges, d.spec.MaxEdges)
 }
 

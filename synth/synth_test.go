@@ -14,8 +14,8 @@ func TestNYDataset(t *testing.T) {
 	if ds.Store.NumRecords() != 300 {
 		t.Fatalf("records = %d", ds.Store.NumRecords())
 	}
-	if ds.Store.NumEdges() == 0 || ds.Store.NumEdges() > 2000 {
-		t.Fatalf("edge domain = %d", ds.Store.NumEdges())
+	if edges := ds.Store.Stats().DistinctEdges; edges == 0 || edges > 2000 {
+		t.Fatalf("edge domain = %d", edges)
 	}
 	if ds.Describe() == "" {
 		t.Error("empty description")

@@ -23,7 +23,7 @@ func TestImportTraces(t *testing.T) {
 	}
 	// Records 0 and 1 contain the path; record 0 sums edges 3.5+1.5 plus
 	// node D's 0.5 (closed path), record 1 has a NULL (D,E) leg.
-	agg, err := st.AggregatePath(Sum, "A", "D", "E")
+	agg, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestImportTraces(t *testing.T) {
 	if !math.IsNaN(agg.Values[0][1]) {
 		t.Fatalf("record 1 should be NULL, got %v", agg.Values[0][1])
 	}
-	cost, err := st.AggregatePathMeasure(Sum, "cost", "A", "D")
+	cost, err := st.AggregateMeasure(PathOf("A", "D").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestImportTraces(t *testing.T) {
 		t.Errorf("tag = %v", got)
 	}
 	// Record 2 was cyclic (A→B→A) and must be flattened.
-	res, err := st.MatchPath("B", "A#2")
+	res, err := st.Match(PathOf("B", "A#2").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if _, err := st2.ImportTraces(strings.NewReader(sb.String())); err != nil {
 		t.Fatal(err)
 	}
-	if st2.NumRecords() != st.NumRecords() || st2.NumEdges() != st.NumEdges() {
+	if st2.NumRecords() != st.NumRecords() || st2.Stats().DistinctEdges != st.Stats().DistinctEdges {
 		t.Fatalf("round trip: records %d vs %d, edges %d vs %d",
-			st2.NumRecords(), st.NumRecords(), st2.NumEdges(), st.NumEdges())
+			st2.NumRecords(), st.NumRecords(), st2.Stats().DistinctEdges, st.Stats().DistinctEdges)
 	}
 	// Measures and tags survive.
-	agg, err := st2.AggregatePathMeasure(Sum, "cost", "A", "D")
+	agg, err := st2.AggregateMeasure(PathOf("A", "D").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
