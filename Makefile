@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench bench-smoke replay-smoke e2e-smoke durability shard-diff paged-diff check
+.PHONY: build test race lint fuzz-smoke bench bench-smoke e2e-smoke durability shard-diff paged-diff check
 
 build:
 	$(GO) build ./...
@@ -55,28 +55,13 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . ./...
 
-# One-iteration pass over the path-aggregation benchmarks: proves the
-# vectorized measure path still builds, runs, and stays allocation-bounded
-# without paying for a full benchmark run. The checked-in baseline is
-# BENCH_pathagg.json (regenerate with
-# `go test ./internal/query/ -run '^$$' -bench PathAgg -benchtime 5x`).
-# The obs-overhead guard holds metrics+tracing near the <5% EXPERIMENTS.md
-# expectation (10% tripwire budget: noise headroom on a contended box).
-# The shard and bitmap lines also run the kernels under a sharded batch — the
-# linear k-way merges and the galloping array ∩ run AND — with their
-# allocation counts reported (the AllocsPerRun guards beside them run in
-# `make test`). IntersectArrays prices array ∩ array on both sides of the
-# merge-or-gallop ratio (balanced must not lose to skew's gallop), RanksInto
-# the batch rank per container layout (DESIGN.md §10). PathAgg includes the cold paged run (PathAggPagedCold: every
-# query faults all its blocks through a 1% pool), and PageFault prices one
-# fault per block encoding in ns/value and allocs/op — the decode gap the
-# encoder's choice rule is built on (DESIGN.md §13). The last three are the
-# write path's flat-row probes: one add-record frame decoded, one record
-# appended below the coordinator, one whole recovery (1 000-record snapshot,
-# 100 views, 2 000 logged records). PlanCover and CoverPath price view
-# rewriting against 0, 100 and 1 000 views through the view catalog, and
-# MaterializeAggView the catalog rebuild every view-set change pays at 1 000
-# views (DESIGN.md §3).
+# One iteration per kernel benchmark, allocations reported: path aggregation (cold paged too) and view-rewrite planning at 0/100/1 000 views;
+# one raw page fault and its pread floor (DESIGN.md §13), the view catalog rebuild at 1 000 views (§3);
+# the sharded batch, its k-way merges and WAL replay below the coordinator;
+# the bitmap kernels: array ∩ run AND, merge-or-gallop array ∩ array, per-layout batch rank (§10);
+# one add-record WAL frame decoded;
+# one record appended to a relation;
+# the tracing-overhead gate: metrics plus tracing within 10% of instrumentation off.
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench 'PathAgg|PlanCover|CoverPath' -benchtime 1x
 	$(GO) test ./internal/colstore/ -run '^$$' -bench 'PageFault|MaterializeAggView' -benchtime 1x
@@ -84,14 +69,7 @@ bench-smoke:
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench 'AndInPlaceArrayRun|IntersectArrays|RanksInto' -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
 	$(GO) test ./internal/graph/ -run '^$$' -bench LoadRecord -benchtime 1x
-	$(GO) test ./internal/bench/ -run TestObsOverheadSmoke -count=1 -v
-
-# The workload record→replay round trip at smoke scale: capture a mixed
-# workload on a single-shard store and replay it against 1/2/4-shard stores,
-# requiring every replayed answer's digest to match the recording
-# (grovebench exits non-zero on any mismatch).
-replay-smoke:
-	$(GO) run ./cmd/grovebench -exp replay -ny 2000 -q 20
+	$(GO) test ./internal/obs/ -run TestObsOverheadSmoke -count=1 -v
 
 # The end-to-end benchmark's oracle at smoke length (≈ 22 s on 2 cores): the
 # three workloads that run the bitmap and gather kernels, agg-zipf-views, the
@@ -133,14 +111,15 @@ shard-diff:
 
 # The paged-storage differential gate: a saved-and-reloaded paged store must
 # return bit-identical answers to the in-memory store it was saved from —
-# signed zeros, ±MaxFloat64, denormals, deletions, all four block encodings,
-# single-shard and sharded, at pool budgets down to 1% — with the zone-skip
+# signed zeros, ±MaxFloat64, denormals, deletions, single-shard and sharded,
+# at pool budgets down to 1%; a legacy snapshot holding all four block
+# encodings loads bit-identically and re-saves raw — with the zone-skip
 # scalar plan engaged, the multi-block crash sweep green, the pool's gauge
 # under its budget after a cut, the hot block-decode/zone-skip kernels and
 # the page fault itself allocation-free on any mix of block lengths, cold and
 # warm, and the pool in lockstep with its clock model.
 paged-diff:
-	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagePoolGaugeHonoursACut' -v
+	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagePoolGaugeHonoursACut|TestLegacyBlocksLoad|TestSaveBytesPinned' -v
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
 	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v
@@ -154,7 +133,6 @@ check:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) bench-smoke
-	$(MAKE) replay-smoke
 	$(MAKE) e2e-smoke
 	$(MAKE) durability
 	$(MAKE) shard-diff

@@ -5,7 +5,9 @@
 //
 //	go run ./cmd/grovebench -exp fig6
 //
-// Run everything here with: go test -bench=. -benchmem
+// Measurements that are not paper figures — batches, shards, the WAL,
+// tracing overhead, paged reads — are workloads of the end-to-end benchmark
+// (go run ./benchmark). Run everything here with: go test -bench=. -benchmem
 package grove_test
 
 import (

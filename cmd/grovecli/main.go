@@ -21,6 +21,7 @@
 //	grovecli -store /tmp/ny recover                  # inventory snapshot generations
 //	grovecli -store /tmp/ny recover gen-000001       # force-install a generation
 //	grovecli -store /tmp/ny wal                      # inspect the write-ahead logs
+//	grovecli -store /tmp/ny replay workload.jsonl    # replay a captured workload, digests verified
 //
 // On a sharded store directory (groveload -shards N), recover lists every
 // shard's generations and marks the cut the SHARDS.json manifest pins, and
@@ -148,6 +149,11 @@ func main() {
 			fatal(fmt.Errorf("advise needs a workload file and a budget k"))
 		}
 		advise(st, args[1], args[2])
+	case "replay":
+		if len(args) != 2 {
+			fatal(fmt.Errorf("replay needs one workload log"))
+		}
+		replay(st, args[1])
 	default:
 		fatal(fmt.Errorf("unknown command %q", cmd))
 	}
@@ -159,7 +165,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: grovecli -store DIR <info|match|agg|avg|summary|q|explain|analyze|metrics|slow|advise|views|addview|addagg|tag|recover|wal> [args]")
+	fmt.Fprintln(os.Stderr, "usage: grovecli -store DIR <info|match|agg|avg|summary|q|explain|analyze|metrics|slow|advise|replay|views|addview|addagg|tag|recover|wal> [args]")
 	flag.PrintDefaults()
 }
 
@@ -281,6 +287,25 @@ func inspectWAL(dir string) {
 	}
 }
 
+// replay re-executes a workload log captured by Store.StartWorkloadRecording
+// against the store, verifying each answer's digest against the recorded
+// one. Any mismatch exits non-zero.
+func replay(st *grove.Store, logPath string) {
+	events, err := grove.ReadWorkloadLog(logPath)
+	if err != nil {
+		fatal(err)
+	}
+	stats, err := st.ReplayWorkload(events)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("%d query event(s) against %d shard(s): %d replayed, %d skipped, %d verified, %d mismatched\n",
+		stats.Queries, st.Stats().Shards, stats.Replayed, stats.Skipped, stats.Verified, stats.Mismatched)
+	if stats.Mismatched != 0 {
+		fatal(fmt.Errorf("%d replayed answer(s) differ from the recording", stats.Mismatched))
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "grovecli:", err)
 	os.Exit(1)
@@ -309,15 +334,6 @@ func info(st *grove.Store) {
 	fmt.Printf("measure bytes:   %d logical, %d on disk, %d resident\n",
 		stg.LogicalBytes, stg.OnDiskBytes, stg.ResidentBytes)
 	fmt.Printf("paged columns:   %d paged, %d resident\n", stg.PagedColumns, stg.ResidentColumns)
-	var encs []string
-	for i, n := range stg.BlockEncodings {
-		if n > 0 {
-			encs = append(encs, fmt.Sprintf("%s=%d", grove.BlockEncodingName(i), n))
-		}
-	}
-	if len(encs) > 0 {
-		fmt.Printf("value blocks:    %s\n", strings.Join(encs, " "))
-	}
 	if p := stg.Pool; p.Hits+p.Misses > 0 || p.BudgetBytes > 0 {
 		fmt.Printf("buffer pool:     %d hits, %d misses, %d evictions, %d/%d bytes\n",
 			p.Hits, p.Misses, p.Evictions, p.ResidentBytes, p.BudgetBytes)

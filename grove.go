@@ -68,8 +68,7 @@ type (
 	// fold across every matching record, with block-skipping statistics.
 	ScalarAggResult = query.ScalarAggResult
 	// StorageStats is the storage-residency snapshot of the measure columns:
-	// logical vs. on-disk vs. resident bytes, block encoding mix, and buffer
-	// pool counters.
+	// logical vs. on-disk vs. resident bytes and buffer pool counters.
 	StorageStats = colstore.StorageStats
 	// IOStats is the I/O accounting snapshot of the underlying column store.
 	IOStats = colstore.Stats
@@ -325,8 +324,8 @@ type StoreStats struct {
 	Shards       int
 	TagKeys      []string
 	// Storage is the paged-columnar residency breakdown: logical vs.
-	// on-disk vs. resident measure bytes, per-encoding block counts, and
-	// buffer pool counters, summed across shards.
+	// on-disk vs. resident measure bytes and buffer pool counters, summed
+	// across shards.
 	Storage StorageStats
 	// Cache holds the result cache's cumulative counters (zero without
 	// WithResultCache).
@@ -360,8 +359,8 @@ func (s *Store) Stats() StoreStats {
 
 // StorageStats returns the measure-storage residency snapshot summed across
 // shards: how many bytes the columns represent logically, occupy encoded on
-// disk, and hold decoded in memory right now, plus the block encoding mix
-// and buffer pool hit/miss/eviction counters.
+// disk, and hold decoded in memory right now, plus the buffer pool's
+// hit/miss/eviction counters.
 func (s *Store) StorageStats() StorageStats { return s.coord.StorageStats() }
 
 // SetPageCacheBytes bounds the decoded-block buffer pool. The budget is
@@ -373,14 +372,6 @@ func (s *Store) SetPageCacheBytes(n int64) { s.coord.SetPageCacheBytes(n) }
 // DefaultPageCacheBytes is the buffer pool budget a freshly loaded paged
 // store starts with (split across shards).
 const DefaultPageCacheBytes = colstore.DefaultPageCacheBytes
-
-// BlockEncodingName names slot i of StorageStats.BlockEncodings ("raw",
-// "xor", "dict", "rle").
-func BlockEncodingName(i int) string { return colstore.BlockEncodingName(i) }
-
-// NumBlockEncodings is the number of block encodings (the length of
-// StorageStats.BlockEncodings).
-const NumBlockEncodings = colstore.NumBlockEncodings
 
 // PageError returns the first sticky page-fault error, if lazily loading any
 // value block from the snapshot has failed. Queries that touched a failed

@@ -26,17 +26,8 @@ type Scale struct {
 	Fig5Records int
 	// NumQueries per workload (the paper uses 100).
 	NumQueries int
-	// Workers bounds the batch-executor pool for the parallel experiments;
-	// 0 means runtime.NumCPU().
-	Workers int
 	// Seed makes every dataset and workload draw deterministic.
 	Seed int64
-
-	// ReplayLog, when set, switches the replay experiment from its
-	// self-contained record→replay round trip to replaying this captured
-	// workload log against the saved store at ReplayStore.
-	ReplayLog   string
-	ReplayStore string
 }
 
 // DefaultScale finishes the whole suite in a few minutes on one core.

@@ -28,12 +28,6 @@ func Registry() []Experiment {
 		{"fig9", "Candidate views vs min-support (Fig. 9)", Fig9},
 		{"fig10", "gIndex fragments vs graph views (Fig. 10)", Fig10},
 		{"fig11", "gIndex fragments vs aggregate views (Fig. 11)", Fig11},
-		{"batch", "Parallel batch execution vs sequential (tentpole)", ExpBatch},
-		{"shard", "Sharded scatter-gather: concurrent writes and query fan-out (tentpole)", ExpShard},
-		{"measurescan", "Vectorized measure-scan kernels vs scalar lookups (tentpole)", ExpMeasureScan},
-		{"obs", "Observability overhead: metrics and tracing vs off", ExpObs},
-		{"replay", "Workload record→replay round trip, digests verified across shard counts", ExpReplay},
-		{"wal", "Write-ahead log: ingest cost per fsync policy, crash-recovery verified (tentpole)", ExpWAL},
 		{"extcluster", "Extension: workload-driven column clustering (§6.1)", ExtCluster},
 		{"extmaint", "Extension: incremental view maintenance", ExtMaintenance},
 	}

@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -72,19 +71,6 @@ func (t *Table) Print(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// JSON renders the table as a single JSON object ({title, columns, rows,
-// notes}), the shape checked-in baselines like BENCH_pathagg.json use.
-func (t *Table) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-		Notes   []string   `json:"notes,omitempty"`
-	}{t.Title, t.Columns, t.Rows, t.Notes})
 }
 
 // CSV renders the table as comma-separated values.

@@ -152,52 +152,33 @@ func BenchmarkUpdateViewsForRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkPageFault times one page fault per iteration — read, decode and
-// frame turnover of one 4096-value block — for each block encoding: a
-// two-block column behind a one-block pool, its blocks faulted in turn. The
-// ns/value column is what the encoder's choice rule prices: a raw block lands
-// in its frame by memmove, the other encodings decode value by value.
-// BenchmarkPageFaultFloor is the same loop reduced to the bare positional
-// read of the raw blocks' bytes: what a fault cannot go below.
+// BenchmarkPageFault times one page fault per iteration — read, memmove and
+// frame turnover of one 4096-value raw block: a two-block column behind a
+// one-block pool, its blocks faulted in turn. BenchmarkPageFaultFloor is the
+// same loop reduced to the bare positional read of the blocks' bytes: what a
+// fault cannot go below.
 func BenchmarkPageFault(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	for _, bc := range []struct {
-		name  string
-		value func(i int) float64
-	}{
-		{"raw", func(int) float64 { return rng.Float64() * 100 }},
-		{"xor", func(i int) float64 { return float64(1<<20 + i) }},
-		{"dict", func(i int) float64 { return float64(i%16) * 1.25 }},
-		{"rle", func(i int) float64 { return float64(i / 512) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			r := NewRelation(0)
-			for i := 0; i < 2*BlockValues; i++ {
-				r.SetEdgeMeasure(r.NewRecord(), 1, bc.value(i))
-			}
-			col := reloadPaged(b, r, 8*BlockValues).MeasureColumn(1)
-			for tag, n := range col.BlockEncodings() {
-				if n != 0 && EncodingName(tag) != bc.name {
-					b.Fatalf("fixture %q encoded %d blocks as %q; fix the fixture", bc.name, n, EncodingName(tag))
-				}
-			}
-			p := col.paged
-			p.pool.Unpin(p.pageIn(0))
-			p.pool.Unpin(p.pageIn(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f := p.pageIn(i & 1)
-				if f == nil {
-					b.Fatal(col.pageError())
-				}
-				p.pool.Unpin(f)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/BlockValues, "ns/value")
-			if s := p.pool.Stats(); s.Hits != 0 {
-				b.Fatalf("%d pool hits: the loop did not fault every block", s.Hits)
-			}
-		})
+	r := NewRelation(0)
+	for i := 0; i < 2*BlockValues; i++ {
+		r.SetEdgeMeasure(r.NewRecord(), 1, rng.Float64()*100)
+	}
+	col := reloadPaged(b, r, 8*BlockValues).MeasureColumn(1)
+	p := col.paged
+	p.pool.Unpin(p.pageIn(0))
+	p.pool.Unpin(p.pageIn(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := p.pageIn(i & 1)
+		if f == nil {
+			b.Fatal(col.pageError())
+		}
+		p.pool.Unpin(f)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/BlockValues, "ns/value")
+	if s := p.pool.Stats(); s.Hits != 0 {
+		b.Fatalf("%d pool hits: the loop did not fault every block", s.Hits)
 	}
 }
 

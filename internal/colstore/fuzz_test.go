@@ -32,9 +32,8 @@ func buildColumn(data []byte) *MeasureColumn {
 
 // FuzzMeasureColumnRoundTrip checks decode(encode(column)) == column for
 // arbitrary constructed columns, comparing values bitwise (so -0, ±Inf and
-// denormals must all survive the trip); that every block the encoder did not
-// leave raw is at most 7/8 of its raw size, the price it puts on decode; and
-// that encoding the decoded column again reproduces the same bytes.
+// denormals must all survive the trip); that the writer wrote every block
+// raw; and that encoding the decoded column again reproduces the same bytes.
 func FuzzMeasureColumnRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	seed := make([]byte, 0, 36)
@@ -79,9 +78,9 @@ func FuzzMeasureColumnRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for bi, m := range metas {
-			if raw := 8 * int(m.count); m.enc != encRaw && 8*int(m.encLen) > 7*raw {
-				t.Fatalf("block %d is %s at %d bytes, more than 7/8 of its %d raw bytes",
-					bi, EncodingName(int(m.enc)), m.encLen, raw)
+			if m.enc != encRaw || int(m.encLen) != 8*int(m.count) {
+				t.Fatalf("block %d written with tag %d in %d bytes for %d values, want raw",
+					bi, m.enc, m.encLen, m.count)
 			}
 		}
 		var again bytes.Buffer
@@ -218,19 +217,12 @@ func FuzzLoadCorrupt(f *testing.F) {
 // FuzzDecodeBlock feeds arbitrary payload bytes, encoding tags and value
 // counts straight into the block decoder — the exact surface a corrupt page
 // hits after the block index passed validation. It must reject or fill dst
-// exactly, never panic or over-read.
+// exactly, never panic or over-read. The seeds are the blocks of the legacy
+// snapshot, one or more per encoding tag, plus a truncated rle block and a
+// raw block of three chunks.
 func FuzzDecodeBlock(f *testing.F) {
-	enc := &blockEncoder{}
-	for _, vals := range [][]float64{
-		{1, 2, 3, 4},
-		{5, 5, 5, 5, 5, 5, 5, 5},
-		{math.Inf(1), math.Copysign(0, -1), 1e-308, -1e300},
-	} {
-		tag, payload, err := enc.encode(vals)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(tag, uint16(len(vals)), append([]byte(nil), payload...))
+	for _, b := range legacyBlocks(f) {
+		f.Add(b.enc, uint16(b.count), b.payload)
 	}
 	f.Add(uint8(encRLE), uint16(BlockValues), []byte{0xff, 0xff})
 	raw := make([]byte, 8*300) // three chunks, the last one partial

@@ -21,7 +21,7 @@ var rankScratchPool = sync.Pool{New: func() any { return new([]int32) }}
 // column of cnt values with the block-decode merge instead of the batch-rank
 // kernel. The merge pays O(cnt) to decode every present value, so it only
 // wins when the answer covers most of the column (measured crossover ≈ 4/5
-// on run-optimized columns — see the grovebench measurescan experiment);
+// on run-optimized columns — EXPERIMENTS.md, "Vectorized measure scan");
 // everything sparser runs RanksInto, which skips absent regions at
 // word-popcount granularity.
 //

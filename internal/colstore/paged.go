@@ -17,12 +17,12 @@ import (
 // Paged measure columns. The v2 snapshot format stores a measure column's
 // values as fixed-size blocks of BlockValues values in rank space (value
 // index x lives in block x/BlockValues). Each block carries a zone map
-// (total-order min/max of its values) and is stored raw unless one of three
-// lightweight encodings saves at least an eighth of its bytes (see
-// blockEncoder.encode). Loading a v2 snapshot decodes nothing: blocks are
-// paged in lazily through the relation's pagepool.Pool on first access and
-// evicted under memory pressure, so the resident footprint tracks the working
-// set instead of the dataset. A reader holds a block only while it has the
+// (total-order min/max of its values) and is written raw (see rawBlock);
+// the three other encoding tags are read, never written. Loading a v2
+// snapshot decodes nothing: blocks are paged in lazily through the
+// relation's pagepool.Pool on first access and evicted under memory
+// pressure, so the resident footprint tracks the working set instead of the
+// dataset. A reader holds a block only while it has the
 // block's pool frame pinned; every kernel in this package unpins before it
 // returns.
 //
@@ -43,7 +43,9 @@ const (
 	_ uint = -(BlockValues % pagepool.ChunkValues)
 )
 
-// Block encodings, chosen per block at write time.
+// Block encoding tags. Save writes every block raw; xor, dict and rle
+// blocks come only from snapshots written before that, which still load and
+// are rewritten raw by their next save.
 const (
 	encRaw       = 0 // 8 bytes per value, little-endian float64 bits
 	encXor       = 1 // first value raw, then uvarint(bits XOR prev bits) per value
@@ -51,21 +53,6 @@ const (
 	encRLE       = 3 // runs of uvarint(length) + raw value
 	numEncodings = 4
 )
-
-// EncodingName returns the human-readable name of a block encoding tag.
-func EncodingName(enc int) string {
-	switch enc {
-	case encRaw:
-		return "raw"
-	case encXor:
-		return "xor"
-	case encDict:
-		return "dict"
-	case encRLE:
-		return "rle"
-	}
-	return fmt.Sprintf("enc%d", enc)
-}
 
 // maxBlockEncLen bounds a single block's encoded payload. The worst real
 // encoding is XOR at 8 + 10·(BlockValues-1) bytes; anything larger in a
@@ -387,19 +374,6 @@ func (c *MeasureColumn) EncodedValueBytes() int64 {
 	return n
 }
 
-// BlockEncodings counts the column's blocks per encoding tag. All zeros for
-// an in-memory column.
-func (c *MeasureColumn) BlockEncodings() [numEncodings]int {
-	var out [numEncodings]int
-	if c.paged == nil {
-		return out
-	}
-	for _, m := range c.paged.metas {
-		out[m.enc]++
-	}
-	return out
-}
-
 // --- value reader cursor -----------------------------------------------------
 
 // valueReader is the kernels' cursor over a column's values: a resident
@@ -621,136 +595,17 @@ func zoneOf(vals []float64) (minBits, maxBits uint64) {
 	return math.Float64bits(zmin), math.Float64bits(zmax)
 }
 
-// blockEncoder holds the reusable scratch of the per-block encoding choice.
-type blockEncoder struct {
-	buf  []byte           // winning payload
-	alt  []byte           // candidate payload
-	dict map[uint64]uint8 // value bits → dict index
-}
-
-// encode compresses one block of values, returning the chosen encoding tag
-// and its payload (valid until the next encode call). The choice prices
-// decode: every page fault decodes a whole block, raw decodes at about a
-// tenth of the per-value cost of the uvarint encodings, and on measures with
-// full mantissas XOR "wins" most blocks by a fraction of a percent. So an
-// encoding replaces raw only when its payload is at most 7/8 of the raw one;
-// among those that qualify the smallest wins, ties broken in tag order. The
-// choice stays a pure function of the block's values, so re-encoding a
-// decoded block reproduces identical bytes — Save stays deterministic, which
-// the crash-sweep's bit-exactness check relies on.
-func (e *blockEncoder) encode(vals []float64) (uint8, []byte, error) {
+// rawBlock appends one block of values to dst in the raw encoding: 8
+// little-endian bytes per value, a pure function of the values, so saving a
+// loaded snapshot reproduces its bytes. A NaN is refused.
+func rawBlock(dst []byte, vals []float64) ([]byte, error) {
 	for _, v := range vals {
 		if math.IsNaN(v) {
-			return 0, nil, fmt.Errorf("colstore: NaN measure value")
+			return dst, fmt.Errorf("colstore: NaN measure value")
 		}
-	}
-	e.buf = appendRaw(e.buf[:0], vals)
-	best := uint8(encRaw)
-	limit := 7*len(e.buf)/8 + 1 // a candidate must come in strictly below
-	if alt, ok := e.appendXor(vals, limit); ok {
-		e.buf, e.alt = alt, e.buf
-		best, limit = encXor, len(alt)
-	}
-	if alt, ok := e.appendDict(vals, limit); ok {
-		e.buf, e.alt = alt, e.buf
-		best, limit = encDict, len(alt)
-	}
-	if alt, ok := e.appendRLE(vals, limit); ok {
-		e.buf, e.alt = alt, e.buf
-		best = encRLE
-	}
-	return best, e.buf, nil
-}
-
-func appendRaw(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return dst
-}
-
-// appendXor encodes vals as first-value-raw + uvarint XOR deltas, reporting
-// success only when strictly smaller than limit.
-func (e *blockEncoder) appendXor(vals []float64, limit int) ([]byte, bool) {
-	dst := e.alt[:0]
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vals[0]))
-	prev := math.Float64bits(vals[0])
-	for _, v := range vals[1:] {
-		bits := math.Float64bits(v)
-		dst = binary.AppendUvarint(dst, bits^prev)
-		prev = bits
-		if len(dst) >= limit {
-			e.alt = dst
-			return nil, false
-		}
-	}
-	e.alt = dst
-	return dst, len(dst) < limit
-}
-
-// appendDict encodes vals as a ≤256-entry dictionary + one index byte per
-// value, reporting success only when the cardinality fits and the result is
-// strictly smaller than limit.
-func (e *blockEncoder) appendDict(vals []float64, limit int) ([]byte, bool) {
-	size := 2 + len(vals) // header + indexes; dict entries added below
-	if e.dict == nil {
-		e.dict = make(map[uint64]uint8, 256)
-	}
-	clear(e.dict)
-	dst := e.alt[:0]
-	dst = append(dst, 0, 0) // dict size, patched below
-	var entries [256]uint64
-	n := 0
-	idxs := make([]uint8, 0, len(vals))
-	for _, v := range vals {
-		bits := math.Float64bits(v)
-		id, ok := e.dict[bits]
-		if !ok {
-			if n == 256 {
-				e.alt = dst
-				return nil, false
-			}
-			id = uint8(n)
-			e.dict[bits] = id
-			entries[n] = bits
-			n++
-		}
-		idxs = append(idxs, id)
-	}
-	size += 8 * n
-	if size >= limit {
-		e.alt = dst
-		return nil, false
-	}
-	binary.LittleEndian.PutUint16(dst[:2], uint16(n))
-	for i := 0; i < n; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, entries[i])
-	}
-	dst = append(dst, idxs...)
-	e.alt = dst
-	return dst, true
-}
-
-// appendRLE encodes vals as (uvarint run length, raw value) runs, reporting
-// success only when strictly smaller than limit.
-func (e *blockEncoder) appendRLE(vals []float64, limit int) ([]byte, bool) {
-	dst := e.alt[:0]
-	for i := 0; i < len(vals); {
-		bits := math.Float64bits(vals[i])
-		j := i + 1
-		for j < len(vals) && math.Float64bits(vals[j]) == bits {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		dst = binary.LittleEndian.AppendUint64(dst, bits)
-		if len(dst) >= limit {
-			e.alt = dst
-			return nil, false
-		}
-		i = j
-	}
-	e.alt = dst
-	return dst, len(dst) < limit
+	return dst, nil
 }
 
 // --- block decoding ----------------------------------------------------------

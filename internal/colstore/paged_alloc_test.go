@@ -12,31 +12,23 @@ import (
 
 // TestDecodeBlockAllocs pins the block decoders' steady-state allocation
 // count at zero: they run on every buffer pool miss, and the hotalloc lint's
-// static proof deserves a dynamic witness.
+// static proof deserves a dynamic witness. The legacy snapshot supplies a
+// block of every encoding tag.
 func TestDecodeBlockAllocs(t *testing.T) {
-	enc := &blockEncoder{}
-	cases := map[string][]float64{
-		"rle":  {7, 7, 7, 7, 7, 7, 7, 7},
-		"dict": {1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1},
-		"xor":  {1048576, 1048577, 1048578, 1048579, 1048580, 1048581},
-		"raw":  {math.Pi, -math.E, 1e-300, math.Copysign(0, -1), 2.5e17, -9e-8},
-	}
-	for name, vals := range cases {
-		tag, payload, err := enc.encode(vals)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	var done [numEncodings]bool
+	for _, b := range legacyBlocks(t) {
+		if done[b.enc] {
+			continue
 		}
-		if got := EncodingName(int(tag)); got != name {
-			t.Fatalf("fixture %q encoded as %q; fix the fixture", name, got)
-		}
-		dst := make([]float64, len(vals))
+		done[b.enc] = true
+		dst := make([]float64, b.count)
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := decodeBlock(tag, payload, dst); err != nil {
+			if err := decodeBlock(b.enc, b.payload, dst); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s decode allocates %v per run, want 0", name, allocs)
+			t.Errorf("encoding tag %d: decode allocates %v per run, want 0", b.enc, allocs)
 		}
 	}
 }
@@ -67,8 +59,7 @@ func pinnedBlocks(r *Relation) int {
 
 // unlikeLengths is a relation of one column per length: a single value, short
 // single-block columns ending mid-chunk, a block plus a short tail, and three
-// blocks plus a five-value tail. Its values have full mantissas, so every
-// block is raw.
+// blocks plus a five-value tail.
 var unlikeLengths = []int{1, 37, 300, 2500, BlockValues + 17, 3*BlockValues + 5}
 
 func unlikeLengthsRelation() *Relation {

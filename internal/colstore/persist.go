@@ -26,7 +26,7 @@ import (
 // Measure columns are stored as presence bitmap + value payload, so NULLs
 // occupy no space on disk either. The values are stored paged: a block index
 // (per-block encoding tag, payload length, value count and zone map, see
-// paged.go) followed by the compressed block payloads. Snapshots load lazily
+// paged.go) followed by the block payloads. Snapshots load lazily
 // — only the presence bitmaps and block indexes are decoded up front; value
 // blocks fault in through the relation's buffer pool on first access.
 
@@ -567,9 +567,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 //
 // The writer streams the values block-at-a-time — a paged column is saved by
 // decoding each block straight from its source, never materializing the
-// whole column — and the per-block encoding choice is deterministic, so
-// saving a loaded snapshot reproduces it byte for byte (the crash sweep's
-// bit-exactness check depends on this).
+// whole column — and writes every block raw, so saving a loaded snapshot
+// reproduces it byte for byte (the crash sweep's bit-exactness check depends
+// on this) unless it held blocks of the older encodings.
 func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	if err := m.validate(); err != nil {
 		return err
@@ -585,9 +585,8 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var enc blockEncoder
 	index := make([]byte, 0, numBlocks*blockMetaDiskSize)
-	payloads := make([]byte, 0, 8*min(count, BlockValues))
+	payloads := make([]byte, 0, 8*count)
 	var meta [blockMetaDiskSize]byte
 	var decoded []float64 // a paged column's blocks are decoded here, one at a time
 	if m.isPaged() {
@@ -598,18 +597,17 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 		if err != nil {
 			return err
 		}
-		tag, payload, err := enc.encode(vals)
+		payloads, err = rawBlock(payloads, vals)
 		if err != nil {
 			return err
 		}
 		minBits, maxBits := zoneOf(vals)
-		binary.LittleEndian.PutUint32(meta[0:], uint32(len(payload)))
-		meta[4] = tag
+		binary.LittleEndian.PutUint32(meta[0:], uint32(8*len(vals)))
+		meta[4] = encRaw
 		binary.LittleEndian.PutUint16(meta[5:], uint16(len(vals)))
 		binary.LittleEndian.PutUint64(meta[7:], minBits)
 		binary.LittleEndian.PutUint64(meta[15:], maxBits)
 		index = append(index, meta[:]...)
-		payloads = append(payloads, payload...)
 	}
 	if _, err := w.Write(index); err != nil {
 		return err

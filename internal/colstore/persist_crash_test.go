@@ -117,8 +117,7 @@ func TestSaveFaultSweep(t *testing.T) {
 }
 
 // buildMultiBlockRelation builds a relation whose measure columns span
-// several v2 value blocks with different encodings: edge 1 is constant
-// (run-length blocks), edge 2 monotonic (XOR-delta blocks).
+// several v2 value blocks: edge 1 is constant, edge 2 monotonic.
 func buildMultiBlockRelation(t *testing.T) *Relation {
 	t.Helper()
 	r := NewRelation(0)
@@ -131,14 +130,14 @@ func buildMultiBlockRelation(t *testing.T) *Relation {
 }
 
 // TestSaveFaultSweepMultiBlock repeats the crash sweep over a relation whose
-// columns span several compressed blocks, so the sweep crosses block-payload
+// columns span several blocks, so the sweep crosses block-payload
 // and block-index writes of the v2 layout, not just the tiny single-block
 // case. refBytes re-saves the loaded (lazily paged) relation, so each probe
-// also proves a paged load re-encodes to the exact installed bytes.
+// also proves a paged load re-saves to the exact installed bytes.
 func TestSaveFaultSweepMultiBlock(t *testing.T) {
 	oldRel := buildMultiBlockRelation(t)
 	newRel := buildMultiBlockRelation(t)
-	newRel.SetEdgeMeasure(3, 2, 42) // perturb mid-block: re-encodes edge 2's first block
+	newRel.SetEdgeMeasure(3, 2, 42) // perturb mid-block: rewrites edge 2's first block
 	refOld := refBytes(t, oldRel)
 	refNew := refBytes(t, newRel)
 	if bytes.Equal(refOld, refNew) {

@@ -221,23 +221,16 @@ func (r *Relation) SourceGeneration() string { return r.sourceGenName() }
 
 // StorageStats describes where a relation's measure bytes live: the logical
 // (decoded) size the cost model charges, the encoded on-disk size of paged
-// columns, what is actually resident in memory, and the per-encoding block
-// mix. Pool carries the buffer pool's hit/miss/eviction counters.
+// columns, and what is actually resident in memory. Pool carries the buffer
+// pool's hit/miss/eviction counters.
 type StorageStats struct {
 	LogicalBytes    int64 // decoded payload size of all measure columns
 	OnDiskBytes     int64 // encoded block payload bytes of paged columns
 	ResidentBytes   int64 // resident column values + block indexes + pooled blocks
 	PagedColumns    int
 	ResidentColumns int
-	BlockEncodings  [numEncodings]int64 // block count per encoding tag
 	Pool            pagepool.Stats
 }
-
-// BlockEncodingName names slot i of StorageStats.BlockEncodings.
-func BlockEncodingName(i int) string { return EncodingName(i) }
-
-// NumBlockEncodings is the number of block encoding tags.
-const NumBlockEncodings = numEncodings
 
 // StorageStats reports the relation's storage residency snapshot.
 func (r *Relation) StorageStats() StorageStats {
@@ -250,9 +243,6 @@ func (r *Relation) StorageStats() StorageStats {
 		st.ResidentBytes += m.ResidentValueBytes()
 		if m.isPaged() {
 			st.PagedColumns++
-			for i, n := range m.BlockEncodings() {
-				st.BlockEncodings[i] += int64(n)
-			}
 		} else {
 			st.ResidentColumns++
 		}

@@ -5,6 +5,7 @@ package obs_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"grove/internal/colstore"
 	"grove/internal/gpath"
@@ -12,6 +13,7 @@ import (
 	"grove/internal/obs"
 	"grove/internal/query"
 	"grove/internal/raceflag"
+	"grove/internal/workload"
 )
 
 // buildEngine loads the paper's Fig. 2 running example and returns an engine
@@ -104,8 +106,8 @@ func TestTracingRecordsLifecycle(t *testing.T) {
 }
 
 // The benchmark trio quantifies the per-query cost of each instrumentation
-// level; ExpObs in internal/bench reports the same comparison on the full
-// NY-scale batch workload.
+// level on one small query; TestObsOverheadSmoke gates the same comparison
+// on an NY-scale workload of uniform graph queries.
 func BenchmarkExecuteObsOff(b *testing.B) {
 	eng, q := buildEngine(b)
 	b.ReportAllocs()
@@ -140,4 +142,96 @@ func BenchmarkExecuteMetricsAndTracing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestObsOverheadSmoke is the bench-smoke guard on the tracing budget: on a
+// sequential workload of uniform graph queries, metrics plus full lifecycle
+// tracing must stay near the <5% EXPERIMENTS.md expectation (~3% measured at
+// full scale). The gate budget is 10%, not 5: even interleaved best-of
+// measurement leaves ±5–7% residual noise on a contended CI box, and a 5%
+// line two points above the ~3% truth trips on noise alone. 10% keeps the
+// tripwire well clear of noise while still catching the regression class it
+// guards — e.g. losing the query-string cache re-measures at +9–18%. The
+// guard also re-measures up to three times and fails only when every attempt
+// exceeds the budget.
+func TestObsOverheadSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing guard, skipped with -short")
+	}
+	// Large enough that a workload pass takes tens of milliseconds — at
+	// single-digit-millisecond passes the container's scheduler noise (±8%,
+	// EXPERIMENTS.md) swamps a 5% budget even under best-of measurement.
+	ds, err := workload.Build(workload.NYSpec(8000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := ds.Gen.UniformQueries(80, 16)
+	queries := make([]*query.GraphQuery, len(graphs))
+	for i, g := range graphs {
+		queries[i] = query.NewGraphQuery(g)
+	}
+	eng := query.NewEngine(ds.Rel, ds.Reg)
+
+	const budget = 0.10
+	const attempts = 3
+	best := 0.0
+	for i := 0; i < attempts; i++ {
+		off, tracing := overheadDurations(t, eng, queries)
+		overhead := float64(tracing)/float64(off) - 1
+		if i == 0 || overhead < best {
+			best = overhead
+		}
+		if best < budget {
+			t.Logf("tracing overhead %+.2f%% (attempt %d, budget %+.0f%%)", overhead*100, i+1, budget*100)
+			return
+		}
+		t.Logf("tracing overhead %+.2f%% over budget on attempt %d, re-measuring", overhead*100, i+1)
+	}
+	t.Errorf("tracing overhead %+.2f%% exceeded the %+.0f%% budget on all %d attempts",
+		best*100, budget*100, attempts)
+}
+
+// Each timed run replays the workload several times so a run is long enough
+// to measure, and the best of several runs is kept — single-digit millisecond
+// runs are otherwise dominated by scheduler and GC noise.
+const overheadPasses, overheadRounds = 5, 7
+
+// overheadDurations times the same sequential workload with instrumentation
+// off and with metrics plus tracing, per workload pass. The two modes are
+// interleaved round by round — each round times both back to back before the
+// next starts — so a patch of scheduler or GC noise lands on both modes of
+// that round rather than skewing one mode's whole measurement window; the
+// best round per mode is kept.
+func overheadDurations(t *testing.T, eng *query.Engine, queries []*query.GraphQuery) (off, withTracing time.Duration) {
+	t.Helper()
+	traced := eng.Clone()
+	traced.SetMetrics(obs.NewQueryMetrics(obs.NewRegistry()))
+	traced.SetTraces(obs.NewTraceRing(0))
+	modes := []*query.Engine{eng, traced}
+	pass := func(e *query.Engine) time.Duration {
+		start := time.Now()
+		for _, q := range queries {
+			if _, err := e.ExecuteGraphQueryContext(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	// Warm-up pass per mode so page-in and allocator noise lands on none.
+	for _, e := range modes {
+		pass(e)
+	}
+	best := make([]time.Duration, len(modes))
+	for i := 0; i < overheadRounds; i++ {
+		for m, e := range modes {
+			total := time.Duration(0)
+			for j := 0; j < overheadPasses; j++ {
+				total += pass(e)
+			}
+			if best[m] == 0 || total < best[m] {
+				best[m] = total
+			}
+		}
+	}
+	return best[0] / overheadPasses, best[1] / overheadPasses
 }

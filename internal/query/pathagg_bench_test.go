@@ -12,8 +12,8 @@ import (
 // The PathAgg benchmarks size the vectorized measure path: a 5-edge chain
 // query over records dense (every record matches: the merge-gather path) or
 // sparse (few records match: the batch-rank path) in the chain's columns.
-// Run with `make bench-smoke` (or -bench=PathAgg); the checked-in baseline
-// lives in BENCH_pathagg.json.
+// Run with `make bench-smoke` (or -bench=PathAgg); end to end, the
+// benchmark's agg-uniform and agg-paged-1pct workloads measure the same path.
 
 func benchmarkPathAgg(b *testing.B, numRecords int, density float64, parallel bool) {
 	f, nodes := pathChainFixture(b, numRecords, density)

@@ -598,8 +598,7 @@ func (c *Coordinator) ViewSizeBytes() int64 {
 }
 
 // StorageStats sums the shard storage-residency snapshots: logical vs.
-// on-disk vs. resident bytes, the per-encoding block mix, and the pooled
-// buffer counters.
+// on-disk vs. resident bytes and the pooled buffer counters.
 func (c *Coordinator) StorageStats() colstore.StorageStats {
 	var total colstore.StorageStats
 	for _, u := range c.units {
@@ -609,9 +608,6 @@ func (c *Coordinator) StorageStats() colstore.StorageStats {
 		total.ResidentBytes += st.ResidentBytes
 		total.PagedColumns += st.PagedColumns
 		total.ResidentColumns += st.ResidentColumns
-		for i := range total.BlockEncodings {
-			total.BlockEncodings[i] += st.BlockEncodings[i]
-		}
 		total.Pool.Hits += st.Pool.Hits
 		total.Pool.Misses += st.Pool.Misses
 		total.Pool.Evictions += st.Pool.Evictions

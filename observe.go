@@ -92,7 +92,6 @@ const (
 	MetricStorageLogicalBytes   = "grove_storage_logical_bytes"
 	MetricStorageOnDiskBytes    = "grove_storage_ondisk_bytes"
 	MetricStorageResidentBytes  = "grove_storage_resident_bytes"
-	MetricStorageBlocks         = "grove_storage_blocks"
 
 	// Write-ahead log (DESIGN.md §14). Counters sum across the per-shard
 	// logs; the LSN gauge is per shard.
@@ -275,15 +274,6 @@ func (s *Store) Metrics() *MetricsRegistry {
 		func() float64 { return float64(s.coord.StorageStats().OnDiskBytes) })
 	r.GaugeFunc(MetricStorageResidentBytes, "Decoded measure-column bytes held in memory, paged and eager (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().ResidentBytes) })
-	r.GaugeVecFunc(MetricStorageBlocks, "Measure value blocks by encoding (all shards).",
-		func() map[string]float64 {
-			st := s.coord.StorageStats()
-			out := make(map[string]float64, len(st.BlockEncodings))
-			for i, n := range st.BlockEncodings {
-				out[obs.Labels("encoding", colstore.BlockEncodingName(i))] = float64(n)
-			}
-			return out
-		})
 
 	// Write-ahead log. The families exist (at zero) even without WAL
 	// attached, so dashboards see them the moment EnableWAL turns on.

@@ -34,7 +34,8 @@ type (
 // text, structural elements, aggregation parameters — together with its
 // duration, error, and an FNV-1a digest of the answer, so a captured workload
 // can be re-executed against any store configuration (ReplayWorkload,
-// `grovebench -exp replay`) and verified to reproduce identical results.
+// `grovecli -store DIR replay LOG`) and verified to reproduce identical
+// results.
 func (s *Store) StartWorkloadRecording(path string) error {
 	if s.rec.Load() != nil {
 		return fmt.Errorf("grove: workload recording already active")

@@ -2,13 +2,14 @@ package grove
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
 // TestWorkloadRecordReplayRoundTrip is the recorder acceptance criterion: a
-// workload captured on a single-shard store replays against a differently
-// sharded store with every digest verified — sharding must not change a
-// single answer bit.
+// workload captured on a single-shard store replays against stores of one to
+// four shards with every digest verified — sharding must not change a single
+// answer bit.
 func TestWorkloadRecordReplayRoundTrip(t *testing.T) {
 	src := Open()
 	loadSCMOrders(t, src)
@@ -101,25 +102,30 @@ func TestWorkloadRecordReplayRoundTrip(t *testing.T) {
 		t.Errorf("explicit-path event lost its paths: %+v", events[2])
 	}
 
-	// Replay against a 3-shard store: answers must digest identically.
-	dst := NewSharded(3)
-	loadSCMOrders(t, dst)
-	stats, err := dst.ReplayWorkload(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Queries != 9 {
-		t.Errorf("query events = %d, want 9", stats.Queries)
-	}
-	// The failed statement and the non-replayable expression are skipped.
-	if stats.Skipped != 2 {
-		t.Errorf("skipped = %d, want 2", stats.Skipped)
-	}
-	if stats.Replayed != 7 || stats.Verified != 7 {
-		t.Errorf("replayed %d verified %d, want 7/7", stats.Replayed, stats.Verified)
-	}
-	if stats.Mismatched != 0 {
-		t.Errorf("mismatched = %d — sharded answers must be bit-identical", stats.Mismatched)
+	// Replay against the recording's shard count and three others: answers
+	// must digest identically.
+	for _, shards := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dst := NewSharded(shards)
+			loadSCMOrders(t, dst)
+			stats, err := dst.ReplayWorkload(events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Queries != 9 {
+				t.Errorf("query events = %d, want 9", stats.Queries)
+			}
+			// The failed statement and the non-replayable expression are skipped.
+			if stats.Skipped != 2 {
+				t.Errorf("skipped = %d, want 2", stats.Skipped)
+			}
+			if stats.Replayed != 7 || stats.Verified != stats.Replayed {
+				t.Errorf("replayed %d verified %d, want 7/7", stats.Replayed, stats.Verified)
+			}
+			if stats.Mismatched != 0 {
+				t.Errorf("mismatched = %d — sharded answers must be bit-identical", stats.Mismatched)
+			}
+		})
 	}
 }
 
