@@ -37,8 +37,9 @@ race:
 # Short fuzz pass over every decoder that consumes untrusted bytes: the
 # bitmap wire format, the query parser, the colstore on-disk format, the
 # CURRENT generation pointer, and the write-ahead log (op payloads and whole
-# log files fed to the replay scanner); plus the bitmap read kernels (merge
-# and gallop array ∩ array, per-layout RanksInto) against a map.
+# log files fed to the replay scanner); plus the bitmap read kernels (probe
+# and gallop array ∩ array, dst as either operand, per-layout RanksInto)
+# against a map.
 fuzz-smoke:
 	$(GO) test ./internal/bitmap/ -fuzz FuzzReadFrom -fuzztime 3s
 	$(GO) test ./internal/bitmap/ -fuzz FuzzIntersectKernels -fuzztime 3s
@@ -58,9 +59,9 @@ bench:
 # One iteration per kernel benchmark, allocations reported: path aggregation (cold paged too) and view-rewrite planning at 0/100/1 000 views;
 # one raw page fault and its pread floor (DESIGN.md §13), the view catalog rebuild at 1 000 views (§3);
 # the sharded batch, its k-way merges and WAL replay below the coordinator;
-# the bitmap kernels: array ∩ run AND, merge-or-gallop array ∩ array, per-layout batch rank (§10);
+# the bitmap kernels: array ∩ run AND, probe-or-gallop array ∩ array and its crossover, per-layout batch rank (§10);
 # one add-record WAL frame decoded;
-# one record appended to a relation;
+# one record appended to a relation, one 16-element query graph resolved to ids;
 # the tracing-overhead gate: metrics plus tracing within 10% of instrumentation off.
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench 'PathAgg|PlanCover|CoverPath' -benchtime 1x
@@ -68,7 +69,7 @@ bench-smoke:
 	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench 'AndInPlaceArrayRun|IntersectArrays|RanksInto' -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
-	$(GO) test ./internal/graph/ -run '^$$' -bench LoadRecord -benchtime 1x
+	$(GO) test ./internal/graph/ -run '^$$' -bench 'LoadRecord|Resolve' -benchtime 1x
 	$(GO) test ./internal/obs/ -run TestObsOverheadSmoke -count=1 -v
 
 # The end-to-end benchmark's oracle at smoke length (≈ 22 s on 2 cores): the
@@ -124,14 +125,16 @@ paged-diff:
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
 	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v
 
-# The full gate CI runs: vet, lint, build, tests, the smoke and differential
-# gates, then the race-detector pass (which re-vets; harmless and keeps
-# `make race` self-contained).
+# The full gate CI runs: vet, lint, build, tests, a 3 s fuzz of the array ∩
+# array kernels every multi-way AND runs, the smoke and differential gates,
+# then the race-detector pass (which re-vets; harmless and keeps `make race`
+# self-contained).
 check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 3s
 	$(MAKE) bench-smoke
 	$(MAKE) e2e-smoke
 	$(MAKE) durability

@@ -151,8 +151,8 @@ func (b *Bitmap) AppendInto(dst []uint32) []uint32 {
 // for every ascending vs[i] it stores into idx[i] the dense value index
 // (Rank(vs[i])-1) when vs[i] is present, and -1 when absent. idx must have
 // len(vs). The ids of one 64K chunk go to that chunk's container together,
-// and each layout ranks them in its own loop: an array merges or gallops by
-// the merge-or-gallop rule of array ∩ array, a bitset accumulates word
+// and each layout ranks them in its own loop: an array scans or gallops by
+// rankGallopRatio, a bitset accumulates word
 // popcounts up to each id, a run container sums run lengths up to each id.
 // Container cardinalities before the chunk are summed once per call.
 //
@@ -195,15 +195,20 @@ func (b *Bitmap) RanksInto(vs []uint32, idx []int32) {
 	}
 }
 
+// rankGallopRatio is the length ratio from which rankArray gallops through
+// the array instead of scanning it: the crossover measured for the scan,
+// which is not array ∩ array's probe (DESIGN.md §10).
+const rankGallopRatio = 8
+
 // rankArray ranks one chunk's ascending ids against a sorted array: a merge
 // when the two are comparable in length, a gallop through the array when it
-// is at least gallopRatio times longer — the same rule as array ∩ array.
+// is at least rankGallopRatio times longer.
 //
 //grove:hotpath
 func rankArray(values []uint16, vs []uint32, idx []int32, base int) {
 	idx = idx[:len(vs)]
 	j := 0
-	gallop := len(values) >= gallopRatio*len(vs)
+	gallop := len(values) >= rankGallopRatio*len(vs)
 	for k, v := range vs {
 		low := uint16(v)
 		if gallop {

@@ -212,22 +212,8 @@ func (b *Bitmap) Maximum() (v uint32, ok bool) {
 // And returns the intersection of b and other as a new bitmap.
 func (b *Bitmap) And(other *Bitmap) *Bitmap {
 	out := New()
-	i, j := 0, 0
-	for i < len(b.keys) && j < len(other.keys) {
-		switch {
-		case b.keys[i] < other.keys[j]:
-			i++
-		case b.keys[i] > other.keys[j]:
-			j++
-		default:
-			if c := b.containers[i].and(other.containers[j]); c != nil && c.cardinality() > 0 {
-				out.keys = append(out.keys, b.keys[i])
-				out.containers = append(out.containers, c)
-			}
-			i++
-			j++
-		}
-	}
+	var seen probeSet
+	out.andInto(b, other, &seen)
 	return out
 }
 
@@ -302,26 +288,10 @@ func (b *Bitmap) Xor(other *Bitmap) *Bitmap {
 	return out
 }
 
-// AndCardinality returns |b ∩ other| without materializing the intersection
-// beyond per-chunk results.
+// AndCardinality returns |b ∩ other|; the intersection is built by And and
+// dropped.
 func (b *Bitmap) AndCardinality(other *Bitmap) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(b.keys) && j < len(other.keys) {
-		switch {
-		case b.keys[i] < other.keys[j]:
-			i++
-		case b.keys[i] > other.keys[j]:
-			j++
-		default:
-			if c := b.containers[i].and(other.containers[j]); c != nil {
-				n += c.cardinality()
-			}
-			i++
-			j++
-		}
-	}
-	return n
+	return b.And(other).Cardinality()
 }
 
 // AndAll intersects all given bitmaps. With no arguments it returns an empty

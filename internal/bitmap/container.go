@@ -117,14 +117,21 @@ func (a *arrayContainer) toBitset() *bitsetContainer {
 	return b
 }
 
+// andArray is a ∩ o in a fresh container sized once to the smaller operand
+// (nil when empty), probing through seen.
+func (a *arrayContainer) andArray(o *arrayContainer, seen *probeSet) container {
+	out := intersectInto(make([]uint16, min(len(a.values), len(o.values))), a.values, o.values, seen)
+	if len(out) == 0 {
+		return nil
+	}
+	return &arrayContainer{values: out}
+}
+
 func (a *arrayContainer) and(other container) container {
 	switch o := other.(type) {
 	case *arrayContainer:
-		out := intersectSorted(a.values, o.values)
-		if len(out) == 0 {
-			return nil
-		}
-		return &arrayContainer{values: out}
+		var seen probeSet
+		return a.andArray(o, &seen)
 	case *bitsetContainer:
 		out := intersectArrayBitset(make([]uint16, len(a.values)), a.values, o.words)
 		if len(out) == 0 {
@@ -638,57 +645,64 @@ func genericXor(a, b container) container {
 }
 
 // gallopRatio is the length ratio from which array ∩ array gallops through
-// the longer operand instead of merging: the measured crossover (DESIGN.md
+// the longer operand instead of probing it: the measured crossover (DESIGN.md
 // §10, BenchmarkIntersectArrays).
-const gallopRatio = 8
+const gallopRatio = 24
 
-// intersectSorted returns a ∩ b in a fresh slice, sized once to the smaller
-// operand.
-//
-//grove:hotpath
-func intersectSorted(a, b []uint16) []uint16 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	return intersectInto(make([]uint16, min(len(a), len(b))), a, b) //grovevet:ignore hotalloc the allocating kernel's one output
-}
+// probeSet is the scratch of the array ∩ array probe: one bit per low value
+// of a 64K chunk. It is all zero between steps — each step clears the words
+// it set — so one zeroed set serves every step of a conjunction.
+type probeSet [bitsetWords]uint64
 
 // intersectInto writes a ∩ b to dst and returns dst's filled prefix, costing
-// what the smaller operand costs: a merge when the two are comparable in
-// length, a gallop through the longer one when it is at least gallopRatio
-// times longer. dst needs min(len(a), len(b)) slots and may alias a or b
+// what its operands cost: a probe through seen when the two are comparable
+// in length, a gallop through the longer one when it is at least gallopRatio
+// times longer. dst needs min(len(a), len(b)) slots and may be a or b itself
 // (the in-place form passes a as dst): both kernels write at or behind the
-// index they read.
+// index they read, and the probe never reads back the operand dst is. An
+// empty operand takes a gallop arm.
 //
 //grove:hotpath
-func intersectInto(dst, a, b []uint16) []uint16 {
+func intersectInto(dst, a, b []uint16, seen *probeSet) []uint16 {
 	switch {
 	case len(a)*gallopRatio <= len(b):
 		return dst[:gallopIntersect(dst, a, b)]
 	case len(b)*gallopRatio <= len(a):
 		return dst[:gallopIntersect(dst, b, a)]
 	}
-	return dst[:mergeIntersect(dst, a, b)]
+	// Both operands are non-empty here. Filter the one dst is, else the
+	// shorter (dst may hold only that many), and probe the other.
+	if &dst[0] == &b[0] || &dst[0] != &a[0] && len(b) < len(a) {
+		a, b = b, a
+	}
+	return dst[:probeIntersect(dst, a, b, seen)]
 }
 
-// mergeIntersect walks a and b in step. It keeps its branches: a branch-free
-// merge is bound by the load → compare → cursor latency and measured 3×
-// slower (DESIGN.md §10).
+// probeIntersect writes the values of keep that probe holds: it sets probe's
+// values in seen, filters keep through it without a branch — every value is
+// stored and the cursor advances by its bit — and clears what it set, as one
+// range when probe's words are at most len(probe), else word by word. Unlike
+// a branch-free merge, no load waits on the last compare: each iteration's
+// only dependency is the one-cycle cursor add. dst needs len(keep) slots and
+// may be keep itself, never probe.
 //
 //grove:hotpath
-func mergeIntersect(dst, a, b []uint16) int {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch va, vb := a[i], b[j]; {
-		case va < vb:
-			i++
-		case va > vb:
-			j++
-		default:
-			dst[k] = va
-			k++
-			i++
-			j++
+func probeIntersect(dst, keep, probe []uint16, seen *probeSet) int {
+	words := seen[:]
+	for _, v := range probe {
+		words[v>>6] |= 1 << (v & 63)
+	}
+	dst = dst[:len(keep)]
+	k := 0
+	for _, v := range keep {
+		dst[k] = v
+		k += int(words[v>>6] >> (v & 63) & 1)
+	}
+	if lo, hi := int(probe[0]>>6), int(probe[len(probe)-1]>>6); hi-lo < len(probe) {
+		clear(words[lo : hi+1])
+	} else {
+		for _, v := range probe {
+			words[v>>6] = 0
 		}
 	}
 	return k

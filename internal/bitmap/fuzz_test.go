@@ -57,8 +57,9 @@ func FuzzReadFrom(f *testing.F) {
 
 // FuzzIntersectKernels builds two sorted sets from the fuzz bytes (two bytes
 // a value, masked to `width` bits so they collide) and checks the allocating
-// and in-place array ∩ array kernels, in both operand orders, and RanksInto
-// over every layout of the first set, against a map.
+// array ∩ array kernel and the in-place one with dst as either operand, in
+// both operand orders, against a map; that the probe scratch is all zero
+// after every call; and RanksInto over every layout of the first set.
 func FuzzIntersectKernels(f *testing.F) {
 	lows := func(n, stride int) []byte {
 		out := make([]byte, 0, 2*n)
@@ -72,6 +73,12 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add(lows(4, 64), lows(4*64, 1), uint8(12))
 	f.Add(lows(1, 9), lows(1000, 1), uint8(16))
 	f.Add([]byte{}, lows(50, 2), uint8(8))
+	// Comparable operands holding 0 and 0xffff: the first and last probe word.
+	edges := func(n, stride int) []byte {
+		return binary.LittleEndian.AppendUint16(lows(n, stride), 0xffff)
+	}
+	f.Add(edges(300, 211), edges(400, 163), uint8(16))
+	f.Add(edges(64, 1), edges(70, 1), uint8(16))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, width uint8) {
 		mask := uint16(1)<<(width%17) - 1 // width 16 wraps to 0xffff
 		set := func(raw []byte) ([]uint16, map[uint16]int) {
@@ -95,14 +102,22 @@ func FuzzIntersectKernels(f *testing.F) {
 				want = append(want, v)
 			}
 		}
+		var seen probeSet
 		for _, ops := range [][2][]uint16{{a, b}, {b, a}} {
 			x, y := ops[0], ops[1]
-			if got := intersectSorted(x, y); !slices.Equal(got, want) {
-				t.Fatalf("intersectSorted(%d, %d values) = %v, want %v", len(x), len(y), got, want)
+			if got := containerLows((&arrayContainer{values: x}).andArray(&arrayContainer{values: y}, &seen)); !slices.Equal(got, want) {
+				t.Fatalf("andArray(%d, %d values) = %v, want %v", len(x), len(y), got, want)
 			}
 			acc := slices.Clone(x)
-			if got := intersectInto(acc, acc, y); !slices.Equal(got, want) {
-				t.Fatalf("in-place intersectInto(%d, %d values) = %v, want %v", len(x), len(y), got, want)
+			if got := intersectInto(acc, acc, y, &seen); !slices.Equal(got, want) {
+				t.Fatalf("intersectInto(dst = a, %d, %d values) = %v, want %v", len(x), len(y), got, want)
+			}
+			acc = slices.Clone(y)
+			if got := intersectInto(acc, x, acc, &seen); !slices.Equal(got, want) {
+				t.Fatalf("intersectInto(dst = b, %d, %d values) = %v, want %v", len(x), len(y), got, want)
+			}
+			if seen != (probeSet{}) {
+				t.Fatalf("%d ∩ %d values leave probe bits set", len(x), len(y))
 			}
 		}
 

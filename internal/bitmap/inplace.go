@@ -38,9 +38,15 @@ func (b *Bitmap) CopyFrom(other *Bitmap) {
 // receivers filter in place; bitset receivers mask word-wise). other is never
 // modified. Callers must own b exclusively: shared column bitmaps must go
 // through the allocating And instead.
+func (b *Bitmap) AndInPlace(other *Bitmap) {
+	var seen probeSet
+	b.andInPlace(other, &seen)
+}
+
+// andInPlace is AndInPlace with the caller's probe scratch.
 //
 //grove:hotpath
-func (b *Bitmap) AndInPlace(other *Bitmap) {
+func (b *Bitmap) andInPlace(other *Bitmap, seen *probeSet) {
 	out := 0
 	i, j := 0, 0
 	for i < len(b.keys) && j < len(other.keys) {
@@ -50,7 +56,7 @@ func (b *Bitmap) AndInPlace(other *Bitmap) {
 		case b.keys[i] > other.keys[j]:
 			j++
 		default:
-			if c := andContainerInPlace(b.containers[i], other.containers[j]); c != nil {
+			if c := andContainerInPlace(b.containers[i], other.containers[j], seen); c != nil {
 				b.keys[out] = b.keys[i]
 				b.containers[out] = c
 				out++
@@ -77,7 +83,8 @@ func (b *Bitmap) AndInPlace(other *Bitmap) {
 // Per call this allocates only the result containers of the first pairwise
 // step (plus one sort key slice for plans wider than sortScratch); every later
 // step mutates those in place. Bitmap allocations are O(1) regardless of
-// len(bitmaps).
+// len(bitmaps). Every array ∩ array step probes through one stack probeSet,
+// zeroed once per call.
 //
 //grove:hotpath
 func AndAllInto(dst *Bitmap, bitmaps ...*Bitmap) *Bitmap {
@@ -98,12 +105,13 @@ func AndAllInto(dst *Bitmap, bitmaps ...*Bitmap) *Bitmap {
 	}
 	// First pairwise step materializes fresh containers into dst; the
 	// remaining steps intersect in place.
-	dst.andInto(bitmaps[0], bitmaps[1])
+	var seen probeSet
+	dst.andInto(bitmaps[0], bitmaps[1], &seen)
 	for _, bm := range bitmaps[2:] {
 		if dst.IsEmpty() {
 			return dst
 		}
-		dst.AndInPlace(bm)
+		dst.andInPlace(bm, &seen)
 	}
 	return dst
 }
@@ -140,7 +148,7 @@ const sortScratch = 32
 
 // andInto fills the cleared receiver with x ∩ y using the allocating
 // container kernels (the inputs stay untouched).
-func (b *Bitmap) andInto(x, y *Bitmap) {
+func (b *Bitmap) andInto(x, y *Bitmap, seen *probeSet) {
 	i, j := 0, 0
 	for i < len(x.keys) && j < len(y.keys) {
 		switch {
@@ -149,7 +157,7 @@ func (b *Bitmap) andInto(x, y *Bitmap) {
 		case x.keys[i] > y.keys[j]:
 			j++
 		default:
-			if c := x.containers[i].and(y.containers[j]); c != nil && c.cardinality() > 0 {
+			if c := andContainers(x.containers[i], y.containers[j], seen); c != nil && c.cardinality() > 0 {
 				b.keys = append(b.keys, x.keys[i])
 				b.containers = append(b.containers, c)
 			}
@@ -166,12 +174,12 @@ func (b *Bitmap) andInto(x, y *Bitmap) {
 // below arrayMaxCardinality are stored as arrays.
 //
 //grove:hotpath
-func andContainerInPlace(dst, src container) container {
+func andContainerInPlace(dst, src container, seen *probeSet) container {
 	switch d := dst.(type) {
 	case *arrayContainer:
 		switch s := src.(type) {
 		case *arrayContainer:
-			d.values = intersectInto(d.values, d.values, s.values)
+			d.values = intersectInto(d.values, d.values, s.values, seen)
 		case *runContainer:
 			d.values = intersectArrayRuns(d.values[:0], d.values, s.runs)
 		case *bitsetContainer:
@@ -207,6 +215,16 @@ func andContainerInPlace(dst, src container) container {
 		}
 		return c
 	}
+}
+
+// andContainers is x.and(y) with array ∩ array probing through seen.
+func andContainers(x, y container, seen *probeSet) container {
+	if xa, ok := x.(*arrayContainer); ok {
+		if ya, ok := y.(*arrayContainer); ok {
+			return xa.andArray(ya, seen)
+		}
+	}
+	return x.and(y)
 }
 
 func (b *bitsetContainer) andBitsetInPlace(o *bitsetContainer) {

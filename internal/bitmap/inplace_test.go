@@ -207,6 +207,33 @@ func TestAndAllIntoArrayColumnsAllocs(t *testing.T) {
 	}
 }
 
+// TestInPlaceProbeAllocs pins the in-place array ∩ array step at zero
+// allocations at 10, 33 and 90 % overlap: the kernel writes into its
+// accumulator, and AndInPlace's probe scratch stays on the stack.
+func TestInPlaceProbeAllocs(t *testing.T) {
+	for _, share := range []float64{0.1, 0.33, 0.9} {
+		short, long := overlapLows(rand.New(rand.NewSource(61)), 500, 600, share, 10000)
+		var seen probeSet
+		acc := make([]uint16, len(short))
+		if allocs := testing.AllocsPerRun(50, func() {
+			copy(acc, short)
+			intersectInto(acc, acc, long, &seen)
+		}); allocs != 0 {
+			t.Errorf("%.0f %% overlap: intersectInto allocates %.1f times per call, want 0", 100*share, allocs)
+		}
+		col := &Bitmap{keys: []uint16{0}, containers: []container{&arrayContainer{values: long}}}
+		work := &Bitmap{keys: []uint16{0}, containers: []container{&arrayContainer{}}}
+		if allocs := testing.AllocsPerRun(50, func() {
+			d := work.containers[0].(*arrayContainer)
+			d.values = append(d.values[:0], short...)
+			work.keys, work.containers = work.keys[:1], work.containers[:1]
+			work.AndInPlace(col)
+		}); allocs != 0 {
+			t.Errorf("%.0f %% overlap: AndInPlace allocates %.1f times per call, want 0", 100*share, allocs)
+		}
+	}
+}
+
 func TestRemoveRangeContainerGranularity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	type rangeCase struct{ lo, hi uint32 }

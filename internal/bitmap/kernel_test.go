@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -110,13 +111,14 @@ func TestInPlaceKernelsMatchAllocatingAnd(t *testing.T) {
 					want = append(want, v)
 				}
 			}
+			var seen probeSet
 			for dl, dst := range layoutsOf(a) {
 				for sl, src := range layoutsOf(b) {
 					before := containerLows(src)
 					if got := containerLows(dst.and(src)); !slices.Equal(got, want) {
 						t.Fatalf("shape %d ∩ %d, %s.and(%s): %d values, want %d", ai, bi, dl, sl, len(got), len(want))
 					}
-					got := andContainerInPlace(dst.clone(), src)
+					got := andContainerInPlace(dst.clone(), src, &seen)
 					if lows := containerLows(got); !slices.Equal(lows, want) {
 						t.Fatalf("shape %d ∩ %d, in-place %s ∩ %s: %d values, want %d", ai, bi, dl, sl, len(lows), len(want))
 					}
@@ -128,6 +130,9 @@ func TestInPlaceKernelsMatchAllocatingAnd(t *testing.T) {
 					}
 					if !slices.Equal(containerLows(src), before) {
 						t.Fatalf("shape %d ∩ %d, in-place %s ∩ %s modified its operand", ai, bi, dl, sl)
+					}
+					if seen != (probeSet{}) {
+						t.Fatalf("shape %d ∩ %d, in-place %s ∩ %s left probe bits set", ai, bi, dl, sl)
 					}
 				}
 			}
@@ -163,7 +168,7 @@ func TestGallopCursors(t *testing.T) {
 }
 
 // TestIntersectArraysAroundGallopRatio runs array ∩ array on both sides of
-// the merge-or-gallop rule — length ratios T−1, T, T+1, 64 and 1 000 around
+// the probe-or-gallop rule — length ratios T−1, T, T+1, 64 and 1 000 around
 // T = gallopRatio, and empty and one-value operands — through the allocating
 // kernel, the in-place kernel with either operand as the accumulator, and
 // the bitmap-level And, AndInPlace and AndAllInto over ids in three chunks.
@@ -198,15 +203,19 @@ func TestIntersectArraysAroundGallopRatio(t *testing.T) {
 		slices.Sort(short)
 		short = slices.Compact(short)
 		want := intersect(short, long)
+		var seen probeSet
 		for _, ops := range [][2][]uint16{{short, long}, {long, short}} {
 			a, b := ops[0], ops[1]
-			if got := intersectSorted(a, b); !slices.Equal(got, want) {
-				t.Fatalf("%d ∩ %d values: intersectSorted finds %d, want %d", len(a), len(b), len(got), len(want))
+			if got := containerLows((&arrayContainer{values: a}).andArray(&arrayContainer{values: b}, &seen)); !slices.Equal(got, want) {
+				t.Fatalf("%d ∩ %d values: andArray finds %d, want %d", len(a), len(b), len(got), len(want))
 			}
 			acc := slices.Clone(a)
-			if got := intersectInto(acc, acc, b); !slices.Equal(got, want) {
+			if got := intersectInto(acc, acc, b, &seen); !slices.Equal(got, want) {
 				t.Fatalf("%d ∩ %d values: in-place intersectInto finds %d, want %d", len(a), len(b), len(got), len(want))
 			}
+		}
+		if seen != (probeSet{}) {
+			t.Fatalf("%d ∩ %d values leave probe bits set", len(short), len(long))
 		}
 
 		// The same operands as array containers of chunks {0, 1, 3} and
@@ -427,33 +436,93 @@ func BenchmarkAndInPlaceArrayRun(b *testing.B) {
 }
 
 var (
-	sinkLows []uint16
-	sinkIdx  []int32
+	sinkLows      []uint16
+	sinkIdx       []int32
+	sinkContainer container
 )
 
-// BenchmarkIntersectArrays prices array ∩ array on each side of gallopRatio
-// (make bench-smoke). balanced is two edge columns of the benchmark corpus
-// (1 000 of 10 000 records each), the complementary regime the merge serves;
-// skew8 and skew64 are a shrunken accumulator against a column. inplace is
-// the kernel of every AND step after the first, alloc that of the first.
+// overlapLows returns a short and a long sorted operand in span values, with
+// share of short's values also in long.
+func overlapLows(rng *rand.Rand, short, long int, share float64, span int) ([]uint16, []uint16) {
+	l := uniformLows(rng, long, span)
+	in := int(share * float64(short))
+	s := make([]uint16, 0, short)
+	for _, k := range rng.Perm(len(l))[:in] {
+		s = append(s, l[k])
+	}
+	for _, v := range rng.Perm(span) {
+		if len(s) == short {
+			break
+		}
+		if _, found := slices.BinarySearch(l, uint16(v)); !found {
+			s = append(s, uint16(v))
+		}
+	}
+	slices.Sort(s)
+	return s, l
+}
+
+// BenchmarkIntersectArrays prices array ∩ array in the regimes a multi-way
+// AND runs (make bench-smoke). match is the first step of a match-uniform
+// query: its two smallest columns, ≈ 500 and 600 of a 10 000-record chunk,
+// sharing 30 % of the shorter; overlap90 is the comparable complement regime
+// where a branchy merge predicts well. inplace is the kernel of every step
+// after the first, alloc that of the first. skewN/{probe,gallop} runs each
+// arm of intersectInto on a 1 000-value column against one N times shorter:
+// gallopRatio is where gallop overtakes probe. Every case cycles through 64
+// operand pairs: on one repeated pair the branch predictor learns the
+// branchy kernels' outcomes and prices them far below a real query's.
 func BenchmarkIntersectArrays(b *testing.B) {
-	for _, bc := range []struct {
-		name        string
-		short, long int
-	}{{"balanced", 1000, 1000}, {"skew8", 125, 1000}, {"skew64", 64, 4096}} {
+	type pair struct{ short, long []uint16 }
+	pairs := func(short, long int, share float64) []pair {
 		rng := rand.New(rand.NewSource(53))
-		short, long := uniformLows(rng, bc.short, 10*bc.long), uniformLows(rng, bc.long, 10*bc.long)
+		out := make([]pair, 64)
+		for i := range out {
+			out[i].short, out[i].long = overlapLows(rng, short, long, share, 10000)
+		}
+		return out
+	}
+	for _, bc := range []struct {
+		name  string
+		share float64
+	}{{"match", 0.3}, {"overlap90", 0.9}} {
+		ps := pairs(500, 600, bc.share)
 		b.Run(bc.name+"/inplace", func(b *testing.B) {
-			acc := make([]uint16, len(short))
+			var seen probeSet
+			acc := make([]uint16, 500)
 			for i := 0; i < b.N; i++ {
-				copy(acc, short)
-				sinkLows = intersectInto(acc, acc, long)
+				p := ps[i%len(ps)]
+				copy(acc, p.short)
+				sinkLows = intersectInto(acc, acc, p.long, &seen)
 			}
 		})
 		b.Run(bc.name+"/alloc", func(b *testing.B) {
+			cs := make([][2]*arrayContainer, len(ps))
+			for i, p := range ps {
+				cs[i] = [2]*arrayContainer{{values: p.short}, {values: p.long}}
+			}
+			var seen probeSet
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkLows = intersectSorted(short, long)
+				c := cs[i%len(cs)]
+				sinkContainer = c[0].andArray(c[1], &seen)
+			}
+		})
+	}
+	for _, skew := range []int{4, 8, 16, 24, 32} {
+		ps := pairs(1000/skew, 1000, 0.3)
+		dst := make([]uint16, 1000/skew)
+		b.Run(fmt.Sprintf("skew%d/probe", skew), func(b *testing.B) {
+			var seen probeSet
+			for i := 0; i < b.N; i++ {
+				p := ps[i%len(ps)]
+				sinkLows = dst[:probeIntersect(dst, p.short, p.long, &seen)]
+			}
+		})
+		b.Run(fmt.Sprintf("skew%d/gallop", skew), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := ps[i%len(ps)]
+				sinkLows = dst[:gallopIntersect(dst, p.short, p.long)]
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -89,6 +90,55 @@ func (r *Registry) Lookup(k EdgeKey) (colstore.EdgeID, bool) {
 	defer r.mu.RUnlock()
 	id, ok := r.ids[k]
 	return id, ok
+}
+
+// UnseenBase lifts the sentinel ids Resolve gives elements the registry has
+// never seen far above the registered range; no column lives there, so a
+// query naming such an element fetches an empty bitmap.
+const UnseenBase = 1 << 24
+
+// Resolve maps keys to edge ids under one read lock: ids[i] is the id of
+// keys[i]. An element the registry has never seen gets the sentinel
+// UnseenBase + Len() + its rank among the distinct unknown keys, which are
+// returned sorted. Sentinels lie above every registered id, differ between
+// distinct keys, repeat for a repeated key, and stay the same from call to
+// call while the registry does not grow. Only the unknown keys are sorted.
+func (r *Registry) Resolve(keys []EdgeKey) (ids []colstore.EdgeID, unknown []EdgeKey) {
+	ids = make([]colstore.EdgeID, len(keys))
+	r.mu.RLock()
+	n := len(r.keys)
+	for i, k := range keys {
+		id, ok := r.ids[k]
+		if !ok {
+			unknown = append(unknown, k)
+		}
+		ids[i] = id
+	}
+	r.mu.RUnlock()
+	if unknown == nil {
+		return ids, nil
+	}
+	slices.SortFunc(unknown, EdgeKey.compare)
+	unknown = slices.Compact(unknown)
+	for i, k := range keys {
+		if rank, found := slices.BinarySearchFunc(unknown, k, EdgeKey.compare); found {
+			ids[i] = colstore.EdgeID(UnseenBase + n + rank)
+		}
+	}
+	return ids, unknown
+}
+
+// ResolveGraph resolves g's elements with Resolve and returns their ids
+// ascending — every sentinel after every registered id — with the unknown
+// keys.
+func (r *Registry) ResolveGraph(g *Graph) (ids []colstore.EdgeID, unknown []EdgeKey) {
+	keys := make([]EdgeKey, 0, len(g.elems))
+	for k := range g.elems {
+		keys = append(keys, k)
+	}
+	ids, unknown = r.Resolve(keys)
+	slices.Sort(ids)
+	return ids, unknown
 }
 
 // Key returns the element named by id.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"grove/internal/colstore"
+	"grove/internal/graph"
 )
 
 // The view-catalog planners against the scan-and-sort planners they
@@ -255,7 +256,7 @@ func (f *catalogFixture) populate(graphViews, aggViews int) {
 // and unknown edges.
 func (f *catalogFixture) check(rel *colstore.Relation, stage string) {
 	f.t.Helper()
-	sentinel := func() colstore.EdgeID { return colstore.EdgeID(unseenEdgeBase + f.rng.Intn(4)) }
+	sentinel := func() colstore.EdgeID { return colstore.EdgeID(graph.UnseenBase + f.rng.Intn(4)) }
 	var universes, paths [][]colstore.EdgeID
 	for _, v := range f.history {
 		u := append(append([]colstore.EdgeID(nil), v.edges...), f.randomEdges(f.rng.Intn(4))...)

@@ -165,56 +165,20 @@ func (e *Engine) checkCtx(ctx context.Context, tr *obs.ActiveTrace) error {
 	return nil
 }
 
-// unseenEdgeBase lifts the ids minted for elements the registry has never
-// seen far above the registered range.
-const unseenEdgeBase = 1 << 24
-
-// resolveEdges resolves the structural elements of a query graph to edge
-// ids. Elements unknown to the registry resolve to a sentinel id that has an
-// empty bitmap, so queries referencing never-seen elements return empty
-// answers (after paying for the fetch, as a real column store would).
-func resolveEdges(reg *graph.Registry, g *graph.Graph) []colstore.EdgeID {
-	elems := g.Elements()
-	out := make([]colstore.EdgeID, 0, len(elems))
-	seen := make(map[colstore.EdgeID]struct{}, len(elems))
-	for _, k := range elems {
-		id, ok := reg.Lookup(k)
-		if !ok {
-			// Stable unseen id outside the registered range.
-			id = colstore.EdgeID(uint32(reg.Len()) + uint32(len(out)) + unseenEdgeBase)
-		}
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// resolvePathEdges resolves every path's edge sequence to edge ids. Each
-// element the registry has never seen gets its own sentinel id (an empty
-// column slot, as in resolveEdges — a shared sentinel would alias distinct
+// resolvePathEdges resolves every path's edge sequence to edge ids in one
+// registry read: an element the registry has never seen gets its own
+// sentinel id (an empty column slot; a shared sentinel would alias distinct
 // unknown edges to one column), the same id wherever it recurs.
 func resolvePathEdges(reg *graph.Registry, paths []gpath.Path) [][]colstore.EdgeID {
-	var unknown map[graph.EdgeKey]colstore.EdgeID
+	var keys []graph.EdgeKey
+	for _, p := range paths {
+		keys = append(keys, p.Edges()...)
+	}
+	ids, _ := reg.Resolve(keys)
 	out := make([][]colstore.EdgeID, len(paths))
 	for pi, p := range paths {
-		edges := p.Edges()
-		ids := make([]colstore.EdgeID, len(edges))
-		for i, ek := range edges {
-			id, ok := reg.Lookup(ek)
-			if !ok {
-				if id, ok = unknown[ek]; !ok {
-					if unknown == nil {
-						unknown = make(map[graph.EdgeKey]colstore.EdgeID)
-					}
-					id = colstore.EdgeID(uint32(reg.Len()) + uint32(len(unknown)) + unseenEdgeBase)
-					unknown[ek] = id
-				}
-			}
-			ids[i] = id
-		}
-		out[pi] = ids
+		n := p.Len()
+		out[pi], ids = ids[:n:n], ids[n:]
 	}
 	return out
 }
@@ -234,6 +198,9 @@ type Result struct {
 	// each record's measures live in exactly one shard.
 	Subs []*Result
 
+	// edges is the query's universe as the execution resolved it: ascending
+	// ids, sentinels of unknown elements last.
+	edges  []colstore.EdgeID
 	eng    *Engine
 	cached bool
 }
@@ -294,7 +261,7 @@ func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*
 func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr *obs.ActiveTrace) (*Result, error) {
 	universe := q.edges
 	if universe == nil {
-		universe = resolveEdges(e.Reg, q.G)
+		universe, _ = e.Reg.ResolveGraph(q.G)
 	}
 	// Read under the lock: the version cannot move while we hold it, so the
 	// cache entry written below is tagged with exactly the version whose
@@ -311,7 +278,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 			if tr != nil {
 				tr.SetCached()
 			}
-			return &Result{Query: q, Plan: CoverPlan{}, Answer: answer, eng: e, cached: true}, nil
+			return &Result{Query: q, Plan: CoverPlan{}, Answer: answer, edges: universe, eng: e, cached: true}, nil
 		}
 	}
 	if tr != nil {
@@ -378,7 +345,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 		e.cache.put(version, key, answer)
 	}
 	e.Rel.AccountRecordsReturned(answer.Cardinality())
-	return &Result{Query: q, Plan: plan, Answer: answer, eng: e}, nil
+	return &Result{Query: q, Plan: plan, Answer: answer, edges: universe, eng: e}, nil
 }
 
 // recsPool recycles the decoded answer-set slices of the measure phases
@@ -414,17 +381,15 @@ func (r *Result) FetchMeasures() int64 {
 	e := r.eng
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the scan must see the same cut the filter matched
 	defer e.Rel.EndRead()
-	elems := r.Query.G.Elements()
 	scratch := recsPool.Get().(*[]uint32)
 	recs := r.Answer.AppendInto((*scratch)[:0])
 	var scanned int64
 	var spanEdges []colstore.EdgeID
 	var sink float64
 	names := append([]string{""}, e.Rel.MeasureNames()...)
-	for _, k := range elems {
-		id, ok := e.Reg.Lookup(k)
-		if !ok {
-			continue
+	for _, id := range r.edges {
+		if id >= graph.UnseenBase {
+			break // the sentinels of unknown elements sort last and have no columns
 		}
 		spanned := false
 		for _, name := range names {

@@ -54,13 +54,13 @@ func (e *Engine) Explain(q *GraphQuery) (Explanation, error) {
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return Explanation{}, fmt.Errorf("query: empty graph query")
 	}
+	// One registry read: the unknown elements listed are exactly those the
+	// plan below carries as sentinels, whatever a concurrent append adds.
+	universe, unknownKeys := e.Reg.ResolveGraph(q.G)
 	var unknown []string
-	for _, k := range q.G.Elements() {
-		if _, ok := e.Reg.Lookup(k); !ok {
-			unknown = append(unknown, k.String())
-		}
+	for _, k := range unknownKeys {
+		unknown = append(unknown, k.String())
 	}
-	universe := resolveEdges(e.Reg, q.G)
 	e.Rel.BeginRead()
 	defer e.Rel.EndRead()
 	var plan CoverPlan

@@ -35,14 +35,15 @@ type GraphQuery struct {
 
 // Resolved returns q with its elements resolved to edge ids against reg, once,
 // so that executing it on several engines sharing reg — the shards of one
-// store — does not repeat the element sort and the registry lookups per
-// engine. The copy shares G and the cached text; an empty or already resolved
-// query is returned as is (the engine reports the former).
+// store — does not repeat the registry read per engine. The copy shares G
+// and the cached text; an empty or already resolved query is returned as is
+// (the engine reports the former).
 func (q *GraphQuery) Resolved(reg *graph.Registry) *GraphQuery {
 	if q == nil || q.G == nil || q.edges != nil {
 		return q
 	}
-	rq := &GraphQuery{G: q.G, edges: resolveEdges(reg, q.G)}
+	rq := &GraphQuery{G: q.G}
+	rq.edges, _ = reg.ResolveGraph(q.G)
 	rq.str.Store(q.str.Load())
 	return rq
 }
@@ -109,7 +110,8 @@ func (q *PathAggQuery) Resolved(reg *graph.Registry) *PathAggQuery {
 	if q == nil || q.G == nil || q.edges != nil {
 		return q
 	}
-	rq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths, edges: resolveEdges(reg, q.G)}
+	rq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths}
+	rq.edges, _ = reg.ResolveGraph(q.G)
 	rq.str.Store(q.str.Load())
 	if len(rq.Paths) == 0 {
 		paths, err := gpath.MaximalPaths(q.G)

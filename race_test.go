@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -162,6 +163,62 @@ func TestAppendIsAtomicToReaders(t *testing.T) {
 				}
 				if len(viewed.RecordIDs) < counted.Cardinality() {
 					t.Errorf("view-rewritten aggregate knows %d records after the base plan counted %d", len(viewed.RecordIDs), counted.Cardinality())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRaceExplainAgainstAppend explains queries naming the element the
+// writer is about to register. Explain resolves the query once, so its
+// unknown-element list and its plan must agree: an element listed as unknown
+// is carried as a sentinel, whose column lies in a partition of its own far
+// above the registered ones, and an element the plan resolved to a real
+// column is not listed.
+func TestRaceExplainAgainstAppend(t *testing.T) {
+	st := Open()
+	first := NewRecord()
+	if err := first.SetEdge("a", "b", 0); err != nil {
+		t.Fatal(err)
+	}
+	// (a,b) is known from the start, and the appended elements stay inside
+	// its partition: a plan spans one registered partition.
+	st.Add(first)
+	const appends = 500
+	var appended atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			rec := NewRecord()
+			for _, leg := range [][2]string{{"a", "b"}, {"b", fmt.Sprint("z", i)}} {
+				if err := rec.SetEdge(leg[0], leg[1], float64(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := st.Append(rec); err != nil {
+				t.Error(err)
+				return
+			}
+			appended.Add(1)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := appended.Load(); n < appends; n = appended.Load() {
+				ex, err := st.Explain(PathOf("a", "b", fmt.Sprint("z", n)).ToGraph())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if unknown := len(ex.UnknownElements) > 0; unknown != (ex.Partitions == 2) {
+					t.Errorf("unknown elements %v with a plan over %d partition(s)", ex.UnknownElements, ex.Partitions)
 					return
 				}
 			}
