@@ -115,12 +115,14 @@ shard-diff:
 # signed zeros, ±MaxFloat64, denormals, deletions, single-shard and sharded,
 # at pool budgets down to 1%; a legacy snapshot holding all four block
 # encodings loads bit-identically and re-saves raw — with the zone-skip
-# scalar plan engaged, the multi-block crash sweep green, the pool's gauge
+# branch of the one path-aggregation executor engaged, every scalar (branching
+# graphs, aggregate views, node measures, 1 and 3 shards) bit for bit the fold
+# of its rows, the multi-block crash sweep green, the pool's gauge
 # under its budget after a cut, the hot block-decode/zone-skip kernels and
 # the page fault itself allocation-free on any mix of block lengths, cold and
 # warm, and the pool in lockstep with its clock model.
 paged-diff:
-	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagePoolGaugeHonoursACut|TestLegacyBlocksLoad|TestSaveBytesPinned' -v
+	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagedScalarMatchesRows|TestPagePoolGaugeHonoursACut|TestLegacyBlocksLoad|TestSaveBytesPinned' -v
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
 	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v

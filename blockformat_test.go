@@ -24,7 +24,7 @@ func TestLegacyBlocksLoad(t *testing.T) {
 	mem := Open()
 	pagedCorpus(t, mem, legacyBlocksN)
 	path := []string{"A", "B", "C", "D", "E"}
-	want := collectAnswers(t, mem, path...)
+	want := collectAnswers(t, mem, PathOf(path...).ToGraph())
 	rawBytes := 8 * int64(mem.Stats().TotalMeasures) // every block raw
 
 	legacy, err := LoadStore(filepath.Join("testdata", "legacy-blocks"))
@@ -38,7 +38,7 @@ func TestLegacyBlocksLoad(t *testing.T) {
 	}
 	for _, pct := range []int64{1, 10, 50, 100} {
 		legacy.SetPageCacheBytes(st.LogicalBytes * pct / 100)
-		diffAnswers(t, fmt.Sprintf("legacy at %d%%", pct), want, collectAnswers(t, legacy, path...))
+		diffAnswers(t, fmt.Sprintf("legacy at %d%%", pct), want, collectAnswers(t, legacy, PathOf(path...).ToGraph()))
 	}
 	diffNamedMeasure(t, "legacy", mem, legacy)
 	if err := legacy.PageError(); err != nil {
@@ -58,7 +58,7 @@ func TestLegacyBlocksLoad(t *testing.T) {
 		t.Fatalf("re-saved snapshot holds %d block bytes, want %d: not every block is raw", got, rawBytes)
 	}
 	raw.SetPageCacheBytes(st.LogicalBytes / 100)
-	diffAnswers(t, "re-saved", want, collectAnswers(t, raw, path...))
+	diffAnswers(t, "re-saved", want, collectAnswers(t, raw, PathOf(path...).ToGraph()))
 	diffNamedMeasure(t, "re-saved", mem, raw)
 
 	again := t.TempDir()

@@ -147,9 +147,6 @@ func newStore(c *shard.Coordinator, o options) *Store {
 	if o.snapshotKeep > 0 {
 		c.SetSnapshotKeep(o.snapshotKeep)
 	}
-	if o.parallelPaths {
-		c.EnableParallelPaths()
-	}
 	return &Store{coord: c, rel: c.Unit(0).Rel, reg: c.Registry(), eng: c.Unit(0).Eng}
 }
 
@@ -163,7 +160,6 @@ type options struct {
 	cache          bool
 	cacheCapacity  int
 	snapshotKeep   int
-	parallelPaths  bool
 }
 
 func parseOptions(opts []Option) options {
@@ -201,14 +197,6 @@ func WithResultCache(capacity int) Option {
 // Load can fall back to the previous generation if the newest is damaged.
 func WithSnapshotKeep(n int) Option {
 	return func(o *options) { o.snapshotKeep = n }
-}
-
-// WithParallelPaths runs the paths of a multi-path aggregation query
-// concurrently. Answers are identical to the sequential plan; it only engages
-// while query tracing is disabled, since a lifecycle trace records per-path
-// phase spans in order.
-func WithParallelPaths() Option {
-	return func(o *options) { o.parallelPaths = true }
 }
 
 // Open creates an empty single-shard store.

@@ -188,18 +188,6 @@ func (b *Bitmap) Cardinality() int {
 // IsEmpty reports whether the bitmap holds no values.
 func (b *Bitmap) IsEmpty() bool { return len(b.containers) == 0 }
 
-// Minimum returns the smallest value; ok is false when empty.
-func (b *Bitmap) Minimum() (v uint32, ok bool) {
-	if b.IsEmpty() {
-		return 0, false
-	}
-	b.containers[0].each(func(low uint16) bool {
-		v = uint32(b.keys[0])<<16 | uint32(low)
-		return false
-	})
-	return v, true
-}
-
 // Maximum returns the largest value; ok is false when empty.
 func (b *Bitmap) Maximum() (v uint32, ok bool) {
 	if b.IsEmpty() {
@@ -262,38 +250,6 @@ func (b *Bitmap) AndNot(other *Bitmap) *Bitmap {
 	return out
 }
 
-// Xor returns the symmetric difference of b and other as a new bitmap.
-func (b *Bitmap) Xor(other *Bitmap) *Bitmap {
-	out := New()
-	i, j := 0, 0
-	for i < len(b.keys) || j < len(other.keys) {
-		switch {
-		case j >= len(other.keys) || (i < len(b.keys) && b.keys[i] < other.keys[j]):
-			out.keys = append(out.keys, b.keys[i])
-			out.containers = append(out.containers, b.containers[i].clone())
-			i++
-		case i >= len(b.keys) || b.keys[i] > other.keys[j]:
-			out.keys = append(out.keys, other.keys[j])
-			out.containers = append(out.containers, other.containers[j].clone())
-			j++
-		default:
-			if c := b.containers[i].xor(other.containers[j]); c != nil && c.cardinality() > 0 {
-				out.keys = append(out.keys, b.keys[i])
-				out.containers = append(out.containers, c)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// AndCardinality returns |b ∩ other|; the intersection is built by And and
-// dropped.
-func (b *Bitmap) AndCardinality(other *Bitmap) int {
-	return b.And(other).Cardinality()
-}
-
 // AndAll intersects all given bitmaps. With no arguments it returns an empty
 // bitmap. Bitmaps are intersected smallest-cardinality-first so intermediate
 // results shrink as early as possible. The argument slice is left untouched;
@@ -303,15 +259,6 @@ func AndAll(bitmaps ...*Bitmap) *Bitmap {
 	scratch := make([]*Bitmap, len(bitmaps))
 	copy(scratch, bitmaps)
 	return AndAllInto(New(), scratch...)
-}
-
-// OrAll unions all given bitmaps.
-func OrAll(bitmaps ...*Bitmap) *Bitmap {
-	out := New()
-	for _, bm := range bitmaps {
-		out = out.Or(bm)
-	}
-	return out
 }
 
 // Clone returns a deep copy.

@@ -25,7 +25,6 @@ type container interface {
 	and(other container) container
 	or(other container) container
 	andNot(other container) container
-	xor(other container) container
 	// each calls f for every value in ascending order; f returning false
 	// stops the iteration and each returns false.
 	each(f func(v uint16) bool) bool
@@ -181,22 +180,6 @@ func (a *arrayContainer) andNot(other container) container {
 		return nil
 	}
 	return &arrayContainer{values: out}
-}
-
-func (a *arrayContainer) xor(other container) container {
-	switch o := other.(type) {
-	case *arrayContainer:
-		out := symmetricDiffSorted(a.values, o.values)
-		if len(out) == 0 {
-			return nil
-		}
-		if len(out) > arrayMaxCardinality {
-			return (&arrayContainer{values: out}).toBitset()
-		}
-		return &arrayContainer{values: out}
-	default:
-		return genericXor(a, other)
-	}
 }
 
 func (a *arrayContainer) each(f func(uint16) bool) bool {
@@ -370,29 +353,6 @@ func (b *bitsetContainer) andNot(other container) container {
 		return out.toArray()
 	}
 	return out
-}
-
-func (b *bitsetContainer) xor(other container) container {
-	switch o := other.(type) {
-	case *bitsetContainer:
-		out := newBitsetContainer()
-		card := 0
-		for i := range out.words {
-			w := b.words[i] ^ o.words[i]
-			out.words[i] = w
-			card += bits.OnesCount64(w)
-		}
-		if card == 0 {
-			return nil
-		}
-		out.card = card
-		if card <= arrayMaxCardinality {
-			return out.toArray()
-		}
-		return out
-	default:
-		return genericXor(b, other)
-	}
 }
 
 func (b *bitsetContainer) each(f func(uint16) bool) bool {
@@ -602,10 +562,6 @@ func (r *runContainer) andNot(other container) container {
 	return r.toGeneric().andNot(other)
 }
 
-func (r *runContainer) xor(other container) container {
-	return genericXor(r, other)
-}
-
 func (r *runContainer) each(f func(uint16) bool) bool {
 	for _, run := range r.runs {
 		for v := uint32(run.start); v <= uint32(run.start)+uint32(run.length); v++ {
@@ -626,23 +582,6 @@ func (r *runContainer) clone() container {
 func (r *runContainer) sizeBytes() int { return 4 * len(r.runs) }
 
 // --- shared helpers --------------------------------------------------------
-
-func genericXor(a, b container) container {
-	// (a OR b) AND NOT (a AND b), computed via the specialized paths.
-	union := a.or(b)
-	inter := a.and(b)
-	if inter == nil {
-		if union == nil || union.cardinality() == 0 {
-			return nil
-		}
-		return union
-	}
-	out := union.andNot(inter)
-	if out == nil || out.cardinality() == 0 {
-		return nil
-	}
-	return out
-}
 
 // gallopRatio is the length ratio from which array ∩ array gallops through
 // the longer operand instead of probing it: the measured crossover (DESIGN.md
@@ -849,27 +788,6 @@ func differenceSorted(a, b []uint16) []uint16 {
 		}
 	}
 	out = append(out, a[i:]...)
-	return out
-}
-
-func symmetricDiffSorted(a, b []uint16) []uint16 {
-	var out []uint16
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }
 

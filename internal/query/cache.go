@@ -16,7 +16,7 @@ import (
 // workloads grove targets are read-mostly between ingest batches (§2).
 //
 // The cache is split into shards selected by a hash of the key, so the
-// workers of a BatchExecutor do not serialize on a single mutex. Each shard
+// workers of a batch do not serialize on a single mutex. Each shard
 // is an independent LRU: when full, the least recently used entry of that
 // shard is evicted (replacing the earlier whole-cache random eviction).
 // Version invalidation is also per shard and lazy — a shard drops its
@@ -166,6 +166,6 @@ func (c *ResultCache) Stats() CacheStats {
 
 // EnableCache attaches a result cache to the engine (nil disables caching).
 // The same cache may be shared by many engines — e.g. the per-worker clones
-// of a BatchExecutor — so repeated queries hit regardless of which worker
+// of a batch — so repeated queries hit regardless of which worker
 // computed them first.
 func (e *Engine) EnableCache(c *ResultCache) { e.cache = c }

@@ -78,9 +78,8 @@ func TestBatchContextCancelledPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		be := NewBatchExecutor(f.eng, workers)
 		start := time.Now()
-		results, errs := be.ExecuteGraphQueriesContext(ctx, queries)
+		results, errs := runBatch(ctx, f.eng, workers, queries, (*Engine).ExecuteGraphQueryContext)
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Fatalf("workers=%d: cancelled batch took %v", workers, elapsed)
 		}
@@ -119,8 +118,7 @@ func TestBatchPanicIsolatedPerQuery(t *testing.T) {
 		queries[i] = NewPathAggQuery(f.randomQueryGraph(rng, 3), fn)
 	}
 	for _, workers := range []int{1, 4} {
-		be := NewBatchExecutor(f.eng, workers)
-		results, errs := be.ExecutePathAggQueriesContext(context.Background(), queries)
+		results, errs := runBatch(context.Background(), f.eng, workers, queries, (*Engine).ExecutePathAggQueryContext)
 		for i := range queries {
 			if i == 5 {
 				if errs[i] == nil || !strings.Contains(errs[i].Error(), "panicked") {
@@ -155,7 +153,6 @@ func TestBatchContextMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	f := newRandomFixture(t, rng, 80)
 	queries := batchFixtureQueries(f, rng, 30)
-	be := NewBatchExecutor(f.eng, 4)
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
 		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
@@ -164,7 +161,7 @@ func TestBatchContextMatchesPlain(t *testing.T) {
 		}
 		want[i] = res
 	}
-	got, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	got, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecuteGraphQueryContext)
 	for i := range queries {
 		if errs[i] != nil {
 			t.Fatalf("query %d err = %v", i, errs[i])
@@ -183,8 +180,7 @@ func TestBatchErrorQueryKeepsBatchAlive(t *testing.T) {
 	f := newRandomFixture(t, rng, 50)
 	queries := batchFixtureQueries(f, rng, 10)
 	queries[3] = &GraphQuery{G: graph.NewGraph()} // empty → error
-	be := NewBatchExecutor(f.eng, 4)
-	results, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	results, errs := runBatch(context.Background(), f.eng, 4, queries, (*Engine).ExecuteGraphQueryContext)
 	for i := range queries {
 		if i == 3 {
 			if errs[i] == nil {
@@ -207,8 +203,7 @@ func TestPathAggPanicNaNUnaffected(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	f := newRandomFixture(t, rng, 30)
 	q := NewPathAggQuery(f.randomQueryGraph(rng, 2), agg.Sum)
-	be := NewBatchExecutor(f.eng, 2)
-	results, errs := be.ExecutePathAggQueriesContext(context.Background(), []*PathAggQuery{q})
+	results, errs := runBatch(context.Background(), f.eng, 2, []*PathAggQuery{q}, (*Engine).ExecutePathAggQueryContext)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}

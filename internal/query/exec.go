@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"grove/internal/agg"
@@ -29,15 +28,6 @@ type Engine struct {
 	Rel      *colstore.Relation
 	Reg      *graph.Registry
 	UseViews bool
-
-	// ParallelPaths, when set, aggregates the maximal paths of a
-	// path-aggregation query on separate goroutines (columns are still
-	// fetched sequentially, so I/O accounting order is deterministic; the
-	// tracker's atomic counters make the fold accounting race-free). It only
-	// engages for untraced multi-path queries: a lifecycle trace records
-	// per-path phase spans whose ordering interleaved goroutines would
-	// scramble.
-	ParallelPaths bool
 
 	// cache, when set, memoizes structural answers across repeated queries
 	// (invalidated wholesale on any relation mutation).
@@ -74,10 +64,8 @@ func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
 // and observability hooks with e, but with its own scratch — safe to use
 // from another goroutine concurrently with e.
 func (e *Engine) Clone() *Engine {
-	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews,
-		ParallelPaths: e.ParallelPaths, cache: e.cache,
-		metrics: e.metrics, traces: e.traces, slow: e.slow,
-		shardID: e.shardID}
+	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews, cache: e.cache,
+		metrics: e.metrics, traces: e.traces, slow: e.slow, shardID: e.shardID}
 }
 
 // SetMetrics attaches a metrics bundle (nil disables). Attach before
@@ -105,28 +93,49 @@ func (e *Engine) SetShard(id int) { e.shardID = id }
 // Shard returns the engine's shard index.
 func (e *Engine) Shard() int { return e.shardID }
 
-// slowObserve appends a slow-log entry when the finished query crossed the
-// log's latency threshold. startIO is the tracker snapshot taken at query
-// start (exact only single-threaded, like trace I/O deltas).
-func (e *Engine) slowObserve(kind, qstr string, start time.Time, startIO obs.IODelta, cached bool, err error) {
-	d := time.Since(start)
-	if d < e.slow.Threshold() {
-		return
+// observed runs one query entry point under the engine's observers: a
+// lifecycle trace handed to run, the latency histogram, and the slow log.
+// With none attached it costs three nil checks and nothing else. text renders
+// the query and is called only when a trace or a slow-log entry needs it; a
+// graph query's slow-log entry carries its Result's cache flag. The slow
+// log's I/O delta is exact only single-threaded, like a trace's.
+func observed[T any](e *Engine, kind string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
+	var start time.Time
+	if e.metrics != nil || e.slow != nil {
+		start = time.Now()
 	}
-	sq := obs.SlowQuery{
-		Kind:           kind,
-		Query:          qstr,
-		Shard:          e.shardID,
-		StartUnixNanos: start.UnixNano(),
-		DurationNanos:  d.Nanoseconds(),
-		Cached:         cached,
-		IO:             e.ioNow().Sub(startIO),
+	var slowIO obs.IODelta
+	if e.slow != nil {
+		slowIO = e.ioNow()
 	}
-	if err != nil {
-		sq.Error = err.Error()
-		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	var tr *obs.ActiveTrace
+	if e.traces != nil {
+		tr = obs.StartTrace(kind, text(), e.ioNow())
+		tr.SetShard(e.shardID)
 	}
-	e.slow.Add(sq)
+	res, err := run(tr)
+	if tr != nil {
+		e.traces.Add(tr.Finish(e.ioNow()))
+	}
+	if e.metrics != nil && err == nil {
+		e.metrics.Record(kind, time.Since(start))
+	}
+	if e.slow != nil {
+		if d := time.Since(start); d >= e.slow.Threshold() {
+			sq := obs.SlowQuery{Kind: kind, Query: text(), Shard: e.shardID,
+				StartUnixNanos: start.UnixNano(), DurationNanos: d.Nanoseconds(),
+				IO: e.ioNow().Sub(slowIO)}
+			if r, ok := any(res).(*Result); ok && r != nil {
+				sq.Cached = r.cached
+			}
+			if err != nil {
+				sq.Error = err.Error()
+				sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+			}
+			e.slow.Add(sq)
+		}
+	}
+	return res, err
 }
 
 // Cache returns the attached result cache (nil when caching is disabled).
@@ -224,34 +233,11 @@ func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
 	}
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindGraph, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := func() (*Result, error) {
+	return observed(e, obs.KindGraph, q.String, func(tr *obs.ActiveTrace) (*Result, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
 		return e.executeGraphQueryLocked(ctx, q, tr)
-	}()
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindGraph, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindGraph, q.String(), start, slowIO, res != nil && res.cached, err)
-	}
-	return res, err
+	})
 }
 
 // executeGraphQueryLocked is ExecuteGraphQuery with the relation read lock
@@ -422,34 +408,11 @@ func (r *Result) FetchMeasures() int64 {
 // read lock, so all leaves see the same relation version; ctx is checked
 // between the leaves' bitmap fetches.
 func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindExpr, expr.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	b, err := func() (*bitmap.Bitmap, error) {
+	return observed(e, obs.KindExpr, func() string { return expr.String() }, func(tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
 		return e.evalExprLocked(ctx, expr, tr)
-	}()
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindExpr, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindExpr, expr.String(), start, slowIO, false, err)
-	}
-	return b, err
+	})
 }
 
 func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
@@ -615,30 +578,9 @@ func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, me
 // ctx is checked between bitmap fetches of the structural phase and between
 // per-path aggregation chunks.
 func (e *Engine) ExecutePathAggQueryContext(ctx context.Context, q *PathAggQuery) (*AggResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindPathAgg, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executePathAggQuery(ctx, q, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindPathAgg, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindPathAgg, q.String(), start, slowIO, false, err)
-	}
-	return res, err
+	return observed(e, obs.KindPathAgg, q.String, func(tr *obs.ActiveTrace) (*AggResult, error) {
+		return e.executePathAggQuery(ctx, q, tr)
+	})
 }
 
 // segKind says how a planned segment's values enter the path fold.
@@ -668,15 +610,19 @@ type gatheredSeg struct {
 	kind    segKind
 }
 
-// pathScratch holds the pooled per-path working state of path aggregation:
-// the gather slabs (one values/present window per segment), the shared NULL
-// mask, and the segment descriptors. One scratch serves one path at a time.
+// pathScratch holds the pooled working state of one path aggregation: the
+// gather slabs (one values/present window per segment), the shared NULL
+// mask, and the segment descriptors, which serve one path at a time; and the
+// query's column caches, through which a segment shared by several paths is
+// fetched once.
 type pathScratch struct {
-	vslab   []float64
-	pslab   []bool
-	null    []bool
-	planned []plannedSeg
-	segs    []gatheredSeg
+	vslab       []float64
+	pslab       []bool
+	null        []bool
+	planned     []plannedSeg
+	segs        []gatheredSeg
+	measureCols map[colstore.EdgeID]*colstore.MeasureColumn
+	viewCols    map[string]*colstore.MeasureColumn
 }
 
 var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
@@ -773,201 +719,166 @@ func foldGathered(k agg.Kernel, vals []float64, sc *pathScratch) (scanned int) {
 // answer set into pooled scratch, then folded column-at-a-time with the
 // aggregate's block kernel.
 func (e *Engine) executePathAggQuery(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*AggResult, error) {
-	if q == nil || q.G == nil || q.G.NumElements() == 0 {
-		return nil, fmt.Errorf("query: empty path aggregation query")
-	}
-	if q.Agg.Fold == nil || q.Agg.Lift == nil {
-		return nil, fmt.Errorf("query: aggregation function not set")
-	}
 	// One read lock spans the structural filter and the measure scans, so
 	// the aggregates are computed over exactly the records the filter saw.
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the aggregate must fold the same cut the filter matched
 	defer e.Rel.EndRead()
-	return e.executePathAggLocked(ctx, q, tr)
-}
-
-// executePathAggLocked is the path-aggregation body with the relation read
-// lock already held (the scalar executor routes its general fallback through
-// here under its own lock — BeginRead is not reentrant).
-func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*AggResult, error) {
-	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
+	sc := pathScratchPool.Get().(*pathScratch)
+	defer pathScratchPool.Put(sc)
+	pa, err := e.startPathAgg(ctx, q, tr, sc, nil)
 	if err != nil {
 		return nil, err
+	}
+	scanned := 0
+	for pi := range pa.res.Paths {
+		if err := e.checkCtx(ctx, tr); err != nil {
+			return nil, err
+		}
+		if sc.planned, err = pa.planPath(sc.planned[:0], pi); err != nil {
+			return nil, err
+		}
+		scanned += pa.foldPath(sc.planned)
+	}
+	return pa.finish(scanned)
+}
+
+// pathAgg is one path aggregation in flight under the relation read lock:
+// the structural answer and the paths to fold along (res), their edge ids,
+// and the query's pooled scratch. The row and the scalar executor both plan
+// through it.
+type pathAgg struct {
+	e         *Engine
+	q         *PathAggQuery
+	tr        *obs.ActiveTrace
+	k         agg.Kernel
+	res       *AggResult
+	pathEdges [][]colstore.EdgeID
+	sc        *pathScratch
+}
+
+// startPathAgg rejects a query it cannot run, runs the structural filter,
+// appends the answer's record ids to ids, resolves the maximal paths (unless
+// the query names explicit ones) to edge ids, and empties sc's column caches.
+func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace, sc *pathScratch, ids []uint32) (pathAgg, error) {
+	if q == nil || q.G == nil || q.G.NumElements() == 0 {
+		return pathAgg{}, fmt.Errorf("query: empty path aggregation query")
+	}
+	if q.Agg.Fold == nil || q.Agg.Lift == nil {
+		return pathAgg{}, fmt.Errorf("query: aggregation function not set")
+	}
+	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
+	if err != nil {
+		return pathAgg{}, err
 	}
 	paths := q.Paths
 	if len(paths) == 0 {
 		if tr != nil {
 			tr.Begin(obs.PhasePlan, e.ioNow())
 		}
-		paths, err = gpath.MaximalPaths(q.G)
-		if err != nil {
-			return nil, err
+		if paths, err = gpath.MaximalPaths(q.G); err != nil {
+			return pathAgg{}, err
 		}
 	}
-	answer := structural.Answer
-	res := &AggResult{
-		Query:     q,
-		Answer:    answer,
-		RecordIDs: answer.AppendInto(nil),
-		Paths:     paths,
-	}
-	k := agg.KernelFor(q.Agg)
-
-	// Column caches so shared segments across paths are fetched once.
-	measureCols := make(map[colstore.EdgeID]*colstore.MeasureColumn)
-	viewCols := make(map[string]*colstore.MeasureColumn)
 	pathEdges := q.pathEdges
 	if pathEdges == nil {
 		pathEdges = resolvePathEdges(e.Reg, paths)
 	}
-	fetchMeasure := func(id colstore.EdgeID) *colstore.MeasureColumn {
-		if c, ok := measureCols[id]; ok {
-			return c
-		}
-		c := e.Rel.FetchMeasureColumnNamed(id, q.Measure)
-		measureCols[id] = c
-		return c
+	if sc.measureCols == nil {
+		sc.measureCols = make(map[colstore.EdgeID]*colstore.MeasureColumn)
+		sc.viewCols = make(map[string]*colstore.MeasureColumn)
 	}
-	fetchView := func(name string) (*colstore.MeasureColumn, error) {
-		if c, ok := viewCols[name]; ok {
-			return c, nil
-		}
-		c, err := e.Rel.FetchAggViewMeasure(name)
-		if err != nil {
-			return nil, err
-		}
-		viewCols[name] = c
-		return c, nil
-	}
-	// planPath covers p with aggregate views and fetches every column the
-	// fold will read, appending the fold operands to dst: required segments
-	// in path order, then the optional node-measure columns. Covering is
-	// plan work, fetching is measure-scan work; the span boundary sits
-	// between them.
-	planPath := func(dst []plannedSeg, pi int) ([]plannedSeg, [2]int, error) {
-		p := paths[pi]
-		segs := coverPath(e.Rel, pathEdges[pi], q.Agg.Name, q.Measure, e.UseViews)
-		if tr != nil {
-			tr.Begin(obs.PhaseMeasureScan, e.ioNow())
-		}
-		viewSegs, rawSegs := 0, 0
-		for _, s := range segs {
-			if s.ViewName != "" {
-				c, err := fetchView(s.ViewName)
-				if err != nil {
-					return dst, [2]int{}, err
-				}
-				dst = append(dst, plannedSeg{col: c, kind: segView})
-				viewSegs++
-			} else {
-				dst = append(dst, plannedSeg{col: fetchMeasure(s.Edge), kind: segRaw})
-				rawSegs++
-			}
-		}
-		for _, n := range p.MeasuredNodes() {
-			if id, ok := e.Reg.Lookup(graph.NodeKey(n)); ok {
-				if e.Rel.MeasureColumn(id) != nil {
-					dst = append(dst, plannedSeg{col: fetchMeasure(id), kind: segNode})
-				}
-			}
-		}
-		return dst, [2]int{viewSegs, rawSegs}, nil
-	}
-	newVals := func() []float64 {
-		vals := make([]float64, len(res.RecordIDs))
-		for i := range vals {
-			vals[i] = q.Agg.Identity
-		}
-		return vals
-	}
+	clear(sc.measureCols)
+	clear(sc.viewCols)
+	answer := structural.Answer
+	return pathAgg{e: e, q: q, tr: tr, k: agg.KernelFor(q.Agg), pathEdges: pathEdges, sc: sc,
+		res: &AggResult{Query: q, Answer: answer, RecordIDs: answer.AppendInto(ids), Paths: paths},
+	}, nil
+}
 
-	scanned := 0
-	if e.ParallelPaths && tr == nil && len(paths) > 1 {
-		// Plan and fetch all paths sequentially (the column caches and the
-		// fetch accounting are single-threaded state), then gather and fold
-		// each path on its own goroutine with its own pooled scratch. The
-		// relation read lock held above keeps writers out for the duration.
-		plans := make([][]plannedSeg, len(paths))
-		for pi := range paths {
-			if err := e.checkCtx(ctx, tr); err != nil {
-				return nil, err
-			}
-			var counts [2]int
-			plans[pi], counts, err = planPath(nil, pi)
-			if err != nil {
-				return nil, err
-			}
-			res.SegmentsPerPath = append(res.SegmentsPerPath, counts)
-		}
-		res.Values = make([][]float64, len(paths))
-		perPath := make([]int, len(paths))
-		var wg sync.WaitGroup
-		var panicked atomic.Value // first worker panic, re-raised on the caller
-		for pi := range paths {
-			wg.Add(1)
-			go func(pi int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, r) // keep the first panic; later ones repeat the same fold bug
-					}
-				}()
-				sc := pathScratchPool.Get().(*pathScratch)
-				sc.gather(res.RecordIDs, plans[pi])
-				vals := newVals()
-				perPath[pi] = foldGathered(k, vals, sc)
-				res.Values[pi] = vals
-				pathScratchPool.Put(sc)
-			}(pi)
-		}
-		wg.Wait()
-		if r := panicked.Load(); r != nil {
-			panic(r) // surface the worker's fault on the query goroutine, where callers can recover
-		}
-		for _, c := range perPath {
-			scanned += c
-		}
-	} else {
-		sc := pathScratchPool.Get().(*pathScratch)
-		for pi := range paths {
-			if err := e.checkCtx(ctx, tr); err != nil {
-				pathScratchPool.Put(sc)
-				return nil, err
-			}
-			if tr != nil {
-				tr.Begin(obs.PhasePlan, e.ioNow()) // cover the path with agg views
-			}
-			var counts [2]int
-			sc.planned, counts, err = planPath(sc.planned[:0], pi)
-			if err != nil {
-				pathScratchPool.Put(sc)
-				return nil, err
-			}
-			sc.gather(res.RecordIDs, sc.planned)
-			if tr != nil {
-				tr.Begin(obs.PhaseAggregate, e.ioNow())
-			}
-			vals := newVals()
-			scanned += foldGathered(k, vals, sc)
-			res.Values = append(res.Values, vals)
-			res.SegmentsPerPath = append(res.SegmentsPerPath, counts)
-		}
-		pathScratchPool.Put(sc)
+// planPath covers path pi with aggregate views and fetches every column the
+// fold will read, appending the fold operands to dst: required segments in
+// path order, then the optional node-measure columns. It records the path's
+// (view, raw) segment counts. Covering is plan work, fetching is
+// measure-scan work; the span boundary sits between them.
+func (pa *pathAgg) planPath(dst []plannedSeg, pi int) ([]plannedSeg, error) {
+	e, tr := pa.e, pa.tr
+	if tr != nil {
+		tr.Begin(obs.PhasePlan, e.ioNow()) // cover the path with agg views
 	}
+	segs := coverPath(e.Rel, pa.pathEdges[pi], pa.q.Agg.Name, pa.q.Measure, e.UseViews)
+	if tr != nil {
+		tr.Begin(obs.PhaseMeasureScan, e.ioNow())
+	}
+	var counts [2]int
+	for _, s := range segs {
+		if s.ViewName != "" {
+			c, ok := pa.sc.viewCols[s.ViewName]
+			if !ok {
+				var err error
+				if c, err = e.Rel.FetchAggViewMeasure(s.ViewName); err != nil {
+					return dst, err
+				}
+				pa.sc.viewCols[s.ViewName] = c
+			}
+			dst = append(dst, plannedSeg{col: c, kind: segView})
+			counts[0]++
+		} else {
+			dst = append(dst, plannedSeg{col: pa.measure(s.Edge), kind: segRaw})
+			counts[1]++
+		}
+	}
+	for _, n := range pa.res.Paths[pi].MeasuredNodes() {
+		if id, ok := e.Reg.Lookup(graph.NodeKey(n)); ok && e.Rel.MeasureColumn(id) != nil {
+			dst = append(dst, plannedSeg{col: pa.measure(id), kind: segNode})
+		}
+	}
+	pa.res.SegmentsPerPath = append(pa.res.SegmentsPerPath, counts)
+	return dst, nil
+}
 
-	e.Rel.AccountMeasuresScanned(scanned)
-	spanEdges := make([]colstore.EdgeID, 0, len(measureCols))
-	for id := range measureCols {
+// measure fetches the query's measure column of element id once per query
+// (nil when it does not exist).
+func (pa *pathAgg) measure(id colstore.EdgeID) *colstore.MeasureColumn {
+	c, ok := pa.sc.measureCols[id]
+	if !ok {
+		c = pa.e.Rel.FetchMeasureColumnNamed(id, pa.q.Measure)
+		pa.sc.measureCols[id] = c
+	}
+	return c
+}
+
+// foldPath gathers one path's planned columns over the answer set and folds
+// them into the path's row of Values; it returns the values folded.
+func (pa *pathAgg) foldPath(planned []plannedSeg) int {
+	sc := pa.sc
+	sc.gather(pa.res.RecordIDs, planned)
+	if pa.tr != nil {
+		pa.tr.Begin(obs.PhaseAggregate, pa.e.ioNow())
+	}
+	vals := make([]float64, len(pa.res.RecordIDs))
+	for i := range vals {
+		vals[i] = pa.q.Agg.Identity
+	}
+	pa.res.Values = append(pa.res.Values, vals)
+	return foldGathered(pa.k, vals, sc)
+}
+
+// finish is the shared tail: it accounts the values folded and the
+// cross-partition joins of the measure columns read, and fails the query when
+// a paged column's block fault failed mid-scan — the folds then hold zeros
+// standing in for unread data, so the whole answer is suspect.
+func (pa *pathAgg) finish(scanned int) (*AggResult, error) {
+	rel := pa.e.Rel
+	rel.AccountMeasuresScanned(scanned)
+	spanEdges := make([]colstore.EdgeID, 0, len(pa.sc.measureCols))
+	for id := range pa.sc.measureCols {
 		spanEdges = append(spanEdges, id)
 	}
-	e.Rel.JoinPartitions(e.Rel.PartitionSpan(spanEdges), answer)
-	if err := e.Rel.PageError(); err != nil {
-		// A paged column's block fault failed mid-scan. The gathered values
-		// contain zeros standing in for unread data, so the whole answer is
-		// suspect — fail the query instead of returning silently wrong folds.
+	rel.JoinPartitions(rel.PartitionSpan(spanEdges), pa.res.Answer)
+	if err := rel.PageError(); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return pa.res, nil
 }
 
 // --- scalar path aggregation --------------------------------------------------
@@ -1000,171 +911,86 @@ type ScalarAggResult struct {
 
 // ExecutePathAggScalarContext evaluates a path aggregation and folds it all
 // the way down to one scalar: Fold across the per-record path aggregates of
-// every answer record. For MIN/MAX queries whose maximal paths each cover to
-// a single segment (one raw edge, or one aggregate view spanning the whole
-// path) and that touch no node measures, it runs a zone-skipping scan:
-// per-block zone maps prove most blocks cannot tighten the accumulator and
-// those blocks are never decoded — or even read from disk on a paged store.
-// Every other query falls back to the general per-record plan and folds its
-// result, so the scalar answer is always exactly Fold over
-// AggResult.FoldAcrossPaths() in record order, bit for bit. ctx is checked
-// between bitmap fetches of the structural phase.
+// every answer record. It plans every path as the row executor does; when the
+// function is MIN or MAX and each planned path is a single operand (one raw
+// edge, or one aggregate view spanning the whole path) with no node measure,
+// it runs a zone-skipping scan: per-block zone maps prove most blocks cannot
+// tighten the accumulator and those blocks are never decoded — or even read
+// from disk on a paged store. Every other query folds its planned paths as
+// the row executor does and then folds the rows, so the scalar answer is
+// always exactly Fold over AggResult.FoldAcrossPaths() in record order, bit
+// for bit. ctx is checked between the structural phase's bitmap fetches and
+// between the folds of the row branch.
 func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindPathAgg, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executePathAggScalar(ctx, q, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindPathAgg, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindPathAgg, q.String(), start, slowIO, false, err)
-	}
-	return res, err
+	return observed(e, obs.KindPathAgg, q.String, func(tr *obs.ActiveTrace) (*ScalarAggResult, error) {
+		return e.executePathAggScalar(ctx, q, tr)
+	})
 }
 
 func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*ScalarAggResult, error) {
-	if q == nil || q.G == nil || q.G.NumElements() == 0 {
-		return nil, fmt.Errorf("query: empty path aggregation query")
-	}
-	if q.Agg.Fold == nil || q.Agg.Lift == nil {
-		return nil, fmt.Errorf("query: aggregation function not set")
-	}
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the aggregate must fold the same cut the filter matched
 	defer e.Rel.EndRead()
-	paths := q.Paths
-	if len(paths) == 0 {
-		if tr != nil {
-			tr.Begin(obs.PhasePlan, e.ioNow())
-		}
-		var err error
-		paths, err = gpath.MaximalPaths(q.G)
-		if err != nil {
+	// The row result never leaves this executor, so its record ids can live
+	// in pooled scratch.
+	sc := pathScratchPool.Get().(*pathScratch)
+	defer pathScratchPool.Put(sc)
+	recs := recsPool.Get().(*[]uint32)
+	defer recsPool.Put(recs)
+	pa, err := e.startPathAgg(ctx, q, tr, sc, (*recs)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*recs = pa.res.RecordIDs[:0]
+	// Zone skipping needs a fold with a "cannot tighten the accumulator" proof
+	// from a [min,max] zone — MIN or MAX — and one column per path: a
+	// multi-segment path folds per record, where one missing segment NULLs the
+	// whole record, and a node measure enters per-record folds as an optional
+	// operand; no single column's zones can express either.
+	isMin := q.Agg.Name == agg.Min.Name
+	eligible := isMin || q.Agg.Name == agg.Max.Name
+	plans := make([][]plannedSeg, len(pa.res.Paths))
+	for pi := range plans {
+		if plans[pi], err = pa.planPath(nil, pi); err != nil {
 			return nil, err
 		}
-	}
-	isMin := q.Agg.Name == agg.Min.Name
-
-	// Eligibility for the zone-skipping plan: the fold must be MIN or MAX
-	// (only those have a "cannot tighten the accumulator" proof from a
-	// [min,max] zone), every path must cover to exactly one segment (a
-	// multi-segment path folds per record, where one missing segment NULLs
-	// the whole record — a property no single column's zones can express),
-	// and no path may carry node measures (they enter per-record folds as
-	// optional operands, same problem). Decided before any column is fetched,
-	// so an ineligible query pays nothing extra on its way to the row plan.
-	eligible := isMin || q.Agg.Name == agg.Max.Name
-	var plans []pathSegment // the single segment of each path, in path order
-	if eligible {
-		pathEdges := q.pathEdges
-		if pathEdges == nil {
-			pathEdges = resolvePathEdges(e.Reg, paths)
-		}
-	plan:
-		for pi, p := range paths {
-			for _, nk := range p.MeasuredNodes() {
-				if id, ok := e.Reg.Lookup(graph.NodeKey(nk)); ok && e.Rel.MeasureColumn(id) != nil {
-					eligible = false
-					break plan
-				}
-			}
-			segs := coverPath(e.Rel, pathEdges[pi], q.Agg.Name, q.Measure, e.UseViews)
-			if len(segs) != 1 {
-				eligible = false
-				break plan
-			}
-			plans = append(plans, segs[0])
-		}
+		eligible = eligible && len(plans[pi]) == 1 && plans[pi][0].kind != segNode
 	}
 	if !eligible {
-		res, err := e.executePathAggLocked(ctx, q, tr)
+		scanned := 0
+		for _, planned := range plans {
+			if err := e.checkCtx(ctx, tr); err != nil {
+				return nil, err
+			}
+			scanned += pa.foldPath(planned)
+		}
+		res, err := pa.finish(scanned)
 		if err != nil {
 			return nil, err
 		}
 		return res.Scalar(), nil
 	}
 
-	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
-	if err != nil {
-		return nil, err
-	}
-	// Fetch the one column of each path (nil when the segment's column does
-	// not exist: every record then folds to NULL on that path and it
-	// contributes nothing to the scalar).
-	if tr != nil {
-		tr.Begin(obs.PhaseMeasureScan, e.ioNow())
-	}
-	cols := make([]*colstore.MeasureColumn, 0, len(plans))
-	var spanEdges []colstore.EdgeID
-	fetched := make(map[colstore.EdgeID]*colstore.MeasureColumn)
-	fetchedViews := make(map[string]*colstore.MeasureColumn)
-	for _, s := range plans {
-		var col *colstore.MeasureColumn
-		if s.ViewName != "" {
-			c, ok := fetchedViews[s.ViewName]
-			if !ok {
-				var err error
-				c, err = e.Rel.FetchAggViewMeasure(s.ViewName)
-				if err != nil {
-					return nil, err
-				}
-				fetchedViews[s.ViewName] = c
-			}
-			col = c
-		} else {
-			c, ok := fetched[s.Edge]
-			if !ok {
-				c = e.Rel.FetchMeasureColumnNamed(s.Edge, q.Measure)
-				fetched[s.Edge] = c
-				if c != nil {
-					spanEdges = append(spanEdges, s.Edge)
-				}
-			}
-			col = c
-		}
-		cols = append(cols, col)
-	}
-
-	answer := structural.Answer
-	out := &ScalarAggResult{Query: q, Records: answer.Cardinality(), ZoneSkipped: true}
 	if tr != nil {
 		tr.Begin(obs.PhaseBlockSkip, e.ioNow())
 	}
-	scratch := recsPool.Get().(*[]uint32)
-	recs := answer.AppendInto((*scratch)[:0])
+	out := &ScalarAggResult{Query: q, Records: len(pa.res.RecordIDs), ZoneSkipped: true}
 	acc := q.Agg.Identity
-	for _, col := range cols {
-		if col == nil {
-			continue
+	for _, planned := range plans {
+		// A nil column folds every record to NULL on its path: it
+		// contributes nothing to the scalar.
+		if col := planned[0].col; col != nil {
+			a, f, s, sk := col.AggregateSkip(pa.res.RecordIDs, acc, isMin)
+			acc = a
+			out.Folded += f
+			out.BlocksScanned += s
+			out.BlocksSkipped += sk
 		}
-		a, f, s, sk := col.AggregateSkip(recs, acc, isMin)
-		acc = a
-		out.Folded += f
-		out.BlocksScanned += s
-		out.BlocksSkipped += sk
 	}
-	*scratch = recs[:0]
-	recsPool.Put(scratch)
 	if out.Folded == 0 {
 		acc = math.NaN()
 	}
 	out.Value = acc
-	e.Rel.AccountMeasuresScanned(out.Folded)
-	e.Rel.JoinPartitions(e.Rel.PartitionSpan(spanEdges), answer)
-	if err := e.Rel.PageError(); err != nil {
+	if _, err := pa.finish(out.Folded); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -15,9 +15,8 @@ import (
 // Run with `make bench-smoke` (or -bench=PathAgg); end to end, the
 // benchmark's agg-uniform and agg-paged-1pct workloads measure the same path.
 
-func benchmarkPathAgg(b *testing.B, numRecords int, density float64, parallel bool) {
+func benchmarkPathAgg(b *testing.B, numRecords int, density float64) {
 	f, nodes := pathChainFixture(b, numRecords, density)
-	f.eng.ParallelPaths = parallel
 	q := NewPathAggQueryAlong(gpath.Closed(nodes...), Sum, "")
 	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		b.Fatal(err)
@@ -31,14 +30,14 @@ func benchmarkPathAgg(b *testing.B, numRecords int, density float64, parallel bo
 	}
 }
 
-func BenchmarkPathAggDense(b *testing.B)  { benchmarkPathAgg(b, 50000, 1.0, false) }
-func BenchmarkPathAggSparse(b *testing.B) { benchmarkPathAgg(b, 50000, 0.5, false) }
+func BenchmarkPathAggDense(b *testing.B)  { benchmarkPathAgg(b, 50000, 1.0) }
+func BenchmarkPathAggSparse(b *testing.B) { benchmarkPathAgg(b, 50000, 0.5) }
 
 // BenchmarkPathAggMultiPath aggregates along the same chain split into
-// several explicit paths, sequentially and with ParallelPaths.
-func benchmarkPathAggMultiPath(b *testing.B, parallel bool) {
+// several explicit, overlapping paths: shared segment columns are fetched
+// once and every path is folded in turn.
+func BenchmarkPathAggMultiPath(b *testing.B) {
 	f, nodes := pathChainFixture(b, 50000, 1.0)
-	f.eng.ParallelPaths = parallel
 	q := &PathAggQuery{G: gpath.Closed(nodes...).ToGraph(), Agg: Sum, Paths: []gpath.Path{
 		gpath.Closed(nodes[:3]...), gpath.Closed(nodes[1:4]...),
 		gpath.Closed(nodes[2:5]...), gpath.Closed(nodes[3:]...),
@@ -54,9 +53,6 @@ func benchmarkPathAggMultiPath(b *testing.B, parallel bool) {
 		}
 	}
 }
-
-func BenchmarkPathAggMultiPathSequential(b *testing.B) { benchmarkPathAggMultiPath(b, false) }
-func BenchmarkPathAggMultiPathParallel(b *testing.B)   { benchmarkPathAggMultiPath(b, true) }
 
 // The PathAggScalar benchmarks compare the two ways to a scalar MIN over one
 // edge of a *paged* (saved-and-reloaded) store: the row plan (per-record

@@ -92,55 +92,6 @@ func TestPathAggSpecializedMatchesGenericKernel(t *testing.T) {
 	}
 }
 
-// TestParallelPathsMatchesSequential: ParallelPaths must be answer- and
-// accounting-invariant.
-func TestParallelPathsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	f := newRandomFixture(t, rng, 200)
-	par := f.eng.Clone()
-	par.ParallelPaths = true
-	ran := 0
-	for trial := 0; trial < 60 || ran == 0; trial++ {
-		if trial > 500 {
-			t.Fatal("no multi-path query graphs found")
-		}
-		rec := f.records[rng.Intn(len(f.records))]
-		if paths, err := gpath.MaximalPaths(rec.Graph); err != nil || len(paths) < 2 {
-			continue
-		}
-		ran++
-		q := rec.Graph
-		f.rel.Tracker().Reset()
-		seq, err := f.eng.ExecutePathAggQueryContext(context.Background(), NewPathAggQuery(q, Sum))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqScanned := f.rel.Tracker().Snapshot().MeasuresScanned
-		f.rel.Tracker().Reset()
-		got, err := par.ExecutePathAggQueryContext(context.Background(), NewPathAggQuery(q, Sum))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parScanned := f.rel.Tracker().Snapshot().MeasuresScanned; parScanned != seqScanned {
-			t.Fatalf("trial %d: parallel scanned %d, sequential %d", trial, parScanned, seqScanned)
-		}
-		if len(got.Values) != len(seq.Values) {
-			t.Fatalf("trial %d: %d paths vs %d", trial, len(got.Values), len(seq.Values))
-		}
-		for pi := range seq.Values {
-			if got.SegmentsPerPath[pi] != seq.SegmentsPerPath[pi] {
-				t.Fatalf("trial %d: segment counts diverge on path %d", trial, pi)
-			}
-			for i := range seq.Values[pi] {
-				if math.Float64bits(got.Values[pi][i]) != math.Float64bits(seq.Values[pi][i]) {
-					t.Fatalf("trial %d: value[%d][%d] = %v, sequential %v",
-						trial, pi, i, got.Values[pi][i], seq.Values[pi][i])
-				}
-			}
-		}
-	}
-}
-
 // pathChainFixture loads numRecords records over the edge chain A→B→…,
 // each edge present with the given density — the workload the vectorized
 // measure path is sized for.

@@ -476,9 +476,10 @@ func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathA
 		return u.Eng.ExecutePathAggScalarContext(ctx, q)
 	}
 	if q != nil && (q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name) {
+		rq := q.Resolved(c.reg) // once, not per shard
 		return runScattered(ctx, c, obs.KindPathAgg, c.queryName(q),
 			func(ctx context.Context, eng *query.Engine, u *Unit) (*query.ScalarAggResult, error) {
-				return eng.ExecutePathAggScalarContext(ctx, q)
+				return eng.ExecutePathAggScalarContext(ctx, rq)
 			},
 			func(subs []*query.ScalarAggResult) *query.ScalarAggResult { return mergeScalar(q, subs) })
 	}
@@ -552,14 +553,15 @@ func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) 
 
 // --- batches -----------------------------------------------------------------
 
-// runBatch is the query-major batch body of a multi-shard coordinator. One
-// pool of workers (query.RunWorkers: the pool, error slots, cancellation
-// drain and panic isolation of a single-shard batch) hands out query indexes;
-// each worker holds one engine clone per shard, and the worker that takes
-// query i resolves it once against the shared registry, runs its N shard
-// sub-queries inline and merges them in place — no per-shard pool, barrier or
-// cross-goroutine hand-off, merges overlapping other queries' shard work, and
-// workers still the batch's total concurrency.
+// runBatch is the body of every coordinator batch, on one pool of workers
+// (query.RunWorkers: the pool, error slots, cancellation drain and panic
+// isolation). On one shard each worker holds a clone of the shard's engine
+// and runs the queries it takes as they are. On several the batch is
+// query-major: each worker holds one engine clone per shard, and the worker
+// that takes query i resolves it once against the shared registry, runs its N
+// shard sub-queries inline and merges them in place — no per-shard pool,
+// barrier or cross-goroutine hand-off, merges overlapping other queries'
+// shard work, and workers still the batch's total concurrency.
 //
 // A query errors if it failed on any shard, a real error winning over a
 // cancellation. For the gauges a batch is one scatter round: every shard
@@ -571,18 +573,25 @@ func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, worker
 	run func(ctx context.Context, eng *query.Engine, q Q) (R, error),
 	merge func(q Q, subs []R) R) ([]R, []error) {
 
+	c.addPending(1)
+	defer c.addPending(-1)
+	out := make([]R, len(queries))
+	if len(c.units) == 1 {
+		return out, query.RunWorkers(ctx, c.metrics, workers, len(queries), c.units[0].Eng.Clone,
+			func(eng *query.Engine, i int) (err error) {
+				out[i], err = run(ctx, eng, queries[i])
+				return err
+			})
+	}
 	type worker struct {
 		engs []*query.Engine
 		subs []R
 	}
-	c.addPending(1)
-	defer c.addPending(-1)
 	var dispatch time.Time
 	var started []atomic.Bool
 	if c.queueWait != nil {
 		dispatch, started = time.Now(), make([]atomic.Bool, len(c.units))
 	}
-	out := make([]R, len(queries))
 	errs := query.RunWorkers(ctx, c.metrics, workers, len(queries),
 		func() *worker {
 			w := &worker{engs: make([]*query.Engine, len(c.units)), subs: make([]R, len(c.units))}
@@ -635,12 +644,6 @@ func (c *Coordinator) addPending(d int64) {
 // ExecuteGraphBatchContext runs a batch of structural queries across all
 // shards with up to workers queries in flight (see runBatch).
 func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*query.GraphQuery, workers int) ([]*query.Result, []error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, workers).ExecuteGraphQueriesContext(ctx, queries)
-	}
 	return runBatch(ctx, c, queries, workers,
 		func(q *query.GraphQuery) *query.GraphQuery { return q.Resolved(c.reg) },
 		func(ctx context.Context, eng *query.Engine, q *query.GraphQuery) (*query.Result, error) {
@@ -652,12 +655,6 @@ func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*q
 // ExecutePathAggBatchContext is ExecuteGraphBatchContext for
 // path-aggregation batches.
 func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []*query.PathAggQuery, workers int) ([]*query.AggResult, []error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, workers).ExecutePathAggQueriesContext(ctx, queries)
-	}
 	return runBatch(ctx, c, queries, workers,
 		func(q *query.PathAggQuery) *query.PathAggQuery { return q.Resolved(c.reg) },
 		func(ctx context.Context, eng *query.Engine, q *query.PathAggQuery) (*query.AggResult, error) {

@@ -444,14 +444,6 @@ func (c *Coordinator) DisableViews() {
 	}
 }
 
-// EnableParallelPaths turns on concurrent per-path aggregation on every
-// shard engine.
-func (c *Coordinator) EnableParallelPaths() {
-	for _, u := range c.units {
-		u.Eng.ParallelPaths = true
-	}
-}
-
 // EnableCache attaches a result cache to every shard engine, splitting the
 // capacity evenly (capacity ≤ 0 selects each cache's default). A mutation
 // invalidates only its own shard's slice — the other shards' cached answers

@@ -105,19 +105,6 @@ func optionCtors() []optionCtor {
 func TestConstructionOptions(t *testing.T) {
 	const keep = colstore.DefaultSnapshotKeep + 1
 	viewQuery := PathOf("A", "D", "E", "G").ToGraph()
-	multiPath := NewGraph()
-	for _, leg := range [][2]string{{"A", "B"}, {"B", "F"}, {"F", "J"}, {"J", "K"}, {"C", "H"}, {"H", "K"}} {
-		multiPath.AddEdge(leg[0], leg[1])
-	}
-	reference := Open()
-	loadSCMOrders(t, reference)
-	want, err := reference.Aggregate(multiPath, Sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Paths) < 2 || len(want.RecordIDs) == 0 {
-		t.Fatalf("multi-path query has %d paths and %d records", len(want.Paths), len(want.RecordIDs))
-	}
 
 	cacheHits := func(t *testing.T, st *Store) int64 {
 		for i := 0; i < 2; i++ {
@@ -162,19 +149,6 @@ func TestConstructionOptions(t *testing.T) {
 		}
 		return n
 	}
-	parallel := func(t *testing.T, st *Store) bool {
-		for i := 0; i < st.coord.NumShards(); i++ {
-			if !st.coord.Unit(i).Eng.ParallelPaths {
-				return false
-			}
-		}
-		got, err := st.Aggregate(multiPath, Sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAgg(t, "parallel paths", want, got)
-		return true
-	}
 
 	for _, c := range optionCtors() {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,9 +159,6 @@ func TestConstructionOptions(t *testing.T) {
 				}
 				if viewsUsed(t, st) == 0 {
 					t.Error("no view used by default")
-				}
-				if parallel(t, st) {
-					t.Error("parallel paths on by default")
 				}
 			})
 			t.Run("WithResultCache", func(t *testing.T) {
@@ -209,11 +180,6 @@ func TestConstructionOptions(t *testing.T) {
 				if n-base != keep-colstore.DefaultSnapshotKeep || n < keep {
 					t.Errorf("kept %d generations, %d at the default keep of %d; want %d more",
 						n, base, colstore.DefaultSnapshotKeep, keep-colstore.DefaultSnapshotKeep)
-				}
-			})
-			t.Run("WithParallelPaths", func(t *testing.T) {
-				if !parallel(t, c.open(t, t.TempDir(), WithParallelPaths())) {
-					t.Error("parallel paths not enabled")
 				}
 			})
 		})

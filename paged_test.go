@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -95,22 +96,26 @@ func raggedColumns(t *testing.T, st *Store) {
 // aggAnswers runs the row and scalar aggregation surface once and returns
 // everything bitwise-comparable.
 type aggAnswers struct {
-	matched int
-	rows    map[string][]uint64 // agg name → FoldAcrossPaths bits in record order
-	ids     map[string][]uint32
-	scalar  map[string]uint64 // agg name → scalar fold bits
+	matched     int
+	rows        map[string][]uint64 // agg name → FoldAcrossPaths bits in record order
+	ids         map[string][]uint32
+	scalar      map[string]uint64 // agg name → scalar fold bits
+	zoneSkipped map[string]bool   // agg name → the scalar took the zone-skipping branch
 }
 
-func collectAnswers(t *testing.T, st *Store, nodes ...string) aggAnswers {
+// collectAnswers aggregates g with every built-in function, as rows and as a
+// scalar, and fails unless each scalar is bit for bit the fold of its rows.
+func collectAnswers(t *testing.T, st *Store, g *Graph) aggAnswers {
 	t.Helper()
-	out := aggAnswers{rows: map[string][]uint64{}, ids: map[string][]uint32{}, scalar: map[string]uint64{}}
-	res, err := st.Match(PathOf(nodes...).ToGraph())
+	out := aggAnswers{rows: map[string][]uint64{}, ids: map[string][]uint32{},
+		scalar: map[string]uint64{}, zoneSkipped: map[string]bool{}}
+	res, err := st.Match(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.matched = res.NumRecords()
 	for _, f := range []AggFunc{Sum, Min, Max, Count} {
-		rows, err := st.Aggregate(PathOf(nodes...).ToGraph(), f)
+		rows, err := st.Aggregate(g, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +127,12 @@ func collectAnswers(t *testing.T, st *Store, nodes ...string) aggAnswers {
 		out.rows[f.Name] = bits
 		out.ids[f.Name] = rows.RecordIDs
 
-		sc, err := st.AggregateScalar(PathOf(nodes...).ToGraph(), f)
+		sc, err := st.AggregateScalar(g, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out.scalar[f.Name] = math.Float64bits(sc.Value)
+		out.zoneSkipped[f.Name] = sc.ZoneSkipped
 
 		// The scalar plan must agree with folding the rows, whatever plan
 		// answered it.
@@ -179,7 +185,7 @@ func TestPagedBitIdentical(t *testing.T) {
 	mem := Open()
 	pagedCorpus(t, mem, n)
 	path := []string{"A", "B", "C", "D", "E"}
-	want := collectAnswers(t, mem, path...)
+	want := collectAnswers(t, mem, PathOf(path...).ToGraph())
 	if want.matched == 0 {
 		t.Fatal("corpus matched no records; the comparison would be vacuous")
 	}
@@ -202,7 +208,7 @@ func TestPagedBitIdentical(t *testing.T) {
 	for _, pct := range []int64{1, 10, 50, 0} {
 		budget := st.LogicalBytes * pct / 100 // 0 = unbounded
 		loaded.SetPageCacheBytes(budget)
-		got := collectAnswers(t, loaded, path...)
+		got := collectAnswers(t, loaded, PathOf(path...).ToGraph())
 		diffAnswers(t, "paged", want, got)
 		if err := loaded.PageError(); err != nil {
 			t.Fatalf("budget %d%%: page error after clean differential run: %v", pct, err)
@@ -275,7 +281,7 @@ func TestPagePoolGaugeHonoursACut(t *testing.T) {
 	logical := loaded.StorageStats().LogicalBytes
 	loaded.SetPageCacheBytes(logical / 4)
 	for _, path := range [][]string{{"A", "B", "C", "D", "E"}, {"E", "F", "G", "H"}, {"F", "G", "H", "I"}, {"D", "E", "F"}} {
-		collectAnswers(t, loaded, path...)
+		collectAnswers(t, loaded, PathOf(path...).ToGraph())
 	}
 	if g, pool := gauge(), loaded.StorageStats().Pool; g != pool.ResidentBytes || g == 0 || g > logical/4 {
 		t.Fatalf("at a quarter of the data: gauge %d, pool stats %d, budget %d", g, pool.ResidentBytes, logical/4)
@@ -329,11 +335,11 @@ func TestPagedShardedBitIdentical(t *testing.T) {
 	ref := Open()
 	pagedCorpus(t, ref, n)
 	path := []string{"A", "B", "C", "D", "E"}
-	want := collectAnswers(t, ref, path...)
+	want := collectAnswers(t, ref, PathOf(path...).ToGraph())
 
 	sharded := NewSharded(3)
 	pagedCorpus(t, sharded, n)
-	diffAnswers(t, "sharded in-memory", want, collectAnswers(t, sharded, path...))
+	diffAnswers(t, "sharded in-memory", want, collectAnswers(t, sharded, PathOf(path...).ToGraph()))
 
 	dir := t.TempDir()
 	if err := sharded.Save(dir); err != nil {
@@ -348,8 +354,120 @@ func TestPagedShardedBitIdentical(t *testing.T) {
 		t.Fatalf("reloaded store has %d shards, want 3", loaded.Stats().Shards)
 	}
 	loaded.SetPageCacheBytes(loaded.StorageStats().LogicalBytes / 100)
-	diffAnswers(t, "sharded paged", want, collectAnswers(t, loaded, path...))
+	diffAnswers(t, "sharded paged", want, collectAnswers(t, loaded, PathOf(path...).ToGraph()))
 	if err := loaded.PageError(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// branchCorpus loads n records over two branching regions: a diamond
+// A→B→D, A→C→D with a tail D→E, and a fan X→Y, X→Z whose source node X
+// carries a node measure in two records of three. X's measure lies far
+// outside the edge values on either side, so a MIN or MAX that left it out
+// would be visibly wrong.
+func branchCorpus(t *testing.T, st *Store, n int) {
+	t.Helper()
+	legs := [][2]string{{"A", "B"}, {"B", "D"}, {"A", "C"}, {"C", "D"}, {"D", "E"}, {"X", "Y"}, {"X", "Z"}}
+	for i := 0; i < n; i++ {
+		rec := NewRecord()
+		for j, leg := range legs {
+			if (i+j)%11 == 0 {
+				continue // a missing measure: that record's path folds to NULL
+			}
+			v := float64((i*7+j*13)%100) - 50
+			if (i+j)%97 == 0 {
+				v = math.Copysign(0, -1)
+			}
+			if err := rec.SetEdge(leg[0], leg[1], v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%3 != 0 {
+			if err := rec.SetNode("X", math.Copysign(1000+float64(i), float64(i%2)-0.5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := st.Add(rec)
+		if i%29 == 0 {
+			if _, err := st.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPagedScalarMatchesRows is the scalar differential over the shapes a
+// scalar plan can take: branching query graphs (two maximal paths each),
+// paths planned to one raw edge, to one aggregate view, to several segments,
+// and paths carrying a node measure; on 1 and 3 shards, in memory and
+// reloaded at a 1% pool, with SUM and MIN aggregate views materialized.
+// Every scalar must be bit for bit the fold of its rows (collectAnswers),
+// and the zone-skipping branch must run exactly where the plan allows it.
+func TestPagedScalarMatchesRows(t *testing.T) {
+	const n = 4096 + 513
+	graph := func(legs ...[2]string) *Graph {
+		g := NewGraph()
+		for _, l := range legs {
+			g.AddEdge(l[0], l[1])
+		}
+		return g
+	}
+	cases := []struct {
+		name string
+		g    *Graph
+		skip map[string]bool // functions whose scalar zone-skips
+	}{
+		{"fan of raw edges", graph([2]string{"A", "B"}, [2]string{"A", "C"}),
+			map[string]bool{"MIN": true, "MAX": true}},
+		{"diamond of MIN views", graph([2]string{"A", "B"}, [2]string{"B", "D"}, [2]string{"A", "C"}, [2]string{"C", "D"}),
+			map[string]bool{"MIN": true}},
+		{"diamond with a tail", graph([2]string{"A", "B"}, [2]string{"B", "D"}, [2]string{"A", "C"}, [2]string{"C", "D"}, [2]string{"D", "E"}),
+			nil},
+		{"fan with a node measure", graph([2]string{"X", "Y"}, [2]string{"X", "Z"}), nil},
+	}
+	for _, shards := range []int{1, 3} {
+		st := NewSharded(shards)
+		branchCorpus(t, st, n)
+		for _, v := range []struct {
+			name  string
+			f     AggFunc
+			nodes []string
+		}{{"minABD", Min, []string{"A", "B", "D"}}, {"minACD", Min, []string{"A", "C", "D"}}, {"sumABD", Sum, []string{"A", "B", "D"}}} {
+			if err := st.MaterializeAggViewPath(v.name, v.f, "", v.nodes...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if err := st.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded.SetPageCacheBytes(loaded.StorageStats().LogicalBytes / 100)
+		for _, c := range cases {
+			label := fmt.Sprintf("%d shard(s), %s", shards, c.name)
+			if rows, err := st.Aggregate(c.g, Count); err != nil || len(rows.Paths) < 2 {
+				t.Fatalf("%s: not a branching graph (%v)", label, err)
+			}
+			mem := collectAnswers(t, st, c.g)
+			if mem.matched == 0 {
+				t.Fatalf("%s: no record matches; the differential would be vacuous", label)
+			}
+			paged := collectAnswers(t, loaded, c.g)
+			diffAnswers(t, label+", reloaded at 1%", mem, paged)
+			for _, got := range []aggAnswers{mem, paged} {
+				for f, skipped := range got.zoneSkipped {
+					if skipped != c.skip[f] {
+						t.Errorf("%s: %s scalar zone-skipped = %v, want %v", label, f, skipped, c.skip[f])
+					}
+				}
+			}
+		}
+		if err := loaded.PageError(); err != nil {
+			t.Fatal(err)
+		}
+		loaded.Close()
 	}
 }
