@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench bench-smoke e2e-smoke durability shard-diff paged-diff check
+.PHONY: build test loc race lint fuzz-smoke bench bench-smoke e2e-smoke durability shard-diff paged-diff check
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Non-test Go lines outside benchmark/ and testdata/ — the ROADMAP's size
+# measure — per package directory, then the total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Project-specific static analysis (internal/lint via cmd/grovevet), nine
 # analyzers in two tiers: per-function syntax/type checks (the colstore lock
@@ -24,9 +31,9 @@ lint:
 
 # Race-detector gate for the concurrent read path: vet everything, then run
 # the packages that share state across goroutines (engine scratch pool,
-# sharded result cache, relation RWMutex, registry, metrics endpoint, view
-# advisor, graphdb facade, fault-injection FS, scatter-gather coordinator,
-# the buffer pool's pinned frames) plus the root facade.
+# relation RWMutex, registry, metrics endpoint, view advisor, graphdb
+# facade, fault-injection FS, scatter-gather coordinator, the buffer pool's
+# pinned frames) plus the root facade.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/query/... ./internal/bitmap/... \

@@ -141,9 +141,6 @@ func newStore(c *shard.Coordinator, o options) *Store {
 	if o.noViews {
 		c.DisableViews()
 	}
-	if o.cache {
-		c.EnableCache(o.cacheCapacity)
-	}
 	if o.snapshotKeep > 0 {
 		c.SetSnapshotKeep(o.snapshotKeep)
 	}
@@ -157,8 +154,6 @@ type Option func(*options)
 type options struct {
 	partitionWidth int
 	noViews        bool
-	cache          bool
-	cacheCapacity  int
 	snapshotKeep   int
 }
 
@@ -181,14 +176,6 @@ func WithPartitionWidth(w int) Option {
 // columns even where a materialized view covers them.
 func WithoutViews() Option {
 	return func(o *options) { o.noViews = true }
-}
-
-// WithResultCache attaches a bounded structural-answer cache (capacity ≤ 0
-// selects a default; a sharded store splits the capacity across per-shard
-// caches). A mutation invalidates only the mutated shard's slice, so cached
-// answers are always exact. Stats().Cache reports its counters.
-func WithResultCache(capacity int) Option {
-	return func(o *options) { o.cache, o.cacheCapacity = true, capacity }
 }
 
 // WithSnapshotKeep sets how many snapshot generations Save retains on disk
@@ -315,9 +302,6 @@ type StoreStats struct {
 	// on-disk vs. resident measure bytes and buffer pool counters, summed
 	// across shards.
 	Storage StorageStats
-	// Cache holds the result cache's cumulative counters (zero without
-	// WithResultCache).
-	Cache CacheStats
 	// ViewUsage counts, per materialized view (graph and aggregate), how
 	// many times it answered part of a query.
 	ViewUsage map[string]int64
@@ -340,7 +324,6 @@ func (s *Store) Stats() StoreStats {
 		Shards:        s.coord.NumShards(),
 		TagKeys:       s.coord.TagKeys(),
 		Storage:       s.coord.StorageStats(),
-		Cache:         s.coord.CacheStats(),
 		ViewUsage:     s.coord.ViewUsage(),
 	}
 }
@@ -402,7 +385,7 @@ func (s *Store) MatchContext(ctx context.Context, g *Graph) (*Result, error) {
 // ExecuteBatch answers a batch of graph queries, fanning them across a
 // worker pool of the given size (workers ≤ 0 selects runtime.NumCPU(); 1
 // runs sequentially). Results arrive in query order and are bit-for-bit
-// identical to a sequential run; workers share the store's result cache.
+// identical to a sequential run, and each answer is a fresh bitmap.
 // On a sharded store workers is still the batch's total concurrency: the
 // worker that takes a query runs its shard sub-queries inline and merges
 // them, so shards add no goroutines. The paper's experiments all evaluate

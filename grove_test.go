@@ -2,6 +2,7 @@ package grove
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -669,26 +670,54 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-func TestResultCacheFacade(t *testing.T) {
-	st := buildSCMStore(t, WithResultCache(8))
-	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Match(PathOf("A", "D", "E").ToGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FromCache() {
-		t.Error("facade cache missed")
-	}
-	plain := buildSCMStore(t)
-	for i := 0; i < 2; i++ {
-		res, err = plain.Match(PathOf("A", "D", "E").ToGraph())
+// TestAnswersAreCallerOwned pins that every answer bitmap the store hands
+// out belongs to the caller: after the caller edits the answers of Eval,
+// Match, Aggregate and TaggedWith, asking again still returns exactly what a
+// store nobody mutated returns.
+func TestAnswersAreCallerOwned(t *testing.T) {
+	g := PathOf("A", "D", "E").ToGraph()
+	answers := func(t *testing.T, st *Store) map[string]*Bitmap {
+		t.Helper()
+		ids, err := st.Eval(Q(g))
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, err := st.Match(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag, err := st.Aggregate(g, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*Bitmap{"Eval": ids, "Match": res.Answer, "Aggregate": ag.Answer,
+			"TaggedWith": st.TaggedWith("type", "fast-track")}
 	}
-	if res.FromCache() {
-		t.Error("cache active without WithResultCache")
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			build := func() *Store {
+				st := NewSharded(shards)
+				loadSCMOrders(t, st)
+				for _, id := range []uint32{0, 3} {
+					if err := st.Tag(id, "type", "fast-track"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return st
+			}
+			want := answers(t, build())
+			st := build()
+			for round := 0; round < 3; round++ {
+				for name, got := range answers(t, st) {
+					if !got.Equals(want[name]) {
+						t.Fatalf("round %d: %s = %v, want %v", round, name, got.ToSlice(), want[name].ToSlice())
+					}
+					for _, id := range want[name].ToSlice() {
+						got.Remove(id)
+					}
+					got.Add(999)
+				}
+			}
+		})
 	}
 }

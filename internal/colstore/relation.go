@@ -285,7 +285,8 @@ func NewRelation(partitionWidth int) *Relation {
 func (r *Relation) Tracker() *Tracker { return &r.tracker }
 
 // Version returns a counter that changes whenever the relation mutates
-// (records, measures, views, deletes). Caches key their entries on it.
+// (records, measures, views, deletes). The write-ahead log's replay anchor
+// reads it to tell whether a shard mutated since its log was replayed.
 func (r *Relation) Version() uint64 { return r.version.Load() }
 
 func (r *Relation) bumpVersion() { r.version.Add(1) }

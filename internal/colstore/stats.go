@@ -85,7 +85,7 @@ type Tracker struct {
 	records     atomic.Int64
 
 	// sink, when set, mirrors every event. Set it before serving queries
-	// (like Engine.EnableCache, attaching mid-flight is not synchronized).
+	// (attaching mid-flight is not synchronized).
 	sink StatsSink
 }
 

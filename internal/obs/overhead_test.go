@@ -81,7 +81,7 @@ func TestTracingRecordsLifecycle(t *testing.T) {
 		t.Fatalf("traces = %d", len(traces))
 	}
 	tr := traces[0]
-	if tr.Kind != obs.KindGraph || tr.Cached {
+	if tr.Kind != obs.KindGraph {
 		t.Errorf("trace header = %+v", tr)
 	}
 	var phases []string

@@ -171,7 +171,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for counters owned elsewhere (e.g. the result cache's hit count).
+// time — for counters owned elsewhere (e.g. the buffer pool's hit count).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindCounterFunc).fn = fn
 }

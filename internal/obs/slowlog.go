@@ -24,7 +24,6 @@ type SlowQuery struct {
 	Shard          int     `json:"shard"` // emitting shard; ShardCoordinator for merged entries
 	StartUnixNanos int64   `json:"startUnixNanos"`
 	DurationNanos  int64   `json:"durationNanos"`
-	Cached         bool    `json:"cached,omitempty"`
 	Cancelled      bool    `json:"cancelled,omitempty"`
 	Error          string  `json:"error,omitempty"`
 	IO             IODelta `json:"io"`

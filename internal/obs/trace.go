@@ -29,7 +29,6 @@ const (
 	PhaseIntersect   = "intersect"    // AND kernel + delete masking
 	PhaseMeasureScan = "measure-scan" // measure column reads (ValuesFor)
 	PhaseAggregate   = "aggregate"    // per-record folding
-	PhaseCache       = "cache"        // answer served from the result cache
 	PhaseCancelled   = "cancelled"    // query abandoned on context cancellation
 	PhaseBlockSkip   = "block-skip"   // zone-map block skipping on a paged measure scan
 
@@ -113,7 +112,6 @@ type Trace struct {
 	Shard          int     `json:"shard"`
 	StartUnixNanos int64   `json:"startUnixNanos"`
 	DurationNanos  int64   `json:"durationNanos"`
-	Cached         bool    `json:"cached,omitempty"`
 	Spans          []Span  `json:"spans,omitempty"`
 	Children       []Trace `json:"children,omitempty"`
 	IO             IODelta `json:"io"`
@@ -217,14 +215,6 @@ func (a *ActiveTrace) AddChild(t Trace) {
 		return
 	}
 	a.trace.Children = append(a.trace.Children, t)
-}
-
-// SetCached marks the trace as served from the result cache.
-func (a *ActiveTrace) SetCached() {
-	if a == nil {
-		return
-	}
-	a.trace.Cached = true
 }
 
 // Finish closes the open span, totals the trace and returns it.

@@ -61,7 +61,6 @@ func TestPhaseTotalsMergesRepeatedPhases(t *testing.T) {
 func TestNilActiveTraceIsSafe(t *testing.T) {
 	var tr *ActiveTrace
 	tr.Begin(PhasePlan, IODelta{})
-	tr.SetCached()
 	if got := tr.Finish(IODelta{}); len(got.Spans) != 0 {
 		t.Errorf("nil trace produced spans: %+v", got)
 	}
@@ -90,8 +89,8 @@ func TestTraceRingEviction(t *testing.T) {
 }
 
 func TestTraceJSONRoundTrip(t *testing.T) {
-	in := Trace{Kind: KindGraph, Query: "[A,B]", DurationNanos: 42, Cached: true,
-		Spans: []Span{{Phase: PhaseCache, DurationNanos: 42}}}
+	in := Trace{Kind: KindGraph, Query: "[A,B]", DurationNanos: 42,
+		Spans: []Span{{Phase: PhaseFetch, DurationNanos: 42}}}
 	raw, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +99,8 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Kind != in.Kind || out.Cached != in.Cached || len(out.Spans) != 1 ||
-		out.Spans[0].Phase != PhaseCache {
+	if out.Kind != in.Kind || out.Query != in.Query || len(out.Spans) != 1 ||
+		out.Spans[0].Phase != PhaseFetch {
 		t.Errorf("round trip = %+v", out)
 	}
 }

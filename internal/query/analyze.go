@@ -95,8 +95,7 @@ func (a *ExplainAnalysis) String() string {
 
 // ExplainAnalyze computes a graph query's plan and then executes the query
 // once with tracing forced on, returning plan and observation together. The
-// run bypasses the result cache (a hit would observe zero fetches and say
-// nothing about the plan) and the serving metrics/trace ring, so diagnostics
+// run bypasses the serving metrics, trace ring and slow log, so diagnostics
 // don't distort production counters.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *GraphQuery) (*ExplainAnalysis, error) {
 	plan, err := e.Explain(q)
@@ -104,7 +103,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *GraphQuery) (*ExplainAna
 		return nil, err
 	}
 	run := e.Clone()
-	run.cache = nil
 	run.metrics = nil
 	run.slow = nil
 	ring := obs.NewTraceRing(1)

@@ -22,16 +22,11 @@ import (
 // runs the view-oblivious plan; the Fig. 6–8 experiments compare the two.
 //
 // Query execution is safe for concurrent use (per-query scratch comes from
-// a pool); mutating the exported fields or EnableCache concurrently with
-// queries is not.
+// a pool); mutating the exported fields concurrently with queries is not.
 type Engine struct {
 	Rel      *colstore.Relation
 	Reg      *graph.Registry
 	UseViews bool
-
-	// cache, when set, memoizes structural answers across repeated queries
-	// (invalidated wholesale on any relation mutation).
-	cache *ResultCache
 
 	// metrics, when set, records per-query counters and latency histograms
 	// (allocation-free). traces, when set, records a span-based lifecycle
@@ -39,8 +34,8 @@ type Engine struct {
 	// appends). slow, when set, records queries over its latency threshold
 	// into a bounded structured log (sub-threshold queries pay one clock read
 	// and an atomic load). All default to nil: the disabled path costs three
-	// nil checks and nothing else. Set them before serving queries (like
-	// EnableCache, mutating mid-flight is not synchronized).
+	// nil checks and nothing else. Set them before serving queries (mutating
+	// them mid-flight is not synchronized).
 	metrics *obs.QueryMetrics
 	traces  *obs.TraceRing
 	slow    *obs.SlowLog
@@ -60,11 +55,11 @@ func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
 	return &Engine{Rel: rel, Reg: reg, UseViews: true}
 }
 
-// Clone returns an engine sharing rel, registry, view setting, result cache
-// and observability hooks with e, but with its own scratch — safe to use
-// from another goroutine concurrently with e.
+// Clone returns an engine sharing rel, registry, view setting and
+// observability hooks with e, but with its own scratch — safe to use from
+// another goroutine concurrently with e.
 func (e *Engine) Clone() *Engine {
-	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews, cache: e.cache,
+	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews,
 		metrics: e.metrics, traces: e.traces, slow: e.slow, shardID: e.shardID}
 }
 
@@ -96,9 +91,8 @@ func (e *Engine) Shard() int { return e.shardID }
 // observed runs one query entry point under the engine's observers: a
 // lifecycle trace handed to run, the latency histogram, and the slow log.
 // With none attached it costs three nil checks and nothing else. text renders
-// the query and is called only when a trace or a slow-log entry needs it; a
-// graph query's slow-log entry carries its Result's cache flag. The slow
-// log's I/O delta is exact only single-threaded, like a trace's.
+// the query and is called only when a trace or a slow-log entry needs it.
+// The slow log's I/O delta is exact only single-threaded, like a trace's.
 func observed[T any](e *Engine, kind string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
 	var start time.Time
 	if e.metrics != nil || e.slow != nil {
@@ -125,9 +119,6 @@ func observed[T any](e *Engine, kind string, text func() string, run func(*obs.A
 			sq := obs.SlowQuery{Kind: kind, Query: text(), Shard: e.shardID,
 				StartUnixNanos: start.UnixNano(), DurationNanos: d.Nanoseconds(),
 				IO: e.ioNow().Sub(slowIO)}
-			if r, ok := any(res).(*Result); ok && r != nil {
-				sq.Cached = r.cached
-			}
 			if err != nil {
 				sq.Error = err.Error()
 				sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -137,9 +128,6 @@ func observed[T any](e *Engine, kind string, text func() string, run func(*obs.A
 	}
 	return res, err
 }
-
-// Cache returns the attached result cache (nil when caching is disabled).
-func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // ioNow converts the relation tracker's cumulative counters into the obs
 // package's I/O shape. Only called on traced paths: six atomic loads.
@@ -209,26 +197,22 @@ type Result struct {
 
 	// edges is the query's universe as the execution resolved it: ascending
 	// ids, sentinels of unknown elements last.
-	edges  []colstore.EdgeID
-	eng    *Engine
-	cached bool
+	edges []colstore.EdgeID
+	eng   *Engine
 }
-
-// FromCache reports whether the answer was served from the result cache.
-func (r *Result) FromCache() bool { return r.cached }
 
 // NumRecords returns the answer cardinality.
 func (r *Result) NumRecords() int { return r.Answer.Cardinality() }
 
 // ExecuteGraphQueryContext evaluates the structural part of a graph query:
 // plan (greedy rewrite when UseViews), fetch the planned bitmap columns, AND
-// them (§4.2). The relation's read lock is held for the whole query, so the
-// answer — and any cache entry made from it — is consistent with a single
-// relation version even while writers run concurrently. The engine checks
-// ctx between bitmap fetches and abandons the query with ctx's error once it
-// is cancelled, recording a "cancelled" span on the trace. The read lock is
-// released on every exit path, including a panic in a kernel (batch workers
-// recover those).
+// them (§4.2). The answer is a fresh bitmap the caller owns. The relation's
+// read lock is held for the whole query, so the answer is consistent with a
+// single relation version even while writers run concurrently. The engine
+// checks ctx between bitmap fetches and abandons the query with ctx's error
+// once it is cancelled, recording a "cancelled" span on the trace. The read
+// lock is released on every exit path, including a panic in a kernel (batch
+// workers recover those).
 func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*Result, error) {
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
@@ -248,24 +232,6 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	universe := q.edges
 	if universe == nil {
 		universe, _ = e.Reg.ResolveGraph(q.G)
-	}
-	// Read under the lock: the version cannot move while we hold it, so the
-	// cache entry written below is tagged with exactly the version whose
-	// data produced the answer.
-	version := e.Rel.Version()
-	var key string
-	if e.cache != nil {
-		if tr != nil {
-			tr.Begin(obs.PhaseCache, e.ioNow())
-		}
-		key = cacheKey(universe)
-		if answer := e.cache.get(version, key); answer != nil {
-			e.Rel.AccountRecordsReturned(answer.Cardinality())
-			if tr != nil {
-				tr.SetCached()
-			}
-			return &Result{Query: q, Plan: CoverPlan{}, Answer: answer, edges: universe, eng: e, cached: true}, nil
-		}
 	}
 	if tr != nil {
 		tr.Begin(obs.PhasePlan, e.ioNow())
@@ -323,13 +289,10 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	if tr != nil {
 		tr.Begin(obs.PhaseIntersect, e.ioNow())
 	}
-	// The conjunction intersects into one fresh destination the caller (and
-	// the cache) owns; the fetched column bitmaps are never mutated.
+	// The conjunction intersects into one fresh destination the caller owns;
+	// the fetched column bitmaps are never mutated.
 	answer := e.Rel.MaskDeleted(bitmap.AndAllInto(bitmap.New(), bms...))
 	putScratch() // don't pin column bitmaps from the pool
-	if e.cache != nil {
-		e.cache.put(version, key, answer)
-	}
 	e.Rel.AccountRecordsReturned(answer.Cardinality())
 	return &Result{Query: q, Plan: plan, Answer: answer, edges: universe, eng: e}, nil
 }

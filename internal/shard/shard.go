@@ -1,9 +1,9 @@
 // Package shard partitions the record collection horizontally into N
 // independent shards, each owning its own colstore.Relation (bitmap columns,
-// measure columns, result-cache slice, snapshot generation), and executes
-// queries by scatter-gather: a single query fans across every shard in
-// parallel and the partials merge; a batch runs query-major — each of its
-// workers takes a query, runs it on every shard inline and merges.
+// measure columns, snapshot generation), and executes queries by
+// scatter-gather: a single query fans across every shard in parallel and the
+// partials merge; a batch runs query-major — each of its workers takes a
+// query, runs it on every shard inline and merges.
 //
 // The merge is exact, not approximate, because everything grove computes is
 // distributive over a disjoint record partition (paper §3.4): a graph query
@@ -442,35 +442,6 @@ func (c *Coordinator) DisableViews() {
 	for _, u := range c.units {
 		u.Eng.UseViews = false
 	}
-}
-
-// EnableCache attaches a result cache to every shard engine, splitting the
-// capacity evenly (capacity ≤ 0 selects each cache's default). A mutation
-// invalidates only its own shard's slice — the other shards' cached answers
-// remain exact because their data did not change.
-func (c *Coordinator) EnableCache(capacity int) {
-	n := len(c.units)
-	per := capacity
-	if n > 1 && capacity > 0 {
-		per = (capacity + n - 1) / n
-	}
-	for _, u := range c.units {
-		u.Eng.EnableCache(query.NewResultCache(per))
-	}
-}
-
-// CacheStats sums the per-shard result-cache counters.
-func (c *Coordinator) CacheStats() query.CacheStats {
-	var st query.CacheStats
-	for _, u := range c.units {
-		if cache := u.Eng.Cache(); cache != nil {
-			s := cache.Stats()
-			st.Hits += s.Hits
-			st.Misses += s.Misses
-			st.Evictions += s.Evictions
-		}
-	}
-	return st
 }
 
 // SetMetrics attaches one shared metrics bundle to every shard engine

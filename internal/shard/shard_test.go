@@ -243,34 +243,6 @@ func TestQueryCancellationAbandonsSubQueries(t *testing.T) {
 	}
 }
 
-func TestCacheSplitAndAggregatedStats(t *testing.T) {
-	c := New(4, 0)
-	for i := 0; i < 16; i++ {
-		c.Add(smallRecord(t, float64(i)))
-	}
-	c.EnableCache(64)
-	q := query.FromPath(pathAB())
-	for i := 0; i < 3; i++ {
-		if _, err := c.MatchContext(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.CacheStats()
-	// First round misses on every shard, the next two hit.
-	if st.Misses != 4 || st.Hits != 8 {
-		t.Fatalf("cache stats = %+v", st)
-	}
-	// A write to one shard must invalidate only that shard's slice.
-	c.Add(smallRecord(t, 99)) // round-robin: lands on shard 0
-	if _, err := c.MatchContext(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	st = c.CacheStats()
-	if st.Misses != 5 || st.Hits != 11 {
-		t.Fatalf("cache stats after one-shard write = %+v", st)
-	}
-}
-
 func TestViewsReplicateAcrossShards(t *testing.T) {
 	c := New(3, 0)
 	for i := 0; i < 12; i++ {

@@ -28,8 +28,6 @@ type (
 	// IODelta is the column-store I/O attributed to a trace, span, or
 	// slow-query entry.
 	IODelta = obs.IODelta
-	// CacheStats is the result cache's cumulative hit/miss/eviction counts.
-	CacheStats = query.CacheStats
 	// ExplainAnalysis pairs a query's predicted plan with the observed
 	// per-phase timings and I/O of one real execution.
 	ExplainAnalysis = query.ExplainAnalysis
@@ -50,10 +48,6 @@ const (
 	MetricIOPartitionJoins  = "grove_io_partition_joins_total"
 	MetricIORecordsReturned = "grove_io_records_returned_total"
 
-	MetricCacheHits      = "grove_cache_hits_total"
-	MetricCacheMisses    = "grove_cache_misses_total"
-	MetricCacheEvictions = "grove_cache_evictions_total"
-
 	MetricViewUses = "grove_view_uses_total"
 
 	MetricPersistRecoveries = "grove_persist_recoveries_total"
@@ -71,7 +65,6 @@ const (
 	MetricStoreShards     = "grove_store_shards"
 	MetricShardRecords    = "grove_shard_records"
 	MetricShardQueueDepth = "grove_shard_queue_depth"
-	MetricShardCacheHits  = "grove_shard_cache_hits_total"
 	MetricShardSizeBytes  = "grove_shard_size_bytes"
 
 	// Scatter-gather phase latencies (DESIGN.md §8): per-shard dispatch →
@@ -132,7 +125,7 @@ func (k *ioSink) OnRecordsReturned(n int64) { k.recordsReturned.Add(n) }
 
 // Metrics returns the store's metrics registry, creating and wiring it on
 // first call: engine query counters and latency histograms, the column
-// store's I/O tap, cache and view-usage readers, and store-size gauges.
+// store's I/O tap, view-usage readers, and store-size gauges.
 // Recording is allocation-free; a store that never calls Metrics pays
 // nothing. First call it before serving queries.
 func (s *Store) Metrics() *MetricsRegistry {
@@ -157,13 +150,6 @@ func (s *Store) Metrics() *MetricsRegistry {
 	for i := 0; i < s.coord.NumShards(); i++ {
 		s.coord.Unit(i).Rel.Tracker().SetSink(sink)
 	}
-
-	r.CounterFunc(MetricCacheHits, "Result cache hits.",
-		func() float64 { return float64(s.coord.CacheStats().Hits) })
-	r.CounterFunc(MetricCacheMisses, "Result cache misses.",
-		func() float64 { return float64(s.coord.CacheStats().Misses) })
-	r.CounterFunc(MetricCacheEvictions, "Result cache LRU evictions.",
-		func() float64 { return float64(s.coord.CacheStats().Evictions) })
 
 	r.CounterFunc(MetricPersistRecoveries, "Loads that fell back to an older snapshot generation because the installed one was missing or damaged (process-wide).",
 		func() float64 { return float64(colstore.PersistRecoveries()) })
@@ -220,18 +206,6 @@ func (s *Store) Metrics() *MetricsRegistry {
 			out := make(map[string]float64, s.coord.NumShards())
 			for i := 0; i < s.coord.NumShards(); i++ {
 				out[obs.Labels("shard", strconv.Itoa(i))] = float64(s.coord.Unit(i).Rel.SizeBytes())
-			}
-			return out
-		})
-	r.CounterVecFunc(MetricShardCacheHits, "Result cache hits per shard.",
-		func() map[string]float64 {
-			out := make(map[string]float64, s.coord.NumShards())
-			for i := 0; i < s.coord.NumShards(); i++ {
-				var hits int64
-				if c := s.coord.Unit(i).Eng.Cache(); c != nil {
-					hits = c.Stats().Hits
-				}
-				out[obs.Labels("shard", strconv.Itoa(i))] = float64(hits)
 			}
 			return out
 		})
@@ -322,7 +296,7 @@ func (s *Store) DisableTracing() { s.coord.SetTraces(nil) }
 func (s *Store) RecentTraces() []Trace { return s.coord.Traces().Recent() }
 
 // EnableSlowQueryLog attaches a bounded ring recording a structured entry —
-// query text, kind, duration, I/O delta, cache/cancellation state, and on a
+// query text, kind, duration, I/O delta, cancellation state, and on a
 // sharded store the per-shard queue-wait/execution breakdown — for every
 // query at or above threshold (0 logs every query; capacity ≤ 0 selects a
 // default of 128). Read it back with SlowQueries, /debug/slow, or
@@ -379,8 +353,8 @@ func (s *Store) ServeMetrics(addr string) (*MetricsServer, error) {
 
 // ExplainAnalyze computes a graph query's plan and executes it once with
 // tracing forced on, returning predicted cost and observed per-phase wall
-// time and I/O together. The run bypasses the result cache, so the observed
-// bitmap-fetch count equals the plan's BitmapsFetched. On a sharded store the
+// time and I/O together. The observed bitmap-fetch count equals the plan's
+// BitmapsFetched. On a sharded store the
 // analysis's root trace carries one child per shard and its observed I/O is
 // the exact sum over the children (see Coordinator.ExplainAnalyze).
 func (s *Store) ExplainAnalyze(g *Graph) (*ExplainAnalysis, error) {

@@ -12,13 +12,13 @@ import (
 
 // TestServeMetricsEndpoint is the acceptance check for the /metrics surface:
 // the endpoint serves parseable Prometheus text including the query latency
-// histogram and the cache hit/miss counters.
+// histogram and the I/O counters, and /traces serves the ring newest first.
 func TestServeMetricsEndpoint(t *testing.T) {
-	st := buildSCMStore(t, WithResultCache(8))
+	st := buildSCMStore(t)
 	st.EnableTracing(0)
 	st.Metrics()
 
-	// One repeated query (a hit on the rerun) and one aggregation.
+	// One repeated query and one aggregation.
 	for i := 0; i < 2; i++ {
 		if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
 			t.Fatal(err)
@@ -56,14 +56,11 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`grove_queries_total{kind="pathagg"} 1`,
 		`grove_query_duration_seconds_bucket{kind="graph",le="+Inf"} 2`,
 		`grove_query_duration_seconds_count{kind="graph"} 2`,
-		"grove_cache_hits_total 1",
-		"grove_cache_misses_total 2", // first run + the aggregation's structural filter
-		"grove_cache_evictions_total 0",
 		"grove_io_bitmap_fetches_total",
 		"grove_store_records 3",
 		"grove_traces_recorded_total 3",
 		"# TYPE grove_query_duration_seconds histogram",
-		"# TYPE grove_cache_hits_total counter",
+		"# TYPE grove_io_bitmap_fetches_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)
@@ -99,8 +96,15 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if traces[0].Kind != "pathagg" || traces[1].Kind != "graph" {
 		t.Errorf("trace order = %s, %s, %s", traces[0].Kind, traces[1].Kind, traces[2].Kind)
 	}
-	if !traces[0].Cached && traces[1].Cached == traces[2].Cached {
-		t.Errorf("exactly one graph trace should be cached: %+v", traces)
+	// Both runs of the repeated query plan, fetch and intersect.
+	for _, tr := range traces[1:] {
+		var phases []string
+		for _, s := range tr.Spans {
+			phases = append(phases, s.Phase)
+		}
+		if got := strings.Join(phases, ","); got != "plan,fetch,intersect" {
+			t.Errorf("graph trace spans = %s, want plan,fetch,intersect", got)
+		}
 	}
 }
 
@@ -128,36 +132,6 @@ func TestExplainAnalyzeThroughStore(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "observed:") {
 		t.Errorf("rendering missing observation:\n%s", a.String())
-	}
-}
-
-func TestCacheStatsAndEvictionsThroughStore(t *testing.T) {
-	if c := buildSCMStore(t).Stats().Cache; (c != CacheStats{}) {
-		t.Errorf("no-cache stats = %+v", c)
-	}
-	// Capacity 1 degrades to one entry per shard; querying many distinct
-	// two-edge paths that collide in a shard forces LRU evictions.
-	st := buildSCMStore(t, WithResultCache(1))
-	paths := [][]string{
-		{"A", "D", "E"}, {"D", "E", "G"}, {"E", "G", "I"}, {"A", "B", "F"},
-		{"B", "F", "J"}, {"F", "J", "K"}, {"C", "H", "K"}, {"E", "G", "K"},
-	}
-	for round := 0; round < 2; round++ {
-		for _, p := range paths {
-			if _, err := st.Match(PathOf(p...).ToGraph()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cs := st.Stats().Cache
-	if cs.Misses == 0 {
-		t.Error("no misses recorded")
-	}
-	if cs.Evictions == 0 {
-		t.Errorf("no evictions recorded at capacity 1: %+v", cs)
-	}
-	if cs.Hits+cs.Misses != int64(2*len(paths)) {
-		t.Errorf("hits+misses = %d, want %d", cs.Hits+cs.Misses, 2*len(paths))
 	}
 }
 

@@ -22,9 +22,9 @@ var storeMethods = []string{
 	"ImportTraces", "Match", "MatchContext", "MaterializeAggViewPath",
 	"MaterializeAggViews", "MaterializeGraphViews", "MaterializeView", "Metrics",
 	"NumRecords", "Optimize", "PageError", "Query", "RecentTraces",
-	"RecordingActive", "RenderAdvice", "ReplayEvent", "ReplayWorkload",
+	"RecordingActive", "RenderAdvice", "ReplayWorkload",
 	"ResetIOStats", "Save", "ServeMetrics", "SetPageCacheBytes",
-	"SetSlowQueryThreshold", "SlowQueries", "SnapshotViewUsage",
+	"SetSlowQueryThreshold", "SlowQueries",
 	"StartWorkloadRecording", "Stats", "StopWorkloadRecording", "StorageStats",
 	"SummarizeByTag", "SyncWAL", "Tag", "TaggedWith", "Undelete", "WALError",
 	"WALStats",
@@ -106,14 +106,6 @@ func TestConstructionOptions(t *testing.T) {
 	const keep = colstore.DefaultSnapshotKeep + 1
 	viewQuery := PathOf("A", "D", "E", "G").ToGraph()
 
-	cacheHits := func(t *testing.T, st *Store) int64 {
-		for i := 0; i < 2; i++ {
-			if _, err := st.Match(viewQuery); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st.Stats().Cache.Hits
-	}
 	viewsUsed := func(t *testing.T, st *Store) int {
 		ex, err := st.Explain(viewQuery)
 		if err != nil {
@@ -153,17 +145,8 @@ func TestConstructionOptions(t *testing.T) {
 	for _, c := range optionCtors() {
 		t.Run(c.name, func(t *testing.T) {
 			t.Run("defaults", func(t *testing.T) {
-				st := c.open(t, t.TempDir())
-				if hits := cacheHits(t, st); hits != 0 {
-					t.Errorf("cache hits without WithResultCache: %d", hits)
-				}
-				if viewsUsed(t, st) == 0 {
+				if viewsUsed(t, c.open(t, t.TempDir())) == 0 {
 					t.Error("no view used by default")
-				}
-			})
-			t.Run("WithResultCache", func(t *testing.T) {
-				if hits := cacheHits(t, c.open(t, t.TempDir(), WithResultCache(8))); hits == 0 {
-					t.Error("no cache hits counted in Stats().Cache")
 				}
 			})
 			t.Run("WithoutViews", func(t *testing.T) {

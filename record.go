@@ -70,17 +70,6 @@ func (s *Store) StopWorkloadRecording() error {
 // RecordingActive reports whether a workload recorder is attached.
 func (s *Store) RecordingActive() bool { return s.rec.Load() != nil }
 
-// SnapshotViewUsage appends a per-view usage snapshot event to the active
-// workload log — the feed a workload-driven view advisor trains on. No-op
-// when recording is not active.
-func (s *Store) SnapshotViewUsage() error {
-	r := s.rec.Load()
-	if r == nil {
-		return nil
-	}
-	return r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.coord.ViewUsage()})
-}
-
 // ReadWorkloadLog parses a workload log written by StartWorkloadRecording, in
 // recorded order.
 func ReadWorkloadLog(path string) ([]WorkloadEvent, error) {
@@ -219,10 +208,10 @@ func digestAgg(a *AggResult) string {
 // events such as view-usage snapshots).
 var ErrNotReplayable = errors.New("grove: workload event is not replayable")
 
-// ReplayEvent re-executes one recorded query event against the store and
+// replayEvent re-executes one recorded query event against the store and
 // returns the digest of the fresh answer (compare with ev.Digest to verify
 // the replay reproduced the recorded result).
-func (s *Store) ReplayEvent(ev WorkloadEvent) (string, error) {
+func (s *Store) replayEvent(ev WorkloadEvent) (string, error) {
 	if ev.Type != obs.EventQuery {
 		return "", ErrNotReplayable
 	}
@@ -294,7 +283,7 @@ func (s *Store) ReplayWorkload(events []WorkloadEvent) (ReplayStats, error) {
 			st.Skipped++
 			continue
 		}
-		digest, err := s.ReplayEvent(ev)
+		digest, err := s.replayEvent(ev)
 		if errors.Is(err, ErrNotReplayable) {
 			st.Skipped++
 			continue

@@ -179,8 +179,8 @@ func TestReplayEventNotReplayable(t *testing.T) {
 		{Type: "views"},
 		{Type: "query", Kind: "expr", Text: "([C,H] AND [E,G])"},
 	} {
-		if _, err := st.ReplayEvent(ev); !errors.Is(err, ErrNotReplayable) {
-			t.Errorf("ReplayEvent(%+v) = %v, want ErrNotReplayable", ev, err)
+		if _, err := st.replayEvent(ev); !errors.Is(err, ErrNotReplayable) {
+			t.Errorf("replayEvent(%+v) = %v, want ErrNotReplayable", ev, err)
 		}
 	}
 	// StopWorkloadRecording with no recorder attached is a no-op.

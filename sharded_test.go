@@ -225,7 +225,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 // store-level gauges must cover all shards, and the per-shard families must
 // carry one labelled sample per shard that sums to the store totals.
 func TestShardedMetricsAggregation(t *testing.T) {
-	st := NewSharded(4, WithResultCache(32))
+	st := NewSharded(4)
 	n := loadSCMOrders(t, st)
 	st.Metrics()
 	for i := 0; i < 3; i++ {
@@ -276,12 +276,12 @@ func TestShardedMetricsAggregation(t *testing.T) {
 	if total, samples := sumFamily(MetricShardSizeBytes); samples != 4 || total != float64(size) {
 		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardSizeBytes, samples, total, size)
 	}
-	// 3 identical queries: every shard misses once then hits twice.
-	if total, samples := sumFamily(MetricShardCacheHits); samples != 4 || total != float64(st.Stats().Cache.Hits) {
-		t.Fatalf("%s: %d samples summing to %v, want %d", MetricShardCacheHits, samples, total, st.Stats().Cache.Hits)
-	}
-	if st.Stats().Cache.Hits != 8 {
-		t.Fatalf("aggregated cache hits = %d, want 8", st.Stats().Cache.Hits)
+	// 3 queries scattered over 4 shards: every shard waits once per query,
+	// and the waits sum to the engine's graph sub-query count.
+	if total, samples := sumFamily(MetricShardQueueWait + "_count"); samples != 4 || total != 12 ||
+		!strings.Contains(out, `grove_queries_total{kind="graph"} 12`) {
+		t.Fatalf("%s_count: %d samples summing to %v, want 4 summing to the 12 graph sub-queries\n%s",
+			MetricShardQueueWait, samples, total, out)
 	}
 }
 
