@@ -17,7 +17,7 @@
 //	grovecli -store /tmp/ny advise workload.grq 20   # propose views for a workload
 //	grovecli -store /tmp/ny analyze n1 n2 n13        # EXPLAIN ANALYZE a path query
 //	grovecli -store /tmp/ny metrics "[n1,n2]"        # run statements, dump metrics
-//	grovecli -store /tmp/ny slow "SUM [n1,n2,n13]"   # run statements, dump slow-query log
+//	grovecli -store /tmp/ny traces "SUM [n1,n2,n13]" # run statements, dump their traces
 //	grovecli -store /tmp/ny recover                  # inventory snapshot generations
 //	grovecli -store /tmp/ny recover gen-000001       # force-install a generation
 //	grovecli -store /tmp/ny wal                      # inspect the write-ahead logs
@@ -27,9 +27,8 @@
 // shard's generations and marks the cut the SHARDS.json manifest pins, and
 // wal lists every shard's log.
 //
-// With -metrics ADDR, grovecli serves /metrics (Prometheus text), /traces
-// (JSON) and /debug/slow (JSONL) on ADDR after the command runs, until
-// interrupted.
+// With -metrics ADDR, grovecli serves /metrics (Prometheus text) and /traces
+// (JSON) on ADDR after the command runs, until interrupted.
 //
 // Mutating commands (addview, addagg, tag) re-save the store before exiting.
 package main
@@ -75,10 +74,8 @@ func main() {
 	}
 	var msrv *grove.MetricsServer
 	if *metricsAddr != "" {
-		// Wire metrics, tracing and the slow-query log (threshold 0: log
-		// everything) before the command so its queries show up.
+		// Wire metrics and tracing before the command so its queries show up.
 		st.EnableTracing(0)
-		st.EnableSlowQueryLog(0, 0)
 		if msrv, err = st.ServeMetrics(*metricsAddr); err != nil {
 			fatal(err)
 		}
@@ -142,8 +139,8 @@ func main() {
 		analyze(st, args[1:])
 	case "metrics":
 		dumpMetrics(st, args[1:], *limit)
-	case "slow":
-		slowQueries(st, args[1:], *limit)
+	case "traces":
+		dumpTraces(st, args[1:], *limit)
 	case "advise":
 		if len(args) != 3 {
 			fatal(fmt.Errorf("advise needs a workload file and a budget k"))
@@ -159,13 +156,13 @@ func main() {
 	}
 
 	if msrv != nil {
-		fmt.Fprintf(os.Stderr, "serving http://%s/metrics, /traces and /debug/slow (interrupt to exit)\n", msrv.Addr())
+		fmt.Fprintf(os.Stderr, "serving http://%s/metrics and /traces (interrupt to exit)\n", msrv.Addr())
 		select {}
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: grovecli -store DIR <info|match|agg|avg|summary|q|explain|analyze|metrics|slow|advise|replay|views|addview|addagg|tag|recover|wal> [args]")
+	fmt.Fprintln(os.Stderr, "usage: grovecli -store DIR <info|match|agg|avg|summary|q|explain|analyze|metrics|traces|advise|replay|views|addview|addagg|tag|recover|wal> [args]")
 	flag.PrintDefaults()
 }
 
@@ -500,17 +497,16 @@ func dumpMetrics(st *grove.Store, statements []string, limit int) {
 	}
 }
 
-// slowQueries executes any statements given with the slow-query log capturing
-// everything (threshold 0), then dumps the log as JSONL, newest first — the
-// same shape /debug/slow serves.
-func slowQueries(st *grove.Store, statements []string, limit int) {
-	st.EnableSlowQueryLog(0, 0)
+// dumpTraces executes any statements given with tracing on, then dumps the
+// recorded traces as JSONL, newest first — the records /traces serves.
+func dumpTraces(st *grove.Store, statements []string, limit int) {
+	st.EnableTracing(0)
 	for _, text := range statements {
 		textQuery(st, text, limit)
 	}
 	enc := json.NewEncoder(os.Stdout)
-	for _, q := range st.SlowQueries() {
-		if err := enc.Encode(q); err != nil {
+	for _, t := range st.RecentTraces() {
+		if err := enc.Encode(t); err != nil {
 			fatal(err)
 		}
 	}

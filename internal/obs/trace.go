@@ -105,13 +105,15 @@ func (s Span) Duration() time.Duration { return time.Duration(s.DurationNanos) }
 // a scatter-gathered query records one root trace (Shard == ShardCoordinator,
 // spans fan-out / queue-wait / merge) whose Children are the per-shard engine
 // traces; a single-shard query records a flat trace with Shard 0 and no
-// Children.
+// Children. Error is the failed query's error text (a cancelled one's is the
+// context's, and an engine trace also ends in a cancelled span).
 type Trace struct {
 	Kind           string  `json:"kind"`
 	Query          string  `json:"query,omitempty"`
 	Shard          int     `json:"shard"`
 	StartUnixNanos int64   `json:"startUnixNanos"`
 	DurationNanos  int64   `json:"durationNanos"`
+	Error          string  `json:"error,omitempty"`
 	Spans          []Span  `json:"spans,omitempty"`
 	Children       []Trace `json:"children,omitempty"`
 	IO             IODelta `json:"io"`

@@ -95,8 +95,8 @@ func (a *ExplainAnalysis) String() string {
 
 // ExplainAnalyze computes a graph query's plan and then executes the query
 // once with tracing forced on, returning plan and observation together. The
-// run bypasses the serving metrics, trace ring and slow log, so diagnostics
-// don't distort production counters.
+// run bypasses the serving metrics and trace ring, so diagnostics don't
+// distort production counters.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *GraphQuery) (*ExplainAnalysis, error) {
 	plan, err := e.Explain(q)
 	if err != nil {
@@ -104,7 +104,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *GraphQuery) (*ExplainAna
 	}
 	run := e.Clone()
 	run.metrics = nil
-	run.slow = nil
 	ring := obs.NewTraceRing(1)
 	run.traces = ring
 	res, err := run.ExecuteGraphQueryContext(ctx, q)

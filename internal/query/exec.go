@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -31,17 +30,14 @@ type Engine struct {
 	// metrics, when set, records per-query counters and latency histograms
 	// (allocation-free). traces, when set, records a span-based lifecycle
 	// trace per query into the ring (one allocation per query plus span
-	// appends). slow, when set, records queries over its latency threshold
-	// into a bounded structured log (sub-threshold queries pay one clock read
-	// and an atomic load). All default to nil: the disabled path costs three
-	// nil checks and nothing else. Set them before serving queries (mutating
-	// them mid-flight is not synchronized).
+	// appends). Both default to nil: the disabled path costs two nil checks
+	// and nothing else. Set them before serving queries (mutating them
+	// mid-flight is not synchronized).
 	metrics *obs.QueryMetrics
 	traces  *obs.TraceRing
-	slow    *obs.SlowLog
 
-	// shardID labels this engine's traces and slow-log entries with the
-	// shard it executes (0 for a single-relation store).
+	// shardID labels this engine's traces with the shard it executes (0 for
+	// a single-relation store).
 	shardID int
 }
 
@@ -60,7 +56,7 @@ func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
 // another goroutine concurrently with e.
 func (e *Engine) Clone() *Engine {
 	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews,
-		metrics: e.metrics, traces: e.traces, slow: e.slow, shardID: e.shardID}
+		metrics: e.metrics, traces: e.traces, shardID: e.shardID}
 }
 
 // SetMetrics attaches a metrics bundle (nil disables). Attach before
@@ -71,36 +67,22 @@ func (e *Engine) SetMetrics(m *obs.QueryMetrics) { e.metrics = m }
 // (nil disables). Attach before serving queries.
 func (e *Engine) SetTraces(t *obs.TraceRing) { e.traces = t }
 
-// Traces returns the attached trace ring (nil when tracing is disabled).
-func (e *Engine) Traces() *obs.TraceRing { return e.traces }
-
-// SetSlowLog attaches a slow-query log (nil disables). Attach before serving
-// queries. Batch workers inherit it through Clone.
-func (e *Engine) SetSlowLog(l *obs.SlowLog) { e.slow = l }
-
-// SlowLog returns the attached slow-query log (nil when disabled).
-func (e *Engine) SlowLog() *obs.SlowLog { return e.slow }
-
 // SetShard labels the engine with the shard index it executes, stamped onto
-// every trace and slow-log entry it emits.
+// every trace it emits.
 func (e *Engine) SetShard(id int) { e.shardID = id }
 
 // Shard returns the engine's shard index.
 func (e *Engine) Shard() int { return e.shardID }
 
 // observed runs one query entry point under the engine's observers: a
-// lifecycle trace handed to run, the latency histogram, and the slow log.
-// With none attached it costs three nil checks and nothing else. text renders
-// the query and is called only when a trace or a slow-log entry needs it.
-// The slow log's I/O delta is exact only single-threaded, like a trace's.
+// lifecycle trace handed to run, which records the error of a failed query,
+// and the latency histogram. With neither attached it costs two nil checks
+// and nothing else. text renders the query and is called only when a trace
+// needs it.
 func observed[T any](e *Engine, kind string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
 	var start time.Time
-	if e.metrics != nil || e.slow != nil {
+	if e.metrics != nil {
 		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
 	}
 	var tr *obs.ActiveTrace
 	if e.traces != nil {
@@ -109,22 +91,14 @@ func observed[T any](e *Engine, kind string, text func() string, run func(*obs.A
 	}
 	res, err := run(tr)
 	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
+		t := tr.Finish(e.ioNow())
+		if err != nil {
+			t.Error = err.Error()
+		}
+		e.traces.Add(t)
 	}
 	if e.metrics != nil && err == nil {
 		e.metrics.Record(kind, time.Since(start))
-	}
-	if e.slow != nil {
-		if d := time.Since(start); d >= e.slow.Threshold() {
-			sq := obs.SlowQuery{Kind: kind, Query: text(), Shard: e.shardID,
-				StartUnixNanos: start.UnixNano(), DurationNanos: d.Nanoseconds(),
-				IO: e.ioNow().Sub(slowIO)}
-			if err != nil {
-				sq.Error = err.Error()
-				sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-			}
-			e.slow.Add(sq)
-		}
 	}
 	return res, err
 }

@@ -19,8 +19,7 @@ import (
 // so the observed I/O deltas are exact: the root's fetch counts equal the sum
 // over the children, and each child's bitmap fetches equal the plan's
 // BitmapsFetched against that shard's slice of the records. The per-shard runs
-// bypass serving metrics, the trace ring, and the slow log (see
-// Engine.ExplainAnalyze).
+// bypass serving metrics and the trace ring (see Engine.ExplainAnalyze).
 func (c *Coordinator) ExplainAnalyze(ctx context.Context, q *query.GraphQuery) (*query.ExplainAnalysis, error) {
 	if len(c.units) == 1 {
 		u := c.units[0]

@@ -91,80 +91,59 @@ func preferErr(cur, next error) error {
 
 // subOut carries one shard's sub-query value plus the observability
 // byproducts runScattered collects: the captured engine trace and the
-// queue-wait/execution timings.
+// queue wait.
 type subOut[T any] struct {
 	v      T
 	child  obs.Trace
 	traced bool
 	wait   time.Duration
-	dur    time.Duration
 }
 
 // runScattered executes one logical query across every shard of a multi-shard
 // coordinator and merges the partials. kind and qstr name the query for the
-// root trace and the slow log (qstr may be empty when neither is attached —
-// callers skip rendering it to keep the disabled path allocation-free).
+// root trace (qstr may be empty when tracing is off — callers skip rendering
+// it to keep the disabled path allocation-free).
 //
 // With no observability hooks attached this is exactly scatter + merge. With
 // tracing on, each shard sub-query runs on an engine clone holding a private
 // one-slot capture ring, and the coordinator records one hierarchical root
 // trace: a fan-out span covering the scatter, one queue-wait span per shard
 // (dispatch → sub-query start), the per-shard engine traces as children, and
-// a merge span. With the slow log on, the clone detaches the engine-level
-// log — the coordinator records one merged entry per logical query with
-// per-shard timings instead of N fragments. Queue-wait and merge histograms
-// are observed when attached.
+// a merge span; a failed query's root carries its error. Queue-wait and merge
+// histograms are observed when attached.
 func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr string,
 	run func(ctx context.Context, eng *query.Engine, u *Unit) (T, error),
 	merge func(subs []T) R) (R, error) {
 
 	var zero R
-	ring, slow := c.traces, c.slow
-	var start time.Time
-	var startIO obs.IODelta
-	if slow != nil {
-		start = time.Now()
-		startIO = c.ioNow()
-	}
+	ring := c.traces
 	var root *obs.ActiveTrace
 	if ring != nil {
 		root = obs.StartTrace(kind, qstr, c.ioNow())
 		root.SetShard(obs.ShardCoordinator)
 		root.Begin(obs.PhaseFanOut, c.ioNow())
 	}
-	capture := root != nil
-	clone := capture || slow != nil
-	timed := clone || c.queueWait != nil
+	timed := root != nil || c.queueWait != nil
 	var dispatch time.Time
 	if timed {
 		dispatch = time.Now()
 	}
 	subs, err := scatter(ctx, c, func(ctx context.Context, s int, u *Unit) (subOut[T], error) {
 		var out subOut[T]
-		var begun time.Time
 		if timed {
-			begun = time.Now()
-			out.wait = begun.Sub(dispatch)
+			out.wait = time.Since(dispatch)
 			if c.queueWait != nil {
 				c.queueWait[s].Observe(out.wait.Seconds())
 			}
 		}
 		eng := u.Eng
 		var cring *obs.TraceRing
-		if clone {
+		if root != nil {
 			eng = eng.Clone()
-			eng.SetSlowLog(nil)
-			if capture {
-				cring = obs.NewTraceRing(1)
-				eng.SetTraces(cring)
-			} else {
-				eng.SetTraces(nil)
-			}
+			cring = obs.NewTraceRing(1)
+			eng.SetTraces(cring)
 		}
 		v, err := run(ctx, eng, u)
-		if timed {
-			out.dur = time.Since(begun)
-		}
 		if cring != nil {
 			if rec := cring.Recent(); len(rec) > 0 {
 				out.child = rec[0]
@@ -181,10 +160,9 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 		// The per-shard results (and their captured traces) are discarded by
 		// scatter on error; the root still records the failed fan-out.
 		if root != nil {
-			ring.Add(root.Finish(c.ioNow()))
-		}
-		if slow != nil {
-			c.slowObserve(kind, qstr, start, startIO, nil, err)
+			t := root.Finish(c.ioNow())
+			t.Error = err.Error()
+			ring.Add(t)
 		}
 		return zero, err
 	}
@@ -215,38 +193,7 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 	if root != nil {
 		ring.Add(root.Finish(c.ioNow()))
 	}
-	if slow != nil {
-		timings := make([]obs.ShardTiming, len(subs))
-		for s, sb := range subs {
-			timings[s] = obs.ShardTiming{Shard: s,
-				QueueNanos: sb.wait.Nanoseconds(), DurationNanos: sb.dur.Nanoseconds()}
-		}
-		c.slowObserve(kind, qstr, start, startIO, timings, nil)
-	}
 	return out, nil
-}
-
-// slowObserve appends a coordinator-level slow-log entry when the finished
-// scatter-gather crossed the log's latency threshold.
-func (c *Coordinator) slowObserve(kind, qstr string, start time.Time, startIO obs.IODelta, shards []obs.ShardTiming, err error) {
-	d := time.Since(start)
-	if d < c.slow.Threshold() {
-		return
-	}
-	sq := obs.SlowQuery{
-		Kind:           kind,
-		Query:          qstr,
-		Shard:          obs.ShardCoordinator,
-		StartUnixNanos: start.UnixNano(),
-		DurationNanos:  d.Nanoseconds(),
-		IO:             c.ioNow().Sub(startIO),
-		Shards:         shards,
-	}
-	if err != nil {
-		sq.Error = err.Error()
-		sq.Cancelled = isCancellation(err)
-	}
-	c.slow.Add(sq)
 }
 
 // queryName renders a query's display string only when an observability hook
@@ -254,7 +201,7 @@ func (c *Coordinator) slowObserve(kind, qstr string, start time.Time, startIO ob
 //
 //grove:hotpath
 func (c *Coordinator) queryName(s fmt.Stringer) string {
-	if c.traces == nil && c.slow == nil {
+	if c.traces == nil {
 		return ""
 	}
 	return s.String()
@@ -310,7 +257,7 @@ func (c *Coordinator) EvalExprContext(ctx context.Context, expr query.Expr) (*bi
 }
 
 // evalScattered is the multi-shard expression evaluation body, parameterized
-// on the trace/slow-log labels so sharded statements can reuse it under the
+// on the trace labels so sharded statements can reuse it under the
 // "statement" kind with the statement's text.
 func (c *Coordinator) evalScattered(ctx context.Context, kind, qstr string, expr query.Expr) (*bitmap.Bitmap, error) {
 	return runScattered(ctx, c, kind, qstr,
@@ -450,7 +397,7 @@ func (c *Coordinator) AggregateContext(ctx context.Context, q *query.PathAggQuer
 }
 
 // aggregateScattered is the multi-shard path-aggregation body, parameterized
-// on the trace/slow-log labels (see evalScattered).
+// on the trace labels (see evalScattered).
 func (c *Coordinator) aggregateScattered(ctx context.Context, kind, qstr string, q *query.PathAggQuery) (*query.AggResult, error) {
 	rq := q.Resolved(c.reg) // once, not per shard
 	return runScattered(ctx, c, kind, qstr,

@@ -85,14 +85,13 @@ type Coordinator struct {
 	// queue-wait / merge spans, per-shard engine traces as children); the ring
 	// is also attached to every shard engine so batch sub-queries — run inline
 	// by the batch worker that took their query — record flat, shard-labelled
-	// traces. slow is the shared slow-query log. metrics is the bundle every
-	// shard engine shares; the coordinator keeps it to count a batch once,
-	// not once per shard. queueWait (one histogram per shard) and mergeDur
-	// observe scatter dispatch latency and merge wall time. Attach all of them
-	// before serving queries, like Engine.SetTraces.
+	// traces. metrics is the bundle every shard engine shares; the
+	// coordinator keeps it to count a batch once, not once per shard.
+	// queueWait (one histogram per shard) and mergeDur observe scatter
+	// dispatch latency and merge wall time. Attach all of them before serving
+	// queries, like Engine.SetTraces.
 	metrics   *obs.QueryMetrics
 	traces    *obs.TraceRing
-	slow      *obs.SlowLog
 	queueWait []*obs.Histogram
 	mergeDur  *obs.Histogram
 
@@ -472,19 +471,6 @@ func (c *Coordinator) SetTraces(t *obs.TraceRing) {
 
 // Traces returns the coordinator's trace ring (nil when tracing is off).
 func (c *Coordinator) Traces() *obs.TraceRing { return c.traces }
-
-// SetSlowLog attaches a slow-query log (nil disables). Single-query scatter
-// paths record one coordinator-level entry per logical query with per-shard
-// timings; batch sub-queries record per-shard entries through the engines.
-func (c *Coordinator) SetSlowLog(l *obs.SlowLog) {
-	c.slow = l
-	for _, u := range c.units {
-		u.Eng.SetSlowLog(l)
-	}
-}
-
-// SlowLog returns the attached slow-query log (nil when disabled).
-func (c *Coordinator) SlowLog() *obs.SlowLog { return c.slow }
 
 // SetScatterHistograms attaches the scatter latency observers: queueWait[s]
 // records shard s's dispatch→execution wait and merge records the gather

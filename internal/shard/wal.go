@@ -192,11 +192,6 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 
 // --- attach -----------------------------------------------------------------
 
-// AttachWAL enables write-ahead logging on the OS filesystem.
-func (c *Coordinator) AttachWAL(dir string, cfg wal.Config) error {
-	return c.AttachWALFS(fsio.OS(), dir, cfg)
-}
-
 // AttachWALFS enables write-ahead logging under dir. When the in-memory
 // state is still exactly "snapshot + replayed log" from a Load of the same
 // dir, the existing logs are resumed in place (truncating any torn tail);

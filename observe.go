@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"time"
 
 	"grove/internal/colstore"
 	"grove/internal/obs"
@@ -25,18 +24,11 @@ type (
 	Trace = obs.Trace
 	// TraceSpan is one timed phase of a trace.
 	TraceSpan = obs.Span
-	// IODelta is the column-store I/O attributed to a trace, span, or
-	// slow-query entry.
+	// IODelta is the column-store I/O attributed to a trace or span.
 	IODelta = obs.IODelta
 	// ExplainAnalysis pairs a query's predicted plan with the observed
 	// per-phase timings and I/O of one real execution.
 	ExplainAnalysis = query.ExplainAnalysis
-	// SlowQuery is one structured slow-query log entry (JSONL shape served by
-	// /debug/slow and `grovecli slow`).
-	SlowQuery = obs.SlowQuery
-	// ShardTiming is one shard's queue-wait/execution breakdown inside a
-	// scatter-gathered SlowQuery.
-	ShardTiming = obs.ShardTiming
 )
 
 // Store-level metric families (engine families live in internal/obs).
@@ -71,8 +63,6 @@ const (
 	// execution-start wait, and the coordinator's merge phase.
 	MetricShardQueueWait = "grove_shard_queue_wait_seconds"
 	MetricScatterMerge   = "grove_scatter_merge_seconds"
-
-	MetricSlowQueries = "grove_slow_queries_total"
 
 	// Paged storage & buffer pool (DESIGN.md §13). Pool counters sum across
 	// the per-shard pools; storage gauges sum across shards.
@@ -224,9 +214,6 @@ func (s *Store) Metrics() *MetricsRegistry {
 		"Coordinator merge-phase latency of scatter-gathered queries.", nil)
 	s.coord.SetScatterHistograms(queueWait, mergeDur)
 
-	r.CounterFunc(MetricSlowQueries, "Queries recorded in the slow-query log (including evicted entries).",
-		func() float64 { return float64(s.coord.SlowLog().Total()) })
-
 	// Paged storage & buffer pool. The counters live in the per-shard pools
 	// (summed by Coordinator.StorageStats), except blocks-skipped which is a
 	// process-wide colstore counter like persist-recoveries above.
@@ -292,41 +279,15 @@ func (s *Store) EnableTracing(capacity int) {
 func (s *Store) DisableTracing() { s.coord.SetTraces(nil) }
 
 // RecentTraces returns the recorded traces, newest first (nil when tracing
-// was never enabled). Traces marshal to JSON.
+// was never enabled). Traces marshal to JSON; a failed query's trace carries
+// its error text.
 func (s *Store) RecentTraces() []Trace { return s.coord.Traces().Recent() }
-
-// EnableSlowQueryLog attaches a bounded ring recording a structured entry —
-// query text, kind, duration, I/O delta, cancellation state, and on a
-// sharded store the per-shard queue-wait/execution breakdown — for every
-// query at or above threshold (0 logs every query; capacity ≤ 0 selects a
-// default of 128). Read it back with SlowQueries, /debug/slow, or
-// `grovecli slow`. Off by default: with no log attached the query path pays
-// a single nil check.
-func (s *Store) EnableSlowQueryLog(capacity int, threshold time.Duration) {
-	s.coord.SetSlowLog(obs.NewSlowLog(capacity, threshold))
-}
-
-// DisableSlowQueryLog detaches the slow-query log.
-func (s *Store) DisableSlowQueryLog() { s.coord.SetSlowLog(nil) }
-
-// SetSlowQueryThreshold retunes the attached log's latency threshold without
-// dropping recorded entries. No-op when the log is not enabled.
-func (s *Store) SetSlowQueryThreshold(threshold time.Duration) {
-	if l := s.coord.SlowLog(); l != nil {
-		l.SetThreshold(threshold)
-	}
-}
-
-// SlowQueries returns the recorded slow-query entries, newest first (nil when
-// the log was never enabled). Entries marshal to JSON.
-func (s *Store) SlowQueries() []SlowQuery { return s.coord.SlowLog().Recent() }
 
 // ServeMetrics starts an HTTP server on addr (use ":0" for an ephemeral
 // port; read it back with Addr) exposing:
 //
-//	/metrics     the registry in Prometheus text format
-//	/traces      the recent query traces as JSON, newest first
-//	/debug/slow  the slow-query log as JSONL, newest first
+//	/metrics  the registry in Prometheus text format
+//	/traces   the recent query traces as JSON, newest first
 //
 // The registry is created on first call (see Metrics). Close the returned
 // server to stop it.
@@ -343,10 +304,6 @@ func (s *Store) ServeMetrics(addr string) (*MetricsServer, error) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(traces)
-	})
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = s.coord.SlowLog().WriteJSONL(w)
 	})
 	return obs.Serve(addr, mux)
 }

@@ -1,14 +1,11 @@
 package grove
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"net/http"
+	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"grove/internal/raceflag"
 )
@@ -75,6 +72,32 @@ func TestShardedTraceTree(t *testing.T) {
 	}
 	if root.IO.BitmapColumnsFetched != childIO {
 		t.Errorf("root bitmap fetches = %d, children sum to %d", root.IO.BitmapColumnsFetched, childIO)
+	}
+
+	// A path aggregation records the same root shape under its own kind.
+	if _, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum); err != nil {
+		t.Fatal(err)
+	}
+	agg := st.RecentTraces()[0]
+	if agg.Kind != "pathagg" || agg.Shard != -1 || agg.Query == "" {
+		t.Fatalf("aggregation root = kind %q shard %d query %q, want pathagg/-1 with its text", agg.Kind, agg.Shard, agg.Query)
+	}
+	waits := 0
+	for _, s := range agg.Spans {
+		if s.Phase == "queue-wait" {
+			if s.Shard != waits {
+				t.Errorf("aggregation queue-wait %d labelled shard %d", waits, s.Shard)
+			}
+			waits++
+		}
+	}
+	if waits != 4 || len(agg.Children) != 4 {
+		t.Errorf("aggregation root has %d queue-wait spans and %d children, want 4 and 4", waits, len(agg.Children))
+	}
+	for i, c := range agg.Children {
+		if c.Shard != i || c.Kind != "pathagg" {
+			t.Errorf("aggregation child %d = kind %q shard %d", i, c.Kind, c.Shard)
+		}
 	}
 
 	// A sharded statement is parsed once by the coordinator: the root carries
@@ -161,146 +184,60 @@ func TestShardedExplainAnalyzeSumEqualsParts(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogThroughStore covers the slow-query ring end to end: a
-// threshold-0 log records every query with its per-shard breakdown, the
-// threshold can be retuned live, and /debug/slow serves the entries as JSONL.
-func TestSlowQueryLogThroughStore(t *testing.T) {
-	st := NewSharded(4)
-	loadSCMOrders(t, st)
-	st.EnableSlowQueryLog(8, 0)
-
-	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Aggregate(PathOf("A", "D", "E").ToGraph(), Sum); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Query("[A,D,E] AND NOT [A,B]"); err != nil {
-		t.Fatal(err)
-	}
-
-	slow := st.SlowQueries()
-	if len(slow) != 3 {
-		t.Fatalf("slow entries = %d, want 3 (one merged entry per logical query, not one per shard)", len(slow))
-	}
-	// Newest first.
-	for i, want := range []string{"statement", "pathagg", "graph"} {
-		e := slow[i]
-		if e.Kind != want {
-			t.Errorf("entry %d kind = %q, want %q", i, e.Kind, want)
-		}
-		if e.Shard != -1 {
-			t.Errorf("entry %d shard = %d, want coordinator", i, e.Shard)
-		}
-		if e.Query == "" {
-			t.Errorf("entry %d lost its query text", i)
-		}
-		if len(e.Shards) != 4 {
-			t.Errorf("entry %d carries %d shard timings, want 4", i, len(e.Shards))
-		}
-		for s, timing := range e.Shards {
-			if timing.Shard != s {
-				t.Errorf("entry %d timing %d labelled shard %d", i, s, timing.Shard)
+// TestTraceRecordsQueryError: a failed query's trace carries the error text.
+// A cancelled single-shard query's flat trace also ends in the engine's
+// cancelled span; on 4 shards the record is the coordinator root. The next
+// successful query's trace carries no error.
+func TestTraceRecordsQueryError(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
+			st := NewSharded(shards)
+			loadSCMOrders(t, st)
+			st.EnableTracing(8)
+			g := PathOf("A", "D", "E").ToGraph()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := st.MatchContext(ctx, g); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Match err = %v", err)
 			}
-		}
-	}
+			if _, err := st.AggregateContext(ctx, g, Sum); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Aggregate err = %v", err)
+			}
 
-	// Retuning the threshold stops logging without dropping entries.
-	st.SetSlowQueryThreshold(time.Hour)
-	if _, err := st.Match(PathOf("A", "D").ToGraph()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(st.SlowQueries()); got != 3 {
-		t.Errorf("entries after retune = %d, want 3", got)
-	}
+			traces := st.RecentTraces()
+			if len(traces) != 2 {
+				t.Fatalf("two cancelled queries recorded %d traces, want 2", len(traces))
+			}
+			for i, kind := range []string{"pathagg", "graph"} { // newest first
+				tr := traces[i]
+				if tr.Kind != kind || tr.Error != context.Canceled.Error() {
+					t.Errorf("trace %d = kind %q error %q, want %s/%q", i, tr.Kind, tr.Error, kind, context.Canceled.Error())
+				}
+				if shards > 1 {
+					if tr.Shard != -1 {
+						t.Errorf("trace %d shard = %d, want the coordinator root", i, tr.Shard)
+					}
+					continue
+				}
+				if tr.Shard != 0 || len(tr.Spans) == 0 || tr.Spans[len(tr.Spans)-1].Phase != "cancelled" {
+					t.Errorf("trace %d = shard %d spans %+v, want shard 0 ending in a cancelled span", i, tr.Shard, tr.Spans)
+				}
+			}
 
-	// The total counter keeps counting evicted entries too.
-	st.Metrics()
-	srv, err := st.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("content type = %q", ct)
-	}
-	var lines int
-	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	for sc.Scan() {
-		var e SlowQuery
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("unparseable /debug/slow line %q: %v", sc.Text(), err)
-		}
-		if e.Kind == "" {
-			t.Errorf("entry missing kind: %q", sc.Text())
-		}
-		lines++
-	}
-	if lines != 3 {
-		t.Errorf("/debug/slow served %d entries, want 3", lines)
-	}
-
-	mresp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		MetricSlowQueries + " 3",
-		MetricScatterMerge + "_count",
-		MetricShardQueueWait + `_count{shard="0"}`,
-		MetricShardQueueWait + `_count{shard="3"}`,
-	} {
-		if !strings.Contains(string(mbody), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	st.DisableSlowQueryLog()
-	if st.SlowQueries() != nil {
-		t.Error("entries survive disabling")
-	}
-}
-
-// TestSlowQueryLogSingleShard pins the engine-level (unscattered) shape: flat
-// entries labelled with shard 0 and no per-shard breakdown.
-func TestSlowQueryLogSingleShard(t *testing.T) {
-	st := Open()
-	loadSCMOrders(t, st)
-	st.EnableSlowQueryLog(4, 0)
-	if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
-		t.Fatal(err)
-	}
-	slow := st.SlowQueries()
-	if len(slow) != 1 {
-		t.Fatalf("entries = %d", len(slow))
-	}
-	if slow[0].Shard != 0 || slow[0].Shards != nil {
-		t.Errorf("single-shard entry = %+v, want shard 0 with no breakdown", slow[0])
-	}
-	if slow[0].Kind != "graph" {
-		t.Errorf("kind = %q", slow[0].Kind)
+			if _, err := st.Match(g); err != nil {
+				t.Fatal(err)
+			}
+			if tr := st.RecentTraces()[0]; tr.Error != "" {
+				t.Errorf("successful query's trace carries error %q", tr.Error)
+			}
+		})
 	}
 }
 
 // TestShardedDisabledObservabilityAddsNoAllocations is the acceptance guard
-// for the disabled path on a sharded store: after tracing and the slow log
-// are switched off, a scattered query must allocate exactly what a
-// never-instrumented store allocates.
+// for the disabled path on a sharded store: after tracing is switched off, a
+// scattered query must allocate exactly what a never-instrumented store
+// allocates.
 func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
@@ -310,13 +247,11 @@ func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
 	inst := NewSharded(4)
 	loadSCMOrders(t, inst)
 	inst.EnableTracing(4)
-	inst.EnableSlowQueryLog(4, 0)
 	g := PathOf("A", "D", "E").ToGraph()
 	if _, err := inst.Match(g); err != nil {
 		t.Fatal(err)
 	}
 	inst.DisableTracing()
-	inst.DisableSlowQueryLog()
 
 	// Warm both stores so goroutine stacks and scratch pools are paid up front.
 	for _, st := range []*Store{base, inst} {

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"grove/internal/raceflag"
 )
 
 // TestServeMetricsEndpoint is the acceptance check for the /metrics surface:
@@ -105,6 +107,49 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if got := strings.Join(phases, ","); got != "plan,fetch,intersect" {
 			t.Errorf("graph trace spans = %s, want plan,fetch,intersect", got)
 		}
+	}
+}
+
+// tracedQueryExtraAllocs is how many objects tracing adds to one
+// single-shard Match. Most are the query text the trace renders for the
+// fresh query each Match builds (six in a heap profile) and the active trace
+// with its span array (two). ROADMAP item 1's target is zero: a traced query
+// should cost what an untraced one does, plus clock reads.
+const tracedQueryExtraAllocs = 9
+
+// TestTracedQueryAllocations is the clock-free companion of
+// TestObsOverheadSmoke: it pins the objects a traced single-shard Match
+// allocates beyond an untraced one, so a change that makes tracing allocate
+// more fails here deterministically instead of as timing noise.
+func TestTracedQueryAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
+	}
+	off, on := Open(), Open()
+	loadSCMOrders(t, off)
+	loadSCMOrders(t, on)
+	on.EnableTracing(4)
+	g := PathOf("A", "D", "E").ToGraph()
+	match := func(st *Store) func() {
+		return func() {
+			if _, err := st.Match(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm both stores so scratch pools are paid up front.
+	for i := 0; i < 5; i++ {
+		match(off)()
+		match(on)()
+	}
+	baseline := testing.AllocsPerRun(200, match(off))
+	traced := testing.AllocsPerRun(200, match(on))
+	extra := traced - baseline
+	if extra > tracedQueryExtraAllocs {
+		t.Errorf("tracing adds %.1f allocations per Match (%.1f vs %.1f untraced), pinned at %d",
+			extra, traced, baseline, tracedQueryExtraAllocs)
+	} else if extra < tracedQueryExtraAllocs {
+		t.Logf("tracing adds %.1f allocations per Match, below the pin of %d: lower the pin", extra, tracedQueryExtraAllocs)
 	}
 }
 

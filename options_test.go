@@ -16,15 +16,14 @@ var storeMethods = []string{
 	"AggregateBatchContext", "AggregateContext", "AggregateMeasure",
 	"AggregateScalar", "AggregateScalarContext", "Append", "AppendBareEdge",
 	"AppendEdge", "AveragePath", "Close", "ClusterColumns", "Delete",
-	"DisableSlowQueryLog", "DisableTracing", "DropAllViews", "EnableSlowQueryLog",
-	"EnableTracing", "EnableWAL", "Eval", "ExecuteBatch", "ExecuteBatchContext",
+	"DisableTracing", "DropAllViews", "EnableTracing", "EnableWAL", "Eval",
+	"ExecuteBatch", "ExecuteBatchContext",
 	"Explain", "ExplainAnalyze", "ExportTraces", "GetRecord", "IOStatsSnapshot",
 	"ImportTraces", "Match", "MatchContext", "MaterializeAggViewPath",
 	"MaterializeAggViews", "MaterializeGraphViews", "MaterializeView", "Metrics",
 	"NumRecords", "Optimize", "PageError", "Query", "RecentTraces",
 	"RecordingActive", "RenderAdvice", "ReplayWorkload",
 	"ResetIOStats", "Save", "ServeMetrics", "SetPageCacheBytes",
-	"SetSlowQueryThreshold", "SlowQueries",
 	"StartWorkloadRecording", "Stats", "StopWorkloadRecording", "StorageStats",
 	"SummarizeByTag", "SyncWAL", "Tag", "TaggedWith", "Undelete", "WALError",
 	"WALStats",
