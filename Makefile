@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test loc race lint fuzz-smoke bench bench-smoke e2e-smoke durability shard-diff paged-diff check
+.PHONY: build test loc race lint fuzz-smoke bench bench-smoke e2e-smoke examples-smoke durability shard-diff paged-diff check
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,15 @@ bench-smoke:
 e2e-smoke:
 	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views,agg-paged-1pct -seconds 0.5
 
+# Run every example program end to end (≈ 7 s on 2 cores, viewadvisor most
+# of it). An example exits non-zero through log.Fatal on any failed call;
+# their printed output is not checked.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # The durability gate — one commit protocol (DESIGN.md §11), one gate. Crash
 # Save, WAL-logged ingest and checkpoints at every injected I/O fault (plain
 # and torn-write modes) and prove Load always recovers: a complete old or new
@@ -136,7 +145,7 @@ paged-diff:
 
 # The full gate CI runs: vet, lint, build, tests, a 3 s fuzz of the array ∩
 # array kernels every multi-way AND runs, the smoke and differential gates,
-# then the race-detector pass (which re-vets; harmless and keeps `make race`
+# the example programs, then the race-detector pass (which re-vets; harmless and keeps `make race`
 # self-contained).
 check:
 	$(GO) vet ./...
@@ -146,6 +155,7 @@ check:
 	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 3s
 	$(MAKE) bench-smoke
 	$(MAKE) e2e-smoke
+	$(MAKE) examples-smoke
 	$(MAKE) durability
 	$(MAKE) shard-diff
 	$(MAKE) paged-diff

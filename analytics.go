@@ -99,8 +99,8 @@ func (s *Store) SummarizeByTag(res *AggResult, key string) (map[string]Summary, 
 	folded := res.FoldAcrossPaths()
 	groups := make(map[string][]float64)
 	assigned := make([]bool, len(res.RecordIDs))
-	for _, value := range s.rel.TagValues(key) {
-		tagged := s.rel.FetchTagBitmap(key, value)
+	for _, value := range s.coord.TagValues(key) {
+		tagged := s.coord.TaggedWith(key, value)
 		for i, rec := range res.RecordIDs {
 			if tagged.Contains(rec) {
 				groups[value] = append(groups[value], folded[i])

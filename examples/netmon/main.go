@@ -82,19 +82,19 @@ func main() {
 	// Utilization report benefits from an aggregate view on the corridor:
 	// the nightly report re-runs the SUM for every corridor in the watch
 	// list, so materialize and compare I/O.
-	st.ResetIOStats()
+	start := st.IOStatsSnapshot()
 	if _, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Sum); err != nil {
 		log.Fatal(err)
 	}
-	before := st.IOStatsSnapshot().ColumnsFetched()
+	before := st.IOStatsSnapshot().Sub(start).ColumnsFetched()
 
 	if err := st.MaterializeAggViewPath("corridor", grove.Sum, "", corridor...); err != nil {
 		log.Fatal(err)
 	}
-	st.ResetIOStats()
+	start = st.IOStatsSnapshot()
 	if _, err := st.Aggregate(grove.PathOf(corridor...).ToGraph(), grove.Sum); err != nil {
 		log.Fatal(err)
 	}
-	after := st.IOStatsSnapshot().ColumnsFetched()
+	after := st.IOStatsSnapshot().Sub(start).ColumnsFetched()
 	fmt.Printf("corridor SUM I/O with aggregate view: %d → %d columns fetched\n", before, after)
 }

@@ -64,12 +64,12 @@ func main() {
 	fmt.Printf("\nmaterialized views: %v + aggregate %v\n", views.ViewNames, views.AggViewNames)
 
 	// A query covered by bv1 now fetches ONE bitmap instead of four.
-	st.ResetIOStats()
+	start := st.IOStatsSnapshot()
 	res, err := st.Match(bv1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := st.IOStatsSnapshot()
+	stats := st.IOStatsSnapshot().Sub(start)
 	fmt.Printf("\nquery {e1..e4}: %d record(s), %d bitmap column(s) fetched (4 without the view)\n",
 		res.NumRecords(), stats.BitmapColumnsFetched)
 

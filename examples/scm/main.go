@@ -137,17 +137,17 @@ func main() {
 	for _, r := range routes {
 		workload = append(workload, grove.PathOf(r...).ToGraph())
 	}
-	st.ResetIOStats()
+	start := st.IOStatsSnapshot()
 	runDashboard(st, workload)
-	before := st.IOStatsSnapshot()
+	before := st.IOStatsSnapshot().Sub(start)
 
 	names, err := st.MaterializeAggViews(workload, grove.Sum, 4, grove.AdvisorOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	st.ResetIOStats()
+	start = st.IOStatsSnapshot()
 	runDashboard(st, workload)
-	after := st.IOStatsSnapshot()
+	after := st.IOStatsSnapshot().Sub(start)
 
 	fmt.Printf("advisor materialized %d aggregate views: %v\n", len(names), names)
 	fmt.Printf("dashboard workload columns fetched: %d → %d (%.0f%% fewer)\n",

@@ -54,12 +54,12 @@ func main() {
 	}
 }
 
-func workloadCost(st *grove.Store, queries []*grove.Graph) int {
-	st.ResetIOStats()
+func workloadCost(st *grove.Store, queries []*grove.Graph) int64 {
+	start := st.IOStatsSnapshot()
 	for _, q := range queries {
 		if _, err := st.Match(q); err != nil {
 			log.Fatal(err)
 		}
 	}
-	return st.IOStatsSnapshot().BitmapColumnsFetched
+	return st.IOStatsSnapshot().Sub(start).BitmapColumnsFetched
 }

@@ -70,8 +70,11 @@ type (
 	// StorageStats is the storage-residency snapshot of the measure columns:
 	// logical vs. on-disk vs. resident bytes and buffer pool counters.
 	StorageStats = colstore.StorageStats
-	// IOStats is the I/O accounting snapshot of the underlying column store.
-	IOStats = colstore.Stats
+	// IOStats is the column store's I/O accounting (the paper's cost unit):
+	// cumulative counters from IOStatsSnapshot, or the difference of two
+	// snapshots (after.Sub(before)) for a stretch of work; traces and spans
+	// carry it as their I/O delta.
+	IOStats = obs.IODelta
 	// Bitmap is a compressed record-id set.
 	Bitmap = bitmap.Bitmap
 )
@@ -848,9 +851,7 @@ func LoadStore(dir string, opts ...Option) (*Store, error) {
 	return newStore(coord, parseOptions(opts)), nil
 }
 
-// ResetIOStats zeroes the I/O accounting counters on every shard.
-func (s *Store) ResetIOStats() { s.coord.ResetIOStats() }
-
-// IOStatsSnapshot returns the current I/O accounting counters, summed
-// across all shards.
+// IOStatsSnapshot returns the I/O accounting counters, summed across all
+// shards. They count from when the store was opened or loaded and only grow;
+// measure a stretch of work as after.Sub(before).
 func (s *Store) IOStatsSnapshot() IOStats { return s.coord.IOStats() }

@@ -121,7 +121,7 @@ func TestViewsEndToEnd(t *testing.T) {
 		PathOf("A", "D", "E", "G", "I").ToGraph(),
 		PathOf("A", "D", "E", "G", "K").ToGraph(),
 	}
-	fetches := func(st *Store) int {
+	fetches := func(st *Store) int64 {
 		t.Helper()
 		names, err := st.MaterializeGraphViews(workload, 3, AdvisorOptions{})
 		if err != nil {
@@ -133,11 +133,11 @@ func TestViewsEndToEnd(t *testing.T) {
 		if got := st.Stats().ViewNames; len(got) != len(names) {
 			t.Fatalf("ViewNames = %v", got)
 		}
-		st.ResetIOStats()
+		start := st.IOStatsSnapshot()
 		if _, err := st.Match(PathOf("A", "D", "E", "G", "I").ToGraph()); err != nil {
 			t.Fatal(err)
 		}
-		return st.IOStatsSnapshot().BitmapColumnsFetched
+		return st.IOStatsSnapshot().Sub(start).BitmapColumnsFetched
 	}
 	st := buildSCMStore(t)
 	with := fetches(st)
@@ -257,13 +257,13 @@ func TestPartitionWidthOption(t *testing.T) {
 		}
 	}
 	st.Add(rec)
-	st.ResetIOStats()
+	start := st.IOStatsSnapshot()
 	res, err := st.Match(PathOf("A", "B", "C", "D", "E").ToGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.FetchMeasures()
-	if st.IOStatsSnapshot().PartitionJoins == 0 {
+	if st.IOStatsSnapshot().Sub(start).PartitionJoins == 0 {
 		t.Error("narrow partitions produced no joins")
 	}
 }
@@ -330,7 +330,7 @@ func TestClusterColumnsReducesPartitionJoins(t *testing.T) {
 	workload := []*Graph{PathOf("A", "B", "C").ToGraph(), PathOf("D", "E", "F").ToGraph()}
 
 	run := func() int64 {
-		st.ResetIOStats()
+		start := st.IOStatsSnapshot()
 		for _, g := range workload {
 			res, err := st.Match(g)
 			if err != nil {
@@ -338,7 +338,7 @@ func TestClusterColumnsReducesPartitionJoins(t *testing.T) {
 			}
 			res.FetchMeasures()
 		}
-		return st.IOStatsSnapshot().PartitionJoins
+		return st.IOStatsSnapshot().Sub(start).PartitionJoins
 	}
 	before := run()
 	if err := st.ClusterColumns(workload); err != nil {

@@ -29,7 +29,7 @@ func ExtCluster(ctx context.Context, sc Scale) (*Table, error) {
 		eng := query.NewEngine(ds.Rel, ds.Reg)
 
 		run := func() (int64, error) {
-			ds.Rel.Tracker().Reset()
+			start := ds.Rel.Tracker().Snapshot()
 			for _, qg := range queries {
 				res, err := eng.ExecuteGraphQueryContext(ctx, query.NewGraphQuery(qg))
 				if err != nil {
@@ -37,7 +37,7 @@ func ExtCluster(ctx context.Context, sc Scale) (*Table, error) {
 				}
 				res.FetchMeasures()
 			}
-			return ds.Rel.Tracker().Snapshot().PartitionJoins, nil
+			return ds.Rel.Tracker().Snapshot().Sub(start).PartitionJoins, nil
 		}
 		if err := ds.Rel.SetPartitionMap(nil); err != nil {
 			return nil, err

@@ -198,11 +198,11 @@ func TestViewDrop(t *testing.T) {
 
 func TestTrackerAccounting(t *testing.T) {
 	r := buildSmallRelation(t)
-	r.Tracker().Reset()
+	start := r.Tracker().Snapshot()
 	_ = r.FetchEdgeBitmap(1)
 	_ = r.FetchEdgeBitmap(2)
 	_ = r.FetchMeasureColumn(1)
-	s := r.Tracker().Snapshot()
+	s := r.Tracker().Snapshot().Sub(start)
 	if s.BitmapColumnsFetched != 2 {
 		t.Errorf("BitmapColumnsFetched = %d, want 2", s.BitmapColumnsFetched)
 	}
@@ -217,21 +217,8 @@ func TestTrackerAccounting(t *testing.T) {
 	}
 	// Unknown columns are still charged as a fetch.
 	_ = r.FetchEdgeBitmap(999)
-	if got := r.Tracker().Snapshot().BitmapColumnsFetched; got != 3 {
+	if got := r.Tracker().Snapshot().Sub(start).BitmapColumnsFetched; got != 3 {
 		t.Errorf("after unknown edge fetch, BitmapColumnsFetched = %d, want 3", got)
-	}
-}
-
-func TestStatsAddSub(t *testing.T) {
-	a := Stats{BitmapColumnsFetched: 3, MeasureColumnsFetched: 1, BytesRead: 100}
-	b := Stats{BitmapColumnsFetched: 1, MeasureColumnsFetched: 1, BytesRead: 40}
-	sum := a.Add(b)
-	if sum.BitmapColumnsFetched != 4 || sum.BytesRead != 140 {
-		t.Errorf("Add = %+v", sum)
-	}
-	diff := sum.Sub(b)
-	if diff != a {
-		t.Errorf("Sub = %+v, want %+v", diff, a)
 	}
 }
 
@@ -267,15 +254,15 @@ func TestDefaultPartitionWidth(t *testing.T) {
 
 func TestJoinPartitionsAccounting(t *testing.T) {
 	r := buildSmallRelation(t)
-	r.Tracker().Reset()
+	start := r.Tracker().Snapshot()
 	answer := r.EdgeBitmap(4) // all three records
 	r.JoinPartitions(3, answer)
-	if got := r.Tracker().Snapshot().PartitionJoins; got != 6 { // 2 joins × 3 records
+	if got := r.Tracker().Snapshot().Sub(start).PartitionJoins; got != 6 { // 2 joins × 3 records
 		t.Errorf("PartitionJoins = %d, want 6", got)
 	}
-	r.Tracker().Reset()
+	start = r.Tracker().Snapshot()
 	r.JoinPartitions(1, answer)
-	if got := r.Tracker().Snapshot().PartitionJoins; got != 0 {
+	if got := r.Tracker().Snapshot().Sub(start).PartitionJoins; got != 0 {
 		t.Errorf("single-partition join accounted %d", got)
 	}
 }

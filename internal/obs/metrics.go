@@ -4,7 +4,6 @@ import "time"
 
 // Metric names, kept in one place so docs, tests and dashboards agree.
 const (
-	MetricQueriesTotal      = "grove_queries_total"
 	MetricQueryDuration     = "grove_query_duration_seconds"
 	MetricBatchesTotal      = "grove_batch_batches_total"
 	MetricBatchQueriesTotal = "grove_batch_queries_total"
@@ -15,11 +14,6 @@ const (
 // records on its hot paths. All fields are plain atomics; recording is
 // allocation-free.
 type QueryMetrics struct {
-	GraphQueries     *Counter
-	PathAggQueries   *Counter
-	ExprQueries      *Counter
-	StatementQueries *Counter
-
 	GraphLatency     *Histogram
 	PathAggLatency   *Histogram
 	ExprLatency      *Histogram
@@ -35,19 +29,11 @@ type QueryMetrics struct {
 // NewQueryMetrics registers the engine metric set on r and returns the
 // handles.
 func NewQueryMetrics(r *Registry) *QueryMetrics {
-	queries := func(kind string) *Counter {
-		return r.Counter(MetricQueriesTotal+"{"+Labels("kind", kind)+"}",
-			"Queries executed, by kind.")
-	}
 	latency := func(kind string) *Histogram {
 		return r.Histogram(MetricQueryDuration+"{"+Labels("kind", kind)+"}",
 			"Query wall time in seconds, by kind.", nil)
 	}
 	return &QueryMetrics{
-		GraphQueries:     queries(KindGraph),
-		PathAggQueries:   queries(KindPathAgg),
-		ExprQueries:      queries(KindExpr),
-		StatementQueries: queries(KindStatement),
 		GraphLatency:     latency(KindGraph),
 		PathAggLatency:   latency(KindPathAgg),
 		ExprLatency:      latency(KindExpr),
@@ -61,8 +47,9 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 	}
 }
 
-// Record counts one finished query of the given kind and observes its
-// latency. Unknown kinds are ignored.
+// Record observes one finished query's latency under its kind; the
+// histogram's _count is the number of queries of that kind. Unknown kinds
+// are ignored.
 func (m *QueryMetrics) Record(kind string, d time.Duration) {
 	if m == nil {
 		return
@@ -70,16 +57,12 @@ func (m *QueryMetrics) Record(kind string, d time.Duration) {
 	secs := d.Seconds()
 	switch kind {
 	case KindGraph:
-		m.GraphQueries.Inc()
 		m.GraphLatency.Observe(secs)
 	case KindPathAgg:
-		m.PathAggQueries.Inc()
 		m.PathAggLatency.Observe(secs)
 	case KindExpr:
-		m.ExprQueries.Inc()
 		m.ExprLatency.Observe(secs)
 	case KindStatement:
-		m.StatementQueries.Inc()
 		m.StatementLatency.Observe(secs)
 	}
 }

@@ -141,7 +141,7 @@ func (r *Registry) register(name, help string, kind metricKind) *metric {
 }
 
 // Counter registers (or retrieves) a counter. The name may carry a fixed
-// label set, e.g. `grove_queries_total{kind="graph"}`.
+// label set, e.g. `grove_view_uses_total{view="v1"}`.
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.register(name, help, kindCounter)
 	if m.counter == nil {

@@ -39,8 +39,8 @@ func TestRegisterKindConflictPanics(t *testing.T) {
 
 func TestSplitName(t *testing.T) {
 	for _, tc := range []struct{ in, family, labels string }{
-		{"grove_queries_total", "grove_queries_total", ""},
-		{`grove_queries_total{kind="graph"}`, "grove_queries_total", `kind="graph"`},
+		{"grove_events_total", "grove_events_total", ""},
+		{`grove_events_total{kind="graph"}`, "grove_events_total", `kind="graph"`},
 		{`x{a="1",b="2"}`, "x", `a="1",b="2"`},
 	} {
 		f, l := splitName(tc.in)
@@ -86,8 +86,8 @@ func TestHistogramBuckets(t *testing.T) {
 // sample line is `name{labels} value` with a parseable float.
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`grove_queries_total{kind="graph"}`, "Queries.").Add(3)
-	r.Counter(`grove_queries_total{kind="expr"}`, "Queries.").Add(1)
+	r.Counter(`grove_events_total{kind="graph"}`, "Events.").Add(3)
+	r.Counter(`grove_events_total{kind="expr"}`, "Events.").Add(1)
 	r.Gauge("grove_workers_busy", "Busy workers.").Set(2)
 	r.Histogram(`grove_latency_seconds{kind="graph"}`, "Latency.", []float64{0.1, 1}).Observe(0.5)
 	r.CounterFunc("grove_hits_total", "Hits.", func() float64 { return 42 })
@@ -103,9 +103,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := b.String()
 
 	for _, want := range []string{
-		"# TYPE grove_queries_total counter",
-		`grove_queries_total{kind="expr"} 1`,
-		`grove_queries_total{kind="graph"} 3`,
+		"# TYPE grove_events_total counter",
+		`grove_events_total{kind="expr"} 1`,
+		`grove_events_total{kind="graph"} 3`,
 		"# TYPE grove_latency_seconds histogram",
 		`grove_latency_seconds_bucket{kind="graph",le="0.1"} 0`,
 		`grove_latency_seconds_bucket{kind="graph",le="+Inf"} 1`,

@@ -52,16 +52,24 @@ const (
 // single-shard store).
 const ShardCoordinator = -1
 
-// IODelta is the column-store I/O attributed to a span or trace — the same
-// counters as colstore.Stats, duplicated here so the obs package stays
-// dependency-free (colstore feeds obs, not the reverse).
+// IODelta is the column store's I/O accounting (the paper's §5.1.1 cost
+// unit): a tracker's cumulative counters, or the difference of two
+// snapshots attributed to a span, trace or any stretch of work. It lives
+// here so the obs package stays dependency-free (colstore feeds obs, not the
+// reverse).
 type IODelta struct {
-	BitmapColumnsFetched  int64 `json:"bitmapColumnsFetched"`
-	MeasureColumnsFetched int64 `json:"measureColumnsFetched"`
-	MeasuresScanned       int64 `json:"measuresScanned"`
-	BytesRead             int64 `json:"bytesRead"`
-	PartitionJoins        int64 `json:"partitionJoins"`
-	RecordsReturned       int64 `json:"recordsReturned"`
+	BitmapColumnsFetched  int64 `json:"bitmapColumnsFetched"`  // b_i, b_v and b_p columns read
+	MeasureColumnsFetched int64 `json:"measureColumnsFetched"` // m_i and m_p columns read
+	MeasuresScanned       int64 `json:"measuresScanned"`       // individual measure values materialized
+	BytesRead             int64 `json:"bytesRead"`             // physical payload bytes touched
+	PartitionJoins        int64 `json:"partitionJoins"`        // recid-joins across vertical partitions
+	RecordsReturned       int64 `json:"recordsReturned"`       // graph records in query answers
+}
+
+// ColumnsFetched returns the total number of columns fetched, the unit of the
+// paper's cost model.
+func (d IODelta) ColumnsFetched() int64 {
+	return d.BitmapColumnsFetched + d.MeasureColumnsFetched
 }
 
 // Sub returns d - o.

@@ -39,6 +39,18 @@ func TestActiveTraceSpans(t *testing.T) {
 	}
 }
 
+func TestIODeltaAddSub(t *testing.T) {
+	a := IODelta{BitmapColumnsFetched: 3, MeasureColumnsFetched: 1, BytesRead: 100}
+	b := IODelta{BitmapColumnsFetched: 1, MeasureColumnsFetched: 1, BytesRead: 40}
+	sum := a.Add(b)
+	if sum.BitmapColumnsFetched != 4 || sum.BytesRead != 140 || sum.ColumnsFetched() != 6 {
+		t.Errorf("Add = %+v", sum)
+	}
+	if diff := sum.Sub(b); diff != a {
+		t.Errorf("Sub = %+v, want %+v", diff, a)
+	}
+}
+
 func TestPhaseTotalsMergesRepeatedPhases(t *testing.T) {
 	trace := Trace{Spans: []Span{
 		{Phase: PhasePlan, DurationNanos: 10, IO: IODelta{BitmapColumnsFetched: 1}},

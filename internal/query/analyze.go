@@ -29,7 +29,7 @@ func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*Sta
 
 func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.ActiveTrace) (*StatementResult, error) {
 	if tr != nil {
-		tr.Begin(obs.PhaseParse, e.ioNow())
+		tr.Begin(obs.PhaseParse, e.Rel.Tracker().Snapshot())
 	}
 	stmt, err := Parse(text)
 	if err != nil {

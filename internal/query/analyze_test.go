@@ -67,13 +67,12 @@ func TestExecuteStatementMetrics(t *testing.T) {
 	if _, err := f.eng.ExecuteStatementContext(context.Background(), "[A,C,E]"); err != nil {
 		t.Fatal(err)
 	}
-	if m.StatementQueries.Value() != 1 || m.StatementLatency.Count() != 1 {
-		t.Errorf("statement metrics = %d queries, %d observations",
-			m.StatementQueries.Value(), m.StatementLatency.Count())
+	if m.StatementLatency.Count() != 1 {
+		t.Errorf("statement latency observed %d times, want 1", m.StatementLatency.Count())
 	}
 	// The statement must not double-count as a bare expression.
-	if m.ExprQueries.Value() != 0 {
-		t.Errorf("expr counter = %d, want 0", m.ExprQueries.Value())
+	if m.ExprLatency.Count() != 0 {
+		t.Errorf("expr latency observed %d times, want 0", m.ExprLatency.Count())
 	}
 }
 
@@ -131,9 +130,9 @@ func TestExplainAnalyzeMatchesPlan(t *testing.T) {
 	if _, err := f.eng.ExplainAnalyze(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if m.GraphQueries.Value() != 0 || ring.Len() != 0 {
+	if m.GraphLatency.Count() != 0 || ring.Len() != 0 {
 		t.Errorf("ExplainAnalyze leaked into serving metrics: %d queries, %d traces",
-			m.GraphQueries.Value(), ring.Len())
+			m.GraphLatency.Count(), ring.Len())
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // RunWorkers is the worker pool under every batch: it executes fn(state, i)
 // for i in [0, n) on up to workers goroutines (≤ 0 selects runtime.NumCPU())
 // and returns one error slot per index. Each worker builds its private state
-// once with newState — one engine clone per shard of the store — and keeps
-// it for its whole share. Work is distributed by an atomic cursor, so fast
+// once with newState — a sharded batch's per-shard sub-answer buffer — and
+// keeps it for its whole share. Work is distributed by an atomic cursor, so fast
 // workers take more indexes and stragglers never gate the batch. Once ctx is cancelled, remaining indexes drain immediately
 // with ctx's error; a panic in fn(state, i) becomes slot i's error. One call
 // is one logical batch on m (nil disables): a batch and n queries, however

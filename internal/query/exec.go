@@ -52,8 +52,9 @@ func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
 }
 
 // Clone returns an engine sharing rel, registry, view setting and
-// observability hooks with e, but with its own scratch — safe to use from
-// another goroutine concurrently with e.
+// observability hooks with e. An engine keeps no per-query state (its
+// scratch comes from a shared pool), so goroutines share one engine; a clone
+// exists to run with different observers without touching e's.
 func (e *Engine) Clone() *Engine {
 	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews,
 		metrics: e.metrics, traces: e.traces, shardID: e.shardID}
@@ -86,12 +87,12 @@ func observed[T any](e *Engine, kind string, text func() string, run func(*obs.A
 	}
 	var tr *obs.ActiveTrace
 	if e.traces != nil {
-		tr = obs.StartTrace(kind, text(), e.ioNow())
+		tr = obs.StartTrace(kind, text(), e.Rel.Tracker().Snapshot())
 		tr.SetShard(e.shardID)
 	}
 	res, err := run(tr)
 	if tr != nil {
-		t := tr.Finish(e.ioNow())
+		t := tr.Finish(e.Rel.Tracker().Snapshot())
 		if err != nil {
 			t.Error = err.Error()
 		}
@@ -101,22 +102,6 @@ func observed[T any](e *Engine, kind string, text func() string, run func(*obs.A
 		e.metrics.Record(kind, time.Since(start))
 	}
 	return res, err
-}
-
-// ioNow converts the relation tracker's cumulative counters into the obs
-// package's I/O shape. Only called on traced paths: six atomic loads.
-//
-//grove:hotpath
-func (e *Engine) ioNow() obs.IODelta {
-	s := e.Rel.Tracker().Snapshot()
-	return obs.IODelta{
-		BitmapColumnsFetched:  int64(s.BitmapColumnsFetched),
-		MeasureColumnsFetched: int64(s.MeasureColumnsFetched),
-		MeasuresScanned:       s.MeasuresScanned,
-		BytesRead:             s.BytesRead,
-		PartitionJoins:        s.PartitionJoins,
-		RecordsReturned:       s.RecordsReturned,
-	}
 }
 
 // checkCtx reports the context's cancellation error, recording a terminal
@@ -129,7 +114,7 @@ func (e *Engine) ioNow() obs.IODelta {
 func (e *Engine) checkCtx(ctx context.Context, tr *obs.ActiveTrace) error {
 	if err := ctx.Err(); err != nil {
 		if tr != nil {
-			tr.Begin(obs.PhaseCancelled, e.ioNow())
+			tr.Begin(obs.PhaseCancelled, e.Rel.Tracker().Snapshot())
 		}
 		return err
 	}
@@ -208,7 +193,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 		universe, _ = e.Reg.ResolveGraph(q.G)
 	}
 	if tr != nil {
-		tr.Begin(obs.PhasePlan, e.ioNow())
+		tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot())
 	}
 	var plan CoverPlan
 	if e.UseViews {
@@ -218,7 +203,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	}
 
 	if tr != nil {
-		tr.Begin(obs.PhaseFetch, e.ioNow())
+		tr.Begin(obs.PhaseFetch, e.Rel.Tracker().Snapshot())
 	}
 	scratch := bmsPool.Get().(*[]*bitmap.Bitmap)
 	bms := (*scratch)[:0]
@@ -261,7 +246,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 		bms = append(bms, e.Rel.FetchEdgeBitmap(id))
 	}
 	if tr != nil {
-		tr.Begin(obs.PhaseIntersect, e.ioNow())
+		tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
 	}
 	// The conjunction intersects into one fresh destination the caller owns;
 	// the fetched column bitmaps are never mutated.
@@ -374,7 +359,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.ioNow())
+				tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
 			}
 			acc = acc.And(b)
 		}
@@ -393,7 +378,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.ioNow())
+				tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
 			}
 			acc = acc.Or(b)
 		}
@@ -408,7 +393,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 			return nil, err
 		}
 		if tr != nil {
-			tr.Begin(obs.PhaseIntersect, e.ioNow())
+			tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
 		}
 		return a.AndNot(b), nil
 	default:
@@ -710,7 +695,7 @@ func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, tr *obs.Acti
 	paths := q.Paths
 	if len(paths) == 0 {
 		if tr != nil {
-			tr.Begin(obs.PhasePlan, e.ioNow())
+			tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot())
 		}
 		if paths, err = gpath.MaximalPaths(q.G); err != nil {
 			return pathAgg{}, err
@@ -740,11 +725,11 @@ func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, tr *obs.Acti
 func (pa *pathAgg) planPath(dst []plannedSeg, pi int) ([]plannedSeg, error) {
 	e, tr := pa.e, pa.tr
 	if tr != nil {
-		tr.Begin(obs.PhasePlan, e.ioNow()) // cover the path with agg views
+		tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot()) // cover the path with agg views
 	}
 	segs := coverPath(e.Rel, pa.pathEdges[pi], pa.q.Agg.Name, pa.q.Measure, e.UseViews)
 	if tr != nil {
-		tr.Begin(obs.PhaseMeasureScan, e.ioNow())
+		tr.Begin(obs.PhaseMeasureScan, e.Rel.Tracker().Snapshot())
 	}
 	var counts [2]int
 	for _, s := range segs {
@@ -790,7 +775,7 @@ func (pa *pathAgg) foldPath(planned []plannedSeg) int {
 	sc := pa.sc
 	sc.gather(pa.res.RecordIDs, planned)
 	if pa.tr != nil {
-		pa.tr.Begin(obs.PhaseAggregate, pa.e.ioNow())
+		pa.tr.Begin(obs.PhaseAggregate, pa.e.Rel.Tracker().Snapshot())
 	}
 	vals := make([]float64, len(pa.res.RecordIDs))
 	for i := range vals {
@@ -908,7 +893,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	}
 
 	if tr != nil {
-		tr.Begin(obs.PhaseBlockSkip, e.ioNow())
+		tr.Begin(obs.PhaseBlockSkip, e.Rel.Tracker().Snapshot())
 	}
 	out := &ScalarAggResult{Query: q, Records: len(pa.res.RecordIDs), ZoneSkipped: true}
 	acc := q.Agg.Identity

@@ -245,18 +245,18 @@ func TestViewReducesIOCost(t *testing.T) {
 	q := pathQuery("A", "C", "E", "F")
 
 	f.eng.UseViews = false
-	f.rel.Tracker().Reset()
+	start := f.rel.Tracker().Snapshot()
 	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	without := f.rel.Tracker().Snapshot().BitmapColumnsFetched
+	without := f.rel.Tracker().Snapshot().Sub(start).BitmapColumnsFetched
 
 	f.eng.UseViews = true
-	f.rel.Tracker().Reset()
+	start = f.rel.Tracker().Snapshot()
 	if _, err := f.eng.ExecuteGraphQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	with := f.rel.Tracker().Snapshot().BitmapColumnsFetched
+	with := f.rel.Tracker().Snapshot().Sub(start).BitmapColumnsFetched
 
 	if without != 3 || with != 1 {
 		t.Errorf("bitmap fetches = %d (oblivious) / %d (views), want 3/1", without, with)
@@ -270,12 +270,12 @@ func TestFetchMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.rel.Tracker().Reset()
+	start := f.rel.Tracker().Snapshot()
 	n := res.FetchMeasures()
 	if n != 6 { // 2 edges × 3 records
 		t.Errorf("measures scanned = %d, want 6", n)
 	}
-	s := f.rel.Tracker().Snapshot()
+	s := f.rel.Tracker().Snapshot().Sub(start)
 	if s.MeasureColumnsFetched != 2 {
 		t.Errorf("measure columns fetched = %d, want 2", s.MeasureColumnsFetched)
 	}
@@ -338,18 +338,18 @@ func TestAggViewReducesMeasureColumns(t *testing.T) {
 	q := NewPathAggQuery(gpath.Closed("A", "D", "E", "F", "G").ToGraph(), Sum)
 
 	f.eng.UseViews = false
-	f.rel.Tracker().Reset()
+	start := f.rel.Tracker().Snapshot()
 	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	rawCols := f.rel.Tracker().Snapshot().MeasureColumnsFetched
+	rawCols := f.rel.Tracker().Snapshot().Sub(start).MeasureColumnsFetched
 
 	f.eng.UseViews = true
-	f.rel.Tracker().Reset()
+	start = f.rel.Tracker().Snapshot()
 	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	viewCols := f.rel.Tracker().Snapshot().MeasureColumnsFetched
+	viewCols := f.rel.Tracker().Snapshot().Sub(start).MeasureColumnsFetched
 
 	if rawCols != 4 || viewCols != 2 { // view(e4,e5,e6) + raw e7
 		t.Errorf("measure columns = %d (raw) / %d (views), want 4/2", rawCols, viewCols)

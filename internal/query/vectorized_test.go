@@ -19,7 +19,7 @@ import (
 func TestPathAggUnknownEdgeSentinelsDistinct(t *testing.T) {
 	f := newFig2Fixture(t)
 	q := NewPathAggQueryAlong(gpath.Closed("A", "X", "Y"), Sum, "")
-	f.rel.Tracker().Reset()
+	start := f.rel.Tracker().Snapshot()
 	res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -29,17 +29,17 @@ func TestPathAggUnknownEdgeSentinelsDistinct(t *testing.T) {
 	}
 	// (A,X) and (X,Y) are both unknown: two distinct sentinel ids, so two
 	// measure-column fetches. The collision collapsed them into one.
-	if got := f.rel.Tracker().Snapshot().MeasureColumnsFetched; got != 2 {
+	if got := f.rel.Tracker().Snapshot().Sub(start).MeasureColumnsFetched; got != 2 {
 		t.Fatalf("unknown path edges fetched %d measure columns, want 2", got)
 	}
 	// The same unknown edge twice must still resolve to one id.
 	q2 := &PathAggQuery{G: gpath.Closed("A", "X", "Y").ToGraph(), Agg: Sum,
 		Paths: []gpath.Path{gpath.Closed("A", "X", "Y"), gpath.Closed("A", "X", "Y")}}
-	f.rel.Tracker().Reset()
+	start = f.rel.Tracker().Snapshot()
 	if _, err := f.eng.ExecutePathAggQueryContext(context.Background(), q2); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.rel.Tracker().Snapshot().MeasureColumnsFetched; got != 2 {
+	if got := f.rel.Tracker().Snapshot().Sub(start).MeasureColumnsFetched; got != 2 {
 		t.Fatalf("repeated unknown path refetched: %d measure columns, want 2", got)
 	}
 }
@@ -67,12 +67,12 @@ func TestPathAggSpecializedMatchesGenericKernel(t *testing.T) {
 		p := paths[rng.Intn(len(paths))]
 		for _, fn := range []AggFunc{Sum, Min, Max, Count} {
 			run := func(a AggFunc) (*AggResult, int64) {
-				f.rel.Tracker().Reset()
+				start := f.rel.Tracker().Snapshot()
 				res, err := f.eng.ExecutePathAggQueryContext(context.Background(), NewPathAggQueryAlong(p, a, ""))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, f.rel.Tracker().Snapshot().MeasuresScanned
+				return res, f.rel.Tracker().Snapshot().Sub(start).MeasuresScanned
 			}
 			spec, specScanned := run(fn)
 			gen, genScanned := run(genericTwin(fn))

@@ -32,9 +32,9 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, q *query.GraphQuery) (
 	if err != nil {
 		return nil, err
 	}
-	root := obs.StartTrace(obs.KindGraph, q.String(), c.ioNow())
+	root := obs.StartTrace(obs.KindGraph, q.String(), c.IOStats())
 	root.SetShard(obs.ShardCoordinator)
-	root.Begin(obs.PhaseFanOut, c.ioNow())
+	root.Begin(obs.PhaseFanOut, c.IOStats())
 	children := make([]obs.Trace, len(c.units))
 	answers := make([]*bitmap.Bitmap, len(c.units))
 	records := 0
@@ -49,14 +49,14 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, q *query.GraphQuery) (
 		answers[s] = a.Answer
 		records += a.Records
 	}
-	root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
+	root.Begin(obs.PhaseMerge, c.IOStats()) // closes the fan-out span
 	for _, ch := range children {
 		root.AddChild(ch)
 	}
 	merged := c.mergeBitmaps(answers)
 	return &query.ExplainAnalysis{
 		Plan:    plan,
-		Trace:   root.Finish(c.ioNow()),
+		Trace:   root.Finish(c.IOStats()),
 		Records: records,
 		Answer:  merged,
 	}, nil

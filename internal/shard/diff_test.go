@@ -372,11 +372,10 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 				t.Fatalf("%s: a query over an unknown element matched %d records", label, resn[3].NumRecords())
 			}
 
-			// MeasuresScanned totals: run the aggregation batch with clean
-			// counters on both sides; the shard partition must scan each
-			// record's measures exactly once, so the totals agree exactly.
-			c1.ResetIOStats()
-			cn.ResetIOStats()
+			// MeasuresScanned totals: measure the aggregation batch alone on
+			// both sides; the shard partition must scan each record's
+			// measures exactly once, so the deltas agree exactly.
+			start1, startn := c1.IOStats(), cn.IOStats()
 			ares1, aerrs1 := c1.ExecutePathAggBatchContext(context.Background(), aggQs, workers)
 			aresn, aerrsn := cn.ExecutePathAggBatchContext(context.Background(), aggQs, workers)
 			sameErrors(label+" agg batch", aerrs1, aerrsn, emptyAt)
@@ -385,7 +384,7 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 					assertAggEqual(t, label+" "+aggQs[i].String(), ares1[i], aresn[i])
 				}
 			}
-			s1, sn := c1.IOStats(), cn.IOStats()
+			s1, sn := c1.IOStats().Sub(start1), cn.IOStats().Sub(startn)
 			if s1.MeasuresScanned != sn.MeasuresScanned {
 				t.Fatalf("%s: MeasuresScanned diverges: 1-shard %d, n-shard %d", label, s1.MeasuresScanned, sn.MeasuresScanned)
 			}

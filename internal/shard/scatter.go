@@ -119,9 +119,9 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 	ring := c.traces
 	var root *obs.ActiveTrace
 	if ring != nil {
-		root = obs.StartTrace(kind, qstr, c.ioNow())
+		root = obs.StartTrace(kind, qstr, c.IOStats())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseFanOut, c.ioNow())
+		root.Begin(obs.PhaseFanOut, c.IOStats())
 	}
 	timed := root != nil || c.queueWait != nil
 	var dispatch time.Time
@@ -160,14 +160,14 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 		// The per-shard results (and their captured traces) are discarded by
 		// scatter on error; the root still records the failed fan-out.
 		if root != nil {
-			t := root.Finish(c.ioNow())
+			t := root.Finish(c.IOStats())
 			t.Error = err.Error()
 			ring.Add(t)
 		}
 		return zero, err
 	}
 	if root != nil {
-		root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
+		root.Begin(obs.PhaseMerge, c.IOStats()) // closes the fan-out span
 		for s, sb := range subs {
 			root.AddSpan(obs.Span{Phase: obs.PhaseQueueWait, Shard: s,
 				DurationNanos: sb.wait.Nanoseconds()})
@@ -191,7 +191,7 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
 	}
 	if root != nil {
-		ring.Add(root.Finish(c.ioNow()))
+		ring.Add(root.Finish(c.IOStats()))
 	}
 	return out, nil
 }
@@ -502,13 +502,13 @@ func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) 
 
 // runBatch is the body of every coordinator batch, on one pool of workers
 // (query.RunWorkers: the pool, error slots, cancellation drain and panic
-// isolation). On one shard each worker holds a clone of the shard's engine
-// and runs the queries it takes as they are. On several the batch is
-// query-major: each worker holds one engine clone per shard, and the worker
-// that takes query i resolves it once against the shared registry, runs its N
-// shard sub-queries inline and merges them in place — no per-shard pool,
-// barrier or cross-goroutine hand-off, merges overlapping other queries'
-// shard work, and workers still the batch's total concurrency.
+// isolation). Workers share the shard engines, which keep no per-query
+// state. On one shard each worker runs the queries it takes as they are. On
+// several the batch is query-major: the worker that takes query i resolves
+// it once against the shared registry, runs its N shard sub-queries inline
+// into its own sub-answer buffer and merges them in place — no per-shard
+// pool, barrier or cross-goroutine hand-off, merges overlapping other
+// queries' shard work, and workers still the batch's total concurrency.
 //
 // A query errors if it failed on any shard, a real error winning over a
 // cancellation. For the gauges a batch is one scatter round: every shard
@@ -524,15 +524,12 @@ func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, worker
 	defer c.addPending(-1)
 	out := make([]R, len(queries))
 	if len(c.units) == 1 {
-		return out, query.RunWorkers(ctx, c.metrics, workers, len(queries), c.units[0].Eng.Clone,
+		shared := func() *query.Engine { return c.units[0].Eng }
+		return out, query.RunWorkers(ctx, c.metrics, workers, len(queries), shared,
 			func(eng *query.Engine, i int) (err error) {
 				out[i], err = run(ctx, eng, queries[i])
 				return err
 			})
-	}
-	type worker struct {
-		engs []*query.Engine
-		subs []R
 	}
 	var dispatch time.Time
 	var started []atomic.Bool
@@ -540,21 +537,15 @@ func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, worker
 		dispatch, started = time.Now(), make([]atomic.Bool, len(c.units))
 	}
 	errs := query.RunWorkers(ctx, c.metrics, workers, len(queries),
-		func() *worker {
-			w := &worker{engs: make([]*query.Engine, len(c.units)), subs: make([]R, len(c.units))}
-			for s, u := range c.units {
-				w.engs[s] = u.Eng.Clone()
-			}
-			return w
-		},
-		func(w *worker, i int) error {
+		func() []R { return make([]R, len(c.units)) },
+		func(subs []R, i int) error {
 			q := resolve(queries[i])
 			var qerr error
-			for s, eng := range w.engs {
+			for s, u := range c.units {
 				if started != nil && !started[s].Load() && started[s].CompareAndSwap(false, true) {
 					c.queueWait[s].Observe(time.Since(dispatch).Seconds())
 				}
-				sub, err := run(ctx, eng, q)
+				sub, err := run(ctx, u.Eng, q)
 				if err != nil {
 					// A real error is the query's answer; after a cancellation
 					// the remaining shards bail at their first check, unless
@@ -563,7 +554,7 @@ func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, worker
 						break
 					}
 				}
-				w.subs[s] = sub
+				subs[s] = sub
 			}
 			if qerr != nil {
 				return qerr
@@ -572,7 +563,7 @@ func runBatch[Q, R any](ctx context.Context, c *Coordinator, queries []Q, worker
 			if c.mergeDur != nil {
 				mstart = time.Now()
 			}
-			out[i] = merge(queries[i], w.subs)
+			out[i] = merge(queries[i], subs)
 			if c.mergeDur != nil {
 				c.mergeDur.Observe(time.Since(mstart).Seconds())
 			}

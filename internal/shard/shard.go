@@ -632,10 +632,21 @@ func (c *Coordinator) TagKeys() []string {
 	return unionSorted(func(u *Unit) []string { return u.Rel.TagKeys() }, c.units)
 }
 
+// TagValues unions the values stored under a tag key across shards, sorted:
+// the records carrying one value may all have landed on one shard.
+func (c *Coordinator) TagValues(key string) []string {
+	return unionSorted(func(u *Unit) []string { return u.Rel.TagValues(key) }, c.units)
+}
+
+// unionSorted unions get over every unit, each read under its shard's read
+// lock, and returns the names sorted (nil when there are none).
 func unionSorted(get func(*Unit) []string, units []*Unit) []string {
 	seen := make(map[string]struct{})
 	for _, u := range units {
-		for _, s := range get(u) {
+		u.Rel.BeginRead()
+		names := get(u)
+		u.Rel.EndRead()
+		for _, s := range names {
 			seen[s] = struct{}{}
 		}
 	}
@@ -650,41 +661,15 @@ func unionSorted(get func(*Unit) []string, units []*Unit) []string {
 	return out
 }
 
-// IOStats sums the shard I/O accounting snapshots.
-func (c *Coordinator) IOStats() colstore.Stats {
-	var total colstore.Stats
+// IOStats sums the shard I/O accounting snapshots. Root traces read it
+// around a scatter-gather: exact while nothing else queries the store; on a
+// live store the fan-out span's delta is the aggregate of all concurrent
+// shard work, while the per-shard child traces carry each shard's own exact
+// deltas.
+func (c *Coordinator) IOStats() obs.IODelta {
+	var total obs.IODelta
 	for _, u := range c.units {
-		s := u.Rel.Tracker().Snapshot()
-		total.BitmapColumnsFetched += s.BitmapColumnsFetched
-		total.MeasureColumnsFetched += s.MeasureColumnsFetched
-		total.MeasuresScanned += s.MeasuresScanned
-		total.BytesRead += s.BytesRead
-		total.PartitionJoins += s.PartitionJoins
-		total.RecordsReturned += s.RecordsReturned
+		total = total.Add(u.Rel.Tracker().Snapshot())
 	}
 	return total
-}
-
-// ResetIOStats zeroes every shard's I/O accounting counters.
-func (c *Coordinator) ResetIOStats() {
-	for _, u := range c.units {
-		u.Rel.Tracker().Reset()
-	}
-}
-
-// ioNow converts the summed shard trackers into the obs I/O shape — the
-// coordinator-level analogue of Engine.ioNow, used for root-trace deltas.
-// Exact while nothing else touches the trackers; on a live store the fan-out
-// span's delta is the aggregate of all concurrent shard work, while the
-// per-shard child traces carry each shard's own exact deltas.
-func (c *Coordinator) ioNow() obs.IODelta {
-	s := c.IOStats()
-	return obs.IODelta{
-		BitmapColumnsFetched:  int64(s.BitmapColumnsFetched),
-		MeasureColumnsFetched: int64(s.MeasureColumnsFetched),
-		MeasuresScanned:       s.MeasuresScanned,
-		BytesRead:             s.BytesRead,
-		PartitionJoins:        s.PartitionJoins,
-		RecordsReturned:       s.RecordsReturned,
-	}
 }

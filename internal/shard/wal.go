@@ -299,9 +299,9 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 
 	var root *obs.ActiveTrace
 	if c.traces != nil {
-		root = obs.StartTrace(obs.KindWALCheckpoint, dir, c.ioNow())
+		root = obs.StartTrace(obs.KindWALCheckpoint, dir, c.IOStats())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseSnapshot, c.ioNow())
+		root.Begin(obs.PhaseSnapshot, c.IOStats())
 	}
 
 	n := len(c.units)
@@ -328,7 +328,7 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 	// shard without a working log, so the first error is surfaced after all
 	// shards have been attempted.
 	if root != nil {
-		root.Begin(obs.PhaseWALTruncate, c.ioNow())
+		root.Begin(obs.PhaseWALTruncate, c.IOStats())
 	}
 	var firstErr error
 	logs := make([]*wal.Log, n)
@@ -345,7 +345,7 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 		}
 	}
 	if root != nil {
-		c.traces.Add(root.Finish(c.ioNow()))
+		c.traces.Add(root.Finish(c.IOStats()))
 	}
 	if w == nil {
 		if firstErr != nil {

@@ -95,14 +95,14 @@ func TestAdvisorViewsReduceWorkloadCost(t *testing.T) {
 	rel, reg, queries := buildWorkloadFixture(t, rng)
 	eng := query.NewEngine(rel, reg)
 
-	cost := func() int {
-		rel.Tracker().Reset()
+	cost := func() int64 {
+		start := rel.Tracker().Snapshot()
 		for _, qg := range queries {
 			if _, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return rel.Tracker().Snapshot().BitmapColumnsFetched
+		return rel.Tracker().Snapshot().Sub(start).BitmapColumnsFetched
 	}
 	before := cost()
 	adv := NewAdvisor(rel, reg)

@@ -24,8 +24,6 @@ type (
 	Trace = obs.Trace
 	// TraceSpan is one timed phase of a trace.
 	TraceSpan = obs.Span
-	// IODelta is the column-store I/O attributed to a trace or span.
-	IODelta = obs.IODelta
 	// ExplainAnalysis pairs a query's predicted plan with the observed
 	// per-phase timings and I/O of one real execution.
 	ExplainAnalysis = query.ExplainAnalysis
@@ -87,35 +85,9 @@ const (
 	MetricWALNextLSN       = "grove_wal_next_lsn"
 )
 
-// ioSink mirrors the column store's accounting events into registry
-// counters. Unlike IOStatsSnapshot, these are monotonic: ResetIOStats zeroes
-// the experiment counters but never rewinds the exported metrics.
-type ioSink struct {
-	bitmapFetches   *obs.Counter
-	measureFetches  *obs.Counter
-	measuresScanned *obs.Counter
-	bytesRead       *obs.Counter
-	partitionJoins  *obs.Counter
-	recordsReturned *obs.Counter
-}
-
-func (k *ioSink) OnBitmapFetch(bytes int64) {
-	k.bitmapFetches.Inc()
-	k.bytesRead.Add(bytes)
-}
-
-func (k *ioSink) OnMeasureFetch(bytes int64) {
-	k.measureFetches.Inc()
-	k.bytesRead.Add(bytes)
-}
-
-func (k *ioSink) OnMeasuresScanned(n int64) { k.measuresScanned.Add(n) }
-func (k *ioSink) OnPartitionJoins(n int64)  { k.partitionJoins.Add(n) }
-func (k *ioSink) OnRecordsReturned(n int64) { k.recordsReturned.Add(n) }
-
 // Metrics returns the store's metrics registry, creating and wiring it on
-// first call: engine query counters and latency histograms, the column
-// store's I/O tap, view-usage readers, and store-size gauges.
+// first call: engine latency histograms, readers of the column store's I/O
+// counters, view usage and store sizes.
 // Recording is allocation-free; a store that never calls Metrics pays
 // nothing. First call it before serving queries.
 func (s *Store) Metrics() *MetricsRegistry {
@@ -128,18 +100,20 @@ func (s *Store) Metrics() *MetricsRegistry {
 	// atomic, so scatter-gathered sub-queries record into them concurrently.
 	s.coord.SetMetrics(obs.NewQueryMetrics(r))
 
-	// Likewise one shared I/O sink taps every shard's column-store tracker.
-	sink := &ioSink{
-		bitmapFetches:   r.Counter(MetricIOBitmapFetches, "Bitmap columns fetched (the paper's structural cost unit)."),
-		measureFetches:  r.Counter(MetricIOMeasureFetches, "Measure columns fetched."),
-		measuresScanned: r.Counter(MetricIOMeasuresScanned, "Individual measure values materialized."),
-		bytesRead:       r.Counter(MetricIOBytesRead, "Physical payload bytes touched."),
-		partitionJoins:  r.Counter(MetricIOPartitionJoins, "Record-id joins across vertical partitions."),
-		recordsReturned: r.Counter(MetricIORecordsReturned, "Graph records in query answers."),
-	}
-	for i := 0; i < s.coord.NumShards(); i++ {
-		s.coord.Unit(i).Rel.Tracker().SetSink(sink)
-	}
+	// The I/O families read the shard trackers at scrape time, so they are
+	// the counts IOStatsSnapshot returns, from when the store was opened.
+	r.CounterFunc(MetricIOBitmapFetches, "Bitmap columns fetched (the paper's structural cost unit).",
+		func() float64 { return float64(s.coord.IOStats().BitmapColumnsFetched) })
+	r.CounterFunc(MetricIOMeasureFetches, "Measure columns fetched.",
+		func() float64 { return float64(s.coord.IOStats().MeasureColumnsFetched) })
+	r.CounterFunc(MetricIOMeasuresScanned, "Individual measure values materialized.",
+		func() float64 { return float64(s.coord.IOStats().MeasuresScanned) })
+	r.CounterFunc(MetricIOBytesRead, "Physical payload bytes touched.",
+		func() float64 { return float64(s.coord.IOStats().BytesRead) })
+	r.CounterFunc(MetricIOPartitionJoins, "Record-id joins across vertical partitions.",
+		func() float64 { return float64(s.coord.IOStats().PartitionJoins) })
+	r.CounterFunc(MetricIORecordsReturned, "Graph records in query answers.",
+		func() float64 { return float64(s.coord.IOStats().RecordsReturned) })
 
 	r.CounterFunc(MetricPersistRecoveries, "Loads that fell back to an older snapshot generation because the installed one was missing or damaged (process-wide).",
 		func() float64 { return float64(colstore.PersistRecoveries()) })

@@ -165,7 +165,7 @@ func TestShardedExplainAnalyzeSumEqualsParts(t *testing.T) {
 	if root.Shard != -1 || len(root.Children) != 4 {
 		t.Fatalf("root = shard %d with %d children", root.Shard, len(root.Children))
 	}
-	var sum IODelta
+	var sum IOStats
 	for i, c := range root.Children {
 		if c.Shard != i {
 			t.Errorf("child %d labelled shard %d", i, c.Shard)

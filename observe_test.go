@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,10 @@ import (
 // histogram and the I/O counters, and /traces serves the ring newest first.
 func TestServeMetricsEndpoint(t *testing.T) {
 	st := buildSCMStore(t)
+	// A query before the registry exists still counts toward grove_io_*.
+	if _, err := st.Match(PathOf("A", "B").ToGraph()); err != nil {
+		t.Fatal(err)
+	}
 	st.EnableTracing(0)
 	st.Metrics()
 
@@ -54,10 +59,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	out := string(body)
 
 	for _, want := range []string{
-		`grove_queries_total{kind="graph"} 2`,
-		`grove_queries_total{kind="pathagg"} 1`,
 		`grove_query_duration_seconds_bucket{kind="graph",le="+Inf"} 2`,
 		`grove_query_duration_seconds_count{kind="graph"} 2`,
+		`grove_query_duration_seconds_count{kind="pathagg"} 1`,
 		"grove_io_bitmap_fetches_total",
 		"grove_store_records 3",
 		"grove_traces_recorded_total 3",
@@ -106,6 +110,59 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		}
 		if got := strings.Join(phases, ","); got != "plan,fetch,intersect" {
 			t.Errorf("graph trace spans = %s, want plan,fetch,intersect", got)
+		}
+	}
+
+	assertIOMetricsMatchSnapshot(t, st)
+}
+
+// assertIOMetricsMatchSnapshot runs a graph query, an aggregate, a batch and
+// an EXPLAIN ANALYZE, then requires each grove_io_* sample to equal the
+// matching IOStatsSnapshot field: /metrics and the snapshot read one set of
+// counters, whenever the registry was created.
+func assertIOMetricsMatchSnapshot(t *testing.T, st *Store) {
+	t.Helper()
+	g := PathOf("A", "D", "E").ToGraph()
+	if _, err := st.Match(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Aggregate(PathOf("A", "D", "E", "G", "I").ToGraph(), Sum); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ExecuteBatch([]*Graph{g, PathOf("A", "B").ToGraph()}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ExplainAnalyze(g); err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	if err := st.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	io := st.IOStatsSnapshot()
+	if io.BitmapColumnsFetched == 0 || io.MeasuresScanned == 0 || io.RecordsReturned == 0 {
+		t.Fatalf("workload accounted no I/O: %+v", io)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{MetricIOBitmapFetches, io.BitmapColumnsFetched},
+		{MetricIOMeasureFetches, io.MeasureColumnsFetched},
+		{MetricIOMeasuresScanned, io.MeasuresScanned},
+		{MetricIOBytesRead, io.BytesRead},
+		{MetricIOPartitionJoins, io.PartitionJoins},
+		{MetricIORecordsReturned, io.RecordsReturned},
+	} {
+		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(c.name) + ` (\S+)$`).FindStringSubmatch(out)
+		if m == nil {
+			t.Errorf("/metrics has no %s sample", c.name)
+			continue
+		}
+		if got, err := strconv.ParseFloat(m[1], 64); err != nil || got != float64(c.want) {
+			t.Errorf("%s = %s, IOStatsSnapshot has %d", c.name, m[1], c.want)
 		}
 	}
 }

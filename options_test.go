@@ -23,7 +23,7 @@ var storeMethods = []string{
 	"MaterializeAggViews", "MaterializeGraphViews", "MaterializeView", "Metrics",
 	"NumRecords", "Optimize", "PageError", "Query", "RecentTraces",
 	"RecordingActive", "RenderAdvice", "ReplayWorkload",
-	"ResetIOStats", "Save", "ServeMetrics", "SetPageCacheBytes",
+	"Save", "ServeMetrics", "SetPageCacheBytes",
 	"StartWorkloadRecording", "Stats", "StopWorkloadRecording", "StorageStats",
 	"SummarizeByTag", "SyncWAL", "Tag", "TaggedWith", "Undelete", "WALError",
 	"WALStats",

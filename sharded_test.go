@@ -1,9 +1,11 @@
 package grove
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -179,6 +181,42 @@ func TestShardedPublicDifferential(t *testing.T) {
 	for i := range ab1 {
 		assertSameAgg(t, "agg batch", ab1[i], ab4[i])
 	}
+
+	// Tag readers see every shard's tag columns under global ids: the
+	// records tagged here land on different shards of the 4-shard store.
+	for _, st := range []*Store{one, four} {
+		for id, v := range map[uint32]string{1: "y", 2: "x", 3: "x", 4: "y"} {
+			if err := st.Tag(id, "lane", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var x1, x4 bytes.Buffer
+	n1, err := one.ExportTraces(&x1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n4, err := four.ExportTraces(&x4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1 != n4 || !bytes.Equal(x1.Bytes(), x4.Bytes()) {
+		t.Fatalf("ExportTraces differs:\n1 shard (%d):\n%s4 shards (%d):\n%s", n1, x1.String(), n4, x4.String())
+	}
+	lanes := PathOf("A", "D", "E").ToGraph()
+	sums := make([]map[string]Summary, 2)
+	for i, st := range []*Store{one, four} {
+		res, err := st.Aggregate(lanes, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sums[i], err = st.SummarizeByTag(res, "lane"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(sums[0], sums[1]) {
+		t.Fatalf("SummarizeByTag: 1 shard %+v, 4 shards %+v", sums[0], sums[1])
+	}
 }
 
 // TestShardedStatsAggregation is the satellite-4 regression: Stats and
@@ -227,6 +265,10 @@ func TestShardedStatsAggregation(t *testing.T) {
 func TestShardedMetricsAggregation(t *testing.T) {
 	st := NewSharded(4)
 	n := loadSCMOrders(t, st)
+	// A query before the registry exists still counts toward grove_io_*.
+	if _, err := st.Match(PathOf("A", "B").ToGraph()); err != nil {
+		t.Fatal(err)
+	}
 	st.Metrics()
 	for i := 0; i < 3; i++ {
 		if _, err := st.Match(PathOf("A", "D", "E").ToGraph()); err != nil {
@@ -279,10 +321,12 @@ func TestShardedMetricsAggregation(t *testing.T) {
 	// 3 queries scattered over 4 shards: every shard waits once per query,
 	// and the waits sum to the engine's graph sub-query count.
 	if total, samples := sumFamily(MetricShardQueueWait + "_count"); samples != 4 || total != 12 ||
-		!strings.Contains(out, `grove_queries_total{kind="graph"} 12`) {
+		!strings.Contains(out, `grove_query_duration_seconds_count{kind="graph"} 12`) {
 		t.Fatalf("%s_count: %d samples summing to %v, want 4 summing to the 12 graph sub-queries\n%s",
 			MetricShardQueueWait, samples, total, out)
 	}
+
+	assertIOMetricsMatchSnapshot(t, st)
 }
 
 // TestShardedStoreSaveLoadRoundTrip saves a sharded store through the public

@@ -137,10 +137,10 @@ func (s *Store) ExportTraces(w io.Writer) (int, error) {
 		bits       *Bitmap
 	}
 	var tags []tagBitmap
-	for _, key := range s.rel.TagKeys() {
-		for _, value := range s.rel.TagValues(key) {
+	for _, key := range s.coord.TagKeys() {
+		for _, value := range s.coord.TagValues(key) {
 			tags = append(tags, tagBitmap{key: key, value: value,
-				bits: s.rel.FetchTagBitmap(key, value)})
+				bits: s.coord.TaggedWith(key, value)})
 		}
 	}
 	for id := uint32(0); int(id) < s.NumRecords(); id++ {
