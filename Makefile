@@ -45,8 +45,8 @@ race:
 # bitmap wire format, the query parser, the colstore on-disk format, the
 # CURRENT generation pointer, and the write-ahead log (op payloads and whole
 # log files fed to the replay scanner); plus the bitmap read kernels (probe
-# and gallop array ∩ array, dst as either operand, per-layout RanksInto)
-# against a map.
+# and gallop array ∩ array, dst as either operand, per-layout RanksInto, every
+# kernel on range-sized bitsets of different lengths) against a map.
 fuzz-smoke:
 	$(GO) test ./internal/bitmap/ -fuzz FuzzReadFrom -fuzztime 3s
 	$(GO) test ./internal/bitmap/ -fuzz FuzzIntersectKernels -fuzztime 3s
@@ -66,7 +66,7 @@ bench:
 # One iteration per kernel benchmark, allocations reported: path aggregation (cold paged too) and view-rewrite planning at 0/100/1 000 views;
 # one raw page fault and its pread floor (DESIGN.md §13), the view catalog rebuild at 1 000 views (§3);
 # the sharded batch, its k-way merges and WAL replay below the coordinator;
-# the bitmap kernels: array ∩ run AND, probe-or-gallop array ∩ array and its crossover, per-layout batch rank (§10);
+# the bitmap kernels: array ∩ run and array ∩ range-sized bitset AND, probe-or-gallop array ∩ array and its crossover, per-layout batch rank (§10);
 # one add-record WAL frame decoded;
 # one record appended to a relation, one 16-element query graph resolved to ids;
 # the tracing-overhead gate: metrics plus tracing within 10% of instrumentation off.
@@ -143,8 +143,10 @@ paged-diff:
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
 	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v
 
-# The full gate CI runs: vet, lint, build, tests, a 3 s fuzz of the array ∩
-# array kernels every multi-way AND runs, the smoke and differential gates,
+# The full gate CI runs: vet, lint, build, tests, a 3 s fuzz each of the
+# container kernels every multi-way AND runs (array ∩ array, and every kernel
+# on range-sized bitsets of different lengths) and of the bitmap decoder, the
+# smoke and differential gates,
 # the example programs, then the race-detector pass (which re-vets; harmless and keeps `make race`
 # self-contained).
 check:
@@ -153,6 +155,7 @@ check:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 3s
+	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzReadFrom -fuzztime 3s
 	$(MAKE) bench-smoke
 	$(MAKE) e2e-smoke
 	$(MAKE) examples-smoke

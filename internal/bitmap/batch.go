@@ -226,16 +226,22 @@ func rankArray(values []uint16, vs []uint32, idx []int32, base int) {
 }
 
 // rankBitset ranks one chunk's ascending ids against a bitset, carrying the
-// popcount of the words below the cursor from id to id.
+// popcount of the words below the cursor from id to id. The ids past the
+// last word are absent.
 //
 //grove:hotpath
 func rankBitset(words []uint64, vs []uint32, idx []int32, base int) {
-	words = words[:bitsetWords]
 	idx = idx[:len(vs)]
 	wi, pref := 0, base // pref: base + set bits in words[:wi]
 	for k, v := range vs {
-		w := uint16(v) >> 6
-		for ; wi < int(w); wi++ {
+		w := int(uint16(v) >> 6)
+		if w >= len(words) {
+			for k := k; k < len(idx); k++ {
+				idx[k] = -1
+			}
+			return
+		}
+		for ; wi < w; wi++ {
 			pref += bits.OnesCount64(words[wi])
 		}
 		word, bit := words[w], uint64(1)<<(v&63)

@@ -28,7 +28,7 @@ func mixedLayoutBitmap(rng *rand.Rand) *Bitmap {
 			b.AddRange(lo, lo+uint32(rng.Intn(3000)))
 		}
 	}
-	b.RunOptimize()
+	b.Optimize()
 	return b
 }
 

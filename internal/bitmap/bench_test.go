@@ -46,7 +46,7 @@ func sparseFixture(seed int64) (*Bitmap, *naiveBitset) {
 		rb.Add(v)
 		nb.set(v)
 	}
-	rb.RunOptimize()
+	rb.Optimize()
 	return rb, nb
 }
 
@@ -83,7 +83,7 @@ func denseFixture(seed int64) (*Bitmap, *naiveBitset) {
 		rb.Add(v)
 		nb.set(v)
 	}
-	rb.RunOptimize()
+	rb.Optimize()
 	return rb, nb
 }
 

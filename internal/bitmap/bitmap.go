@@ -59,7 +59,7 @@ func FromSorted(values []uint32) *Bitmap {
 		}
 		var c container
 		if n := end - start; n > arrayMaxCardinality {
-			bs := newBitsetContainer()
+			bs := newBitsetContainer(int(uint16(values[end-1])>>6) + 1)
 			for _, v := range values[start:end] {
 				bs.words[uint16(v)>>6] |= 1 << (v & 63)
 			}
@@ -325,42 +325,65 @@ func (b *Bitmap) SizeBytes() int {
 	return n
 }
 
-// RunOptimize converts containers to run layout where that is smaller.
-func (b *Bitmap) RunOptimize() {
+// Optimize rebuilds every container in the smallest of its three layouts:
+// an array costs 2 bytes a value, a bitset 8 bytes a word up to the word of
+// its highest value, runs 4 bytes a run. Ties go to the array, then the
+// bitset. (Roaring's rule — an array up to 4096 values — is the case of a
+// chunk whose values span all 1024 words.) Call after bulk loading.
+func (b *Bitmap) Optimize() {
 	for i, c := range b.containers {
-		if rc := toRunsIfSmaller(c); rc != nil {
-			b.containers[i] = rc
-		}
+		b.containers[i] = optimized(c)
 	}
 }
 
-// toRunsIfSmaller rebuilds c as a run container when that representation is
-// strictly smaller; returns nil when it is not worth converting.
-func toRunsIfSmaller(c container) container {
-	if _, ok := c.(*runContainer); ok {
-		return nil
-	}
-	var runs []interval16
-	start, prev := -1, -2
+// optimized returns c in its smallest layout: c itself when it already is
+// in it (a bitset only when it holds no spare words), else a fresh container.
+func optimized(c container) container {
+	runs, prev := 0, -2
 	c.each(func(v uint16) bool {
-		iv := int(v)
-		if iv != prev+1 {
-			if start >= 0 {
-				runs = append(runs, interval16{start: uint16(start), length: uint16(prev - start)})
-			}
-			start = iv
+		if int(v) != prev+1 {
+			runs++
 		}
-		prev = iv
+		prev = int(v)
 		return true
 	})
-	if start >= 0 {
-		runs = append(runs, interval16{start: uint16(start), length: uint16(prev - start)})
+	card, top := c.cardinality(), int(c.max()>>6)+1
+	switch array, bitset := 2*card, 8*top; {
+	case 4*runs < min(array, bitset):
+		if _, ok := c.(*runContainer); ok {
+			return c
+		}
+		rs := make([]interval16, 0, runs)
+		c.each(func(v uint16) bool {
+			if n := len(rs); n > 0 && rs[n-1].end()+1 == uint32(v) {
+				rs[n-1].length++
+			} else {
+				rs = append(rs, interval16{start: v})
+			}
+			return true
+		})
+		return newRunContainer(rs)
+	case bitset < array:
+		if bc, ok := c.(*bitsetContainer); ok && len(bc.words) == top && cap(bc.words) == top {
+			return c
+		}
+		out := newBitsetContainer(top)
+		c.each(func(v uint16) bool {
+			out.words[v>>6] |= 1 << (v & 63)
+			return true
+		})
+		out.card = card
+		return out
 	}
-	rc := newRunContainer(runs)
-	if rc.sizeBytes() < c.sizeBytes() {
-		return rc
+	if _, ok := c.(*arrayContainer); ok {
+		return c
 	}
-	return nil
+	out := make([]uint16, 0, card)
+	c.each(func(v uint16) bool {
+		out = append(out, v)
+		return true
+	})
+	return &arrayContainer{values: out}
 }
 
 // String renders a short human-readable description.

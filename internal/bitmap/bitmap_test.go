@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -91,7 +92,7 @@ func TestMaximumEveryLayout(t *testing.T) {
 	}
 	r := New()
 	r.AddRange(100, 70000)
-	r.RunOptimize()
+	r.Optimize()
 	if _, isRun := r.containers[1].(*runContainer); !isRun {
 		t.Fatalf("second chunk is %T, want runs", r.containers[1])
 	}
@@ -300,26 +301,26 @@ func TestRunOptimizeKeepsValues(t *testing.T) {
 	b.Add(100000)
 	before := b.Cardinality()
 	sizeBefore := b.SizeBytes()
-	b.RunOptimize()
+	b.Optimize()
 	if b.Cardinality() != before {
 		t.Fatalf("cardinality changed: %d -> %d", before, b.Cardinality())
 	}
 	if b.SizeBytes() > sizeBefore {
-		t.Errorf("RunOptimize grew the bitmap: %d -> %d", sizeBefore, b.SizeBytes())
+		t.Errorf("Optimize grew the bitmap: %d -> %d", sizeBefore, b.SizeBytes())
 	}
 	for _, v := range []uint32{100, 50000, 89999, 100000} {
 		if !b.Contains(v) {
-			t.Errorf("missing %d after RunOptimize", v)
+			t.Errorf("missing %d after Optimize", v)
 		}
 	}
 	if b.Contains(99) || b.Contains(90000) {
-		t.Error("RunOptimize leaked values")
+		t.Error("Optimize leaked values")
 	}
 }
 
 func TestRunContainerSplitOnRemove(t *testing.T) {
 	b := FromRange(0, 100)
-	b.RunOptimize()
+	b.Optimize()
 	if !b.Remove(50) {
 		t.Fatal("Remove(50) failed")
 	}
@@ -341,7 +342,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		FromRange(0, 100000),
 		func() *Bitmap {
 			b := FromRange(0, 100000)
-			b.RunOptimize()
+			b.Optimize()
 			return b
 		}(),
 		func() *Bitmap {
@@ -415,11 +416,105 @@ func clampValues(in []uint32) []uint32 {
 	return out
 }
 
+// bitsetWordLens are the bitset lengths the property tests build operands
+// at: the two shortest, the dense column of a 2 500-record shard (40 words)
+// and of a 10 000-record store (157), and the two longest.
+var bitsetWordLens = []int{1, 2, 40, 157, 1023, 1024}
+
+// operand is one bitmap of a property test and the map model of its values.
+type operand struct {
+	name string
+	bm   *Bitmap
+	ref  refSet
+}
+
+// operandsOf builds values as Add builds them, and once per length of
+// bitsetWordLens as range-sized bitsets of exactly that many words: each
+// value keeps its chunk and wraps its low bits into the length's range, and
+// every chunk also holds the range's last value.
+func operandsOf(values []uint32) []operand {
+	values = clampValues(values)
+	b, ref := buildPair(values)
+	out := []operand{{"add", b, ref}}
+	for _, words := range bitsetWordLens {
+		top := uint32(64*words - 1)
+		var folded []uint32
+		for _, v := range values {
+			folded = append(folded, v&^0xffff|(v&0xffff)%(top+1), v&^0xffff|top)
+		}
+		b, ref := buildPair(folded)
+		for i, c := range b.containers {
+			bs := newBitsetContainer(words)
+			c.each(func(v uint16) bool {
+				bs.set(v)
+				return true
+			})
+			b.containers[i] = bs
+		}
+		out = append(out, operand{fmt.Sprintf("%d-word bitsets", words), b, ref})
+	}
+	return out
+}
+
+// binaryMatchesReference checks op on the operands of av and bv, in every
+// pairing whose two sides differ in layout or length (and Add-built on
+// both), against the set keep selects from the two models, and that op
+// left both operands as they were.
+func binaryMatchesReference(t *testing.T, av, bv []uint32, op func(a, b *Bitmap) *Bitmap, keep func(inA, inB bool) bool) bool {
+	t.Helper()
+	as, bs := operandsOf(av), operandsOf(bv)
+	for i, a := range as {
+		for j, b := range bs {
+			if i == j && i > 0 {
+				continue
+			}
+			want := refSet{}
+			for v := range a.ref {
+				if keep(true, b.ref[v]) {
+					want[v] = true
+				}
+			}
+			for v := range b.ref {
+				if keep(a.ref[v], true) {
+					want[v] = true
+				}
+			}
+			got := op(a.bm, b.bm)
+			if !equalU32(got.ToSlice(), want.slice()) || got.Cardinality() != len(want) {
+				t.Logf("%s with %s: %d values, want %d", a.name, b.name, got.Cardinality(), len(want))
+				return false
+			}
+			if !equalU32(a.bm.ToSlice(), a.ref.slice()) || !equalU32(b.bm.ToSlice(), b.ref.slice()) {
+				t.Logf("%s with %s changed an operand", a.name, b.name)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuickAddMatchesReference adds values to every operand — past the last
+// word of a short bitset too — one at a time and as a range.
 func TestQuickAddMatchesReference(t *testing.T) {
-	f := func(values []uint32) bool {
-		values = clampValues(values)
-		b, ref := buildPair(values)
-		return equalU32(b.ToSlice(), ref.slice()) && b.Cardinality() == len(ref)
+	f := func(values, more []uint32, lo, n uint32) bool {
+		lo, n = lo%200000, n%3000
+		for _, o := range operandsOf(values) {
+			for _, v := range clampValues(more) {
+				if o.bm.Add(v) == o.ref[v] {
+					return false
+				}
+				o.ref[v] = true
+			}
+			o.bm.AddRange(lo, lo+n)
+			for v := lo; v < lo+n; v++ {
+				o.ref[v] = true
+			}
+			if !equalU32(o.bm.ToSlice(), o.ref.slice()) || o.bm.Cardinality() != len(o.ref) {
+				t.Logf("%s: %d values after adds, want %d", o.name, o.bm.Cardinality(), len(o.ref))
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -427,16 +522,17 @@ func TestQuickAddMatchesReference(t *testing.T) {
 }
 
 func TestQuickAndMatchesReference(t *testing.T) {
+	both := func(inA, inB bool) bool { return inA && inB }
+	inPlace := func(a, b *Bitmap) *Bitmap {
+		out := a.Clone()
+		out.AndInPlace(b)
+		return out
+	}
+	all := func(a, b *Bitmap) *Bitmap { return AndAllInto(nil, a, b, b) }
 	f := func(av, bv []uint32) bool {
-		a, aref := buildPair(clampValues(av))
-		b, bref := buildPair(clampValues(bv))
-		want := refSet{}
-		for v := range aref {
-			if bref[v] {
-				want[v] = true
-			}
-		}
-		return equalU32(a.And(b).ToSlice(), want.slice())
+		return binaryMatchesReference(t, av, bv, (*Bitmap).And, both) &&
+			binaryMatchesReference(t, av, bv, inPlace, both) &&
+			binaryMatchesReference(t, av, bv, all, both)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -445,16 +541,7 @@ func TestQuickAndMatchesReference(t *testing.T) {
 
 func TestQuickOrMatchesReference(t *testing.T) {
 	f := func(av, bv []uint32) bool {
-		a, aref := buildPair(clampValues(av))
-		b, bref := buildPair(clampValues(bv))
-		want := refSet{}
-		for v := range aref {
-			want[v] = true
-		}
-		for v := range bref {
-			want[v] = true
-		}
-		return equalU32(a.Or(b).ToSlice(), want.slice())
+		return binaryMatchesReference(t, av, bv, (*Bitmap).Or, func(inA, inB bool) bool { return inA || inB })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -463,15 +550,7 @@ func TestQuickOrMatchesReference(t *testing.T) {
 
 func TestQuickAndNotMatchesReference(t *testing.T) {
 	f := func(av, bv []uint32) bool {
-		a, aref := buildPair(clampValues(av))
-		b, bref := buildPair(clampValues(bv))
-		want := refSet{}
-		for v := range aref {
-			if !bref[v] {
-				want[v] = true
-			}
-		}
-		return equalU32(a.AndNot(b).ToSlice(), want.slice())
+		return binaryMatchesReference(t, av, bv, (*Bitmap).AndNot, func(inA, inB bool) bool { return inA && !inB })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -508,35 +587,56 @@ func TestQuickDeMorgan(t *testing.T) {
 	}
 }
 
+// TestQuickSerializeRoundTrip round-trips every operand as built, padded —
+// every bitset grown to 1024 words, the zero top words remove and the
+// in-place AND can leave — and optimized.
 func TestQuickSerializeRoundTrip(t *testing.T) {
 	f := func(values []uint32) bool {
-		b, _ := buildPair(clampValues(values))
-		b.RunOptimize()
-		var buf bytes.Buffer
-		if _, err := b.WriteTo(&buf); err != nil {
-			return false
+		for _, o := range operandsOf(values) {
+			for _, step := range []string{"built", "padded", "optimized"} {
+				for _, c := range o.bm.containers {
+					if bs, ok := c.(*bitsetContainer); ok && step == "padded" {
+						bs.grow(bitsetWords)
+					}
+				}
+				if step == "optimized" {
+					o.bm.Optimize()
+				}
+				var buf bytes.Buffer
+				if _, err := o.bm.WriteTo(&buf); err != nil {
+					return false
+				}
+				got := New()
+				if _, err := got.ReadFrom(&buf); err != nil || !equalU32(got.ToSlice(), o.ref.slice()) {
+					t.Logf("%s (%s): round trip lost values (%v)", o.name, step, err)
+					return false
+				}
+			}
 		}
-		got := New()
-		if _, err := got.ReadFrom(&buf); err != nil {
-			return false
-		}
-		return got.Equals(b)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestQuickRemoveMatchesReference removes values from every operand, past
+// the last word of a short bitset too.
 func TestQuickRemoveMatchesReference(t *testing.T) {
 	f := func(values, removals []uint32) bool {
-		values = clampValues(values)
-		removals = clampValues(removals)
-		b, ref := buildPair(values)
-		for _, v := range removals {
-			b.Remove(v)
-			delete(ref, v)
+		for _, o := range operandsOf(values) {
+			for _, v := range clampValues(append(removals, values...)[:len(removals)+len(values)/2]) {
+				if o.bm.Remove(v) != o.ref[v] {
+					return false
+				}
+				delete(o.ref, v)
+			}
+			if !equalU32(o.bm.ToSlice(), o.ref.slice()) || o.bm.Cardinality() != len(o.ref) {
+				t.Logf("%s: %d values after removals, want %d", o.name, o.bm.Cardinality(), len(o.ref))
+				return false
+			}
 		}
-		return equalU32(b.ToSlice(), ref.slice())
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

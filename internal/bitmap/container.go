@@ -7,10 +7,11 @@ import (
 
 // Container is the per-64K-chunk storage unit of a Bitmap. The low 16 bits of
 // the values in a chunk are held in one of three physical layouts — a sorted
-// uint16 array, a 1024-word bitset, or a sequence of runs — mirroring the
-// Roaring bitmap design. Containers are immutable from the point of view of
-// binary operations: And/Or/AndNot always return fresh containers (or nil for
-// empty results), while add/remove mutate in place and may change layout.
+// uint16 array, a bitset of up to 1024 words, or a sequence of runs —
+// mirroring the Roaring bitmap design. Containers are immutable from the
+// point of view of binary operations: And/Or/AndNot always return fresh
+// containers (or nil for empty results), while add/remove mutate in place
+// and may change layout.
 type container interface {
 	// add inserts the low bits v, returning the (possibly new) container and
 	// whether the value was absent before.
@@ -36,7 +37,7 @@ type container interface {
 
 const (
 	arrayMaxCardinality = 4096 // beyond this an array converts to a bitset
-	bitsetWords         = 1024 // 65536 bits
+	bitsetWords         = 1024 // 65536 bits: the most words a bitset holds
 )
 
 // --- array container -------------------------------------------------------
@@ -108,7 +109,7 @@ func (a *arrayContainer) cardinality() int { return len(a.values) }
 func (a *arrayContainer) max() uint16 { return a.values[len(a.values)-1] }
 
 func (a *arrayContainer) toBitset() *bitsetContainer {
-	b := newBitsetContainer()
+	b := newBitsetContainer(int(a.max()>>6) + 1)
 	for _, v := range a.values {
 		b.words[v>>6] |= 1 << (v & 63)
 	}
@@ -201,23 +202,44 @@ func (a *arrayContainer) sizeBytes() int { return 2 * len(a.values) }
 
 // --- bitset container ------------------------------------------------------
 
-// bitsetContainer stores a full 65536-bit bitset plus a cached cardinality.
-// It is the layout of choice for dense chunks (>4096 values).
+// bitsetContainer stores one bit per value of its chunk up to the word that
+// holds its highest value — 1 to 1024 words, the words past len(words)
+// reading as zero — plus a cached cardinality. A chunk whose values span a
+// few thousand records costs a few hundred bytes, not 8 KB. Every kernel
+// takes operands of any two lengths; add grows the words past the last one,
+// and words[len:cap] are always zero.
 type bitsetContainer struct {
 	words []uint64
 	card  int
 }
 
-func newBitsetContainer() *bitsetContainer {
-	return &bitsetContainer{words: make([]uint64, bitsetWords)}
+// newBitsetContainer returns an empty bitset of n words, 1 ≤ n ≤ bitsetWords.
+func newBitsetContainer(n int) *bitsetContainer {
+	return &bitsetContainer{words: make([]uint64, n)}
 }
 
 func (b *bitsetContainer) get(v uint16) bool {
-	return b.words[v>>6]&(1<<(v&63)) != 0
+	w := int(v >> 6)
+	return w < len(b.words) && b.words[w]&(1<<(v&63)) != 0
+}
+
+// grow extends the words to n, doubling the capacity up to bitsetWords so
+// an ascending run of adds copies O(1) words per add.
+func (b *bitsetContainer) grow(n int) {
+	if n <= cap(b.words) {
+		b.words = b.words[:n]
+		return
+	}
+	words := make([]uint64, n, min(max(n, 2*cap(b.words)), bitsetWords))
+	copy(words, b.words)
+	b.words = words
 }
 
 func (b *bitsetContainer) set(v uint16) bool {
-	w, m := v>>6, uint64(1)<<(v&63)
+	w, m := int(v>>6), uint64(1)<<(v&63)
+	if w >= len(b.words) {
+		b.grow(w + 1)
+	}
 	if b.words[w]&m != 0 {
 		return false
 	}
@@ -227,13 +249,22 @@ func (b *bitsetContainer) set(v uint16) bool {
 }
 
 func (b *bitsetContainer) clear(v uint16) bool {
-	w, m := v>>6, uint64(1)<<(v&63)
-	if b.words[w]&m == 0 {
+	w, m := int(v>>6), uint64(1)<<(v&63)
+	if w >= len(b.words) || b.words[w]&m == 0 {
 		return false
 	}
 	b.words[w] &^= m
 	b.card--
 	return true
+}
+
+// used returns the words up to the highest set one, at least one word.
+func (b *bitsetContainer) used() []uint64 {
+	n := len(b.words)
+	for n > 1 && b.words[n-1] == 0 {
+		n--
+	}
+	return b.words[:n]
 }
 
 func (b *bitsetContainer) add(v uint16) (container, bool) {
@@ -253,7 +284,7 @@ func (b *bitsetContainer) contains(v uint16) bool { return b.get(v) }
 func (b *bitsetContainer) cardinality() int { return b.card }
 
 func (b *bitsetContainer) max() uint16 {
-	for wi := bitsetWords - 1; wi >= 0; wi-- {
+	for wi := len(b.words) - 1; wi >= 0; wi-- {
 		if w := b.words[wi]; w != 0 {
 			return uint16(wi*64 + 63 - bits.LeadingZeros64(w))
 		}
@@ -273,26 +304,34 @@ func (b *bitsetContainer) toArray() *arrayContainer {
 	return &arrayContainer{values: out}
 }
 
+// settle returns the result of a kernel that left b's words and card
+// final: nil when empty, an array at or below arrayMaxCardinality, else b
+// trimmed to its highest set word.
+func (b *bitsetContainer) settle() container {
+	switch {
+	case b.card == 0:
+		return nil
+	case b.card <= arrayMaxCardinality:
+		return b.toArray()
+	}
+	b.words = b.used()
+	return b
+}
+
 func (b *bitsetContainer) and(other container) container {
 	switch o := other.(type) {
 	case *arrayContainer:
 		return o.and(b)
 	case *bitsetContainer:
-		out := newBitsetContainer()
+		out := newBitsetContainer(min(len(b.words), len(o.words)))
 		card := 0
 		for i := range out.words {
 			w := b.words[i] & o.words[i]
 			out.words[i] = w
 			card += bits.OnesCount64(w)
 		}
-		if card == 0 {
-			return nil
-		}
 		out.card = card
-		if card <= arrayMaxCardinality {
-			return out.toArray()
-		}
-		return out
+		return out.settle()
 	case *runContainer:
 		return o.and(b)
 	}
@@ -300,6 +339,9 @@ func (b *bitsetContainer) and(other container) container {
 }
 
 func (b *bitsetContainer) or(other container) container {
+	if o, ok := other.(*bitsetContainer); ok && len(o.words) > len(b.words) {
+		return o.or(b)
+	}
 	out := b.clone().(*bitsetContainer)
 	switch o := other.(type) {
 	case *arrayContainer:
@@ -307,10 +349,11 @@ func (b *bitsetContainer) or(other container) container {
 			out.set(v)
 		}
 	case *bitsetContainer:
+		for i, w := range o.words {
+			out.words[i] |= w
+		}
 		card := 0
-		for i := range out.words {
-			w := out.words[i] | o.words[i]
-			out.words[i] = w
+		for _, w := range out.words {
 			card += bits.OnesCount64(w)
 		}
 		out.card = card
@@ -334,7 +377,10 @@ func (b *bitsetContainer) andNot(other container) container {
 	case *bitsetContainer:
 		card := 0
 		for i := range out.words {
-			w := out.words[i] &^ o.words[i]
+			w := out.words[i]
+			if i < len(o.words) {
+				w &^= o.words[i]
+			}
 			out.words[i] = w
 			card += bits.OnesCount64(w)
 		}
@@ -346,13 +392,7 @@ func (b *bitsetContainer) andNot(other container) container {
 			}
 		}
 	}
-	if out.card == 0 {
-		return nil
-	}
-	if out.card <= arrayMaxCardinality {
-		return out.toArray()
-	}
-	return out
+	return out.settle()
 }
 
 func (b *bitsetContainer) each(f func(uint16) bool) bool {
@@ -369,13 +409,13 @@ func (b *bitsetContainer) each(f func(uint16) bool) bool {
 }
 
 func (b *bitsetContainer) clone() container {
-	out := newBitsetContainer()
+	out := newBitsetContainer(len(b.words))
 	copy(out.words, b.words)
 	out.card = b.card
 	return out
 }
 
-func (b *bitsetContainer) sizeBytes() int { return 8 * bitsetWords }
+func (b *bitsetContainer) sizeBytes() int { return 8 * len(b.words) }
 
 // --- run container ---------------------------------------------------------
 
@@ -493,7 +533,7 @@ func (r *runContainer) remove(v uint16) (container, bool) {
 func (r *runContainer) toGeneric() container {
 	card := r.cardinality()
 	if card > arrayMaxCardinality {
-		b := newBitsetContainer()
+		b := newBitsetContainer(int(r.max()>>6) + 1)
 		for _, run := range r.runs {
 			for v := uint32(run.start); v <= uint32(run.start)+uint32(run.length); v++ {
 				b.words[v>>6] |= 1 << (v & 63)
@@ -666,11 +706,14 @@ func gallopIntersect(dst, short, long []uint16) int {
 }
 
 // intersectArrayBitset writes the values of a that words holds to dst (which
-// may alias a) and returns the filled prefix.
+// may alias a) and returns the filled prefix. The values past the last word
+// are cut off first, with one search.
 //
 //grove:hotpath
 func intersectArrayBitset(dst, a []uint16, words []uint64) []uint16 {
-	words = words[:bitsetWords]
+	if n := len(a); n > 0 && int(a[n-1]>>6) >= len(words) {
+		a = a[:gallopValues(a, 0, uint16(len(words)<<6))]
+	}
 	k := 0
 	for _, v := range a {
 		if words[v>>6]&(1<<(v&63)) != 0 {

@@ -3,12 +3,46 @@ package bitmap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"slices"
 	"testing"
 )
 
+// chunkBytes encodes one chunk as ReadFrom expects it: the header with
+// nChunks = 1, the chunk's key, kind and n, then the payload.
+func chunkBytes(kind uint8, n uint32, payload ...uint64) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, bitmapMagic)
+	out = binary.LittleEndian.AppendUint32(out, 1)
+	out = binary.LittleEndian.AppendUint16(out, 5) // key
+	out = append(out, kind)
+	out = binary.LittleEndian.AppendUint32(out, n)
+	for _, w := range payload {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
+// malformedBitsets are bitset chunks ReadFrom must refuse with ErrCorrupt:
+// word counts 0 and 1 025, a zero last word, an all-zero payload, and a
+// full (kind 1) bitset whose header cardinality is not its payload's.
+func malformedBitsets() map[string][]byte {
+	full := make([]uint64, bitsetWords)
+	full[3] = 0b1011
+	return map[string][]byte{
+		"0 words":               chunkBytes(kindBitset, 0),
+		"1025 words":            chunkBytes(kindBitset, bitsetWords+1, make([]uint64, bitsetWords+1)...),
+		"zero last word":        chunkBytes(kindBitset, 3, 1, 2, 0),
+		"empty":                 chunkBytes(kindBitset, 1, 0),
+		"full, cardinality off": chunkBytes(kindFullBitset, 4, full...),
+		"full, empty":           chunkBytes(kindFullBitset, 0, make([]uint64, bitsetWords)...),
+	}
+}
+
 // FuzzReadFrom checks the bitmap deserializer never panics on arbitrary
-// bytes, and that anything it does accept survives a write/read round trip.
+// bytes, that what it refuses it refuses with ErrCorrupt or as input that
+// ended early, and that anything it does accept survives a write/read round
+// trip.
 func FuzzReadFrom(f *testing.F) {
 	// Seed with valid serializations of the three container kinds.
 	seeds := []*Bitmap{
@@ -16,11 +50,13 @@ func FuzzReadFrom(f *testing.F) {
 		FromRange(0, 100000),
 		func() *Bitmap {
 			b := FromRange(0, 100000)
-			b.RunOptimize()
+			b.Optimize()
 			return b
 		}(),
+		FromSlice([]uint32{3, 9, 30, 40, 41, 63, 64, 65, 127}), // one range-sized bitset of 2 words...
 		New(),
 	}
+	seeds[3].Optimize() // ...once optimized
 	for _, b := range seeds {
 		var buf bytes.Buffer
 		if _, err := b.WriteTo(&buf); err != nil {
@@ -30,10 +66,17 @@ func FuzzReadFrom(f *testing.F) {
 	}
 	f.Add([]byte{0x42, 0x56, 0x52, 0x47}) // magic, nothing else
 	f.Add([]byte{})
+	for _, data := range malformedBitsets() {
+		f.Add(data)
+	}
+	f.Add(chunkBytes(kindBitset, 2, 1<<63)) // payload one word short
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Bitmap
 		if _, err := b.ReadFrom(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("untyped error: %v", err)
+			}
 			return
 		}
 		// Accepted: must round trip and basic invariants must hold.
@@ -55,11 +98,58 @@ func FuzzReadFrom(f *testing.F) {
 	})
 }
 
+func TestReadFromRejectsMalformedBitsets(t *testing.T) {
+	for name, data := range malformedBitsets() {
+		var b Bitmap
+		if _, err := b.ReadFrom(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadFrom error %v, want ErrCorrupt", name, err)
+		}
+	}
+	var b Bitmap
+	if _, err := b.ReadFrom(bytes.NewReader(chunkBytes(kindBitset, 2, 1<<63))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short payload: ReadFrom error %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestFullBitsetChunkLoads decodes a kind-1 chunk — 1024 words, as builds
+// before range-sized bitsets wrote every bitset — into the same values in a
+// range-sized bitset, and re-encodes it as a kind-3 chunk of its words up to
+// the highest set one.
+func TestFullBitsetChunkLoads(t *testing.T) {
+	words := make([]uint64, bitsetWords)
+	var want []uint32
+	for _, v := range []uint32{0, 1, 63, 64, 700, 2500} {
+		words[v>>6] |= 1 << (v & 63)
+		want = append(want, 5<<16|v)
+	}
+	var b Bitmap
+	if _, err := b.ReadFrom(bytes.NewReader(chunkBytes(kindFullBitset, uint32(len(want)), words...))); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(b.ToSlice(), want) {
+		t.Fatalf("decoded %v, want %v", b.ToSlice(), want)
+	}
+	bc, ok := b.containers[0].(*bitsetContainer)
+	if !ok || len(bc.words) != 2500/64+1 || bc.card != len(want) {
+		t.Fatalf("decoded into %T (%+v), want a %d-word bitset", b.containers[0], b.containers[0], 2500/64+1)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := chunkBytes(kindBitset, 2500/64+1, words[:2500/64+1]...); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("re-encoded as % x, want % x", buf.Bytes(), want)
+	}
+}
+
 // FuzzIntersectKernels builds two sorted sets from the fuzz bytes (two bytes
 // a value, masked to `width` bits so they collide) and checks the allocating
 // array ∩ array kernel and the in-place one with dst as either operand, in
 // both operand orders, against a map; that the probe scratch is all zero
-// after every call; and RanksInto over every layout of the first set.
+// after every call; RanksInto over every layout of the first set; and every
+// container kernel on the two sets folded into range-sized bitsets of each
+// pair of different lengths in bitsetWordLens, against the sets' other
+// layouts too.
 func FuzzIntersectKernels(f *testing.F) {
 	lows := func(n, stride int) []byte {
 		out := make([]byte, 0, 2*n)
@@ -119,6 +209,10 @@ func FuzzIntersectKernels(f *testing.F) {
 			if seen != (probeSet{}) {
 				t.Fatalf("%d ∩ %d values leave probe bits set", len(x), len(y))
 			}
+		}
+
+		for i, la := range bitsetWordLens {
+			checkKernels(t, foldLows(a, la), foldLows(b, bitsetWordLens[(i+1)%len(bitsetWordLens)]))
 		}
 
 		// RanksInto: a's values in chunk 1, b's queried in chunks 0–2.

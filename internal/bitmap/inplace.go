@@ -198,13 +198,7 @@ func andContainerInPlace(dst, src container, seen *probeSet) container {
 		case *runContainer:
 			d.andRunInPlace(s)
 		}
-		if d.card == 0 {
-			return nil
-		}
-		if d.card <= arrayMaxCardinality {
-			return d.toArray() //grovevet:ignore hotalloc a bitset accumulator demotes to an array once, when it falls to array range
-		}
-		return d
+		return d.settle() //grovevet:ignore hotalloc a bitset accumulator demotes to an array once, when it falls to array range
 	default:
 		// Run accumulators are rare (only a run ∩ run first step yields
 		// one); fall back to the allocating kernel, which walks run ∩ array
@@ -227,7 +221,13 @@ func andContainers(x, y container, seen *probeSet) container {
 	return x.and(y)
 }
 
+// andBitsetInPlace keeps only the bits of b that o holds, cutting b's words
+// to o's length when o is shorter.
 func (b *bitsetContainer) andBitsetInPlace(o *bitsetContainer) {
+	if len(o.words) < len(b.words) {
+		clear(b.words[len(o.words):])
+		b.words = b.words[:len(o.words)]
+	}
 	card := 0
 	for i := range b.words {
 		w := b.words[i] & o.words[i]

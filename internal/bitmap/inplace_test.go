@@ -19,7 +19,7 @@ func randomBitmap(rng *rand.Rand, n int, max uint32) *Bitmap {
 // exercised across every receiver/operand pairing.
 func layoutVariants(b *Bitmap) []*Bitmap {
 	run := b.Clone()
-	run.RunOptimize()
+	run.Optimize()
 	dense := New()
 	b.Each(func(v uint32) bool {
 		dense.Add(v)

@@ -72,7 +72,7 @@ func layoutsOf(lows []uint16) map[string]container {
 	if len(lows) <= arrayMaxCardinality {
 		out["array"] = &arrayContainer{values: slices.Clone(lows)}
 	}
-	bs := newBitsetContainer()
+	bs := newBitsetContainer(1)
 	for _, v := range lows {
 		bs.set(v)
 	}
@@ -87,6 +87,80 @@ func layoutsOf(lows []uint16) map[string]container {
 	}
 	out["run"] = newRunContainer(rs)
 	return out
+}
+
+// foldLows wraps lows into the range of a bitset of the given number of
+// words and adds the range's last value, so that the bitset layout of the
+// result has exactly that many words.
+func foldLows(lows []uint16, words int) []uint16 {
+	top := 64*words - 1
+	out := []uint16{uint16(top)}
+	for _, v := range lows {
+		out = append(out, uint16(int(v)%(top+1)))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// checkKernels checks and, or, andNot and the in-place AND of the sorted
+// sets x and y, in every pair of their layouts, against a map, and that the
+// allocating kernels leave their operands as they were.
+func checkKernels(t *testing.T, x, y []uint16) {
+	t.Helper()
+	inY := make(map[uint16]bool, len(y))
+	for _, v := range y {
+		inY[v] = true
+	}
+	var and, andNot []uint16
+	for _, v := range x {
+		if inY[v] {
+			and = append(and, v)
+		} else {
+			andNot = append(andNot, v)
+		}
+	}
+	or := append(slices.Clone(x), y...)
+	slices.Sort(or)
+	or = slices.Compact(or)
+	var seen probeSet
+	for xl, xc := range layoutsOf(x) {
+		for yl, yc := range layoutsOf(y) {
+			for _, k := range []struct {
+				op   string
+				got  container
+				want []uint16
+			}{
+				{"and", xc.and(yc), and},
+				{"or", xc.or(yc), or},
+				{"andNot", xc.andNot(yc), andNot},
+				{"in-place and", andContainerInPlace(xc.clone(), yc, &seen), and},
+			} {
+				what := fmt.Sprintf("%d-value %s %s %d-value %s", len(x), xl, k.op, len(y), yl)
+				if got := containerLows(k.got); !slices.Equal(got, k.want) || k.got != nil && k.got.cardinality() != len(k.want) {
+					t.Fatalf("%s: %d values, want %d", what, len(got), len(k.want))
+				}
+				checkAddPast(t, what, k.got, k.want)
+			}
+			if !slices.Equal(containerLows(xc), x) || !slices.Equal(containerLows(yc), y) {
+				t.Fatalf("%d-value %s with %d-value %s: an operand changed", len(x), xl, len(y), yl)
+			}
+		}
+	}
+}
+
+// checkAddPast adds the chunk's last value to c, a kernel's result holding
+// want: a bitset result grows past its last word there, and must find only
+// zeros in the words it takes back into use.
+func checkAddPast(t *testing.T, what string, c container, want []uint16) {
+	t.Helper()
+	if c == nil {
+		return
+	}
+	c, _ = c.add(65535)
+	want = slices.Compact(append(slices.Clone(want), 65535))
+	if got := containerLows(c); !slices.Equal(got, want) {
+		t.Fatalf("%s, then add(65535): %d values, want %d", what, len(got), len(want))
+	}
 }
 
 func containerLows(c container) []uint16 {
@@ -128,6 +202,7 @@ func TestInPlaceKernelsMatchAllocatingAnd(t *testing.T) {
 					if _, isBitset := got.(*bitsetContainer); isBitset && len(want) <= arrayMaxCardinality {
 						t.Fatalf("shape %d ∩ %d, in-place %s ∩ %s: %d values left in a bitset", ai, bi, dl, sl, len(want))
 					}
+					checkAddPast(t, fmt.Sprintf("shape %d ∩ %d, in-place %s ∩ %s", ai, bi, dl, sl), got, want)
 					if !slices.Equal(containerLows(src), before) {
 						t.Fatalf("shape %d ∩ %d, in-place %s ∩ %s modified its operand", ai, bi, dl, sl)
 					}
@@ -308,8 +383,8 @@ func TestRunCardinalityCacheStaysExact(t *testing.T) {
 		}
 	}
 	filled := FromSlice([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 500})
-	filled.RunOptimize()
-	recount("RunOptimize", filled.containers[0])
+	filled.Optimize()
+	recount("Optimize", filled.containers[0])
 	var buf bytes.Buffer
 	if _, err := filled.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -378,60 +453,80 @@ func TestFromSortedMatchesAdd(t *testing.T) {
 	}
 }
 
-// arrayRunOperands is the shape the sharded batch workload intersects: a
-// ≈ 2 000-value array accumulator against a run-optimised dense column of a
-// 2 500-record shard.
-func arrayRunOperands() (*Bitmap, *Bitmap) {
+// shardOperands is the shape the sharded batch workload intersects: a
+// ≈ 2 000-value array accumulator against an optimised column of the same
+// 2 500-record shard, in the two layouts such a column takes. "run" is a
+// run-shaped column — stretches of 20 to 80 records apart by 1 to 3 — which
+// Optimize keeps as runs; "bitset" is a dense one, 11 of every 12 records
+// at random, which Optimize makes a 40-word range-sized bitset.
+func shardOperands() (acc *Bitmap, cols map[string]*Bitmap) {
 	rng := rand.New(rand.NewSource(41))
-	acc, col := New(), New()
+	acc, run, dense := New(), New(), New()
 	for v := uint32(0); v < 2500; v++ {
 		if rng.Intn(5) != 0 {
 			acc.Add(v)
 		}
 		if rng.Intn(12) != 0 {
-			col.Add(v)
+			dense.Add(v)
 		}
 	}
-	col.RunOptimize()
-	return acc, col
+	for v := uint32(0); v < 2500; v += uint32(1 + rng.Intn(3)) {
+		end := min(v+uint32(20+rng.Intn(61)), 2500)
+		run.AddRange(v, end)
+		v = end
+	}
+	run.Optimize()
+	dense.Optimize()
+	return acc, map[string]*Bitmap{"run": run, "bitset": dense}
 }
 
 func TestAndInPlaceArrayRunAllocs(t *testing.T) {
-	acc, col := arrayRunOperands()
-	if _, ok := col.containers[0].(*runContainer); !ok {
-		t.Fatalf("column is a %T, the fixture wants a run container", col.containers[0])
+	acc, cols := shardOperands()
+	if c, ok := cols["run"].containers[0].(*runContainer); !ok {
+		t.Fatalf("run column is a %T, the fixture wants a run container", cols["run"].containers[0])
+	} else if len(c.runs) < 20 {
+		t.Fatalf("run column holds %d runs, the fixture wants dozens", len(c.runs))
 	}
-	work := New()
-	work.CopyFrom(acc)
-	saved := slices.Clone(work.containers[0].(*arrayContainer).values)
-	allocs := testing.AllocsPerRun(50, func() {
-		d := work.containers[0].(*arrayContainer)
-		d.values = d.values[:len(saved)]
-		copy(d.values, saved)
-		work.AndInPlace(col)
-	})
-	if allocs != 0 {
-		t.Fatalf("array ∩ run in place allocates %.1f times per call, want 0", allocs)
+	if c, ok := cols["bitset"].containers[0].(*bitsetContainer); !ok || len(c.words) != 40 {
+		t.Fatalf("dense column is a %T, the fixture wants a 40-word bitset", cols["bitset"].containers[0])
 	}
-	if want := acc.And(col); !work.Equals(want) {
-		t.Fatalf("in place = %d values, And = %d", work.Cardinality(), want.Cardinality())
+	for layout, col := range cols {
+		work := New()
+		work.CopyFrom(acc)
+		saved := slices.Clone(work.containers[0].(*arrayContainer).values)
+		allocs := testing.AllocsPerRun(50, func() {
+			d := work.containers[0].(*arrayContainer)
+			d.values = d.values[:len(saved)]
+			copy(d.values, saved)
+			work.AndInPlace(col)
+		})
+		if allocs != 0 {
+			t.Fatalf("array ∩ %s in place allocates %.1f times per call, want 0", layout, allocs)
+		}
+		if want := acc.And(col); !work.Equals(want) {
+			t.Fatalf("array ∩ %s: in place = %d values, And = %d", layout, work.Cardinality(), want.Cardinality())
+		}
 	}
 }
 
-// BenchmarkAndInPlaceArrayRun is the bench-smoke probe of the galloping
-// array ∩ run kernel (make bench-smoke).
+// BenchmarkAndInPlaceArrayRun is the bench-smoke probe of the in-place
+// array ∩ column kernels of a sharded query (make bench-smoke): the
+// galloping array ∩ run one, and array ∩ range-sized bitset.
 func BenchmarkAndInPlaceArrayRun(b *testing.B) {
-	acc, col := arrayRunOperands()
-	work := New()
-	work.CopyFrom(acc)
-	saved := slices.Clone(work.containers[0].(*arrayContainer).values)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := work.containers[0].(*arrayContainer)
-		d.values = d.values[:len(saved)]
-		copy(d.values, saved)
-		work.AndInPlace(col)
+	acc, cols := shardOperands()
+	for _, layout := range []string{"run", "bitset"} {
+		b.Run(layout, func(b *testing.B) {
+			work := New()
+			work.CopyFrom(acc)
+			saved := slices.Clone(work.containers[0].(*arrayContainer).values)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := work.containers[0].(*arrayContainer)
+				d.values = d.values[:len(saved)]
+				copy(d.values, saved)
+				work.AndInPlace(cols[layout])
+			}
+		})
 	}
 }
 

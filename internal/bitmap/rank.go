@@ -32,8 +32,11 @@ func containerRank(c container, v uint16) int {
 		}
 		return i
 	case *bitsetContainer:
-		n := 0
 		word := int(v >> 6)
+		if word >= len(cc.words) {
+			return cc.card
+		}
+		n := 0
 		for i := 0; i < word; i++ {
 			n += bits.OnesCount64(cc.words[i])
 		}

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +23,7 @@ func TestRankBasic(t *testing.T) {
 
 func TestRankOnRuns(t *testing.T) {
 	b := FromRange(100, 200)
-	b.RunOptimize()
+	b.Optimize()
 	if got := b.Rank(99); got != 0 {
 		t.Errorf("Rank(99) = %d, want 0", got)
 	}
@@ -66,21 +67,33 @@ func TestSelectInverseOfRank(t *testing.T) {
 	}
 }
 
+// TestQuickRankMatchesReference probes Rank, Contains, Maximum and
+// RanksInto on every operand, with ids past the last word of a bitset and
+// in chunks the bitmap lacks among them.
 func TestQuickRankMatchesReference(t *testing.T) {
 	f := func(values []uint32, probes []uint32) bool {
-		values = clampValues(values)
 		probes = clampValues(probes)
-		b, ref := buildPair(values)
-		sorted := ref.slice()
-		for _, p := range probes {
-			want := 0
-			for _, v := range sorted {
-				if v <= p {
-					want++
-				}
-			}
-			if b.Rank(p) != want {
+		slices.Sort(probes)
+		probes = slices.Compact(probes)
+		idx := make([]int32, len(probes))
+		for _, o := range operandsOf(values) {
+			sorted := o.ref.slice()
+			if top, ok := o.bm.Maximum(); ok != (len(sorted) > 0) || ok && top != sorted[len(sorted)-1] {
+				t.Logf("%s: Maximum = %d, %v", o.name, top, ok)
 				return false
+			}
+			o.bm.RanksInto(probes, idx)
+			for i, p := range probes {
+				want, _ := slices.BinarySearch(sorted, p+1) // values ≤ p
+				wantIdx := int32(-1)
+				if o.ref[p] {
+					wantIdx = int32(want - 1)
+				}
+				if o.bm.Rank(p) != want || o.bm.Contains(p) != o.ref[p] || idx[i] != wantIdx {
+					t.Logf("%s: probe %d: Rank %d, Contains %v, RanksInto %d; want %d, %v, %d",
+						o.name, p, o.bm.Rank(p), o.bm.Contains(p), idx[i], want, o.ref[p], wantIdx)
+					return false
+				}
 			}
 		}
 		return true

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -13,16 +14,33 @@ import (
 //	nChunks uint32
 //	per chunk:
 //	  key   uint16
-//	  kind  uint8   (0=array, 1=bitset, 2=run)
-//	  n     uint32  (array: #values, bitset: cardinality, run: #runs)
-//	  payload
+//	  kind  uint8   (0=array, 2=run, 3=bitset; 1=full bitset, read only)
+//	  n     uint32  (array: #values, run: #runs, bitset: #words,
+//	                 full bitset: cardinality)
+//	  payload       (n values, n runs, n words, or 1024 words)
+//
+// A bitset chunk holds its words up to the highest set one, so its last word
+// is never zero. Kind 1, always 1024 words, is what builds before kind 3
+// wrote; it still loads, into a range-sized bitset. A build that predates
+// kind 3 rejects it with "bitmap: unknown container kind 3".
 const bitmapMagic = 0x47525642 // "GRVB"
 
 const (
-	kindArray  = 0
-	kindBitset = 1
-	kindRun    = 2
+	kindArray      = 0
+	kindFullBitset = 1
+	kindRun        = 2
+	kindBitset     = 3
 )
+
+// ErrCorrupt is wrapped by every error ReadFrom returns for bytes that are
+// not an encoding WriteTo could have produced; input that ends early gives
+// io.EOF or io.ErrUnexpectedEOF instead.
+var ErrCorrupt = errors.New("bitmap: corrupt encoding")
+
+// corrupt returns an error wrapping ErrCorrupt.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
 
 // WriteTo serializes the bitmap. It implements io.WriterTo.
 func (b *Bitmap) WriteTo(w io.Writer) (int64, error) {
@@ -58,13 +76,14 @@ func writeContainer(w io.Writer, key uint16, c container) error {
 		_, err := w.Write(buf)
 		return err
 	case *bitsetContainer:
+		words := cc.used()
 		head[2] = kindBitset
-		binary.LittleEndian.PutUint32(head[3:], uint32(cc.card))
+		binary.LittleEndian.PutUint32(head[3:], uint32(len(words)))
 		if _, err := w.Write(head); err != nil {
 			return err
 		}
-		buf := make([]byte, 8*bitsetWords)
-		for i, word := range cc.words {
+		buf := make([]byte, 8*len(words))
+		for i, word := range words {
 			binary.LittleEndian.PutUint64(buf[8*i:], word)
 		}
 		_, err := w.Write(buf)
@@ -96,7 +115,7 @@ func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 		return cr.n, fmt.Errorf("bitmap: reading header: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != bitmapMagic {
-		return cr.n, fmt.Errorf("bitmap: bad magic %#x", magic)
+		return cr.n, corrupt("bad magic %#x", magic)
 	}
 	nChunks := binary.LittleEndian.Uint32(hdr[4:])
 	b.keys = b.keys[:0]
@@ -108,7 +127,7 @@ func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 			return cr.n, err
 		}
 		if int(key) <= prevKey {
-			return cr.n, fmt.Errorf("bitmap: chunk keys out of order (%d after %d)", key, prevKey)
+			return cr.n, corrupt("chunk keys out of order (%d after %d)", key, prevKey)
 		}
 		prevKey = int(key)
 		b.keys = append(b.keys, key)
@@ -128,7 +147,7 @@ func readContainer(r io.Reader) (uint16, container, error) {
 	switch kind {
 	case kindArray:
 		if n > arrayMaxCardinality {
-			return 0, nil, fmt.Errorf("bitmap: array container too large (%d)", n)
+			return 0, nil, corrupt("array container too large (%d)", n)
 		}
 		buf := make([]byte, 2*n)
 		if _, err := io.ReadFull(r, buf); err != nil {
@@ -139,27 +158,39 @@ func readContainer(r io.Reader) (uint16, container, error) {
 			values[i] = binary.LittleEndian.Uint16(buf[2*i:])
 		}
 		return key, &arrayContainer{values: values}, nil
-	case kindBitset:
-		buf := make([]byte, 8*bitsetWords)
+	case kindBitset, kindFullBitset:
+		words := int(n)
+		if kind == kindFullBitset {
+			words = bitsetWords
+		} else if words < 1 || words > bitsetWords {
+			return 0, nil, corrupt("bitset container of %d words", n)
+		}
+		buf := make([]byte, 8*words)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return 0, nil, err
 		}
-		c := newBitsetContainer()
+		c := newBitsetContainer(words)
 		card := 0
 		for i := range c.words {
 			c.words[i] = binary.LittleEndian.Uint64(buf[8*i:])
 			card += bits.OnesCount64(c.words[i])
 		}
-		// Recount rather than trust the header: a corrupt cardinality would
-		// silently break every population-count consumer downstream.
-		if int(n) != card {
-			return 0, nil, fmt.Errorf("bitmap: bitset container cardinality %d does not match payload (%d bits set)", n, card)
-		}
 		c.card = card
+		switch {
+		case card == 0:
+			return 0, nil, corrupt("empty bitset container")
+		case kind == kindBitset && c.words[words-1] == 0:
+			return 0, nil, corrupt("bitset container's last word is zero")
+		case kind == kindFullBitset && int(n) != card:
+			// Recount rather than trust the header: a corrupt cardinality
+			// would silently break every population-count consumer.
+			return 0, nil, corrupt("bitset container cardinality %d does not match payload (%d bits set)", n, card)
+		}
+		c.words = c.used()
 		return key, c, nil
 	case kindRun:
 		if n > 1<<15 {
-			return 0, nil, fmt.Errorf("bitmap: run container too large (%d runs)", n)
+			return 0, nil, corrupt("run container too large (%d runs)", n)
 		}
 		buf := make([]byte, 4*n)
 		if _, err := io.ReadFull(r, buf); err != nil {
@@ -174,16 +205,16 @@ func readContainer(r io.Reader) (uint16, container, error) {
 			}
 			start, end := int(runs[i].start), int(runs[i].start)+int(runs[i].length)
 			if end > 0xFFFF {
-				return 0, nil, fmt.Errorf("bitmap: run [%d,%d] exceeds the container's value space", start, end)
+				return 0, nil, corrupt("run [%d,%d] exceeds the container's value space", start, end)
 			}
 			if start <= prevEnd {
-				return 0, nil, fmt.Errorf("bitmap: runs out of order or overlapping at [%d,%d]", start, end)
+				return 0, nil, corrupt("runs out of order or overlapping at [%d,%d]", start, end)
 			}
 			prevEnd = end
 		}
 		return key, newRunContainer(runs), nil
 	default:
-		return 0, nil, fmt.Errorf("bitmap: unknown container kind %d", kind)
+		return 0, nil, corrupt("unknown container kind %d", kind)
 	}
 }
 

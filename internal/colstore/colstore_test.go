@@ -341,7 +341,7 @@ func TestSaveLoadLargeRandom(t *testing.T) {
 			r.SetEdgeMeasure(rec, e, float64(rng.Intn(1000))/10)
 		}
 	}
-	r.RunOptimize()
+	r.Optimize()
 	if err := r.Save(dir); err != nil {
 		t.Fatal(err)
 	}

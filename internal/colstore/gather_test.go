@@ -30,7 +30,7 @@ func randomColumn(rng *rand.Rand) *MeasureColumn {
 			set(lo + k)
 		}
 	}
-	c.present.RunOptimize()
+	c.present.Optimize()
 	return c
 }
 

@@ -929,29 +929,29 @@ func (r *Relation) ViewSizeBytes() int64 {
 // SizeBytes is the total payload size (base + views).
 func (r *Relation) SizeBytes() int64 { return r.BaseSizeBytes() + r.ViewSizeBytes() }
 
-// RunOptimize converts all bitmap columns to their most compact layouts.
+// Optimize rebuilds every bitmap column in its most compact layouts.
 // Call after bulk loading.
-func (r *Relation) RunOptimize() {
+func (r *Relation) Optimize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range r.bitmaps {
-		b.Bits().RunOptimize()
+		b.Bits().Optimize()
 	}
 	for _, m := range r.measures {
-		m.Present().RunOptimize()
+		m.Present().Optimize()
 	}
 	for _, cols := range r.named {
 		for _, m := range cols {
-			m.Present().RunOptimize()
+			m.Present().Optimize()
 		}
 	}
 	cat := r.Catalog()
 	for _, v := range cat.views {
-		v.Col.Bits().RunOptimize()
+		v.Col.Bits().Optimize()
 	}
 	for _, v := range cat.aggViews {
-		v.Col.Bits().RunOptimize()
-		v.Measure.Present().RunOptimize()
+		v.Col.Bits().Optimize()
+		v.Measure.Present().Optimize()
 	}
 }
 

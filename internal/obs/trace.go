@@ -149,30 +149,39 @@ func (t Trace) PhaseTotals() []Span {
 }
 
 // ActiveTrace accumulates spans for one in-flight query. It is owned by a
-// single goroutine (the query's executor) and costs one allocation per
-// query plus one per span append — which is why tracing is opt-in while
-// counters are always cheap.
+// single goroutine (the query's executor). StartTrace takes it from a pool
+// and TraceRing.Record gives it back once a ring slot holds a copy, so a
+// query traced through Record allocates nothing once pool and ring are warm.
+// Spans are timed on the monotonic clock from the trace's start: one wall
+// clock read per trace, one monotonic read per span boundary.
 type ActiveTrace struct {
 	trace     Trace
 	start     time.Time
 	startIO   IODelta
 	spanPhase string
-	spanStart time.Time
+	spanStart time.Duration // since start
 	spanIO    IODelta
 }
+
+// activeTraces recycles ActiveTraces and their span arrays, pre-sized for
+// the common lifecycle (plan, fetch, intersect, measure-scan, aggregate, +
+// slack) so span appends don't reallocate.
+var activeTraces = sync.Pool{New: func() any {
+	return &ActiveTrace{trace: Trace{Spans: make([]Span, 0, 8)}}
+}}
 
 // StartTrace opens a trace. io is the current cumulative I/O snapshot; the
 // trace's deltas are computed against it.
 func StartTrace(kind, query string, io IODelta) *ActiveTrace {
+	a := activeTraces.Get().(*ActiveTrace)
 	now := time.Now()
-	return &ActiveTrace{
-		// Pre-size for the common lifecycle (plan, fetch, intersect,
-		// measure-scan, aggregate, + slack) so span appends don't reallocate.
+	*a = ActiveTrace{
 		trace: Trace{Kind: kind, Query: query, StartUnixNanos: now.UnixNano(),
-			Spans: make([]Span, 0, 8)},
+			Spans: a.trace.Spans[:0]},
 		start:   now,
 		startIO: io,
 	}
+	return a
 }
 
 // Begin closes the open span (if any) and starts a new one for phase. io is
@@ -181,19 +190,19 @@ func (a *ActiveTrace) Begin(phase string, io IODelta) {
 	if a == nil {
 		return
 	}
-	now := time.Now()
+	now := time.Since(a.start)
 	a.closeSpan(now, io)
 	a.spanPhase, a.spanStart, a.spanIO = phase, now, io
 }
 
-func (a *ActiveTrace) closeSpan(now time.Time, io IODelta) {
+func (a *ActiveTrace) closeSpan(now time.Duration, io IODelta) {
 	if a.spanPhase == "" {
 		return
 	}
 	a.trace.Spans = append(a.trace.Spans, Span{
 		Phase:         a.spanPhase,
 		Shard:         a.trace.Shard,
-		DurationNanos: now.Sub(a.spanStart).Nanoseconds(),
+		DurationNanos: (now - a.spanStart).Nanoseconds(),
 		IO:            io.Sub(a.spanIO),
 	})
 	a.spanPhase = ""
@@ -232,9 +241,9 @@ func (a *ActiveTrace) Finish(io IODelta) Trace {
 	if a == nil {
 		return Trace{}
 	}
-	now := time.Now()
+	now := time.Since(a.start)
 	a.closeSpan(now, io)
-	a.trace.DurationNanos = now.Sub(a.start).Nanoseconds()
+	a.trace.DurationNanos = now.Nanoseconds()
 	a.trace.IO = io.Sub(a.startIO)
 	return a.trace
 }
@@ -261,13 +270,18 @@ func NewTraceRing(capacity int) *TraceRing {
 	return &TraceRing{buf: make([]Trace, capacity)}
 }
 
-// Add records a finished trace, evicting the oldest when full.
+// Add records a finished trace, evicting the oldest when full. The slot
+// keeps its own copy of t's spans and children, reusing the arrays of the
+// trace it evicts.
 func (r *TraceRing) Add(t Trace) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = t
+	slot := &r.buf[r.next]
+	spans, children := append(slot.Spans[:0], t.Spans...), append(slot.Children[:0], t.Children...)
+	*slot = t
+	slot.Spans, slot.Children = spans, children
 	r.next = (r.next + 1) % len(r.buf)
 	if r.size < len(r.buf) {
 		r.size++
@@ -276,7 +290,20 @@ func (r *TraceRing) Add(t Trace) {
 	r.mu.Unlock()
 }
 
-// Recent returns the stored traces, newest first.
+// Record finishes a as Finish does, stamps err's text on it when err is not
+// nil, adds it as Add does and returns a to StartTrace's pool; a must not be
+// used afterwards. It returns the trace's duration. The ring must not be nil.
+func (r *TraceRing) Record(a *ActiveTrace, io IODelta, err error) time.Duration {
+	t := a.Finish(io)
+	if err != nil {
+		t.Error = err.Error()
+	}
+	r.Add(t)
+	activeTraces.Put(a)
+	return t.Duration()
+}
+
+// Recent returns copies of the stored traces, newest first.
 func (r *TraceRing) Recent() []Trace {
 	if r == nil {
 		return nil
@@ -285,7 +312,10 @@ func (r *TraceRing) Recent() []Trace {
 	defer r.mu.Unlock()
 	out := make([]Trace, r.size)
 	for i := 0; i < r.size; i++ {
-		out[i] = r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
+		t := r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
+		t.Spans = append([]Span(nil), t.Spans...)
+		t.Children = append([]Trace(nil), t.Children...)
+		out[i] = t
 	}
 	return out
 }

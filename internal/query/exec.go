@@ -29,10 +29,10 @@ type Engine struct {
 
 	// metrics, when set, records per-query counters and latency histograms
 	// (allocation-free). traces, when set, records a span-based lifecycle
-	// trace per query into the ring (one allocation per query plus span
-	// appends). Both default to nil: the disabled path costs two nil checks
-	// and nothing else. Set them before serving queries (mutating them
-	// mid-flight is not synchronized).
+	// trace per query into the ring (allocation-free too once the trace pool
+	// and the ring are warm). Both default to nil: the disabled path costs
+	// two nil checks and nothing else. Set them before serving queries
+	// (mutating them mid-flight is not synchronized).
 	metrics *obs.QueryMetrics
 	traces  *obs.TraceRing
 
@@ -82,24 +82,22 @@ func (e *Engine) Shard() int { return e.shardID }
 // needs it.
 func observed[T any](e *Engine, kind string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
 	var start time.Time
-	if e.metrics != nil {
-		start = time.Now()
-	}
 	var tr *obs.ActiveTrace
 	if e.traces != nil {
 		tr = obs.StartTrace(kind, text(), e.Rel.Tracker().Snapshot())
 		tr.SetShard(e.shardID)
+	} else if e.metrics != nil {
+		start = time.Now()
 	}
 	res, err := run(tr)
+	var took time.Duration // with a trace, the histogram takes the trace's duration
 	if tr != nil {
-		t := tr.Finish(e.Rel.Tracker().Snapshot())
-		if err != nil {
-			t.Error = err.Error()
-		}
-		e.traces.Add(t)
+		took = e.traces.Record(tr, e.Rel.Tracker().Snapshot(), err)
+	} else if e.metrics != nil {
+		took = time.Since(start)
 	}
 	if e.metrics != nil && err == nil {
-		e.metrics.Record(kind, time.Since(start))
+		e.metrics.Record(kind, took)
 	}
 	return res, err
 }

@@ -117,7 +117,7 @@ func pathChainFixture(tb testing.TB, numRecords int, density float64) (*fixture,
 		}
 		graph.LoadRecord(rel, reg, rec)
 	}
-	rel.RunOptimize()
+	rel.Optimize()
 	return &fixture{rel: rel, reg: reg, eng: NewEngine(rel, reg)}, nodes
 }
 

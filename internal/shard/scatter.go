@@ -160,9 +160,7 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 		// The per-shard results (and their captured traces) are discarded by
 		// scatter on error; the root still records the failed fan-out.
 		if root != nil {
-			t := root.Finish(c.IOStats())
-			t.Error = err.Error()
-			ring.Add(t)
+			ring.Record(root, c.IOStats(), err)
 		}
 		return zero, err
 	}
@@ -191,7 +189,7 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
 	}
 	if root != nil {
-		ring.Add(root.Finish(c.IOStats()))
+		ring.Record(root, c.IOStats(), nil)
 	}
 	return out, nil
 }

@@ -332,7 +332,7 @@ func (c *Coordinator) TaggedWith(key, value string) *bitmap.Bitmap {
 // Optimize recompresses every shard's bitmap columns.
 func (c *Coordinator) Optimize() {
 	for _, u := range c.units {
-		u.Rel.RunOptimize()
+		u.Rel.Optimize()
 	}
 }
 

@@ -102,7 +102,7 @@ func Build(spec DatasetSpec) (*Dataset, error) {
 		}
 		sumE += n
 	}
-	rel.RunOptimize()
+	rel.Optimize()
 	ds.Stats = DatasetStats{
 		Name:           spec.Name,
 		NumRecords:     rel.NumRecords(),

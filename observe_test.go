@@ -169,10 +169,11 @@ func assertIOMetricsMatchSnapshot(t *testing.T, st *Store) {
 
 // tracedQueryExtraAllocs is how many objects tracing adds to one
 // single-shard Match. Most are the query text the trace renders for the
-// fresh query each Match builds (six in a heap profile) and the active trace
-// with its span array (two). ROADMAP item 1's target is zero: a traced query
-// should cost what an untraced one does, plus clock reads.
-const tracedQueryExtraAllocs = 9
+// fresh query each Match builds (six in a heap profile); the active trace and
+// its span array come from a pool and the ring slot's own arrays. ROADMAP
+// item 1's target is zero: a traced query should cost what an untraced one
+// does, plus clock reads.
+const tracedQueryExtraAllocs = 7
 
 // TestTracedQueryAllocations is the clock-free companion of
 // TestObsOverheadSmoke: it pins the objects a traced single-shard Match
