@@ -68,7 +68,7 @@ bench:
 # the sharded batch, its k-way merges and WAL replay below the coordinator;
 # the bitmap kernels: array ∩ run and array ∩ range-sized bitset AND, probe-or-gallop array ∩ array and its crossover, per-layout batch rank (§10);
 # one add-record WAL frame decoded;
-# one record appended to a relation, one 16-element query graph resolved to ids;
+# one 67-edge record built, appended to a relation, and both; one 16-element query graph resolved to ids;
 # the tracing-overhead gate: metrics plus tracing within 10% of instrumentation off.
 bench-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -bench 'PathAgg|PlanCover|CoverPath' -benchtime 1x
@@ -76,7 +76,7 @@ bench-smoke:
 	$(GO) test ./internal/shard/ -run '^$$' -bench 'Sharded|MergeAgg|MergeBitmaps|ReplayWAL' -benchtime 1x
 	$(GO) test ./internal/bitmap/ -run '^$$' -bench 'AndInPlaceArrayRun|IntersectArrays|RanksInto' -benchtime 1x
 	$(GO) test ./internal/wal/ -run '^$$' -bench WALDecodeAddRecord -benchtime 1x
-	$(GO) test ./internal/graph/ -run '^$$' -bench 'LoadRecord|Resolve' -benchtime 1x
+	$(GO) test ./internal/graph/ -run '^$$' -bench 'LoadRecord|BuildRecord|BuildAndLoadRecord|Resolve' -benchtime 1x
 	$(GO) test ./internal/obs/ -run TestObsOverheadSmoke -count=1 -v
 
 # The end-to-end benchmark's oracle at smoke length (≈ 22 s on 2 cores): the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -480,7 +481,7 @@ func TestGetRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Graph.Equals(orig.Graph) {
+	if !slices.Equal(got.Elements(), orig.Elements()) {
 		t.Fatalf("structure mismatch: %v vs %v", got.Elements(), orig.Elements())
 	}
 	if m := got.Measure(EdgeKey{From: "A", To: "B"}); !m.Valid || m.Value != 1.5 {

@@ -1,7 +1,9 @@
 package bitmap
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -261,5 +263,43 @@ func BenchmarkAndAllIntoWidth16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AndAllInto(dst, bms...)
+	}
+}
+
+// TestSortByCardinalityStable holds the operand order to a stable sort by
+// cardinality on random widths 0–40 with many ties, across the stack
+// insertion (≤ sortScratch) and the wide path, and pins the insertion at
+// zero allocations at full width.
+func TestSortByCardinalityStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	pool := make([]*Bitmap, 8)
+	for i := range pool {
+		pool[i] = randomBitmap(rng, 5*rng.Intn(4), 1<<16) // cardinalities repeat
+	}
+	for trial := 0; trial < 2000; trial++ {
+		width := rng.Intn(41)
+		got := make([]*Bitmap, width)
+		for i := range got {
+			got[i] = pool[rng.Intn(len(pool))]
+			if rng.Intn(4) == 0 {
+				got[i] = got[i].Clone() // equal cardinality, distinct operand
+			}
+		}
+		want := slices.Clone(got)
+		slices.SortStableFunc(want, func(x, y *Bitmap) int { return cmp.Compare(x.Cardinality(), y.Cardinality()) })
+		sortByCardinality(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("width %d: position %d holds a different operand (cardinality %d, want %d)",
+					width, i, got[i].Cardinality(), want[i].Cardinality())
+			}
+		}
+	}
+	full := make([]*Bitmap, sortScratch)
+	for i := range full {
+		full[i] = pool[i%len(pool)]
+	}
+	if allocs := testing.AllocsPerRun(50, func() { sortByCardinality(full) }); allocs != 0 {
+		t.Fatalf("ordering %d operands allocates %.1f times, want 0", sortScratch, allocs)
 	}
 }

@@ -8,6 +8,7 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"grove/internal/bitmap"
 )
@@ -28,6 +29,7 @@ type MeasureColumn struct {
 	present *bitmap.Bitmap
 	values  []float64
 	paged   *pagedData
+	size    keptSize
 }
 
 // NewMeasureColumn returns an empty measure column.
@@ -41,6 +43,7 @@ func NewMeasureColumn() *MeasureColumn {
 // paged column is materialized in full on its first Set: written columns are
 // resident columns, and re-paging happens at the next Save/Load cycle.
 func (c *MeasureColumn) Set(rec uint32, v float64) {
+	c.size.forget()
 	if c.paged != nil {
 		if err := c.materialize(); err != nil {
 			// Materialization failed (disk fault). Drop the write rather than
@@ -116,7 +119,16 @@ func (c *MeasureColumn) ValuesFor(recs []uint32) (values []float64, present []bo
 // touches, and cache state must not change query costs. Residency is
 // reported separately by ResidentValueBytes/EncodedValueBytes.
 func (c *MeasureColumn) SizeBytes() int {
-	return c.present.SizeBytes() + 8*c.valueCount()
+	if n, ok := c.size.load(); ok {
+		return n
+	}
+	return c.size.store(c.present.SizeBytes() + 8*c.valueCount())
+}
+
+// optimize rebuilds the presence bitmap in its most compact layouts.
+func (c *MeasureColumn) optimize() {
+	c.size.forget()
+	c.present.Optimize()
 }
 
 // validate checks internal invariants; used by tests and loaders. For a
@@ -141,6 +153,7 @@ func (c *MeasureColumn) validate() error {
 // view's edge set, or contains a view's path).
 type BitmapColumn struct {
 	bits *bitmap.Bitmap
+	size keptSize
 }
 
 // NewBitmapColumn returns an empty bitmap column.
@@ -154,7 +167,10 @@ func NewBitmapColumnFrom(b *bitmap.Bitmap) *BitmapColumn {
 }
 
 // Set marks record rec.
-func (c *BitmapColumn) Set(rec uint32) { c.bits.Add(rec) }
+func (c *BitmapColumn) Set(rec uint32) {
+	c.size.forget()
+	c.bits.Add(rec)
+}
 
 // Contains reports whether rec is marked.
 func (c *BitmapColumn) Contains(rec uint32) bool { return c.bits.Contains(rec) }
@@ -167,4 +183,42 @@ func (c *BitmapColumn) Bits() *bitmap.Bitmap { return c.bits }
 func (c *BitmapColumn) Cardinality() int { return c.bits.Cardinality() }
 
 // SizeBytes reports the approximate payload size.
-func (c *BitmapColumn) SizeBytes() int { return c.bits.SizeBytes() }
+func (c *BitmapColumn) SizeBytes() int {
+	if n, ok := c.size.load(); ok {
+		return n
+	}
+	return c.size.store(c.bits.SizeBytes())
+}
+
+// optimize rebuilds the bitmap in its most compact layouts.
+func (c *BitmapColumn) optimize() {
+	c.size.forget()
+	c.bits.Optimize()
+}
+
+// keptSize holds a column's SizeBytes between writes, so the fetches that
+// charge it on every query do not walk the column's containers. A writer
+// (under the relation's write lock) forgets it; the first reader after the
+// write recomputes and stores it. Readers share the read lock, so several
+// may recompute at once, and they store the same value.
+type keptSize struct {
+	v atomic.Int64 // size + 1; 0 = not known
+}
+
+// forget is a load on the append path: only a size a fetch has stored since
+// the last write needs the store (an atomic exchange).
+func (k *keptSize) forget() {
+	if k.v.Load() != 0 {
+		k.v.Store(0)
+	}
+}
+
+func (k *keptSize) load() (int, bool) {
+	v := k.v.Load()
+	return int(v - 1), v != 0
+}
+
+func (k *keptSize) store(n int) int {
+	k.v.Store(int64(n) + 1)
+	return n
+}

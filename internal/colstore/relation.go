@@ -935,23 +935,23 @@ func (r *Relation) Optimize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range r.bitmaps {
-		b.Bits().Optimize()
+		b.optimize()
 	}
 	for _, m := range r.measures {
-		m.Present().Optimize()
+		m.optimize()
 	}
 	for _, cols := range r.named {
 		for _, m := range cols {
-			m.Present().Optimize()
+			m.optimize()
 		}
 	}
 	cat := r.Catalog()
 	for _, v := range cat.views {
-		v.Col.Bits().Optimize()
+		v.Col.optimize()
 	}
 	for _, v := range cat.aggViews {
-		v.Col.Bits().Optimize()
-		v.Measure.Present().Optimize()
+		v.Col.optimize()
+		v.Measure.optimize()
 	}
 }
 

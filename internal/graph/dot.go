@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -26,9 +25,7 @@ func WriteDOT(w io.Writer, name string, g *Graph, rec *Record) error {
 		}
 		fmt.Fprintf(&b, "  %q [label=%q];\n", n, label)
 	}
-	elems := g.Elements()
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Less(elems[j]) })
-	for _, k := range elems {
+	for _, k := range g.elems {
 		if k.IsNode() {
 			continue
 		}

@@ -47,25 +47,20 @@ func (k EdgeKey) compare(o EdgeKey) int {
 	return strings.Compare(k.To, o.To)
 }
 
-// Graph is a directed graph over named nodes. It stores the structural
-// elements (proper edges and node elements) of a record or a query. The zero
-// value is not usable; call NewGraph.
+// Graph is a directed graph over named nodes: its structural elements
+// (proper edges and node elements), deduplicated and in EdgeKey.Less order,
+// and the names of its nodes, sorted. Every mutator leaves both slices
+// sorted and no read reorders anything, so a graph nobody mutates may be read
+// by concurrent queries. Adjacency is not stored: a node's out-edges are the
+// contiguous run of elements whose From is the node, and the other
+// neighbourhood queries scan the elements once.
 type Graph struct {
-	elems map[EdgeKey]struct{}
-	out   map[string]map[string]struct{} // proper edges only
-	in    map[string]map[string]struct{}
-	nodes map[string]struct{} // endpoint or explicit node element
+	elems []EdgeKey
+	nodes []string // endpoint or explicit node element
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{
-		elems: make(map[EdgeKey]struct{}),
-		out:   make(map[string]map[string]struct{}),
-		in:    make(map[string]map[string]struct{}),
-		nodes: make(map[string]struct{}),
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddEdge adds the directed edge (from, to). Adding a self-loop (from == to)
 // registers the node element instead, mirroring the [X,X] convention.
@@ -74,17 +69,15 @@ func (g *Graph) AddEdge(from, to string) {
 		g.AddNode(from)
 		return
 	}
-	g.elems[E(from, to)] = struct{}{}
-	addAdj(g.out, from, to)
-	addAdj(g.in, to, from)
-	g.nodes[from] = struct{}{}
-	g.nodes[to] = struct{}{}
+	g.elems, _ = insertSorted(g.elems, E(from, to), EdgeKey.compare)
+	g.nodes, _ = insertSorted(g.nodes, from, strings.Compare)
+	g.nodes, _ = insertSorted(g.nodes, to, strings.Compare)
 }
 
 // AddNode registers node x as a structural element [X,X].
 func (g *Graph) AddNode(x string) {
-	g.elems[NodeKey(x)] = struct{}{}
-	g.nodes[x] = struct{}{}
+	g.elems, _ = insertSorted(g.elems, NodeKey(x), EdgeKey.compare)
+	g.nodes, _ = insertSorted(g.nodes, x, strings.Compare)
 }
 
 // AddElement adds a structural element by key.
@@ -96,18 +89,74 @@ func (g *Graph) AddElement(k EdgeKey) {
 	}
 }
 
-func addAdj(m map[string]map[string]struct{}, a, b string) {
-	s, ok := m[a]
-	if !ok {
-		s = make(map[string]struct{})
-		m[a] = s
+// insertSorted inserts v into the sorted slice s unless an equal entry is
+// there already, and returns the slice and the entry's index. Records are
+// mostly built in walk order, so v is tried after the last entry before the
+// slice is searched.
+func insertSorted[T any](s []T, v T, cmp func(T, T) int) ([]T, int) {
+	i := len(s)
+	if i > 0 && cmp(s[i-1], v) >= 0 {
+		var found bool
+		if i, found = slices.BinarySearchFunc(s, v, cmp); found {
+			return s, i
+		}
 	}
-	s[b] = struct{}{}
+	return insertAt(s, i, v), i
+}
+
+// insertAt inserts v at s[i].
+func insertAt[T any](s []T, i int, v T) []T {
+	if len(s) == cap(s) {
+		// Graphs are small: grow fourfold from 8 up to 128 entries, then
+		// double, so a 67-edge record fills each slice in three allocations.
+		n := 8
+		if c := cap(s); c >= 128 {
+			n = 2 * c
+		} else if c > 0 {
+			n = 4 * c
+		}
+		s = append(make([]T, 0, n), s...)
+	}
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// lastOfEach sorts s stably by cmp and keeps the last entry of each run of
+// equal ones: the bulk form of inserting the entries one by one, each
+// replacing its predecessor. Sorted input is not re-sorted.
+func lastOfEach[T any](s []T, cmp func(T, T) int) []T {
+	if !slices.IsSortedFunc(s, cmp) {
+		slices.SortStableFunc(s, cmp)
+	}
+	out := s[:0]
+	for i := range s {
+		if i+1 < len(s) && cmp(s[i], s[i+1]) == 0 {
+			continue
+		}
+		out = append(out, s[i])
+	}
+	return out
+}
+
+// settle makes g the graph of elems, given in any order and with repeats.
+func (g *Graph) settle(elems []EdgeKey) {
+	g.elems = lastOfEach(elems, EdgeKey.compare)
+	g.nodes = make([]string, 0, len(g.elems)+1)
+	for _, k := range g.elems {
+		g.nodes = append(g.nodes, k.From)
+		if !k.IsNode() {
+			g.nodes = append(g.nodes, k.To)
+		}
+	}
+	slices.Sort(g.nodes)
+	g.nodes = slices.Compact(g.nodes)
 }
 
 // HasElement reports whether the structural element is present.
 func (g *Graph) HasElement(k EdgeKey) bool {
-	_, ok := g.elems[k]
+	_, ok := slices.BinarySearchFunc(g.elems, k, EdgeKey.compare)
 	return ok
 }
 
@@ -119,7 +168,7 @@ func (g *Graph) HasEdge(from, to string) bool {
 // HasNode reports whether x appears in the graph (as an element or as an
 // edge endpoint).
 func (g *Graph) HasNode(x string) bool {
-	_, ok := g.nodes[x]
+	_, ok := slices.BinarySearch(g.nodes, x)
 	return ok
 }
 
@@ -129,165 +178,108 @@ func (g *Graph) NumElements() int { return len(g.elems) }
 
 // Elements returns all structural elements in deterministic order.
 func (g *Graph) Elements() []EdgeKey {
-	out := make([]EdgeKey, 0, len(g.elems))
-	for k := range g.elems {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, EdgeKey.compare)
-	return out
+	return append(make([]EdgeKey, 0, len(g.elems)), g.elems...)
 }
 
 // Nodes returns all node names in sorted order.
 func (g *Graph) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
+	return append(make([]string, 0, len(g.nodes)), g.nodes...)
+}
+
+// outRange returns the bounds of the elements whose From is x: one
+// contiguous run, ordered by To, holding x's out-edges and its node element.
+func (g *Graph) outRange(x string) (lo, hi int) {
+	lo = sort.Search(len(g.elems), func(i int) bool { return g.elems[i].From >= x })
+	hi = lo
+	for hi < len(g.elems) && g.elems[hi].From == x {
+		hi++
 	}
-	sort.Strings(out)
-	return out
+	return lo, hi
 }
 
 // Successors returns the sorted out-neighbours of x via proper edges.
 func (g *Graph) Successors(x string) []string {
-	return sortedKeys(g.out[x])
+	lo, hi := g.outRange(x)
+	out := make([]string, 0, hi-lo)
+	for _, k := range g.elems[lo:hi] {
+		if k.To != x {
+			out = append(out, k.To)
+		}
+	}
+	return out
 }
 
-// Predecessors returns the sorted in-neighbours of x via proper edges.
+// Predecessors returns the sorted in-neighbours of x via proper edges. The
+// elements are in From order, so one scan finds them sorted.
 func (g *Graph) Predecessors(x string) []string {
-	return sortedKeys(g.in[x])
+	out := make([]string, 0)
+	for _, k := range g.elems {
+		if k.To == x && k.From != x {
+			out = append(out, k.From)
+		}
+	}
+	return out
 }
-
-// OutDegree returns the number of proper edges leaving x.
-func (g *Graph) OutDegree(x string) int { return len(g.out[x]) }
-
-// InDegree returns the number of proper edges entering x.
-func (g *Graph) InDegree(x string) int { return len(g.in[x]) }
 
 // Sources returns the nodes with no incoming proper edges (Src(G), §3.3).
 func (g *Graph) Sources() []string {
+	targets := make([]string, 0, len(g.elems))
+	for _, k := range g.elems {
+		if !k.IsNode() {
+			targets = append(targets, k.To)
+		}
+	}
+	slices.Sort(targets)
 	var out []string
-	for n := range g.nodes {
-		if len(g.in[n]) == 0 {
+	for _, n := range g.nodes {
+		if _, hit := slices.BinarySearch(targets, n); !hit {
 			out = append(out, n)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Terminals returns the nodes with no outgoing proper edges (Ter(G), §3.3).
 func (g *Graph) Terminals() []string {
 	var out []string
-	for n := range g.nodes {
-		if len(g.out[n]) == 0 {
+	for _, n := range g.nodes {
+		// A node's run holds at most its node element when it has no out-edge.
+		if lo, hi := g.outRange(n); hi == lo || hi == lo+1 && g.elems[lo].IsNode() {
 			out = append(out, n)
 		}
 	}
-	sort.Strings(out)
 	return out
-}
-
-// IsSubgraphOf reports whether every structural element of g appears in h.
-// Because nodes are named entities, this is plain containment — no
-// isomorphism search is needed (§1).
-func (g *Graph) IsSubgraphOf(h *Graph) bool {
-	for k := range g.elems {
-		if !h.HasElement(k) {
-			return false
-		}
-	}
-	return true
 }
 
 // Intersect returns the common subgraph of g and h (shared elements).
 func (g *Graph) Intersect(h *Graph) *Graph {
-	out := NewGraph()
-	small, large := g, h
-	if len(h.elems) < len(g.elems) {
-		small, large = h, g
-	}
-	for k := range small.elems {
-		if large.HasElement(k) {
-			out.AddElement(k)
+	var shared []EdgeKey
+	for i, j := 0, 0; i < len(g.elems) && j < len(h.elems); {
+		switch c := g.elems[i].compare(h.elems[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			shared = append(shared, g.elems[i])
+			i++
+			j++
 		}
 	}
-	return out
-}
-
-// Union returns the union of g and h.
-func (g *Graph) Union(h *Graph) *Graph {
 	out := NewGraph()
-	for k := range g.elems {
-		out.AddElement(k)
-	}
-	for k := range h.elems {
-		out.AddElement(k)
-	}
+	out.settle(shared)
 	return out
 }
 
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	for k := range g.elems {
-		out.AddElement(k)
-	}
-	for n := range g.nodes {
-		out.nodes[n] = struct{}{}
-	}
-	return out
-}
-
-// Equals reports element-set equality.
-func (g *Graph) Equals(h *Graph) bool {
-	if len(g.elems) != len(h.elems) {
-		return false
-	}
-	for k := range g.elems {
-		if !h.HasElement(k) {
-			return false
-		}
-	}
-	return true
+	return &Graph{elems: slices.Clone(g.elems), nodes: slices.Clone(g.nodes)}
 }
 
 // HasCycle reports whether the proper-edge structure contains a directed
 // cycle.
-func (g *Graph) HasCycle() bool {
-	state := make(map[string]int, len(g.nodes))
-	var visit func(string) bool
-	visit = func(n string) bool {
-		state[n] = grey
-		for s := range g.out[n] {
-			switch state[s] {
-			case grey:
-				return true
-			case white:
-				if visit(s) {
-					return true
-				}
-			}
-		}
-		state[n] = black
-		return false
-	}
-	for n := range g.nodes {
-		if state[n] == white && visit(n) {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasCycle() bool { return hasCycle(g.elems) }
 
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{%d elements, %d nodes}", len(g.elems), len(g.nodes))
-}
-
-func sortedKeys(m map[string]struct{}) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"grove/internal/colstore"
@@ -84,30 +85,12 @@ func TestSuccessorsPredecessors(t *testing.T) {
 	if len(pred) != 3 { // G, H, J
 		t.Errorf("Predecessors(K) = %v", pred)
 	}
-	if g.OutDegree("A") != 2 || g.InDegree("A") != 0 {
+	if len(g.Successors("A")) != 2 || len(g.Predecessors("A")) != 0 {
 		t.Error("degree bookkeeping wrong")
 	}
 }
 
-func TestSubgraphContainment(t *testing.T) {
-	g := paperFigure1()
-	q := NewGraph()
-	q.AddEdge("A", "D")
-	q.AddEdge("D", "E")
-	if !q.IsSubgraphOf(g) {
-		t.Error("path A,D,E should be contained")
-	}
-	q.AddEdge("E", "Z")
-	if q.IsSubgraphOf(g) {
-		t.Error("graph with foreign edge reported contained")
-	}
-	empty := NewGraph()
-	if !empty.IsSubgraphOf(g) {
-		t.Error("empty graph must be contained in anything")
-	}
-}
-
-func TestIntersectUnion(t *testing.T) {
+func TestIntersect(t *testing.T) {
 	a := NewGraph()
 	a.AddEdge("A", "B")
 	a.AddEdge("B", "C")
@@ -118,11 +101,10 @@ func TestIntersectUnion(t *testing.T) {
 	if inter.NumElements() != 1 || !inter.HasEdge("B", "C") {
 		t.Errorf("Intersect = %v", inter.Elements())
 	}
-	uni := a.Union(b)
-	if uni.NumElements() != 3 {
-		t.Errorf("Union = %v", uni.Elements())
+	if !slices.Equal(inter.Nodes(), []string{"B", "C"}) {
+		t.Errorf("Intersect nodes = %v", inter.Nodes())
 	}
-	if !a.Intersect(NewGraph()).Equals(NewGraph()) {
+	if empty := a.Intersect(NewGraph()); empty.NumElements() != 0 || len(empty.Nodes()) != 0 {
 		t.Error("intersect with empty not empty")
 	}
 }
@@ -130,11 +112,11 @@ func TestIntersectUnion(t *testing.T) {
 func TestCloneEqualsIndependence(t *testing.T) {
 	a := paperFigure1()
 	c := a.Clone()
-	if !a.Equals(c) {
+	if !slices.Equal(a.Elements(), c.Elements()) || !slices.Equal(a.Nodes(), c.Nodes()) {
 		t.Fatal("clone not equal")
 	}
 	c.AddEdge("Z", "W")
-	if a.Equals(c) {
+	if slices.Equal(a.Elements(), c.Elements()) {
 		t.Fatal("mutating clone affected equality")
 	}
 	if a.HasEdge("Z", "W") {
@@ -266,7 +248,7 @@ func TestFlattenToDAGAcyclicIsClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := FlattenToDAG(r)
-	if !flat.Graph.Equals(r.Graph) {
+	if !slices.Equal(flat.Elements(), r.Elements()) {
 		t.Error("acyclic record altered by flattening")
 	}
 	flat.AddBareElement(E("X", "Y"))

@@ -3,7 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Measure is an optional numeric annotation on a structural element.
@@ -22,15 +23,40 @@ const DefaultMeasure = ""
 // Record is a graph record (§3.1): a directed graph whose nodes and edges
 // carry measure values. Elements may also be present without a measure (the
 // master relation then has a bit in b_i but NULL in m_i).
+//
+// Each measure is a slice of (element, value) pairs in EdgeKey.Less order,
+// kept apart from the graph's element slice: the embedded graph's methods
+// (AddEdge, AddNode, AddElement) insert elements without touching measures,
+// and Row merges the sorted slices instead of looking anything up.
 type Record struct {
 	*Graph
-	measures map[EdgeKey]float64            // the default measure
-	named    map[string]map[EdgeKey]float64 // additional named measures
+	measures []measured     // the default measure
+	named    []namedMeasure // additional named measures, by name
+}
+
+// measured is one element's value under one measure.
+type measured struct {
+	key EdgeKey
+	v   float64
+}
+
+func (m measured) compare(o measured) int { return m.key.compare(o.key) }
+
+// namedMeasure is the column of one named measure.
+type namedMeasure struct {
+	name string
+	vals []measured
 }
 
 // NewRecord returns an empty graph record.
 func NewRecord() *Record {
-	return &Record{Graph: NewGraph(), measures: make(map[EdgeKey]float64)}
+	// One allocation for the record and its graph.
+	both := &struct {
+		rec Record
+		g   Graph
+	}{}
+	both.rec.Graph = &both.g
+	return &both.rec
 }
 
 // SetEdge adds edge (from, to) with measure v.
@@ -50,8 +76,24 @@ func (r *Record) SetElement(k EdgeKey, v float64) error {
 		return fmt.Errorf("graph: measure for %s must be finite, got %v", k, v)
 	}
 	r.AddElement(k)
-	r.measures[k] = v
+	r.measures = setMeasure(r.measures, k, v)
 	return nil
+}
+
+// setMeasure sets k's value in a sorted measure slice.
+func setMeasure(ms []measured, k EdgeKey, v float64) []measured {
+	ms, i := insertSorted(ms, measured{k, v}, measured.compare)
+	ms[i].v = v // a key already there keeps its place and takes the new value
+	return ms
+}
+
+// lookup returns k's value in a sorted measure slice.
+func lookup(ms []measured, k EdgeKey) Measure {
+	i, found := slices.BinarySearchFunc(ms, measured{key: k}, measured.compare)
+	if !found {
+		return Measure{}
+	}
+	return Measure{Value: ms[i].v, Valid: true}
 }
 
 // AddBareElement adds a structural element without a measure.
@@ -69,16 +111,19 @@ func (r *Record) SetElementNamed(k EdgeKey, name string, v float64) error {
 		return fmt.Errorf("graph: measure %q for %s must be finite, got %v", name, k, v)
 	}
 	r.AddElement(k)
-	if r.named == nil {
-		r.named = make(map[string]map[EdgeKey]float64)
+	i, found := r.column(name)
+	if !found {
+		r.named = slices.Insert(r.named, i, namedMeasure{name: name})
 	}
-	m, ok := r.named[name]
-	if !ok {
-		m = make(map[EdgeKey]float64)
-		r.named[name] = m
-	}
-	m[k] = v
+	r.named[i].vals = setMeasure(r.named[i].vals, k, v)
 	return nil
+}
+
+// column finds the named measure's column, or where it would go.
+func (r *Record) column(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.named, name, func(m namedMeasure, name string) int {
+		return strings.Compare(m.name, name)
+	})
 }
 
 // SetEdgeNamed adds edge (from, to) with a named measure.
@@ -87,28 +132,27 @@ func (r *Record) SetEdgeNamed(from, to, name string, v float64) error {
 }
 
 // Measure returns the default measure for element k.
-func (r *Record) Measure(k EdgeKey) Measure {
-	v, ok := r.measures[k]
-	return Measure{Value: v, Valid: ok}
-}
+func (r *Record) Measure(k EdgeKey) Measure { return lookup(r.measures, k) }
 
 // MeasureNamed returns the named measure for element k.
 func (r *Record) MeasureNamed(k EdgeKey, name string) Measure {
 	if name == DefaultMeasure {
 		return r.Measure(k)
 	}
-	v, ok := r.named[name][k]
-	return Measure{Value: v, Valid: ok}
+	i, found := r.column(name)
+	if !found {
+		return Measure{}
+	}
+	return lookup(r.named[i].vals, k)
 }
 
 // MeasureNames lists the named measures present (excluding the default), in
 // sorted order.
 func (r *Record) MeasureNames() []string {
-	out := make([]string, 0, len(r.named))
-	for name := range r.named {
-		out = append(out, name)
+	out := make([]string, len(r.named))
+	for i, m := range r.named {
+		out[i] = m.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -116,36 +160,22 @@ func (r *Record) MeasureNames() []string {
 func (r *Record) NumMeasures() int {
 	n := len(r.measures)
 	for _, m := range r.named {
-		n += len(m)
+		n += len(m.vals)
 	}
 	return n
 }
 
 // ForEachMeasure visits measured elements in deterministic order.
 func (r *Record) ForEachMeasure(f func(k EdgeKey, v float64) bool) {
-	for _, k := range r.Elements() {
-		if v, ok := r.measures[k]; ok {
-			if !f(k, v) {
-				return
-			}
+	for _, m := range r.measures {
+		if !f(m.key, m.v) {
+			return
 		}
 	}
 }
 
 // Clone returns a deep copy of the record.
-func (r *Record) Clone() *Record {
-	out := NewRecord()
-	out.Graph = r.Graph.Clone()
-	for k, v := range r.measures {
-		out.measures[k] = v
-	}
-	for name, m := range r.named {
-		for k, v := range m {
-			_ = out.SetElementNamed(k, name, v) //grovevet:ignore droppederr v passed SetElementNamed's finiteness check when it entered r
-		}
-	}
-	return out
-}
+func (r *Record) Clone() *Record { return r.Row().Record() }
 
 // FlattenSequence turns a visit sequence (an RFID-style trace of node stops
 // with per-leg measures) into an acyclic record, renaming revisited nodes
@@ -192,62 +222,48 @@ func FlattenToDAG(r *Record) *Record {
 	if !r.HasCycle() {
 		return r.Clone()
 	}
-	out := NewRecord()
-	// Copy node elements and their measures first.
-	for _, k := range r.Elements() {
+	// The copy is collected as a row in the order the elements are reached
+	// — node elements first, then edges in DFS order — and sorted once.
+	src := r.Row()
+	out := &Row{}
+	emit := func(k EdgeKey, i int) {
+		out.Keys = append(out.Keys, k)
+		out.Cells = append(out.Cells, src.Cells[i])
+	}
+	for i, k := range src.Keys {
 		if k.IsNode() {
-			if m := r.Measure(k); m.Valid {
-				_ = out.SetElement(k, m.Value) //grovevet:ignore droppederr measures already stored in r are finite
-			} else {
-				out.AddBareElement(k)
-			}
-			for _, name := range r.MeasureNames() {
-				if m := r.MeasureNamed(k, name); m.Valid {
-					_ = out.SetElementNamed(k, name, m.Value) //grovevet:ignore droppederr measures already stored in r are finite
-				}
-			}
+			emit(k, i)
 		}
 	}
 	state := make(map[string]int)
 	aliasN := make(map[string]int)
-	nextAlias := func(s string) string {
-		aliasN[s]++
-		return fmt.Sprintf("%s#%d", s, aliasN[s]+1)
-	}
-	copyEdge := func(from, origFrom, to, origTo string) {
-		k := E(origFrom, origTo)
-		if m := r.Measure(k); m.Valid {
-			_ = out.SetEdge(from, to, m.Value) //grovevet:ignore droppederr measures already stored in r are finite
-		} else {
-			out.AddBareElement(E(from, to))
-		}
-		for _, name := range r.MeasureNames() {
-			if m := r.MeasureNamed(k, name); m.Valid {
-				_ = out.SetElementNamed(E(from, to), name, m.Value) //grovevet:ignore droppederr measures already stored in r are finite
-			}
-		}
-	}
 	var visit func(n string)
 	visit = func(n string) {
 		state[n] = grey
-		for _, s := range r.Successors(n) {
+		lo, hi := r.outRange(n)
+		for i := lo; i < hi; i++ {
+			s := src.Keys[i].To
+			if s == n {
+				continue // node element, not an edge
+			}
 			switch state[s] {
 			case grey:
 				// Back edge: redirect to a fresh alias of s.
-				copyEdge(n, n, nextAlias(s), s)
+				aliasN[s]++
+				emit(E(n, fmt.Sprintf("%s#%d", s, aliasN[s]+1)), i)
 			case white:
-				copyEdge(n, n, s, s)
+				emit(src.Keys[i], i)
 				visit(s)
 			default:
-				copyEdge(n, n, s, s)
+				emit(src.Keys[i], i)
 			}
 		}
 		state[n] = black
 	}
-	for _, n := range r.Nodes() {
+	for _, n := range r.nodes {
 		if state[n] == white {
 			visit(n)
 		}
 	}
-	return out
+	return out.Record()
 }

@@ -132,11 +132,7 @@ func (r *Registry) Resolve(keys []EdgeKey) (ids []colstore.EdgeID, unknown []Edg
 // ascending — every sentinel after every registered id — with the unknown
 // keys.
 func (r *Registry) ResolveGraph(g *Graph) (ids []colstore.EdgeID, unknown []EdgeKey) {
-	keys := make([]EdgeKey, 0, len(g.elems))
-	for k := range g.elems {
-		keys = append(keys, k)
-	}
-	ids, unknown = r.Resolve(keys)
+	ids, unknown = r.Resolve(g.elems)
 	slices.Sort(ids)
 	return ids, unknown
 }

@@ -1,13 +1,16 @@
 package graph
 
 import (
+	"cmp"
 	"hash/maphash"
+	"slices"
+	"strings"
 
 	"grove/internal/colstore"
 )
 
 // Row is the flat form of a graph record: its structural elements in
-// EdgeKey.Less order, each with its default and named measures, and no maps.
+// EdgeKey.Less order, each with its default and named measures.
 // It is the only form the write path sees — Record.Row builds it once per
 // live append, the write-ahead log encodes it and decodes straight back into
 // it, and AppendRow applies it to the master relation.
@@ -19,44 +22,74 @@ type Row struct {
 	Cells []colstore.Cell
 }
 
-// Row flattens the record: one sort of the elements, one lookup per measure.
+// Row flattens the record: a copy of its elements and one merge of each
+// measure's sorted slice into them — no sort, no hashing.
 func (r *Record) Row() *Row {
 	keys := r.Elements()
 	row := &Row{Keys: keys, Cells: make([]colstore.Cell, len(keys))}
-	names := r.MeasureNames()
-	var named []colstore.NamedValue
-	if len(names) > 0 {
-		named = make([]colstore.NamedValue, 0, r.NumMeasures()-len(r.measures))
-	}
+	// Every measured key is an element, so each measure is a subsequence
+	// of keys and one cursor per measure walks it.
+	next := 0
 	for i, k := range keys {
-		c := &row.Cells[i]
-		c.Value, c.HasValue = r.measures[k]
+		if next < len(r.measures) && r.measures[next].key == k {
+			row.Cells[i].Value, row.Cells[i].HasValue = r.measures[next].v, true
+			next++
+		}
+	}
+	if len(r.named) == 0 {
+		return row
+	}
+	cur := make([]int, len(r.named))
+	named := make([]colstore.NamedValue, 0, r.NumMeasures()-len(r.measures))
+	for i, k := range keys {
 		start := len(named)
-		for _, name := range names {
-			if v, ok := r.named[name][k]; ok {
-				named = append(named, colstore.NamedValue{Name: name, Value: v})
+		for n := range r.named {
+			col := &r.named[n]
+			if cur[n] < len(col.vals) && col.vals[cur[n]].key == k {
+				named = append(named, colstore.NamedValue{Name: col.name, Value: col.vals[cur[n]].v})
+				cur[n]++
 			}
 		}
-		c.Named = named[start:len(named):len(named)]
+		row.Cells[i].Named = named[start:len(named):len(named)]
 	}
 	return row
 }
 
-// Record rebuilds the map form, element by element in row order: a repeated
-// element or measure name keeps its last value, exactly as a Record built by
-// the same sequence of Set calls would.
+// Record builds the record the row describes, as if by the same sequence of
+// Set calls in row order: a repeated element or measure name keeps its last
+// value. It appends every element and value, then sorts and compacts each
+// slice once.
 func (row *Row) Record() *Record {
+	type namedEntry struct {
+		name string
+		measured
+	}
+	var entries []namedEntry
 	rec := NewRecord()
 	for i, k := range row.Keys {
 		c := &row.Cells[i]
 		if c.HasValue {
-			_ = rec.SetElement(k, c.Value) //grovevet:ignore droppederr row values are finite: Record.Row copies checked values and the log decoder rejects the rest
-		} else {
-			rec.AddBareElement(k)
+			rec.measures = append(rec.measures, measured{k, c.Value})
 		}
 		for _, nv := range c.Named {
-			_ = rec.SetElementNamed(k, nv.Name, nv.Value) //grovevet:ignore droppederr row values are finite: Record.Row copies checked values and the log decoder rejects the rest
+			if nv.Name == DefaultMeasure {
+				rec.measures = append(rec.measures, measured{k, nv.Value})
+			} else {
+				entries = append(entries, namedEntry{nv.Name, measured{k, nv.Value}})
+			}
 		}
+	}
+	rec.settle(slices.Clone(row.Keys))
+	rec.measures = lastOfEach(rec.measures, measured.compare)
+	entries = lastOfEach(entries, func(a, b namedEntry) int {
+		return cmp.Or(strings.Compare(a.name, b.name), a.compare(b.measured))
+	})
+	for i, e := range entries {
+		if i == 0 || e.name != entries[i-1].name {
+			rec.named = append(rec.named, namedMeasure{name: e.name})
+		}
+		col := &rec.named[len(rec.named)-1]
+		col.vals = append(col.vals, e.measured)
 	}
 	return rec
 }
@@ -101,13 +134,14 @@ type cycleCheck struct {
 	slots []int32
 }
 
-// hasCycle reports whether the proper edges of a canonical row contain a
-// directed cycle. Rows of up to 128 elements are checked without allocating.
-func (row *Row) hasCycle() bool {
+// hasCycle reports whether the proper edges among keys — sorted by From, as
+// a canonical row's or a graph's are — contain a directed cycle. Up to 128
+// keys are checked without allocating.
+func hasCycle(keys []EdgeKey) bool {
 	var stateBuf [128]uint8
 	var slotBuf [256]int32
-	c := cycleCheck{keys: row.Keys, state: stateBuf[:], slots: slotBuf[:]}
-	if n := len(row.Keys); n > len(stateBuf) {
+	c := cycleCheck{keys: keys, state: stateBuf[:], slots: slotBuf[:]}
+	if n := len(keys); n > len(stateBuf) {
 		size := 256
 		for size < 2*n {
 			size *= 2
@@ -175,14 +209,14 @@ func (c *cycleCheck) visit(start int) bool {
 // for any new elements, and returns the record id. It is the single apply
 // function behind live ingest and log replay. A cyclic row is flattened to a
 // DAG first (§6.2) so path aggregation downstream behaves as intended; that,
-// and a row that is not canonical, go through the map form — the one slow
+// and a row that is not canonical, go through Row.Record — the one slow
 // path, which only hand-made or cyclic input reaches. The row's edge ids are
 // filled in place, so a row belongs to one append.
 func AppendRow(rel *colstore.Relation, reg *Registry, row *Row) uint32 {
 	if !row.canonical() {
 		row = row.Record().Row()
 	}
-	if row.hasCycle() {
+	if hasCycle(row.Keys) {
 		row = FlattenToDAG(row.Record()).Row()
 	}
 	reg.resolve(row)

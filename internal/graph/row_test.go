@@ -11,26 +11,33 @@ import (
 )
 
 // randomRecord draws a record over a small node universe so that cycles,
-// node elements, bare elements and named measures all occur often.
-func randomRecord(rng *rand.Rand, nodes, elems int) *Record {
-	rec := NewRecord()
+// node elements, bare elements and named measures all occur often, with its
+// map model.
+func randomRecord(rng *rand.Rand, nodes, elems int) (*Record, *refRecord) {
+	rec, m := NewRecord(), newRef()
 	name := func() string { return fmt.Sprintf("n%d", rng.Intn(nodes)) }
 	for i := 0; i < elems; i++ {
 		k := E(name(), name()) // from == to is a node element
 		switch rng.Intn(4) {
 		case 0:
 			rec.AddBareElement(k)
+			m.addElement(k)
 		case 1:
-			_ = rec.SetElementNamed(k, "cost", rng.Float64())
+			v := rng.Float64()
+			_ = rec.SetElementNamed(k, "cost", v)
+			m.set(k, "cost", v)
 		default:
-			_ = rec.SetElement(k, rng.Float64())
+			v := rng.Float64()
+			_ = rec.SetElement(k, v)
+			m.set(k, DefaultMeasure, v)
 		}
 	}
-	return rec
+	return rec, m
 }
 
-// TestRowHasCycleMatchesRecord holds the row's contiguous-range DFS to the
-// map DFS it replaces, past the 128-element stack buffers too.
+// TestRowHasCycleMatchesRecord holds the contiguous-run DFS to the map DFS
+// it replaced, past the 128-element stack buffers too, and checks that a
+// row survives the trip through Row.Record unchanged.
 func TestRowHasCycleMatchesRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cyclic := 0
@@ -39,14 +46,14 @@ func TestRowHasCycleMatchesRecord(t *testing.T) {
 		if i%100 == 0 {
 			nodes, elems = 300, 400
 		}
-		rec := randomRecord(rng, nodes, elems)
+		rec, m := randomRecord(rng, nodes, elems)
 		row := rec.Row()
 		if !row.canonical() {
 			t.Fatalf("Record.Row is not canonical: %v", row.Keys)
 		}
-		want := rec.HasCycle()
-		if got := row.hasCycle(); got != want {
-			t.Fatalf("HasCycle = %v, record says %v: %v", got, want, row.Keys)
+		want := m.hasCycle()
+		if got := hasCycle(row.Keys); got != want {
+			t.Fatalf("hasCycle = %v, the map DFS says %v: %v", got, want, row.Keys)
 		}
 		if want {
 			cyclic++
@@ -124,21 +131,46 @@ func TestResolveDoesNotPinRowStrings(t *testing.T) {
 
 func sameBytes(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
 
-// benchRecords draws n NY-shaped records: 67 edges over a 1 000-edge domain.
-func benchRecords(n int) []*Record {
+// benchEdge is one SetEdge call of a bench record.
+type benchEdge struct {
+	from, to string
+	v        float64
+}
+
+// benchShapes draws n NY-shaped records as the SetEdge calls that build
+// them: 67 distinct edges over a 1 000-edge domain, in walk order.
+func benchShapes(n int) [][]benchEdge {
 	rng := rand.New(rand.NewSource(3))
-	recs := make([]*Record, n)
-	for i := range recs {
-		rec := NewRecord()
+	shapes := make([][]benchEdge, n)
+	for i := range shapes {
+		seen := make(map[EdgeKey]bool)
 		at := rng.Intn(900)
-		for rec.NumElements() < 67 {
+		for len(seen) < 67 {
 			next := at + 1 + rng.Intn(3)
-			_ = rec.SetEdge(fmt.Sprintf("n%d", at), fmt.Sprintf("n%d", next), rng.Float64())
+			e := benchEdge{fmt.Sprintf("n%d", at), fmt.Sprintf("n%d", next), rng.Float64()}
+			seen[E(e.from, e.to)] = true
+			shapes[i] = append(shapes[i], e)
 			if at = next; at > 990 {
 				at = rng.Intn(900)
 			}
 		}
-		recs[i] = rec
+	}
+	return shapes
+}
+
+func buildRecord(shape []benchEdge) *Record {
+	rec := NewRecord()
+	for _, e := range shape {
+		_ = rec.SetEdge(e.from, e.to, e.v)
+	}
+	return rec
+}
+
+// benchRecords builds n records of benchShapes.
+func benchRecords(n int) []*Record {
+	recs := make([]*Record, n)
+	for i, shape := range benchShapes(n) {
+		recs[i] = buildRecord(shape)
 	}
 	return recs
 }
@@ -155,6 +187,47 @@ func BenchmarkLoadRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		LoadRecord(rel, reg, recs[i%len(recs)])
+	}
+}
+
+// BenchmarkBuildRecord builds a 67-edge record by SetEdge, the way an
+// application hands a record to Store.Add.
+func BenchmarkBuildRecord(b *testing.B) {
+	shapes := benchShapes(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildRecord(shapes[i%len(shapes)])
+	}
+}
+
+// BenchmarkBuildAndLoadRecord is the whole write below the coordinator:
+// build the record, then LoadRecord it. Build and Row trade work, so only
+// their sum says whether an append got cheaper.
+func BenchmarkBuildAndLoadRecord(b *testing.B) {
+	shapes := benchShapes(512)
+	rel, reg := colstore.NewRelation(0), NewRegistry()
+	for _, shape := range shapes {
+		LoadRecord(rel, reg, buildRecord(shape))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LoadRecord(rel, reg, buildRecord(shapes[i%len(shapes)]))
+	}
+}
+
+// TestRecordBuildAllocs pins the cost of building a record: a 67-edge record
+// built by SetEdge allocates the record with its graph once and grows each of
+// its three slices (elements, nodes, measures) three times — no per-element
+// objects.
+func TestRecordBuildAllocs(t *testing.T) {
+	shape := benchShapes(1)[0]
+	if n := buildRecord(shape).NumElements(); n != 67 {
+		t.Fatalf("shape has %d elements, want 67", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buildRecord(shape) }); allocs > 10 {
+		t.Fatalf("building a 67-edge record allocates %.0f times, want ≤ 10", allocs)
 	}
 }
 

@@ -18,8 +18,7 @@ var DefaultLatencyBuckets = []float64{
 type Histogram struct {
 	bounds  []float64      // upper bounds, ascending; +Inf implicit
 	counts  []atomic.Int64 // len(bounds)+1; last bucket is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits of the running sum
+	sumBits atomic.Uint64  // float64 bits of the running sum
 }
 
 // NewHistogram returns a histogram over the given upper bounds (nil selects
@@ -47,7 +46,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		newBits := math.Float64bits(math.Float64frombits(old) + v)
@@ -57,8 +55,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the total number of observations: the sum of the buckets,
+// so Observe pays one counter add, not two.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -24,7 +24,7 @@ const (
 // with the same name — PhaseTotals merges them.
 const (
 	PhaseParse       = "parse"        // text → statement
-	PhasePlan        = "plan"         // view rewrite / path cover
+	PhasePlan        = "plan"         // read lock, element resolution, view rewrite / path cover
 	PhaseFetch       = "fetch"        // bitmap column fetches
 	PhaseIntersect   = "intersect"    // AND kernel + delete masking
 	PhaseMeasureScan = "measure-scan" // measure column reads (ValuesFor)
@@ -150,13 +150,14 @@ func (t Trace) PhaseTotals() []Span {
 
 // ActiveTrace accumulates spans for one in-flight query. It is owned by a
 // single goroutine (the query's executor). StartTrace takes it from a pool
-// and TraceRing.Record gives it back once a ring slot holds a copy, so a
-// query traced through Record allocates nothing once pool and ring are warm.
-// Spans are timed on the monotonic clock from the trace's start: one wall
-// clock read per trace, one monotonic read per span boundary.
+// and TraceRing.Record moves it into a ring slot, returning the trace that
+// slot evicts to the pool, so a query traced through Record allocates and
+// copies nothing once pool and ring are warm. Spans are timed on the
+// monotonic clock: one monotonic read per trace start and per span boundary,
+// and no wall-clock read (see clockBase).
 type ActiveTrace struct {
 	trace     Trace
-	start     time.Time
+	start     time.Duration // since clockBase
 	startIO   IODelta
 	spanPhase string
 	spanStart time.Duration // since start
@@ -170,27 +171,38 @@ var activeTraces = sync.Pool{New: func() any {
 	return &ActiveTrace{trace: Trace{Spans: make([]Span, 0, 8)}}
 }}
 
-// StartTrace opens a trace. io is the current cumulative I/O snapshot; the
+// clockBase anchors trace timestamps: the wall clock is read once, here,
+// and a trace's wall-clock start is clockBase plus the monotonic time since.
+// A wall-clock read costs about as much as a span boundary, and a traced
+// graph query reads the clock only four times; the price is that a step of
+// the system clock after start-up does not move trace timestamps.
+var clockBase = time.Now()
+
+// StartTrace opens a trace and, unless phase is empty, its first span, both
+// on one clock reading. io is the current cumulative I/O snapshot; the
 // trace's deltas are computed against it.
-func StartTrace(kind, query string, io IODelta) *ActiveTrace {
+func StartTrace(kind, query, phase string, io IODelta) *ActiveTrace {
 	a := activeTraces.Get().(*ActiveTrace)
-	now := time.Now()
+	now := time.Since(clockBase)
 	*a = ActiveTrace{
-		trace: Trace{Kind: kind, Query: query, StartUnixNanos: now.UnixNano(),
+		trace: Trace{Kind: kind, Query: query, StartUnixNanos: clockBase.UnixNano() + now.Nanoseconds(),
 			Spans: a.trace.Spans[:0]},
-		start:   now,
-		startIO: io,
+		start:     now,
+		startIO:   io,
+		spanPhase: phase,
+		spanIO:    io,
 	}
 	return a
 }
 
 // Begin closes the open span (if any) and starts a new one for phase. io is
-// the current cumulative I/O snapshot.
+// the current cumulative I/O snapshot. Beginning the phase that is already
+// open continues its span without reading the clock.
 func (a *ActiveTrace) Begin(phase string, io IODelta) {
-	if a == nil {
+	if a == nil || phase == a.spanPhase {
 		return
 	}
-	now := time.Since(a.start)
+	now := time.Since(clockBase) - a.start
 	a.closeSpan(now, io)
 	a.spanPhase, a.spanStart, a.spanIO = phase, now, io
 }
@@ -241,18 +253,23 @@ func (a *ActiveTrace) Finish(io IODelta) Trace {
 	if a == nil {
 		return Trace{}
 	}
-	now := time.Since(a.start)
-	a.closeSpan(now, io)
-	a.trace.DurationNanos = now.Nanoseconds()
-	a.trace.IO = io.Sub(a.startIO)
+	a.finish(io)
 	return a.trace
 }
 
+func (a *ActiveTrace) finish(io IODelta) {
+	now := time.Since(clockBase) - a.start
+	a.closeSpan(now, io)
+	a.trace.DurationNanos = now.Nanoseconds()
+	a.trace.IO = io.Sub(a.startIO)
+}
+
 // TraceRing keeps the most recent traces in a fixed-capacity ring buffer.
-// It is safe for concurrent use.
+// It is safe for concurrent use. A slot holds a finished ActiveTrace, which
+// nothing mutates until the slot evicts it.
 type TraceRing struct {
 	mu    sync.Mutex
-	buf   []Trace
+	buf   []*ActiveTrace
 	size  int
 	next  int
 	total uint64
@@ -267,40 +284,50 @@ func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &TraceRing{buf: make([]Trace, capacity)}
+	return &TraceRing{buf: make([]*ActiveTrace, capacity)}
 }
 
-// Add records a finished trace, evicting the oldest when full. The slot
-// keeps its own copy of t's spans and children, reusing the arrays of the
-// trace it evicts.
+// Add records a finished trace, evicting the oldest when full. The ring
+// keeps its own copy of t's spans and children.
 func (r *TraceRing) Add(t Trace) {
 	if r == nil {
 		return
 	}
+	a := activeTraces.Get().(*ActiveTrace)
+	spans, children := append(a.trace.Spans[:0], t.Spans...), append(a.trace.Children[:0], t.Children...)
+	a.trace = t
+	a.trace.Spans, a.trace.Children = spans, children
+	r.push(a)
+}
+
+// push moves a into the next slot and returns the trace it evicts to the
+// pool.
+func (r *TraceRing) push(a *ActiveTrace) {
 	r.mu.Lock()
-	slot := &r.buf[r.next]
-	spans, children := append(slot.Spans[:0], t.Spans...), append(slot.Children[:0], t.Children...)
-	*slot = t
-	slot.Spans, slot.Children = spans, children
+	evicted := r.buf[r.next]
+	r.buf[r.next] = a
 	r.next = (r.next + 1) % len(r.buf)
 	if r.size < len(r.buf) {
 		r.size++
 	}
 	r.total++
 	r.mu.Unlock()
+	if evicted != nil {
+		activeTraces.Put(evicted)
+	}
 }
 
 // Record finishes a as Finish does, stamps err's text on it when err is not
-// nil, adds it as Add does and returns a to StartTrace's pool; a must not be
-// used afterwards. It returns the trace's duration. The ring must not be nil.
+// nil and moves it into the ring; a must not be used afterwards. It returns
+// the trace's duration. The ring must not be nil.
 func (r *TraceRing) Record(a *ActiveTrace, io IODelta, err error) time.Duration {
-	t := a.Finish(io)
+	a.finish(io)
 	if err != nil {
-		t.Error = err.Error()
+		a.trace.Error = err.Error()
 	}
-	r.Add(t)
-	activeTraces.Put(a)
-	return t.Duration()
+	d := a.trace.Duration()
+	r.push(a)
+	return d
 }
 
 // Recent returns copies of the stored traces, newest first.
@@ -312,7 +339,7 @@ func (r *TraceRing) Recent() []Trace {
 	defer r.mu.Unlock()
 	out := make([]Trace, r.size)
 	for i := 0; i < r.size; i++ {
-		t := r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
+		t := r.buf[(r.next-1-i+len(r.buf))%len(r.buf)].trace
 		t.Spans = append([]Span(nil), t.Spans...)
 		t.Children = append([]Trace(nil), t.Children...)
 		out[i] = t

@@ -7,7 +7,7 @@ import (
 
 func TestActiveTraceSpans(t *testing.T) {
 	io := IODelta{}
-	tr := StartTrace(KindGraph, "[A,B]", io)
+	tr := StartTrace(KindGraph, "[A,B]", "", io)
 	io.BitmapColumnsFetched = 2
 	tr.Begin(PhasePlan, io)
 	io.BitmapColumnsFetched = 5
@@ -36,6 +36,29 @@ func TestActiveTraceSpans(t *testing.T) {
 	}
 	if trace.DurationNanos < 0 {
 		t.Errorf("duration = %d", trace.DurationNanos)
+	}
+}
+
+// TestStartTraceOpensFirstSpan: a phase given to StartTrace is open from the
+// trace's start, and beginning the open phase again continues its span, so
+// the spans still cover the trace end to end.
+func TestStartTraceOpensFirstSpan(t *testing.T) {
+	io := IODelta{}
+	tr := StartTrace(KindGraph, "[A,B]", PhasePlan, io)
+	io.BitmapColumnsFetched = 1
+	tr.Begin(PhasePlan, io)
+	io.BitmapColumnsFetched = 4
+	tr.Begin(PhaseFetch, io)
+	io.BitmapColumnsFetched = 6
+	trace := tr.Finish(io)
+	if len(trace.Spans) != 2 || trace.Spans[0].Phase != PhasePlan || trace.Spans[1].Phase != PhaseFetch {
+		t.Fatalf("spans = %+v, want one plan span then one fetch span", trace.Spans)
+	}
+	if got := trace.Spans[0].IO.BitmapColumnsFetched; got != 4 {
+		t.Errorf("plan span fetched %d columns, want 4 (from the trace's start)", got)
+	}
+	if sum := trace.Spans[0].DurationNanos + trace.Spans[1].DurationNanos; sum != trace.DurationNanos {
+		t.Errorf("spans cover %d ns of a %d ns trace", sum, trace.DurationNanos)
 	}
 }
 

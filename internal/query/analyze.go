@@ -22,16 +22,13 @@ type StatementResult struct {
 // rather than as a bare expression or aggregation. ctx is checked between
 // column fetches and per-path aggregation chunks.
 func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
-	return observed(e, obs.KindStatement, func() string { return text }, func(tr *obs.ActiveTrace) (*StatementResult, error) {
+	return observed(e, obs.KindStatement, obs.PhaseParse, func() string { return text }, func(tr *obs.ActiveTrace) (*StatementResult, error) {
 		return e.executeStatement(ctx, text, tr)
 	})
 }
 
 func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.ActiveTrace) (*StatementResult, error) {
-	if tr != nil {
-		tr.Begin(obs.PhaseParse, e.Rel.Tracker().Snapshot())
-	}
-	stmt, err := Parse(text)
+	stmt, err := Parse(text) // the parse span opened with the trace
 	if err != nil {
 		return nil, err
 	}

@@ -79,12 +79,14 @@ func (e *Engine) Shard() int { return e.shardID }
 // lifecycle trace handed to run, which records the error of a failed query,
 // and the latency histogram. With neither attached it costs two nil checks
 // and nothing else. text renders the query and is called only when a trace
-// needs it.
-func observed[T any](e *Engine, kind string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
+// needs it. The trace opens on its first phase, first — parse for a
+// statement, plan for every other query, so taking the read lock and
+// resolving elements count as planning.
+func observed[T any](e *Engine, kind, first string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
 	var start time.Time
 	var tr *obs.ActiveTrace
 	if e.traces != nil {
-		tr = obs.StartTrace(kind, text(), e.Rel.Tracker().Snapshot())
+		tr = obs.StartTrace(kind, text(), first, e.Rel.Tracker().Snapshot())
 		tr.SetShard(e.shardID)
 	} else if e.metrics != nil {
 		start = time.Now()
@@ -174,7 +176,7 @@ func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
 	}
-	return observed(e, obs.KindGraph, q.String, func(tr *obs.ActiveTrace) (*Result, error) {
+	return observed(e, obs.KindGraph, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*Result, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
 		return e.executeGraphQueryLocked(ctx, q, tr)
@@ -328,7 +330,7 @@ func (r *Result) FetchMeasures() int64 {
 // read lock, so all leaves see the same relation version; ctx is checked
 // between the leaves' bitmap fetches.
 func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
-	return observed(e, obs.KindExpr, func() string { return expr.String() }, func(tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
+	return observed(e, obs.KindExpr, obs.PhasePlan, func() string { return expr.String() }, func(tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
 		return e.evalExprLocked(ctx, expr, tr)
@@ -498,7 +500,7 @@ func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, me
 // ctx is checked between bitmap fetches of the structural phase and between
 // per-path aggregation chunks.
 func (e *Engine) ExecutePathAggQueryContext(ctx context.Context, q *PathAggQuery) (*AggResult, error) {
-	return observed(e, obs.KindPathAgg, q.String, func(tr *obs.ActiveTrace) (*AggResult, error) {
+	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*AggResult, error) {
 		return e.executePathAggQuery(ctx, q, tr)
 	})
 }
@@ -842,7 +844,7 @@ type ScalarAggResult struct {
 // for bit. ctx is checked between the structural phase's bitmap fetches and
 // between the folds of the row branch.
 func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
-	return observed(e, obs.KindPathAgg, q.String, func(tr *obs.ActiveTrace) (*ScalarAggResult, error) {
+	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*ScalarAggResult, error) {
 		return e.executePathAggScalar(ctx, q, tr)
 	})
 }

@@ -32,9 +32,8 @@ func (c *Coordinator) ExplainAnalyze(ctx context.Context, q *query.GraphQuery) (
 	if err != nil {
 		return nil, err
 	}
-	root := obs.StartTrace(obs.KindGraph, q.String(), c.IOStats())
+	root := obs.StartTrace(obs.KindGraph, q.String(), obs.PhaseFanOut, c.IOStats())
 	root.SetShard(obs.ShardCoordinator)
-	root.Begin(obs.PhaseFanOut, c.IOStats())
 	children := make([]obs.Trace, len(c.units))
 	answers := make([]*bitmap.Bitmap, len(c.units))
 	records := 0

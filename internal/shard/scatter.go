@@ -119,9 +119,8 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 	ring := c.traces
 	var root *obs.ActiveTrace
 	if ring != nil {
-		root = obs.StartTrace(kind, qstr, c.IOStats())
+		root = obs.StartTrace(kind, qstr, obs.PhaseFanOut, c.IOStats())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseFanOut, c.IOStats())
 	}
 	timed := root != nil || c.queueWait != nil
 	var dispatch time.Time

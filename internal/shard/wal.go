@@ -137,7 +137,7 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 	anchors := make([]walAnchor, n)
 	// Always traced: two clock reads per shard per load. The query-I/O
 	// deltas stay zero — replay fetches no column through the tracker.
-	root := obs.StartTrace(obs.KindWALReplay, dir, obs.IODelta{})
+	root := obs.StartTrace(obs.KindWALReplay, dir, "", obs.IODelta{})
 	root.SetShard(obs.ShardCoordinator)
 	for i, u := range c.units {
 		start := time.Now()
@@ -299,9 +299,8 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 
 	var root *obs.ActiveTrace
 	if c.traces != nil {
-		root = obs.StartTrace(obs.KindWALCheckpoint, dir, c.IOStats())
+		root = obs.StartTrace(obs.KindWALCheckpoint, dir, obs.PhaseSnapshot, c.IOStats())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseSnapshot, c.IOStats())
 	}
 
 	n := len(c.units)
