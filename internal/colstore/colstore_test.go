@@ -199,9 +199,9 @@ func TestViewDrop(t *testing.T) {
 func TestTrackerAccounting(t *testing.T) {
 	r := buildSmallRelation(t)
 	start := r.Tracker().Snapshot()
-	_ = r.FetchEdgeBitmap(1)
-	_ = r.FetchEdgeBitmap(2)
-	_ = r.FetchMeasureColumn(1)
+	_ = r.FetchEdgeBitmap(1, nil)
+	_ = r.FetchEdgeBitmap(2, nil)
+	_ = r.FetchMeasureColumn(1, nil)
 	s := r.Tracker().Snapshot().Sub(start)
 	if s.BitmapColumnsFetched != 2 {
 		t.Errorf("BitmapColumnsFetched = %d, want 2", s.BitmapColumnsFetched)
@@ -216,7 +216,7 @@ func TestTrackerAccounting(t *testing.T) {
 		t.Error("BytesRead = 0, want > 0")
 	}
 	// Unknown columns are still charged as a fetch.
-	_ = r.FetchEdgeBitmap(999)
+	_ = r.FetchEdgeBitmap(999, nil)
 	if got := r.Tracker().Snapshot().Sub(start).BitmapColumnsFetched; got != 3 {
 		t.Errorf("after unknown edge fetch, BitmapColumnsFetched = %d, want 3", got)
 	}
@@ -256,12 +256,12 @@ func TestJoinPartitionsAccounting(t *testing.T) {
 	r := buildSmallRelation(t)
 	start := r.Tracker().Snapshot()
 	answer := r.EdgeBitmap(4) // all three records
-	r.JoinPartitions(3, answer)
+	r.JoinPartitions(3, answer, nil)
 	if got := r.Tracker().Snapshot().Sub(start).PartitionJoins; got != 6 { // 2 joins × 3 records
 		t.Errorf("PartitionJoins = %d, want 6", got)
 	}
 	start = r.Tracker().Snapshot()
-	r.JoinPartitions(1, answer)
+	r.JoinPartitions(1, answer, nil)
 	if got := r.Tracker().Snapshot().Sub(start).PartitionJoins; got != 0 {
 		t.Errorf("single-partition join accounted %d", got)
 	}

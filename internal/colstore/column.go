@@ -83,7 +83,8 @@ func (c *MeasureColumn) Get(rec uint32) (v float64, ok bool) {
 	return c.valueAt(c.present.Rank(rec) - 1), true
 }
 
-// Present returns the presence bitmap. Callers must not mutate it.
+// Present returns the presence bitmap, read-only: callers must not mutate it
+// (a change would also leave the kept SizeBytes stale).
 func (c *MeasureColumn) Present() *bitmap.Bitmap { return c.present }
 
 // Count returns the number of non-NULL entries.
@@ -175,8 +176,10 @@ func (c *BitmapColumn) Set(rec uint32) {
 // Contains reports whether rec is marked.
 func (c *BitmapColumn) Contains(rec uint32) bool { return c.bits.Contains(rec) }
 
-// Bits exposes the underlying bitmap. Callers must not mutate it; use Clone
-// for derived computations (binary ops already allocate fresh results).
+// Bits exposes the underlying bitmap, read-only: callers must not mutate it
+// (a change would also leave the kept SizeBytes stale; Set and optimize are
+// the column's only writers). Use Clone for derived computations (binary
+// ops already allocate fresh results).
 func (c *BitmapColumn) Bits() *bitmap.Bitmap { return c.bits }
 
 // Cardinality returns the number of marked records.

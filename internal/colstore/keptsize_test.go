@@ -31,8 +31,8 @@ func TestKeptSizeMatchesSizeBytes(t *testing.T) {
 				t.Fatalf("step %d (%s): %s kept %d bytes, holds %d", step, what, name, got, want)
 			}
 		}
-		for id, c := range r.bitmaps {
-			bitmapCol(fmt.Sprintf("b%d", id), c)
+		for _, id := range r.Edges() {
+			bitmapCol(fmt.Sprintf("b%d", id), r.edgeColumn(id))
 		}
 		for id, c := range r.measures {
 			measureCol(fmt.Sprintf("m%d", id), c)

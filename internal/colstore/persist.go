@@ -251,7 +251,7 @@ func (r *Relation) writeSnapshot(fs fsio.FS, dir string) error {
 // caller holds the relation's read lock.
 func (r *Relation) writeColumns(w io.Writer, m *manifest) error {
 	for _, me := range m.Edges {
-		if _, err := r.bitmaps[me.ID].Bits().WriteTo(w); err != nil {
+		if _, err := r.edgeColumn(me.ID).Bits().WriteTo(w); err != nil {
 			return fmt.Errorf("colstore: save edge %d bitmap: %w", me.ID, err)
 		}
 		if me.HasMeasure {
@@ -453,7 +453,10 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 		if _, err := b.ReadFrom(rd); err != nil {
 			return nil, fmt.Errorf("colstore: load edge %d bitmap: %w", me.ID, err)
 		}
-		r.bitmaps[me.ID] = NewBitmapColumnFrom(b)
+		if me.ID >= maxEdgeID {
+			return nil, fmt.Errorf("colstore: load edge %d: id out of range", me.ID)
+		}
+		r.addEdgeBitmap(me.ID, NewBitmapColumnFrom(b))
 		if me.HasMeasure {
 			mc, err := measureColumn()
 			if err != nil {

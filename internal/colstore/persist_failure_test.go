@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -209,4 +210,68 @@ func TestLoadDetectsSilentBitFlip(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Fatal("Load accepted a silently corrupted data file")
 	}
+}
+
+// TestLoadRejectsEdgeIDOutOfRange: bitmap columns live in a slice indexed
+// by edge id, so a manifest naming an id at or past maxEdgeID is refused
+// rather than sizing that slice from it.
+func TestLoadRejectsEdgeIDOutOfRange(t *testing.T) {
+	dir := savedFixture(t)
+	path := filepath.Join(installedDir(t, dir), "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Edges[len(m.Edges)-1].ID = maxEdgeID
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Load of an edge id past the range: err = %v", err)
+	}
+}
+
+// TestSparseEdgeIDs: edges far apart in id space are stored, listed in
+// ascending order, partitioned and reloaded like dense ones, and the ids
+// between them read as absent.
+func TestSparseEdgeIDs(t *testing.T) {
+	r := NewRelation(100)
+	for _, e := range []EdgeID{1000, 3} {
+		r.SetEdgeMeasure(r.NewRecord(), e, float64(e))
+	}
+	check := func(r *Relation, what string) {
+		t.Helper()
+		if got := r.Edges(); len(got) != 2 || got[0] != 3 || got[1] != 1000 {
+			t.Errorf("%s: Edges = %v", what, got)
+		}
+		if r.HasEdge(500) || r.EdgeBitmap(500) != nil || r.EdgeBitmap(1<<20) != nil {
+			t.Errorf("%s: an unused id reads as present", what)
+		}
+		if !r.FetchEdgeBitmap(2000, nil).IsEmpty() {
+			t.Errorf("%s: fetch past the last id is not empty", what)
+		}
+		if got := r.NumPartitions(); got != 11 {
+			t.Errorf("%s: NumPartitions = %d, want 11", what, got)
+		}
+		if !r.EdgeBitmap(1000).Contains(0) || !r.EdgeBitmap(3).Contains(1) {
+			t.Errorf("%s: records lost", what)
+		}
+	}
+	check(r, "built")
+	dir := t.TempDir()
+	if err := r.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, "loaded")
 }

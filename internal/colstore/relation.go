@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"grove/internal/agg"
 	"grove/internal/bitmap"
+	"grove/internal/obs"
 	"grove/internal/pagepool"
 )
 
@@ -16,6 +18,11 @@ import (
 // special edge [X,X], §4.1) in the universal numbering scheme shared by all
 // records and queries.
 type EdgeID uint32
+
+// maxEdgeID bounds the ids a stored relation may hold: a registry hands out
+// ids below graph.UnseenBase (1 << 24), and the bitmap columns are a slice
+// indexed by id, so a snapshot naming a larger id is corrupt.
+const maxEdgeID = 1 << 24
 
 // DefaultPartitionWidth is the paper's vertical-partitioning bound: the
 // master relation is automatically broken into sub-relations of at most one
@@ -78,12 +85,12 @@ type Relation struct {
 	partWidth  int
 	measures   map[EdgeID]*MeasureColumn            // default measure columns m_i
 	named      map[string]map[EdgeID]*MeasureColumn // named measure columns m_i^name
-	bitmaps    map[EdgeID]*BitmapColumn
-	catalog    atomic.Pointer[ViewCatalog]         // materialized views, rebuilt per view-set change
-	tags       map[string]map[string]*BitmapColumn // key → value → records
-	partMap    map[EdgeID]int                      // optional clustered partition assignment (§6.1)
-	deleted    *bitmap.Bitmap                      // soft-deleted record ids
-	version    atomic.Uint64                       // bumped on every mutation
+	bitmaps    []*BitmapColumn                      // bitmap columns b_i by edge id; nil where no record has the edge
+	catalog    atomic.Pointer[ViewCatalog]          // materialized views, rebuilt per view-set change
+	tags       map[string]map[string]*BitmapColumn  // key → value → records
+	partMap    map[EdgeID]int                       // optional clustered partition assignment (§6.1)
+	deleted    *bitmap.Bitmap                       // soft-deleted record ids
+	version    atomic.Uint64                        // bumped on every mutation
 	tracker    Tracker
 
 	// saveMu serializes overlapping Save calls: each produces its own
@@ -275,7 +282,6 @@ func NewRelation(partitionWidth int) *Relation {
 		partWidth: partitionWidth,
 		measures:  make(map[EdgeID]*MeasureColumn),
 		named:     make(map[string]map[EdgeID]*MeasureColumn),
-		bitmaps:   make(map[EdgeID]*BitmapColumn),
 	}
 	r.catalog.Store(emptyCatalog)
 	return r
@@ -427,36 +433,45 @@ func (r *Relation) MeasureNames() []string {
 	return out
 }
 
-func (r *Relation) edgeBitmap(edge EdgeID) *BitmapColumn {
-	if b, ok := r.bitmaps[edge]; ok {
-		return b
+// edgeColumn returns bitmap column b_edge, nil when no record has the edge.
+func (r *Relation) edgeColumn(edge EdgeID) *BitmapColumn {
+	if int(edge) < len(r.bitmaps) {
+		return r.bitmaps[edge]
 	}
-	return r.addEdgeBitmap(edge)
+	return nil
 }
 
-// addEdgeBitmap is edgeBitmap's first-use arm, out of line like
-// addMeasureColumn.
+func (r *Relation) edgeBitmap(edge EdgeID) *BitmapColumn {
+	if b := r.edgeColumn(edge); b != nil {
+		return b
+	}
+	return r.addEdgeBitmap(edge, NewBitmapColumn())
+}
+
+// addEdgeBitmap stores b as bitmap column b_edge, growing the id-indexed
+// column slice as far as edge. It is edgeBitmap's first-use arm, out of line
+// like addMeasureColumn.
 //
 //go:noinline
-func (r *Relation) addEdgeBitmap(edge EdgeID) *BitmapColumn {
-	b := NewBitmapColumn()
+func (r *Relation) addEdgeBitmap(edge EdgeID, b *BitmapColumn) *BitmapColumn {
+	if n := int(edge) + 1; n > len(r.bitmaps) {
+		r.bitmaps = slices.Grow(r.bitmaps, n-len(r.bitmaps))[:n]
+	}
 	r.bitmaps[edge] = b
 	return b
 }
 
 // HasEdge reports whether any record contains the edge.
-func (r *Relation) HasEdge(edge EdgeID) bool {
-	_, ok := r.bitmaps[edge]
-	return ok
-}
+func (r *Relation) HasEdge(edge EdgeID) bool { return r.edgeColumn(edge) != nil }
 
 // Edges returns all edge ids with at least one record, ascending.
 func (r *Relation) Edges() []EdgeID {
-	out := make([]EdgeID, 0, len(r.bitmaps))
-	for e := range r.bitmaps {
-		out = append(out, e)
+	var out []EdgeID
+	for e, b := range r.bitmaps {
+		if b != nil {
+			out = append(out, EdgeID(e))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -479,93 +494,105 @@ func (r *Relation) TotalMeasures() int64 {
 
 // --- tracked fetches (query-visible I/O) ------------------------------------
 
+// Every tracked fetch and account call charges its I/O to cost, the
+// caller's own record of the operation, or to the relation's tracker when
+// cost is nil. An operation that keeps a record charges it to the tracker
+// once, through Account, when it ends.
+
 var emptyBitmap = bitmap.New()
 
-// FetchEdgeBitmap reads bitmap column b_edge, accounting one bitmap-column
+// FetchEdgeBitmap reads bitmap column b_edge, charging one bitmap-column
 // fetch. Unknown edges yield an empty bitmap (still charged: the column is
 // fetched before its emptiness is known).
-func (r *Relation) FetchEdgeBitmap(edge EdgeID) *bitmap.Bitmap {
-	b, ok := r.bitmaps[edge]
-	if !ok {
-		r.tracker.onBitmapFetch(0)
+func (r *Relation) FetchEdgeBitmap(edge EdgeID, cost *obs.IODelta) *bitmap.Bitmap {
+	b := r.edgeColumn(edge)
+	if b == nil {
+		r.tracker.onBitmapFetch(cost, 0)
 		return emptyBitmap
 	}
-	r.tracker.onBitmapFetch(b.SizeBytes())
+	r.tracker.onBitmapFetch(cost, b.SizeBytes())
 	return b.Bits()
 }
 
-// FetchMeasureColumn reads default measure column m_edge, accounting one
+// FetchMeasureColumn reads default measure column m_edge, charging one
 // measure-column fetch. Returns nil when the edge has no measured values.
-func (r *Relation) FetchMeasureColumn(edge EdgeID) *MeasureColumn {
+func (r *Relation) FetchMeasureColumn(edge EdgeID, cost *obs.IODelta) *MeasureColumn {
 	m, ok := r.measures[edge]
 	if !ok {
-		r.tracker.onMeasureFetch(0)
+		r.tracker.onMeasureFetch(cost, 0)
 		return nil
 	}
-	r.tracker.onMeasureFetch(m.SizeBytes())
+	r.tracker.onMeasureFetch(cost, m.SizeBytes())
 	return m
 }
 
-// FetchMeasureColumnNamed reads named measure column m_edge^name, accounting
+// FetchMeasureColumnNamed reads named measure column m_edge^name, charging
 // one measure-column fetch. Returns nil when absent.
-func (r *Relation) FetchMeasureColumnNamed(edge EdgeID, name string) *MeasureColumn {
+func (r *Relation) FetchMeasureColumnNamed(edge EdgeID, name string, cost *obs.IODelta) *MeasureColumn {
 	if name == "" {
-		return r.FetchMeasureColumn(edge)
+		return r.FetchMeasureColumn(edge, cost)
 	}
 	m, ok := r.named[name][edge]
 	if !ok {
-		r.tracker.onMeasureFetch(0)
+		r.tracker.onMeasureFetch(cost, 0)
 		return nil
 	}
-	r.tracker.onMeasureFetch(m.SizeBytes())
+	r.tracker.onMeasureFetch(cost, m.SizeBytes())
 	return m
 }
 
 // FetchViewBitmap reads graph-view column b_v by name.
-func (r *Relation) FetchViewBitmap(name string) (*bitmap.Bitmap, error) {
+func (r *Relation) FetchViewBitmap(name string, cost *obs.IODelta) (*bitmap.Bitmap, error) {
 	v, _ := r.Catalog().view(name)
 	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown graph view %q", name)
 	}
 	v.uses.Add(1)
-	r.tracker.onBitmapFetch(v.Col.SizeBytes())
+	r.tracker.onBitmapFetch(cost, v.Col.SizeBytes())
 	return v.Col.Bits(), nil
 }
 
 // FetchAggViewBitmap reads aggregate-view bitmap column b_p by name.
-func (r *Relation) FetchAggViewBitmap(name string) (*bitmap.Bitmap, error) {
+func (r *Relation) FetchAggViewBitmap(name string, cost *obs.IODelta) (*bitmap.Bitmap, error) {
 	v, _ := r.Catalog().aggView(name)
 	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown aggregate view %q", name)
 	}
 	v.uses.Add(1)
-	r.tracker.onBitmapFetch(v.Col.SizeBytes())
+	r.tracker.onBitmapFetch(cost, v.Col.SizeBytes())
 	return v.Col.Bits(), nil
 }
 
 // FetchAggViewMeasure reads aggregate-view measure column m_p by name.
-func (r *Relation) FetchAggViewMeasure(name string) (*MeasureColumn, error) {
+func (r *Relation) FetchAggViewMeasure(name string, cost *obs.IODelta) (*MeasureColumn, error) {
 	v, _ := r.Catalog().aggView(name)
 	if v == nil {
 		return nil, fmt.Errorf("colstore: unknown aggregate view %q", name)
 	}
 	v.uses.Add(1)
-	r.tracker.onMeasureFetch(v.Measure.SizeBytes())
+	r.tracker.onMeasureFetch(cost, v.Measure.SizeBytes())
 	return v.Measure, nil
 }
 
 // AccountMeasuresScanned records that n individual measure values were
 // materialized into a query result.
-func (r *Relation) AccountMeasuresScanned(n int) { r.tracker.onMeasuresScanned(n) }
+func (r *Relation) AccountMeasuresScanned(n int, cost *obs.IODelta) {
+	r.tracker.onMeasuresScanned(cost, n)
+}
 
 // AccountRecordsReturned records that n graph records entered a query answer.
-func (r *Relation) AccountRecordsReturned(n int) { r.tracker.onRecordsReturned(n) }
+func (r *Relation) AccountRecordsReturned(n int, cost *obs.IODelta) {
+	r.tracker.onRecordsReturned(cost, n)
+}
+
+// Account charges an operation's own I/O record to the relation's tracker.
+func (r *Relation) Account(cost obs.IODelta) { r.tracker.Add(cost) }
 
 // --- untracked accessors (loading, view building, tests) --------------------
 
 // EdgeBitmap returns bitmap column b_edge without accounting (nil if absent).
 func (r *Relation) EdgeBitmap(edge EdgeID) *bitmap.Bitmap {
-	if b, ok := r.bitmaps[edge]; ok {
+	if b := r.edgeColumn(edge); b != nil {
 		return b.Bits()
 	}
 	return nil
@@ -603,12 +630,12 @@ func (r *Relation) PartitionOf(edge EdgeID) int {
 
 // NumPartitions returns the number of sub-relations in use.
 func (r *Relation) NumPartitions() int {
-	if len(r.bitmaps) == 0 {
-		return 0
-	}
-	maxPart := 0
-	for e := range r.bitmaps {
-		if p := r.PartitionOf(e); p > maxPart {
+	maxPart := -1
+	for e, b := range r.bitmaps {
+		if b == nil {
+			continue
+		}
+		if p := r.PartitionOf(EdgeID(e)); p > maxPart {
 			maxPart = p
 		}
 	}
@@ -628,12 +655,12 @@ func (r *Relation) PartitionSpan(edges []EdgeID) int {
 // columns span several sub-relations: (span-1) hash probes per answer record.
 // It both accounts the joins and burns the corresponding CPU work so
 // wall-clock measurements show the Fig. 5 trend.
-func (r *Relation) JoinPartitions(span int, answer *bitmap.Bitmap) {
+func (r *Relation) JoinPartitions(span int, answer *bitmap.Bitmap, cost *obs.IODelta) {
 	if span <= 1 {
 		return
 	}
 	joins := span - 1
-	r.tracker.onPartitionJoin(joins * answer.Cardinality())
+	r.tracker.onPartitionJoin(cost, joins*answer.Cardinality())
 	// Simulate the probe work: one pass over the answer per extra partition.
 	for i := 0; i < joins; i++ {
 		var sink uint32
@@ -785,8 +812,8 @@ func (r *Relation) maintainViews(rec uint32) {
 	for _, v := range cat.views {
 		all := true
 		for _, e := range v.Edges {
-			b, ok := r.bitmaps[e]
-			if !ok || !b.Contains(rec) {
+			b := r.edgeColumn(e)
+			if b == nil || !b.Contains(rec) {
 				all = false
 				break
 			}
@@ -801,8 +828,8 @@ func (r *Relation) maintainViews(rec uint32) {
 		}
 		contains := true
 		for _, e := range v.Path {
-			b, ok := r.bitmaps[e]
-			if !ok || !b.Contains(rec) {
+			b := r.edgeColumn(e)
+			if b == nil || !b.Contains(rec) {
 				contains = false
 				break
 			}
@@ -906,7 +933,9 @@ func (r *Relation) BaseSizeBytes() int64 {
 		}
 	}
 	for _, b := range r.bitmaps {
-		n += int64(b.SizeBytes())
+		if b != nil {
+			n += int64(b.SizeBytes())
+		}
 	}
 	return n
 }
@@ -935,7 +964,9 @@ func (r *Relation) Optimize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range r.bitmaps {
-		b.optimize()
+		if b != nil {
+			b.optimize()
+		}
 	}
 	for _, m := range r.measures {
 		m.optimize()

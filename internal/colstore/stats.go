@@ -40,18 +40,66 @@ func (t *Tracker) Snapshot() obs.IODelta {
 	}
 }
 
-func (t *Tracker) onBitmapFetch(bytes int) {
+// Add charges a finished operation's own I/O record to the counters: one
+// atomic add per non-zero field.
+func (t *Tracker) Add(d obs.IODelta) {
+	add := func(c *atomic.Int64, n int64) {
+		if n != 0 {
+			c.Add(n)
+		}
+	}
+	add(&t.bitmapCols, d.BitmapColumnsFetched)
+	add(&t.measureCols, d.MeasureColumnsFetched)
+	add(&t.measures, d.MeasuresScanned)
+	add(&t.bytes, d.BytesRead)
+	add(&t.joins, d.PartitionJoins)
+	add(&t.records, d.RecordsReturned)
+}
+
+// The on* charges go to cost when the caller keeps its own record of the
+// operation (a traced query, which hands the record to Add when it ends),
+// and straight to the counters when cost is nil.
+
+func (t *Tracker) onBitmapFetch(cost *obs.IODelta, bytes int) {
+	if cost != nil {
+		cost.BitmapColumnsFetched++
+		cost.BytesRead += int64(bytes)
+		return
+	}
 	t.bitmapCols.Add(1)
 	t.bytes.Add(int64(bytes))
 }
 
-func (t *Tracker) onMeasureFetch(bytes int) {
+func (t *Tracker) onMeasureFetch(cost *obs.IODelta, bytes int) {
+	if cost != nil {
+		cost.MeasureColumnsFetched++
+		cost.BytesRead += int64(bytes)
+		return
+	}
 	t.measureCols.Add(1)
 	t.bytes.Add(int64(bytes))
 }
 
-func (t *Tracker) onMeasuresScanned(n int) { t.measures.Add(int64(n)) }
+func (t *Tracker) onMeasuresScanned(cost *obs.IODelta, n int) {
+	if cost != nil {
+		cost.MeasuresScanned += int64(n)
+		return
+	}
+	t.measures.Add(int64(n))
+}
 
-func (t *Tracker) onPartitionJoin(n int) { t.joins.Add(int64(n)) }
+func (t *Tracker) onPartitionJoin(cost *obs.IODelta, n int) {
+	if cost != nil {
+		cost.PartitionJoins += int64(n)
+		return
+	}
+	t.joins.Add(int64(n))
+}
 
-func (t *Tracker) onRecordsReturned(n int) { t.records.Add(int64(n)) }
+func (t *Tracker) onRecordsReturned(cost *obs.IODelta, n int) {
+	if cost != nil {
+		cost.RecordsReturned += int64(n)
+		return
+	}
+	t.records.Add(int64(n))
+}

@@ -47,10 +47,10 @@ func (r *Relation) Tag(rec uint32, key, value string) error {
 func (r *Relation) FetchTagBitmap(key, value string) *bitmap.Bitmap {
 	col, ok := r.tags[key][value]
 	if !ok {
-		r.tracker.onBitmapFetch(0)
+		r.tracker.onBitmapFetch(nil, 0)
 		return emptyBitmap
 	}
-	r.tracker.onBitmapFetch(col.SizeBytes())
+	r.tracker.onBitmapFetch(nil, col.SizeBytes())
 	return col.Bits()
 }
 

@@ -65,9 +65,14 @@ func MineFrequent(records []*graph.Record, cfg Config) ([]Fragment, error) {
 		maxFragments = 100000
 	}
 
-	// Level 1: frequent single edges with tid bitmaps.
+	// Level 1: frequent single edges with tid bitmaps. incident[i] maps each
+	// node of records[i] to the elements touching it (its proper edges either
+	// way and its node element): the extensions of a fragment through that
+	// node, found once per record rather than once per fragment.
 	tidOf := make(map[graph.EdgeKey]*bitmap.Bitmap)
+	incident := make([]map[string][]graph.EdgeKey, len(records))
 	for i, rec := range records {
+		inc := make(map[string][]graph.EdgeKey)
 		for _, k := range rec.Elements() {
 			b, ok := tidOf[k]
 			if !ok {
@@ -75,7 +80,12 @@ func MineFrequent(records []*graph.Record, cfg Config) ([]Fragment, error) {
 				tidOf[k] = b
 			}
 			b.Add(uint32(i))
+			inc[k.From] = append(inc[k.From], k)
+			if !k.IsNode() {
+				inc[k.To] = append(inc[k.To], k)
+			}
 		}
+		incident[i] = inc
 	}
 	var level []Fragment
 	for k, tids := range tidOf {
@@ -99,16 +109,9 @@ func MineFrequent(records []*graph.Record, cfg Config) ([]Fragment, error) {
 			nodes := fragmentNodes(f)
 			extTid := make(map[graph.EdgeKey]*bitmap.Bitmap)
 			f.tids.Each(func(tid uint32) bool {
-				rec := records[tid]
 				for n := range nodes {
-					for _, s := range rec.Successors(n) {
-						consider(extTid, graph.E(n, s), f, tid)
-					}
-					for _, p := range rec.Predecessors(n) {
-						consider(extTid, graph.E(p, n), f, tid)
-					}
-					if rec.HasElement(graph.NodeKey(n)) {
-						consider(extTid, graph.NodeKey(n), f, tid)
+					for _, k := range incident[tid][n] {
+						consider(extTid, k, f, tid)
 					}
 				}
 				return true

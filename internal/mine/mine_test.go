@@ -63,6 +63,36 @@ func TestMineFrequentGrowsConnected(t *testing.T) {
 	}
 }
 
+// TestMineFrequentGrowsBothWays: a fragment extends through its nodes'
+// in-edges and node elements as well as their out-edges. Two edges into one
+// node, or an edge and a measured node, are only reachable that way.
+func TestMineFrequentGrowsBothWays(t *testing.T) {
+	var records []*graph.Record
+	for i := 0; i < 3; i++ {
+		r := chainRecord(t, "X", "Z")
+		if err := r.SetEdge("Y", "Z", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetNode("X", 2); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, r)
+	}
+	frags, err := MineFrequent(records, Config{MinSupport: 3, MaxEdges: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]int{}
+	for _, f := range frags {
+		keys[f.Key()] = f.Support
+	}
+	for _, want := range []string{"(X,Z)(Y,Z)", "[X](X,Z)"} {
+		if keys[want] != 3 {
+			t.Errorf("fragment %s missing: %v", want, keys)
+		}
+	}
+}
+
 func TestMineFrequentConnectivity(t *testing.T) {
 	// (A,B) and (X,Y) co-occur but are disconnected: no 2-edge fragment.
 	records := []*graph.Record{

@@ -16,9 +16,9 @@ var DefaultLatencyBuckets = []float64{
 // semantics. Observe is lock-free (atomic adds) and allocation-free, so it
 // sits on the per-query hot path.
 type Histogram struct {
-	bounds  []float64      // upper bounds, ascending; +Inf implicit
-	counts  []atomic.Int64 // len(bounds)+1; last bucket is +Inf
-	sumBits atomic.Uint64  // float64 bits of the running sum
+	bounds []float64      // upper bounds, ascending; +Inf implicit
+	counts []atomic.Int64 // len(bounds)+1; last bucket is +Inf
+	sum    atomic.Int64   // running sum in billionths (nanoseconds for seconds)
 }
 
 // NewHistogram returns a histogram over the given upper bounds (nil selects
@@ -46,13 +46,7 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		newBits := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, newBits) {
-			return
-		}
-	}
+	h.sum.Add(int64(math.Round(v * 1e9)))
 }
 
 // Count returns the total number of observations: the sum of the buckets,
@@ -65,8 +59,10 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// Sum returns the sum of all observed values. It is kept in billionths, so
+// a sum of durations in seconds is exact to the nanosecond, and Observe pays
+// one add for it instead of a compare-and-swap loop.
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / 1e9 }
 
 // Buckets returns the upper bounds and the cumulative count at each bound
 // (the +Inf bucket equals Count()). Used by the exposition and tests.

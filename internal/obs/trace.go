@@ -149,12 +149,19 @@ func (t Trace) PhaseTotals() []Span {
 }
 
 // ActiveTrace accumulates spans for one in-flight query. It is owned by a
-// single goroutine (the query's executor). StartTrace takes it from a pool
-// and TraceRing.Record moves it into a ring slot, returning the trace that
-// slot evicts to the pool, so a query traced through Record allocates and
-// copies nothing once pool and ring are warm. Spans are timed on the
-// monotonic clock: one monotonic read per trace start and per span boundary,
-// and no wall-clock read (see clockBase).
+// single goroutine (the query's executor). TraceRing.Record moves it into a
+// ring slot and hands back the trace that slot evicts, which the caller may
+// keep and reopen with StartTraceIn: a query engine that does so allocates
+// and copies nothing per traced query once the ring is full, and takes the
+// ring's lock once. Spans are timed on the monotonic clock: one read per
+// trace start and per span boundary. The trace's wall-clock start is derived
+// when it is recorded (see TraceRing.Record and Finish).
+//
+// The trace keeps a cumulative I/O reading; a span's and the trace's I/O
+// are differences of it. A query engine lets the column store charge its
+// fetches to the reading itself (Cost), starting from zero, and marks span
+// boundaries with Enter. A coordinator passes snapshots of shared counters
+// to Start, Begin, Finish and Record, which take them as the new reading.
 type ActiveTrace struct {
 	trace     Trace
 	start     time.Duration // since clockBase
@@ -162,52 +169,63 @@ type ActiveTrace struct {
 	spanPhase string
 	spanStart time.Duration // since start
 	spanIO    IODelta
+	io        IODelta // the current reading
 }
 
-// activeTraces recycles ActiveTraces and their span arrays, pre-sized for
-// the common lifecycle (plan, fetch, intersect, measure-scan, aggregate, +
-// slack) so span appends don't reallocate.
-var activeTraces = sync.Pool{New: func() any {
-	return &ActiveTrace{trace: Trace{Spans: make([]Span, 0, 8)}}
-}}
-
-// clockBase anchors trace timestamps: the wall clock is read once, here,
-// and a trace's wall-clock start is clockBase plus the monotonic time since.
-// A wall-clock read costs about as much as a span boundary, and a traced
-// graph query reads the clock only four times; the price is that a step of
-// the system clock after start-up does not move trace timestamps.
+// clockBase is the origin of the monotonic readings traces keep.
 var clockBase = time.Now()
 
-// StartTrace opens a trace and, unless phase is empty, its first span, both
-// on one clock reading. io is the current cumulative I/O snapshot; the
+// StartTrace opens a fresh trace and, unless phase is empty, its first span,
+// both on one clock reading. io is the current cumulative I/O reading; the
 // trace's deltas are computed against it.
 func StartTrace(kind, query, phase string, io IODelta) *ActiveTrace {
-	a := activeTraces.Get().(*ActiveTrace)
+	return StartTraceIn(nil, kind, query, phase, io)
+}
+
+// StartTraceIn is StartTrace reusing a, a finished trace nothing else holds
+// (one TraceRing.Record handed back), and its span and child arrays; a nil a
+// allocates.
+func StartTraceIn(a *ActiveTrace, kind, query, phase string, io IODelta) *ActiveTrace {
+	if a == nil {
+		// The common lifecycle (plan, fetch, intersect, measure-scan,
+		// aggregate, + slack) fits without growing.
+		a = &ActiveTrace{trace: Trace{Spans: make([]Span, 0, 8)}}
+	}
 	now := time.Since(clockBase)
 	*a = ActiveTrace{
-		trace: Trace{Kind: kind, Query: query, StartUnixNanos: clockBase.UnixNano() + now.Nanoseconds(),
-			Spans: a.trace.Spans[:0]},
+		trace: Trace{Kind: kind, Query: query,
+			Spans: a.trace.Spans[:0], Children: a.trace.Children[:0]},
 		start:     now,
 		startIO:   io,
 		spanPhase: phase,
 		spanIO:    io,
+		io:        io,
 	}
 	return a
 }
 
-// Begin closes the open span (if any) and starts a new one for phase. io is
-// the current cumulative I/O snapshot. Beginning the phase that is already
-// open continues its span without reading the clock.
+// Begin takes io as the trace's I/O reading, then enters phase.
 func (a *ActiveTrace) Begin(phase string, io IODelta) {
+	if a == nil {
+		return
+	}
+	a.io = io
+	a.Enter(phase)
+}
+
+// Enter closes the open span (if any) and starts a new one for phase, at the
+// trace's current I/O reading. Entering the phase that is already open
+// continues its span without reading the clock.
+func (a *ActiveTrace) Enter(phase string) {
 	if a == nil || phase == a.spanPhase {
 		return
 	}
 	now := time.Since(clockBase) - a.start
-	a.closeSpan(now, io)
-	a.spanPhase, a.spanStart, a.spanIO = phase, now, io
+	a.closeSpan(now)
+	a.spanPhase, a.spanStart, a.spanIO = phase, now, a.io
 }
 
-func (a *ActiveTrace) closeSpan(now time.Duration, io IODelta) {
+func (a *ActiveTrace) closeSpan(now time.Duration) {
 	if a.spanPhase == "" {
 		return
 	}
@@ -215,9 +233,19 @@ func (a *ActiveTrace) closeSpan(now time.Duration, io IODelta) {
 		Phase:         a.spanPhase,
 		Shard:         a.trace.Shard,
 		DurationNanos: (now - a.spanStart).Nanoseconds(),
-		IO:            io.Sub(a.spanIO),
+		IO:            a.io.Sub(a.spanIO),
 	})
 	a.spanPhase = ""
+}
+
+// Cost returns the trace's I/O reading for the column store's fetches to
+// charge; nil for a nil trace, which makes them charge the shared counters
+// instead.
+func (a *ActiveTrace) Cost() *IODelta {
+	if a == nil {
+		return nil
+	}
+	return &a.io
 }
 
 // SetShard labels the trace (and every span it closes from here on) with the
@@ -248,35 +276,50 @@ func (a *ActiveTrace) AddChild(t Trace) {
 	a.trace.Children = append(a.trace.Children, t)
 }
 
-// Finish closes the open span, totals the trace and returns it.
+// Finish closes the open span, totals the trace and returns it. The trace's
+// wall-clock start is the wall clock now, less its duration.
 func (a *ActiveTrace) Finish(io IODelta) Trace {
 	if a == nil {
 		return Trace{}
 	}
 	a.finish(io)
+	a.trace.StartUnixNanos = time.Now().UnixNano() - a.trace.DurationNanos
 	return a.trace
 }
 
 func (a *ActiveTrace) finish(io IODelta) {
+	a.io = io
 	now := time.Since(clockBase) - a.start
-	a.closeSpan(now, io)
+	a.closeSpan(now)
 	a.trace.DurationNanos = now.Nanoseconds()
-	a.trace.IO = io.Sub(a.startIO)
+	a.trace.IO = a.io.Sub(a.startIO)
 }
 
 // TraceRing keeps the most recent traces in a fixed-capacity ring buffer.
 // It is safe for concurrent use. A slot holds a finished ActiveTrace, which
-// nothing mutates until the slot evicts it.
+// nothing mutates until the slot evicts it. Recent copies under the lock, so
+// no reader still holds a trace once it is evicted.
 type TraceRing struct {
 	mu    sync.Mutex
 	buf   []*ActiveTrace
 	size  int
 	next  int
 	total uint64
+
+	// wall and mono are one reading of the wall clock and of the monotonic
+	// clock (since clockBase). Record dates a trace from its monotonic start
+	// by this pair and takes a new one once it is a second old, so a step
+	// of the system clock or a suspend shows in trace timestamps within a
+	// second of monotonic time.
+	wall int64
+	mono time.Duration
 }
 
 // DefaultTraceCapacity is the ring size when none is given.
 const DefaultTraceCapacity = 128
+
+// wallAnchorAge is how long Record dates traces by one wall-clock reading.
+const wallAnchorAge = time.Second
 
 // NewTraceRing returns a ring holding up to capacity traces (≤ 0 selects
 // DefaultTraceCapacity).
@@ -293,41 +336,47 @@ func (r *TraceRing) Add(t Trace) {
 	if r == nil {
 		return
 	}
-	a := activeTraces.Get().(*ActiveTrace)
-	spans, children := append(a.trace.Spans[:0], t.Spans...), append(a.trace.Children[:0], t.Children...)
-	a.trace = t
-	a.trace.Spans, a.trace.Children = spans, children
+	a := &ActiveTrace{trace: t}
+	a.trace.Spans = append([]Span(nil), t.Spans...)
+	a.trace.Children = append([]Trace(nil), t.Children...)
+	r.mu.Lock()
 	r.push(a)
+	r.mu.Unlock()
 }
 
-// push moves a into the next slot and returns the trace it evicts to the
-// pool.
-func (r *TraceRing) push(a *ActiveTrace) {
-	r.mu.Lock()
-	evicted := r.buf[r.next]
+// push moves a into the next slot and returns the trace it evicts (nil
+// while the ring fills). r.mu must be held.
+func (r *TraceRing) push(a *ActiveTrace) (evicted *ActiveTrace) {
+	evicted = r.buf[r.next]
 	r.buf[r.next] = a
 	r.next = (r.next + 1) % len(r.buf)
 	if r.size < len(r.buf) {
 		r.size++
 	}
 	r.total++
-	r.mu.Unlock()
-	if evicted != nil {
-		activeTraces.Put(evicted)
-	}
+	return evicted
 }
 
 // Record finishes a as Finish does, stamps err's text on it when err is not
 // nil and moves it into the ring; a must not be used afterwards. It returns
-// the trace's duration. The ring must not be nil.
-func (r *TraceRing) Record(a *ActiveTrace, io IODelta, err error) time.Duration {
+// the trace's duration and the trace the ring evicted (nil while the ring
+// fills), which no reader holds any more: the caller may reopen it with
+// StartTraceIn. The ring must not be nil.
+func (r *TraceRing) Record(a *ActiveTrace, io IODelta, err error) (time.Duration, *ActiveTrace) {
 	a.finish(io)
 	if err != nil {
 		a.trace.Error = err.Error()
 	}
 	d := a.trace.Duration()
-	r.push(a)
-	return d
+	r.mu.Lock()
+	if r.wall == 0 || a.start-r.mono > wallAnchorAge {
+		now := time.Now()
+		r.wall, r.mono = now.UnixNano(), now.Sub(clockBase)
+	}
+	a.trace.StartUnixNanos = r.wall + int64(a.start-r.mono)
+	evicted := r.push(a)
+	r.mu.Unlock()
+	return d, evicted
 }
 
 // Recent returns copies of the stored traces, newest first.

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
+	"time"
 )
 
 func TestActiveTraceSpans(t *testing.T) {
@@ -137,5 +139,112 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if out.Kind != in.Kind || out.Query != in.Query || len(out.Spans) != 1 ||
 		out.Spans[0].Phase != PhaseFetch {
 		t.Errorf("round trip = %+v", out)
+	}
+}
+
+// TestEnterChargesOwnCost: a trace whose reading is its own cost record
+// (what an engine charges through Cost) splits that record over its spans
+// and totals it, with no reading passed in.
+func TestEnterChargesOwnCost(t *testing.T) {
+	r := NewTraceRing(1)
+	tr := StartTrace(KindGraph, "[A,B]", PhasePlan, IODelta{})
+	tr.Enter(PhaseFetch)
+	tr.Cost().BitmapColumnsFetched += 3
+	tr.Cost().BytesRead += 120
+	tr.Enter(PhaseIntersect)
+	tr.Cost().RecordsReturned++
+	r.Record(tr, *tr.Cost(), nil)
+	trace := r.Recent()[0]
+	want := []IODelta{{}, {BitmapColumnsFetched: 3, BytesRead: 120}, {RecordsReturned: 1}}
+	if len(trace.Spans) != len(want) {
+		t.Fatalf("spans = %+v", trace.Spans)
+	}
+	for i, w := range want {
+		if trace.Spans[i].IO != w {
+			t.Errorf("span %d (%s) I/O = %+v, want %+v", i, trace.Spans[i].Phase, trace.Spans[i].IO, w)
+		}
+	}
+	if total := (IODelta{BitmapColumnsFetched: 3, BytesRead: 120, RecordsReturned: 1}); trace.IO != total {
+		t.Errorf("trace I/O = %+v, want %+v", trace.IO, total)
+	}
+	var nilTrace *ActiveTrace
+	nilTrace.Enter(PhaseFetch)
+	if nilTrace.Cost() != nil {
+		t.Error("nil trace has a cost record")
+	}
+}
+
+// TestRecordHandsBackEvicted: once the ring is full, Record hands back the
+// trace it evicted; StartTraceIn reopens it reset, and Recent's copies do not
+// alias a reopened trace's spans or children.
+func TestRecordHandsBackEvicted(t *testing.T) {
+	r := NewTraceRing(2)
+	record := func(a *ActiveTrace, query string) *ActiveTrace {
+		tr := StartTraceIn(a, KindGraph, query, PhasePlan, IODelta{})
+		tr.Enter(PhaseFetch)
+		tr.AddChild(Trace{Kind: KindGraph, Spans: []Span{{Phase: PhaseFetch}}})
+		_, evicted := r.Record(tr, IODelta{}, nil)
+		return evicted
+	}
+	if record(nil, "q1") != nil || record(nil, "q2") != nil {
+		t.Fatal("Record evicted a trace from a ring that was not full")
+	}
+	before := r.Recent()
+	spare := record(nil, "q3") // evicts q1
+	if spare == nil {
+		t.Fatal("Record of a full ring handed back nothing")
+	}
+	tr := StartTraceIn(spare, KindGraph, "q4", PhasePlan, IODelta{})
+	if tr != spare || tr.trace.Query != "q4" || len(tr.trace.Spans) != 0 ||
+		len(tr.trace.Children) != 0 || tr.trace.Error != "" || *tr.Cost() != (IODelta{}) {
+		t.Fatalf("reopened trace not reset: %+v", tr.trace)
+	}
+	tr.Enter(PhaseIntersect)
+	tr.AddChild(Trace{Kind: KindPathAgg})
+	r.Record(tr, IODelta{}, errors.New("boom"))
+	if q1 := before[1]; q1.Query != "q1" || len(q1.Spans) != 2 || q1.Spans[1].Phase != PhaseFetch ||
+		len(q1.Children) != 1 || q1.Children[0].Kind != KindGraph {
+		t.Errorf("an earlier Recent copy changed: %+v", q1)
+	}
+	got := r.Recent()
+	if got[0].Query != "q4" || got[0].Error != "boom" || got[1].Query != "q3" {
+		t.Errorf("recent = %q (%q), %q", got[0].Query, got[0].Error, got[1].Query)
+	}
+}
+
+// TestRecordDatesTracesByWallClock: a recorded trace's start lies between
+// wall-clock readings taken around it, including after the ring's wall
+// reading has aged past wallAnchorAge.
+func TestRecordDatesTracesByWallClock(t *testing.T) {
+	r := NewTraceRing(1)
+	check := func(what string) {
+		t.Helper()
+		before := time.Now().UnixNano()
+		r.Record(StartTrace(KindGraph, "q", PhasePlan, IODelta{}), IODelta{}, nil)
+		after := time.Now().UnixNano()
+		// The monotonic and wall clocks may disagree by a little rounding.
+		const slack = int64(time.Millisecond)
+		if got := r.Recent()[0].StartUnixNanos; got < before-slack || got > after+slack {
+			t.Errorf("%s: trace starts at %d, outside [%d, %d]", what, got, before, after)
+		}
+	}
+	check("first trace")
+	r.mono -= 2 * wallAnchorAge // age the ring's wall reading
+	r.wall -= int64(time.Hour)  // as if the wall clock stepped since it
+	check("after a step")
+}
+
+// TestTraceRingAddCopies: the ring keeps its own copy of an added trace's
+// spans and children, so the caller's arrays stay the caller's.
+func TestTraceRingAddCopies(t *testing.T) {
+	r := NewTraceRing(2)
+	in := Trace{Kind: KindWALCheckpoint, Spans: []Span{{Phase: PhaseSnapshot}},
+		Children: []Trace{{Kind: KindGraph}}}
+	r.Add(in)
+	in.Spans[0].Phase = PhaseWALTruncate
+	in.Children[0].Kind = KindExpr
+	got := r.Recent()[0]
+	if got.Spans[0].Phase != PhaseSnapshot || got.Children[0].Kind != KindGraph {
+		t.Errorf("ring aliases the added trace: %+v", got)
 	}
 }

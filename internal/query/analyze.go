@@ -22,18 +22,18 @@ type StatementResult struct {
 // rather than as a bare expression or aggregation. ctx is checked between
 // column fetches and per-path aggregation chunks.
 func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
-	return observed(e, obs.KindStatement, obs.PhaseParse, func() string { return text }, func(tr *obs.ActiveTrace) (*StatementResult, error) {
-		return e.executeStatement(ctx, text, tr)
+	return observed(e, obs.KindStatement, obs.PhaseParse, func() string { return text }, func(op *opState) (*StatementResult, error) {
+		return e.executeStatement(ctx, text, op)
 	})
 }
 
-func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.ActiveTrace) (*StatementResult, error) {
+func (e *Engine) executeStatement(ctx context.Context, text string, op *opState) (*StatementResult, error) {
 	stmt, err := Parse(text) // the parse span opened with the trace
 	if err != nil {
 		return nil, err
 	}
 	if stmt.Agg != nil {
-		res, err := e.executePathAggQuery(ctx, stmt.Agg, tr) // takes the read lock itself
+		res, err := e.executePathAggQuery(ctx, stmt.Agg, op) // takes the read lock itself
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +42,7 @@ func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.Acti
 	ids, err := func() (*bitmap.Bitmap, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
-		return e.evalExprLocked(ctx, stmt.Expr, tr)
+		return e.evalExprLocked(ctx, stmt.Expr, op)
 	}()
 	if err != nil {
 		return nil, err

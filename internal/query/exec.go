@@ -41,10 +41,19 @@ type Engine struct {
 	shardID int
 }
 
-// bmsPool recycles the operand slices of the structural AND phase across
-// queries and goroutines, so executing a query allocates O(1) bitmaps
-// regardless of plan width.
-var bmsPool = sync.Pool{New: func() any { return new([]*bitmap.Bitmap) }}
+// opState is one engine operation's pooled working state: its trace (nil
+// when untraced), the operand slice of the structural AND that its graph
+// queries fill one after another (so a query allocates O(1) bitmaps
+// regardless of plan width), and spare, the trace the ring evicted when the
+// last traced operation to hold this state was recorded. A traced operation
+// reopens spare, so it neither allocates nor takes the ring's lock to start.
+type opState struct {
+	tr    *obs.ActiveTrace
+	bms   []*bitmap.Bitmap
+	spare *obs.ActiveTrace
+}
+
+var opPool = sync.Pool{New: func() any { return new(opState) }}
 
 // NewEngine returns a view-aware engine.
 func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
@@ -75,29 +84,36 @@ func (e *Engine) SetShard(id int) { e.shardID = id }
 // Shard returns the engine's shard index.
 func (e *Engine) Shard() int { return e.shardID }
 
-// observed runs one query entry point under the engine's observers: a
-// lifecycle trace handed to run, which records the error of a failed query,
-// and the latency histogram. With neither attached it costs two nil checks
-// and nothing else. text renders the query and is called only when a trace
-// needs it. The trace opens on its first phase, first — parse for a
-// statement, plan for every other query, so taking the read lock and
-// resolving elements count as planning.
-func observed[T any](e *Engine, kind, first string, text func() string, run func(*obs.ActiveTrace) (T, error)) (T, error) {
+// observed runs one query entry point with its pooled operation state and
+// under the engine's observers: a lifecycle trace in the state, which
+// records the error of a failed query, and the latency histogram. With
+// neither attached they cost two nil checks and nothing else. text renders
+// the query and is called only when a trace needs it. The trace opens on its
+// first phase, first — parse for a statement, plan for every other query, so
+// taking the read lock and resolving elements count as planning. A traced
+// operation counts its I/O in the trace's own record and charges the
+// relation's tracker once, at the end.
+func observed[T any](e *Engine, kind, first string, text func() string, run func(*opState) (T, error)) (T, error) {
+	op := opPool.Get().(*opState)
 	var start time.Time
-	var tr *obs.ActiveTrace
 	if e.traces != nil {
-		tr = obs.StartTrace(kind, text(), first, e.Rel.Tracker().Snapshot())
-		tr.SetShard(e.shardID)
+		op.tr = obs.StartTraceIn(op.spare, kind, text(), first, obs.IODelta{})
+		op.spare = nil
+		op.tr.SetShard(e.shardID)
 	} else if e.metrics != nil {
 		start = time.Now()
 	}
-	res, err := run(tr)
+	res, err := run(op)
 	var took time.Duration // with a trace, the histogram takes the trace's duration
-	if tr != nil {
-		took = e.traces.Record(tr, e.Rel.Tracker().Snapshot(), err)
+	if tr := op.tr; tr != nil {
+		cost := *tr.Cost()
+		e.Rel.Account(cost)
+		took, op.spare = e.traces.Record(tr, cost, err)
+		op.tr = nil
 	} else if e.metrics != nil {
 		took = time.Since(start)
 	}
+	opPool.Put(op)
 	if e.metrics != nil && err == nil {
 		e.metrics.Record(kind, took)
 	}
@@ -114,7 +130,7 @@ func observed[T any](e *Engine, kind, first string, text func() string, run func
 func (e *Engine) checkCtx(ctx context.Context, tr *obs.ActiveTrace) error {
 	if err := ctx.Err(); err != nil {
 		if tr != nil {
-			tr.Begin(obs.PhaseCancelled, e.Rel.Tracker().Snapshot())
+			tr.Enter(obs.PhaseCancelled)
 		}
 		return err
 	}
@@ -176,24 +192,26 @@ func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
 	}
-	return observed(e, obs.KindGraph, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*Result, error) {
+	return observed(e, obs.KindGraph, obs.PhasePlan, q.String, func(op *opState) (*Result, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
-		return e.executeGraphQueryLocked(ctx, q, tr)
+		return e.executeGraphQueryLocked(ctx, q, op)
 	})
 }
 
 // executeGraphQueryLocked is ExecuteGraphQuery with the relation read lock
 // already held (BeginRead is not reentrant, so compound executions — path
-// aggregation, boolean expressions — route through this). tr, when non-nil,
-// receives the plan/fetch/intersect lifecycle spans.
-func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr *obs.ActiveTrace) (*Result, error) {
+// aggregation, boolean expressions — route through this). op.tr, when
+// non-nil, receives the plan/fetch/intersect lifecycle spans.
+func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, op *opState) (*Result, error) {
+	tr := op.tr
 	universe := q.edges
 	if universe == nil {
 		universe, _ = e.Reg.ResolveGraph(q.G)
 	}
+	cost := tr.Cost()
 	if tr != nil {
-		tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot())
+		tr.Enter(obs.PhasePlan)
 	}
 	var plan CoverPlan
 	if e.UseViews {
@@ -203,23 +221,19 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	}
 
 	if tr != nil {
-		tr.Begin(obs.PhaseFetch, e.Rel.Tracker().Snapshot())
+		tr.Enter(obs.PhaseFetch)
 	}
-	scratch := bmsPool.Get().(*[]*bitmap.Bitmap)
-	bms := (*scratch)[:0]
+	bms := op.bms[:0]
 	putScratch := func() {
-		for i := range bms {
-			bms[i] = nil
-		}
-		*scratch = bms[:0]
-		bmsPool.Put(scratch)
+		clear(bms)
+		op.bms = bms[:0]
 	}
 	for _, name := range plan.Views {
 		if err := e.checkCtx(ctx, tr); err != nil {
 			putScratch()
 			return nil, err
 		}
-		b, err := e.Rel.FetchViewBitmap(name)
+		b, err := e.Rel.FetchViewBitmap(name, cost)
 		if err != nil {
 			putScratch()
 			return nil, err
@@ -231,7 +245,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 			putScratch()
 			return nil, err
 		}
-		b, err := e.Rel.FetchAggViewBitmap(name)
+		b, err := e.Rel.FetchAggViewBitmap(name, cost)
 		if err != nil {
 			putScratch()
 			return nil, err
@@ -243,16 +257,16 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 			putScratch()
 			return nil, err
 		}
-		bms = append(bms, e.Rel.FetchEdgeBitmap(id))
+		bms = append(bms, e.Rel.FetchEdgeBitmap(id, cost))
 	}
 	if tr != nil {
-		tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
+		tr.Enter(obs.PhaseIntersect)
 	}
 	// The conjunction intersects into one fresh destination the caller owns;
 	// the fetched column bitmaps are never mutated.
 	answer := e.Rel.MaskDeleted(bitmap.AndAllInto(bitmap.New(), bms...))
-	putScratch() // don't pin column bitmaps from the pool
-	e.Rel.AccountRecordsReturned(answer.Cardinality())
+	putScratch() // don't pin column bitmaps from the pooled state
+	e.Rel.AccountRecordsReturned(answer.Cardinality(), cost)
 	return &Result{Query: q, Plan: plan, Answer: answer, edges: universe, eng: e}, nil
 }
 
@@ -304,7 +318,7 @@ func (r *Result) FetchMeasures() int64 {
 			if name != "" && e.Rel.MeasureColumnNamed(id, name) == nil {
 				continue // column does not exist for this edge; nothing read
 			}
-			col := e.Rel.FetchMeasureColumnNamed(id, name)
+			col := e.Rel.FetchMeasureColumnNamed(id, name, nil)
 			if col == nil {
 				continue
 			}
@@ -320,8 +334,8 @@ func (r *Result) FetchMeasures() int64 {
 	_ = sink
 	*scratch = recs[:0]
 	recsPool.Put(scratch)
-	e.Rel.AccountMeasuresScanned(int(scanned))
-	e.Rel.JoinPartitions(e.Rel.PartitionSpan(spanEdges), r.Answer)
+	e.Rel.AccountMeasuresScanned(int(scanned), nil)
+	e.Rel.JoinPartitions(e.Rel.PartitionSpan(spanEdges), r.Answer, nil)
 	return scanned
 }
 
@@ -330,17 +344,18 @@ func (r *Result) FetchMeasures() int64 {
 // read lock, so all leaves see the same relation version; ctx is checked
 // between the leaves' bitmap fetches.
 func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
-	return observed(e, obs.KindExpr, obs.PhasePlan, func() string { return expr.String() }, func(tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
+	return observed(e, obs.KindExpr, obs.PhasePlan, func() string { return expr.String() }, func(op *opState) (*bitmap.Bitmap, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
-		return e.evalExprLocked(ctx, expr, tr)
+		return e.evalExprLocked(ctx, expr, op)
 	})
 }
 
-func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTrace) (*bitmap.Bitmap, error) {
+func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, op *opState) (*bitmap.Bitmap, error) {
+	tr := op.tr
 	switch x := expr.(type) {
 	case Leaf:
-		res, err := e.executeGraphQueryLocked(ctx, x.Q, tr)
+		res, err := e.executeGraphQueryLocked(ctx, x.Q, op)
 		if err != nil {
 			return nil, err
 		}
@@ -349,17 +364,17 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 		if len(x.Operands) == 0 {
 			return nil, fmt.Errorf("query: AND with no operands")
 		}
-		acc, err := e.evalExprLocked(ctx, x.Operands[0], tr)
+		acc, err := e.evalExprLocked(ctx, x.Operands[0], op)
 		if err != nil {
 			return nil, err
 		}
-		for _, op := range x.Operands[1:] {
-			b, err := e.evalExprLocked(ctx, op, tr)
+		for _, operand := range x.Operands[1:] {
+			b, err := e.evalExprLocked(ctx, operand, op)
 			if err != nil {
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
+				tr.Enter(obs.PhaseIntersect)
 			}
 			acc = acc.And(b)
 		}
@@ -368,32 +383,32 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 		if len(x.Operands) == 0 {
 			return nil, fmt.Errorf("query: OR with no operands")
 		}
-		acc, err := e.evalExprLocked(ctx, x.Operands[0], tr)
+		acc, err := e.evalExprLocked(ctx, x.Operands[0], op)
 		if err != nil {
 			return nil, err
 		}
-		for _, op := range x.Operands[1:] {
-			b, err := e.evalExprLocked(ctx, op, tr)
+		for _, operand := range x.Operands[1:] {
+			b, err := e.evalExprLocked(ctx, operand, op)
 			if err != nil {
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
+				tr.Enter(obs.PhaseIntersect)
 			}
 			acc = acc.Or(b)
 		}
 		return acc, nil
 	case Diff:
-		a, err := e.evalExprLocked(ctx, x.A, tr)
+		a, err := e.evalExprLocked(ctx, x.A, op)
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.evalExprLocked(ctx, x.B, tr)
+		b, err := e.evalExprLocked(ctx, x.B, op)
 		if err != nil {
 			return nil, err
 		}
 		if tr != nil {
-			tr.Begin(obs.PhaseIntersect, e.Rel.Tracker().Snapshot())
+			tr.Enter(obs.PhaseIntersect)
 		}
 		return a.AndNot(b), nil
 	default:
@@ -500,8 +515,8 @@ func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, me
 // ctx is checked between bitmap fetches of the structural phase and between
 // per-path aggregation chunks.
 func (e *Engine) ExecutePathAggQueryContext(ctx context.Context, q *PathAggQuery) (*AggResult, error) {
-	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*AggResult, error) {
-		return e.executePathAggQuery(ctx, q, tr)
+	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(op *opState) (*AggResult, error) {
+		return e.executePathAggQuery(ctx, q, op)
 	})
 }
 
@@ -640,20 +655,20 @@ func foldGathered(k agg.Kernel, vals []float64, sc *pathScratch) (scanned int) {
 // block-at-a-time: per path, every segment column is batch-gathered over the
 // answer set into pooled scratch, then folded column-at-a-time with the
 // aggregate's block kernel.
-func (e *Engine) executePathAggQuery(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*AggResult, error) {
+func (e *Engine) executePathAggQuery(ctx context.Context, q *PathAggQuery, op *opState) (*AggResult, error) {
 	// One read lock spans the structural filter and the measure scans, so
 	// the aggregates are computed over exactly the records the filter saw.
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the aggregate must fold the same cut the filter matched
 	defer e.Rel.EndRead()
 	sc := pathScratchPool.Get().(*pathScratch)
 	defer pathScratchPool.Put(sc)
-	pa, err := e.startPathAgg(ctx, q, tr, sc, nil)
+	pa, err := e.startPathAgg(ctx, q, op, sc, nil)
 	if err != nil {
 		return nil, err
 	}
 	scanned := 0
 	for pi := range pa.res.Paths {
-		if err := e.checkCtx(ctx, tr); err != nil {
+		if err := e.checkCtx(ctx, op.tr); err != nil {
 			return nil, err
 		}
 		if sc.planned, err = pa.planPath(sc.planned[:0], pi); err != nil {
@@ -681,21 +696,22 @@ type pathAgg struct {
 // startPathAgg rejects a query it cannot run, runs the structural filter,
 // appends the answer's record ids to ids, resolves the maximal paths (unless
 // the query names explicit ones) to edge ids, and empties sc's column caches.
-func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace, sc *pathScratch, ids []uint32) (pathAgg, error) {
+func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, op *opState, sc *pathScratch, ids []uint32) (pathAgg, error) {
+	tr := op.tr
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return pathAgg{}, fmt.Errorf("query: empty path aggregation query")
 	}
 	if q.Agg.Fold == nil || q.Agg.Lift == nil {
 		return pathAgg{}, fmt.Errorf("query: aggregation function not set")
 	}
-	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, tr)
+	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, op)
 	if err != nil {
 		return pathAgg{}, err
 	}
 	paths := q.Paths
 	if len(paths) == 0 {
 		if tr != nil {
-			tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot())
+			tr.Enter(obs.PhasePlan)
 		}
 		if paths, err = gpath.MaximalPaths(q.G); err != nil {
 			return pathAgg{}, err
@@ -725,11 +741,11 @@ func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, tr *obs.Acti
 func (pa *pathAgg) planPath(dst []plannedSeg, pi int) ([]plannedSeg, error) {
 	e, tr := pa.e, pa.tr
 	if tr != nil {
-		tr.Begin(obs.PhasePlan, e.Rel.Tracker().Snapshot()) // cover the path with agg views
+		tr.Enter(obs.PhasePlan) // cover the path with agg views
 	}
 	segs := coverPath(e.Rel, pa.pathEdges[pi], pa.q.Agg.Name, pa.q.Measure, e.UseViews)
 	if tr != nil {
-		tr.Begin(obs.PhaseMeasureScan, e.Rel.Tracker().Snapshot())
+		tr.Enter(obs.PhaseMeasureScan)
 	}
 	var counts [2]int
 	for _, s := range segs {
@@ -737,7 +753,7 @@ func (pa *pathAgg) planPath(dst []plannedSeg, pi int) ([]plannedSeg, error) {
 			c, ok := pa.sc.viewCols[s.ViewName]
 			if !ok {
 				var err error
-				if c, err = e.Rel.FetchAggViewMeasure(s.ViewName); err != nil {
+				if c, err = e.Rel.FetchAggViewMeasure(s.ViewName, tr.Cost()); err != nil {
 					return dst, err
 				}
 				pa.sc.viewCols[s.ViewName] = c
@@ -763,7 +779,7 @@ func (pa *pathAgg) planPath(dst []plannedSeg, pi int) ([]plannedSeg, error) {
 func (pa *pathAgg) measure(id colstore.EdgeID) *colstore.MeasureColumn {
 	c, ok := pa.sc.measureCols[id]
 	if !ok {
-		c = pa.e.Rel.FetchMeasureColumnNamed(id, pa.q.Measure)
+		c = pa.e.Rel.FetchMeasureColumnNamed(id, pa.q.Measure, pa.tr.Cost())
 		pa.sc.measureCols[id] = c
 	}
 	return c
@@ -775,7 +791,7 @@ func (pa *pathAgg) foldPath(planned []plannedSeg) int {
 	sc := pa.sc
 	sc.gather(pa.res.RecordIDs, planned)
 	if pa.tr != nil {
-		pa.tr.Begin(obs.PhaseAggregate, pa.e.Rel.Tracker().Snapshot())
+		pa.tr.Enter(obs.PhaseAggregate)
 	}
 	vals := make([]float64, len(pa.res.RecordIDs))
 	for i := range vals {
@@ -791,12 +807,12 @@ func (pa *pathAgg) foldPath(planned []plannedSeg) int {
 // standing in for unread data, so the whole answer is suspect.
 func (pa *pathAgg) finish(scanned int) (*AggResult, error) {
 	rel := pa.e.Rel
-	rel.AccountMeasuresScanned(scanned)
+	rel.AccountMeasuresScanned(scanned, pa.tr.Cost())
 	spanEdges := make([]colstore.EdgeID, 0, len(pa.sc.measureCols))
 	for id := range pa.sc.measureCols {
 		spanEdges = append(spanEdges, id)
 	}
-	rel.JoinPartitions(rel.PartitionSpan(spanEdges), pa.res.Answer)
+	rel.JoinPartitions(rel.PartitionSpan(spanEdges), pa.res.Answer, pa.tr.Cost())
 	if err := rel.PageError(); err != nil {
 		return nil, err
 	}
@@ -844,12 +860,13 @@ type ScalarAggResult struct {
 // for bit. ctx is checked between the structural phase's bitmap fetches and
 // between the folds of the row branch.
 func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
-	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(tr *obs.ActiveTrace) (*ScalarAggResult, error) {
-		return e.executePathAggScalar(ctx, q, tr)
+	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(op *opState) (*ScalarAggResult, error) {
+		return e.executePathAggScalar(ctx, q, op)
 	})
 }
 
-func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *obs.ActiveTrace) (*ScalarAggResult, error) {
+func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, op *opState) (*ScalarAggResult, error) {
+	tr := op.tr
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the aggregate must fold the same cut the filter matched
 	defer e.Rel.EndRead()
 	// The row result never leaves this executor, so its record ids can live
@@ -858,7 +875,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	defer pathScratchPool.Put(sc)
 	recs := recsPool.Get().(*[]uint32)
 	defer recsPool.Put(recs)
-	pa, err := e.startPathAgg(ctx, q, tr, sc, (*recs)[:0])
+	pa, err := e.startPathAgg(ctx, q, op, sc, (*recs)[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -893,7 +910,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	}
 
 	if tr != nil {
-		tr.Begin(obs.PhaseBlockSkip, e.Rel.Tracker().Snapshot())
+		tr.Enter(obs.PhaseBlockSkip)
 	}
 	out := &ScalarAggResult{Query: q, Records: len(pa.res.RecordIDs), ZoneSkipped: true}
 	acc := q.Agg.Identity
