@@ -586,7 +586,7 @@ func (r *Relation) AccountRecordsReturned(n int, cost *obs.IODelta) {
 }
 
 // Account charges an operation's own I/O record to the relation's tracker.
-func (r *Relation) Account(cost obs.IODelta) { r.tracker.Add(cost) }
+func (r *Relation) Account(cost obs.IODelta) { r.tracker.account(cost) }
 
 // --- untracked accessors (loading, view building, tests) --------------------
 

@@ -40,9 +40,9 @@ func (t *Tracker) Snapshot() obs.IODelta {
 	}
 }
 
-// Add charges a finished operation's own I/O record to the counters: one
+// account charges a finished operation's own I/O record to the counters: one
 // atomic add per non-zero field.
-func (t *Tracker) Add(d obs.IODelta) {
+func (t *Tracker) account(d obs.IODelta) {
 	add := func(c *atomic.Int64, n int64) {
 		if n != 0 {
 			c.Add(n)
@@ -57,8 +57,8 @@ func (t *Tracker) Add(d obs.IODelta) {
 }
 
 // The on* charges go to cost when the caller keeps its own record of the
-// operation (a traced query, which hands the record to Add when it ends),
-// and straight to the counters when cost is nil.
+// operation (a traced query, which hands the record to account when it
+// ends), and straight to the counters when cost is nil.
 
 func (t *Tracker) onBitmapFetch(cost *obs.IODelta, bytes int) {
 	if cost != nil {

@@ -161,7 +161,8 @@ func (t Trace) PhaseTotals() []Span {
 // are differences of it. A query engine lets the column store charge its
 // fetches to the reading itself (Cost), starting from zero, and marks span
 // boundaries with Enter. A coordinator passes snapshots of shared counters
-// to Start, Begin, Finish and Record, which take them as the new reading.
+// to StartTrace, Begin, Finish and Record, which take them as the new
+// reading.
 type ActiveTrace struct {
 	trace     Trace
 	start     time.Duration // since clockBase

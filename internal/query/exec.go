@@ -29,8 +29,9 @@ type Engine struct {
 
 	// metrics, when set, records per-query counters and latency histograms
 	// (allocation-free). traces, when set, records a span-based lifecycle
-	// trace per query into the ring (allocation-free too once the trace pool
-	// and the ring are warm). Both default to nil: the disabled path costs
+	// trace per query into the ring (allocation-free too once the ring is
+	// full and hands back the traces it evicts). Both default to nil: the
+	// disabled path costs
 	// two nil checks and nothing else. Set them before serving queries
 	// (mutating them mid-flight is not synchronized).
 	metrics *obs.QueryMetrics
