@@ -31,15 +31,19 @@ lint:
 
 # Race-detector gate for the concurrent read path: vet everything, then run
 # the packages that share state across goroutines (engine scratch pool,
-# relation RWMutex, registry, metrics endpoint, view advisor, graphdb
-# facade, fault-injection FS, scatter-gather coordinator, the buffer pool's
-# pinned frames) plus the root facade.
+# relation RWMutex, registry, view advisor, graphdb facade, fault-injection
+# FS, scatter-gather coordinator and concurrent WAL replay, the buffer
+# pool's pinned frames) plus the root facade. The metrics and tracing
+# package runs last and alone: its tracing-overhead gate times two engines
+# against each other, and other packages' race tests on the same cores
+# would widen that comparison's spread.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/query/... ./internal/bitmap/... \
-		./internal/colstore/... ./internal/obs/... ./internal/view/... \
+		./internal/colstore/... ./internal/view/... \
 		./internal/graphdb/... ./internal/fsio/... ./internal/shard/... \
 		./internal/wal/... ./internal/pagepool/...
+	$(GO) test -race ./internal/obs/...
 
 # Short fuzz pass over every decoder that consumes untrusted bytes: the
 # bitmap wire format, the query parser, the colstore on-disk format, the
@@ -79,15 +83,16 @@ bench-smoke:
 	$(GO) test ./internal/graph/ -run '^$$' -bench 'LoadRecord|BuildRecord|BuildAndLoadRecord|Resolve' -benchtime 1x
 	$(GO) test ./internal/obs/ -run TestObsOverheadSmoke -count=1 -v
 
-# The end-to-end benchmark's oracle at smoke length (≈ 22 s on 2 cores): the
+# The end-to-end benchmark's oracle at smoke length (≈ 25 s on 2 cores): the
 # three workloads that run the bitmap and gather kernels, agg-zipf-views, the
-# one whose answers come from view-rewritten plans, and agg-paged-1pct, the
-# one whose answers pass through the buffer pool; every answer checked
-# against the 1-shard in-memory view-less oracle. The benchmark exits
-# non-zero on any wrong answer or failed call. Its numbers are not a
-# measurement.
+# one whose answers come from view-rewritten plans, agg-paged-1pct, the one
+# whose answers pass through the buffer pool, and recover-wal, the one that
+# recovers a 2-shard store from snapshot plus log (a load that replays other
+# than recover_log ops counts as a failed call); every answer checked against
+# the 1-shard in-memory view-less oracle. The benchmark exits non-zero on any
+# wrong answer or failed call. Its numbers are not a measurement.
 e2e-smoke:
-	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views,agg-paged-1pct -seconds 0.5
+	$(GO) run ./benchmark -workload match-uniform,agg-uniform,batch-sharded,agg-zipf-views,agg-paged-1pct,recover-wal -seconds 0.5
 
 # Run every example program end to end (≈ 7 s on 2 cores, viewadvisor most
 # of it). An example exits non-zero through log.Fatal on any failed call;

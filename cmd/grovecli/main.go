@@ -340,7 +340,9 @@ func info(st *grove.Store) {
 
 // logReplay prints where this load's write-ahead-log replay went, shard by
 // shard, from the wal-replay trace the load recorded (DESIGN.md §14): the
-// trace is handed to the first ring attached after the load.
+// trace is handed to the first ring attached after the load. Shards replay
+// concurrently, so on a sharded store their wal-scan and wal-apply spans
+// overlap and need not sum to the replay's duration.
 func logReplay(st *grove.Store) {
 	if st.RecentTraces() == nil {
 		st.EnableTracing(0)

@@ -49,29 +49,34 @@ func (r *Registry) ID(k EdgeKey) colstore.EdgeID {
 	return id
 }
 
-// resolve fills row.Cells[i].Edge with the id of row.Keys[i], assigning ids
-// in row order for keys seen for the first time. The common case — every
-// element already known — is one read-lock section. A key is cloned only
-// when it is assigned: row keys may be substrings of a write-ahead log frame,
-// and the registry must not pin the frame.
-func (r *Registry) resolve(row *Row) {
+// LookupRow fills row.Cells[i].Edge with the id of row.Keys[i], in row
+// order under one read lock, until it meets a key the registry has never
+// seen; it returns that key's index, or -1 when every key is known. It never
+// assigns, so rows may be looked up concurrently with each other and with
+// queries.
+func (r *Registry) LookupRow(row *Row) int {
 	r.mu.RLock()
-	missing := -1
+	defer r.mu.RUnlock()
 	for i, k := range row.Keys {
 		id, ok := r.ids[k]
 		if !ok {
-			missing = i
-			break
+			return i
 		}
 		row.Cells[i].Edge = id
 	}
-	r.mu.RUnlock()
-	if missing < 0 {
-		return
-	}
+	return -1
+}
+
+// AssignRow fills row.Cells[i].Edge for every i >= from, assigning the next
+// free id, in row order, to each key seen for the first time. from is what
+// LookupRow returned; the ids below it are already filled. The order of
+// AssignRow calls decides which id a new element gets. A key is cloned only
+// when it is assigned: row keys may be substrings of a write-ahead log frame,
+// and the registry must not pin the frame.
+func (r *Registry) AssignRow(row *Row, from int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := missing; i < len(row.Keys); i++ {
+	for i := from; i < len(row.Keys); i++ {
 		k := row.Keys[i]
 		id, ok := r.ids[k]
 		if !ok {
@@ -81,6 +86,15 @@ func (r *Registry) resolve(row *Row) {
 			r.keys = append(r.keys, k)
 		}
 		row.Cells[i].Edge = id
+	}
+}
+
+// resolve fills the id of every key of row: LookupRow, then AssignRow from
+// the first key the registry lacked. The common case — every element already
+// known — is one read-lock section.
+func (r *Registry) resolve(row *Row) {
+	if from := r.LookupRow(row); from >= 0 {
+		r.AssignRow(row, from)
 	}
 }
 

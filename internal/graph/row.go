@@ -205,20 +205,28 @@ func (c *cycleCheck) visit(start int) bool {
 	return false
 }
 
-// AppendRow appends row to the master relation as one record, assigning ids
-// for any new elements, and returns the record id. It is the single apply
-// function behind live ingest and log replay. A cyclic row is flattened to a
-// DAG first (§6.2) so path aggregation downstream behaves as intended; that,
-// and a row that is not canonical, go through Row.Record — the one slow
-// path, which only hand-made or cyclic input reaches. The row's edge ids are
-// filled in place, so a row belongs to one append.
-func AppendRow(rel *colstore.Relation, reg *Registry, row *Row) uint32 {
+// NormalizeRow returns row in the form AppendRow appends: canonical and
+// acyclic. A cyclic row is flattened to a DAG (§6.2) so path aggregation
+// downstream behaves as intended; that, and a row that is not canonical, go
+// through Row.Record — the one slow path, which only hand-made or cyclic
+// input reaches. Any other row is returned as it is.
+func NormalizeRow(row *Row) *Row {
 	if !row.canonical() {
 		row = row.Record().Row()
 	}
 	if hasCycle(row.Keys) {
 		row = FlattenToDAG(row.Record()).Row()
 	}
+	return row
+}
+
+// AppendRow appends row to the master relation as one record, assigning ids
+// for any new elements, and returns the record id. It is the single apply
+// function behind live ingest: NormalizeRow, Registry.resolve, then one
+// relation append. The row's edge ids are filled in place, so a row belongs
+// to one append.
+func AppendRow(rel *colstore.Relation, reg *Registry, row *Row) uint32 {
+	row = NormalizeRow(row)
 	reg.resolve(row)
 	return rel.AppendRow(row.Cells)
 }

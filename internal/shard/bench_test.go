@@ -82,17 +82,17 @@ func BenchmarkShardedConcurrentAdd(b *testing.B) {
 	}
 }
 
-// writeReplayFixture leaves in dir what a crash leaves: a one-shard snapshot
-// of snap NY-like records (35–100 edges each) under views views — half graph
+// writeReplayFixture leaves in dir what a crash leaves: a snapshot, over the
+// given number of shards, of snap NY-like records (35–100 edges each) under views views — half graph
 // views, half SUM aggregate views, on 2- and 3-edge paths of the same walks —
 // and, past it, an un-checkpointed log of ops add-record frames.
-func writeReplayFixture(tb testing.TB, dir string, snap, ops, views int) {
+func writeReplayFixture(tb testing.TB, dir string, shards, snap, ops, views int) {
 	tb.Helper()
 	gen, err := workload.NewGenerator(workload.NewRoadNetwork(1000), 35, 100, 7)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := New(1, 0)
+	c := New(shards, 0)
 	add := func(n int) {
 		for i := 0; i < n; i++ {
 			rec, err := gen.NextRecord()
@@ -132,23 +132,28 @@ func writeReplayFixture(tb testing.TB, dir string, snap, ops, views int) {
 
 // BenchmarkReplayWAL is recovery as LoadStore runs it: a 1 000-record
 // snapshot with 100 views to maintain, then 2 000 logged records replayed on
-// top. ns/op ÷ 2 000 is the per-op replay cost the recover-wal workload
-// reports.
+// top, on one shard (replayed inline) and on two (each shard's log scanned
+// and applied concurrently). ns/op ÷ 2 000 is the per-op replay cost the
+// recover-wal workload reports; recover-wal itself runs two shards.
 func BenchmarkReplayWAL(b *testing.B) {
-	dir := b.TempDir()
-	writeReplayFixture(b, dir, 1000, 2000, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := LoadFS(fsio.OS(), dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := c.WALStats().ReplayedOps; got != 2000 {
-			b.Fatalf("replayed %d ops, want 2000", got)
-		}
-		if err := c.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			writeReplayFixture(b, dir, n, 1000, 2000, 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := LoadFS(fsio.OS(), dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := c.WALStats().ReplayedOps; got != 2000 {
+					b.Fatalf("replayed %d ops, want 2000", got)
+				}
+				if err := c.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

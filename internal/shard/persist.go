@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -228,8 +229,10 @@ func LoadFS(fs fsio.FS, dir string) (*Coordinator, error) {
 	switch {
 	case err == nil:
 		lsns = m.WALLSNs
-		rels = make([]*colstore.Relation, m.NumShards)
-		for i, gen := range m.Generations {
+		// Each shard loads its own directory, so the loads fan out; the
+		// error is the lowest failing shard's.
+		rels, err = fanOut(context.Background(), len(m.Generations), func(_ context.Context, i int) (*colstore.Relation, error) {
+			gen := m.Generations[i]
 			rel, err := colstore.LoadGenerationFS(fs, shardDir(dir, i, false), gen)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -237,7 +240,10 @@ func LoadFS(fs fsio.FS, dir string) (*Coordinator, error) {
 			// The loaded cut stays the rollback target until the next manifest
 			// commits, so re-arm its GC protection.
 			rel.SetGCProtect(gen)
-			rels[i] = rel
+			return rel, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	case errors.Is(err, iofs.ErrNotExist):
 		rel, err := colstore.LoadFS(fs, dir)

@@ -1,0 +1,243 @@
+package shard
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"grove/internal/fsio"
+	"grove/internal/graph"
+	"grove/internal/wal"
+)
+
+// saveReplayBase saves an n-shard store holding one A→B record per shard to
+// dir and returns the snapshot generation each shard's log must extend.
+func saveReplayBase(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	c := New(n, 0)
+	for i := 0; i < n; i++ {
+		rec := graph.NewRecord()
+		if err := rec.SetEdge("A", "B", 1); err != nil {
+			t.Fatal(err)
+		}
+		c.Add(rec)
+	}
+	if err := c.SaveFS(fsio.OS(), dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFS(fsio.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	gens := make([]string, n)
+	for s := range gens {
+		gens[s] = loaded.Unit(s).Rel.SourceGeneration()
+	}
+	return gens
+}
+
+// writeShardLog writes ops, LSN 1 onwards, as shard s's log pinned to gen.
+func writeShardLog(t *testing.T, dir string, s, n int, gen string, ops []wal.Op) {
+	t.Helper()
+	l, err := wal.Create(fsio.OS(), walPath(dir, s, n), uint32(s), gen, 1, wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if _, err := l.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addRow is an add-record op of one record holding the given elements.
+func addRow(t *testing.T, elems ...graph.EdgeKey) wal.Op {
+	t.Helper()
+	rec := graph.NewRecord()
+	for _, k := range elems {
+		if err := rec.SetEdge(k.From, k.To, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return wal.Op{Kind: wal.OpAddRecord, Row: rec.Row()}
+}
+
+// conflictingLogs gives each of n shards a log that introduces the same six
+// unseen elements, each shard in its own order (rotated by the shard index,
+// reversed on odd shards): single-element rows behind the known A→B, one row
+// with two new elements, and an append-edge op naming a new element.
+func conflictingLogs(t *testing.T, n int) [][]wal.Op {
+	elems := make([]graph.EdgeKey, 6)
+	for k := range elems {
+		elems[k] = graph.E(fmt.Sprintf("n%d", k), fmt.Sprintf("n%d", k+1))
+	}
+	logs := make([][]wal.Op, n)
+	for s := range logs {
+		order := slices.Clone(elems)
+		if s%2 == 1 {
+			slices.Reverse(order)
+		}
+		order = append(order[s%len(order):], order[:s%len(order)]...)
+		logs[s] = []wal.Op{
+			addRow(t, graph.E("A", "B"), order[0]),
+			addRow(t, order[1], order[2]),
+			{Kind: wal.OpAppendEdge, Rec: 0, From: order[3].From, To: order[3].To},
+			addRow(t, graph.E("A", "B"), order[4]),
+			addRow(t, order[5]),
+		}
+	}
+	return logs
+}
+
+// modelIDs is the registry a one-op-at-a-time replay builds: the snapshot's
+// A→B, then every new element in order of first occurrence — shard by
+// shard, each log in LSN order, each row in key order.
+func modelIDs(logs [][]wal.Op) map[graph.EdgeKey]int {
+	ids := map[graph.EdgeKey]int{graph.E("A", "B"): 0}
+	see := func(k graph.EdgeKey) {
+		if _, ok := ids[k]; !ok {
+			ids[k] = len(ids)
+		}
+	}
+	for _, ops := range logs {
+		for _, op := range ops {
+			if op.Kind == wal.OpAppendEdge {
+				see(graph.E(op.From, op.To))
+				continue
+			}
+			for _, k := range op.Row.Keys {
+				see(k)
+			}
+		}
+	}
+	return ids
+}
+
+// TestReplayAssignsIDsInShardOrder: shards replay concurrently, but a new
+// element's id follows its first occurrence in (shard, LSN) order, whichever
+// shard the scheduler runs first — and so the registry a checkpoint writes
+// after the load is the same file on every load.
+func TestReplayAssignsIDsInShardOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			gens := saveReplayBase(t, dir, n)
+			logs := conflictingLogs(t, n)
+			for s, ops := range logs {
+				writeShardLog(t, dir, s, n, gens[s], ops)
+			}
+			want := modelIDs(logs)
+			var first []byte
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for i := 0; i < 20; i++ {
+					c, err := LoadFS(fsio.OS(), dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reg := c.Registry()
+					if reg.Len() != len(want) {
+						t.Fatalf("GOMAXPROCS=%d load %d: %d ids, want %d", procs, i, reg.Len(), len(want))
+					}
+					for k, id := range want {
+						if got, ok := reg.Lookup(k); !ok || int(got) != id {
+							t.Fatalf("GOMAXPROCS=%d load %d: %v has id %d (%v), want %d", procs, i, k, got, ok, id)
+						}
+					}
+					// Attaching to another directory checkpoints into it.
+					out := t.TempDir()
+					if err := c.AttachWALFS(fsio.OS(), out, wal.Config{}); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.Close(); err != nil {
+						t.Fatal(err)
+					}
+					b, err := fsio.ReadFile(fsio.OS(), filepath.Join(out, registryFile))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = b
+					} else if !bytes.Equal(b, first) {
+						t.Fatalf("GOMAXPROCS=%d load %d: checkpointed registry differs from the first load's", procs, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReplayErrorIsTheLowestShards: a log that cannot apply fails the load
+// with the error the one-shard-at-a-time replay gave — the lowest failing
+// shard's, naming the op's LSN — and a skipped log puts nothing in the
+// registry.
+func TestReplayErrorIsTheLowestShards(t *testing.T) {
+	bad := wal.Op{Kind: wal.OpDelete, Rec: 50}
+	load := func(t *testing.T, n int, logs map[int][]wal.Op, gens map[int]string) (*Coordinator, error) {
+		dir := t.TempDir()
+		base := saveReplayBase(t, dir, n)
+		for s, ops := range logs {
+			gen := base[s]
+			if g, ok := gens[s]; ok {
+				gen = g
+			}
+			writeShardLog(t, dir, s, n, gen, ops)
+		}
+		return LoadFS(fsio.OS(), dir)
+	}
+	good := func() []wal.Op {
+		return []wal.Op{addRow(t, graph.E("C", "D")), {Kind: wal.OpDelete, Rec: 0}}
+	}
+
+	t.Run("shard 1 only", func(t *testing.T) {
+		_, err := load(t, 3, map[int][]wal.Op{
+			0: good(),
+			1: {addRow(t, graph.E("C", "D")), addRow(t, graph.E("D", "E")), bad, addRow(t, graph.E("E", "F"))},
+			2: good(),
+		}, nil)
+		const want = "shard 1: wal replay of LSN 3: shard: delete targets record 50 of 3"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	})
+	t.Run("shards 0 and 2", func(t *testing.T) {
+		_, err := load(t, 3, map[int][]wal.Op{
+			0: {addRow(t, graph.E("C", "D")), bad},
+			1: good(),
+			2: {bad},
+		}, nil)
+		const want = "shard 0: wal replay of LSN 2: shard: delete targets record 50 of 2"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	})
+	t.Run("skipped log", func(t *testing.T) {
+		c, err := load(t, 2, map[int][]wal.Op{
+			0: good(),
+			1: {addRow(t, graph.E("S", "T")), {Kind: wal.OpAppendEdge, Rec: 0, From: "U", To: "W"}},
+		}, map[int]string{1: "gen-999999"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if ws := c.WALStats(); ws.ReplayedOps != 2 || ws.SkippedLogs != 1 {
+			t.Fatalf("replayed %d, skipped %d: want 2 and 1", ws.ReplayedOps, ws.SkippedLogs)
+		}
+		for _, k := range []graph.EdgeKey{graph.E("S", "T"), graph.E("U", "W")} {
+			if id, ok := c.Registry().Lookup(k); ok {
+				t.Fatalf("the skipped log's %v got id %d", k, id)
+			}
+		}
+		if got := c.Registry().Len(); got != 2 {
+			t.Fatalf("registry holds %d ids, want 2 (A→B and C→D)", got)
+		}
+	})
+}

@@ -16,41 +16,60 @@ import (
 )
 
 // scatter fans fn across every shard concurrently and gathers the per-shard
-// results in shard order. The first shard failure cancels the siblings'
-// sub-context, so a cancelled or failed query promptly abandons all shard
-// sub-queries instead of letting the stragglers run to completion. A panic
-// in a shard goroutine is recovered into an error (on the single-relation
-// path a query panic unwinds the caller's goroutine; here it would kill the
-// process otherwise). Every caller has taken the n=1 early return first —
-// one shard runs inline on the caller's goroutine, with the exact
-// single-relation execution profile — so scatter always has siblings.
+// results in shard order (fanOut), counting each shard's round on its
+// pending gauge from dispatch until its goroutine returns. Every query
+// caller has taken the n=1 early return first — one shard runs inline on the
+// caller's goroutine, with the exact single-relation execution profile — so
+// for queries scatter always has siblings.
 func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Context, s int, u *Unit) (T, error)) ([]T, error) {
-	n := len(c.units)
+	c.addPending(1)
+	return fanOut(ctx, len(c.units), func(ctx context.Context, s int) (T, error) {
+		u := c.units[s]
+		defer u.pending.Add(-1)
+		return fn(ctx, s, u)
+	})
+}
+
+// fanOut runs fn for every shard index in [0, n) and gathers the results in
+// index order. With one index, fn runs inline on the caller's goroutine.
+// Otherwise each index runs on its own goroutine, and the first failure
+// cancels the siblings' sub-context, so a cancelled or failed query promptly
+// abandons all shard sub-queries instead of letting the stragglers run to
+// completion. A panic in a shard goroutine is recovered into an error (on
+// the single-relation path a panic unwinds the caller's goroutine; here it
+// would kill the process otherwise). The error returned is scatterError's
+// pick: the lowest shard's real error.
+func fanOut[T any](ctx context.Context, n int, fn func(ctx context.Context, s int) (T, error)) ([]T, error) {
+	if n == 1 {
+		v, err := fn(ctx, 0)
+		if err != nil {
+			return nil, err
+		}
+		return []T{v}, nil
+	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for s, u := range c.units {
+	for s := 0; s < n; s++ {
 		wg.Add(1)
-		u.pending.Add(1)
-		go func(s int, u *Unit) {
+		go func(s int) {
 			defer wg.Done()
-			defer u.pending.Add(-1)
 			defer func() {
 				if p := recover(); p != nil {
-					errs[s] = fmt.Errorf("shard %d: query panicked: %v", s, p)
+					errs[s] = fmt.Errorf("shard %d: panicked: %v", s, p)
 					cancel()
 				}
 			}()
-			v, err := fn(sctx, s, u)
+			v, err := fn(sctx, s)
 			if err != nil {
 				errs[s] = err
 				cancel() // abandon the sibling sub-queries promptly
 				return
 			}
 			results[s] = v
-		}(s, u)
+		}(s)
 	}
 	wg.Wait()
 	if err := scatterError(errs); err != nil {

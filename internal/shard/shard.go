@@ -186,11 +186,11 @@ func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err erro
 	u := c.units[s]
 	w := c.wal.Load()
 	if w == nil {
-		return applyOp(u, c.reg, op)
+		return applyOp(u, c.reg, op, false)
 	}
 	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
 	lsn, werr := w.logs[s].Append(op)
-	local, was, err = applyOp(u, c.reg, op)
+	local, was, err = applyOp(u, c.reg, op, false)
 	u.ingestMu.Unlock()
 	if werr == nil {
 		werr = w.logs[s].Commit(lsn)
@@ -205,20 +205,23 @@ func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err erro
 // behind both the live mutators and WAL replay, so a replayed op maintains
 // views exactly as the live one did. An add-record op carries its flat row —
 // built once by Append, or decoded straight from the log — and
-// graph.AppendRow applies it in one relation lock section. local is the new
-// record's shard-local id (add-record); was reports whether a delete/undelete
-// changed the record. Record ids are range-checked here because replay feeds
-// it ops decoded from disk.
-func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, err error) {
-	if n := u.Rel.NumRecords(); op.Kind != wal.OpAddRecord && int64(op.Rec) >= int64(n) {
-		return 0, false, fmt.Errorf("shard: %s targets record %d of %d", op.Kind, op.Rec, n)
+// graph.AppendRow applies it in one relation lock section; with resolved
+// set, the row is already normalized with every edge id filled (replay does
+// both before it applies) and goes to the relation as it is. local is the
+// new record's shard-local id (add-record); was reports whether a
+// delete/undelete changed the record. Ops are checked here (checkOp) because
+// replay feeds it ops decoded from disk.
+func applyOp(u *Unit, reg *graph.Registry, op wal.Op, resolved bool) (local uint32, was bool, err error) {
+	if err := checkOp(op, u.Rel.NumRecords()); err != nil {
+		return 0, false, err
 	}
 	switch op.Kind {
 	case wal.OpAddRecord:
-		if op.Row == nil {
-			return 0, false, fmt.Errorf("shard: add-record op without a row")
+		if resolved {
+			local = u.Rel.AppendRow(op.Row.Cells)
+		} else {
+			local = graph.AppendRow(u.Rel, reg, op.Row)
 		}
-		local = graph.AppendRow(u.Rel, reg, op.Row)
 	case wal.OpAppendEdge:
 		eid := reg.ID(graph.E(op.From, op.To))
 		switch {
@@ -236,10 +239,26 @@ func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, e
 		was = u.Rel.Undelete(op.Rec)
 	case wal.OpTag:
 		err = u.Rel.Tag(op.Rec, op.Key, op.Val)
-	default:
-		err = fmt.Errorf("shard: cannot apply unknown op kind %d", op.Kind)
 	}
 	return local, was, err
+}
+
+// checkOp rejects an op that applyOp cannot apply to a shard of n records: a
+// record id past the end, an add-record op without a row, an unknown kind.
+func checkOp(op wal.Op, n int) error {
+	if op.Kind != wal.OpAddRecord && int64(op.Rec) >= int64(n) {
+		return fmt.Errorf("shard: %s targets record %d of %d", op.Kind, op.Rec, n)
+	}
+	switch op.Kind {
+	case wal.OpAddRecord:
+		if op.Row == nil {
+			return fmt.Errorf("shard: add-record op without a row")
+		}
+	case wal.OpAppendEdge, wal.OpDelete, wal.OpUndelete, wal.OpTag:
+	default:
+		return fmt.Errorf("shard: cannot apply unknown op kind %d", op.Kind)
+	}
+	return nil
 }
 
 // Add appends a record to the next shard in round-robin order and returns

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"grove/internal/fsio"
+	"grove/internal/graph"
 	"grove/internal/obs"
 	"grove/internal/wal"
 )
@@ -117,10 +119,7 @@ func (c *Coordinator) WALStats() WALStats {
 
 // ReplayWALFS replays each shard's write-ahead log atop its loaded snapshot.
 // pinned, when non-nil, is the manifest's per-shard replay LSN floor: a log
-// whose BaseLSN disagrees belongs to a different cut and is skipped. Shards
-// replay sequentially in index order so registry edge-id assignment is
-// deterministic — a store replayed at 1 shard and at N shards yields
-// identical global state.
+// whose BaseLSN disagrees belongs to a different cut and is skipped.
 //
 // Replay is read-only on the filesystem: torn tails are detected and ignored
 // here, truncated later by EnableWAL (the writer). A log pinned to a
@@ -130,49 +129,59 @@ func (c *Coordinator) WALStats() WALStats {
 // run through applyOp, the live mutators' own in-memory path, so replay
 // maintains views incrementally the same way live ingest does.
 //
-// Every replay records one wal-replay trace with a wal-scan span (file read +
-// frame decode) and a wal-apply span per shard.
+// The shards share nothing but the registry, so replay runs in three steps
+// and only the middle one is serial (DESIGN.md §14):
+//  1. per shard, concurrently (prepareReplay): scan the log, decide whether
+//     it applies, check every op, normalize each add-record row and fill the
+//     ids the registry already knows — by lookup only;
+//  2. on the caller's goroutine, in shard order and then LSN order: assign
+//     the ids step 1 could not fill, and register every append-edge
+//     element. This is the only step that writes the registry, and it
+//     assigns in the order a one-at-a-time replay would, so a store replayed
+//     at 1 shard and at N shards yields identical global state;
+//  3. per shard, concurrently: apply the ops (applyOp, ids resolved).
+//
+// A one-shard store runs both per-shard steps inline, with no goroutine.
+// Every error is the lowest failing shard's. Every replay records one
+// wal-replay trace with a wal-scan span (file read + frame decode) and a
+// wal-apply span (steps 1 and 3 past the scan) per shard; on several shards
+// the spans overlap, so they need not sum to the trace's duration.
 func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error {
-	n := len(c.units)
-	anchors := make([]walAnchor, n)
-	// Always traced: two clock reads per shard per load. The query-I/O
+	// Always traced: a few clock reads per shard per load. The query-I/O
 	// deltas stay zero — replay fetches no column through the tracker.
 	root := obs.StartTrace(obs.KindWALReplay, dir, "", obs.IODelta{})
 	root.SetShard(obs.ShardCoordinator)
-	for i, u := range c.units {
-		start := time.Now()
-		res, err := wal.Scan(fs, walPath(dir, i, n))
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		scanned := time.Now()
-		root.AddSpan(obs.Span{Phase: obs.PhaseWALScan, Shard: i, DurationNanos: scanned.Sub(start).Nanoseconds()})
-		gen := u.Rel.SourceGeneration()
-		next := uint64(1)
-		if pinned != nil && pinned[i] > 0 {
-			next = pinned[i]
-		}
-		switch {
-		case res.Missing():
-			// No log: the snapshot is the whole state.
-		case !res.HeaderOK, res.Header.Gen != gen,
-			pinned != nil && pinned[i] > 0 && res.Header.BaseLSN != pinned[i]:
-			// Unreadable identity, or a log extending some other snapshot
-			// generation / cut: never apply a frame of it.
-			c.walSkipped.Add(1)
-		default:
-			for _, op := range res.Ops {
-				if _, _, err := applyOp(u, c.reg, op); err != nil {
-					return fmt.Errorf("shard %d: wal replay of LSN %d: %w", i, op.LSN, err)
-				}
+	ctx := context.Background() // replay has no caller to give up: LoadFS takes no context
+	reps, err := scatter(ctx, c, func(_ context.Context, s int, u *Unit) (*shardReplay, error) {
+		return prepareReplay(fs, walPath(dir, s, len(c.units)), s, u, c.reg, pinned)
+	})
+	if err != nil {
+		return err
+	}
+	for _, rp := range reps {
+		for j, op := range rp.ops {
+			switch {
+			case op.Kind == wal.OpAppendEdge:
+				c.reg.ID(graph.E(op.From, op.To))
+			case rp.unknown[j] >= 0:
+				c.reg.AssignRow(op.Row, rp.unknown[j])
 			}
-			c.walReplayed.Add(int64(len(res.Ops)))
-			next = res.NextLSN
-			anchors[i].applied = len(res.Ops)
 		}
-		anchors[i].nextLSN = next
-		anchors[i].version = u.Rel.Version()
-		root.AddSpan(obs.Span{Phase: obs.PhaseWALApply, Shard: i, DurationNanos: time.Since(scanned).Nanoseconds()})
+	}
+	if _, err := scatter(ctx, c, func(_ context.Context, s int, u *Unit) (struct{}, error) {
+		return struct{}{}, reps[s].applyTo(s, u, c.reg)
+	}); err != nil {
+		return err
+	}
+	anchors := make([]walAnchor, len(c.units))
+	for s, rp := range reps {
+		if rp.skipped {
+			c.walSkipped.Add(1)
+		}
+		c.walReplayed.Add(int64(len(rp.ops)))
+		anchors[s] = walAnchor{nextLSN: rp.next, applied: len(rp.ops), version: c.units[s].Rel.Version()}
+		root.AddSpan(obs.Span{Phase: obs.PhaseWALScan, Shard: s, DurationNanos: rp.scan.Nanoseconds()})
+		root.AddSpan(obs.Span{Phase: obs.PhaseWALApply, Shard: s, DurationNanos: rp.apply.Nanoseconds()})
 	}
 	// Replayed adds moved the record counts; resume round-robin placement
 	// past them, exactly as NewFromRelations does for snapshot records.
@@ -187,6 +196,80 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 	} else {
 		c.replayTrace = &t
 	}
+	return nil
+}
+
+// shardReplay is one shard's part of a replay, carried from step 1 to
+// step 3 of ReplayWALFS.
+type shardReplay struct {
+	// ops are the frames to apply: none when the log is missing or skipped.
+	ops []wal.Op
+	// unknown[j] is, for an add-record ops[j], the index of the first row
+	// key the registry lacked in step 1 (LookupRow), else -1.
+	unknown []int
+	// skipped marks a log that exists but extends another generation or cut.
+	skipped bool
+	// next is the LSN the shard's log resumes at.
+	next uint64
+	// scan and apply time the wal-scan and wal-apply spans.
+	scan, apply time.Duration
+}
+
+// prepareReplay is step 1 of ReplayWALFS for shard s, whose log is at path.
+// It checks every op against the shard's record count as that count will
+// stand when the op applies, so that a log which would fail part way fails
+// here, before any shard applies anything. It reads the registry and writes
+// only its own result.
+func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry, pinned []uint64) (*shardReplay, error) {
+	start := time.Now()
+	res, err := wal.Scan(fs, path)
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", s, err)
+	}
+	scanned := time.Now()
+	rp := &shardReplay{next: 1, scan: scanned.Sub(start)}
+	if pinned != nil && pinned[s] > 0 {
+		rp.next = pinned[s]
+	}
+	switch {
+	case res.Missing():
+		// No log: the snapshot is the whole state.
+	case !res.HeaderOK, res.Header.Gen != u.Rel.SourceGeneration(),
+		pinned != nil && pinned[s] > 0 && res.Header.BaseLSN != pinned[s]:
+		// Unreadable identity, or a log extending some other snapshot
+		// generation / cut: never apply a frame of it.
+		rp.skipped = true
+	default:
+		n := u.Rel.NumRecords()
+		rp.unknown = make([]int, len(res.Ops))
+		for j := range res.Ops {
+			op := &res.Ops[j]
+			if err := checkOp(*op, n); err != nil {
+				return nil, fmt.Errorf("shard %d: wal replay of LSN %d: %w", s, op.LSN, err)
+			}
+			rp.unknown[j] = -1
+			if op.Kind == wal.OpAddRecord {
+				op.Row = graph.NormalizeRow(op.Row)
+				rp.unknown[j] = reg.LookupRow(op.Row)
+				n++
+			}
+		}
+		rp.ops, rp.next = res.Ops, res.NextLSN
+	}
+	rp.apply = time.Since(scanned)
+	return rp, nil
+}
+
+// applyTo is step 3 of ReplayWALFS: apply the shard's ops, in LSN order,
+// with their ids resolved.
+func (rp *shardReplay) applyTo(s int, u *Unit, reg *graph.Registry) error {
+	start := time.Now()
+	for _, op := range rp.ops {
+		if _, _, err := applyOp(u, reg, op, true); err != nil {
+			return fmt.Errorf("shard %d: wal replay of LSN %d: %w", s, op.LSN, err)
+		}
+	}
+	rp.apply += time.Since(start)
 	return nil
 }
 
