@@ -150,8 +150,9 @@ paged-diff:
 
 # The full gate CI runs: vet, lint, build, tests, a 3 s fuzz each of the
 # container kernels every multi-way AND runs (array ∩ array, and every kernel
-# on range-sized bitsets of different lengths) and of the bitmap decoder, the
-# smoke and differential gates,
+# on range-sized bitsets of different lengths), of the bitmap decoder and of
+# the query parser's round trip (every accepted statement renders to text
+# that parses back to it), the smoke and differential gates,
 # the example programs, then the race-detector pass (which re-vets; harmless and keeps `make race`
 # self-contained).
 check:
@@ -161,6 +162,7 @@ check:
 	$(GO) test ./...
 	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 3s
 	$(GO) test ./internal/bitmap/ -run '^$$' -fuzz FuzzReadFrom -fuzztime 3s
+	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParse -fuzztime 3s
 	$(MAKE) bench-smoke
 	$(MAKE) e2e-smoke
 	$(MAKE) examples-smoke

@@ -1,6 +1,8 @@
 package grove
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -57,21 +59,22 @@ func Summarize(values []float64) Summary {
 // parts (§5.1.2: "for algebraic aggregate functions one can store the
 // constituent distributive sub-aggregates — sum and count for the average").
 // It returns one value per matching record (NaN for NULL paths), aligned
-// with the returned record ids. Both sub-aggregations reuse any SUM/COUNT
-// aggregate views independently.
-func (s *Store) AveragePath(nodes ...string) (recordIDs []uint32, avgs []float64, err error) {
+// with the returned record ids. It runs two statements on st, a SUM and a
+// COUNT, and each reuses any SUM or COUNT aggregate views on its own.
+func AveragePath(ctx context.Context, st *Store, nodes ...string) (recordIDs []uint32, avgs []float64, err error) {
 	if len(nodes) < 2 {
-		return nil, nil, errShortPath
+		return nil, nil, errors.New("grove: a path aggregation needs at least 2 nodes")
 	}
 	g := PathOf(nodes...).ToGraph()
-	sumRes, err := s.Aggregate(g, Sum)
+	sum, err := st.Execute(ctx, AggregateOn(g, Sum, ""))
 	if err != nil {
 		return nil, nil, err
 	}
-	countRes, err := s.Aggregate(g, Count)
+	count, err := st.Execute(ctx, AggregateOn(g, Count, ""))
 	if err != nil {
 		return nil, nil, err
 	}
+	sumRes, countRes := sum.Agg, count.Agg
 	if len(sumRes.RecordIDs) != len(countRes.RecordIDs) {
 		return nil, nil, fmt.Errorf("grove: sum/count answers diverged (%d vs %d records)",
 			len(sumRes.RecordIDs), len(countRes.RecordIDs))

@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestSummarizeSkipsNulls(t *testing.T) {
 
 func TestAveragePath(t *testing.T) {
 	st := buildSCMStore(t)
-	ids, avgs, err := st.AveragePath("A", "D", "E", "G", "I")
+	ids, avgs, err := AveragePath(context.Background(), st, "A", "D", "E", "G", "I")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestAveragePathUsesViews(t *testing.T) {
 	if err := st.MaterializeAggViewPath("c", Count, "", "A", "D", "E"); err != nil {
 		t.Fatal(err)
 	}
-	_, avgs, err := st.AveragePath("A", "D", "E", "G", "I")
+	_, avgs, err := AveragePath(context.Background(), st, "A", "D", "E", "G", "I")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAveragePathNullPath(t *testing.T) {
 	}
 	rec.AddBareElement(EdgeKey{From: "B", To: "C"})
 	st.Add(rec)
-	_, avgs, err := st.AveragePath("A", "B", "C")
+	_, avgs, err := AveragePath(context.Background(), st, "A", "B", "C")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestLegacyBlocksLoad(t *testing.T) {
 		diffAnswers(t, fmt.Sprintf("legacy at %d%%", pct), want, collectAnswers(t, legacy, PathOf(path...).ToGraph()))
 	}
 	diffNamedMeasure(t, "legacy", mem, legacy)
-	if err := legacy.PageError(); err != nil {
+	if err := legacy.Stats().Err; err != nil {
 		t.Fatal(err)
 	}
 

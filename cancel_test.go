@@ -8,44 +8,48 @@ import (
 	"time"
 )
 
-// TestStoreContextCancelled: the facade's Context variants refuse an
-// already-cancelled context with context.Canceled.
+// TestStoreContextCancelled: Execute refuses an already-cancelled context
+// with context.Canceled, for statements of every kind.
 func TestStoreContextCancelled(t *testing.T) {
 	st := buildSCMStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := PathOf("A", "D", "E").ToGraph()
-	if _, err := st.MatchContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MatchContext err = %v, want context.Canceled", err)
-	}
-	if _, err := st.AggregateContext(ctx, g, Sum); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AggregateContext err = %v, want context.Canceled", err)
+	for _, stmt := range []Statement{
+		Find(Q(g)),
+		Find(AndNot(Q(g), QPath("C", "H"))),
+		AggregateOn(g, Sum, ""),
+		Scalar(AggregateOn(g, Max, "")),
+	} {
+		if _, err := st.Execute(ctx, stmt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Execute(%s) err = %v, want context.Canceled", stmt, err)
+		}
 	}
 	// A fresh context still works after the cancelled attempts.
-	if _, err := st.MatchContext(context.Background(), g); err != nil {
-		t.Fatalf("MatchContext after cancellation = %v", err)
+	if _, err := st.Execute(context.Background(), Find(Q(g))); err != nil {
+		t.Fatalf("Execute after cancellation = %v", err)
 	}
 }
 
 // TestStoreExecuteBatchContextCancelled: an already-cancelled context fails
-// every pending query of the batch promptly with context.Canceled.
+// every pending statement of the batch promptly with context.Canceled.
 func TestStoreExecuteBatchContextCancelled(t *testing.T) {
 	st := buildSCMStore(t)
-	graphs := make([]*Graph, 20)
-	for i := range graphs {
-		graphs[i] = PathOf("A", "D", "E").ToGraph()
+	stmts := make([]Statement, 20)
+	for i := range stmts {
+		stmts[i] = Find(QPath("A", "D", "E"))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	results, errs := st.ExecuteBatchContext(ctx, graphs, 4)
+	results, errs := st.ExecuteStatements(ctx, stmts, 4)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled batch took %v", elapsed)
 	}
-	if len(errs) != len(graphs) {
-		t.Fatalf("%d error slots, want %d", len(errs), len(graphs))
+	if len(errs) != len(stmts) {
+		t.Fatalf("%d error slots, want %d", len(errs), len(stmts))
 	}
-	for i := range graphs {
+	for i := range stmts {
 		if !errors.Is(errs[i], context.Canceled) {
 			t.Fatalf("query %d err = %v, want context.Canceled", i, errs[i])
 		}
@@ -65,23 +69,24 @@ func TestStoreBatchPanicIsolated(t *testing.T) {
 		Lift:     func(v float64) float64 { return v },
 		Fold:     func(a, b float64) float64 { panic("kernel exploded") },
 	}
-	graphs := make([]*Graph, 8)
-	for i := range graphs {
-		graphs[i] = PathOf("A", "D", "E").ToGraph()
+	g := PathOf("A", "D", "E").ToGraph()
+	stmts := make([]Statement, 8)
+	for i := range stmts {
+		stmts[i] = AggregateOn(g, Sum, "")
 	}
-	// The facade applies one AggFunc to the whole batch, so isolation is
-	// asserted across batches: a panicking batch reports recovered errors,
-	// and the store keeps answering afterwards.
-	_, errs := st.AggregateBatchContext(context.Background(), graphs[:1], panicky, 2)
-	if errs[0] == nil || !strings.Contains(errs[0].Error(), "panicked") {
-		t.Fatalf("panicking query err = %v, want recovered panic", errs[0])
-	}
-	results, errs := st.AggregateBatchContext(context.Background(), graphs, Sum, 4)
-	for i := range graphs {
-		if errs[i] != nil {
-			t.Fatalf("query %d err = %v after recovered panic", i, errs[i])
+	stmts[3] = AggregateOn(g, panicky, "")
+	results, errs := st.ExecuteStatements(context.Background(), stmts, 4)
+	for i := range stmts {
+		if i == 3 {
+			if errs[i] == nil || !strings.Contains(errs[i].Error(), "panicked") {
+				t.Fatalf("panicking query err = %v, want recovered panic", errs[i])
+			}
+			continue
 		}
-		if results[i] == nil {
+		if errs[i] != nil {
+			t.Fatalf("query %d err = %v beside a recovered panic", i, errs[i])
+		}
+		if results[i] == nil || results[i].Agg == nil {
 			t.Fatalf("query %d missing result", i)
 		}
 	}

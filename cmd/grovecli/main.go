@@ -14,6 +14,7 @@
 //	grovecli -store /tmp/ny tag 17 type fast-track   # tag a record
 //	grovecli -store /tmp/ny q "[n1,n2] AND NOT [n3,n4]"  # text query language
 //	grovecli -store /tmp/ny q "SUM [n1,n2,n13]"
+//	grovecli -store /tmp/ny q "SCALAR MAX (n1,n2,n13)"  # one value, open endpoints
 //	grovecli -store /tmp/ny advise workload.grq 20   # propose views for a workload
 //	grovecli -store /tmp/ny analyze n1 n2 n13        # EXPLAIN ANALYZE a path query
 //	grovecli -store /tmp/ny metrics "[n1,n2]"        # run statements, dump metrics
@@ -34,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -284,7 +286,7 @@ func inspectWAL(dir string) {
 	}
 }
 
-// replay re-executes a workload log captured by Store.StartWorkloadRecording
+// replay re-executes a workload log captured by Store.RecordWorkload
 // against the store, verifying each answer's digest against the recorded
 // one. Any mismatch exits non-zero.
 func replay(st *grove.Store, logPath string) {
@@ -292,7 +294,7 @@ func replay(st *grove.Store, logPath string) {
 	if err != nil {
 		fatal(err)
 	}
-	stats, err := st.ReplayWorkload(events)
+	stats, err := st.ReplayWorkload(context.Background(), events)
 	if err != nil {
 		fatal(err)
 	}
@@ -414,7 +416,7 @@ func aggByName(name string) (grove.AggFunc, bool) {
 }
 
 func average(st *grove.Store, nodes []string, limit int) {
-	ids, avgs, err := st.AveragePath(nodes...)
+	ids, avgs, err := grove.AveragePath(context.Background(), st, nodes...)
 	if err != nil {
 		fatal(err)
 	}
@@ -514,10 +516,22 @@ func dumpTraces(st *grove.Store, statements []string, limit int) {
 	}
 }
 
+// textQuery parses and executes one statement and prints the statement as
+// grove renders it — the text traces and the workload log carry — then its
+// answer.
 func textQuery(st *grove.Store, text string, limit int) {
-	res, err := st.Query(text)
+	stmt, err := grove.Parse(text)
 	if err != nil {
 		fatal(err)
+	}
+	res, err := st.Execute(context.Background(), stmt)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("statement: %s\n", stmt)
+	if sc := res.Scalar; sc != nil {
+		fmt.Printf("matched %d records, %d value(s) folded: %.3f\n", sc.Records, sc.Folded, sc.Value)
+		return
 	}
 	if res.IDs != nil {
 		fmt.Printf("matched %d records\n", res.IDs.Cardinality())

@@ -59,7 +59,7 @@ func cleanPath(dir string) string { return filepath.Clean(dir) }
 // After EnableWAL returns, every mutation is logged before it applies and
 // recoverable per cfg's fsync policy. If the log later fails (disk full,
 // I/O error), it latches: mutations keep applying in memory, mutators and
-// WALError report the condition, and a successful Save (checkpoint) starts
+// Stats().Err report the condition, and a successful Save (checkpoint) starts
 // a fresh log.
 func (s *Store) EnableWAL(dir string, cfg WALConfig) error {
 	return s.coord.AttachWALFS(fsio.OS(), cleanPath(dir), cfg)
@@ -114,11 +114,6 @@ func (s *Store) AppendBareEdge(rec uint32, from, to string) error {
 // (Enabled), appended records/bytes, fsyncs, truncations, replayed ops,
 // per-shard LSN ranges.
 func (s *Store) WALStats() WALStats { return s.coord.WALStats() }
-
-// WALError returns the first sticky write-ahead log failure, if any: non-nil
-// means ops past some LSN are applied in memory but not reaching the disk.
-// A successful Save (checkpoint) clears the condition by starting fresh logs.
-func (s *Store) WALError() error { return s.coord.WALError() }
 
 // SyncWAL forces an fsync of every shard's log regardless of policy — the
 // "flush before exit" call for SyncInterval / SyncNever stores. A no-op

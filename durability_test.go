@@ -416,7 +416,7 @@ func runWALSweep(t *testing.T, shards int, baseDir string, digests []string, ops
 			if err := st.coord.AttachWALFS(fault, dir, cfg); err == nil {
 				for _, op := range ops {
 					err := op.apply(st)
-					if err == nil && st.WALError() == nil {
+					if err == nil && st.Stats().Err == nil {
 						acked++
 					}
 				}
@@ -994,5 +994,32 @@ func TestShadowedSaveRefused(t *testing.T) {
 				t.Fatalf("own directory loads as shards=%d records=%d", got.Stats().Shards, got.NumRecords())
 			}
 		})
+	}
+}
+
+// TestStatsErrLabelsItsSource: a latched write-ahead log failure surfaces in
+// Stats().Err, labelled with its source, while the store keeps serving.
+func TestStatsErrLabelsItsSource(t *testing.T) {
+	st := Open()
+	loadSCMOrders(t, st)
+	if err := st.Stats().Err; err != nil {
+		t.Fatalf("healthy store: Err = %v", err)
+	}
+	fault := fsio.NewFaultFS(fsio.OS())
+	if err := st.coord.AttachWALFS(fault, t.TempDir(), WALConfig{Policy: SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	fault.FailAt(1)
+	rec := NewRecord()
+	if err := rec.SetEdge("A", "D", 1); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(rec)
+	err := st.Stats().Err
+	if err == nil || !strings.HasPrefix(err.Error(), "write-ahead log: ") {
+		t.Fatalf("Err = %v, want the log failure labelled with its source", err)
+	}
+	if _, err := st.Match(PathOf("A", "D").ToGraph()); err != nil {
+		t.Fatalf("store stopped serving after the log failed: %v", err)
 	}
 }

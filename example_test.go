@@ -1,6 +1,7 @@
 package grove_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -55,26 +56,42 @@ func ExampleStore_Aggregate() {
 	// Output: record 1: total 7
 }
 
-func ExampleStore_Eval() {
+func ExampleStore_Execute() {
 	st := load()
-	ids, err := st.Eval(grove.AndNot(grove.QPath("A", "D", "E"), grove.QPath("E", "F")))
+	ctx := context.Background()
+	res, err := st.Execute(ctx, grove.Find(grove.AndNot(grove.QPath("A", "D", "E"), grove.QPath("E", "F"))))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("with [A,D,E] but without (E,F):", ids.ToSlice())
-	// Output: with [A,D,E] but without (E,F): [0]
+	fmt.Println("with [A,D,E] but without (E,F):", res.IDs.ToSlice())
+	// The §3.4 example folded to one value across every matching record.
+	q := grove.Scalar(grove.AggregateOn(grove.PathOf("A", "C", "E", "F").ToGraph(), grove.Max, ""))
+	res, err = st.Execute(ctx, q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s = %.0f\n", q, res.Scalar.Value)
+	// Output:
+	// with [A,D,E] but without (E,F): [0]
+	// SCALAR MAX {[A,C] [C,E] [E,F]} = 4
 }
 
-func ExampleStore_Query() {
+func ExampleParse() {
 	st := load()
-	res, err := st.Query("SUM [E,F,G]")
+	stmt, err := grove.Parse("SUM [E,F,G]")
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := st.Execute(context.Background(), stmt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(stmt)
 	for i, rec := range res.Agg.RecordIDs {
 		fmt.Printf("record %d: %.0f\n", rec, res.Agg.Values[0][i])
 	}
 	// Output:
+	// SUM {[E,F] [F,G]}
 	// record 1: 5
 	// record 2: 4
 }

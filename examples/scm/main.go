@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -78,17 +79,18 @@ func main() {
 		len(q1.RecordIDs), mean(q1.Values[0]))
 
 	// Q2: delivery COST on the leased legs [C,H] and [F,J,K].
-	costCH, err := st.AggregateMeasure(grove.PathOf("C", "H").ToGraph(), grove.Sum, "cost")
+	ctx := context.Background()
+	costCH, err := st.Execute(ctx, grove.AggregateOn(grove.PathOf("C", "H").ToGraph(), grove.Sum, "cost"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	costFJK, err := st.AggregateMeasure(grove.PathOf("F", "J", "K").ToGraph(), grove.Sum, "cost")
+	costFJK, err := st.Execute(ctx, grove.AggregateOn(grove.PathOf("F", "J", "K").ToGraph(), grove.Sum, "cost"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Q2: leased-route cost: [C,H] total %.0feur over %d orders; [F,J,K] total %.0feur over %d orders\n",
-		total(costCH.Values[0]), len(costCH.RecordIDs),
-		total(costFJK.Values[0]), len(costFJK.RecordIDs))
+		total(costCH.Agg.Values[0]), len(costCH.Agg.RecordIDs),
+		total(costFJK.Agg.Values[0]), len(costFJK.Agg.RecordIDs))
 
 	// Q3: longest leg delay from a production line to end-point I via the
 	// region-2 hubs. Region 2 is the hub corridor D→E→G; PathsThrough gives

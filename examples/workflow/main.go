@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -91,8 +92,12 @@ func main() {
 	// Open-ended analysis (§3.3's interval semantics): time strictly INSIDE
 	// approval→shipping. The open path (Approved,Packed,Shipped) excludes
 	// the Approved and Shipped processing times; the closed variant includes
-	// them.
-	open, err := st.AggregateAlong(grove.Sum, grove.OpenPath("Approved", "Packed", "Shipped"), "")
+	// them. In the text language the open path is written (Approved,Packed,Shipped).
+	stmt, err := grove.Parse("SUM (Approved,Packed,Shipped)")
+	if err != nil {
+		log.Fatal(err)
+	}
+	open, err := st.Execute(context.Background(), stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("approval→shipping: open-path mean %.2fh vs closed-path mean %.2fh\n",
-		grove.Summarize(open.FoldAcrossPaths()).Mean,
+		grove.Summarize(open.Agg.FoldAcrossPaths()).Mean,
 		grove.Summarize(closed.FoldAcrossPaths()).Mean)
 
 	// Which resubmitted instances (flattened aliases!) still shipped?

@@ -212,7 +212,7 @@ func NewSharded(n int, opts ...Option) *Store {
 // flattened to DAGs first. Concurrent Adds landing on different shards of a
 // sharded store proceed in parallel. Add is Append minus the error: under a
 // write-ahead log the record is logged the same way, and a log failure
-// latches and surfaces through WALError instead of per call.
+// latches and surfaces through Stats().Err instead of per call.
 func (s *Store) Add(rec *Record) uint32 {
 	return s.coord.Add(rec)
 }
@@ -308,6 +308,13 @@ type StoreStats struct {
 	// ViewUsage counts, per materialized view (graph and aggregate), how
 	// many times it answered part of a query.
 	ViewUsage map[string]int64
+	// Err is the store's health: nil, or the sticky failures joined, each
+	// labelled with its source — the write-ahead log's first failure (ops
+	// past some LSN are applied in memory but not reaching the disk, until a
+	// successful Save starts fresh logs) and the first failed page fault of
+	// a loaded store's value blocks (queries that touched that column
+	// already returned it).
+	Err error
 }
 
 // Stats returns the store's summary statistics, aggregated across shards.
@@ -328,7 +335,20 @@ func (s *Store) Stats() StoreStats {
 		TagKeys:       s.coord.TagKeys(),
 		Storage:       s.coord.StorageStats(),
 		ViewUsage:     s.coord.ViewUsage(),
+		Err:           s.healthErr(),
 	}
+}
+
+// healthErr joins the sticky write-ahead log and page-fault errors.
+func (s *Store) healthErr() error {
+	var errs []error
+	if err := s.coord.WALError(); err != nil {
+		errs = append(errs, fmt.Errorf("write-ahead log: %w", err))
+	}
+	if err := s.coord.PageError(); err != nil {
+		errs = append(errs, fmt.Errorf("page fault: %w", err))
+	}
+	return errors.Join(errs...)
 }
 
 // StorageStats returns the measure-storage residency snapshot summed across
@@ -347,11 +367,6 @@ func (s *Store) SetPageCacheBytes(n int64) { s.coord.SetPageCacheBytes(n) }
 // store starts with (split across shards).
 const DefaultPageCacheBytes = colstore.DefaultPageCacheBytes
 
-// PageError returns the first sticky page-fault error, if lazily loading any
-// value block from the snapshot has failed. Queries that touched a failed
-// column already returned that error; this surfaces it for health checks.
-func (s *Store) PageError() error { return s.coord.PageError() }
-
 // Close releases the snapshot file handles a loaded store pages value blocks
 // from. The store remains usable — columns already resident stay readable,
 // and a subsequent block fault reopens its file — so Close is about
@@ -364,24 +379,32 @@ func (s *Store) Optimize() { s.coord.Optimize() }
 
 // Match answers a graph query: the records containing the query graph. On a
 // sharded store the query fans out across every shard in parallel and the
-// answer is the union of the per-shard answers.
+// answer is the union of the per-shard answers. It is the shorthand of
+// Execute(ctx, Find(Q(g))) that returns the plan too.
 func (s *Store) Match(g *Graph) (*Result, error) {
-	return s.MatchContext(context.Background(), g)
-}
-
-// MatchContext is Match with cancellation: the engine checks ctx between
-// bitmap fetches and abandons the query with ctx's error once cancelled
-// (recorded as a "cancelled" span when tracing is on). On a sharded store a
-// cancellation promptly abandons every shard's sub-query.
-func (s *Store) MatchContext(ctx context.Context, g *Graph) (*Result, error) {
 	q := query.NewGraphQuery(g)
 	rec := s.rec.Load()
 	if rec == nil {
-		return s.coord.MatchContext(ctx, q)
+		return s.coord.MatchContext(context.Background(), q)
 	}
 	start := time.Now()
-	res, err := s.coord.MatchContext(ctx, q)
-	s.recordMatch(rec, q, start, res, err)
+	res, err := s.coord.MatchContext(context.Background(), q)
+	s.record(rec, q.String(), start, err, func() string { return digestBitmap(res.Answer) })
+	return res, err
+}
+
+// Aggregate answers a path-aggregation query: it matches g and folds f along
+// every maximal path of g for every matching record. It is the shorthand of
+// Execute(ctx, AggregateOn(g, f, "")).
+func (s *Store) Aggregate(g *Graph, f AggFunc) (*AggResult, error) {
+	q := query.NewPathAggQuery(g, f)
+	rec := s.rec.Load()
+	if rec == nil {
+		return s.coord.AggregateContext(context.Background(), q)
+	}
+	start := time.Now()
+	res, err := s.coord.AggregateContext(context.Background(), q)
+	s.record(rec, q.String(), start, err, func() string { return digestAgg(res) })
 	return res, err
 }
 
@@ -393,135 +416,78 @@ func (s *Store) MatchContext(ctx context.Context, g *Graph) (*Result, error) {
 // worker that takes a query runs its shard sub-queries inline and merges
 // them, so shards add no goroutines. The paper's experiments all evaluate
 // batches of 100 queries — this is the parallel path for that shape of
-// workload.
+// workload. The first failing query fails the batch; ExecuteStatements
+// reports every query's error.
 func (s *Store) ExecuteBatch(graphs []*Graph, workers int) ([]*Result, error) {
-	results, errs := s.ExecuteBatchContext(context.Background(), graphs, workers)
-	if err := firstBatchError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// firstBatchError mirrors the batch executor's error policy: the first
-// failing query aborts the batch result, labelled with its index.
-func firstBatchError(errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ExecuteBatchContext is ExecuteBatch with cancellation and per-query
-// errors: result slot i and error slot i belong to graphs[i]. Queries not
-// yet started when ctx is cancelled fail promptly with ctx's error, and a
-// panicking query surfaces as its own error while the rest of the batch
-// completes.
-func (s *Store) ExecuteBatchContext(ctx context.Context, graphs []*Graph, workers int) ([]*Result, []error) {
 	queries := make([]*query.GraphQuery, len(graphs))
 	for i, g := range graphs {
 		queries[i] = query.NewGraphQuery(g)
 	}
 	rec := s.rec.Load()
 	if rec == nil {
-		return s.coord.ExecuteGraphBatchContext(ctx, queries, workers)
+		return firstBatchError(s.coord.ExecuteGraphBatchContext(context.Background(), queries, workers))
 	}
 	start := time.Now()
-	results, errs := s.coord.ExecuteGraphBatchContext(ctx, queries, workers)
-	s.recordGraphBatch(rec, queries, start, results, errs)
-	return results, errs
+	results, errs := s.coord.ExecuteGraphBatchContext(context.Background(), queries, workers)
+	for i, q := range queries {
+		s.record(rec, q.String(), start, errs[i], func() string { return digestBitmap(results[i].Answer) })
+	}
+	return firstBatchError(results, errs)
 }
 
 // AggregateBatch answers a batch of path-aggregation queries (f folded along
 // every maximal path of each graph) across a worker pool, with the same
 // ordering and determinism guarantees as ExecuteBatch.
 func (s *Store) AggregateBatch(graphs []*Graph, f AggFunc, workers int) ([]*AggResult, error) {
-	results, errs := s.AggregateBatchContext(context.Background(), graphs, f, workers)
-	if err := firstBatchError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// AggregateBatchContext is AggregateBatch with cancellation and per-query
-// errors, in the manner of ExecuteBatchContext.
-func (s *Store) AggregateBatchContext(ctx context.Context, graphs []*Graph, f AggFunc, workers int) ([]*AggResult, []error) {
 	queries := make([]*query.PathAggQuery, len(graphs))
 	for i, g := range graphs {
 		queries[i] = query.NewPathAggQuery(g, f)
 	}
 	rec := s.rec.Load()
 	if rec == nil {
-		return s.coord.ExecutePathAggBatchContext(ctx, queries, workers)
+		return firstBatchError(s.coord.ExecutePathAggBatchContext(context.Background(), queries, workers))
 	}
 	start := time.Now()
-	results, errs := s.coord.ExecutePathAggBatchContext(ctx, queries, workers)
-	s.recordAggBatch(rec, queries, start, results, errs)
-	return results, errs
-}
-
-// Aggregate answers a path-aggregation query: it matches g and folds f along
-// every maximal path of g for every matching record.
-func (s *Store) Aggregate(g *Graph, f AggFunc) (*AggResult, error) {
-	return s.AggregateContext(context.Background(), g, f)
-}
-
-// AggregateContext is Aggregate with cancellation, checked between bitmap
-// fetches and between per-path aggregation chunks.
-func (s *Store) AggregateContext(ctx context.Context, g *Graph, f AggFunc) (*AggResult, error) {
-	return s.aggregateQuery(ctx, query.NewPathAggQuery(g, f))
-}
-
-// aggregateQuery is the funnel every path-aggregation facade goes through, so
-// workload recording sees each of them.
-func (s *Store) aggregateQuery(ctx context.Context, q *query.PathAggQuery) (*AggResult, error) {
-	rec := s.rec.Load()
-	if rec == nil {
-		return s.coord.AggregateContext(ctx, q)
+	results, errs := s.coord.ExecutePathAggBatchContext(context.Background(), queries, workers)
+	for i, q := range queries {
+		s.record(rec, q.String(), start, errs[i], func() string { return digestAgg(results[i]) })
 	}
-	start := time.Now()
-	res, err := s.coord.AggregateContext(ctx, q)
-	s.recordAgg(rec, q, start, res, err)
-	return res, err
+	return firstBatchError(results, errs)
 }
 
-// AggregateMeasure is Aggregate over a named measure — e.g. fold "cost"
-// instead of the default measure when records carry several measures per
-// element (§3.1).
-func (s *Store) AggregateMeasure(g *Graph, f AggFunc, measure string) (*AggResult, error) {
-	return s.aggregateQuery(context.Background(), query.NewPathAggQueryOn(g, f, measure))
-}
-
-// errShortPath rejects a path aggregation over fewer than two nodes.
-var errShortPath = errors.New("grove: a path aggregation needs at least 2 nodes")
-
-// AggregateAlong aggregates f along one explicit path, honouring open
-// endpoints: an open end excludes that endpoint node's own measure (§3.3's
-// interval semantics, e.g. (D,E,G) for "from departure at D to arrival at
-// G"). measure selects the measure ("" = default).
-func (s *Store) AggregateAlong(f AggFunc, p Path, measure string) (*AggResult, error) {
-	if len(p.Nodes) < 2 {
-		return nil, errShortPath
+// firstBatchError mirrors the batch executor's error policy: the first
+// failing query aborts the batch result, labelled with its index.
+func firstBatchError[R any](results []R, errs []error) ([]R, error) {
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
 	}
-	return s.aggregateQuery(context.Background(), query.NewPathAggQueryAlong(p, f, measure))
+	return results, nil
 }
 
-// AggregateScalar folds f across every record matching g — the scalar answer
-// "what is the MIN/MAX/SUM over all matching records", not the per-record
-// rows Aggregate returns. For MIN and MAX over paged columns the engine
-// answers with a zone-map block-skipping scan that reads only blocks whose
-// [min,max] range could still change the answer; the result is bit-identical
-// to folding Aggregate's rows. Scalar queries are an execution strategy, not
-// a distinct workload shape, so they bypass the workload recorder.
-func (s *Store) AggregateScalar(g *Graph, f AggFunc) (*ScalarAggResult, error) {
-	return s.AggregateScalarContext(context.Background(), g, f)
-}
+// Statement is one query of either class: a boolean combination of graph
+// queries (§3.2), or a path aggregation (§3.4) with its graph, function,
+// measure, explicit — possibly open — paths and scalar flag. Its String is
+// the text language, which Parse reads back.
+type Statement = query.Statement
 
-// AggregateScalarContext is AggregateScalar with cancellation.
-func (s *Store) AggregateScalarContext(ctx context.Context, g *Graph, f AggFunc) (*ScalarAggResult, error) {
-	return s.coord.AggregateScalarContext(ctx, query.NewPathAggQuery(g, f))
-}
+// QueryResult is the answer of a statement: exactly one of IDs (a graph
+// query), Agg (a path aggregation's per-record rows) or Scalar (a scalar
+// path aggregation) is set.
+type QueryResult = query.StatementResult
+
+// Parse parses one statement of grove's text query language
+// (docs/QUERY_LANGUAGE.md):
+//
+//	[A,D,E] AND NOT {[C,H] [X]}   boolean combination of graph queries
+//	SUM [A,D,E,G,I]               path aggregation (SUM|MIN|MAX|COUNT)
+//	MAX<cost> [C,H]               aggregation over a named measure
+//	SUM (D,E,G]                   along an open path (§3.3)
+//	SCALAR MIN [A,D]              one value across every matching record
+//
+// Keywords are case-insensitive; parentheses group.
+func Parse(text string) (Statement, error) { return query.Parse(text) }
 
 // Expr is a boolean combination of graph queries.
 type Expr = query.Expr
@@ -541,19 +507,68 @@ func Or(operands ...Expr) Expr { return query.Or{Operands: operands} }
 // AndNot returns records matching a but not b.
 func AndNot(a, b Expr) Expr { return query.Diff{A: a, B: b} }
 
-// Eval evaluates a boolean combination of graph queries, returning the
-// matching record ids. Boolean operators distribute over the disjoint shard
-// partition, so a sharded store evaluates the whole expression on every
-// shard in parallel and unions the answers.
-func (s *Store) Eval(e Expr) (*Bitmap, error) {
+// Find is the statement of a graph query or boolean combination of them.
+func Find(e Expr) Statement { return Statement{Expr: e} }
+
+// AggregateOn is the statement of a path aggregation: f folded over measure
+// ("" = the default measure; §3.1's records may carry several) along every
+// maximal path of g, for every record matching g.
+func AggregateOn(g *Graph, f AggFunc, measure string) Statement {
+	return Statement{Agg: query.NewPathAggQueryOn(g, f, measure)}
+}
+
+// AggregateAlong is the statement of a path aggregation along one explicit
+// path of at least two nodes, honouring open endpoints: an open end excludes
+// that endpoint node's own measure (§3.3's interval semantics, e.g. (D,E,G)
+// for "from departure at D to arrival at G").
+func AggregateAlong(f AggFunc, p Path, measure string) Statement {
+	return Statement{Agg: query.NewPathAggQueryAlong(p, f, measure)}
+}
+
+// Scalar returns a path-aggregation statement folded all the way down: one
+// value, Fold over every matching record's FoldAcrossPaths value in record
+// order, instead of the per-record rows. For MIN and MAX over paged columns
+// the engine answers with a zone-map block-skipping scan that reads only
+// blocks whose [min,max] range could still change the answer; the value is
+// bit-identical to folding the rows. A graph statement is returned as is.
+func Scalar(st Statement) Statement {
+	if q := st.Agg; q != nil {
+		st.Agg = &query.PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths, Scalar: true}
+	}
+	return st
+}
+
+// Execute runs one statement. The engine checks ctx between bitmap fetches
+// and between per-path aggregation chunks, and abandons the query with ctx's
+// error once it is cancelled (a "cancelled" span when tracing is on); on a
+// sharded store a cancellation promptly abandons every shard's sub-query.
+func (s *Store) Execute(ctx context.Context, st Statement) (*QueryResult, error) {
 	rec := s.rec.Load()
 	if rec == nil {
-		return s.coord.EvalExprContext(context.Background(), e)
+		return s.coord.Execute(ctx, st)
 	}
 	start := time.Now()
-	ids, err := s.coord.EvalExprContext(context.Background(), e)
-	s.recordEval(rec, e, start, ids, err)
-	return ids, err
+	res, err := s.coord.Execute(ctx, st)
+	s.record(rec, st.String(), start, err, func() string { return digestResult(res) })
+	return res, err
+}
+
+// ExecuteStatements runs a batch of statements on a worker pool, as
+// ExecuteBatch does, with per-query errors: result slot i and error slot i
+// belong to stmts[i]. Queries not yet started when ctx is cancelled fail
+// promptly with ctx's error, and a panicking query surfaces as its own error
+// while the rest of the batch completes.
+func (s *Store) ExecuteStatements(ctx context.Context, stmts []Statement, workers int) ([]*QueryResult, []error) {
+	rec := s.rec.Load()
+	if rec == nil {
+		return s.coord.ExecuteStatementBatchContext(ctx, stmts, workers)
+	}
+	start := time.Now()
+	results, errs := s.coord.ExecuteStatementBatchContext(ctx, stmts, workers)
+	for i, st := range stmts {
+		s.record(rec, st.String(), start, errs[i], func() string { return digestResult(results[i]) })
+	}
+	return results, errs
 }
 
 // LeafGraphs returns the query graphs at the leaves of a boolean expression,
@@ -583,8 +598,8 @@ func LeafGraphs(e Expr) []*Graph {
 
 // ParseWorkload parses a newline-separated list of query statements (the
 // text query language; '#' starts a comment line) into the query graphs of a
-// view-advisor workload. Aggregation statements contribute their path
-// graphs; boolean statements contribute every leaf.
+// view-advisor workload. Aggregation statements contribute their graphs;
+// boolean statements contribute every leaf.
 func ParseWorkload(r io.Reader) ([]*Graph, error) {
 	var out []*Graph
 	sc := bufio.NewScanner(r)
@@ -618,40 +633,6 @@ type Explanation = query.Explanation
 // partition span) for a graph query without executing it.
 func (s *Store) Explain(g *Graph) (Explanation, error) {
 	return s.eng.ExplainGraph(g)
-}
-
-// QueryResult is the answer of a textual Query: exactly one of IDs (boolean
-// structural query) or Agg (path aggregation) is set.
-type QueryResult struct {
-	IDs *Bitmap
-	Agg *AggResult
-}
-
-// Query parses and executes one statement of grove's text query language:
-//
-//	[A,D,E] AND NOT [C,H]      boolean combination of path queries
-//	SUM [A,D,E,G,I]            path aggregation (SUM|MIN|MAX|COUNT)
-//	MAX<cost> [C,H]            aggregation over a named measure
-//
-// Keywords are case-insensitive; parentheses group.
-func (s *Store) Query(text string) (*QueryResult, error) {
-	rec := s.rec.Load()
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	res, err := s.coord.ExecuteStatementContext(context.Background(), text)
-	if err != nil {
-		if rec != nil {
-			s.recordStatement(rec, text, start, nil, err)
-		}
-		return nil, err
-	}
-	out := &QueryResult{IDs: res.IDs, Agg: res.Agg}
-	if rec != nil {
-		s.recordStatement(rec, text, start, out, nil)
-	}
-	return out, nil
 }
 
 // PathsThrough returns the composite path [Src(g),Src(region)) ⋈

@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -62,7 +63,7 @@ func TestMatchPath(t *testing.T) {
 	if got := res.Answer.ToSlice(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("answer = %v, want [0 2]", got)
 	}
-	if _, err := st.Query("[A]"); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+	if _, err := queryText(st, "[A]"); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Errorf("single-node path: err = %v", err)
 	}
 }
@@ -80,10 +81,10 @@ func TestAggregatePathQ1(t *testing.T) {
 	if agg.Values[0][0] != 8 {
 		t.Fatalf("total time = %v, want 8", agg.Values[0][0])
 	}
-	if _, err := st.AggregateAlong(Sum, PathOf("A"), ""); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+	if _, err := aggAlong(st, Sum, PathOf("A"), ""); err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
 		t.Errorf("single-node aggregation: err = %v", err)
 	}
-	if _, _, err := st.AveragePath("A"); err == nil {
+	if _, _, err := AveragePath(context.Background(), st, "A"); err == nil {
 		t.Error("single-node average accepted")
 	}
 }
@@ -108,7 +109,7 @@ func TestBooleanExpressions(t *testing.T) {
 	// those routed via G.
 	st := buildSCMStore(t)
 	leased := Or(QPath("C", "H"), QPath("F", "J", "K"))
-	ids, err := st.Eval(AndNot(leased, QPath("E", "G")))
+	ids, err := evalExpr(st, AndNot(leased, QPath("E", "G")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestAggregateAlongOpenPath(t *testing.T) {
 	if closed.Values[0][0] != 2+10+20+40 {
 		t.Errorf("closed = %v, want 72", closed.Values[0][0])
 	}
-	open, err := st.AggregateAlong(Sum, OpenPath("A", "B", "C"), "")
+	open, err := aggAlong(st, Sum, OpenPath("A", "B", "C"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,21 +422,21 @@ func TestAggregateAlongOpenPath(t *testing.T) {
 		t.Errorf("open = %v, want 22 (endpoints excluded)", open.Values[0][0])
 	}
 	halfOpen := Path{Nodes: []string{"A", "B", "C"}, OpenEnd: true}
-	ho, err := st.AggregateAlong(Sum, halfOpen, "")
+	ho, err := aggAlong(st, Sum, halfOpen, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ho.Values[0][0] != 2+10+20 {
 		t.Errorf("half-open = %v, want 32", ho.Values[0][0])
 	}
-	if _, err := st.AggregateAlong(Sum, Path{Nodes: []string{"A"}}, ""); err == nil {
+	if _, err := aggAlong(st, Sum, Path{Nodes: []string{"A"}}, ""); err == nil {
 		t.Error("single-node path accepted")
 	}
 }
 
 func TestTextQueryFacade(t *testing.T) {
 	st := buildSCMStore(t)
-	res, err := st.Query("[A,D,E] AND NOT [G,I]")
+	res, err := queryText(st, "[A,D,E] AND NOT [G,I]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,14 +446,14 @@ func TestTextQueryFacade(t *testing.T) {
 	if got := res.IDs.ToSlice(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("answer = %v, want [2]", got)
 	}
-	agg, err := st.Query("SUM [A,D,E,G,I]")
+	agg, err := queryText(st, "SUM [A,D,E,G,I]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if agg.Agg == nil || agg.Agg.Values[0][0] != 8 {
 		t.Fatalf("agg result = %+v", agg.Agg)
 	}
-	if _, err := st.Query("[A"); err == nil {
+	if _, err := queryText(st, "[A"); err == nil {
 		t.Error("bad syntax accepted")
 	}
 }
@@ -537,7 +538,7 @@ func TestSoftDelete(t *testing.T) {
 		t.Fatalf("deleted record still aggregated: %v", agg.RecordIDs)
 	}
 	// Expressions exclude them as well.
-	ids, err := st.Eval(QPath("A", "D"))
+	ids, err := evalExpr(st, QPath("A", "D"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +680,7 @@ func TestAnswersAreCallerOwned(t *testing.T) {
 	g := PathOf("A", "D", "E").ToGraph()
 	answers := func(t *testing.T, st *Store) map[string]*Bitmap {
 		t.Helper()
-		ids, err := st.Eval(Q(g))
+		ids, err := evalExpr(st, Q(g))
 		if err != nil {
 			t.Fatal(err)
 		}

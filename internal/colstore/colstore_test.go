@@ -228,9 +228,6 @@ func TestPartitioning(t *testing.T) {
 	for e := EdgeID(0); e < 35; e++ {
 		r.SetEdgeMeasure(rec, e, 1)
 	}
-	if r.PartitionWidth() != 10 {
-		t.Errorf("PartitionWidth = %d", r.PartitionWidth())
-	}
 	if got := r.PartitionOf(0); got != 0 {
 		t.Errorf("PartitionOf(0) = %d", got)
 	}
@@ -242,13 +239,6 @@ func TestPartitioning(t *testing.T) {
 	}
 	if got := r.PartitionSpan([]EdgeID{1, 2, 11, 29}); got != 3 {
 		t.Errorf("PartitionSpan = %d, want 3", got)
-	}
-}
-
-func TestDefaultPartitionWidth(t *testing.T) {
-	r := NewRelation(0)
-	if r.PartitionWidth() != DefaultPartitionWidth {
-		t.Errorf("default width = %d, want %d", r.PartitionWidth(), DefaultPartitionWidth)
 	}
 }
 

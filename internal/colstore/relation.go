@@ -615,9 +615,6 @@ func (r *Relation) MeasureColumnNamed(edge EdgeID, name string) *MeasureColumn {
 
 // --- vertical partitioning (§6.1) -------------------------------------------
 
-// PartitionWidth returns the maximum number of edge columns per sub-relation.
-func (r *Relation) PartitionWidth() int { return r.partWidth }
-
 // PartitionOf returns the sub-relation index holding the columns of edge:
 // the clustered assignment when one is installed (SetPartitionMap /
 // ClusterPartitions), otherwise the default id/width rule.

@@ -74,14 +74,3 @@ func (r *Relation) TagValues(key string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// TagSizeBytes is the payload size of all tag columns.
-func (r *Relation) TagSizeBytes() int64 {
-	var n int64
-	for _, byValue := range r.tags {
-		for _, col := range byValue {
-			n += int64(col.SizeBytes())
-		}
-	}
-	return n
-}

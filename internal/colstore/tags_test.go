@@ -36,9 +36,6 @@ func TestTagBasics(t *testing.T) {
 	if len(vals) != 2 || vals[0] != "fast-track" || vals[1] != "regular" {
 		t.Errorf("TagValues = %v", vals)
 	}
-	if r.TagSizeBytes() <= 0 {
-		t.Error("TagSizeBytes = 0")
-	}
 }
 
 func TestTagValidation(t *testing.T) {

@@ -126,27 +126,6 @@ func (p Path) ToGraph() *graph.Graph {
 	return g
 }
 
-// ContainsSubpath reports whether q's node sequence appears as a contiguous
-// subsequence of p's (edge containment; openness is ignored).
-func (p Path) ContainsSubpath(q Path) bool {
-	if len(q.Nodes) == 0 || len(q.Nodes) > len(p.Nodes) {
-		return false
-	}
-	for i := 0; i+len(q.Nodes) <= len(p.Nodes); i++ {
-		match := true
-		for j := range q.Nodes {
-			if p.Nodes[i+j] != q.Nodes[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports structural equality including openness.
 func (p Path) Equal(q Path) bool {
 	if len(p.Nodes) != len(q.Nodes) || p.OpenStart != q.OpenStart || p.OpenEnd != q.OpenEnd {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"grove/internal/colstore"
+	"grove/internal/fsio"
 )
 
 // paperFigure1 builds the SCM record of paper Fig. 1 (structure only).
@@ -231,12 +232,11 @@ func TestFlattenToDAG(t *testing.T) {
 	}
 	// Total edge measure mass preserved.
 	sum := 0.0
-	flat.ForEachMeasure(func(k EdgeKey, v float64) bool {
-		if !k.IsNode() {
-			sum += v
+	for _, k := range flat.Elements() {
+		if m := flat.Measure(k); m.Valid && !k.IsNode() {
+			sum += m.Value
 		}
-		return true
-	})
+	}
 	if sum != 6 {
 		t.Errorf("edge measure mass = %v, want 6", sum)
 	}
@@ -292,7 +292,7 @@ func TestRegistrySaveLoad(t *testing.T) {
 	if err := reg.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadRegistry(path)
+	got, err := LoadRegistryFS(fsio.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,15 +165,6 @@ func (r *Record) NumMeasures() int {
 	return n
 }
 
-// ForEachMeasure visits measured elements in deterministic order.
-func (r *Record) ForEachMeasure(f func(k EdgeKey, v float64) bool) {
-	for _, m := range r.measures {
-		if !f(m.key, m.v) {
-			return
-		}
-	}
-}
-
 // Clone returns a deep copy of the record.
 func (r *Record) Clone() *Record { return r.Row().Record() }
 

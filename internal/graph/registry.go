@@ -207,12 +207,7 @@ func (r *Registry) SaveFS(fs fsio.FS, path string) error {
 	return fsio.WriteFileAtomic(fs, path, b)
 }
 
-// LoadRegistry reads a registry written by Save.
-func LoadRegistry(path string) (*Registry, error) {
-	return LoadRegistryFS(fsio.OS(), path)
-}
-
-// LoadRegistryFS is LoadRegistry against an explicit filesystem.
+// LoadRegistryFS reads a registry written by Save from fs.
 func LoadRegistryFS(fs fsio.FS, path string) (*Registry, error) {
 	b, err := fsio.ReadFile(fs, path)
 	if err != nil {

@@ -14,10 +14,8 @@ const (
 // records on its hot paths. All fields are plain atomics; recording is
 // allocation-free.
 type QueryMetrics struct {
-	GraphLatency     *Histogram
-	PathAggLatency   *Histogram
-	ExprLatency      *Histogram
-	StatementLatency *Histogram
+	GraphLatency   *Histogram
+	PathAggLatency *Histogram
 
 	// Batch-executor metrics: batches/queries submitted and a live gauge of
 	// busy workers (pool utilization).
@@ -34,10 +32,8 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 			"Query wall time in seconds, by kind.", nil)
 	}
 	return &QueryMetrics{
-		GraphLatency:     latency(KindGraph),
-		PathAggLatency:   latency(KindPathAgg),
-		ExprLatency:      latency(KindExpr),
-		StatementLatency: latency(KindStatement),
+		GraphLatency:   latency(KindGraph),
+		PathAggLatency: latency(KindPathAgg),
 		BatchBatches: r.Counter(MetricBatchesTotal,
 			"Query batches submitted to the batch executor."),
 		BatchQueries: r.Counter(MetricBatchQueriesTotal,
@@ -60,9 +56,5 @@ func (m *QueryMetrics) Record(kind string, d time.Duration) {
 		m.GraphLatency.Observe(secs)
 	case KindPathAgg:
 		m.PathAggLatency.Observe(secs)
-	case KindExpr:
-		m.ExprLatency.Observe(secs)
-	case KindStatement:
-		m.StatementLatency.Observe(secs)
 	}
 }

@@ -35,7 +35,7 @@ func buildEngine(tb testing.TB) (*query.Engine, *query.GraphQuery) {
 		}
 		graph.LoadRecord(rel, reg, rec)
 	}
-	return query.NewEngine(rel, reg), query.FromPath(gpath.Closed("A", "C", "E", "F"))
+	return query.NewEngine(rel, reg), query.NewGraphQuery(gpath.Closed("A", "C", "E", "F").ToGraph())
 }
 
 // TestMetricsPathAddsNoAllocations is the acceptance guard for the

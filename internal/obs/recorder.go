@@ -16,36 +16,19 @@ const (
 	EventViews = "views" // a per-view usage snapshot
 )
 
-// RecordedPath is the normalized form of an explicit aggregation path
-// (AggregateAlong): the node sequence plus its open-endpoint flags.
-type RecordedPath struct {
-	Nodes     []string `json:"nodes"`
-	OpenStart bool     `json:"openStart,omitempty"`
-	OpenEnd   bool     `json:"openEnd,omitempty"`
-}
-
-// WorkloadEvent is one line of a recorded workload log. Query events carry a
-// normalized, replayable description of the query — either parseable
-// statement text (Statement == true) or the structural element list plus
-// aggregation parameters — along with the observed outcome: duration, error,
-// and a digest of the answer so a replay can verify it reproduced identical
-// results. Views events snapshot the per-view usage counters, the feed a
-// workload-driven view advisor trains on.
+// WorkloadEvent is one line of a recorded workload log. A query event holds
+// the statement's text — which parses back to the statement, so replay is
+// parse, then execute — with its outcome: duration, error, and a digest of
+// the answer so a replay can verify it reproduced identical results. A views
+// event snapshots the per-view usage counters, the feed a workload-driven
+// view advisor trains on.
 type WorkloadEvent struct {
 	Type      string `json:"type"`
 	Seq       uint64 `json:"seq"`
 	UnixNanos int64  `json:"unixNanos"`
 
 	// Query events.
-	Kind      string      `json:"kind,omitempty"`
-	Text      string      `json:"text,omitempty"`      // display or statement text
-	Statement bool        `json:"statement,omitempty"` // Text re-executes through the text grammar
-	Edges     [][2]string `json:"edges,omitempty"`     // structural elements ([x,x] = node)
-	Agg       string      `json:"agg,omitempty"`       // aggregate function name
-	Measure   string      `json:"measure,omitempty"`   // named measure ("" = default)
-
-	Paths []RecordedPath `json:"paths,omitempty"` // explicit aggregation paths
-
+	Text          string `json:"text,omitempty"` // statement text
 	DurationNanos int64  `json:"durationNanos,omitempty"`
 	Error         string `json:"error,omitempty"`
 	Digest        string `json:"digest,omitempty"` // hex FNV-1a of the answer
@@ -56,7 +39,7 @@ type WorkloadEvent struct {
 
 // WorkloadRecorder appends workload events to a JSONL log through an fsio.FS.
 // The fsio seam has no append operation — a recorder owns its Create handle
-// for its whole lifetime, buffering writes and fsyncing on Sync/Close. Record
+// for its whole lifetime, buffering writes and fsyncing on Close. Record
 // is safe for concurrent use.
 type WorkloadRecorder struct {
 	mu  sync.Mutex
@@ -90,26 +73,6 @@ func (r *WorkloadRecorder) Record(ev WorkloadEvent) error {
 		ev.UnixNanos = time.Now().UnixNano()
 	}
 	return r.enc.Encode(ev)
-}
-
-// Events returns how many events were recorded so far.
-func (r *WorkloadRecorder) Events() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Sync flushes buffered events and fsyncs the log.
-func (r *WorkloadRecorder) Sync() error {
-	r.mu.Lock() //grovevet:ignore lockorder fsync under the lock is the durability contract: no event may be appended between flush and sync
-	defer r.mu.Unlock()
-	if r.f == nil {
-		return fmt.Errorf("obs: workload recorder closed")
-	}
-	if err := r.w.Flush(); err != nil {
-		return err
-	}
-	return r.f.Sync()
 }
 
 // Close flushes, fsyncs and closes the log. The recorder is unusable after.

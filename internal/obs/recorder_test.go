@@ -15,21 +15,14 @@ func TestWorkloadRecorderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := []WorkloadEvent{
-		{Type: EventQuery, Kind: KindGraph, Text: "[A,D]", Edges: [][2]string{{"A", "D"}}, Digest: "abc"},
-		{Type: EventQuery, Kind: KindPathAgg, Agg: "SUM", Measure: "cost",
-			Paths: []RecordedPath{{Nodes: []string{"A", "D", "E"}, OpenEnd: true}}},
+		{Type: EventQuery, Text: "{[A,D]}", Digest: "abc"},
+		{Type: EventQuery, Text: "SUM<cost> {[A,D] [D,E]} ALONG [A,D,E)", Error: "boom"},
 		{Type: EventViews, ViewUsage: map[string]int64{"vADE": 3}},
 	}
 	for _, ev := range evs {
 		if err := r.Record(ev); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if r.Events() != 3 {
-		t.Fatalf("events = %d", r.Events())
-	}
-	if err := r.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -40,9 +33,6 @@ func TestWorkloadRecorderRoundTrip(t *testing.T) {
 	}
 	if err := r.Record(WorkloadEvent{Type: EventQuery}); err == nil {
 		t.Fatal("record after close accepted")
-	}
-	if err := r.Sync(); err == nil {
-		t.Fatal("sync after close accepted")
 	}
 
 	got, err := ReadWorkload(fsio.OS(), path)
@@ -60,11 +50,10 @@ func TestWorkloadRecorderRoundTrip(t *testing.T) {
 			t.Errorf("event %d missing timestamp", i)
 		}
 	}
-	if got[0].Kind != KindGraph || got[0].Digest != "abc" || len(got[0].Edges) != 1 {
+	if got[0].Text != "{[A,D]}" || got[0].Digest != "abc" {
 		t.Errorf("event 0 = %+v", got[0])
 	}
-	if got[1].Agg != "SUM" || got[1].Measure != "cost" ||
-		len(got[1].Paths) != 1 || !got[1].Paths[0].OpenEnd {
+	if got[1].Text != evs[1].Text || got[1].Error != "boom" {
 		t.Errorf("event 1 = %+v", got[1])
 	}
 	if got[2].Type != EventViews || got[2].ViewUsage["vADE"] != 3 {

@@ -5,12 +5,10 @@ import (
 	"time"
 )
 
-// Query kinds, matching the engine's entry points.
+// Query kinds, the paper's two query classes.
 const (
-	KindGraph     = "graph"     // structural graph query
-	KindPathAgg   = "pathagg"   // path aggregation F_Gq
-	KindExpr      = "expr"      // boolean combination of graph queries
-	KindStatement = "statement" // parsed text-language statement
+	KindGraph   = "graph"   // graph query or boolean combination of them (§3.2)
+	KindPathAgg = "pathagg" // path aggregation F_Gq, per record or scalar (§3.4)
 
 	// WAL lifecycle traces (not queries, but the same ring and tooling
 	// observe them): a replay at load time, a checkpoint at save time.
@@ -23,7 +21,6 @@ const (
 // aggregations, expressions) may revisit a phase, yielding several spans
 // with the same name — PhaseTotals merges them.
 const (
-	PhaseParse       = "parse"        // text → statement
 	PhasePlan        = "plan"         // read lock, element resolution, view rewrite / path cover
 	PhaseFetch       = "fetch"        // bitmap column fetches
 	PhaseIntersect   = "intersect"    // AND kernel + delete masking

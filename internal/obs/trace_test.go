@@ -242,7 +242,7 @@ func TestTraceRingAddCopies(t *testing.T) {
 		Children: []Trace{{Kind: KindGraph}}}
 	r.Add(in)
 	in.Spans[0].Phase = PhaseWALTruncate
-	in.Children[0].Kind = KindExpr
+	in.Children[0].Kind = KindPathAgg
 	got := r.Recent()[0]
 	if got.Spans[0].Phase != PhaseSnapshot || got.Children[0].Kind != KindGraph {
 		t.Errorf("ring aliases the added trace: %+v", got)

@@ -9,47 +9,6 @@ import (
 	"grove/internal/obs"
 )
 
-// StatementResult is the answer of a parsed text-language statement: exactly
-// one of IDs (boolean structural query) or Agg (path aggregation) is set.
-type StatementResult struct {
-	IDs *bitmap.Bitmap
-	Agg *AggResult
-}
-
-// ExecuteStatementContext parses and executes one statement of the text
-// query language as a single traced unit: the trace covers parsing too (the
-// "parse" phase), and the statement is metered under the "statement" kind
-// rather than as a bare expression or aggregation. ctx is checked between
-// column fetches and per-path aggregation chunks.
-func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
-	return observed(e, obs.KindStatement, obs.PhaseParse, func() string { return text }, func(op *opState) (*StatementResult, error) {
-		return e.executeStatement(ctx, text, op)
-	})
-}
-
-func (e *Engine) executeStatement(ctx context.Context, text string, op *opState) (*StatementResult, error) {
-	stmt, err := Parse(text) // the parse span opened with the trace
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Agg != nil {
-		res, err := e.executePathAggQuery(ctx, stmt.Agg, op) // takes the read lock itself
-		if err != nil {
-			return nil, err
-		}
-		return &StatementResult{Agg: res}, nil
-	}
-	ids, err := func() (*bitmap.Bitmap, error) {
-		e.Rel.BeginRead()
-		defer e.Rel.EndRead()
-		return e.evalExprLocked(ctx, stmt.Expr, op)
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return &StatementResult{IDs: ids}, nil
-}
-
 // ExplainAnalysis merges a query's predicted plan (Explanation) with the
 // lifecycle trace of one real execution: per-phase wall time and the I/O the
 // column store actually performed. Executed single-threaded — as

@@ -10,16 +10,24 @@ import (
 	"grove/internal/obs"
 )
 
-func TestExecuteStatementTracesParsePhase(t *testing.T) {
+// TestExecuteTracesUnderQueryKind: a statement is traced under its query
+// class, with its rendered text, and its first span is planning — the
+// caller parsed it.
+func TestExecuteTracesUnderQueryKind(t *testing.T) {
 	f := newFig2Fixture(t)
 	ring := obs.NewTraceRing(4)
 	f.eng.SetTraces(ring)
+	ctx := context.Background()
 
-	res, err := f.eng.ExecuteStatementContext(context.Background(), "SUM [A,C,E,F]")
+	st, err := Parse("SUM [A,C,E,F]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Agg == nil || res.IDs != nil {
+	res, err := f.eng.Execute(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Agg == nil || res.IDs != nil || res.Scalar != nil {
 		t.Fatalf("statement result = %+v", res)
 	}
 	if len(res.Agg.RecordIDs) != 1 || res.Agg.Values[0][0] != 7 {
@@ -30,33 +38,40 @@ func TestExecuteStatementTracesParsePhase(t *testing.T) {
 		t.Fatalf("traces = %d", len(traces))
 	}
 	tr := traces[0]
-	if tr.Kind != obs.KindStatement || tr.Query != "SUM [A,C,E,F]" {
+	if tr.Kind != obs.KindPathAgg || tr.Query != "SUM {[A,C] [C,E] [E,F]}" {
 		t.Errorf("trace header = %+v", tr)
 	}
 	phases := map[string]bool{}
 	for _, s := range tr.Spans {
 		phases[s.Phase] = true
 	}
-	for _, want := range []string{obs.PhaseParse, obs.PhasePlan, obs.PhaseFetch,
+	for _, want := range []string{obs.PhasePlan, obs.PhaseFetch,
 		obs.PhaseIntersect, obs.PhaseMeasureScan, obs.PhaseAggregate} {
 		if !phases[want] {
 			t.Errorf("statement trace missing phase %q (have %v)", want, phases)
 		}
 	}
-	if tr.Spans[0].Phase != obs.PhaseParse {
-		t.Errorf("first span = %q, want parse", tr.Spans[0].Phase)
+	if tr.Spans[0].Phase != obs.PhasePlan {
+		t.Errorf("first span = %q, want plan", tr.Spans[0].Phase)
 	}
 
-	// A boolean statement goes down the expression path.
-	res, err = f.eng.ExecuteStatementContext(context.Background(), "[A,C] AND NOT [F,G]")
+	// A boolean statement is a graph query.
+	st, err = Parse("[A,C] AND NOT [F,G]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = f.eng.Execute(ctx, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IDs == nil || res.IDs.Cardinality() != 1 || !res.IDs.Contains(0) {
 		t.Errorf("boolean statement answer = %+v", res.IDs)
 	}
-	if _, err := f.eng.ExecuteStatementContext(context.Background(), "NOT A VALID ((("); err == nil {
-		t.Error("parse error not surfaced")
+	if tr := ring.Recent()[0]; tr.Kind != obs.KindGraph || tr.Query != "({[A,C]} AND NOT {[F,G]})" {
+		t.Errorf("boolean trace header = %+v", tr)
+	}
+	if _, err := f.eng.Execute(ctx, Statement{}); err == nil {
+		t.Error("empty statement accepted")
 	}
 }
 
@@ -64,15 +79,19 @@ func TestExecuteStatementMetrics(t *testing.T) {
 	f := newFig2Fixture(t)
 	m := obs.NewQueryMetrics(obs.NewRegistry())
 	f.eng.SetMetrics(m)
-	if _, err := f.eng.ExecuteStatementContext(context.Background(), "[A,C,E]"); err != nil {
-		t.Fatal(err)
+	for _, text := range []string{"[A,C,E] OR [A,B]", "SCALAR MAX [A,C,E]"} {
+		st, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.eng.Execute(context.Background(), st); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.StatementLatency.Count() != 1 {
-		t.Errorf("statement latency observed %d times, want 1", m.StatementLatency.Count())
-	}
-	// The statement must not double-count as a bare expression.
-	if m.ExprLatency.Count() != 0 {
-		t.Errorf("expr latency observed %d times, want 0", m.ExprLatency.Count())
+	// One observation per statement, under its query class.
+	if m.GraphLatency.Count() != 1 || m.PathAggLatency.Count() != 1 {
+		t.Errorf("graph/pathagg latency observed %d/%d times, want 1/1",
+			m.GraphLatency.Count(), m.PathAggLatency.Count())
 	}
 }
 

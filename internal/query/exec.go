@@ -340,22 +340,58 @@ func (r *Result) FetchMeasures() int64 {
 	return scanned
 }
 
-// EvalExprContext evaluates a boolean combination of graph queries (§3.2)
-// and returns the combined answer set. The whole expression runs under one
-// read lock, so all leaves see the same relation version; ctx is checked
-// between the leaves' bitmap fetches.
-func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
-	return observed(e, obs.KindExpr, obs.PhasePlan, func() string { return expr.String() }, func(op *opState) (*bitmap.Bitmap, error) {
-		e.Rel.BeginRead()
-		defer e.Rel.EndRead()
-		return e.evalExprLocked(ctx, expr, op)
-	})
+// StatementResult is the answer of a statement: exactly one of IDs (a graph
+// query or boolean combination), Agg (a path aggregation's rows) or Scalar (a
+// scalar path aggregation) is set.
+type StatementResult struct {
+	IDs    *bitmap.Bitmap
+	Agg    *AggResult
+	Scalar *ScalarAggResult
+}
+
+// Execute runs one statement, observed under its Kind. A boolean expression
+// runs under one read lock, so all its leaves see the same relation version,
+// and ctx is checked between the leaves' bitmap fetches; a path aggregation
+// runs as ExecutePathAggQueryContext does, or folded to one value when
+// st.Agg.Scalar is set (see executePathAggScalar).
+func (e *Engine) Execute(ctx context.Context, st Statement) (*StatementResult, error) {
+	switch {
+	case st.Agg == nil && st.Expr == nil:
+		return nil, fmt.Errorf("query: empty statement")
+	case st.Agg == nil:
+		ids, err := observed(e, obs.KindGraph, obs.PhasePlan, st.Expr.String, func(op *opState) (*bitmap.Bitmap, error) {
+			e.Rel.BeginRead()
+			defer e.Rel.EndRead()
+			return e.evalExprLocked(ctx, st.Expr, op)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &StatementResult{IDs: ids}, nil
+	case st.Agg.Scalar:
+		res, err := observed(e, obs.KindPathAgg, obs.PhasePlan, st.Agg.String, func(op *opState) (*ScalarAggResult, error) {
+			return e.executePathAggScalar(ctx, st.Agg, op)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &StatementResult{Scalar: res}, nil
+	default:
+		res, err := e.ExecutePathAggQueryContext(ctx, st.Agg)
+		if err != nil {
+			return nil, err
+		}
+		return &StatementResult{Agg: res}, nil
+	}
 }
 
 func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, op *opState) (*bitmap.Bitmap, error) {
 	tr := op.tr
 	switch x := expr.(type) {
 	case Leaf:
+		if x.Q == nil || x.Q.G == nil || x.Q.G.NumElements() == 0 {
+			return nil, fmt.Errorf("query: empty graph query")
+		}
 		res, err := e.executeGraphQueryLocked(ctx, x.Q, op)
 		if err != nil {
 			return nil, err
@@ -705,11 +741,19 @@ func (e *Engine) startPathAgg(ctx context.Context, q *PathAggQuery, op *opState,
 	if q.Agg.Fold == nil || q.Agg.Lift == nil {
 		return pathAgg{}, fmt.Errorf("query: aggregation function not set")
 	}
+	for _, p := range q.Paths {
+		if len(p.Nodes) < 2 {
+			return pathAgg{}, fmt.Errorf("query: a path aggregation needs at least 2 nodes, got %s", p)
+		}
+	}
 	structural, err := e.executeGraphQueryLocked(ctx, &GraphQuery{G: q.G, edges: q.edges}, op)
 	if err != nil {
 		return pathAgg{}, err
 	}
 	paths := q.Paths
+	if len(paths) == 0 {
+		paths = q.maximal
+	}
 	if len(paths) == 0 {
 		if tr != nil {
 			tr.Enter(obs.PhasePlan)
@@ -822,7 +866,7 @@ func (pa *pathAgg) finish(scanned int) (*AggResult, error) {
 
 // --- scalar path aggregation --------------------------------------------------
 
-// ScalarAggResult is the answer of ExecutePathAggScalar: one aggregate value
+// ScalarAggResult is the answer of a scalar path aggregation: one aggregate value
 // folded across every answer record and every maximal path, rather than the
 // per-record × per-path matrix of AggResult.
 type ScalarAggResult struct {
@@ -848,9 +892,9 @@ type ScalarAggResult struct {
 	ZoneSkipped bool
 }
 
-// ExecutePathAggScalarContext evaluates a path aggregation and folds it all
-// the way down to one scalar: Fold across the per-record path aggregates of
-// every answer record. It plans every path as the row executor does; when the
+// executePathAggScalar evaluates a path aggregation and folds it all the way
+// down to one scalar: Fold across the per-record path aggregates of every
+// answer record. It plans every path as the row executor does; when the
 // function is MIN or MAX and each planned path is a single operand (one raw
 // edge, or one aggregate view spanning the whole path) with no node measure,
 // it runs a zone-skipping scan: per-block zone maps prove most blocks cannot
@@ -860,12 +904,6 @@ type ScalarAggResult struct {
 // always exactly Fold over AggResult.FoldAcrossPaths() in record order, bit
 // for bit. ctx is checked between the structural phase's bitmap fetches and
 // between the folds of the row branch.
-func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
-	return observed(e, obs.KindPathAgg, obs.PhasePlan, q.String, func(op *opState) (*ScalarAggResult, error) {
-		return e.executePathAggScalar(ctx, q, op)
-	})
-}
-
 func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, op *opState) (*ScalarAggResult, error) {
 	tr := op.tr
 	e.Rel.BeginRead() //grovevet:ignore lockorder paged measure scans fault value blocks from disk under the read lock by design: readers proceed concurrently, and the aggregate must fold the same cut the filter matched

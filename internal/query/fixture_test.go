@@ -1,9 +1,11 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"grove/internal/bitmap"
 	"grove/internal/colstore"
 	"grove/internal/gpath"
 	"grove/internal/graph"
@@ -63,7 +65,7 @@ func newFig2Fixture(t testing.TB) *fixture {
 }
 
 func pathQuery(nodes ...string) *GraphQuery {
-	return FromPath(gpath.Closed(nodes...))
+	return NewGraphQuery(gpath.Closed(nodes...).ToGraph())
 }
 
 // --- randomized fixture for property-style tests ----------------------------
@@ -136,4 +138,23 @@ func (f *randFixture) bruteForceAnswer(q *graph.Graph) []uint32 {
 		}
 	}
 	return out
+}
+
+// evalExpr runs a boolean expression through Execute and returns its ids.
+func evalExpr(ctx context.Context, e *Engine, expr Expr) (*bitmap.Bitmap, error) {
+	res, err := e.Execute(ctx, Statement{Expr: expr})
+	if err != nil {
+		return nil, err
+	}
+	return res.IDs, nil
+}
+
+// scalarAgg runs q folded to one value through Execute.
+func scalarAgg(ctx context.Context, e *Engine, q *PathAggQuery) (*ScalarAggResult, error) {
+	sq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths, Scalar: true}
+	res, err := e.Execute(ctx, Statement{Agg: sq})
+	if err != nil {
+		return nil, err
+	}
+	return res.Scalar, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"grove/internal/obs"
 )
 
 func TestParsePathQuery(t *testing.T) {
@@ -25,12 +27,15 @@ func TestParsePathQuery(t *testing.T) {
 
 func TestParseBooleanOps(t *testing.T) {
 	cases := map[string]string{
-		"[A,B] AND [C,D]":            "(Gq{(A,B)} AND Gq{(C,D)})",
-		"[A,B] OR [C,D]":             "(Gq{(A,B)} OR Gq{(C,D)})",
-		"[A,B] AND NOT [C,D]":        "(Gq{(A,B)} AND NOT Gq{(C,D)})",
-		"[A,B] AND [C,D] AND [E,F]":  "(Gq{(A,B)} AND Gq{(C,D)} AND Gq{(E,F)})",
-		"([A,B] OR [C,D]) AND [E,F]": "((Gq{(A,B)} OR Gq{(C,D)}) AND Gq{(E,F)})",
-		"[A,B] and not [C,D]":        "(Gq{(A,B)} AND NOT Gq{(C,D)})", // case-insensitive
+		"[A,B] AND [C,D]":            "({[A,B]} AND {[C,D]})",
+		"[A,B] OR [C,D]":             "({[A,B]} OR {[C,D]})",
+		"[A,B] AND NOT [C,D]":        "({[A,B]} AND NOT {[C,D]})",
+		"[A,B] AND [C,D] AND [E,F]":  "({[A,B]} AND {[C,D]} AND {[E,F]})",
+		"([A,B] OR [C,D]) AND [E,F]": "(({[A,B]} OR {[C,D]}) AND {[E,F]})",
+		"[A,B] and not [C,D]":        "({[A,B]} AND NOT {[C,D]})", // case-insensitive
+		"{[A,B,C] [X]} OR [C,D]":     "({[A,B] [B,C] [X]} OR {[C,D]})",
+		// A parenthesized AND stays one operand, as String renders it.
+		"([A,B] AND [C,D]) AND [E,F]": "(({[A,B]} AND {[C,D]}) AND {[E,F]})",
 	}
 	for input, want := range cases {
 		st, err := Parse(input)
@@ -84,21 +89,31 @@ func TestParseNodeNameCharacters(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",
-		"[A]",             // single node
-		"[A,B",            // unclosed path
-		"A,B]",            // missing open bracket
-		"[A,B] AND",       // dangling operator
-		"[A,B] [C,D]",     // juxtaposition
-		"([A,B]",          // unclosed paren
-		"[A,B] XOR [C,D]", // unknown operator
-		"SUM",             // aggregation without path
-		"SUM<cost [A,B]",  // unclosed measure
-		"SUM<> [A,B]",     // empty measure
-		"[A,B,A]",         // repeated node
-		"[A;B]",           // bad rune
-		"[A,B] AND NOT",   // dangling NOT
-		"MEDIAN2 [A,B] ]", // trailing token after expr
-		"SUM [A,B] [C,D]", // trailing path after agg
+		"[A]",                    // single node
+		"[A,B",                   // unclosed path
+		"A,B]",                   // missing open bracket
+		"[A,B] AND",              // dangling operator
+		"[A,B] [C,D]",            // juxtaposition
+		"([A,B]",                 // unclosed paren
+		"[A,B] XOR [C,D]",        // unknown operator
+		"SUM",                    // aggregation without path
+		"SUM<cost [A,B]",         // unclosed measure
+		"SUM<> [A,B]",            // empty measure
+		"[A,B,A]",                // repeated node
+		"[A;B]",                  // bad rune
+		"[A,B] AND NOT",          // dangling NOT
+		"MEDIAN2 [A,B] ]",        // trailing token after expr
+		"SUM [A,B] [C,D]",        // trailing path after agg
+		"{}",                     // empty graph literal
+		"{[A,A]}",                // a node is written [A]
+		"{[A,B] (C,D)}",          // open element in a graph literal
+		"[A,B)",                  // open end outside an aggregation
+		"SUM (A,B] ALONG [A,B]",  // open target and ALONG
+		"SUM [A,B] ALONG",        // ALONG without a path
+		"SUM [A,B] ALONG [A]",    // ALONG path of one node
+		"SCALAR [A,B]",           // scalar marker without a function
+		"SUM SCALAR [A,B]",       // scalar marker after the function
+		"SUM [A,B] ALONG [A,B],", // dangling comma
 	}
 	for _, input := range cases {
 		if _, err := Parse(input); err == nil {
@@ -113,7 +128,7 @@ func TestParseEvalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := f.eng.EvalExprContext(context.Background(), st.Expr)
+	ids, err := evalExpr(context.Background(), f.eng, st.Expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +163,73 @@ func TestParseKeywordsNotNodes(t *testing.T) {
 	}
 	if _, err := Parse(strings.Repeat("[A,B] AND ", 3) + "[C,D]"); err != nil {
 		t.Errorf("chained ANDs rejected: %v", err)
+	}
+}
+
+func TestParseGraphLiteral(t *testing.T) {
+	st, err := Parse("{[X] [A,B,C] [C,D]}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := st.Expr.(Leaf).Q.G
+	if g.NumElements() != 4 || !g.HasNode("X") || !g.HasEdge("A", "B") ||
+		!g.HasEdge("B", "C") || !g.HasEdge("C", "D") {
+		t.Errorf("elements = %v", g.Elements())
+	}
+	if got := st.String(); got != "{[A,B] [B,C] [C,D] [X]}" {
+		t.Errorf("String = %s", got)
+	}
+}
+
+func TestParseOpenPaths(t *testing.T) {
+	cases := map[string][2]bool{ // OpenStart, OpenEnd
+		"SUM (D,E,G]": {true, false},
+		"SUM [D,E,G)": {false, true},
+		"SUM (D,E,G)": {true, true},
+	}
+	for input, open := range cases {
+		st, err := Parse(input)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", input, err)
+		}
+		q := st.Agg
+		if len(q.Paths) != 1 || q.Paths[0].OpenStart != open[0] || q.Paths[0].OpenEnd != open[1] ||
+			q.G.NumElements() != 2 {
+			t.Errorf("Parse(%q) = %+v", input, q)
+		}
+		if want := "SUM {[D,E] [E,G]} ALONG " + q.Paths[0].String(); q.String() != want {
+			t.Errorf("Parse(%q).String() = %s, want %s", input, q, want)
+		}
+	}
+	// A closed target aggregates along the graph's maximal paths.
+	st, err := Parse("SUM [D,E,G]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Agg.Paths != nil {
+		t.Errorf("closed target named explicit paths %v", st.Agg.Paths)
+	}
+	st, err = Parse("min<cost> {[A,B] [A,C]} ALONG [A,B), (A,C]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := st.Agg; q.Measure != "cost" || len(q.Paths) != 2 || !q.Paths[0].OpenEnd || !q.Paths[1].OpenStart {
+		t.Errorf("ALONG = %+v", q)
+	}
+}
+
+func TestParseScalar(t *testing.T) {
+	st, err := Parse("scalar max<cost> [C,H]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := st.Agg; !q.Scalar || q.Agg.Name != "MAX" || q.Measure != "cost" {
+		t.Fatalf("Agg = %+v", q)
+	}
+	if got := st.String(); got != "SCALAR MAX<cost> {[C,H]}" {
+		t.Errorf("String = %s", got)
+	}
+	if st.Kind() != obs.KindPathAgg {
+		t.Errorf("Kind = %s", st.Kind())
 	}
 }

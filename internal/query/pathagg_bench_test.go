@@ -87,7 +87,7 @@ func benchmarkPathAggScalar(b *testing.B, zoneSkip bool) {
 	q := NewPathAggQueryAlong(gpath.Closed(nodes[0], nodes[1]), Min, "")
 	run := func() {
 		if zoneSkip {
-			res, err := eng.ExecutePathAggScalarContext(context.Background(), q)
+			res, err := scalarAgg(context.Background(), eng, q)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -53,29 +52,36 @@ func NewGraphQuery(g *graph.Graph) *GraphQuery {
 	return &GraphQuery{G: g}
 }
 
-// FromPath builds the graph query for a single path, e.g. Q1's
-// [A,D,E,G,I] (§2).
-func FromPath(p gpath.Path) *GraphQuery {
-	return &GraphQuery{G: p.ToGraph()}
-}
-
-// MaximalPaths returns the maximal source→terminal paths of the query graph.
-func (q *GraphQuery) MaximalPaths() ([]gpath.Path, error) {
-	return gpath.MaximalPaths(q.G)
-}
-
+// String renders the query as a graph literal of the text language, one
+// element at a time: {[A,D] [D,E] [X]}.
 func (q *GraphQuery) String() string {
 	if s := q.str.Load(); s != nil {
 		return *s
 	}
-	elems := q.G.Elements()
-	parts := make([]string, len(elems))
-	for i, e := range elems {
-		parts[i] = e.String()
-	}
-	s := "Gq{" + strings.Join(parts, " ") + "}"
+	var b strings.Builder
+	writeGraph(&b, q.G)
+	s := b.String()
 	q.str.Store(&s)
 	return s
+}
+
+// writeGraph writes g's graph literal: each element once, in element order,
+// an edge as [From,To] and a node as [X].
+func writeGraph(b *strings.Builder, g *graph.Graph) {
+	b.WriteByte('{')
+	for i, e := range g.Elements() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteByte('[')
+		b.WriteString(e.From)
+		if !e.IsNode() {
+			b.WriteByte(',')
+			b.WriteString(e.To)
+		}
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
 }
 
 // PathAggQuery is a path aggregation query F_Gq (§3.4): it retrieves the
@@ -91,10 +97,16 @@ type PathAggQuery struct {
 	// maximal paths of G) with explicit — possibly open-ended — paths, e.g.
 	// (D,E,G) to exclude endpoint node measures (§3.3).
 	Paths []gpath.Path
+	// Scalar folds the answer all the way down to one value — Fold over
+	// every record's FoldAcrossPaths value, in record order — instead of
+	// returning the per-record rows.
+	Scalar bool
 
-	// edges and pathEdges are the pre-resolved form Resolved fills: G's
-	// elements and, aligned with Paths, every path's edge sequence as edge ids.
+	// edges, maximal and pathEdges are the pre-resolved form Resolved fills:
+	// G's elements, G's maximal paths when Paths names none, and, aligned
+	// with the paths folded along, every path's edge sequence as edge ids.
 	edges     []colstore.EdgeID
+	maximal   []gpath.Path
 	pathEdges [][]colstore.EdgeID
 
 	// str caches the rendered query text (see GraphQuery.str).
@@ -110,17 +122,18 @@ func (q *PathAggQuery) Resolved(reg *graph.Registry) *PathAggQuery {
 	if q == nil || q.G == nil || q.edges != nil {
 		return q
 	}
-	rq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths}
+	rq := &PathAggQuery{G: q.G, Agg: q.Agg, Measure: q.Measure, Paths: q.Paths, Scalar: q.Scalar}
 	rq.edges, _ = reg.ResolveGraph(q.G)
 	rq.str.Store(q.str.Load())
-	if len(rq.Paths) == 0 {
-		paths, err := gpath.MaximalPaths(q.G)
-		if err != nil {
+	paths := q.Paths
+	if len(paths) == 0 {
+		var err error
+		if paths, err = gpath.MaximalPaths(q.G); err != nil {
 			return rq
 		}
-		rq.Paths = paths
+		rq.maximal = paths
 	}
-	rq.pathEdges = resolvePathEdges(reg, rq.Paths)
+	rq.pathEdges = resolvePathEdges(reg, paths)
 	return rq
 }
 
@@ -134,16 +147,34 @@ func NewPathAggQueryOn(g *graph.Graph, agg AggFunc, measure string) *PathAggQuer
 	return &PathAggQuery{G: g, Agg: agg, Measure: measure}
 }
 
+// String renders the query in the text language: the scalar marker, the
+// function and measure, the graph literal and any explicit paths,
+// e.g. SCALAR MAX<cost> {[C,H]} or SUM {[D,E] [E,G]} ALONG (D,E,G].
 func (q *PathAggQuery) String() string {
 	if s := q.str.Load(); s != nil {
 		return *s
 	}
-	var s string
-	if q.Measure != "" {
-		s = fmt.Sprintf("%s[%s]_%s", q.Agg.Name, q.Measure, (&GraphQuery{G: q.G}).String())
-	} else {
-		s = fmt.Sprintf("%s_%s", q.Agg.Name, (&GraphQuery{G: q.G}).String())
+	var b strings.Builder
+	if q.Scalar {
+		b.WriteString("SCALAR ")
 	}
+	b.WriteString(q.Agg.Name)
+	if q.Measure != "" {
+		b.WriteByte('<')
+		b.WriteString(q.Measure)
+		b.WriteByte('>')
+	}
+	b.WriteByte(' ')
+	writeGraph(&b, q.G)
+	for i, p := range q.Paths {
+		if i == 0 {
+			b.WriteString(" ALONG ")
+		} else {
+			b.WriteString(", ")
+		}
+		b.WriteString(p.String())
+	}
+	s := b.String()
 	q.str.Store(&s)
 	return s
 }

@@ -125,7 +125,7 @@ func TestExprEval(t *testing.T) {
 	ef := Leaf{Q: pathQuery("E", "F")}
 	ab := Leaf{Q: pathQuery("A", "B")}
 
-	and, err := f.eng.EvalExprContext(context.Background(), And{Operands: []Expr{cde, ef}})
+	and, err := evalExpr(context.Background(), f.eng, And{Operands: []Expr{cde, ef}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("AND = %v, want [1 2]", got)
 	}
 
-	or, err := f.eng.EvalExprContext(context.Background(), Or{Operands: []Expr{ef, ab}})
+	or, err := evalExpr(context.Background(), f.eng, Or{Operands: []Expr{ef, ab}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("OR = %v, want all three", got)
 	}
 
-	diff, err := f.eng.EvalExprContext(context.Background(), Diff{A: cde, B: ef})
+	diff, err := evalExpr(context.Background(), f.eng, Diff{A: cde, B: ef})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestExprEval(t *testing.T) {
 		t.Errorf("AND NOT = %v, want [0]", got)
 	}
 
-	if _, err := f.eng.EvalExprContext(context.Background(), And{}); err == nil {
+	if _, err := evalExpr(context.Background(), f.eng, And{}); err == nil {
 		t.Error("empty AND accepted")
 	}
-	if _, err := f.eng.EvalExprContext(context.Background(), Or{}); err == nil {
+	if _, err := evalExpr(context.Background(), f.eng, Or{}); err == nil {
 		t.Error("empty OR accepted")
 	}
 }

@@ -32,7 +32,7 @@ func traceCostOps(t *testing.T, f *fixture) map[string]func(e *Engine) error {
 			return err
 		},
 		"expr": func(e *Engine) error {
-			_, err := e.EvalExprContext(ctx, Or{Operands: []Expr{
+			_, err := evalExpr(ctx, e, Or{Operands: []Expr{
 				Leaf{Q: pathQuery("A", "C", "E")}, Leaf{Q: pathQuery("A", "D", "E")}}})
 			return err
 		},
@@ -41,11 +41,15 @@ func traceCostOps(t *testing.T, f *fixture) map[string]func(e *Engine) error {
 			return err
 		},
 		"scalar": func(e *Engine) error {
-			_, err := e.ExecutePathAggScalarContext(ctx, NewPathAggQueryAlong(path, Max, ""))
+			_, err := scalarAgg(ctx, e, NewPathAggQueryAlong(path, Max, ""))
 			return err
 		},
 		"statement": func(e *Engine) error {
-			_, err := e.ExecuteStatementContext(ctx, "SUM [A,C,E,F]")
+			st, err := Parse("SUM [A,C,E,F]")
+			if err != nil {
+				return err
+			}
+			_, err = e.Execute(ctx, st)
 			return err
 		},
 	}

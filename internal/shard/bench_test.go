@@ -35,7 +35,7 @@ func benchCoordinator(b *testing.B, n, count int) (*Coordinator, []*query.GraphQ
 	c.Optimize()
 	var queries []*query.GraphQuery
 	for j := 0; j < len(nodes)-1; j++ {
-		queries = append(queries, query.FromPath(gpath.Closed(nodes[j], nodes[j+1])))
+		queries = append(queries, query.NewGraphQuery(gpath.Closed(nodes[j], nodes[j+1]).ToGraph()))
 	}
 	return c, queries
 }

@@ -164,7 +164,7 @@ func TestDifferentialFig2Corpus(t *testing.T) {
 			{"A", "B"}, {"A", "C", "E"}, {"A", "D", "E"}, {"A", "C", "E", "F"},
 			{"E", "F", "G"}, {"A", "D", "E", "F", "G"}, {"X", "Y"},
 		} {
-			diffMatch(t, c1, cn, query.FromPath(gpath.Closed(nodes...)))
+			diffMatch(t, c1, cn, query.NewGraphQuery(gpath.Closed(nodes...).ToGraph()))
 		}
 
 		for _, f := range []query.AggFunc{query.Sum, query.Min, query.Max, query.Count} {
@@ -190,45 +190,75 @@ func TestDifferentialFig2Corpus(t *testing.T) {
 		// Boolean expressions and text statements.
 		expr := query.Diff{
 			A: query.Or{Operands: []query.Expr{
-				query.Leaf{Q: query.FromPath(gpath.Closed("A", "D", "E"))},
-				query.Leaf{Q: query.FromPath(gpath.Closed("A", "B"))},
+				query.Leaf{Q: query.NewGraphQuery(gpath.Closed("A", "D", "E").ToGraph())},
+				query.Leaf{Q: query.NewGraphQuery(gpath.Closed("A", "B").ToGraph())},
 			}},
-			B: query.Leaf{Q: query.FromPath(gpath.Closed("F", "G"))},
+			B: query.Leaf{Q: query.NewGraphQuery(gpath.Closed("F", "G").ToGraph())},
 		}
-		b1, err1 := c1.EvalExprContext(context.Background(), expr)
-		bn, errn := cn.EvalExprContext(context.Background(), expr)
+		b1, err1 := c1.Execute(context.Background(), query.Statement{Expr: expr})
+		bn, errn := cn.Execute(context.Background(), query.Statement{Expr: expr})
 		if err1 != nil || errn != nil {
 			t.Fatalf("eval: %v / %v", err1, errn)
 		}
-		if !b1.Equals(bn) {
+		if !b1.IDs.Equals(bn.IDs) {
 			t.Fatalf("n=%d: expression answers diverge", n)
 		}
 
+		var stmts []query.Statement
 		for _, text := range []string{
 			"[A,D,E] AND NOT [A,B]",
 			"SUM [A,C,E,F]",
 			"MAX [A,D,E,F,G]",
 			"([A,B] OR [F,G]) AND [A,D]",
+			"SUM (A,D,E]",
+			"SCALAR SUM [A,D,E]",
+			"SCALAR MAX {[A,D] [D,E] [E,F]}",
 		} {
-			s1, err1 := c1.ExecuteStatementContext(context.Background(), text)
-			sn, errn := cn.ExecuteStatementContext(context.Background(), text)
-			if (err1 == nil) != (errn == nil) {
-				t.Fatalf("%q: errors diverge: %v vs %v", text, err1, errn)
+			st, err := query.Parse(text)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err1 != nil {
-				continue
+			stmts = append(stmts, st)
+			s1, err1 := c1.Execute(context.Background(), st)
+			sn, errn := cn.Execute(context.Background(), st)
+			if err1 != nil || errn != nil {
+				t.Fatalf("%q: %v / %v", text, err1, errn)
 			}
-			switch {
-			case s1.IDs != nil:
-				if sn.IDs == nil || !s1.IDs.Equals(sn.IDs) {
-					t.Fatalf("%q: statement answers diverge", text)
-				}
-			case s1.Agg != nil:
-				if sn.Agg == nil {
-					t.Fatalf("%q: statement kinds diverge", text)
-				}
-				assertAggEqual(t, text, s1.Agg, sn.Agg)
+			assertStatementEqual(t, text, s1, sn)
+		}
+		// The statement batch answers as the statements one by one.
+		batch, errs := cn.ExecuteStatementBatchContext(context.Background(), stmts, 2)
+		for i, st := range stmts {
+			if errs[i] != nil {
+				t.Fatalf("batch %s: %v", st, errs[i])
 			}
+			one, err := c1.Execute(context.Background(), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStatementEqual(t, st.String(), one, batch[i])
+		}
+	}
+}
+
+// assertStatementEqual fails unless two statement answers are of one kind
+// and equal bit for bit.
+func assertStatementEqual(t *testing.T, label string, a, b *query.StatementResult) {
+	t.Helper()
+	switch {
+	case a.IDs != nil:
+		if b.IDs == nil || !a.IDs.Equals(b.IDs) {
+			t.Fatalf("%s: id answers diverge", label)
+		}
+	case a.Agg != nil:
+		if b.Agg == nil {
+			t.Fatalf("%s: statement kinds diverge", label)
+		}
+		assertAggEqual(t, label, a.Agg, b.Agg)
+	default:
+		if b.Scalar == nil || a.Scalar.Records != b.Scalar.Records ||
+			math.Float64bits(a.Scalar.Value) != math.Float64bits(b.Scalar.Value) {
+			t.Fatalf("%s: scalars diverge: %+v vs %+v", label, a.Scalar, b.Scalar)
 		}
 	}
 }
@@ -262,7 +292,7 @@ func TestDifferentialRandomCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		diffMatch(t, c1, cn, query.FromPath(gpath.Closed("A0", "B0")))
+		diffMatch(t, c1, cn, query.NewGraphQuery(gpath.Closed("A0", "B0").ToGraph()))
 	}
 }
 

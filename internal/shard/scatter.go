@@ -258,31 +258,6 @@ func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*q
 		func(subs []*query.Result) *query.Result { return c.mergeResults(q, subs) })
 }
 
-// EvalExprContext evaluates a boolean expression over graph queries across
-// all shards. AND/OR/ANDNOT distribute over a disjoint record partition, so
-// each shard evaluates the whole expression locally and the global answer is
-// the translated union.
-func (c *Coordinator) EvalExprContext(ctx context.Context, expr query.Expr) (*bitmap.Bitmap, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.EvalExprContext(ctx, expr)
-	}
-	return c.evalScattered(ctx, obs.KindExpr, c.queryName(expr), expr)
-}
-
-// evalScattered is the multi-shard expression evaluation body, parameterized
-// on the trace labels so sharded statements can reuse it under the
-// "statement" kind with the statement's text.
-func (c *Coordinator) evalScattered(ctx context.Context, kind, qstr string, expr query.Expr) (*bitmap.Bitmap, error) {
-	return runScattered(ctx, c, kind, qstr,
-		func(ctx context.Context, eng *query.Engine, u *Unit) (*bitmap.Bitmap, error) {
-			return eng.EvalExprContext(ctx, expr)
-		},
-		func(subs []*bitmap.Bitmap) *bitmap.Bitmap { return c.mergeBitmaps(subs) })
-}
-
 // --- path aggregation --------------------------------------------------------
 
 // mergeAgg combines per-shard path-aggregation results. Each record's
@@ -409,48 +384,12 @@ func (c *Coordinator) AggregateContext(ctx context.Context, q *query.PathAggQuer
 		defer u.pending.Add(-1)
 		return u.Eng.ExecutePathAggQueryContext(ctx, q)
 	}
-	return c.aggregateScattered(ctx, obs.KindPathAgg, c.queryName(q), q)
-}
-
-// aggregateScattered is the multi-shard path-aggregation body, parameterized
-// on the trace labels (see evalScattered).
-func (c *Coordinator) aggregateScattered(ctx context.Context, kind, qstr string, q *query.PathAggQuery) (*query.AggResult, error) {
 	rq := q.Resolved(c.reg) // once, not per shard
-	return runScattered(ctx, c, kind, qstr,
+	return runScattered(ctx, c, obs.KindPathAgg, c.queryName(q),
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.AggResult, error) {
 			return eng.ExecutePathAggQueryContext(ctx, rq)
 		},
 		func(subs []*query.AggResult) *query.AggResult { return c.mergeAgg(q, subs) })
-}
-
-// AggregateScalarContext executes a path aggregation folded all the way down
-// to one scalar across all shards. MIN/MAX queries scatter the scalar plan —
-// each shard runs its (possibly zone-skipping) scan and the shard scalars
-// merge with the query's own Fold, which is bit-identical to the global
-// record-order fold because MIN/MAX are order-independent under the kernel
-// total order. Any other function routes through the row-merging
-// AggregateContext and folds the merged rows in ascending global record
-// order, because float addition does not reassociate.
-func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathAggQuery) (*query.ScalarAggResult, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExecutePathAggScalarContext(ctx, q)
-	}
-	if q != nil && (q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name) {
-		rq := q.Resolved(c.reg) // once, not per shard
-		return runScattered(ctx, c, obs.KindPathAgg, c.queryName(q),
-			func(ctx context.Context, eng *query.Engine, u *Unit) (*query.ScalarAggResult, error) {
-				return eng.ExecutePathAggScalarContext(ctx, rq)
-			},
-			func(subs []*query.ScalarAggResult) *query.ScalarAggResult { return mergeScalar(q, subs) })
-	}
-	res, err := c.AggregateContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return res.Scalar(), nil
 }
 
 // mergeScalar combines per-shard scalar aggregates of a MIN/MAX query in
@@ -483,35 +422,88 @@ func mergeScalar(q *query.PathAggQuery, subs []*query.ScalarAggResult) *query.Sc
 
 // --- statements --------------------------------------------------------------
 
-// ExecuteStatementContext parses and executes one text-language statement
-// across all shards.
-func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) (*query.StatementResult, error) {
+// Execute runs one statement across all shards. AND, OR and AND NOT
+// distribute over the disjoint record partition, so each shard evaluates a
+// whole boolean expression and the answer is the translated union; a path
+// aggregation's rows merge as AggregateContext's do, and a scalar merges as
+// mergeStatement says.
+func (c *Coordinator) Execute(ctx context.Context, st query.Statement) (*query.StatementResult, error) {
 	if len(c.units) == 1 {
 		u := c.units[0]
 		u.pending.Add(1)
 		defer u.pending.Add(-1)
-		return u.Eng.ExecuteStatementContext(ctx, text)
+		return u.Eng.Execute(ctx, st)
 	}
-	stmt, err := query.Parse(text)
-	if err != nil {
-		return nil, err
+	name := ""
+	if c.traces != nil {
+		name = st.String()
 	}
-	// The coordinator parses once and scatters the parsed form, so — unlike
-	// the single-shard path — the root trace carries no parse span; it is
-	// labelled with the statement kind and text, and the per-shard children
-	// trace under their own execution kind.
-	if stmt.Agg != nil {
-		res, err := c.aggregateScattered(ctx, obs.KindStatement, text, stmt.Agg)
+	rst := c.resolveStatement(st)
+	return runScattered(ctx, c, st.Kind(), name,
+		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.StatementResult, error) {
+			return c.runStatement(ctx, eng, rst)
+		},
+		func(subs []*query.StatementResult) *query.StatementResult { return c.mergeStatement(st, subs) })
+}
+
+// resolveStatement resolves a path aggregation once against the shared
+// registry, not once per shard.
+func (c *Coordinator) resolveStatement(st query.Statement) query.Statement {
+	if st.Agg != nil {
+		st.Agg = st.Agg.Resolved(c.reg)
+	}
+	return st
+}
+
+// runStatement runs one shard's part of a statement. On several shards a
+// scalar other than MIN or MAX runs as rows: float addition does not
+// reassociate, so its fold must take every record in ascending global order,
+// which only the merged rows give.
+func (c *Coordinator) runStatement(ctx context.Context, eng *query.Engine, st query.Statement) (*query.StatementResult, error) {
+	if len(c.units) > 1 && st.Agg != nil && st.Agg.Scalar && !orderFree(st.Agg) {
+		res, err := eng.ExecutePathAggQueryContext(ctx, st.Agg)
 		if err != nil {
 			return nil, err
 		}
 		return &query.StatementResult{Agg: res}, nil
 	}
-	ids, err := c.evalScattered(ctx, obs.KindStatement, text, stmt.Expr)
-	if err != nil {
-		return nil, err
+	return eng.Execute(ctx, st)
+}
+
+// orderFree reports whether q's fold gives the same bits in any order: MIN
+// and MAX under the kernels' total order.
+func orderFree(q *query.PathAggQuery) bool {
+	return q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name
+}
+
+// mergeStatement combines per-shard statement answers: id sets by translated
+// union, rows by mergeAgg, MIN/MAX scalars by mergeScalar, and any other
+// scalar by folding the merged rows in ascending global record order.
+func (c *Coordinator) mergeStatement(st query.Statement, subs []*query.StatementResult) *query.StatementResult {
+	switch {
+	case st.Agg == nil:
+		ids := make([]*bitmap.Bitmap, len(subs))
+		for i, r := range subs {
+			ids[i] = r.IDs
+		}
+		return &query.StatementResult{IDs: c.mergeBitmaps(ids)}
+	case subs[0].Scalar != nil:
+		scalars := make([]*query.ScalarAggResult, len(subs))
+		for i, r := range subs {
+			scalars[i] = r.Scalar
+		}
+		return &query.StatementResult{Scalar: mergeScalar(st.Agg, scalars)}
+	default:
+		rows := make([]*query.AggResult, len(subs))
+		for i, r := range subs {
+			rows[i] = r.Agg
+		}
+		res := c.mergeAgg(st.Agg, rows)
+		if st.Agg.Scalar {
+			return &query.StatementResult{Scalar: res.Scalar()}
+		}
+		return &query.StatementResult{Agg: res}
 	}
-	return &query.StatementResult{IDs: ids}, nil
 }
 
 // --- batches -----------------------------------------------------------------
@@ -615,4 +607,10 @@ func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []
 			return eng.ExecutePathAggQueryContext(ctx, q)
 		},
 		c.mergeAgg)
+}
+
+// ExecuteStatementBatchContext is ExecuteGraphBatchContext for statements of
+// either kind.
+func (c *Coordinator) ExecuteStatementBatchContext(ctx context.Context, stmts []query.Statement, workers int) ([]*query.StatementResult, []error) {
+	return runBatch(ctx, c, stmts, workers, c.resolveStatement, c.runStatement, c.mergeStatement)
 }

@@ -112,7 +112,7 @@ func TestMutatorsRouteByShard(t *testing.T) {
 	if c.NumDeleted() != 1 {
 		t.Fatalf("NumDeleted = %d", c.NumDeleted())
 	}
-	res, err := c.MatchContext(context.Background(), query.FromPath(pathAB()))
+	res, err := c.MatchContext(context.Background(), query.NewGraphQuery(pathAB().ToGraph()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +228,13 @@ func TestQueryCancellationAbandonsSubQueries(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.MatchContext(ctx, query.FromPath(pathAB())); !errors.Is(err, context.Canceled) {
+	if _, err := c.MatchContext(ctx, query.NewGraphQuery(pathAB().ToGraph())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MatchContext = %v, want context.Canceled", err)
 	}
 	if _, err := c.AggregateContext(ctx, query.NewPathAggQuery(pathAB().ToGraph(), query.Sum)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AggregateContext = %v, want context.Canceled", err)
 	}
-	queries := []*query.GraphQuery{query.FromPath(pathAB()), query.FromPath(pathAB())}
+	queries := []*query.GraphQuery{query.NewGraphQuery(pathAB().ToGraph()), query.NewGraphQuery(pathAB().ToGraph())}
 	_, errs := c.ExecuteGraphBatchContext(ctx, queries, 2)
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
@@ -275,7 +275,7 @@ func TestViewsReplicateAcrossShards(t *testing.T) {
 		}
 	}
 	// Queries stay correct (and bit-identical to unsharded) with views on.
-	res, err := c.MatchContext(context.Background(), query.FromPath(pathAB()))
+	res, err := c.MatchContext(context.Background(), query.NewGraphQuery(pathAB().ToGraph()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestAggregateNamedMeasure(t *testing.T) {
 		t.Errorf("time sums = %v, want [5 9]", timeAgg.Values[0])
 	}
 	// Cost along the same path: 30 and 32.
-	costAgg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
+	costAgg, err := aggOn(st, PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAggregateNamedMeasure(t *testing.T) {
 
 func TestAggregateMissingNamedMeasureIsNull(t *testing.T) {
 	st := buildMultiMeasureStore(t)
-	agg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "weight")
+	agg, err := aggOn(st, PathOf("A", "D", "E").ToGraph(), Sum, "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAggViewOnNamedMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The cost view must serve cost queries...
-	costAgg, err := st.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
+	costAgg, err := aggOn(st, PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestNamedMeasuresSurviveSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costAgg, err := got.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
+	costAgg, err := aggOn(got, PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNamedMeasuresSurviveSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.Add(rec)
-	costAgg, err = got.AggregateMeasure(PathOf("A", "D", "E").ToGraph(), Sum, "cost")
+	costAgg, err = aggOn(got, PathOf("A", "D", "E").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestNamedMeasuresSurviveFlattening(t *testing.T) {
 	if names := st.Stats().MeasureNames; len(names) != 1 || names[0] != "cost" {
 		t.Fatalf("MeasureNames after flattening = %v", names)
 	}
-	agg, err := st.AggregateMeasure(PathOf("A", "B", "C").ToGraph(), Sum, "cost")
+	agg, err := aggOn(st, PathOf("A", "B", "C").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}

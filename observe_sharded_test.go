@@ -100,19 +100,17 @@ func TestShardedTraceTree(t *testing.T) {
 		}
 	}
 
-	// A sharded statement is parsed once by the coordinator: the root carries
-	// the statement kind and text but no parse span.
-	if _, err := st.Query("[A,D] AND NOT [C,H]"); err != nil {
+	// A boolean statement's root carries its query class and its text,
+	// which parses back to it.
+	if _, err := queryText(st, "[A,D] AND NOT [C,H]"); err != nil {
 		t.Fatal(err)
 	}
 	stmt := st.RecentTraces()[0]
-	if stmt.Kind != "statement" || stmt.Query != "[A,D] AND NOT [C,H]" {
+	if stmt.Kind != "graph" || stmt.Query != "({[A,D]} AND NOT {[C,H]})" {
 		t.Fatalf("statement root = kind %q query %q", stmt.Kind, stmt.Query)
 	}
-	for _, s := range stmt.Spans {
-		if s.Phase == "parse" {
-			t.Errorf("sharded statement root has a parse span: %+v", stmt.Spans)
-		}
+	if _, err := Parse(stmt.Query); err != nil {
+		t.Errorf("root query text does not parse: %v", err)
 	}
 	if len(stmt.Children) != 4 {
 		t.Errorf("statement children = %d", len(stmt.Children))
@@ -197,11 +195,11 @@ func TestTraceRecordsQueryError(t *testing.T) {
 			g := PathOf("A", "D", "E").ToGraph()
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := st.MatchContext(ctx, g); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled Match err = %v", err)
+			if _, err := st.Execute(ctx, Find(Q(g))); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled graph query err = %v", err)
 			}
-			if _, err := st.AggregateContext(ctx, g, Sum); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled Aggregate err = %v", err)
+			if _, err := st.Execute(ctx, AggregateOn(g, Sum, "")); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled aggregation err = %v", err)
 			}
 
 			traces := st.RecentTraces()

@@ -1,6 +1,7 @@
 package grove
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -169,11 +170,12 @@ func assertIOMetricsMatchSnapshot(t *testing.T, st *Store) {
 
 // tracedQueryExtraAllocs is how many objects tracing adds to one
 // single-shard Match. Most are the query text the trace renders for the
-// fresh query each Match builds (six in a heap profile); the active trace and
-// its span array come from a pool and the ring slot's own arrays. ROADMAP
-// item 1's target is zero: a traced query should cost what an untraced one
-// does, plus clock reads.
-const tracedQueryExtraAllocs = 7
+// fresh query each Match builds: one strings.Builder pass over the elements,
+// whose buffer grows a few times, and the cached string's box; the active
+// trace and its span array come from a pool and the ring slot's own arrays.
+// ROADMAP item 1's target is zero: a traced query should cost what an
+// untraced one does, plus clock reads.
+const tracedQueryExtraAllocs = 4
 
 // TestTracedQueryAllocations is the clock-free companion of
 // TestObsOverheadSmoke: it pins the objects a traced single-shard Match
@@ -259,22 +261,25 @@ func TestViewUsageThroughStore(t *testing.T) {
 	}
 }
 
+// TestStoreQueryIsTracedAsStatement: an executed statement is traced under
+// its query class with the text that parses back to it; the trace opens on
+// planning, since the caller parsed.
 func TestStoreQueryIsTracedAsStatement(t *testing.T) {
 	st := buildSCMStore(t)
 	st.EnableTracing(2)
-	if _, err := st.Query("[A,D] AND NOT [C,H]"); err != nil {
+	stmt := Scalar(AggregateAlong(Max, OpenPath("A", "D", "E"), ""))
+	if _, err := st.Execute(context.Background(), stmt); err != nil {
 		t.Fatal(err)
 	}
 	traces := st.RecentTraces()
-	if len(traces) != 1 || traces[0].Kind != "statement" {
+	if len(traces) != 1 || traces[0].Kind != "pathagg" || traces[0].Query != "SCALAR MAX {[A,D] [D,E]} ALONG (A,D,E)" {
 		t.Fatalf("traces = %+v", traces)
 	}
-	var phases []string
-	for _, s := range traces[0].Spans {
-		phases = append(phases, s.Phase)
+	if back, err := Parse(traces[0].Query); err != nil || back.String() != stmt.String() {
+		t.Errorf("trace text parses to %v, %v", back, err)
 	}
-	if phases[0] != "parse" {
-		t.Errorf("first phase = %v", phases)
+	if traces[0].Spans[0].Phase != "plan" {
+		t.Errorf("first phase = %q", traces[0].Spans[0].Phase)
 	}
 	st.DisableTracing()
 	if st.RecentTraces() != nil {

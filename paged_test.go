@@ -127,7 +127,7 @@ func collectAnswers(t *testing.T, st *Store, g *Graph) aggAnswers {
 		out.rows[f.Name] = bits
 		out.ids[f.Name] = rows.RecordIDs
 
-		sc, err := st.AggregateScalar(g, f)
+		sc, err := scalarOf(st, g, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestPagedBitIdentical(t *testing.T) {
 		loaded.SetPageCacheBytes(budget)
 		got := collectAnswers(t, loaded, PathOf(path...).ToGraph())
 		diffAnswers(t, "paged", want, got)
-		if err := loaded.PageError(); err != nil {
+		if err := loaded.Stats().Err; err != nil {
 			t.Fatalf("budget %d%%: page error after clean differential run: %v", pct, err)
 		}
 		if budget > 0 {
@@ -229,7 +229,7 @@ func TestPagedBitIdentical(t *testing.T) {
 func diffNamedMeasure(t *testing.T, label string, want, got *Store) {
 	t.Helper()
 	fold := func(st *Store) []float64 {
-		res, err := st.AggregateMeasure(PathOf("A", "B").ToGraph(), Sum, "w")
+		res, err := aggOn(st, PathOf("A", "B").ToGraph(), Sum, "w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestPagedZoneSkipEngages(t *testing.T) {
 	}
 	defer loaded.Close()
 
-	res, err := loaded.AggregateScalar(PathOf("C", "D").ToGraph(), Min)
+	res, err := scalarOf(loaded, PathOf("C", "D").ToGraph(), Min)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPagedShardedBitIdentical(t *testing.T) {
 	}
 	loaded.SetPageCacheBytes(loaded.StorageStats().LogicalBytes / 100)
 	diffAnswers(t, "sharded paged", want, collectAnswers(t, loaded, PathOf(path...).ToGraph()))
-	if err := loaded.PageError(); err != nil {
+	if err := loaded.Stats().Err; err != nil {
 		t.Fatal(err)
 	}
 }
@@ -465,7 +465,7 @@ func TestPagedScalarMatchesRows(t *testing.T) {
 				}
 			}
 		}
-		if err := loaded.PageError(); err != nil {
+		if err := loaded.Stats().Err; err != nil {
 			t.Fatal(err)
 		}
 		loaded.Close()

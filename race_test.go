@@ -138,7 +138,7 @@ func TestAppendIsAtomicToReaders(t *testing.T) {
 					return
 				default:
 				}
-				torn, err := st.Eval(half)
+				torn, err := evalExpr(st, half)
 				if err != nil {
 					t.Error(err)
 					return
@@ -147,7 +147,7 @@ func TestAppendIsAtomicToReaders(t *testing.T) {
 					t.Errorf("%d half-appended record(s) visible: (a,b) set, (y,z) not yet", n)
 					return
 				}
-				counted, err := st.Eval(base)
+				counted, err := evalExpr(st, base)
 				if err != nil {
 					t.Error(err)
 					return
@@ -336,7 +336,7 @@ func TestRacePagedBatchAtOnePercent(t *testing.T) {
 			}
 		}
 		for _, g := range graphs {
-			sc, err := mem.AggregateScalar(g, f)
+			sc, err := scalarOf(mem, g, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,7 +386,7 @@ func TestRacePagedBatchAtOnePercent(t *testing.T) {
 								}
 							}
 						}
-						sc, err := loaded.AggregateScalar(graphs[gi], f)
+						sc, err := scalarOf(loaded, graphs[gi], f)
 						if err != nil {
 							t.Error(err)
 							return
@@ -403,7 +403,7 @@ func TestRacePagedBatchAtOnePercent(t *testing.T) {
 	readers.Wait()
 	close(done)
 	resizer.Wait()
-	if err := loaded.PageError(); err != nil {
+	if err := loaded.Stats().Err; err != nil {
 		t.Fatal(err)
 	}
 	loaded.SetPageCacheBytes(1) // evicts every frame but the pinned ones

@@ -12,156 +12,69 @@ import (
 
 	"grove/internal/bitmap"
 	"grove/internal/fsio"
-	"grove/internal/gpath"
 	"grove/internal/obs"
-	"grove/internal/query"
 )
 
-// Workload recording re-exports.
-type (
-	// WorkloadEvent is one line of a recorded workload log: a normalized,
-	// replayable query description plus its observed outcome, or a per-view
-	// usage snapshot.
-	WorkloadEvent = obs.WorkloadEvent
-	// RecordedPath is the normalized form of an explicit aggregation path.
-	RecordedPath = obs.RecordedPath
-)
+// WorkloadEvent is one line of a recorded workload log: a query's statement
+// text and its observed outcome, or a per-view usage snapshot.
+type WorkloadEvent = obs.WorkloadEvent
 
-// StartWorkloadRecording attaches a workload recorder writing one JSONL event
-// per executed query to path (truncating an existing file). Recording is
-// opt-in: with no recorder attached the query path pays one atomic load.
-// Events capture a normalized, replayable form of each query — statement
-// text, structural elements, aggregation parameters — together with its
-// duration, error, and an FNV-1a digest of the answer, so a captured workload
-// can be re-executed against any store configuration (ReplayWorkload,
+// RecordWorkload attaches a workload recorder writing one JSONL event per
+// executed query to path (truncating an existing file), and returns the
+// function that stops it: stop appends a final per-view usage snapshot, then
+// flushes, fsyncs and closes the log, and reports any buffered write error
+// of the recording; a second call does nothing. Recording is opt-in: with no
+// recorder attached the query path pays one atomic load. An event holds the
+// statement text, which parses back to the statement, with its duration, its
+// error and an FNV-1a digest of the answer, so a captured workload can be
+// re-executed against any store configuration (ReplayWorkload,
 // `grovecli -store DIR replay LOG`) and verified to reproduce identical
-// results.
-func (s *Store) StartWorkloadRecording(path string) error {
+// results. One recording runs at a time.
+func (s *Store) RecordWorkload(path string) (stop func() error, err error) {
 	if s.rec.Load() != nil {
-		return fmt.Errorf("grove: workload recording already active")
+		return nil, errRecording
 	}
 	r, err := obs.NewWorkloadRecorder(fsio.OS(), path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !s.rec.CompareAndSwap(nil, r) {
 		_ = r.Close() //grovevet:ignore droppederr racing starter keeps the installed recorder
-		return fmt.Errorf("grove: workload recording already active")
+		return nil, errRecording
 	}
-	return nil
+	return func() error {
+		if !s.rec.CompareAndSwap(r, nil) {
+			return nil
+		}
+		verr := r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.coord.ViewUsage()})
+		cerr := r.Close()
+		if verr != nil {
+			return verr
+		}
+		return cerr
+	}, nil
 }
 
-// StopWorkloadRecording appends a final per-view usage snapshot, then flushes,
-// fsyncs and closes the workload log. No-op when recording is not active.
-// Buffered write errors from earlier Record calls resurface here.
-func (s *Store) StopWorkloadRecording() error {
-	r := s.rec.Swap(nil)
-	if r == nil {
-		return nil
-	}
-	verr := r.Record(obs.WorkloadEvent{Type: obs.EventViews, ViewUsage: s.coord.ViewUsage()})
-	cerr := r.Close()
-	if verr != nil {
-		return verr
-	}
-	return cerr
-}
+var errRecording = errors.New("grove: workload recording already active")
 
-// RecordingActive reports whether a workload recorder is attached.
-func (s *Store) RecordingActive() bool { return s.rec.Load() != nil }
-
-// ReadWorkloadLog parses a workload log written by StartWorkloadRecording, in
+// ReadWorkloadLog parses a workload log written by RecordWorkload, in
 // recorded order.
 func ReadWorkloadLog(path string) ([]WorkloadEvent, error) {
 	return obs.ReadWorkload(fsio.OS(), path)
 }
 
-// --- event construction ------------------------------------------------------
-
-// edgesOf normalizes a query graph to its element list ([x,x] = node).
-func edgesOf(g *Graph) [][2]string {
-	elems := g.Elements()
-	out := make([][2]string, len(elems))
-	for i, e := range elems {
-		out[i] = [2]string{e.From, e.To}
-	}
-	return out
-}
-
-func recordedPaths(paths []gpath.Path) []RecordedPath {
-	if len(paths) == 0 {
-		return nil
-	}
-	out := make([]RecordedPath, len(paths))
-	for i, p := range paths {
-		out[i] = RecordedPath{Nodes: p.Nodes, OpenStart: p.OpenStart, OpenEnd: p.OpenEnd}
-	}
-	return out
-}
-
-// record finalizes and appends one query event. Write errors stay in the
-// buffered writer and resurface at StopWorkloadRecording.
-func (s *Store) record(r *obs.WorkloadRecorder, ev obs.WorkloadEvent, start time.Time, err error) {
-	ev.Type = obs.EventQuery
-	ev.DurationNanos = time.Since(start).Nanoseconds()
+// record appends one query event — every query entry point records through
+// it: the statement text, how long it took since start, and the error or,
+// from digest, the answer's digest. Write errors stay in the buffered writer
+// and resurface when the recording stops.
+func (s *Store) record(r *obs.WorkloadRecorder, text string, start time.Time, err error, digest func() string) {
+	ev := obs.WorkloadEvent{Type: obs.EventQuery, Text: text, DurationNanos: time.Since(start).Nanoseconds()}
 	if err != nil {
 		ev.Error = err.Error()
-		ev.Digest = ""
+	} else {
+		ev.Digest = digest()
 	}
-	_ = r.Record(ev) //grovevet:ignore droppederr buffered write errors resurface at StopWorkloadRecording
-}
-
-func (s *Store) recordMatch(r *obs.WorkloadRecorder, q *query.GraphQuery, start time.Time, res *Result, err error) {
-	ev := obs.WorkloadEvent{Kind: obs.KindGraph, Text: q.String(), Edges: edgesOf(q.G)}
-	if err == nil {
-		ev.Digest = digestBitmap(res.Answer)
-	}
-	s.record(r, ev, start, err)
-}
-
-func (s *Store) recordAgg(r *obs.WorkloadRecorder, q *query.PathAggQuery, start time.Time, res *AggResult, err error) {
-	ev := obs.WorkloadEvent{Kind: obs.KindPathAgg, Text: q.String(), Edges: edgesOf(q.G),
-		Agg: q.Agg.Name, Measure: q.Measure, Paths: recordedPaths(q.Paths)}
-	if err == nil {
-		ev.Digest = digestAgg(res)
-	}
-	s.record(r, ev, start, err)
-}
-
-func (s *Store) recordEval(r *obs.WorkloadRecorder, e Expr, start time.Time, ids *Bitmap, err error) {
-	// Expressions are recorded for completeness (text, timing, digest) but are
-	// not replayable: the rendered form is not part of the text grammar.
-	ev := obs.WorkloadEvent{Kind: obs.KindExpr, Text: e.String()}
-	if err == nil {
-		ev.Digest = digestBitmap(ids)
-	}
-	s.record(r, ev, start, err)
-}
-
-func (s *Store) recordStatement(r *obs.WorkloadRecorder, text string, start time.Time, res *QueryResult, err error) {
-	ev := obs.WorkloadEvent{Kind: obs.KindStatement, Text: text, Statement: true}
-	if err == nil {
-		if res.Agg != nil {
-			ev.Digest = digestAgg(res.Agg)
-		} else {
-			ev.Digest = digestBitmap(res.IDs)
-		}
-	}
-	s.record(r, ev, start, err)
-}
-
-// recordGraphBatch appends one graph event per batch slot (the batch is a
-// scheduling construct; the workload's replayable unit is the query).
-func (s *Store) recordGraphBatch(r *obs.WorkloadRecorder, queries []*query.GraphQuery, start time.Time, results []*Result, errs []error) {
-	for i, q := range queries {
-		s.recordMatch(r, q, start, results[i], errs[i])
-	}
-}
-
-func (s *Store) recordAggBatch(r *obs.WorkloadRecorder, queries []*query.PathAggQuery, start time.Time, results []*AggResult, errs []error) {
-	for i, q := range queries {
-		s.recordAgg(r, q, start, results[i], errs[i])
-	}
+	_ = r.Record(ev) //grovevet:ignore droppederr buffered write errors resurface when the recording stops
 }
 
 // --- digests -----------------------------------------------------------------
@@ -180,6 +93,18 @@ func digestBitmap(b *bitmap.Bitmap) string {
 		})
 	}
 	return strconv.FormatUint(h.Sum64(), 16)
+}
+
+// digestResult digests a statement's answer, whichever kind it is.
+func digestResult(res *QueryResult) string {
+	switch {
+	case res.Agg != nil:
+		return digestAgg(res.Agg)
+	case res.Scalar != nil:
+		return digestScalar(res.Scalar)
+	default:
+		return digestBitmap(res.IDs)
+	}
 }
 
 // digestAgg digests a path-aggregation answer: the matched record ids plus
@@ -201,78 +126,59 @@ func digestAgg(a *AggResult) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
+// digestScalar digests a scalar answer: the structural answer's cardinality
+// and the value's exact float64 bits. The block counters are left out — they
+// describe how a shard layout scanned, not what it answered.
+func digestScalar(r *ScalarAggResult) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(r.Records))
+	_, _ = h.Write(buf[:]) //grovevet:ignore droppederr fnv.Write cannot fail
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r.Value))
+	_, _ = h.Write(buf[:]) //grovevet:ignore droppederr fnv.Write cannot fail
+	return strconv.FormatUint(h.Sum64(), 16)
+}
+
 // --- replay ------------------------------------------------------------------
 
-// ErrNotReplayable marks workload events that carry no replayable query form
-// (boolean-expression events recorded from the programmatic API, and non-query
-// events such as view-usage snapshots).
+// ErrNotReplayable marks workload events that are not queries, such as
+// view-usage snapshots.
 var ErrNotReplayable = errors.New("grove: workload event is not replayable")
 
-// replayEvent re-executes one recorded query event against the store and
-// returns the digest of the fresh answer (compare with ev.Digest to verify
-// the replay reproduced the recorded result).
-func (s *Store) replayEvent(ev WorkloadEvent) (string, error) {
+// replayEvent re-executes one recorded query event against the store — parse
+// its text, execute the statement — and returns the digest of the fresh
+// answer (compare with ev.Digest to verify the replay reproduced the
+// recorded result).
+func (s *Store) replayEvent(ctx context.Context, ev WorkloadEvent) (string, error) {
 	if ev.Type != obs.EventQuery {
 		return "", ErrNotReplayable
 	}
-	if ev.Statement {
-		res, err := s.Query(ev.Text)
-		if err != nil {
-			return "", err
-		}
-		if res.Agg != nil {
-			return digestAgg(res.Agg), nil
-		}
-		return digestBitmap(res.IDs), nil
+	st, err := Parse(ev.Text)
+	if err != nil {
+		return "", err
 	}
-	switch ev.Kind {
-	case obs.KindGraph:
-		res, err := s.Match(graphFromEdges(ev.Edges))
-		if err != nil {
-			return "", err
-		}
-		return digestBitmap(res.Answer), nil
-	case obs.KindPathAgg:
-		f, ok := query.ByName(ev.Agg)
-		if !ok {
-			return "", fmt.Errorf("grove: replay: unknown aggregate %q", ev.Agg)
-		}
-		q := query.NewPathAggQueryOn(graphFromEdges(ev.Edges), f, ev.Measure)
-		for _, p := range ev.Paths {
-			q.Paths = append(q.Paths, gpath.Path{Nodes: p.Nodes, OpenStart: p.OpenStart, OpenEnd: p.OpenEnd})
-		}
-		res, err := s.aggregateQuery(context.Background(), q)
-		if err != nil {
-			return "", err
-		}
-		return digestAgg(res), nil
-	default:
-		return "", ErrNotReplayable
+	res, err := s.Execute(ctx, st)
+	if err != nil {
+		return "", err
 	}
-}
-
-func graphFromEdges(edges [][2]string) *Graph {
-	g := NewGraph()
-	for _, e := range edges {
-		g.AddElement(EdgeKey{From: e[0], To: e[1]})
-	}
-	return g
+	return digestResult(res), nil
 }
 
 // ReplayStats summarizes a workload replay.
 type ReplayStats struct {
 	Queries    int // query events seen
 	Replayed   int // re-executed successfully
-	Skipped    int // not replayable (expressions, snapshots) or recorded as failed
+	Skipped    int // recorded as failed
 	Verified   int // replayed with a recorded digest that matched
 	Mismatched int // replayed with a recorded digest that did NOT match
 }
 
-// ReplayWorkload re-executes a recorded workload in order, verifying each
-// replayed answer's digest against the recorded one. Events recorded as
-// failed and non-replayable events are skipped. Execution errors abort the
-// replay; digest mismatches don't — inspect Mismatched.
-func (s *Store) ReplayWorkload(events []WorkloadEvent) (ReplayStats, error) {
+// ReplayWorkload re-executes the query events of a recorded workload in
+// order, verifying each answer's digest against the recorded one. Events
+// recorded as failed are skipped. An event whose text does not parse or
+// whose statement fails aborts the replay with an error naming the event;
+// digest mismatches don't — inspect Mismatched.
+func (s *Store) ReplayWorkload(ctx context.Context, events []WorkloadEvent) (ReplayStats, error) {
 	var st ReplayStats
 	for i, ev := range events {
 		if ev.Type != obs.EventQuery {
@@ -283,13 +189,9 @@ func (s *Store) ReplayWorkload(events []WorkloadEvent) (ReplayStats, error) {
 			st.Skipped++
 			continue
 		}
-		digest, err := s.replayEvent(ev)
-		if errors.Is(err, ErrNotReplayable) {
-			st.Skipped++
-			continue
-		}
+		digest, err := s.replayEvent(ctx, ev)
 		if err != nil {
-			return st, fmt.Errorf("grove: replay event %d (seq %d): %w", i, ev.Seq, err)
+			return st, fmt.Errorf("grove: replay event %d (seq %d) %q: %w", i, ev.Seq, ev.Text, err)
 		}
 		st.Replayed++
 		if ev.Digest == "" {

@@ -14,21 +14,24 @@ import (
 
 // loadSCMOrders adds the Fig. 1 supply-chain orders (plus a few variants so
 // every shard of a 4-way store holds records) into st and returns the count.
+// scmOrders are loadSCMOrders' records: each order's legs all carry its
+// time, signed zero and a negative value included.
+var scmOrders = []struct {
+	legs [][2]string
+	time float64
+}{
+	{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}, {"G", "I"}}, 2},
+	{[][2]string{{"A", "B"}, {"B", "F"}, {"F", "J"}, {"J", "K"}, {"C", "H"}, {"H", "K"}}, 3},
+	{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}, {"G", "K"}}, 5},
+	{[][2]string{{"A", "D"}, {"D", "E"}}, 0.25},
+	{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}}, math.Copysign(0, -1)},
+	{[][2]string{{"A", "B"}, {"B", "F"}}, -7.5},
+	{[][2]string{{"C", "H"}, {"H", "K"}}, 11},
+}
+
 func loadSCMOrders(t *testing.T, st *Store) int {
 	t.Helper()
-	orders := []struct {
-		legs [][2]string
-		time float64
-	}{
-		{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}, {"G", "I"}}, 2},
-		{[][2]string{{"A", "B"}, {"B", "F"}, {"F", "J"}, {"J", "K"}, {"C", "H"}, {"H", "K"}}, 3},
-		{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}, {"G", "K"}}, 5},
-		{[][2]string{{"A", "D"}, {"D", "E"}}, 0.25},
-		{[][2]string{{"A", "D"}, {"D", "E"}, {"E", "G"}}, math.Copysign(0, -1)},
-		{[][2]string{{"A", "B"}, {"B", "F"}}, -7.5},
-		{[][2]string{{"C", "H"}, {"H", "K"}}, 11},
-	}
-	for i, o := range orders {
+	for i, o := range scmOrders {
 		rec := NewRecord()
 		for _, leg := range o.legs {
 			if err := rec.SetEdge(leg[0], leg[1], o.time); err != nil {
@@ -39,7 +42,7 @@ func loadSCMOrders(t *testing.T, st *Store) int {
 			t.Fatalf("order %d got id %d", i, id)
 		}
 	}
-	return len(orders)
+	return len(scmOrders)
 }
 
 func assertSameAgg(t *testing.T, label string, a, b *AggResult) {
@@ -114,11 +117,11 @@ func TestShardedPublicDifferential(t *testing.T) {
 		}
 	}
 
-	e1, err := one.Eval(AndNot(Or(QPath("C", "H"), QPath("F", "J", "K")), QPath("E", "G")))
+	e1, err := evalExpr(one, AndNot(Or(QPath("C", "H"), QPath("F", "J", "K")), QPath("E", "G")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := four.Eval(AndNot(Or(QPath("C", "H"), QPath("F", "J", "K")), QPath("E", "G")))
+	e4, err := evalExpr(four, AndNot(Or(QPath("C", "H"), QPath("F", "J", "K")), QPath("E", "G")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +133,8 @@ func TestShardedPublicDifferential(t *testing.T) {
 		"[A,D,E] AND NOT [A,B]",
 		"SUM [A,D,E,G,I]",
 	} {
-		q1, err1 := one.Query(text)
-		q4, err4 := four.Query(text)
+		q1, err1 := queryText(one, text)
+		q4, err4 := queryText(four, text)
 		if (err1 == nil) != (err4 == nil) {
 			t.Fatalf("Query(%q): %v vs %v", text, err1, err4)
 		}

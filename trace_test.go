@@ -33,7 +33,7 @@ func TestImportTraces(t *testing.T) {
 	if !math.IsNaN(agg.Values[0][1]) {
 		t.Fatalf("record 1 should be NULL, got %v", agg.Values[0][1])
 	}
-	cost, err := st.AggregateMeasure(PathOf("A", "D").ToGraph(), Sum, "cost")
+	cost, err := aggOn(st, PathOf("A", "D").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 			st2.NumRecords(), st.NumRecords(), st2.Stats().DistinctEdges, st.Stats().DistinctEdges)
 	}
 	// Measures and tags survive.
-	agg, err := st2.AggregateMeasure(PathOf("A", "D").ToGraph(), Sum, "cost")
+	agg, err := aggOn(st2, PathOf("A", "D").ToGraph(), Sum, "cost")
 	if err != nil {
 		t.Fatal(err)
 	}
