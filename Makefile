@@ -134,18 +134,23 @@ shard-diff:
 # The paged-storage differential gate: a saved-and-reloaded paged store must
 # return bit-identical answers to the in-memory store it was saved from —
 # signed zeros, ±MaxFloat64, denormals, deletions, single-shard and sharded,
-# at pool budgets down to 1%; a legacy snapshot holding all four block
-# encodings loads bit-identically and re-saves raw — with the zone-skip
+# at pool budgets down to 1%; a legacy snapshot of the retired xor, dict and
+# rle block encodings is refused by name — with the zone-skip
 # branch of the one path-aggregation executor engaged, every scalar (branching
 # graphs, aggregate views, node measures, 1 and 3 shards) bit for bit the fold
 # of its rows, the multi-block crash sweep green, the pool's gauge
 # under its budget after a cut, the hot block-decode/zone-skip kernels and
 # the page fault itself allocation-free on any mix of block lengths, cold and
-# warm, and the pool in lockstep with its clock model.
+# warm, and the pool in lockstep with its clock model. Appends and log replay
+# go to the columns' resident tails and leave the paged prefixes on disk
+# (resident bytes within the pool budget, block indexes and the appended
+# values), a save joins prefix and tail into the same bytes as an in-memory
+# store, and a write inside a prefix whose read fails changes nothing.
 paged-diff:
-	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagedScalarMatchesRows|TestPagePoolGaugeHonoursACut|TestLegacyBlocksLoad|TestSaveBytesPinned' -v
+	$(GO) test . -run 'TestPagedBitIdentical|TestPagedZoneSkipEngages|TestPagedShardedBitIdentical|TestPagedScalarMatchesRows|TestPagePoolGaugeHonoursACut|TestLegacyBlocksLoad|TestSaveBytesPinned|TestAppendsLeaveLoadedColumnsPaged|TestReplayLeavesPrefixesPaged|TestSaveAcrossPrefixTailBoundary' -v
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweepMultiBlock|TestDecodeBlockAllocs|TestAggregateSkipAllocs|TestPageFaultAllocs|TestWarmPageFaultAllocs' -v
+	$(GO) test ./internal/shard/ -run 'TestAppendEdgeFaultFailureChangesNothing' -v
 	$(GO) test ./internal/pagepool/ -run 'TestPoolMatchesClockModel|TestRecyclingKeepsTheHitRatio' -v
 
 # The full gate CI runs: vet, lint, build, tests, a 3 s fuzz each of the

@@ -2,70 +2,37 @@ package grove
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"grove/internal/colstore"
 	"grove/internal/workload"
 )
 
-// legacyBlocksN is the record count testdata/legacy-blocks was saved with:
-// pagedCorpus(t, st, legacyBlocksN), bitmaps optimized, by a writer that
-// still chose among the raw, xor, dict and rle block encodings — its blocks
-// hold all four tags.
-const legacyBlocksN = 4096 + 37
-
-// TestLegacyBlocksLoad: a snapshot holding xor, dict and rle blocks still
-// loads and answers bit-identically to the store it was saved from, at every
-// pool budget; its next save rewrites every block raw, and saving that again
-// reproduces it byte for byte.
+// TestLegacyBlocksLoad: testdata/legacy-blocks was saved by a writer that
+// still chose among the raw, xor, dict and rle block encodings, and its
+// blocks hold all four tags. The retired tags are refused: the load fails
+// with colstore.ErrRetiredEncoding, and the message names the block and the
+// way out — one load and save with an earlier build, which rewrites every
+// block raw.
 func TestLegacyBlocksLoad(t *testing.T) {
-	mem := Open()
-	pagedCorpus(t, mem, legacyBlocksN)
-	path := []string{"A", "B", "C", "D", "E"}
-	want := collectAnswers(t, mem, PathOf(path...).ToGraph())
-	rawBytes := 8 * int64(mem.Stats().TotalMeasures) // every block raw
-
-	legacy, err := LoadStore(filepath.Join("testdata", "legacy-blocks"))
-	if err != nil {
-		t.Fatal(err)
+	st, err := LoadStore(filepath.Join("testdata", "legacy-blocks"))
+	if err == nil {
+		st.Close()
+		t.Fatal("a snapshot of xor, dict and rle blocks loaded")
 	}
-	defer legacy.Close()
-	st := legacy.StorageStats()
-	if st.OnDiskBytes >= rawBytes {
-		t.Fatalf("legacy snapshot holds %d block bytes for %d raw bytes; it lost its encoded blocks", st.OnDiskBytes, rawBytes)
+	if !errors.Is(err, colstore.ErrRetiredEncoding) {
+		t.Fatalf("refusal is not ErrRetiredEncoding: %v", err)
 	}
-	for _, pct := range []int64{1, 10, 50, 100} {
-		legacy.SetPageCacheBytes(st.LogicalBytes * pct / 100)
-		diffAnswers(t, fmt.Sprintf("legacy at %d%%", pct), want, collectAnswers(t, legacy, PathOf(path...).ToGraph()))
+	for _, want := range []string{"edge 0 measures", "block 0 is rle-encoded", "load and save this store once with a build from commit 2aa4a65 or earlier"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
 	}
-	diffNamedMeasure(t, "legacy", mem, legacy)
-	if err := legacy.Stats().Err; err != nil {
-		t.Fatal(err)
-	}
-
-	resaved := t.TempDir()
-	if err := legacy.Save(resaved); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := LoadStore(resaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if got := raw.StorageStats().OnDiskBytes; got != rawBytes {
-		t.Fatalf("re-saved snapshot holds %d block bytes, want %d: not every block is raw", got, rawBytes)
-	}
-	raw.SetPageCacheBytes(st.LogicalBytes / 100)
-	diffAnswers(t, "re-saved", want, collectAnswers(t, raw, PathOf(path...).ToGraph()))
-	diffNamedMeasure(t, "re-saved", mem, raw)
-
-	again := t.TempDir()
-	if err := raw.Save(again); err != nil {
-		t.Fatal(err)
-	}
-	sameTree(t, "second save", treeBytes(t, again), treeBytes(t, resaved))
 }
 
 // TestSaveBytesPinned pins the bytes Save writes for a benchmark-shaped

@@ -327,12 +327,12 @@ func info(st *grove.Store) {
 		fmt.Printf("tag keys:        %s\n", strings.Join(s.TagKeys, " "))
 	}
 	// Storage residency (DESIGN.md §13): logical is what the measure columns
-	// represent, on-disk is their encoded block payloads, resident is what is
-	// decoded in memory right now.
+	// represent, on disk is the blocks of their paged prefixes (the values
+	// loaded), resident is what is in memory right now — the tails (values
+	// appended since), the prefixes' block indexes and the pooled blocks.
 	stg := s.Storage
 	fmt.Printf("measure bytes:   %d logical, %d on disk, %d resident\n",
 		stg.LogicalBytes, stg.OnDiskBytes, stg.ResidentBytes)
-	fmt.Printf("paged columns:   %d paged, %d resident\n", stg.PagedColumns, stg.ResidentColumns)
 	if p := stg.Pool; p.Hits+p.Misses > 0 || p.BudgetBytes > 0 {
 		fmt.Printf("buffer pool:     %d hits, %d misses, %d evictions, %d/%d bytes\n",
 			p.Hits, p.Misses, p.Evictions, p.ResidentBytes, p.BudgetBytes)

@@ -164,7 +164,7 @@ func BenchmarkPageFault(b *testing.B) {
 		r.SetEdgeMeasure(r.NewRecord(), 1, rng.Float64()*100)
 	}
 	col := reloadPaged(b, r, 8*BlockValues).MeasureColumn(1)
-	p := col.paged
+	p := col.prefix
 	p.pool.Unpin(p.pageIn(0))
 	p.pool.Unpin(p.pageIn(1))
 	b.ReportAllocs()
@@ -188,13 +188,13 @@ func BenchmarkPageFaultFloor(b *testing.B) {
 	for i := 0; i < 2*BlockValues; i++ {
 		r.SetEdgeMeasure(r.NewRecord(), 1, rng.Float64()*100)
 	}
-	p := reloadPaged(b, r, 8*BlockValues).MeasureColumn(1).paged
-	buf := make([]byte, maxBlockEncLen)
+	p := reloadPaged(b, r, 8*BlockValues).MeasureColumn(1).prefix
+	buf := make([]byte, 8*BlockValues)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := &p.metas[i&1]
-		if err := p.src.readAt(buf[:m.encLen], m.off); err != nil {
+		if err := p.src.readAt(buf[:8*int(m.count)], m.off); err != nil {
 			b.Fatal(err)
 		}
 	}

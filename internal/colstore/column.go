@@ -8,6 +8,7 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"grove/internal/bitmap"
@@ -18,17 +19,18 @@ import (
 // is the columnar analogue of "vertical compression of columns with many
 // NULL values" (§4.1).
 //
-// The values live in exactly one of two places: a resident dense slice
-// (columns being written) or a paged block index backed by a snapshot file
-// (loaded columns), faulted in block-at-a-time through the relation's buffer
-// pool, where a reader pins the block it is on. Readers go through
-// valueReader / the paged accessors so both representations answer
-// identically; the first mutation of a paged column materializes it (see
-// paged.go).
+// The values form one sequence in two regions. The paged prefix holds the
+// values the column had when it was loaded from a snapshot: a block index,
+// faulted in block at a time through the relation's buffer pool, where a
+// reader pins the block it is on (see paged.go). The resident tail holds
+// every value appended since. A column that was never saved has an empty
+// prefix; one just loaded has an empty tail. Appends only ever touch the
+// tail; a write inside the prefix (a replace or insert for an old record)
+// first reads the prefix in and folds it into the tail (materialize).
 type MeasureColumn struct {
 	present *bitmap.Bitmap
-	values  []float64
-	paged   *pagedData
+	prefix  *pagedData // nil: the prefix is empty
+	tail    []float64
 	size    keptSize
 }
 
@@ -38,40 +40,52 @@ func NewMeasureColumn() *MeasureColumn {
 }
 
 // Set stores v for record rec, replacing any prior value. Appending in
-// ascending record order is O(1); out-of-order sets pay a rank and an O(n)
-// insert. A
-// paged column is materialized in full on its first Set: written columns are
-// resident columns, and re-paging happens at the next Save/Load cycle.
-func (c *MeasureColumn) Set(rec uint32, v float64) {
-	c.size.forget()
-	if c.paged != nil {
-		if err := c.materialize(); err != nil {
-			// Materialization failed (disk fault). Drop the write rather than
-			// corrupt the column; the sticky source error is surfaced through
-			// Relation.PageError.
-			return
-		}
+// ascending record order is an O(1) tail append that never faults; a write
+// for an older record pays a rank and an O(n) insert, and one whose slot
+// lies in the paged prefix reads the prefix in first (fault). If that read
+// fails, Set returns the page error and leaves the column unchanged.
+func (c *MeasureColumn) Set(rec uint32, v float64) error {
+	if err := c.fault(rec); err != nil {
+		return err
 	}
-	if last, ok := c.present.Maximum(); !ok || rec > last {
-		// Tail append, the only case a growing collection produces: no
-		// membership probe, no rank.
-		c.present.Add(rec)
-		c.values = append(c.values, v)
-		return
+	c.put(rec, v)
+	return nil
+}
+
+// fault makes rec's slot resident for a write: a slot in the paged prefix
+// materializes the column, a tail slot needs nothing.
+func (c *MeasureColumn) fault(rec uint32) error {
+	if c.prefix == nil {
+		return nil
 	}
+	slot := c.present.Rank(rec) // an insert's slot
 	if c.present.Contains(rec) {
-		c.values[c.present.Rank(rec)-1] = v
+		slot-- // a replace's
+	}
+	if slot >= c.prefix.count {
+		return nil
+	}
+	return c.materialize()
+}
+
+// put is Set once rec's slot is resident: a tail append (rec follows every
+// record the column holds), or a write fault has made safe. It never faults.
+func (c *MeasureColumn) put(rec uint32, v float64) {
+	c.size.forget()
+	if last, ok := c.present.Maximum(); !ok || rec > last {
+		// The only case a growing collection produces: no membership
+		// probe, no rank.
+		c.present.Add(rec)
+		c.tail = append(c.tail, v)
 		return
 	}
-	idx := c.present.Rank(rec)
+	slot := c.present.Rank(rec) - c.prefixLen()
+	if c.present.Contains(rec) {
+		c.tail[slot-1] = v
+		return
+	}
 	c.present.Add(rec)
-	if idx == len(c.values) {
-		c.values = append(c.values, v)
-		return
-	}
-	c.values = append(c.values, 0)
-	copy(c.values[idx+1:], c.values[idx:])
-	c.values[idx] = v
+	c.tail = slices.Insert(c.tail, slot, v)
 }
 
 // Get returns the value for rec; ok is false when the record has a NULL in
@@ -87,8 +101,9 @@ func (c *MeasureColumn) Get(rec uint32) (v float64, ok bool) {
 // (a change would also leave the kept SizeBytes stale).
 func (c *MeasureColumn) Present() *bitmap.Bitmap { return c.present }
 
-// Count returns the number of non-NULL entries.
-func (c *MeasureColumn) Count() int { return c.valueCount() }
+// Count returns the number of non-NULL entries: the prefix's values and the
+// tail's.
+func (c *MeasureColumn) Count() int { return c.prefixLen() + len(c.tail) }
 
 // ForEach visits all non-NULL (rec, value) pairs in ascending record order.
 func (c *MeasureColumn) ForEach(f func(rec uint32, v float64) bool) {
@@ -115,15 +130,15 @@ func (c *MeasureColumn) ValuesFor(recs []uint32) (values []float64, present []bo
 }
 
 // SizeBytes reports the approximate logical payload size (presence bitmap +
-// values). For a paged column this is deliberately the decoded size, not the
-// bytes currently resident: the cost model charges what a fetch logically
+// values). For the paged prefix this is deliberately the decoded size, not
+// the bytes currently resident: the cost model charges what a fetch logically
 // touches, and cache state must not change query costs. Residency is
 // reported separately by ResidentValueBytes/EncodedValueBytes.
 func (c *MeasureColumn) SizeBytes() int {
 	if n, ok := c.size.load(); ok {
 		return n
 	}
-	return c.size.store(c.present.SizeBytes() + 8*c.valueCount())
+	return c.size.store(c.present.SizeBytes() + 8*c.Count())
 }
 
 // optimize rebuilds the presence bitmap in its most compact layouts.
@@ -132,16 +147,16 @@ func (c *MeasureColumn) optimize() {
 	c.present.Optimize()
 }
 
-// validate checks internal invariants; used by tests and loaders. For a
-// paged column only the cheap structural invariant is checked here — NaN
+// validate checks internal invariants; used by tests and loaders. For the
+// paged prefix only the cheap structural invariant is checked here — NaN
 // rejection happens at encode time (Save) and corruption is caught by the
-// snapshot checksum and the hardened block decoders.
+// snapshot checksum and the hardened block reader.
 func (c *MeasureColumn) validate() error {
-	if c.present.Cardinality() != c.valueCount() {
+	if c.present.Cardinality() != c.Count() {
 		return fmt.Errorf("colstore: measure column presence/value mismatch: %d vs %d",
-			c.present.Cardinality(), c.valueCount())
+			c.present.Cardinality(), c.Count())
 	}
-	for _, v := range c.values {
+	for _, v := range c.tail {
 		if math.IsNaN(v) {
 			return fmt.Errorf("colstore: NaN measure value")
 		}

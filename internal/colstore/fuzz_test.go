@@ -73,15 +73,9 @@ func FuzzMeasureColumnRoundTrip(f *testing.F) {
 		if _, err := bitmap.New().ReadFrom(rd); err != nil {
 			t.Fatal(err)
 		}
-		_, metas, err := readBlockIndex(rd)
-		if err != nil {
+		// readBlockIndex accepts only raw blocks of 8 bytes per value.
+		if _, _, err := readBlockIndex(rd); err != nil {
 			t.Fatal(err)
-		}
-		for bi, m := range metas {
-			if m.enc != encRaw || int(m.encLen) != 8*int(m.count) {
-				t.Fatalf("block %d written with tag %d in %d bytes for %d values, want raw",
-					bi, m.enc, m.encLen, m.count)
-			}
 		}
 		var again bytes.Buffer
 		if err := writeMeasureColumn(&again, got); err != nil {
@@ -214,56 +208,47 @@ func FuzzLoadCorrupt(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlock feeds arbitrary payload bytes, encoding tags and value
-// counts straight into the block decoder — the exact surface a corrupt page
-// hits after the block index passed validation. It must reject or fill dst
-// exactly, never panic or over-read. The seeds are the blocks of the legacy
-// snapshot, one or more per encoding tag, plus a truncated rle block and a
-// raw block of three chunks.
+// FuzzDecodeBlock feeds arbitrary payload bytes and value counts straight
+// into the raw block decoders — the exact surface a corrupt page hits after
+// the block index passed validation. Each must reject or fill dst exactly,
+// never panic or over-read, and all three must agree: rawInto (the memmove
+// path of save and materialize), decodeFrame (the fault path, into a pool
+// frame's chunks) and decodeRaw (the portable per-value decoder). The seeds
+// are raw blocks of one value up to a full block, ending mid-chunk and on a
+// chunk boundary, plus payloads one byte short, one byte long and empty.
 func FuzzDecodeBlock(f *testing.F) {
-	for _, b := range legacyBlocks(f) {
-		f.Add(b.enc, uint16(b.count), b.payload)
+	for _, n := range []int{1, 2, 37, 127, 128, 129, 300, 2500, BlockValues} {
+		payload, err := rawBlock(nil, rawTestValues(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint16(n), payload)
 	}
-	f.Add(uint8(encRLE), uint16(BlockValues), []byte{0xff, 0xff})
-	raw := make([]byte, 8*300) // three chunks, the last one partial
-	for i := range raw {
-		raw[i] = byte(i * 131)
-	}
-	f.Add(uint8(encRaw), uint16(300), raw)
+	short, _ := rawBlock(nil, rawTestValues(300))
+	f.Add(uint16(300), short[:len(short)-1])
+	f.Add(uint16(37), append(short[:8*37:8*37], 0))
+	f.Add(uint16(BlockValues), []byte{})
 	pool := pagepool.New(0)
-	scratch := make([]float64, BlockValues)
-	f.Fuzz(func(t *testing.T, tag uint8, count uint16, payload []byte) {
+	f.Fuzz(func(t *testing.T, count uint16, payload []byte) {
 		n := int(count) % (BlockValues + 1)
 		dst := make([]float64, n)
-		err := decodeBlock(tag, payload, dst)
-		// The fault path decodes into a frame's chunks, and a raw block by
-		// memmove: it must accept and produce exactly what decodeBlock and
-		// the portable raw decoder do.
+		err := rawInto(payload, dst)
+		portable := make([]float64, n)
+		if perr := decodeRaw(payload, portable); (perr == nil) != (err == nil) {
+			t.Fatalf("rawInto: %v, decodeRaw: %v", err, perr)
+		}
 		fr := pool.Reserve(n)
 		defer pool.Abandon(fr)
-		if ferr := decodeFrame(tag, payload, fr, scratch); (ferr == nil) != (err == nil) {
-			t.Fatalf("decodeBlock: %v, decodeFrame: %v", err, ferr)
-		}
-		if tag == encRaw {
-			portable := make([]float64, n)
-			if perr := decodeRaw(payload, portable); (perr == nil) != (err == nil) {
-				t.Fatalf("decodeBlock: %v, decodeRaw: %v", err, perr)
-			}
-			for i := range dst {
-				if math.Float64bits(portable[i]) != math.Float64bits(dst[i]) {
-					t.Fatalf("value %d: decodeRaw %x, decodeBlock %x", i, math.Float64bits(portable[i]), math.Float64bits(dst[i]))
-				}
-			}
+		if ferr := decodeFrame(payload, fr); (ferr == nil) != (err == nil) {
+			t.Fatalf("rawInto: %v, decodeFrame: %v", err, ferr)
 		}
 		if err != nil {
 			return // rejected without panic: the contract for corrupt pages
 		}
-		if tag >= numEncodings {
-			t.Fatalf("decoder accepted unknown encoding %d", tag)
-		}
 		for i := range dst {
-			if math.Float64bits(fr.At(i)) != math.Float64bits(dst[i]) {
-				t.Fatalf("value %d: frame %x, decodeBlock %x", i, math.Float64bits(fr.At(i)), math.Float64bits(dst[i]))
+			if math.Float64bits(portable[i]) != math.Float64bits(dst[i]) || math.Float64bits(fr.At(i)) != math.Float64bits(dst[i]) {
+				t.Fatalf("value %d: rawInto %x, decodeRaw %x, frame %x", i,
+					math.Float64bits(dst[i]), math.Float64bits(portable[i]), math.Float64bits(fr.At(i)))
 			}
 		}
 	})
@@ -271,8 +256,8 @@ func FuzzDecodeBlock(f *testing.F) {
 
 // FuzzBlockIndex feeds arbitrary bytes to the v2 block-index reader. It must
 // never panic, and anything it accepts must satisfy the tiling invariants
-// the paged read path depends on (per-block counts tile the column, bounded
-// payload lengths, known encodings).
+// the paged read path depends on: the per-block counts tile the column (the
+// reader itself refuses any block that is not raw, 8 bytes per value).
 func FuzzBlockIndex(f *testing.F) {
 	f.Add([]byte{})
 	var buf bytes.Buffer
@@ -291,14 +276,8 @@ func FuzzBlockIndex(f *testing.F) {
 		}
 		total := 0
 		for i, m := range metas {
-			if m.enc >= numEncodings {
-				t.Fatalf("block %d: accepted unknown encoding %d", i, m.enc)
-			}
 			if m.count == 0 || int(m.count) > BlockValues {
 				t.Fatalf("block %d: accepted count %d", i, m.count)
-			}
-			if m.encLen < 1 || m.encLen > maxBlockEncLen {
-				t.Fatalf("block %d: accepted payload length %d", i, m.encLen)
 			}
 			total += int(m.count)
 		}

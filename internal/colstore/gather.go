@@ -125,7 +125,7 @@ func (c *MeasureColumn) GatherInto(recs []uint32, values []float64, present []bo
 //
 //grove:hotpath
 func (c *MeasureColumn) AggregateInto(recs []uint32, acc float64, reduce func(acc float64, values []float64) float64) (float64, int) {
-	if len(recs) == 0 || c.valueCount() == 0 {
+	if len(recs) == 0 || c.Count() == 0 {
 		return acc, 0
 	}
 	var rd valueReader
@@ -167,8 +167,9 @@ func (c *MeasureColumn) AggregateInto(recs []uint32, acc float64, reduce func(ac
 			// Aligned fast path: when the block matches recs one-for-one
 			// and the fold block is empty, reduce the column values
 			// directly — no copy at all. window is nil when the span
-			// straddles a storage-block boundary of a paged column; the
-			// per-value loop below then preserves the exact fold order.
+			// straddles a chunk of the paged prefix or the prefix/tail
+			// boundary; the per-value loop below then preserves the exact
+			// fold order.
 			if bn == 0 && m <= len(recs)-i && recs[i] == ids[0] &&
 				recs[i+m-1] == ids[m-1] && alignedU32(recs[i:i+m], ids[:m]) {
 				if vals := rd.window(off, m); vals != nil {

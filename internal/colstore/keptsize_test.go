@@ -27,7 +27,7 @@ func TestKeptSizeMatchesSizeBytes(t *testing.T) {
 			}
 		}
 		measureCol := func(name string, c *MeasureColumn) {
-			if got, want := c.SizeBytes(), c.present.SizeBytes()+8*c.valueCount(); got != want {
+			if got, want := c.SizeBytes(), c.present.SizeBytes()+8*c.Count(); got != want {
 				t.Fatalf("step %d (%s): %s kept %d bytes, holds %d", step, what, name, got, want)
 			}
 		}

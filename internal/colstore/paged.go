@@ -17,14 +17,14 @@ import (
 // Paged measure columns. The v2 snapshot format stores a measure column's
 // values as fixed-size blocks of BlockValues values in rank space (value
 // index x lives in block x/BlockValues). Each block carries a zone map
-// (total-order min/max of its values) and is written raw (see rawBlock);
-// the three other encoding tags are read, never written. Loading a v2
-// snapshot decodes nothing: blocks are paged in lazily through the
-// relation's pagepool.Pool on first access and evicted under memory
-// pressure, so the resident footprint tracks the working set instead of the
-// dataset. A reader holds a block only while it has the
-// block's pool frame pinned; every kernel in this package unpins before it
-// returns.
+// (total-order min/max of its values) and is raw (see rawBlock); the three
+// retired encoding tags are refused. Loading a v2 snapshot decodes nothing:
+// the loaded values become the column's paged prefix, whose blocks are
+// paged in lazily through the relation's pagepool.Pool on first access and
+// evicted under memory pressure, so the resident footprint tracks the
+// working set and the values appended since the load, not the dataset. A
+// reader holds a block only while it has the block's pool frame pinned;
+// every kernel in this package unpins before it returns.
 //
 // Zone-map skipping: MinReplaces/MaxReplaces define a total order on
 // non-NaN float64 (with -0 ordered before +0), and a block's zone min is its
@@ -43,28 +43,21 @@ const (
 	_ uint = -(BlockValues % pagepool.ChunkValues)
 )
 
-// Block encoding tags. Save writes every block raw; xor, dict and rle
-// blocks come only from snapshots written before that, which still load and
-// are rewritten raw by their next save.
+// Block encoding tags. Every block is raw; tags 1–3 (xor, dict, rle) were
+// written by earlier builds and are refused with ErrRetiredEncoding.
 const (
-	encRaw       = 0 // 8 bytes per value, little-endian float64 bits
-	encXor       = 1 // first value raw, then uvarint(bits XOR prev bits) per value
-	encDict      = 2 // u16 dict size (≤256), dict of raw values, u8 index per value
-	encRLE       = 3 // runs of uvarint(length) + raw value
-	numEncodings = 4
+	encRaw         = 0 // 8 bytes per value, little-endian float64 bits
+	lastRetiredEnc = 3 // tags 1–3: the retired xor, dict and rle encodings
 )
 
-// maxBlockEncLen bounds a single block's encoded payload. The worst real
-// encoding is XOR at 8 + 10·(BlockValues-1) bytes; anything larger in a
-// manifest is corruption.
-const maxBlockEncLen = 8 + 10*BlockValues
+// ErrRetiredEncoding is the load error of a snapshot holding a block in one
+// of the retired xor, dict or rle encodings.
+var ErrRetiredEncoding = errors.New("retired block encoding")
 
-// blockMeta is the in-memory block index entry: where the block's payload
-// sits in data.bin, how it is encoded, and its zone map.
+// blockMeta is the in-memory block index entry: where the block's raw
+// payload (8 bytes per value) sits in data.bin, and its zone map.
 type blockMeta struct {
-	off     int64 // absolute payload offset in data.bin
-	encLen  uint32
-	enc     uint8
+	off     int64  // absolute payload offset in data.bin
 	count   uint16 // values in this block (BlockValues except the last)
 	minBits uint64 // Float64bits of the total-order minimum
 	maxBits uint64 // Float64bits of the total-order maximum
@@ -176,9 +169,8 @@ func (s *pageSource) close() error {
 
 // --- paged column data -------------------------------------------------------
 
-// pagedData is the lazy half of a MeasureColumn loaded from a v2 snapshot:
-// the block index plus the machinery to fault blocks in. values on the
-// owning column stays nil until the column is materialized for writing.
+// pagedData is a MeasureColumn's paged prefix, loaded from a v2 snapshot:
+// the block index plus the machinery to fault blocks in.
 type pagedData struct {
 	count int
 	metas []blockMeta
@@ -187,15 +179,9 @@ type pagedData struct {
 	pool  *pagepool.Pool
 }
 
-func (p *pagedData) numBlocks() int { return len(p.metas) }
-
-// blockScratch is what a fault reads and decodes a block through: the
-// largest payload a block index may claim, and a block of values for the
-// encodings that cannot decode straight into the frame's chunks.
-type blockScratch struct {
-	enc  [maxBlockEncLen]byte
-	vals [BlockValues]float64
-}
+// blockScratch is what a fault reads a block's payload into: the largest
+// payload a block index may claim.
+type blockScratch [8 * BlockValues]byte
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
@@ -231,11 +217,11 @@ func (p *pagedData) readFrame(bi int, f *pagepool.Frame) error {
 	s := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(s)
 	m := &p.metas[bi]
-	payload := s.enc[:m.encLen]
+	payload := s[:8*int(m.count)]
 	if err := p.src.readAt(payload, m.off); err != nil {
 		return err
 	}
-	if err := decodeFrame(m.enc, payload, f, s.vals[:]); err != nil {
+	if err := decodeFrame(payload, f); err != nil {
 		return p.failBlock(bi, err)
 	}
 	return nil
@@ -250,11 +236,11 @@ func (p *pagedData) readBlock(bi int, dst []float64) error {
 	s := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(s)
 	m := &p.metas[bi]
-	payload := s.enc[:m.encLen]
+	payload := s[:8*int(m.count)]
 	if err := p.src.readAt(payload, m.off); err != nil {
 		return err
 	}
-	if err := decodeBlock(m.enc, payload, dst); err != nil {
+	if err := rawInto(payload, dst); err != nil {
 		return p.failBlock(bi, err)
 	}
 	return nil
@@ -268,32 +254,30 @@ func (p *pagedData) failBlock(bi int, err error) error {
 	return err
 }
 
-// --- per-column paged accessors ----------------------------------------------
+// --- the two regions ---------------------------------------------------------
 
-// isPaged reports whether the column's values still live on disk.
-func (c *MeasureColumn) isPaged() bool { return c.paged != nil }
-
-// valueCount is Count without assuming residency.
-func (c *MeasureColumn) valueCount() int {
-	if c.paged != nil {
-		return c.paged.count
+// prefixLen is the number of values in the paged prefix.
+func (c *MeasureColumn) prefixLen() int {
+	if c.prefix == nil {
+		return 0
 	}
-	return len(c.values)
+	return c.prefix.count
 }
 
-// valueAt reads value index x through the pool, pinning its block for the one
-// read. Only for point lookups (Get); kernels use valueReader to amortize the
-// block lookup.
+// valueAt reads value index x, pinning its block for the one read when x is
+// in the prefix. Only for point lookups (Get); kernels use valueReader to
+// amortize the block lookup.
 func (c *MeasureColumn) valueAt(x int) float64 {
-	if c.paged == nil {
-		return c.values[x]
+	p := c.prefix
+	if p == nil || x >= p.count {
+		return c.tail[x-c.prefixLen()]
 	}
-	f := c.paged.pageIn(x / BlockValues)
+	f := p.pageIn(x / BlockValues)
 	if f == nil {
 		return 0
 	}
 	v := f.At(x % BlockValues)
-	c.paged.pool.Unpin(f)
+	p.pool.Unpin(f)
 	return v
 }
 
@@ -307,108 +291,108 @@ func blockRange(bi, count int) (lo, hi int) {
 	return lo, hi
 }
 
-// blockValuesInto decodes block bi into dst, which must hold a block's worth
-// of values (resident columns just slice, and ignore dst), bypassing the
-// pool: the save path streams every block exactly once, so caching them would
-// only evict the query working set.
+// blockValuesInto returns the values of block bi of the column's tiling,
+// reading what lies in the prefix into dst (a block's worth of room) past
+// the pool: the save path streams every block exactly once, so caching
+// them would only evict the query working set. A block wholly in the tail
+// is a slice of it; the block the prefix ends in is joined in dst.
 func (c *MeasureColumn) blockValuesInto(bi int, dst []float64) ([]float64, error) {
-	lo, hi := blockRange(bi, c.valueCount())
-	if c.paged == nil {
-		return c.values[lo:hi], nil
+	lo, hi := blockRange(bi, c.Count())
+	n := c.prefixLen()
+	if lo >= n {
+		return c.tail[lo-n : hi-n], nil
 	}
 	dst = dst[:hi-lo]
-	return dst, c.paged.readBlock(bi, dst)
+	inPrefix := min(hi, n) - lo
+	if err := c.prefix.readBlock(bi, dst[:inPrefix]); err != nil {
+		return nil, err
+	}
+	copy(dst[inPrefix:], c.tail)
+	return dst, nil
 }
 
-// materialize decodes the whole column, block by block and past the pool,
-// into a resident values slice and detaches the paged data. Called (under the
-// relation's write lock, so no reader has a block pinned) before any
-// mutation: written columns are resident columns.
+// materialize reads the prefix in, block by block and past the pool, and
+// folds it into the tail, leaving the prefix empty. Called (under the
+// relation's write lock, so no reader has a block pinned) before a write
+// inside the prefix.
 func (c *MeasureColumn) materialize() error {
-	p := c.paged
-	if p == nil {
-		return nil
-	}
-	values := make([]float64, p.count)
-	for bi := 0; bi < p.numBlocks(); bi++ {
+	p := c.prefix
+	values := make([]float64, p.count, p.count+len(c.tail))
+	for bi := range p.metas {
 		lo, hi := blockRange(bi, p.count)
 		if err := p.readBlock(bi, values[lo:hi]); err != nil {
 			return err
 		}
 	}
-	c.values = values
-	c.paged = nil
+	c.tail = append(values, c.tail...)
+	c.prefix = nil
 	p.pool.InvalidateColumn(p.token)
 	return nil
 }
 
-// pageError returns the sticky fault error of the column's source, if any.
+// pageError returns the sticky fault error of the prefix's source, if any.
 func (c *MeasureColumn) pageError() error {
-	if c.paged == nil {
+	if c.prefix == nil {
 		return nil
 	}
-	return c.paged.src.Err()
+	return c.prefix.src.Err()
 }
 
-// ResidentValueBytes reports how many of the column's value bytes are
-// resident in memory right now: all of them for an in-memory column, the
-// pool-resident blocks' worth for a paged one (pool bytes are reported by
-// the pool itself; a paged column's own footprint is just its block index).
+// ResidentValueBytes reports how many of the column's value bytes the
+// column itself holds in memory: the tail, plus the prefix's block index
+// (the prefix's pooled blocks are reported by the pool itself).
 func (c *MeasureColumn) ResidentValueBytes() int64 {
-	if c.paged != nil {
-		return int64(len(c.paged.metas)) * blockMetaDiskSize
-	}
-	return 8 * int64(len(c.values))
-}
-
-// EncodedValueBytes reports the on-disk encoded size of the column's values
-// (0 for a purely in-memory column, which has no encoded form yet).
-func (c *MeasureColumn) EncodedValueBytes() int64 {
-	if c.paged == nil {
-		return 0
-	}
-	var n int64
-	for _, m := range c.paged.metas {
-		n += int64(m.encLen)
+	n := 8 * int64(len(c.tail))
+	if c.prefix != nil {
+		n += int64(len(c.prefix.metas)) * blockMetaDiskSize
 	}
 	return n
 }
 
+// EncodedValueBytes reports the on-disk size of the prefix's raw blocks (0
+// for a column never loaded, whose values have no encoded form yet).
+func (c *MeasureColumn) EncodedValueBytes() int64 { return 8 * int64(c.prefixLen()) }
+
 // --- value reader cursor -----------------------------------------------------
 
-// valueReader is the kernels' cursor over a column's values: a resident
-// column is one full-width window, a paged column a sliding window over one
-// chunk of the one pool frame the reader has pinned. Moving to another chunk
-// of the same block is an index computation, not a pool call. The in-window
-// fast path is branch-predictable and allocation-free. Whoever inits a reader
-// releases it.
+// valueReader is the kernels' cursor over a column's values: a window that
+// is either the whole tail or one chunk of the one prefix block the reader
+// has pinned. Moving to another chunk of the same block is an index
+// computation, not a pool call; a column with no prefix is one window. The
+// in-window fast path is branch-predictable and allocation-free. Whoever
+// inits a reader releases it.
 type valueReader struct {
 	c      *MeasureColumn
-	blk    []float64       // the window: a resident column's values, or one chunk of pin
+	blk    []float64       // the window: the tail, or one chunk of pin
 	lo, hi int             // value-index window [lo, hi) covered by blk
-	pin    *pagepool.Frame // the frame blk lives in; nil for a resident column
+	pin    *pagepool.Frame // the prefix frame blk lives in; nil over the tail
 	base   int             // value index of pin's first value
 }
 
 //grove:hotpath
 func (rd *valueReader) init(c *MeasureColumn) {
 	rd.c = c
-	if c.paged == nil {
-		rd.blk = c.values
-		rd.lo, rd.hi = 0, len(c.values)
-	} else {
-		rd.blk, rd.lo, rd.hi = nil, 0, 0
-	}
+	rd.overTail()
 }
 
-// release unpins the reader's block, if it holds one, and empties the window
-// over it. A no-op for a resident column.
+// overTail points the window at the tail.
+//
+//grove:hotpath
+func (rd *valueReader) overTail() {
+	rd.blk = rd.c.tail
+	rd.lo = rd.c.prefixLen()
+	rd.hi = rd.lo + len(rd.blk)
+}
+
+// release unpins the reader's block, if it holds one, and moves the window
+// back over the tail.
 //
 //grove:hotpath
 func (rd *valueReader) release() {
 	if rd.pin != nil {
-		rd.c.paged.pool.Unpin(rd.pin)
-		rd.pin, rd.blk, rd.lo, rd.hi = nil, nil, 0, 0
+		rd.c.prefix.pool.Unpin(rd.pin)
+		rd.pin = nil
+		rd.overTail()
 	}
 }
 
@@ -422,18 +406,24 @@ func (rd *valueReader) at(x int) float64 {
 	return rd.fault(x)
 }
 
-// fault moves the window over x's chunk, faulting x's block in first unless
-// the reader already has it pinned; the old block is unpinned before, so a
-// reader never holds two. On a failed fault (sticky error on the source) it
-// returns 0 and leaves the window empty; callers' results are discarded by
-// the error check at the end of the operation.
+// fault moves the window over x: over the tail for a tail index, else over
+// x's chunk, faulting x's prefix block in first unless the reader already
+// has it pinned; the old block is unpinned before, so a reader never holds
+// two. On a failed fault (sticky error on the source) it returns 0 with the
+// window over the tail; callers' results are discarded by the error check at
+// the end of the operation.
 //
 //grove:hotpath
 func (rd *valueReader) fault(x int) float64 {
+	p := rd.c.prefix
+	if p == nil || x >= p.count {
+		rd.release()
+		return rd.blk[x-rd.lo]
+	}
 	if rd.pin == nil || x < rd.base || x-rd.base >= rd.pin.Len() {
 		rd.release()
 		bi := x / BlockValues
-		f := rd.c.paged.pageIn(bi)
+		f := p.pageIn(bi)
 		if f == nil {
 			return 0
 		}
@@ -448,37 +438,36 @@ func (rd *valueReader) fault(x int) float64 {
 
 // window returns the contiguous value slice [off, off+n) when it fits inside
 // one window, moving the window over it if needed; nil means the span
-// straddles a chunk of a paged column (or the fault failed) and the caller
-// must fall back to per-value reads.
+// straddles a chunk of the prefix or the prefix/tail boundary (or the fault
+// failed) and the caller must fall back to per-value reads.
 //
 //grove:hotpath
 func (rd *valueReader) window(off, n int) []float64 {
-	if off >= rd.lo && off+n <= rd.hi {
-		return rd.blk[off-rd.lo : off-rd.lo+n]
+	if off < rd.lo || off+n > rd.hi {
+		switch {
+		case off >= rd.c.prefixLen():
+			rd.release()
+		case off/pagepool.ChunkValues == (off+n-1)/pagepool.ChunkValues:
+			rd.fault(off)
+		default:
+			return nil
+		}
+		if off < rd.lo || off+n > rd.hi {
+			return nil
+		}
 	}
-	if rd.c.paged == nil {
-		return nil
-	}
-	if off/pagepool.ChunkValues != (off+n-1)/pagepool.ChunkValues {
-		return nil
-	}
-	if rd.fault(off); rd.blk == nil {
-		return nil
-	}
-	if off >= rd.lo && off+n <= rd.hi {
-		return rd.blk[off-rd.lo : off-rd.lo+n]
-	}
-	return nil
+	return rd.blk[off-rd.lo : off-rd.lo+n]
 }
 
 // --- zone-skipping aggregate scan --------------------------------------------
 
 // AggregateSkip folds the column's values for the given strictly ascending
 // record ids into a scalar MIN (isMin) or MAX accumulator, skipping whole
-// storage blocks whose zone map proves they cannot change the accumulator.
+// prefix blocks whose zone map proves they cannot change the accumulator.
 // It returns the folded accumulator, how many values were actually examined
 // (the exact MeasuresScanned contribution), and how many blocks were scanned
-// vs. skipped. Resident columns have no zone maps and scan every block.
+// vs. skipped. The tail has no zone maps: its blocks are always scanned, and
+// the block the prefix ends in counts once for each region.
 //
 // acc is the running accumulator (the aggregate's identity to start). The
 // result is bit-identical to folding every present value in record order:
@@ -487,7 +476,7 @@ func (rd *valueReader) window(off, n int) []float64 {
 //
 //grove:hotpath
 func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (out float64, folded, scanned, skipped int) {
-	if len(recs) == 0 || c.valueCount() == 0 {
+	if len(recs) == 0 || c.Count() == 0 {
 		return acc, 0, 0, 0
 	}
 	scratch := rankScratchPool.Get().(*[]int32)
@@ -505,17 +494,20 @@ func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (o
 			n++
 		}
 	}
-	p := c.paged
+	p, pn := c.prefix, c.prefixLen()
 	i := 0
 	for i < n {
 		x := int(idx[i])
 		bi := x / BlockValues
-		end := int32((bi + 1) * BlockValues)
+		end := (bi + 1) * BlockValues
+		if x < pn {
+			end = min(end, pn)
+		}
 		j := i + 1
-		for j < n && idx[j] < end {
+		for j < n && int(idx[j]) < end {
 			j++
 		}
-		if p != nil {
+		if x < pn {
 			zm := &p.metas[bi]
 			if isMin {
 				if !agg.MinReplaces(acc, math.Float64frombits(zm.minBits)) {
@@ -554,13 +546,13 @@ func (c *MeasureColumn) AggregateSkip(recs []uint32, acc float64, isMin bool) (o
 		} else {
 			if isMin {
 				for k := i; k < j; k++ {
-					if v := c.values[idx[k]]; agg.MinReplaces(acc, v) {
+					if v := c.tail[int(idx[k])-pn]; agg.MinReplaces(acc, v) {
 						acc = v
 					}
 				}
 			} else {
 				for k := i; k < j; k++ {
-					if v := c.values[idx[k]]; agg.MaxReplaces(acc, v) {
+					if v := c.tail[int(idx[k])-pn]; agg.MaxReplaces(acc, v) {
 						acc = v
 					}
 				}
@@ -610,64 +602,26 @@ func rawBlock(dst []byte, vals []float64) ([]byte, error) {
 
 // --- block decoding ----------------------------------------------------------
 
-// Decoder failures are sentinel errors, not formatted ones: the decoders are
+// errRawCorrupt is a sentinel, not a formatted error: the decoders are
 // //grove:hotpath (the hotalloc lint proves them allocation-free), and
-// fmt.Errorf would box its arguments on the success-path's stack frame. The
-// callers wrap with the block index, which locates the damage well enough.
-var (
-	errUnknownEncoding = errors.New("unknown block encoding")
-	errRawCorrupt      = errors.New("raw block: payload size mismatch")
-	errXorCorrupt      = errors.New("xor block: corrupt payload")
-	errDictCorrupt     = errors.New("dict block: corrupt payload")
-	errRLECorrupt      = errors.New("rle block: corrupt payload")
-)
+// fmt.Errorf would box its arguments on the success path's stack frame. The
+// callers wrap it with the block index, which locates the damage well enough.
+var errRawCorrupt = errors.New("raw block: payload size mismatch")
 
-// decodeBlock decodes one block payload into dst (len(dst) = the block's
-// value count). Every branch bounds-checks against the payload before
-// reading: the payload is disk input, and a corrupt page must fail cleanly —
-// never panic or over-read. Strictness (the payload must be consumed
-// exactly) doubles as a save-determinism check.
+// decodeFrame lands one raw block payload in the chunks of f, chunk by
+// chunk. The payload is disk input: its length must match the frame's exactly.
 //
 //grove:hotpath
-func decodeBlock(enc uint8, payload []byte, dst []float64) error {
-	switch enc {
-	case encRaw:
-		return rawInto(payload, dst)
-	case encXor:
-		return decodeXor(payload, dst)
-	case encDict:
-		return decodeDict(payload, dst)
-	case encRLE:
-		return decodeRLE(payload, dst)
-	}
-	return errUnknownEncoding
-}
-
-// decodeFrame decodes one block payload into the chunks of f. A raw block
-// lands chunk by chunk straight from the payload; the other encodings decode
-// into scratch (at least f.Len() values) and are copied over.
-//
-//grove:hotpath
-func decodeFrame(enc uint8, payload []byte, f *pagepool.Frame, scratch []float64) error {
-	if enc == encRaw {
-		if len(payload) != 8*f.Len() {
-			return errRawCorrupt
-		}
-		for i := 0; i < f.NumChunks(); i++ {
-			c := f.Chunk(i)
-			off := 8 * i * pagepool.ChunkValues
-			if err := rawInto(payload[off:off+8*len(c)], c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	vals := scratch[:f.Len()]
-	if err := decodeBlock(enc, payload, vals); err != nil {
-		return err
+func decodeFrame(payload []byte, f *pagepool.Frame) error {
+	if len(payload) != 8*f.Len() {
+		return errRawCorrupt
 	}
 	for i := 0; i < f.NumChunks(); i++ {
-		copy(f.Chunk(i), vals[i*pagepool.ChunkValues:])
+		c := f.Chunk(i)
+		off := 8 * i * pagepool.ChunkValues
+		if err := rawInto(payload[off:off+8*len(c)], c); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -708,84 +662,6 @@ func decodeRaw(payload []byte, dst []float64) error {
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return nil
-}
-
-//grove:hotpath
-func decodeXor(payload []byte, dst []float64) error {
-	if len(dst) == 0 || len(payload) < 8 {
-		return errXorCorrupt
-	}
-	prev := binary.LittleEndian.Uint64(payload)
-	dst[0] = math.Float64frombits(prev)
-	pos := 8
-	for i := 1; i < len(dst); i++ {
-		delta, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return errXorCorrupt
-		}
-		pos += n
-		prev ^= delta
-		dst[i] = math.Float64frombits(prev)
-	}
-	if pos != len(payload) {
-		return errXorCorrupt
-	}
-	return nil
-}
-
-//grove:hotpath
-func decodeDict(payload []byte, dst []float64) error {
-	if len(payload) < 2 {
-		return errDictCorrupt
-	}
-	n := int(binary.LittleEndian.Uint16(payload))
-	if n < 1 || n > 256 {
-		return errDictCorrupt
-	}
-	if len(payload) != 2+8*n+len(dst) {
-		return errDictCorrupt
-	}
-	var dict [256]float64
-	for i := 0; i < n; i++ {
-		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[2+8*i:]))
-	}
-	idxs := payload[2+8*n:]
-	for i := range dst {
-		id := int(idxs[i])
-		if id >= n {
-			return errDictCorrupt
-		}
-		dst[i] = dict[id]
-	}
-	return nil
-}
-
-//grove:hotpath
-func decodeRLE(payload []byte, dst []float64) error {
-	pos, out := 0, 0
-	for out < len(dst) {
-		runLen, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return errRLECorrupt
-		}
-		pos += n
-		if runLen == 0 || runLen > uint64(len(dst)-out) {
-			return errRLECorrupt
-		}
-		if pos+8 > len(payload) {
-			return errRLECorrupt
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
-		pos += 8
-		for i := uint64(0); i < runLen; i++ {
-			dst[out] = v
-			out++
-		}
-	}
-	if pos != len(payload) {
-		return errRLECorrupt
 	}
 	return nil
 }

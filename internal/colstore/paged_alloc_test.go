@@ -7,30 +7,52 @@ import (
 	"slices"
 	"testing"
 
+	"grove/internal/pagepool"
 	"grove/internal/raceflag"
 )
 
-// TestDecodeBlockAllocs pins the block decoders' steady-state allocation
-// count at zero: they run on every buffer pool miss, and the hotalloc lint's
-// static proof deserves a dynamic witness. The legacy snapshot supplies a
-// block of every encoding tag.
+// TestDecodeBlockAllocs pins the raw block decoders' steady-state allocation
+// count at zero — into a value slice (rawInto, the save and materialize
+// path) and into a pool frame's chunks (decodeFrame, every buffer pool miss)
+// — on blocks of one value, one partial chunk, several chunks ending
+// mid-chunk and a full block: the hotalloc lint's static proof deserves a
+// dynamic witness.
 func TestDecodeBlockAllocs(t *testing.T) {
-	var done [numEncodings]bool
-	for _, b := range legacyBlocks(t) {
-		if done[b.enc] {
-			continue
+	pool := pagepool.New(0)
+	for _, n := range []int{1, 37, 300, BlockValues} {
+		payload, err := rawBlock(nil, rawTestValues(n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		done[b.enc] = true
-		dst := make([]float64, b.count)
+		dst := make([]float64, n)
+		fr := pool.Reserve(n)
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := decodeBlock(b.enc, b.payload, dst); err != nil {
+			if err := rawInto(payload, dst); err != nil {
+				t.Fatal(err)
+			}
+			if err := decodeFrame(payload, fr); err != nil {
 				t.Fatal(err)
 			}
 		})
+		pool.Abandon(fr)
 		if allocs != 0 {
-			t.Errorf("encoding tag %d: decode allocates %v per run, want 0", b.enc, allocs)
+			t.Errorf("%d values: decode allocates %v per run, want 0", n, allocs)
 		}
 	}
+}
+
+// rawTestValues is n values with full mantissas, signed zeros and
+// extremes among them.
+func rawTestValues(n int) []float64 {
+	vals := make([]float64, n)
+	extremes := []float64{math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for i := range vals {
+		vals[i] = float64(i)*1.1 - 7
+		if i%97 < len(extremes) {
+			vals[i] = extremes[i%97]
+		}
+	}
+	return vals
 }
 
 // reloadPaged saves r and loads it back, so that its measure columns are
@@ -248,12 +270,14 @@ func TestResaveAndMaterializeBypassPool(t *testing.T) {
 		t.Errorf("re-save went through the pool: %+v, was %+v", after, before)
 	}
 
-	loaded.SetEdgeMeasure(0, 1, 42) // materializes the column
+	if err := loaded.SetEdgeMeasure(0, 1, 42); err != nil { // a write inside the prefix materializes the column
+		t.Fatal(err)
+	}
 	after := loaded.PagePoolStats()
 	if after.Misses != before.Misses || after.ResidentBlocks != 0 || after.ResidentBytes != 0 {
 		t.Errorf("materialize went through the pool or left the column's blocks in it: %+v, was %+v", after, before)
 	}
-	if v, _ := col.Get(1); col.isPaged() || math.Float64bits(v) != math.Float64bits(1.1) {
-		t.Errorf("after a write the column is paged=%v and record 1 reads %v", col.isPaged(), v)
+	if v, _ := col.Get(1); col.prefix != nil || math.Float64bits(v) != math.Float64bits(1.1) {
+		t.Errorf("after a write the column keeps a prefix of %d values and record 1 reads %v", col.prefixLen(), v)
 	}
 }

@@ -568,11 +568,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // (per-block u32 payload length, u8 encoding, u16 value count, u64 zone min
 // bits, u64 zone max bits), then the concatenated block payloads.
 //
-// The writer streams the values block-at-a-time — a paged column is saved by
-// decoding each block straight from its source, never materializing the
-// whole column — and writes every block raw, so saving a loaded snapshot
-// reproduces it byte for byte (the crash sweep's bit-exactness check depends
-// on this) unless it held blocks of the older encodings.
+// The writer streams the values block-at-a-time in one tiling over the whole
+// column — prefix blocks are read straight from their source, never
+// materializing the column, and the block the prefix ends in is joined with
+// the head of the tail — and writes every block raw, so the bytes depend
+// only on the values: saving a loaded snapshot reproduces it byte for byte
+// (the crash sweep's bit-exactness check depends on this), and a column
+// saved after appends matches one built in memory.
 func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	if err := m.validate(); err != nil {
 		return err
@@ -580,7 +582,7 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	if _, err := m.present.WriteTo(w); err != nil {
 		return err
 	}
-	count := m.valueCount()
+	count := m.Count()
 	numBlocks := (count + BlockValues - 1) / BlockValues
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(count))
@@ -591,8 +593,8 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 	index := make([]byte, 0, numBlocks*blockMetaDiskSize)
 	payloads := make([]byte, 0, 8*count)
 	var meta [blockMetaDiskSize]byte
-	var decoded []float64 // a paged column's blocks are decoded here, one at a time
-	if m.isPaged() {
+	var decoded []float64 // the blocks that hold prefix values are read here, one at a time
+	if m.prefix != nil {
 		decoded = make([]float64, min(count, BlockValues))
 	}
 	for bi := 0; bi < numBlocks; bi++ {
@@ -622,8 +624,9 @@ func writeMeasureColumn(w io.Writer, m *MeasureColumn) error {
 // readBlockIndex reads and validates a column's value count and block
 // index from rd. Every field is treated as hostile input: block counts must
 // be exactly ceil(count/BlockValues), per-block value counts must tile the
-// column, encoding tags and payload lengths are bounded. Offsets are NOT
-// assigned here — the caller derives them from its stream position.
+// column, every block must be raw with a payload of 8 bytes per value. A
+// block in a retired encoding is refused with ErrRetiredEncoding. Offsets
+// are NOT assigned here — the caller derives them from its stream position.
 func readBlockIndex(rd io.Reader) (count int, metas []blockMeta, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
@@ -642,9 +645,8 @@ func readBlockIndex(rd io.Reader) (count int, metas []blockMeta, err error) {
 		if _, err := io.ReadFull(rd, mb[:]); err != nil {
 			return 0, nil, err
 		}
+		encLen, enc := binary.LittleEndian.Uint32(mb[0:]), mb[4]
 		m := blockMeta{
-			encLen:  binary.LittleEndian.Uint32(mb[0:]),
-			enc:     mb[4],
 			count:   binary.LittleEndian.Uint16(mb[5:]),
 			minBits: binary.LittleEndian.Uint64(mb[7:]),
 			maxBits: binary.LittleEndian.Uint64(mb[15:]),
@@ -656,11 +658,15 @@ func readBlockIndex(rd io.Reader) (count int, metas []blockMeta, err error) {
 		if int(m.count) != wantCnt {
 			return 0, nil, fmt.Errorf("colstore: block %d holds %d values, want %d", bi, m.count, wantCnt)
 		}
-		if m.enc >= numEncodings {
-			return 0, nil, fmt.Errorf("colstore: block %d has unknown encoding %d", bi, m.enc)
+		if enc != encRaw && enc <= lastRetiredEnc {
+			return 0, nil, fmt.Errorf("colstore: block %d is %s-encoded: %w; load and save this store once with a build from commit 2aa4a65 or earlier, which rewrites every block raw",
+				bi, [...]string{"", "xor", "dict", "rle"}[enc], ErrRetiredEncoding)
 		}
-		if m.encLen < 1 || m.encLen > maxBlockEncLen {
-			return 0, nil, fmt.Errorf("colstore: block %d payload length %d out of range", bi, m.encLen)
+		if enc != encRaw {
+			return 0, nil, fmt.Errorf("colstore: block %d has unknown encoding %d", bi, enc)
+		}
+		if encLen != 8*uint32(m.count) {
+			return 0, nil, fmt.Errorf("colstore: block %d payload length %d for %d values", bi, encLen, m.count)
 		}
 		metas = append(metas, m)
 	}
@@ -668,8 +674,8 @@ func readBlockIndex(rd io.Reader) (count int, metas []blockMeta, err error) {
 }
 
 // readPagedMeasureColumn reads a column header and block index from the
-// stream, skips over the payloads, and returns a lazily paged column whose
-// blocks fault in from src through pool.
+// stream, skips over the payloads, and returns a column whose values are all
+// its paged prefix, faulting in from src through pool.
 func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.Pool) (*MeasureColumn, error) {
 	m := NewMeasureColumn()
 	if _, err := m.present.ReadFrom(cr); err != nil {
@@ -687,7 +693,7 @@ func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.
 	base := cr.n
 	for i := range metas {
 		metas[i].off = base + total
-		total += int64(metas[i].encLen)
+		total += 8 * int64(metas[i].count)
 	}
 	if _, err := io.CopyN(io.Discard, cr, total); err != nil {
 		return nil, fmt.Errorf("colstore: skip %d payload bytes: %w", total, err)
@@ -695,7 +701,7 @@ func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.
 	if count == 0 {
 		return m, nil
 	}
-	m.paged = &pagedData{
+	m.prefix = &pagedData{
 		count: count,
 		metas: metas,
 		src:   src,
@@ -705,9 +711,9 @@ func readPagedMeasureColumn(cr *countingReader, src *pageSource, pool *pagepool.
 	return m, m.validate()
 }
 
-// readMeasureColumn eagerly decodes a measure column from rd into a
-// resident column: the round-trip complement of writeMeasureColumn for
-// contexts without a seekable source (fuzzers, tools).
+// readMeasureColumn eagerly reads a measure column from rd, all of it into
+// the tail: the round-trip complement of writeMeasureColumn for contexts
+// without a seekable source (fuzzers, tools).
 func readMeasureColumn(rd io.Reader) (*MeasureColumn, error) {
 	m := NewMeasureColumn()
 	if _, err := m.present.ReadFrom(rd); err != nil {
@@ -721,19 +727,18 @@ func readMeasureColumn(rd io.Reader) (*MeasureColumn, error) {
 		return nil, fmt.Errorf("colstore: measure count %d does not match presence %d",
 			count, m.present.Cardinality())
 	}
-	m.values = make([]float64, 0, min(count, BlockValues))
-	payload := make([]byte, 0, maxBlockEncLen)
+	m.tail = make([]float64, 0, min(count, BlockValues))
+	var payload blockScratch
 	var block [BlockValues]float64
 	for bi, meta := range metas {
-		payload = payload[:meta.encLen]
-		if _, err := io.ReadFull(rd, payload); err != nil {
+		if _, err := io.ReadFull(rd, payload[:8*int(meta.count)]); err != nil {
 			return nil, err
 		}
 		dst := block[:meta.count]
-		if err := decodeBlock(meta.enc, payload, dst); err != nil {
+		if err := rawInto(payload[:8*int(meta.count)], dst); err != nil {
 			return nil, fmt.Errorf("colstore: block %d: %w", bi, err)
 		}
-		m.values = append(m.values, dst...)
+		m.tail = append(m.tail, dst...)
 	}
 	return m, m.validate()
 }

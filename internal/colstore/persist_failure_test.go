@@ -1,7 +1,10 @@
 package colstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +88,8 @@ func TestLoadRejectsCorruptManifest(t *testing.T) {
 // TestLoadRejectsRetiredFormats: format version 1 and the pre-generational
 // layout (manifest.json + data.bin at the directory root) no longer load;
 // both are refused with an error naming the version found, never skipped.
+// Blocks in the retired xor, dict and rle encodings are refused with
+// ErrRetiredEncoding.
 func TestLoadRejectsRetiredFormats(t *testing.T) {
 	const v1 = `{"format_version":1,"num_records":3,"partition_width":1000}`
 	wantVersion := func(t *testing.T, dir string, version string) {
@@ -127,6 +132,24 @@ func TestLoadRejectsRetiredFormats(t *testing.T) {
 			}
 		}
 		wantVersion(t, dir, "2")
+	})
+	t.Run("retired block encodings", func(t *testing.T) {
+		// One 5-value block under each tag: raw loads, the retired xor,
+		// dict and rle tags are refused as retired, and a tag no build
+		// ever wrote as unknown.
+		for enc := uint8(encRaw); enc <= lastRetiredEnc+1; enc++ {
+			index := binary.LittleEndian.AppendUint32(nil, 5)
+			index = binary.LittleEndian.AppendUint32(index, 1)
+			index = binary.LittleEndian.AppendUint32(index, 8*5)
+			index = append(index, enc)
+			index = binary.LittleEndian.AppendUint16(index, 5)
+			index = append(index, make([]byte, 16)...)
+			_, _, err := readBlockIndex(bytes.NewReader(index))
+			retired := errors.Is(err, ErrRetiredEncoding)
+			if (enc == encRaw) != (err == nil) || (enc >= 1 && enc <= lastRetiredEnc) != retired {
+				t.Errorf("tag %d: readBlockIndex = %v", enc, err)
+			}
+		}
 	})
 }
 

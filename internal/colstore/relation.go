@@ -105,8 +105,8 @@ type Relation struct {
 	// saveMu.
 	gcProtect atomic.Pointer[string]
 
-	// pagePool caches decoded measure blocks of paged (v2-snapshot) columns;
-	// nil for a purely in-memory relation. pageSrcs are the snapshot files
+	// pagePool caches the blocks of the measure columns' paged prefixes;
+	// nil for a relation never loaded. pageSrcs are the snapshot files
 	// those blocks fault in from, and srcGen names the generation holding
 	// them — snapshot GC must never collect it while this relation is alive,
 	// or lazy reads would dangle.
@@ -168,8 +168,8 @@ func (r *Relation) SetPageCacheBytes(n int64) {
 	}
 }
 
-// PagePoolStats returns the buffer pool's counters (zero value when the
-// relation has no paged columns).
+// PagePoolStats returns the buffer pool's counters (zero value for a
+// relation never loaded).
 func (r *Relation) PagePoolStats() pagepool.Stats {
 	if r.pagePool == nil {
 		return pagepool.Stats{}
@@ -190,9 +190,9 @@ func (r *Relation) PageError() error {
 	return nil
 }
 
-// Close releases the relation's cached snapshot file handles. Paged columns
-// that have not been materialized cannot fault blocks in afterwards; Close
-// is for shutdown, not for returning the relation to in-memory use.
+// Close releases the relation's cached snapshot file handles. The columns'
+// paged prefixes cannot fault blocks in afterwards; Close is for shutdown,
+// not for returning the relation to in-memory use.
 func (r *Relation) Close() error {
 	var first error
 	for _, s := range r.pageSrcs {
@@ -227,16 +227,14 @@ func (r *Relation) sourceGenName() string {
 func (r *Relation) SourceGeneration() string { return r.sourceGenName() }
 
 // StorageStats describes where a relation's measure bytes live: the logical
-// (decoded) size the cost model charges, the encoded on-disk size of paged
-// columns, and what is actually resident in memory. Pool carries the buffer
-// pool's hit/miss/eviction counters.
+// (decoded) size the cost model charges, the on-disk size of the columns'
+// paged prefixes, and what is actually resident in memory. Pool carries the
+// buffer pool's hit/miss/eviction counters.
 type StorageStats struct {
-	LogicalBytes    int64 // decoded payload size of all measure columns
-	OnDiskBytes     int64 // encoded block payload bytes of paged columns
-	ResidentBytes   int64 // resident column values + block indexes + pooled blocks
-	PagedColumns    int
-	ResidentColumns int
-	Pool            pagepool.Stats
+	LogicalBytes  int64 // decoded payload size of all measure columns
+	OnDiskBytes   int64 // block payload bytes of the paged prefixes
+	ResidentBytes int64 // tails + prefix block indexes + pooled blocks
+	Pool          pagepool.Stats
 }
 
 // StorageStats reports the relation's storage residency snapshot.
@@ -248,11 +246,6 @@ func (r *Relation) StorageStats() StorageStats {
 		st.LogicalBytes += int64(m.SizeBytes())
 		st.OnDiskBytes += m.EncodedValueBytes()
 		st.ResidentBytes += m.ResidentValueBytes()
-		if m.isPaged() {
-			st.PagedColumns++
-		} else {
-			st.ResidentColumns++
-		}
 	}
 	for _, m := range r.measures {
 		add(m)
@@ -330,18 +323,56 @@ func (r *Relation) SetEdge(rec uint32, edge EdgeID) {
 
 // SetEdgeMeasure marks record rec as containing edge with default-measure
 // value v.
-func (r *Relation) SetEdgeMeasure(rec uint32, edge EdgeID, v float64) {
-	r.SetEdgeMeasureNamed(rec, edge, "", v)
+func (r *Relation) SetEdgeMeasure(rec uint32, edge EdgeID, v float64) error {
+	return r.SetEdgeMeasureNamed(rec, edge, "", v)
 }
 
 // SetEdgeMeasureNamed marks record rec as containing edge with a value in
-// the named measure column m_edge^name ("" = default measure).
-func (r *Relation) SetEdgeMeasureNamed(rec uint32, edge EdgeID, name string, v float64) {
-	r.mu.Lock() //grovevet:ignore lockorder the first Set on a paged column faults its blocks in to materialize it; that one-time I/O must happen under the write lock or a reader could see a half-materialized column
+// the named measure column m_edge^name ("" = default measure). A write
+// inside the column's paged prefix faults the column in first; if that read
+// fails, the page error is returned and the relation is unchanged.
+func (r *Relation) SetEdgeMeasureNamed(rec uint32, edge EdgeID, name string, v float64) error {
+	return r.writeRecord(rec, edge, name, v, true, false)
+}
+
+// AppendEdge adds one element to existing record rec — its bit, its measure
+// v under name ("" = default) when hasValue, and the record's view upkeep —
+// in one write-lock section: the write-ahead log's append-edge op. If a
+// read it needs fails, AppendEdge returns the page error and leaves the
+// relation unchanged.
+func (r *Relation) AppendEdge(rec uint32, edge EdgeID, name string, v float64, hasValue bool) error {
+	return r.writeRecord(rec, edge, name, v, hasValue, true)
+}
+
+// writeRecord is the one write to an existing record: edge's bit (none for
+// noEdge), its measure v under name when hasValue, and the views' upkeep
+// when views. Every measure column it writes has rec's slot faulted in, and
+// every measure the upkeep reads is read once, before the first write, so a
+// failed read returns the page error with the relation unchanged.
+func (r *Relation) writeRecord(rec uint32, edge EdgeID, name string, v float64, hasValue, views bool) error {
+	r.mu.Lock() //grovevet:ignore lockorder a write inside a column's paged prefix reads the prefix in to materialize it, and view upkeep reads the record's measures; the reads finish under the write lock, before anything is set, so that readers never see a half-written record and a failed read changes nothing
 	defer r.mu.Unlock()
+	if m := r.MeasureColumnNamed(edge, name); m != nil && hasValue {
+		if err := m.fault(rec); err != nil {
+			return err
+		}
+	}
+	if views {
+		if err := r.faultViews(rec, edge); err != nil {
+			return err
+		}
+	}
 	r.bumpVersion()
-	r.edgeBitmap(edge).Set(rec)
-	r.measureColumn(edge, name).Set(rec, v)
+	if edge != noEdge {
+		r.edgeBitmap(edge).Set(rec)
+	}
+	if hasValue {
+		r.measureColumn(edge, name).put(rec, v)
+	}
+	if views {
+		r.maintainViews(rec)
+	}
+	return nil
 }
 
 // measureColumn returns measure column m_edge^name ("" = default), creating
@@ -399,21 +430,23 @@ type Cell struct {
 // allocated, every cell's bit and measures are set, the materialized views
 // are maintained and the version is bumped once, so a reader sees the record
 // either not at all or complete, views included. It is the only way a whole
-// record enters the relation, for live ingest and log replay alike.
+// record enters the relation, for live ingest and log replay alike. Its
+// values all go to the columns' tails: an append never faults a paged prefix
+// in.
 //
 //grove:hotpath
 func (r *Relation) AppendRow(cells []Cell) uint32 {
-	r.mu.Lock() //grovevet:ignore lockorder the first Set on a paged column faults its blocks in to materialize it, and view maintenance reads the record's measures; both must happen under the same write lock as the row they belong to
+	r.mu.Lock() //grovevet:ignore lockorder view maintenance reads the record's measures through the column readers, which can fault prefix blocks in; a new record's measures are all in the tails, so none does, but the reads must see the row under the same write lock
 	defer r.mu.Unlock()
 	rec := r.numRecords.Load()
 	for i := range cells {
 		c := &cells[i]
 		r.edgeBitmap(c.Edge).Set(rec)
 		if c.HasValue {
-			r.measureColumn(c.Edge, "").Set(rec, c.Value)
+			r.measureColumn(c.Edge, "").put(rec, c.Value)
 		}
 		for _, nv := range c.Named {
-			r.measureColumn(c.Edge, nv.Name).Set(rec, nv.Value)
+			r.measureColumn(c.Edge, nv.Name).put(rec, nv.Value)
 		}
 	}
 	r.maintainViews(rec)
@@ -753,7 +786,7 @@ func (r *Relation) MaterializeAggViewOn(name string, path []EdgeID, fn agg.Func,
 	vals := make([]float64, len(path))
 	contains.Each(func(rec uint32) bool {
 		if r.pathMeasures(rec, path, measureName, vals) {
-			measure.Set(rec, fn.Aggregate(vals))
+			measure.put(rec, fn.Aggregate(vals))
 			col.Set(rec)
 		}
 		return true
@@ -794,49 +827,71 @@ func (r *Relation) pathMeasures(rec uint32, path []EdgeID, measureName string, v
 // edges and measures are set, so views never go stale as the collection
 // grows. Aggregate views loaded from disk whose function could not be
 // re-bound are skipped (Load rejects unknown function names, so this cannot
-// happen for stores grove wrote itself).
-func (r *Relation) UpdateViewsForRecord(rec uint32) {
-	r.mu.Lock() //grovevet:ignore lockorder aggregate-view maintenance reads the record's measures, which may fault paged blocks in; views must be updated under the same write lock as the row they reflect
-	defer r.mu.Unlock()
-	r.bumpVersion()
-	r.maintainViews(rec)
+// happen for stores grove wrote itself). Like AppendEdge, it reads what it
+// needs before it writes, and a failed read leaves the relation unchanged.
+func (r *Relation) UpdateViewsForRecord(rec uint32) error {
+	return r.writeRecord(rec, noEdge, "", 0, false, true)
+}
+
+// noEdge is an edge id no column has: no edge to write or to add.
+const noEdge EdgeID = maxEdgeID
+
+// holdsAll reports whether record rec holds every one of edges once plus is
+// added to it.
+func (r *Relation) holdsAll(rec uint32, edges []EdgeID, plus EdgeID) bool {
+	for _, e := range edges {
+		if e == plus {
+			continue
+		}
+		if b := r.edgeColumn(e); b == nil || !b.Contains(rec) {
+			return false
+		}
+	}
+	return true
+}
+
+// faultViews prepares the aggregate-view upkeep of record rec once edge is
+// added to it: each view whose path rec then holds gets rec's slot in its
+// measure column faulted in, and the path measures the upkeep will read are
+// read once, so that a failed read surfaces before anything is written.
+func (r *Relation) faultViews(rec uint32, edge EdgeID) error {
+	for _, v := range r.Catalog().aggViews {
+		if !v.fn.Valid() || !r.holdsAll(rec, v.Path, edge) {
+			continue
+		}
+		if err := v.Measure.fault(rec); err != nil {
+			return err
+		}
+		for _, e := range v.Path {
+			if m := r.MeasureColumnNamed(e, v.MeasureName); m != nil {
+				m.Get(rec) // a failed fault latches its error on the source
+				if err := m.pageError(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // maintainViews adds rec to every view it now satisfies. Caller holds the
-// write lock.
+// write lock, and every aggregate-view column it writes has rec's slot
+// resident: a new record's slot is in the tail, and faultViews faults the
+// others in first.
 func (r *Relation) maintainViews(rec uint32) {
 	cat := r.Catalog()
 	for _, v := range cat.views {
-		all := true
-		for _, e := range v.Edges {
-			b := r.edgeColumn(e)
-			if b == nil || !b.Contains(rec) {
-				all = false
-				break
-			}
-		}
-		if all {
+		if r.holdsAll(rec, v.Edges, noEdge) {
 			v.Col.Set(rec)
 		}
 	}
 	for _, v := range cat.aggViews {
-		if !v.fn.Valid() {
-			continue
-		}
-		contains := true
-		for _, e := range v.Path {
-			b := r.edgeColumn(e)
-			if b == nil || !b.Contains(rec) {
-				contains = false
-				break
-			}
-		}
-		if !contains {
+		if !v.fn.Valid() || !r.holdsAll(rec, v.Path, noEdge) {
 			continue
 		}
 		vals := make([]float64, len(v.Path))
 		if r.pathMeasures(rec, v.Path, v.MeasureName, vals) {
-			v.Measure.Set(rec, v.fn.Aggregate(vals))
+			v.Measure.put(rec, v.fn.Aggregate(vals))
 			v.Col.Set(rec)
 		}
 	}

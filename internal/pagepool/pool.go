@@ -332,7 +332,7 @@ func (p *Pool) releaseLocked(f *Frame) {
 }
 
 // InvalidateColumn uncaches every block of the given column token. Used when
-// a paged column is materialized for writes; that happens under the
+// a column's paged prefix is materialized for a write; that happens under the
 // relation's write lock, so none of the frames is pinned. Their chunks go
 // with them to the collector, not to the free list: were a frame pinned, it
 // would only be orphaned — no longer cached, its chunks never reused — and

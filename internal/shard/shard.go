@@ -223,16 +223,7 @@ func applyOp(u *Unit, reg *graph.Registry, op wal.Op, resolved bool) (local uint
 			local = graph.AppendRow(u.Rel, reg, op.Row)
 		}
 	case wal.OpAppendEdge:
-		eid := reg.ID(graph.E(op.From, op.To))
-		switch {
-		case !op.HasValue:
-			u.Rel.SetEdge(op.Rec, eid)
-		case op.Measure == graph.DefaultMeasure:
-			u.Rel.SetEdgeMeasure(op.Rec, eid, op.Value)
-		default:
-			u.Rel.SetEdgeMeasureNamed(op.Rec, eid, op.Measure, op.Value)
-		}
-		u.Rel.UpdateViewsForRecord(op.Rec)
+		err = u.Rel.AppendEdge(op.Rec, reg.ID(graph.E(op.From, op.To)), op.Measure, op.Value, op.HasValue)
 	case wal.OpDelete:
 		was, err = u.Rel.Delete(op.Rec)
 	case wal.OpUndelete:
@@ -574,8 +565,6 @@ func (c *Coordinator) StorageStats() colstore.StorageStats {
 		total.LogicalBytes += st.LogicalBytes
 		total.OnDiskBytes += st.OnDiskBytes
 		total.ResidentBytes += st.ResidentBytes
-		total.PagedColumns += st.PagedColumns
-		total.ResidentColumns += st.ResidentColumns
 		total.Pool.Hits += st.Pool.Hits
 		total.Pool.Misses += st.Pool.Misses
 		total.Pool.Evictions += st.Pool.Evictions

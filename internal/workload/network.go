@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Network is a base graph whose forward (index-increasing) edges form the
@@ -105,8 +106,9 @@ func NewP2PNetwork(targetEdges int, seed int64) *Network {
 	n.adj = make([][]int32, numNodes)
 	// Repeated-endpoint list implements preferential attachment.
 	var endpoints []int32
+	attached := make([]int32, 0, m) // in the order drawn, so the wiring is a function of the seed
 	for v := int32(1); v < int32(numNodes); v++ {
-		attached := make(map[int32]struct{}, m)
+		attached = attached[:0]
 		for len(attached) < m && len(attached) < int(v) {
 			var target int32
 			if len(endpoints) == 0 || rng.Intn(4) == 0 {
@@ -114,12 +116,11 @@ func NewP2PNetwork(targetEdges int, seed int64) *Network {
 			} else {
 				target = endpoints[rng.Intn(len(endpoints))]
 			}
-			if target == v {
-				continue
+			if target != v && !slices.Contains(attached, target) {
+				attached = append(attached, target)
 			}
-			attached[target] = struct{}{}
 		}
-		for t := range attached {
+		for _, t := range attached {
 			n.addEdge(t, v)
 			endpoints = append(endpoints, t, v)
 		}

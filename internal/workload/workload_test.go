@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"grove/internal/graph"
@@ -67,6 +68,11 @@ func TestP2PNetworkDeterministic(t *testing.T) {
 	b := NewP2PNetwork(500, 7)
 	if a.NumEdges() != b.NumEdges() || a.NumNodes() != b.NumNodes() {
 		t.Fatal("same seed produced different networks")
+	}
+	for v := int32(0); v < int32(a.NumNodes()); v++ {
+		if !slices.Equal(a.Successors(v), b.Successors(v)) {
+			t.Fatalf("same seed wired node %d to %v, then to %v", v, a.Successors(v), b.Successors(v))
+		}
 	}
 }
 

@@ -201,8 +201,9 @@ func TestPagedBitIdentical(t *testing.T) {
 	defer loaded.Close()
 
 	st := loaded.StorageStats()
-	if st.PagedColumns == 0 {
-		t.Fatal("loaded store has no paged columns; the snapshot did not use the v2 format")
+	if st.OnDiskBytes == 0 || st.ResidentBytes >= st.OnDiskBytes {
+		t.Fatalf("loaded store: %d value bytes on disk, %d resident; the snapshot did not load as paged prefixes",
+			st.OnDiskBytes, st.ResidentBytes)
 	}
 
 	for _, pct := range []int64{1, 10, 50, 0} {
