@@ -205,9 +205,9 @@ func (s *Store) Metrics() *MetricsRegistry {
 		func() float64 { return float64(colstore.BlocksSkipped()) })
 	r.GaugeFunc(MetricStorageLogicalBytes, "Logical measure-column bytes: what the columns represent, regardless of residency (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().LogicalBytes) })
-	r.GaugeFunc(MetricStorageOnDiskBytes, "Encoded measure-column bytes in the snapshot's block payloads (all shards).",
+	r.GaugeFunc(MetricStorageOnDiskBytes, "Measure-column bytes of the paged prefixes' blocks in the loaded snapshot (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().OnDiskBytes) })
-	r.GaugeFunc(MetricStorageResidentBytes, "Decoded measure-column bytes held in memory, paged and eager (all shards).",
+	r.GaugeFunc(MetricStorageResidentBytes, "Measure-column bytes held in memory: the columns' tails, their prefixes' block indexes and the pooled blocks (all shards).",
 		func() float64 { return float64(s.coord.StorageStats().ResidentBytes) })
 
 	// Write-ahead log. The families exist (at zero) even without WAL
