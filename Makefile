@@ -109,14 +109,16 @@ examples-smoke:
 # snapshot cut, flat and manifest layouts both; under a log, a clean prefix of
 # the op sequence — every fsync-acknowledged op present, no partial op
 # applied, sharded recovery bit-identical to single-shard, views maintained
-# incrementally matching a from-scratch rebuild. Then the facade-vs-coordinator
+# incrementally matching a from-scratch rebuild; an op the store refused is
+# never logged, so recovery equals the live store under random refusals (page
+# reads failing, empty tag keys) at 1 and 2 shards. Then the facade-vs-coordinator
 # byte-identity table, the shadowed-save refusal, recovery, GC, rollback and
 # cancellation paths, and the frame/scan unit suite.
 durability:
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweep|TestLoadFallbackRecovery|TestSnapshotGCKeepCount|TestGenerationsInventoryAndRollback|TestConcurrentSaveLoadMutate|TestLoadRejectsRetiredFormats' -v
 	$(GO) test ./internal/shard/ -run \
-		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout' -v
+		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout|TestRefusedWriteNotRecovered|TestRefusedOpsDifferential' -v
 	$(GO) test . -run \
 		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped|TestOneDurabilityPath|TestShadowedSaveRefused' -v
 	$(GO) test ./internal/wal/ -count=1

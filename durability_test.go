@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"grove/internal/bitmap"
 	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/shard"
@@ -128,7 +129,7 @@ func stateDigest(t *testing.T, st *Store) string {
 	for id := uint32(0); int(id) < n; id++ {
 		u := st.coord.Unit(int(id % ns))
 		del := ""
-		if u.Rel.IsDeleted(id / ns) {
+		if u.Rel.MaskDeleted(bitmap.FromSlice([]uint32{id / ns})).IsEmpty() { // read as a query does
 			del = " DELETED"
 		}
 		rec, err := st.GetRecord(id)

@@ -150,11 +150,6 @@ func inserted[T any](s []T, i int, v T) []T {
 	return append(append(append(make([]T, 0, len(s)+1), s[:i]...), v), s[i:]...)
 }
 
-// removed returns a copy of s without index i.
-func removed[T any](s []T, i int) []T {
-	return append(append(make([]T, 0, len(s)-1), s[:i]...), s[i+1:]...)
-}
-
 // view returns the graph view called name, or nil and the index it would
 // take.
 func (c *ViewCatalog) view(name string) (*GraphView, int) {

@@ -33,10 +33,7 @@ func TestSetPartitionMapValidation(t *testing.T) {
 
 func TestClusterPartitionsCoLocatesQueries(t *testing.T) {
 	r := NewRelation(4)
-	rec := r.NewRecord()
-	for e := EdgeID(0); e < 12; e++ {
-		r.SetEdgeMeasure(rec, e, 1)
-	}
+	appendEdges(r, edgeRange(0, 12)...)
 	// Two queries whose edges are spread across the default partitioning:
 	// q1 = {0, 5, 10}, q2 = {1, 6, 11}.
 	q1 := []EdgeID{0, 5, 10}
@@ -57,10 +54,7 @@ func TestClusterPartitionsCoLocatesQueries(t *testing.T) {
 
 func TestClusterPartitionsRespectsCapacity(t *testing.T) {
 	r := NewRelation(3)
-	rec := r.NewRecord()
-	for e := EdgeID(0); e < 10; e++ {
-		r.SetEdgeMeasure(rec, e, 1)
-	}
+	appendEdges(r, edgeRange(0, 10)...)
 	// A query wider than one partition must spill, not overflow.
 	wide := []EdgeID{0, 1, 2, 3, 4, 5, 6}
 	if _, err := r.ClusterPartitions([][]EdgeID{wide}); err != nil {
@@ -83,10 +77,7 @@ func TestClusterPartitionsRespectsCapacity(t *testing.T) {
 func TestClusterPartitionsNeverWorseOnWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := NewRelation(10)
-	rec := r.NewRecord()
-	for e := EdgeID(0); e < 100; e++ {
-		r.SetEdgeMeasure(rec, e, 1)
-	}
+	appendEdges(r, edgeRange(0, 100)...)
 	var workload [][]EdgeID
 	for i := 0; i < 20; i++ {
 		var q []EdgeID

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,18 +90,40 @@ func buildSmallRelation(t *testing.T) *Relation {
 	t.Helper()
 	// The three records of paper Fig. 2 / Table 1. Edge ids 1..7.
 	r := NewRelation(0)
-	r1 := r.NewRecord()
-	r2 := r.NewRecord()
-	r3 := r.NewRecord()
-	set := func(rec uint32, pairs map[EdgeID]float64) {
-		for e, v := range pairs {
-			r.SetEdgeMeasure(rec, e, v)
-		}
-	}
-	set(r1, map[EdgeID]float64{1: 3, 2: 4, 3: 2, 4: 1, 5: 2})
-	set(r2, map[EdgeID]float64{2: 1, 3: 2, 4: 2, 5: 1, 6: 4, 7: 1})
-	set(r3, map[EdgeID]float64{4: 5, 5: 4, 6: 3, 7: 1})
+	appendMeasured(r, map[EdgeID]float64{1: 3, 2: 4, 3: 2, 4: 1, 5: 2})
+	appendMeasured(r, map[EdgeID]float64{2: 1, 3: 2, 4: 2, 5: 1, 6: 4, 7: 1})
+	appendMeasured(r, map[EdgeID]float64{4: 5, 5: 4, 6: 3, 7: 1})
 	return r
+}
+
+// appendMeasured appends one record holding each edge of vals with its
+// default measure, through AppendRow, the relation's one whole-record
+// insert.
+func appendMeasured(r *Relation, vals map[EdgeID]float64) uint32 {
+	cells := make([]Cell, 0, len(vals))
+	for e, v := range vals {
+		cells = append(cells, Cell{Edge: e, Value: v, HasValue: true})
+	}
+	return r.AppendRow(cells)
+}
+
+// appendEdges appends one record holding every edge of edges with default
+// measure 1.
+func appendEdges(r *Relation, edges ...EdgeID) uint32 {
+	cells := make([]Cell, len(edges))
+	for i, e := range edges {
+		cells[i] = Cell{Edge: e, Value: 1, HasValue: true}
+	}
+	return r.AppendRow(cells)
+}
+
+// edgeRange returns the edge ids lo, lo+1, …, hi-1.
+func edgeRange(lo, hi EdgeID) []EdgeID {
+	var out []EdgeID
+	for e := lo; e < hi; e++ {
+		out = append(out, e)
+	}
+	return out
 }
 
 func TestRelationTable1Bitmaps(t *testing.T) {
@@ -185,14 +209,12 @@ func TestViewDrop(t *testing.T) {
 	if _, err := r.MaterializeView("v", []EdgeID{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.DropView("v") {
-		t.Error("DropView failed")
-	}
-	if r.DropView("v") {
-		t.Error("second DropView succeeded")
-	}
-	if r.View("v") != nil {
+	r.DropAllViews()
+	if r.View("v") != nil || len(r.Views()) != 0 {
 		t.Error("view still present after drop")
+	}
+	if r.FetchEdgeBitmap(1, nil).Cardinality() != 1 {
+		t.Error("dropping the views changed a base column")
 	}
 }
 
@@ -224,10 +246,7 @@ func TestTrackerAccounting(t *testing.T) {
 
 func TestPartitioning(t *testing.T) {
 	r := NewRelation(10)
-	rec := r.NewRecord()
-	for e := EdgeID(0); e < 35; e++ {
-		r.SetEdgeMeasure(rec, e, 1)
-	}
+	appendEdges(r, edgeRange(0, 35)...)
 	if got := r.PartitionOf(0); got != 0 {
 		t.Errorf("PartitionOf(0) = %d", got)
 	}
@@ -324,12 +343,12 @@ func TestSaveLoadLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := NewRelation(100)
 	for i := 0; i < 2000; i++ {
-		rec := r.NewRecord()
-		n := 5 + rng.Intn(20)
-		for j := 0; j < n; j++ {
+		cells := make([]Cell, 5+rng.Intn(20))
+		for j := range cells {
 			e := EdgeID(rng.Intn(300))
-			r.SetEdgeMeasure(rec, e, float64(rng.Intn(1000))/10)
+			cells[j] = Cell{Edge: e, Value: float64(rng.Intn(1000)) / 10, HasValue: true}
 		}
+		r.AppendRow(cells)
 	}
 	r.Optimize()
 	if err := r.Save(dir); err != nil {
@@ -369,5 +388,39 @@ func TestSizeAccounting(t *testing.T) {
 	}
 	if r.SizeBytes() != r.BaseSizeBytes()+r.ViewSizeBytes() {
 		t.Error("SizeBytes != base + views")
+	}
+}
+
+// relationMethods is *Relation's exported method set. A record's contents
+// change through AppendRow (a whole record) and AppendEdge (one element of
+// an existing record) only, beside Delete, Undelete and Tag; a second write
+// entry added here is a second write path to keep in step with the log.
+var relationMethods = []string{
+	"Account", "AccountMeasuresScanned", "AccountRecordsReturned", "AggView",
+	"AggViews", "AppendEdge", "AppendRow", "BaseSizeBytes", "BeginRead",
+	"Catalog", "Close", "ClusterPartitions", "Delete", "DropAllViews",
+	"EdgeBitmap", "Edges", "EndRead", "FetchAggViewBitmap",
+	"FetchAggViewMeasure", "FetchEdgeBitmap", "FetchMeasureColumn",
+	"FetchMeasureColumnNamed", "FetchTagBitmap", "FetchViewBitmap", "HasEdge",
+	"JoinPartitions", "MaskDeleted", "MaterializeAggView",
+	"MaterializeAggViewOn", "MaterializeView", "MeasureColumn",
+	"MeasureColumnNamed", "MeasureNames", "NumDeleted", "NumPartitions",
+	"NumRecords", "Optimize", "PageError", "PartitionOf", "PartitionSpan",
+	"Save", "SaveFS", "SaveFSGen", "SetGCProtect", "SetPageCacheBytes",
+	"SetPartitionMap", "SetSnapshotKeep", "SizeBytes", "SourceGeneration",
+	"StorageStats", "Tag", "TagKeys", "TagValues", "TotalMeasures", "Tracker",
+	"Undelete", "Version", "View", "ViewSizeBytes", "ViewUsage", "Views",
+}
+
+func TestRelationMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*Relation)(nil))
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	want := slices.Clone(relationMethods)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Relation methods changed:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
 	}
 }

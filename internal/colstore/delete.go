@@ -39,11 +39,6 @@ func (r *Relation) Undelete(rec uint32) bool {
 	return r.deleted.Remove(rec)
 }
 
-// IsDeleted reports whether a record is deleted.
-func (r *Relation) IsDeleted(rec uint32) bool {
-	return r.deleted != nil && r.deleted.Contains(rec)
-}
-
 // NumDeleted returns the number of deleted records.
 func (r *Relation) NumDeleted() int {
 	if r.deleted == nil {

@@ -132,9 +132,7 @@ func FuzzLoadCorrupt(f *testing.F) {
 		dir := f.TempDir()
 		r := NewRelation(0)
 		for i := 0; i < 3*BlockValues/2; i++ {
-			rec := r.NewRecord()
-			r.SetEdgeMeasure(rec, 1, float64(i%7))
-			r.SetEdgeMeasureNamed(rec, 1, "w", float64(i))
+			r.AppendRow([]Cell{{Edge: 1, Value: float64(i % 7), HasValue: true, Named: []NamedValue{{Name: "w", Value: float64(i)}}}})
 		}
 		if err := r.Save(dir); err != nil {
 			f.Fatal(err)
@@ -300,8 +298,7 @@ func FuzzCurrentPointer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cur []byte) {
 		dir := t.TempDir()
 		r := NewRelation(0)
-		rec := r.NewRecord()
-		r.SetEdgeMeasure(rec, 1, 2)
+		appendMeasured(r, map[EdgeID]float64{1: 2})
 		if err := r.Save(dir); err != nil {
 			t.Fatal(err)
 		}

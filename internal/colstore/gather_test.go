@@ -207,9 +207,10 @@ func TestPagedKernelsBalancePins(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	r := NewRelation(0)
 	for i := 0; i < 3*BlockValues/2+BlockValues; i++ {
-		rec := r.NewRecord()
-		if i%7 != 3 { // holes, so ranks and record ids differ
-			r.SetEdgeMeasure(rec, 1, (rng.Float64()-0.5)*1e3)
+		if i%7 == 3 { // holes, so ranks and record ids differ
+			r.AppendRow(nil)
+		} else {
+			appendMeasured(r, map[EdgeID]float64{1: (rng.Float64() - 0.5) * 1e3})
 		}
 	}
 	mem := r.MeasureColumn(1)
@@ -265,7 +266,7 @@ func TestPagedKernelsBalancePins(t *testing.T) {
 	if err := loaded.PageError(); err != nil {
 		t.Fatal(err)
 	}
-	if s := loaded.PagePoolStats(); s.ResidentBlocks > 1 {
+	if s := loaded.StorageStats().Pool; s.ResidentBlocks > 1 {
 		t.Fatalf("the pool kept %d blocks on a 1-byte budget", s.ResidentBlocks)
 	}
 }

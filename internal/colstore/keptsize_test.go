@@ -17,7 +17,7 @@ func TestKeptSizeMatchesSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	r := NewRelation(0)
 	for i := 0; i < 4; i++ {
-		r.NewRecord()
+		r.AppendRow(nil)
 	}
 	check := func(step int, what string) {
 		t.Helper()
@@ -77,10 +77,14 @@ func TestKeptSizeMatchesSizeBytes(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				name = "cost"
 			}
-			r.SetEdgeMeasureNamed(uint32(rng.Intn(int(n))), edge(), name, rng.Float64())
+			if err := r.AppendEdge(uint32(rng.Intn(int(n))), edge(), name, rng.Float64(), true); err != nil {
+				t.Fatal(err)
+			}
 		case op < 6:
 			what = "set edge"
-			r.SetEdge(uint32(rng.Intn(int(n))), edge())
+			if err := r.AppendEdge(uint32(rng.Intn(int(n))), edge(), "", 0, false); err != nil {
+				t.Fatal(err)
+			}
 		case op < 7:
 			what = "delete"
 			if _, err := r.Delete(uint32(rng.Intn(int(n)))); err != nil {

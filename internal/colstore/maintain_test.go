@@ -19,10 +19,7 @@ func TestViewsStayFreshAcrossLoads(t *testing.T) {
 	}
 
 	// New record containing e4, e5 arrives after materialization.
-	rec := r.NewRecord()
-	r.SetEdgeMeasure(rec, 4, 10)
-	r.SetEdgeMeasure(rec, 5, 20)
-	r.UpdateViewsForRecord(rec)
+	rec := appendMeasured(r, map[EdgeID]float64{4: 10, 5: 20})
 
 	if !r.View("v45").Col.Contains(rec) {
 		t.Error("graph view missed the new record")
@@ -36,14 +33,23 @@ func TestViewsStayFreshAcrossLoads(t *testing.T) {
 	}
 
 	// A record NOT containing the view edges must stay excluded.
-	rec2 := r.NewRecord()
-	r.SetEdgeMeasure(rec2, 4, 1) // e5 missing
-	r.UpdateViewsForRecord(rec2)
+	rec2 := appendMeasured(r, map[EdgeID]float64{4: 1}) // e5 missing
 	if r.View("v45").Col.Contains(rec2) {
 		t.Error("graph view includes a non-matching record")
 	}
 	if av.Col.Contains(rec2) {
 		t.Error("aggregate view includes a non-matching record")
+	}
+
+	// Once the missing element is appended, the record enters both views.
+	if err := r.AppendEdge(rec2, 5, "", 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if !r.View("v45").Col.Contains(rec2) {
+		t.Error("graph view missed a record completed by AppendEdge")
+	}
+	if v, ok := av.Measure.Get(rec2); !ok || v != 3 {
+		t.Errorf("aggregate view measure after AppendEdge = %v,%v want 3,true", v, ok)
 	}
 }
 
@@ -55,17 +61,14 @@ func TestMaintainedViewEqualsRematerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		rec := r.NewRecord()
 		if i%2 == 0 {
-			r.SetEdgeMeasure(rec, 6, float64(i))
-			r.SetEdgeMeasure(rec, 7, float64(2*i))
+			appendMeasured(r, map[EdgeID]float64{6: float64(i), 7: float64(2 * i)})
 		} else {
-			r.SetEdgeMeasure(rec, 6, float64(i))
+			appendMeasured(r, map[EdgeID]float64{6: float64(i)})
 		}
-		r.UpdateViewsForRecord(rec)
 	}
 	maintained := r.AggView("p")
-	r.DropAggView("p")
+	r.DropAllViews()
 	rebuilt, err := r.MaterializeAggView("p", []EdgeID{6, 7}, agg.Max)
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +100,7 @@ func TestLoadedAggViewIsMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := got.NewRecord()
-	got.SetEdgeMeasure(rec, 6, 7)
-	got.SetEdgeMeasure(rec, 7, 8)
-	got.UpdateViewsForRecord(rec)
+	rec := appendMeasured(got, map[EdgeID]float64{6: 7, 7: 8})
 	if v, ok := got.AggView("p").Measure.Get(rec); !ok || v != 15 {
 		t.Errorf("reloaded view not maintained: %v,%v", v, ok)
 	}

@@ -76,7 +76,7 @@ func reloadPaged(tb testing.TB, r *Relation, budget int64) *Relation {
 // nothing evicts every frame but the pinned ones.
 func pinnedBlocks(r *Relation) int {
 	r.SetPageCacheBytes(1)
-	return r.PagePoolStats().ResidentBlocks
+	return r.StorageStats().Pool.ResidentBlocks
 }
 
 // unlikeLengths is a relation of one column per length: a single value, short
@@ -88,12 +88,13 @@ func unlikeLengthsRelation() *Relation {
 	r := NewRelation(0)
 	longest := slices.Max(unlikeLengths)
 	for i := 0; i < longest; i++ {
-		rec := r.NewRecord()
+		var cells []Cell
 		for e, n := range unlikeLengths {
 			if i < n {
-				r.SetEdgeMeasure(rec, EdgeID(e+1), float64(i)*1.1+float64(e))
+				cells = append(cells, Cell{Edge: EdgeID(e + 1), Value: float64(i)*1.1 + float64(e), HasValue: true})
 			}
 		}
+		r.AppendRow(cells)
 	}
 	return r
 }
@@ -124,9 +125,9 @@ func TestPageFaultAllocs(t *testing.T) {
 		}
 	}
 	sweep() // the pool grows to the longest block, the rank scratch to its plateau
-	before := loaded.PagePoolStats()
+	before := loaded.StorageStats().Pool
 	allocs := testing.AllocsPerRun(20, sweep)
-	after := loaded.PagePoolStats()
+	after := loaded.StorageStats().Pool
 	if allocs != 0 {
 		t.Errorf("a sweep of cold gathers allocates %v times, want 0", allocs)
 	}
@@ -184,9 +185,9 @@ func TestWarmPageFaultAllocs(t *testing.T) {
 		}
 	}
 	pass() // the pool grows to its budget
-	before := loaded.PagePoolStats()
+	before := loaded.StorageStats().Pool
 	allocs := testing.AllocsPerRun(5, pass)
-	after := loaded.PagePoolStats()
+	after := loaded.StorageStats().Pool
 	if allocs != 0 {
 		t.Errorf("a pass of warm reads allocates %v times, want 0", allocs)
 	}
@@ -214,9 +215,7 @@ func TestAggregateSkipAllocs(t *testing.T) {
 	const n = 2*BlockValues + 100
 	recs := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
-		rec := r.NewRecord()
-		r.SetEdgeMeasure(rec, 1, float64(1<<20+i))
-		recs = append(recs, rec)
+		recs = append(recs, appendMeasured(r, map[EdgeID]float64{1: float64(1<<20 + i)}))
 	}
 	loaded := reloadPaged(t, r, DefaultPageCacheBytes)
 	col := loaded.MeasureColumn(1)
@@ -249,12 +248,12 @@ func TestAggregateSkipAllocs(t *testing.T) {
 func TestResaveAndMaterializeBypassPool(t *testing.T) {
 	r := NewRelation(0)
 	for i := 0; i < 3*BlockValues; i++ {
-		r.SetEdgeMeasure(r.NewRecord(), 1, float64(i)*1.1)
+		appendMeasured(r, map[EdgeID]float64{1: float64(i) * 1.1})
 	}
 	loaded := reloadPaged(t, r, DefaultPageCacheBytes)
 	col := loaded.MeasureColumn(1)
 	col.Get(0) // one block in the pool, to be left alone
-	before := loaded.PagePoolStats()
+	before := loaded.StorageStats().Pool
 
 	var first, again bytes.Buffer
 	if err := writeMeasureColumn(&first, r.MeasureColumn(1)); err != nil {
@@ -266,14 +265,14 @@ func TestResaveAndMaterializeBypassPool(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), first.Bytes()) {
 		t.Fatal("re-saving the paged column wrote different bytes than saving the resident one")
 	}
-	if after := loaded.PagePoolStats(); after != before {
+	if after := loaded.StorageStats().Pool; after != before {
 		t.Errorf("re-save went through the pool: %+v, was %+v", after, before)
 	}
 
-	if err := loaded.SetEdgeMeasure(0, 1, 42); err != nil { // a write inside the prefix materializes the column
+	if err := loaded.AppendEdge(0, 1, "", 42, true); err != nil { // a write inside the prefix materializes the column
 		t.Fatal(err)
 	}
-	after := loaded.PagePoolStats()
+	after := loaded.StorageStats().Pool
 	if after.Misses != before.Misses || after.ResidentBlocks != 0 || after.ResidentBytes != 0 {
 		t.Errorf("materialize went through the pool or left the column's blocks in it: %+v, was %+v", after, before)
 	}

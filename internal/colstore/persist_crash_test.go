@@ -50,8 +50,12 @@ func installedSnapshotBytes(tb testing.TB, dir string) []byte {
 func TestSaveFaultSweep(t *testing.T) {
 	oldRel := buildSmallRelation(t)
 	newRel := buildSmallRelation(t)
-	newRel.SetEdgeMeasure(0, 9, 7)
-	newRel.SetEdgeMeasureNamed(1, 2, "cost", 5)
+	if err := newRel.AppendEdge(0, 9, "", 7, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := newRel.AppendEdge(1, 2, "cost", 5, true); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := newRel.MaterializeView("v", []EdgeID{4, 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +126,7 @@ func buildMultiBlockRelation(t *testing.T) *Relation {
 	t.Helper()
 	r := NewRelation(0)
 	for i := 0; i < 2*BlockValues+17; i++ {
-		rec := r.NewRecord()
-		r.SetEdgeMeasure(rec, 1, 7)
-		r.SetEdgeMeasure(rec, 2, float64(1<<20+i))
+		appendMeasured(r, map[EdgeID]float64{1: 7, 2: float64(1<<20 + i)})
 	}
 	return r
 }
@@ -137,7 +139,9 @@ func buildMultiBlockRelation(t *testing.T) *Relation {
 func TestSaveFaultSweepMultiBlock(t *testing.T) {
 	oldRel := buildMultiBlockRelation(t)
 	newRel := buildMultiBlockRelation(t)
-	newRel.SetEdgeMeasure(3, 2, 42) // perturb mid-block: rewrites edge 2's first block
+	if err := newRel.AppendEdge(3, 2, "", 42, true); err != nil { // perturb mid-block: rewrites edge 2's first block
+		t.Fatal(err)
+	}
 	refOld := refBytes(t, oldRel)
 	refNew := refBytes(t, newRel)
 	if bytes.Equal(refOld, refNew) {
@@ -199,7 +203,9 @@ func TestSaveFaultSweepSnapshotGC(t *testing.T) {
 	oldRel := buildSmallRelation(t)
 	oldRel.SetSnapshotKeep(1000) // seeds must pile up generations for GC to chew
 	newRel := buildSmallRelation(t)
-	newRel.SetEdgeMeasure(0, 9, 7)
+	if err := newRel.AppendEdge(0, 9, "", 7, true); err != nil {
+		t.Fatal(err)
+	}
 	newRel.SetSnapshotKeep(1)
 	refOld := refBytes(t, oldRel)
 	refNew := refBytes(t, newRel)
@@ -283,7 +289,9 @@ func TestSaveFaultSweepSnapshotGC(t *testing.T) {
 func TestLoadFallbackRecovery(t *testing.T) {
 	oldRel := buildSmallRelation(t)
 	newRel := buildSmallRelation(t)
-	newRel.SetEdgeMeasure(2, 9, 1)
+	if err := newRel.AppendEdge(2, 9, "", 1, true); err != nil {
+		t.Fatal(err)
+	}
 	refOld := refBytes(t, oldRel)
 
 	dir := t.TempDir()
@@ -354,7 +362,9 @@ func TestSnapshotGCKeepCount(t *testing.T) {
 func TestGenerationsInventoryAndRollback(t *testing.T) {
 	oldRel := buildSmallRelation(t)
 	newRel := buildSmallRelation(t)
-	newRel.SetEdgeMeasure(1, 9, 6)
+	if err := newRel.AppendEdge(1, 9, "", 6, true); err != nil {
+		t.Fatal(err)
+	}
 	refOld := refBytes(t, oldRel)
 
 	dir := t.TempDir()
@@ -449,7 +459,10 @@ func TestConcurrentSaveLoadMutate(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				r.SetEdgeMeasure(uint32(i%3), EdgeID(10+i%5), float64(i))
+				if err := r.AppendEdge(uint32(i%3), EdgeID(10+i%5), "", float64(i), true); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
@@ -513,10 +526,11 @@ func TestConcurrentSaveLoadMutate(t *testing.T) {
 func benchRelation() *Relation {
 	r := NewRelation(0)
 	for rec := 0; rec < 2000; rec++ {
-		id := r.NewRecord()
-		for e := 0; e < 20; e++ {
-			r.SetEdgeMeasure(id, EdgeID(1+(rec+e*7)%60), float64(e))
+		cells := make([]Cell, 20)
+		for e := range cells {
+			cells[e] = Cell{Edge: EdgeID(1 + (rec+e*7)%60), Value: float64(e), HasValue: true}
 		}
+		r.AppendRow(cells)
 	}
 	return r
 }

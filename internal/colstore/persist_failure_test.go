@@ -20,7 +20,9 @@ func savedFixture(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	r := buildSmallRelation(t)
-	r.SetEdgeMeasureNamed(0, 1, "cost", 9)
+	if err := r.AppendEdge(0, 1, "cost", 9, true); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.MaterializeView("v", []EdgeID{4, 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestLoadRejectsEdgeIDOutOfRange(t *testing.T) {
 func TestSparseEdgeIDs(t *testing.T) {
 	r := NewRelation(100)
 	for _, e := range []EdgeID{1000, 3} {
-		r.SetEdgeMeasure(r.NewRecord(), e, float64(e))
+		appendMeasured(r, map[EdgeID]float64{e: float64(e)})
 	}
 	check := func(r *Relation, what string) {
 		t.Helper()

@@ -168,15 +168,6 @@ func (r *Relation) SetPageCacheBytes(n int64) {
 	}
 }
 
-// PagePoolStats returns the buffer pool's counters (zero value for a
-// relation never loaded).
-func (r *Relation) PagePoolStats() pagepool.Stats {
-	if r.pagePool == nil {
-		return pagepool.Stats{}
-	}
-	return r.pagePool.Stats()
-}
-
 // PageError returns the first sticky page-fault error of the relation's
 // snapshot sources, if lazy block loading has failed. Query layers check it
 // after scans over paged columns: a fault mid-scan yields zeros in place of
@@ -301,55 +292,17 @@ func (r *Relation) BeginRead() { r.mu.RLock() }
 // EndRead releases the read lock taken by BeginRead.
 func (r *Relation) EndRead() { r.mu.RUnlock() }
 
-// NewRecord allocates and returns the next record id.
-func (r *Relation) NewRecord() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bumpVersion()
-	return r.numRecords.Add(1) - 1
-}
-
 // NumRecords returns the number of records loaded.
 func (r *Relation) NumRecords() int { return int(r.numRecords.Load()) }
 
-// SetEdge marks record rec as containing edge without recording a measure
-// (the paper drops measure columns for elements no application measures).
-func (r *Relation) SetEdge(rec uint32, edge EdgeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bumpVersion()
-	r.edgeBitmap(edge).Set(rec)
-}
-
-// SetEdgeMeasure marks record rec as containing edge with default-measure
-// value v.
-func (r *Relation) SetEdgeMeasure(rec uint32, edge EdgeID, v float64) error {
-	return r.SetEdgeMeasureNamed(rec, edge, "", v)
-}
-
-// SetEdgeMeasureNamed marks record rec as containing edge with a value in
-// the named measure column m_edge^name ("" = default measure). A write
-// inside the column's paged prefix faults the column in first; if that read
-// fails, the page error is returned and the relation is unchanged.
-func (r *Relation) SetEdgeMeasureNamed(rec uint32, edge EdgeID, name string, v float64) error {
-	return r.writeRecord(rec, edge, name, v, true, false)
-}
-
 // AppendEdge adds one element to existing record rec — its bit, its measure
 // v under name ("" = default) when hasValue, and the record's view upkeep —
-// in one write-lock section: the write-ahead log's append-edge op. If a
-// read it needs fails, AppendEdge returns the page error and leaves the
+// in one write-lock section: the write-ahead log's append-edge op, and the
+// one write to an existing record. Every measure column it writes has rec's
+// slot faulted in, and every measure the upkeep reads is read once, before
+// the first write, so a failed read returns the page error with the
 // relation unchanged.
 func (r *Relation) AppendEdge(rec uint32, edge EdgeID, name string, v float64, hasValue bool) error {
-	return r.writeRecord(rec, edge, name, v, hasValue, true)
-}
-
-// writeRecord is the one write to an existing record: edge's bit (none for
-// noEdge), its measure v under name when hasValue, and the views' upkeep
-// when views. Every measure column it writes has rec's slot faulted in, and
-// every measure the upkeep reads is read once, before the first write, so a
-// failed read returns the page error with the relation unchanged.
-func (r *Relation) writeRecord(rec uint32, edge EdgeID, name string, v float64, hasValue, views bool) error {
 	r.mu.Lock() //grovevet:ignore lockorder a write inside a column's paged prefix reads the prefix in to materialize it, and view upkeep reads the record's measures; the reads finish under the write lock, before anything is set, so that readers never see a half-written record and a failed read changes nothing
 	defer r.mu.Unlock()
 	if m := r.MeasureColumnNamed(edge, name); m != nil && hasValue {
@@ -357,21 +310,15 @@ func (r *Relation) writeRecord(rec uint32, edge EdgeID, name string, v float64, 
 			return err
 		}
 	}
-	if views {
-		if err := r.faultViews(rec, edge); err != nil {
-			return err
-		}
+	if err := r.faultViews(rec, edge); err != nil {
+		return err
 	}
 	r.bumpVersion()
-	if edge != noEdge {
-		r.edgeBitmap(edge).Set(rec)
-	}
+	r.edgeBitmap(edge).Set(rec)
 	if hasValue {
 		r.measureColumn(edge, name).put(rec, v)
 	}
-	if views {
-		r.maintainViews(rec)
-	}
+	r.maintainViews(rec)
 	return nil
 }
 
@@ -822,18 +769,7 @@ func (r *Relation) pathMeasures(rec uint32, path []EdgeID, measureName string, v
 	return true
 }
 
-// UpdateViewsForRecord incrementally maintains every materialized view for a
-// freshly loaded record: loaders call it once after all of the record's
-// edges and measures are set, so views never go stale as the collection
-// grows. Aggregate views loaded from disk whose function could not be
-// re-bound are skipped (Load rejects unknown function names, so this cannot
-// happen for stores grove wrote itself). Like AppendEdge, it reads what it
-// needs before it writes, and a failed read leaves the relation unchanged.
-func (r *Relation) UpdateViewsForRecord(rec uint32) error {
-	return r.writeRecord(rec, noEdge, "", 0, false, true)
-}
-
-// noEdge is an edge id no column has: no edge to write or to add.
+// noEdge is an edge id no column has: no edge to add.
 const noEdge EdgeID = maxEdgeID
 
 // holdsAll reports whether record rec holds every one of edges once plus is
@@ -929,34 +865,6 @@ func (r *Relation) ViewUsage() map[string]int64 {
 		out[v.Name] = v.Uses()
 	}
 	return out
-}
-
-// DropView removes a graph view.
-func (r *Relation) DropView(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bumpVersion()
-	cat := r.Catalog()
-	v, i := cat.view(name)
-	if v == nil {
-		return false
-	}
-	r.catalog.Store(buildCatalog(removed(cat.views, i), cat.aggViews))
-	return true
-}
-
-// DropAggView removes an aggregate view.
-func (r *Relation) DropAggView(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bumpVersion()
-	cat := r.Catalog()
-	v, i := cat.aggView(name)
-	if v == nil {
-		return false
-	}
-	r.catalog.Store(buildCatalog(cat.views, removed(cat.aggViews, i)))
-	return true
 }
 
 // DropAllViews removes every materialized view, returning the relation to its

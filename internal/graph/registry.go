@@ -89,10 +89,10 @@ func (r *Registry) AssignRow(row *Row, from int) {
 	}
 }
 
-// resolve fills the id of every key of row: LookupRow, then AssignRow from
-// the first key the registry lacked. The common case — every element already
-// known — is one read-lock section.
-func (r *Registry) resolve(row *Row) {
+// ResolveRow fills the id of every key of row: LookupRow, then AssignRow
+// from the first key the registry lacked. The common case — every element
+// already known — is one read-lock section.
+func (r *Registry) ResolveRow(row *Row) {
 	if from := r.LookupRow(row); from >= 0 {
 		r.AssignRow(row, from)
 	}

@@ -15,8 +15,8 @@ import (
 // live append, the write-ahead log encodes it and decodes straight back into
 // it, and AppendRow applies it to the master relation.
 //
-// Keys[i] names Cells[i]. Cells[i].Edge is filled by AppendRow (through
-// Registry.resolve); Cells[i].Named is ordered by measure name.
+// Keys[i] names Cells[i]. Cells[i].Edge is filled by Registry.ResolveRow;
+// Cells[i].Named is ordered by measure name.
 type Row struct {
 	Keys  []EdgeKey
 	Cells []colstore.Cell
@@ -221,13 +221,13 @@ func NormalizeRow(row *Row) *Row {
 }
 
 // AppendRow appends row to the master relation as one record, assigning ids
-// for any new elements, and returns the record id. It is the single apply
-// function behind live ingest: NormalizeRow, Registry.resolve, then one
-// relation append. The row's edge ids are filled in place, so a row belongs
-// to one append.
+// for any new elements, and returns the record id: NormalizeRow,
+// Registry.ResolveRow, then one relation append — the coordinator's
+// add-record path in one call, for loaders that have no coordinator. The
+// row's edge ids are filled in place, so a row belongs to one append.
 func AppendRow(rel *colstore.Relation, reg *Registry, row *Row) uint32 {
 	row = NormalizeRow(row)
-	reg.resolve(row)
+	reg.ResolveRow(row)
 	return rel.AppendRow(row.Cells)
 }
 

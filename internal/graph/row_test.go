@@ -113,7 +113,7 @@ func TestResolveDoesNotPinRowStrings(t *testing.T) {
 	frame := "xxAAxxBBxx"
 	row := &Row{Keys: []EdgeKey{E(frame[2:4], frame[6:8])}, Cells: make([]colstore.Cell, 1)}
 	reg := NewRegistry()
-	reg.resolve(row)
+	reg.ResolveRow(row)
 	k, _ := reg.Key(row.Cells[0].Edge)
 	if k != E("AA", "BB") {
 		t.Fatalf("registered %v", k)
@@ -123,7 +123,7 @@ func TestResolveDoesNotPinRowStrings(t *testing.T) {
 	}
 	// Known keys resolve without assigning.
 	again := &Row{Keys: []EdgeKey{E("AA", "BB")}, Cells: make([]colstore.Cell, 1)}
-	reg.resolve(again)
+	reg.ResolveRow(again)
 	if again.Cells[0].Edge != row.Cells[0].Edge || reg.Len() != 1 {
 		t.Fatalf("second resolve: id %d, %d keys", again.Cells[0].Edge, reg.Len())
 	}

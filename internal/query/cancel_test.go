@@ -25,7 +25,7 @@ func TestExecuteGraphQueryContextCancelled(t *testing.T) {
 	// The read lock must have been released: a writer must not block.
 	done := make(chan struct{})
 	go func() {
-		f.rel.SetEdgeMeasure(0, 1, 1)
+		f.rel.AppendEdge(0, 1, "", 1, true)
 		close(done)
 	}()
 	select {
@@ -137,7 +137,7 @@ func TestBatchPanicIsolatedPerQuery(t *testing.T) {
 	// The recovered panic must not have leaked the relation read lock.
 	done := make(chan struct{})
 	go func() {
-		f.rel.SetEdgeMeasure(0, 1, 1)
+		f.rel.AppendEdge(0, 1, "", 1, true)
 		close(done)
 	}()
 	select {

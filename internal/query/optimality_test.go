@@ -57,10 +57,11 @@ func TestGreedyWithinHarmonicBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 150; trial++ {
 		rel := colstore.NewRelation(0)
-		rec := rel.NewRecord()
-		for e := colstore.EdgeID(0); e < 16; e++ {
-			rel.SetEdgeMeasure(rec, e, 1)
+		cells := make([]colstore.Cell, 16)
+		for e := range cells {
+			cells[e] = colstore.Cell{Edge: colstore.EdgeID(e), Value: 1, HasValue: true}
 		}
+		rel.AppendRow(cells)
 		var views [][]colstore.EdgeID
 		numViews := rng.Intn(9)
 		for v := 0; v < numViews; v++ {

@@ -69,7 +69,9 @@ func benchmarkPathAggScalar(b *testing.B, zoneSkip bool) {
 		b.Fatal("fixture lost its first edge")
 	}
 	for rec := uint32(0); rec < uint32(f.rel.NumRecords()); rec++ {
-		f.rel.SetEdgeMeasure(rec, ab, float64(1<<20)+float64(rec))
+		if err := f.rel.AppendEdge(rec, ab, "", float64(1<<20)+float64(rec), true); err != nil {
+			b.Fatal(err)
+		}
 	}
 	dir := b.TempDir()
 	if err := f.rel.Save(dir); err != nil {
@@ -134,7 +136,7 @@ func BenchmarkPathAggPagedCold(b *testing.B) {
 	if _, err := eng.ExecutePathAggQueryContext(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
-	before := rel.PagePoolStats().Misses
+	before := rel.StorageStats().Pool.Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -142,7 +144,7 @@ func BenchmarkPathAggPagedCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(rel.PagePoolStats().Misses-before)/float64(b.N), "faults/op")
+	b.ReportMetric(float64(rel.StorageStats().Pool.Misses-before)/float64(b.N), "faults/op")
 }
 
 // BenchmarkPathAggFetchMeasures times the graph-query measure phase (the

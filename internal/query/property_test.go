@@ -18,10 +18,11 @@ func TestPlanCoverAlwaysCoversUniverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		rel := colstore.NewRelation(0)
-		rec := rel.NewRecord()
-		for e := colstore.EdgeID(0); e < 40; e++ {
-			rel.SetEdgeMeasure(rec, e, 1)
+		cells := make([]colstore.Cell, 40)
+		for e := range cells {
+			cells[e] = colstore.Cell{Edge: colstore.EdgeID(e), Value: 1, HasValue: true}
 		}
+		rel.AppendRow(cells)
 		// Random views.
 		numViews := rng.Intn(6)
 		for v := 0; v < numViews; v++ {

@@ -2,13 +2,19 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"grove/internal/agg"
+	"grove/internal/bitmap"
 	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
+	"grove/internal/wal"
 )
 
 // failingReads is an fsio.FS whose files fail every positional read once
@@ -96,5 +102,285 @@ func TestAppendEdgeFaultFailureChangesNothing(t *testing.T) {
 	}
 	if v := rel.AggView("abc"); v.Col.Contains(0) || v.Measure.Count() != 4 {
 		t.Errorf("view abc took record 0: bit %v, %d values", v.Col.Contains(0), v.Measure.Count())
+	}
+}
+
+// TestRefusedWriteNotRecovered: an op the store refused never reaches the
+// log, so recovery cannot bring it back. With the log at SyncAlways and page
+// reads failing, an append-edge into a paged prefix is refused; so is a tag
+// with an empty key. Neither appends a frame, and the next load replays
+// nothing: record 0 still has no B→C.
+func TestRefusedWriteNotRecovered(t *testing.T) {
+	c := New(1, 0)
+	for i := 0; i < 5; i++ {
+		rec := graph.NewRecord()
+		if err := rec.SetEdge("A", "B", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 { // record 0 lacks B→C
+			if err := rec.SetEdge("B", "C", float64(10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Add(rec)
+	}
+	dir := t.TempDir()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	fs := &failingReads{FS: fsio.OS()}
+	live, err := LoadFS(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AttachWALFS(fs, dir, wal.Config{Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.fail.Store(true)
+	if err := live.AppendEdge(0, "B", "C", "", 99, true); err == nil {
+		t.Fatal("append-edge into a prefix reported success over a failing disk")
+	}
+	if n := live.WALStats().Appends; n != 0 {
+		t.Errorf("the refused append-edge appended %d frames", n)
+	}
+	before := live.WALStats().Appends
+	if err := live.Tag(0, "", "v"); err == nil {
+		t.Fatal("a tag with an empty key was accepted")
+	}
+	if n := live.WALStats().Appends - before; n != 0 {
+		t.Errorf("the refused tag appended %d frames", n)
+	}
+	fs.fail.Store(false)
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := LoadFS(fsio.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if n := recovered.WALStats().ReplayedOps; n != 0 {
+		t.Errorf("recovery replayed %d ops, want 0", n)
+	}
+	bc, _ := recovered.Registry().Lookup(graph.E("B", "C"))
+	if recovered.Unit(0).Rel.EdgeBitmap(bc).Contains(0) {
+		t.Error("recovery gave record 0 the refused B→C")
+	}
+}
+
+// TestRefusedOpsDifferential runs seeded random mutation sequences — appends,
+// append-edges (into the paged prefixes too), deletes, undeletes and tags,
+// empty keys included — on a loaded store logging at SyncAlways while page
+// reads fail at random steps, at 1 and 2 shards. A shadow store loaded from
+// the same snapshot takes only the ops the live one acknowledged. After Close
+// and a fresh load, the recovered store must equal the shadow: the same
+// records, deletions, tags and view contents, and every view equal to its
+// recomputation.
+//
+// The stores are compared by element name, not by registry id: a refused
+// append-edge of a new element still takes an id live, and replay never
+// assigns it, so later ids may differ (DESIGN.md §14).
+func TestRefusedOpsDifferential(t *testing.T) {
+	nodes := []string{"A", "B", "C", "D", "E"}
+	randomEdge := func(rng *rand.Rand) (string, string) {
+		i := rng.Intn(len(nodes) - 1)
+		return nodes[i], nodes[i+1+rng.Intn(len(nodes)-1-i)]
+	}
+	for _, n := range []int{1, 2} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			randomRecord := func() *graph.Record {
+				rec := graph.NewRecord()
+				for k := 1 + rng.Intn(5); k > 0; k-- {
+					from, to := randomEdge(rng)
+					if err := rec.SetEdge(from, to, float64(rng.Intn(50))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return rec
+			}
+			base := New(n, 0)
+			for i := 0; i < 16; i++ {
+				base.Add(randomRecord())
+			}
+			reg := base.Registry()
+			ab, bc, cd := reg.ID(graph.E("A", "B")), reg.ID(graph.E("B", "C")), reg.ID(graph.E("C", "D"))
+			if err := base.MaterializeView("abc", []colstore.EdgeID{ab, bc}); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.MaterializeAggViewOn("bcd", []colstore.EdgeID{bc, cd}, agg.Sum, ""); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := base.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			fs := &failingReads{FS: fsio.OS()}
+			live, err := LoadFS(fs, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.AttachWALFS(fs, dir, wal.Config{Policy: wal.SyncAlways}); err != nil {
+				t.Fatal(err)
+			}
+			shadow, err := LoadFS(fsio.OS(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			label := fmt.Sprintf("N=%d seed %d", n, seed)
+			acked, refused := 0, 0
+			for step := 0; step < 80; step++ {
+				fs.fail.Store(rng.Intn(6) == 0)
+				g := uint32(rng.Intn(live.NumRecords()))
+				var err, shadowErr error
+				var was, shadowWas bool
+				switch op := rng.Intn(10); {
+				case op < 2:
+					rec := randomRecord()
+					_, err = live.Append(rec)
+					_, shadowErr = shadow.Append(rec)
+				case op < 6:
+					from, to := randomEdge(rng)
+					if rng.Intn(4) == 0 {
+						to = fmt.Sprintf("N%d", step) // an element the registry has never seen
+					}
+					name := []string{"", "", "cost"}[rng.Intn(3)]
+					v, hasValue := float64(rng.Intn(50)), rng.Intn(4) > 0
+					if err = live.AppendEdge(g, from, to, name, v, hasValue); err == nil {
+						shadowErr = shadow.AppendEdge(g, from, to, name, v, hasValue)
+					}
+				case op < 7:
+					if was, err = live.Delete(g); err == nil {
+						shadowWas, shadowErr = shadow.Delete(g)
+					}
+				case op < 8:
+					was, shadowWas = live.Undelete(g), shadow.Undelete(g)
+				default:
+					key, val := []string{"", "region", "kind"}[rng.Intn(3)], fmt.Sprint(rng.Intn(3))
+					if err = live.Tag(g, key, val); err == nil {
+						shadowErr = shadow.Tag(g, key, val)
+					}
+				}
+				if err != nil {
+					refused++
+					continue
+				}
+				acked++
+				if shadowErr != nil || was != shadowWas {
+					t.Fatalf("%s step %d: the shadow disagrees with an acknowledged op: err %v, was %v vs %v", label, step, shadowErr, was, shadowWas)
+				}
+			}
+			if refused == 0 {
+				t.Fatalf("%s: no op was refused; the sequence tests nothing", label)
+			}
+			fs.fail.Store(false)
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			recovered, err := LoadFS(fsio.OS(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recovered.WALStats().ReplayedOps; got != int64(acked) {
+				t.Errorf("%s: recovery replayed %d ops, %d were acknowledged (%d refused)", label, got, acked, refused)
+			}
+			if got, want := nameDigest(recovered), nameDigest(shadow); got != want {
+				t.Errorf("%s: the recovered store differs from the live one (%d acknowledged, %d refused ops)\n got:\n%s\nwant:\n%s", label, acked, refused, got, want)
+			}
+			checkViewsRecompute(t, label+" shadow", shadow)
+			checkViewsRecompute(t, label+" recovered", recovered)
+			recovered.Close()
+			shadow.Close()
+		}
+	}
+}
+
+// nameDigest renders c's logical state by element name, never by registry
+// id: every record's elements with their default and named measures and its
+// deleted flag, the records under every tag, and every view's records and
+// values.
+func nameDigest(c *Coordinator) string {
+	var b strings.Builder
+	reg := c.Registry()
+	for g := uint32(0); int(g) < c.NumRecords(); g++ {
+		s, local, _ := c.Locate(g)
+		rel := c.Unit(s).Rel
+		var elems []string
+		for eid := colstore.EdgeID(0); int(eid) < reg.Len(); eid++ {
+			if bm := rel.EdgeBitmap(eid); bm == nil || !bm.Contains(local) {
+				continue
+			}
+			k, _ := reg.Key(eid)
+			e := k.From + "→" + k.To
+			for _, name := range append([]string{""}, rel.MeasureNames()...) {
+				if col := rel.MeasureColumnNamed(eid, name); col != nil {
+					if v, ok := col.Get(local); ok {
+						e += fmt.Sprintf(" %s=%v", name, v)
+					}
+				}
+			}
+			elems = append(elems, e)
+		}
+		sort.Strings(elems)
+		deleted := rel.MaskDeleted(bitmap.FromSlice([]uint32{local})).IsEmpty()
+		fmt.Fprintf(&b, "record %d deleted=%v: %s\n", g, deleted, strings.Join(elems, ", "))
+	}
+	for _, key := range c.TagKeys() {
+		for _, val := range c.TagValues(key) {
+			fmt.Fprintf(&b, "tag %s=%s: %v\n", key, val, c.TaggedWith(key, val).ToSlice())
+		}
+	}
+	for s := 0; s < c.NumShards(); s++ {
+		rel := c.Unit(s).Rel
+		for _, v := range rel.Views() {
+			fmt.Fprintf(&b, "shard %d view %s: %v\n", s, v.Name, v.Col.Bits().ToSlice())
+		}
+		for _, v := range rel.AggViews() {
+			fmt.Fprintf(&b, "shard %d view %s: %v %s\n", s, v.Name, v.Col.Bits().ToSlice(), columnString(v.Measure))
+		}
+	}
+	return b.String()
+}
+
+// columnString renders a measure column as its rec=value pairs.
+func columnString(m *colstore.MeasureColumn) string {
+	var b strings.Builder
+	m.ForEach(func(rec uint32, v float64) bool {
+		fmt.Fprintf(&b, "%d=%v ", rec, v)
+		return true
+	})
+	return b.String()
+}
+
+// checkViewsRecompute materializes every view of c again from the base
+// columns and requires the maintained view to hold the same records and
+// values.
+func checkViewsRecompute(t *testing.T, label string, c *Coordinator) {
+	t.Helper()
+	for s := 0; s < c.NumShards(); s++ {
+		rel := c.Unit(s).Rel
+		for _, v := range rel.Views() {
+			re, err := rel.MaterializeView("re-"+v.Name, v.Edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !re.Col.Bits().Equals(v.Col.Bits()) {
+				t.Errorf("%s shard %d: view %s holds %v, its recomputation %v", label, s, v.Name, v.Col.Bits().ToSlice(), re.Col.Bits().ToSlice())
+			}
+		}
+		for _, v := range rel.AggViews() {
+			fn, _ := agg.ByName(v.Func)
+			re, err := rel.MaterializeAggViewOn("re-"+v.Name, v.Path, fn, v.MeasureName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !re.Col.Bits().Equals(v.Col.Bits()) || columnString(re.Measure) != columnString(v.Measure) {
+				t.Errorf("%s shard %d: view %s holds %s, its recomputation %s", label, s, v.Name, columnString(v.Measure), columnString(re.Measure))
+			}
+		}
 	}
 }

@@ -48,11 +48,11 @@ type Unit struct {
 	Rel *colstore.Relation
 	Eng *query.Engine
 
-	// ingestMu serializes this shard's mutations with respect to the
-	// write-ahead log: held across "append frame to log, apply in memory",
-	// so the log's frame order always equals the apply order (which is what
-	// makes replayed record ids deterministic). A checkpoint holds every
-	// shard's ingestMu at once to cut a consistent cross-shard snapshot.
+	// ingestMu serializes this shard's mutations: held across "prepare,
+	// apply in memory, append frame to log", so the log's frame order always
+	// equals the apply order (which is what makes replayed record ids
+	// deterministic). A checkpoint holds every shard's ingestMu at once to
+	// cut a consistent cross-shard snapshot.
 	ingestMu sync.Mutex
 
 	// pending counts the scatter rounds currently queued or running on this
@@ -96,7 +96,7 @@ type Coordinator struct {
 	mergeDur  *obs.Histogram
 
 	// Write-ahead log state (internal/shard/wal.go). wal is nil until
-	// AttachWALFS succeeds — the disabled mutator hot path pays one atomic
+	// AttachWALFS succeeds — with it disabled, a mutator pays one atomic
 	// pointer load. walAnchor/walLoadDir describe what a Load left in
 	// memory; the replay/skip counters survive for WALStats.
 	wal         atomic.Pointer[walState]
@@ -171,57 +171,52 @@ func (c *Coordinator) Locate(g uint32) (s int, local uint32, err error) {
 
 // --- mutators ---------------------------------------------------------------
 //
-// Every mutator builds a wal.Op and hands it to mutate: one logged-apply
-// path, whose in-memory half (applyOp) is also what WAL replay runs.
+// Every mutator builds a wal.Op and hands it to mutate: one write path —
+// prepare, apply, then log — whose in-memory half (applyOp) is also what WAL
+// replay runs.
 
-// mutate applies op to shard s. With no log attached that is applyOp and
-// nothing else — no ingestMu, no frame. With one attached, the frame is
-// appended and the op applied under the shard's ingestMu, so file order
-// always equals apply order and replay reconstructs identical record ids;
-// the fsync (Commit) happens outside the lock so concurrent writers on one
-// shard batch onto one fsync (group commit). An apply error outranks a log
-// error; a log error alone means the op IS applied in memory but not
-// guaranteed durable (the log latched the failure, see WALError).
+// mutate runs op on shard s under its ingestMu: prepare (an add-record row
+// gets its ids), apply (applyOp) and, only if the apply succeeded, append
+// the frame to the attached log — so a refused op never comes back on
+// recovery. One lock across the three makes id order, apply order and log
+// order one order, and lets a checkpoint (which holds every ingestMu) find
+// each write in its cut or in the log. Commit (the fsync) runs after the
+// unlock, so writers on one shard share an fsync (group commit). A log error
+// means the op is applied but not guaranteed durable; the log latches it and
+// Store.Stats().Err reports it through WALError.
 func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err error) {
 	u := c.units[s]
-	w := c.wal.Load()
-	if w == nil {
-		return applyOp(u, c.reg, op, false)
-	}
 	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
-	lsn, werr := w.logs[s].Append(op)
-	local, was, err = applyOp(u, c.reg, op, false)
-	u.ingestMu.Unlock()
-	if werr == nil {
-		werr = w.logs[s].Commit(lsn)
+	if op.Kind == wal.OpAddRecord {
+		c.reg.ResolveRow(op.Row)
 	}
-	if err == nil && werr != nil {
-		err = fmt.Errorf("shard %d: %w", s, werr)
+	local, was, err = applyOp(u, c.reg, op)
+	w := c.wal.Load()
+	if err != nil || w == nil {
+		u.ingestMu.Unlock()
+		return local, was, err
+	}
+	lsn, err := w.logs[s].Append(op)
+	u.ingestMu.Unlock()
+	if err == nil {
+		err = w.logs[s].Commit(lsn)
+	}
+	if err != nil {
+		err = fmt.Errorf("shard %d: %w", s, err)
 	}
 	return local, was, err
 }
 
-// applyOp is the in-memory effect of one op on shard u: the single switch
-// behind both the live mutators and WAL replay, so a replayed op maintains
-// views exactly as the live one did. An add-record op carries its flat row —
-// built once by Append, or decoded straight from the log — and
-// graph.AppendRow applies it in one relation lock section; with resolved
-// set, the row is already normalized with every edge id filled (replay does
-// both before it applies) and goes to the relation as it is. local is the
-// new record's shard-local id (add-record); was reports whether a
-// delete/undelete changed the record. Ops are checked here (checkOp) because
-// replay feeds it ops decoded from disk.
-func applyOp(u *Unit, reg *graph.Registry, op wal.Op, resolved bool) (local uint32, was bool, err error) {
-	if err := checkOp(op, u.Rel.NumRecords()); err != nil {
-		return 0, false, err
-	}
+// applyOp is the in-memory effect of one prepared op — checked, and for an
+// add-record op normalized with every edge id filled — on shard u: the single
+// switch behind both the live mutators and WAL replay, so a replayed op
+// maintains views exactly as the live one did. local is the new record's
+// shard-local id (add-record); was reports whether a delete/undelete changed
+// the record.
+func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, err error) {
 	switch op.Kind {
 	case wal.OpAddRecord:
-		if resolved {
-			local = u.Rel.AppendRow(op.Row.Cells)
-		} else {
-			local = graph.AppendRow(u.Rel, reg, op.Row)
-		}
+		local = u.Rel.AppendRow(op.Row.Cells)
 	case wal.OpAppendEdge:
 		err = u.Rel.AppendEdge(op.Rec, reg.ID(graph.E(op.From, op.To)), op.Measure, op.Value, op.HasValue)
 	case wal.OpDelete:
@@ -256,19 +251,20 @@ func checkOp(op wal.Op, n int) error {
 // its global record id. Concurrent Adds to different shards proceed in
 // parallel; Adds landing on the same shard serialize on that shard's lock.
 // With a write-ahead log attached, durability failures are latched and
-// surfaced via WALError; Append reports them per call.
+// surface as Store.Stats().Err; Append reports them per call.
 func (c *Coordinator) Add(rec *graph.Record) uint32 {
-	id, _ := c.Append(rec) //grovevet:ignore droppederr Add keeps its historical signature; the WAL latch surfaces the error via WALError
+	id, _ := c.Append(rec) //grovevet:ignore droppederr Add keeps its historical signature; the WAL latch surfaces the error as Store.Stats().Err
 	return id
 }
 
 // Append adds a record like Add but also reports the write-ahead log's
 // verdict: a non-nil error means the op is applied in memory yet NOT
 // guaranteed durable (the log latched a failure). With WAL disabled it never
-// errors.
+// errors. The row is normalized here, outside the shard's lock, once.
 func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
+	row := graph.NormalizeRow(rec.Row())
 	s := int((c.rr.Add(1) - 1) % uint64(len(c.units)))
-	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Row: rec.Row()})
+	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Row: row})
 	return c.globalID(s, local), err
 }
 
@@ -304,7 +300,7 @@ func (c *Coordinator) Undelete(g uint32) bool {
 	if err != nil {
 		return false
 	}
-	_, was, _ := c.mutate(s, wal.Op{Kind: wal.OpUndelete, Rec: local}) //grovevet:ignore droppederr Undelete keeps its bool signature; a commit failure latches and surfaces via WALError
+	_, was, _ := c.mutate(s, wal.Op{Kind: wal.OpUndelete, Rec: local}) //grovevet:ignore droppederr Undelete keeps its bool signature; a commit failure latches and surfaces as Store.Stats().Err
 	return was
 }
 
@@ -313,11 +309,6 @@ func (c *Coordinator) Tag(g uint32, key, value string) error {
 	s, local, err := c.Locate(g)
 	if err != nil {
 		return err
-	}
-	if key == "" {
-		// An empty key never reaches the log: the relation rejects it, and
-		// logging an op replay would refuse to decode would tear the prefix.
-		return c.units[s].Rel.Tag(local, key, value)
 	}
 	_, _, err = c.mutate(s, wal.Op{Kind: wal.OpTag, Rec: local, Key: key, Val: value})
 	return err

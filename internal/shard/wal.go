@@ -27,7 +27,7 @@ import (
 // Failure model: the log is the durability *floor*, never an availability
 // ceiling. If an append or fsync fails, the log latches the error, stops
 // recording (keeping the file a clean prefix of acknowledged ops) and the
-// store keeps serving from memory; WALError surfaces the condition.
+// store keeps serving from memory; Store.Stats().Err surfaces the condition.
 
 // walState is the attached-log bundle, swapped in atomically so mutators on
 // the hot path pay one pointer load when WAL is disabled.
@@ -265,7 +265,7 @@ func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry,
 func (rp *shardReplay) applyTo(s int, u *Unit, reg *graph.Registry) error {
 	start := time.Now()
 	for _, op := range rp.ops {
-		if _, _, err := applyOp(u, reg, op, true); err != nil {
+		if _, _, err := applyOp(u, reg, op); err != nil {
 			return fmt.Errorf("shard %d: wal replay of LSN %d: %w", s, op.LSN, err)
 		}
 	}

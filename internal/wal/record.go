@@ -304,7 +304,7 @@ func decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
 // graph.Record, no maps. Element and measure names are substrings of one
 // string copy of the payload, so a frame costs a handful of allocations
 // however many elements it carries. The row comes back in payload order;
-// graph.AppendRow checks that order (the encoder writes it sorted) instead of
+// graph.NormalizeRow checks that order (the encoder writes it sorted) instead of
 // re-sorting.
 func decodeRow(payload []byte) (*graph.Row, error) {
 	elems, named, why := measureRow(payload)
