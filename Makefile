@@ -111,16 +111,21 @@ examples-smoke:
 # applied, sharded recovery bit-identical to single-shard, views maintained
 # incrementally matching a from-scratch rebuild; an op the store refused is
 # never logged, so recovery equals the live store under random refusals (page
-# reads failing, empty tag keys) at 1 and 2 shards. Then the facade-vs-coordinator
+# reads failing, empty tag keys) at 1 and 2 shards, and an op the log cannot
+# frame is refused before it applies; a log torn inside a frame that declares
+# new dictionary keys resumes and recovers to the acknowledged ops; replay
+# refuses a non-canonical or cyclic row and a log of an unsupported format
+# version that extends the loaded cut; a store recovered from the log saves
+# the bytes pinned at the last version-1 build. Then the facade-vs-coordinator
 # byte-identity table, the shadowed-save refusal, recovery, GC, rollback and
 # cancellation paths, and the frame/scan unit suite.
 durability:
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweep|TestLoadFallbackRecovery|TestSnapshotGCKeepCount|TestGenerationsInventoryAndRollback|TestConcurrentSaveLoadMutate|TestLoadRejectsRetiredFormats' -v
 	$(GO) test ./internal/shard/ -run \
-		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout|TestRefusedWriteNotRecovered|TestRefusedOpsDifferential' -v
+		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout|TestRefusedWriteNotRecovered|TestRefusedOpsDifferential|TestUnencodableOpRefused|TestResumeAfterTornDeclaration|TestReplayRefusesBadRows|TestReplayRefusesUnsupportedVersion' -v
 	$(GO) test . -run \
-		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped|TestOneDurabilityPath|TestShadowedSaveRefused' -v
+		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped|TestOneDurabilityPath|TestShadowedSaveRefused|TestReplayedSnapshotPinned|TestLogBytesPinned' -v
 	$(GO) test ./internal/wal/ -count=1
 	$(GO) test ./internal/query/ -run 'Cancel|Batch' -v
 	$(GO) test . -run 'TestStoreContextCancelled|TestStoreExecuteBatchContextCancelled|TestStoreBatchPanicIsolated' -v

@@ -91,10 +91,23 @@ func OpenDurable(dir string, cfg WALConfig, opts ...Option) (*Store, error) {
 	return st, nil
 }
 
-// Append adds a record like Add but reports the write-ahead log's verdict: a
-// non-nil error means the record IS applied in memory (the returned id is
-// valid) but NOT guaranteed durable. Without WAL it never errors.
+// Append adds a record like Add but reports the write-ahead log's verdict.
+// An error wrapping ErrOpTooLarge means the record was refused whole: the
+// log cannot hold a frame that large, so nothing changed, and the returned
+// id is math.MaxUint32, which names no record. Any other non-nil
+// error means the record IS applied in memory (the returned id is valid)
+// but NOT guaranteed durable. Without WAL it never errors.
 func (s *Store) Append(rec *Record) (uint32, error) { return s.coord.Append(rec) }
+
+// ErrOpTooLarge is wrapped by the error of a mutation refused because the
+// attached write-ahead log cannot frame it (over 16 MB of names and
+// values); the store is unchanged.
+var ErrOpTooLarge = wal.ErrOpTooLarge
+
+// ErrUnsupportedLogVersion is wrapped by LoadStore's error when the
+// write-ahead log that extends the loaded snapshot is of a format version
+// this build does not read; the message names the conversion.
+var ErrUnsupportedLogVersion = wal.ErrUnsupportedVersion
 
 // AppendEdge adds one edge (or node, when from == to) with a value under
 // measure ("" = default) to an existing record. The record's membership in

@@ -212,7 +212,8 @@ func NewSharded(n int, opts ...Option) *Store {
 // flattened to DAGs first. Concurrent Adds landing on different shards of a
 // sharded store proceed in parallel. Add is Append minus the error: under a
 // write-ahead log the record is logged the same way, and a log failure
-// latches and surfaces through Stats().Err instead of per call.
+// latches and surfaces through Stats().Err instead of per call; a record too
+// large to log is refused and gets id math.MaxUint32, which names no record.
 func (s *Store) Add(rec *Record) uint32 {
 	return s.coord.Add(rec)
 }

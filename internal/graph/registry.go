@@ -49,31 +49,27 @@ func (r *Registry) ID(k EdgeKey) colstore.EdgeID {
 	return id
 }
 
-// LookupRow fills row.Cells[i].Edge with the id of row.Keys[i], in row
-// order under one read lock, until it meets a key the registry has never
-// seen; it returns that key's index, or -1 when every key is known. It never
-// assigns, so rows may be looked up concurrently with each other and with
-// queries.
-func (r *Registry) LookupRow(row *Row) int {
+// ResolveRow fills the id of every key of row, assigning the next free id,
+// in row order, to each key seen for the first time. The common case —
+// every element already known — is one read-lock section; a row with new
+// elements takes the write lock from its first unknown key on. A key is
+// cloned when it is assigned, so the registry never pins a larger string a
+// row key may be cut from.
+func (r *Registry) ResolveRow(row *Row) {
+	from := len(row.Keys)
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	for i, k := range row.Keys {
 		id, ok := r.ids[k]
 		if !ok {
-			return i
+			from = i
+			break
 		}
 		row.Cells[i].Edge = id
 	}
-	return -1
-}
-
-// AssignRow fills row.Cells[i].Edge for every i >= from, assigning the next
-// free id, in row order, to each key seen for the first time. from is what
-// LookupRow returned; the ids below it are already filled. The order of
-// AssignRow calls decides which id a new element gets. A key is cloned only
-// when it is assigned: row keys may be substrings of a write-ahead log frame,
-// and the registry must not pin the frame.
-func (r *Registry) AssignRow(row *Row, from int) {
+	r.mu.RUnlock()
+	if from == len(row.Keys) {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := from; i < len(row.Keys); i++ {
@@ -86,15 +82,6 @@ func (r *Registry) AssignRow(row *Row, from int) {
 			r.keys = append(r.keys, k)
 		}
 		row.Cells[i].Edge = id
-	}
-}
-
-// ResolveRow fills the id of every key of row: LookupRow, then AssignRow
-// from the first key the registry lacked. The common case — every element
-// already known — is one read-lock section.
-func (r *Registry) ResolveRow(row *Row) {
-	if from := r.LookupRow(row); from >= 0 {
-		r.AssignRow(row, from)
 	}
 }
 

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"hash/maphash"
 	"slices"
 	"strings"
@@ -94,23 +96,47 @@ func (row *Row) Record() *Record {
 	return rec
 }
 
-// canonical reports whether the row is what Record.Row produces: keys
-// strictly ascending, every cell's named measures strictly ascending by a
-// non-default name. Only a hand-made log can hold a row that is not.
-func (row *Row) canonical() bool {
-	for i := range row.Keys {
-		if i > 0 && !row.Keys[i-1].Less(row.Keys[i]) {
-			return false
+// ErrRowOrder and ErrRowCycle are what Row.Check wraps.
+var (
+	ErrRowOrder = errors.New("graph: row is not canonical")
+	ErrRowCycle = errors.New("graph: row has a directed cycle")
+)
+
+// Check reports whether row is in the form AppendRow appends as it stands,
+// and why not: an error wrapping ErrRowOrder for a row that is not what
+// Record.Row produces (keys strictly ascending, so no element repeats, and
+// every cell's named measures strictly ascending by a non-default name), or
+// wrapping ErrRowCycle for a row whose edges form a directed cycle.
+func (row *Row) Check() error {
+	if err := row.orderErr(); err != nil {
+		return err
+	}
+	if hasCycle(row.Keys) {
+		return ErrRowCycle
+	}
+	return nil
+}
+
+// orderErr is the canonical-order half of Check.
+func (row *Row) orderErr() error {
+	for i, k := range row.Keys {
+		if i > 0 {
+			switch row.Keys[i-1].compare(k) {
+			case 0:
+				return fmt.Errorf("%w: element %v repeats", ErrRowOrder, k)
+			case 1:
+				return fmt.Errorf("%w: element %v follows %v", ErrRowOrder, k, row.Keys[i-1])
+			}
 		}
 		prev := DefaultMeasure
 		for _, nv := range row.Cells[i].Named {
 			if nv.Name <= prev {
-				return false
+				return fmt.Errorf("%w: element %v lists measure %q after %q", ErrRowOrder, k, nv.Name, prev)
 			}
 			prev = nv.Name
 		}
 	}
-	return true
+	return nil
 }
 
 // DFS colours, kept per From-group at the index of the group's first key.
@@ -211,7 +237,7 @@ func (c *cycleCheck) visit(start int) bool {
 // through Row.Record — the one slow path, which only hand-made or cyclic
 // input reaches. Any other row is returned as it is.
 func NormalizeRow(row *Row) *Row {
-	if !row.canonical() {
+	if row.orderErr() != nil {
 		row = row.Record().Row()
 	}
 	if hasCycle(row.Keys) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -48,8 +49,8 @@ func TestRowHasCycleMatchesRecord(t *testing.T) {
 		}
 		rec, m := randomRecord(rng, nodes, elems)
 		row := rec.Row()
-		if !row.canonical() {
-			t.Fatalf("Record.Row is not canonical: %v", row.Keys)
+		if err := row.orderErr(); err != nil {
+			t.Fatalf("Record.Row is not canonical: %v", err)
 		}
 		want := m.hasCycle()
 		if got := hasCycle(row.Keys); got != want {
@@ -79,7 +80,7 @@ func TestAppendRowSlowPath(t *testing.T) {
 			{Value: 5, HasValue: true},
 		},
 	}
-	if row.canonical() {
+	if !errors.Is(row.Check(), ErrRowOrder) {
 		t.Fatal("unsorted row passed the canonical check")
 	}
 	rel, reg := colstore.NewRelation(0), NewRegistry()
@@ -257,4 +258,32 @@ func TestAppendRowSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("AppendRow allocates %.1f objects per 67-element row in steady state, want ≤ 8", avg)
 	}
 	t.Logf("%.2f allocs per row", avg)
+}
+
+// TestRowCheck: Check accepts what Record.Row produces and names each way a
+// row can fall short of it.
+func TestRowCheck(t *testing.T) {
+	cell := colstore.Cell{Value: 1, HasValue: true}
+	named := func(names ...string) colstore.Cell {
+		c := cell
+		for _, n := range names {
+			c.Named = append(c.Named, colstore.NamedValue{Name: n, Value: 2})
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		row  Row
+		want error
+	}{
+		{Row{Keys: []EdgeKey{E("A", "B"), E("B", "C"), NodeKey("C")}, Cells: []colstore.Cell{cell, named("a", "b"), cell}}, nil},
+		{Row{Keys: []EdgeKey{E("B", "C"), E("A", "B")}, Cells: []colstore.Cell{cell, cell}}, ErrRowOrder},
+		{Row{Keys: []EdgeKey{E("A", "B"), E("A", "B")}, Cells: []colstore.Cell{cell, cell}}, ErrRowOrder},
+		{Row{Keys: []EdgeKey{E("A", "B")}, Cells: []colstore.Cell{named("b", "a")}}, ErrRowOrder},
+		{Row{Keys: []EdgeKey{E("A", "B")}, Cells: []colstore.Cell{named(DefaultMeasure)}}, ErrRowOrder},
+		{Row{Keys: []EdgeKey{E("A", "B"), E("B", "C"), E("C", "A")}, Cells: []colstore.Cell{cell, cell, cell}}, ErrRowCycle},
+	} {
+		if err := tc.row.Check(); !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+			t.Errorf("Check(%v) = %v, want %v", tc.row.Keys, err, tc.want)
+		}
+	}
 }

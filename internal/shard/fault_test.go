@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -296,6 +297,71 @@ func TestRefusedOpsDifferential(t *testing.T) {
 			recovered.Close()
 			shadow.Close()
 		}
+	}
+}
+
+// TestUnencodableOpRefused: an op the log cannot frame — here each names a
+// 17 MB string, past the 16 MB frame limit — is refused whole before it
+// applies, so the store holds nothing the log lacks: no record id, no
+// element, no tag. The log does not latch, the ops after the refused ones
+// log as usual, and the recovered store equals a shadow that never saw the
+// refused ops.
+func TestUnencodableOpRefused(t *testing.T) {
+	huge := strings.Repeat("x", 17<<20)
+	edge := func(from, to string) *graph.Record {
+		rec := graph.NewRecord()
+		if err := rec.SetEdge(from, to, 1); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	dir := t.TempDir()
+	live, shadow := New(1, 0), New(1, 0)
+	live.Add(edge("A", "B"))
+	shadow.Add(edge("A", "B"))
+	if err := live.AttachWALFS(fsio.OS(), dir, wal.Config{Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := live.Append(edge("A", huge)); !errors.Is(err, wal.ErrOpTooLarge) || g != math.MaxUint32 {
+		t.Fatalf("a record with a 17 MB node name: id %d, err %v", g, err)
+	}
+	if err := live.AppendEdge(0, huge, "B", "", 1, true); !errors.Is(err, wal.ErrOpTooLarge) {
+		t.Fatalf("an append-edge naming a 17 MB node: err %v", err)
+	}
+	if err := live.Tag(0, "k", huge); !errors.Is(err, wal.ErrOpTooLarge) {
+		t.Fatalf("a 17 MB tag value: err %v", err)
+	}
+	if got := live.NumRecords(); got != 1 {
+		t.Fatalf("the refused record was applied: %d records, want 1", got)
+	}
+	if _, ok := live.Registry().Lookup(graph.E(huge, "B")); ok {
+		t.Fatal("the refused append-edge registered its element")
+	}
+	if err := live.WALError(); err != nil {
+		t.Fatalf("a refused op latched the log: %v", err)
+	}
+	for _, c := range []*Coordinator{live, shadow} {
+		g, err := c.Append(edge("B", "C"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AppendEdge(g, "C", "D", "", 2, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Tag(g, "k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := LoadFS(fsio.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got, want := nameDigest(recovered), nameDigest(shadow); got != want {
+		t.Errorf("the recovered store differs from the acknowledged ops\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

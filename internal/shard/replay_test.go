@@ -2,12 +2,18 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
 	"grove/internal/wal"
@@ -240,4 +246,176 @@ func TestReplayErrorIsTheLowestShards(t *testing.T) {
 			t.Fatalf("registry holds %d ids, want 2 (A→B and C→D)", got)
 		}
 	})
+}
+
+// TestReplayRefusesBadRows: replay applies a logged row as it stands, so a
+// row the live path never logs — out of order, with a repeated element, or
+// cyclic — fails the load with a ReplayError naming the shard and the LSN.
+func TestReplayRefusesBadRows(t *testing.T) {
+	cell := colstore.Cell{Value: 1, HasValue: true}
+	for _, tc := range []struct {
+		name string
+		row  *graph.Row
+		want error
+	}{
+		{"unsorted", &graph.Row{Keys: []graph.EdgeKey{graph.E("D", "E"), graph.E("C", "D")}, Cells: []colstore.Cell{cell, cell}}, graph.ErrRowOrder},
+		{"repeated", &graph.Row{Keys: []graph.EdgeKey{graph.E("C", "D"), graph.E("C", "D")}, Cells: []colstore.Cell{cell, cell}}, graph.ErrRowOrder},
+		{"cyclic", &graph.Row{Keys: []graph.EdgeKey{graph.E("C", "D"), graph.E("D", "C")}, Cells: []colstore.Cell{cell, cell}}, graph.ErrRowCycle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gens := saveReplayBase(t, dir, 2)
+			writeShardLog(t, dir, 0, 2, gens[0], []wal.Op{addRow(t, graph.E("C", "D"))})
+			writeShardLog(t, dir, 1, 2, gens[1], []wal.Op{addRow(t, graph.E("C", "D")), {Kind: wal.OpAddRecord, Row: tc.row}})
+			_, err := LoadFS(fsio.OS(), dir)
+			var re *ReplayError
+			if !errors.As(err, &re) || re.Shard != 1 || re.LSN != 2 || !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want a ReplayError of shard 1, LSN 2 wrapping %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// versionOneLog is a log header exactly as format version 1 wrote it —
+// the layout every version shares — with no frame after it.
+func versionOneLog(shard uint32, gen string) []byte {
+	b := []byte("GROVEWAL")
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, shard)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(gen)))
+	b = append(b, gen...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestReplayRefusesUnsupportedVersion: a log of a format version this build
+// does not read, pinned to the loaded cut, fails the load with
+// wal.ErrUnsupportedVersion — skipping it would drop its ops and let the
+// next checkpoint erase them. Pinned to another generation it is stale and
+// skipped like any stale log.
+func TestReplayRefusesUnsupportedVersion(t *testing.T) {
+	dir := t.TempDir()
+	gens := saveReplayBase(t, dir, 2)
+	writeShardLog(t, dir, 0, 2, gens[0], []wal.Op{addRow(t, graph.E("C", "D"))})
+	if err := os.WriteFile(walPath(dir, 1, 2), versionOneLog(1, gens[1]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadFS(fsio.OS(), dir)
+	if !errors.Is(err, wal.ErrUnsupportedVersion) || !strings.HasPrefix(err.Error(), "shard 1: ") || !strings.Contains(err.Error(), "Save it once") {
+		t.Fatalf("err = %v, want shard 1's wal.ErrUnsupportedVersion naming the conversion", err)
+	}
+
+	if err := os.WriteFile(walPath(dir, 1, 2), versionOneLog(1, "gen-999999"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadFS(fsio.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ws := c.WALStats(); ws.ReplayedOps != 1 || ws.SkippedLogs != 1 {
+		t.Fatalf("replayed %d, skipped %d: want 1 and 1", ws.ReplayedOps, ws.SkippedLogs)
+	}
+}
+
+// TestResumeAfterTornDeclaration: a crash tears the frame that declares new
+// keys. The load drops it, and attaching resumes the log in place with the
+// dictionary its valid prefix declared — without the torn keys — so ops
+// after the resume that use those keys declare them again. The final load
+// equals the acknowledged ops, at 1 and 2 shards.
+func TestResumeAfterTornDeclaration(t *testing.T) {
+	rec := func(elems ...graph.EdgeKey) *graph.Record {
+		r := graph.NewRecord()
+		for i, k := range elems {
+			if err := r.SetEdge(k.From, k.To, float64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	ab, bc, pq, qr := graph.E("A", "B"), graph.E("B", "C"), graph.E("P", "Q"), graph.E("Q", "R")
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			live, shadow := New(n, 0), New(n, 0)
+			for _, c := range []*Coordinator{live, shadow} {
+				c.Add(rec(ab))
+			}
+			if err := live.AttachWALFS(fsio.OS(), dir, wal.Config{Policy: wal.SyncAlways}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for _, c := range []*Coordinator{live, shadow} {
+					if _, err := c.Append(rec(ab, bc)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sizes := make([]int64, n)
+			for s := range sizes {
+				fi, err := os.Stat(walPath(dir, s, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sizes[s] = fi.Size()
+			}
+			g, err := live.Append(rec(bc, pq, qr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+			torn := int(g) % n
+			fi, err := os.Stat(walPath(dir, torn, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(walPath(dir, torn, n), sizes[torn]+(fi.Size()-sizes[torn])/2); err != nil {
+				t.Fatal(err)
+			}
+
+			loaded, err := LoadFS(fsio.OS(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := loaded.Registry().Lookup(pq); ok {
+				t.Fatal("the torn frame's key reached the registry")
+			}
+			if err := loaded.AttachWALFS(fsio.OS(), dir, wal.Config{Policy: wal.SyncAlways}); err != nil {
+				t.Fatal(err)
+			}
+			if st := loaded.WALStats().Shards[torn]; st.NextLSN == st.BaseLSN {
+				t.Fatalf("attach checkpointed (log of shard %d empty) instead of resuming", torn)
+			}
+			for i := 0; i < n; i++ {
+				for _, c := range []*Coordinator{loaded, shadow} {
+					g, err := c.Append(rec(pq, qr))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.AppendEdge(g, "R", "P", "", 7, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := loaded.AppendEdge(uint32(torn), "Q", "R", "cost", 3, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := shadow.AppendEdge(uint32(torn), "Q", "R", "cost", 3, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Close(); err != nil {
+				t.Fatal(err)
+			}
+			final, err := LoadFS(fsio.OS(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer final.Close()
+			if got, want := nameDigest(final), nameDigest(shadow); got != want {
+				t.Errorf("the recovered store differs from the acknowledged ops\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
 }

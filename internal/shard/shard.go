@@ -27,6 +27,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -175,28 +176,38 @@ func (c *Coordinator) Locate(g uint32) (s int, local uint32, err error) {
 // prepare, apply, then log — whose in-memory half (applyOp) is also what WAL
 // replay runs.
 
-// mutate runs op on shard s under its ingestMu: prepare (an add-record row
-// gets its ids), apply (applyOp) and, only if the apply succeeded, append
-// the frame to the attached log — so a refused op never comes back on
-// recovery. One lock across the three makes id order, apply order and log
-// order one order, and lets a checkpoint (which holds every ingestMu) find
-// each write in its cut or in the log. Commit (the fsync) runs after the
-// unlock, so writers on one shard share an fsync (group commit). A log error
-// means the op is applied but not guaranteed durable; the log latches it and
-// Store.Stats().Err reports it through WALError.
+// mutate runs op on shard s under its ingestMu: prepare (the attached log
+// encodes the frame, and an add-record row gets its ids), apply (applyOp)
+// and, only if the apply succeeded, write the frame — so a refused op never
+// comes back on recovery. An op the log cannot encode (its frame would pass
+// the log's size limit) is refused whole in the prepare step, before
+// anything changed. One lock across the three makes id order, apply order
+// and log order one order, and lets a checkpoint (which holds every
+// ingestMu) find each write in its cut or in the log. Commit (the fsync)
+// runs after the unlock, so writers on one shard share an fsync (group
+// commit). A write error means the op is applied but not guaranteed
+// durable; the log latches it and Store.Stats().Err reports it through
+// WALError.
 func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err error) {
 	u := c.units[s]
 	u.ingestMu.Lock() //grovevet:ignore lockorder the log append must happen under ingestMu so file order equals apply order
+	w := c.wal.Load()
+	var frame wal.Pending
+	if w != nil {
+		if frame, err = w.logs[s].Prepare(op); err != nil {
+			u.ingestMu.Unlock()
+			return 0, false, fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
 	if op.Kind == wal.OpAddRecord {
 		c.reg.ResolveRow(op.Row)
 	}
 	local, was, err = applyOp(u, c.reg, op)
-	w := c.wal.Load()
 	if err != nil || w == nil {
 		u.ingestMu.Unlock()
 		return local, was, err
 	}
-	lsn, err := w.logs[s].Append(op)
+	lsn, err := w.logs[s].Write(frame)
 	u.ingestMu.Unlock()
 	if err == nil {
 		err = w.logs[s].Commit(lsn)
@@ -258,13 +269,18 @@ func (c *Coordinator) Add(rec *graph.Record) uint32 {
 }
 
 // Append adds a record like Add but also reports the write-ahead log's
-// verdict: a non-nil error means the op is applied in memory yet NOT
-// guaranteed durable (the log latched a failure). With WAL disabled it never
-// errors. The row is normalized here, outside the shard's lock, once.
+// verdict: an error wrapping wal.ErrOpTooLarge means the record was refused
+// whole, and its id is math.MaxUint32, which names no record; any other
+// means the op is applied in memory yet NOT guaranteed durable (the log
+// latched a failure). With WAL disabled it never errors. The row is
+// normalized here, outside the shard's lock, once.
 func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
 	row := graph.NormalizeRow(rec.Row())
 	s := int((c.rr.Add(1) - 1) % uint64(len(c.units)))
 	local, _, err := c.mutate(s, wal.Op{Kind: wal.OpAddRecord, Row: row})
+	if errors.Is(err, wal.ErrOpTooLarge) {
+		return math.MaxUint32, err
+	}
 	return c.globalID(s, local), err
 }
 

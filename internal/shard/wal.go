@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
 	"grove/internal/obs"
@@ -132,14 +133,16 @@ func (c *Coordinator) WALStats() WALStats {
 // The shards share nothing but the registry, so replay runs in three steps
 // and only the middle one is serial (DESIGN.md §14):
 //  1. per shard, concurrently (prepareReplay): scan the log, decide whether
-//     it applies, check every op, normalize each add-record row and fill the
-//     ids the registry already knows — by lookup only;
-//  2. on the caller's goroutine, in shard order and then LSN order: assign
-//     the ids step 1 could not fill, and register every append-edge
-//     element. This is the only step that writes the registry, and it
-//     assigns in the order a one-at-a-time replay would, so a store replayed
-//     at 1 shard and at N shards yields identical global state;
-//  3. per shard, concurrently: apply the ops (applyOp, ids resolved).
+//     it applies, check every op and every add-record row, and look each
+//     key of the log's dictionary up in the registry — by lookup only;
+//  2. on the caller's goroutine, in shard order and then declaration
+//     order: assign ids to the dictionary keys step 1 did not find. This is
+//     the only step that writes the registry. A log declares each key in
+//     the frame that first uses it, in row order, so this is the order a
+//     one-at-a-time replay would meet them in, and a store replayed at 1
+//     shard and at N shards yields identical global state;
+//  3. per shard, concurrently: map each row's dictionary indexes to ids and
+//     apply the ops (applyOp).
 //
 // A one-shard store runs both per-shard steps inline, with no goroutine.
 // Every error is the lowest failing shard's. Every replay records one
@@ -159,13 +162,8 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 		return err
 	}
 	for _, rp := range reps {
-		for j, op := range rp.ops {
-			switch {
-			case op.Kind == wal.OpAppendEdge:
-				c.reg.ID(graph.E(op.From, op.To))
-			case rp.unknown[j] >= 0:
-				c.reg.AssignRow(op.Row, rp.unknown[j])
-			}
+		for _, i := range rp.unknown {
+			rp.ids[i] = c.reg.ID(rp.dict[i])
 		}
 	}
 	if _, err := scatter(ctx, c, func(_ context.Context, s int, u *Unit) (struct{}, error) {
@@ -199,13 +197,31 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 	return nil
 }
 
+// ReplayError is a logged op that replay refused — one the shard cannot
+// apply, or an add-record row that is not canonical or is cyclic, which the
+// live path never logs. The load fails with it.
+type ReplayError struct {
+	Shard int
+	LSN   uint64
+	Err   error
+}
+
+func (e *ReplayError) Error() string {
+	return fmt.Sprintf("shard %d: wal replay of LSN %d: %v", e.Shard, e.LSN, e.Err)
+}
+
+func (e *ReplayError) Unwrap() error { return e.Err }
+
 // shardReplay is one shard's part of a replay, carried from step 1 to
 // step 3 of ReplayWALFS.
 type shardReplay struct {
 	// ops are the frames to apply: none when the log is missing or skipped.
 	ops []wal.Op
-	// unknown[j] is, for an add-record ops[j], the index of the first row
-	// key the registry lacked in step 1 (LookupRow), else -1.
+	// dict is the log's key dictionary and ids[i] the registry id of
+	// dict[i]; unknown lists, in declaration order, the indexes step 1 did
+	// not find in the registry, whose ids step 2 assigns.
+	dict    []graph.EdgeKey
+	ids     []colstore.EdgeID
 	unknown []int
 	// skipped marks a log that exists but extends another generation or cut.
 	skipped bool
@@ -217,9 +233,11 @@ type shardReplay struct {
 
 // prepareReplay is step 1 of ReplayWALFS for shard s, whose log is at path.
 // It checks every op against the shard's record count as that count will
-// stand when the op applies, so that a log which would fail part way fails
-// here, before any shard applies anything. It reads the registry and writes
-// only its own result.
+// stand when the op applies, and every add-record row's form, so that a log
+// which would fail part way fails here, before any shard applies anything.
+// A log of a format version this build cannot read fails the load when it
+// extends the loaded cut, and is skipped like any stale log when it does
+// not. It reads the registry and writes only its own result.
 func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry, pinned []uint64) (*shardReplay, error) {
 	start := time.Now()
 	res, err := wal.Scan(fs, path)
@@ -231,42 +249,56 @@ func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry,
 	if pinned != nil && pinned[s] > 0 {
 		rp.next = pinned[s]
 	}
+	extendsCut := res.Header.Gen == u.Rel.SourceGeneration() &&
+		(pinned == nil || pinned[s] == 0 || res.Header.BaseLSN == pinned[s])
 	switch {
 	case res.Missing():
 		// No log: the snapshot is the whole state.
-	case !res.HeaderOK, res.Header.Gen != u.Rel.SourceGeneration(),
-		pinned != nil && pinned[s] > 0 && res.Header.BaseLSN != pinned[s]:
+	case res.VersionErr != nil && extendsCut:
+		return nil, fmt.Errorf("shard %d: %s: %w", s, path, res.VersionErr)
+	case !res.HeaderOK, !extendsCut:
 		// Unreadable identity, or a log extending some other snapshot
 		// generation / cut: never apply a frame of it.
 		rp.skipped = true
 	default:
 		n := u.Rel.NumRecords()
-		rp.unknown = make([]int, len(res.Ops))
-		for j := range res.Ops {
-			op := &res.Ops[j]
-			if err := checkOp(*op, n); err != nil {
-				return nil, fmt.Errorf("shard %d: wal replay of LSN %d: %w", s, op.LSN, err)
-			}
-			rp.unknown[j] = -1
-			if op.Kind == wal.OpAddRecord {
-				op.Row = graph.NormalizeRow(op.Row)
-				rp.unknown[j] = reg.LookupRow(op.Row)
+		for _, op := range res.Ops {
+			err := checkOp(op, n)
+			if err == nil && op.Kind == wal.OpAddRecord {
+				err = op.Row.Check()
 				n++
 			}
+			if err != nil {
+				return nil, &ReplayError{Shard: s, LSN: op.LSN, Err: err}
+			}
 		}
-		rp.ops, rp.next = res.Ops, res.NextLSN
+		rp.ops, rp.next, rp.dict = res.Ops, res.NextLSN, res.Dict
+		rp.ids = make([]colstore.EdgeID, len(res.Dict))
+		for i, k := range res.Dict {
+			id, ok := reg.Lookup(k)
+			if !ok {
+				rp.unknown = append(rp.unknown, i)
+			}
+			rp.ids[i] = id
+		}
 	}
 	rp.apply = time.Since(scanned)
 	return rp, nil
 }
 
 // applyTo is step 3 of ReplayWALFS: apply the shard's ops, in LSN order,
-// with their ids resolved.
+// each add-record row's dictionary indexes mapped to registry ids.
 func (rp *shardReplay) applyTo(s int, u *Unit, reg *graph.Registry) error {
 	start := time.Now()
 	for _, op := range rp.ops {
+		if op.Kind == wal.OpAddRecord {
+			for i := range op.Row.Cells {
+				c := &op.Row.Cells[i]
+				c.Edge = rp.ids[c.Edge]
+			}
+		}
 		if _, _, err := applyOp(u, reg, op); err != nil {
-			return fmt.Errorf("shard %d: wal replay of LSN %d: %w", s, op.LSN, err)
+			return &ReplayError{Shard: s, LSN: op.LSN, Err: err}
 		}
 	}
 	rp.apply += time.Since(start)

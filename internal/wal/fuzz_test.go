@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,9 +13,14 @@ import (
 	"grove/internal/graph"
 )
 
-// FuzzWALRecord throws arbitrary bytes at the payload decoder: it must never
-// panic, and anything it does accept must re-encode and decode to the same
-// op — no partially-applied or shape-shifting payloads.
+// FuzzWALRecord throws arbitrary bytes at the payload decoder, as the first
+// frame of a log: it must never panic, a payload it refuses must leave no
+// declaration behind, and anything it does accept must re-encode and decode
+// to the same op and the same dictionary — no partially-applied or
+// shape-shifting payloads. The seeds include a payload naming an undeclared
+// index and one declaring a key twice, which the decoder refuses, and rows
+// with a repeated element or out of order, which it passes on and
+// graph.Row.Check (replay's row check) refuses.
 func FuzzWALRecord(f *testing.F) {
 	rec := graph.NewRecord()
 	if err := rec.SetElement(graph.E("a", "b"), 2); err != nil {
@@ -32,28 +39,44 @@ func FuzzWALRecord(f *testing.F) {
 		{Kind: OpTag, Rec: 1, Key: "k", Val: "v"},
 	}
 	for _, op := range seeds {
-		payload, err := op.encodePayload()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(uint8(op.Kind), payload)
+		f.Add(uint8(op.Kind), payloadOf(f, op))
 	}
 	f.Add(uint8(OpAddRecord), []byte{0xff, 0xff, 0xff, 0xff}) // huge element count
 	f.Add(uint8(99), []byte{})                                // unknown kind
+	for _, p := range damagedPayloads() {
+		f.Add(uint8(OpAddRecord), p)
+	}
+	for _, row := range offPathRows()[:2] {
+		f.Add(uint8(OpAddRecord), payloadOf(f, Op{Kind: OpAddRecord, Row: row}))
+	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		op, err := decodePayload(Kind(kind), 1, payload)
+		x := newDecoder()
+		op, err := x.decodePayload(Kind(kind), 1, payload)
 		if err != nil {
+			if len(x.keys) != 0 || len(x.declared) != 0 {
+				t.Fatalf("a refused payload left %d declarations", len(x.keys))
+			}
 			return // rejected whole: exactly what damage should get
 		}
+		if op.Kind == OpAddRecord {
+			requireDictRow(t, op.Row, x.keys)
+			if err := op.Row.Check(); err != nil && !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
+				t.Fatalf("row check failed with an unnamed reason: %v", err)
+			}
+		}
 		// Accepted payloads must round-trip stably.
-		re, err := op.encodePayload()
+		frame, _, err := newEncoder(nil).encode(&op)
 		if err != nil {
 			t.Fatalf("decoded op failed to re-encode: %v", err)
 		}
-		op2, err := decodePayload(op.Kind, 1, re)
+		x2 := newDecoder()
+		op2, err := x2.decodePayload(op.Kind, 1, frame[frameHeadLen+frameBodyMin:])
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(x.keys, x2.keys) {
+			t.Fatalf("round trip changed the dictionary: %v vs %v", x.keys, x2.keys)
 		}
 		if op2.Kind != op.Kind || op2.Rec != op.Rec || op2.From != op.From ||
 			op2.To != op.To || op2.Measure != op.Measure || op2.HasValue != op.HasValue ||
@@ -72,7 +95,8 @@ func FuzzWALRecord(f *testing.F) {
 // FuzzWALReplay throws arbitrary bytes at the log scanner as whole files: it
 // must never panic and never yield anything but a valid prefix — every
 // returned op individually decodable, LSNs a contiguous chain from the
-// header's base.
+// header's base, every row naming the dictionary's keys by their indexes.
+// A row replay's check (graph.Row.Check) accepts must load acyclic.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a real log so mutations explore near-valid shapes.
 	dir, err := os.MkdirTemp("", "grove-walfuzz-")
@@ -93,6 +117,7 @@ func FuzzWALReplay(f *testing.F) {
 		{Kind: OpAddRecord, Record: rec},
 		{Kind: OpAppendEdge, From: "a", To: "c", Value: 2, HasValue: true},
 		{Kind: OpTag, Key: "k", Val: "v"},
+		{Kind: OpAppendEdge, From: "a", To: "b", Measure: "m", Value: 3, HasValue: true},
 	} {
 		if _, err := l.Append(op); err != nil {
 			f.Fatal(err)
@@ -109,11 +134,17 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("GROVEWAL"))
 	f.Add([]byte{})
-	// Rows the encoder never writes but a hand-made log can hold: unsorted,
+	// Rows the live path never logs but a hand-made log can hold: unsorted,
 	// with a repeated element, cyclic. Each is one whole checksum-valid log.
 	for _, row := range offPathRows() {
 		f.Add(logOf(f, row))
 	}
+	// Frames the decoder refuses: an undeclared index; a key declared by a
+	// valid first frame and again by the second.
+	hdr := headerOf(f)
+	f.Add(append(hdr, rawFrame(OpAddRecord, 1, damagedPayloads()[0])...))
+	dup := damagedPayloads()[2]
+	f.Add(append(append(hdr, rawFrame(OpAddRecord, 1, dup)...), rawFrame(OpAddRecord, 2, dup)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), FileName)
@@ -143,13 +174,12 @@ func FuzzWALReplay(f *testing.F) {
 		if res.GoodSize > res.FileSize || res.GoodSize < 0 {
 			t.Fatalf("GoodSize %d out of range (file %d)", res.GoodSize, res.FileSize)
 		}
-		// A clean scan of the untouched seed must see all three ops.
-		if string(data) == string(valid) && len(res.Ops) != 3 {
+		// A clean scan of the untouched seed must see all four ops.
+		if string(data) == string(valid) && len(res.Ops) != 4 {
 			t.Fatalf("valid log scanned to %d ops", len(res.Ops))
 		}
-		// Whatever add-record frames survived must apply without a panic, and
-		// what they load must be acyclic: a non-canonical or cyclic row takes
-		// the slow path, it is never loaded raw.
+		// Whatever add-record frames survived must name the dictionary's
+		// keys, and a row replay accepts must load acyclic.
 		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
 		for _, op := range res.Ops {
 			if op.Kind != OpAddRecord {
@@ -158,13 +188,17 @@ func FuzzWALReplay(f *testing.F) {
 			if op.Record != nil || op.Row == nil {
 				t.Fatalf("add-record op decoded to Record %v, Row %v", op.Record, op.Row)
 			}
+			requireDictRow(t, op.Row, res.Dict)
+			if op.Row.Check() != nil {
+				continue // replay refuses it
+			}
 			requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, op.Row))
 		}
 	})
 }
 
 // offPathRows are add-record rows that must not reach the row append as they
-// stand.
+// stand: unsorted, with a repeated element, cyclic.
 func offPathRows() []*graph.Row {
 	cell := func(v float64) colstore.Cell { return colstore.Cell{Value: v, HasValue: true} }
 	return []*graph.Row{
@@ -174,23 +208,69 @@ func offPathRows() []*graph.Row {
 	}
 }
 
-// logOf returns the bytes of a one-frame log holding row exactly as given.
-func logOf(tb testing.TB, row *graph.Row) []byte {
+// damagedPayloads are add-record payloads the decoder must refuse as a
+// log's first frame: [0] names index 0 with nothing declared, [1] declares
+// a→b twice. [2] is a valid payload declaring a→b, which a second frame of
+// the same log declares twice.
+func damagedPayloads() [][]byte {
+	ab := []byte{1, 'a', 1, 'b'}
+	return [][]byte{
+		{0, 1, 0 << 2},
+		append(append(append([]byte{2}, ab...), ab...), 1, 0<<2),
+		append(append([]byte{1}, ab...), 1, 0<<2),
+	}
+}
+
+// payloadOf encodes op as the first frame of a log and returns its payload.
+func payloadOf(tb testing.TB, op Op) []byte {
+	tb.Helper()
+	frame, _, err := newEncoder(nil).encode(&op)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame[frameHeadLen+frameBodyMin:]
+}
+
+// rawFrame frames a payload exactly as given.
+func rawFrame(kind Kind, lsn uint64, payload []byte) []byte {
+	frame := make([]byte, frameHeadLen+frameBodyMin, frameHeadLen+frameBodyMin+len(payload))
+	frame = append(frame, payload...)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeadLen))
+	frame[frameHeadLen] = byte(kind)
+	seal(frame, lsn)
+	return frame
+}
+
+// headerOf is the header of a log numbering from LSN 1.
+func headerOf(tb testing.TB) []byte {
 	tb.Helper()
 	hdr, err := encodeHeader(Header{Version: formatVersion, BaseLSN: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	op := Op{Kind: OpAddRecord, Row: row}
-	payload, err := op.encodePayload()
+	return hdr
+}
+
+// logOf returns the bytes of a one-frame log holding row exactly as given.
+func logOf(tb testing.TB, row *graph.Row) []byte {
+	tb.Helper()
+	frame, _, err := newEncoder(nil).encode(&Op{Kind: OpAddRecord, Row: row})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	frame, err := encodeFrame(OpAddRecord, 1, payload)
-	if err != nil {
-		tb.Fatal(err)
+	seal(frame, 1)
+	return append(headerOf(tb), frame...)
+}
+
+// requireDictRow fails the test unless every cell of a decoded row holds the
+// dictionary index of its key.
+func requireDictRow(t *testing.T, row *graph.Row, dict []graph.EdgeKey) {
+	t.Helper()
+	for i, k := range row.Keys {
+		if e := row.Cells[i].Edge; int(e) >= len(dict) || dict[e] != k {
+			t.Fatalf("cell %d of the row holds index %d for %v (dictionary of %d)", i, e, k, len(dict))
+		}
 	}
-	return append(hdr, frame...)
 }
 
 // requireAcyclic rebuilds record rec's edges from the relation's bitmap
@@ -210,8 +290,10 @@ func requireAcyclic(t *testing.T, rel *colstore.Relation, reg *graph.Registry, r
 }
 
 // TestOffPathRowsTakeTheSlowPath runs the fuzz seeds above as a plain test:
-// each scans as one valid frame (the decoder does not sort or reject them)
-// and loads as the Record built by the same sequence of Set calls would.
+// each scans as one valid frame (the decoder does not sort or reject them),
+// replay's row check refuses it, and graph.AppendRow — the loader for rows
+// from anywhere but the log — loads it as the Record built by the same
+// sequence of Set calls would.
 func TestOffPathRowsTakeTheSlowPath(t *testing.T) {
 	for i, row := range offPathRows() {
 		p := filepath.Join(t.TempDir(), FileName)
@@ -224,6 +306,9 @@ func TestOffPathRowsTakeTheSlowPath(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Ops[0].Row.Keys, row.Keys) {
 			t.Fatalf("row %d: the decoder reordered the keys: %v", i, res.Ops[0].Row.Keys)
+		}
+		if res.Ops[0].Row.Check() == nil {
+			t.Fatalf("row %d: the row check accepted it", i)
 		}
 		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
 		requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, res.Ops[0].Row))

@@ -4,10 +4,26 @@
 // most the ops after the last acknowledged fsync, and `Load` replays the
 // surviving prefix atop the snapshot generation the log's header pins.
 //
-// File layout:
+// File layout (format version 2):
 //
-//	header:  magic | version | shard | baseLSN | gen | crc32c
-//	frame*:  len | crc32c(body) | body{kind, lsn, payload}
+//	header:   magic | version u32 | shard u32 | baseLSN u64 | gen (u16 len, bytes) | crc32c
+//	frame*:   len u32 | crc32c(body) u32 | body{kind u8, lsn u64, payload}
+//	payload:  add-record   decls | uvarint n | n × (element [, uvarint m | m × (str name, f64)])
+//	          append-edge  decls | uvarint rec | element [, str measure]
+//	          delete, undelete  uvarint rec
+//	          tag          uvarint rec | str key | str value
+//	decls:    uvarint k | k × (str from, str to)
+//	element:  uvarint index<<2 | has-named<<1 | has-value [, f64 value]
+//	str:      uvarint len | bytes
+//
+// Elements are not spelled out by name. Each log keeps a key dictionary: the
+// first frame that uses an element declares its (from, to) names, in the
+// order its elements first use them, and the key takes the next index; every
+// element after that is its index. Writer and scanner rebuild the same
+// dictionary frame by frame, a checkpoint's Reset starts it empty, and a
+// frame that uses an undeclared index or declares a key twice is damage. The
+// header layout is the same in every format version, so a log of another
+// version still names the snapshot cut it pins.
 //
 // Every frame carries its own CRC and a log sequence number that must be
 // exactly one past its predecessor's; the first frame that is short, fails
@@ -18,8 +34,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"grove/internal/colstore"
 	"grove/internal/graph"
@@ -59,9 +77,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Op is one logged mutation. Payloads carry element *names*, not registry
-// edge ids: ids are assigned densely in first-use order, so replaying shards
-// sequentially reassigns them deterministically without logging the registry.
+// Op is one logged mutation. Frames name elements by the log's own
+// dictionary index, never by registry edge id: registry ids are assigned
+// outside the log too, and differ between a live run and a replay, so only
+// the log's own numbering stays one namespace across a resumed log.
 type Op struct {
 	Kind Kind
 	// LSN is assigned by Log.Append and recovered by the decoder.
@@ -69,7 +88,9 @@ type Op struct {
 	// Rec is the shard-local record id (every kind except OpAddRecord).
 	Rec uint32
 	// Row is the flat record of an OpAddRecord: what the log encodes, what the
-	// decoder yields and what replay appends.
+	// decoder yields and what replay appends. A decoded row's keys are the
+	// dictionary's and each Cells[i].Edge is the dictionary index of
+	// Keys[i], for replay to map to a registry id.
 	Row *graph.Row
 	// Record is an input convenience for OpAddRecord: Log.Append logs
 	// Record.Row() when Row is nil. The decoder never sets it.
@@ -85,390 +106,352 @@ type Op struct {
 }
 
 const (
-	// maxFrameLen bounds a frame body; anything larger is treated as a torn
-	// tail rather than trusted as an allocation size.
+	// maxFrameLen bounds a frame body: the encoder refuses an op whose frame
+	// would be larger, and the scanner treats a larger length as a torn tail
+	// rather than trusting it as an allocation size.
 	maxFrameLen = 16 << 20
 	// frameHeadLen is the fixed prefix of a frame: u32 length + u32 CRC.
 	frameHeadLen = 8
 	// frameBodyMin is the smallest body: u8 kind + u64 lsn, empty payload.
 	frameBodyMin = 9
-	// maxStringLen bounds any single string in a payload (u16 length).
-	maxStringLen = 1<<16 - 1
+	// maxGenLen bounds the header's generation string (u16 length).
+	maxGenLen = 1<<16 - 1
 )
 
-// enc is a little-endian append-only byte builder for payloads and frames.
-type enc struct{ b []byte }
+// The low two bits of an element token.
+const (
+	flagValue = 1 << iota
+	flagNamed
+)
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = append(e.b, byte(v), byte(v>>8)) }
-func (e *enc) u32(v uint32) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// enc is a little-endian append-only byte builder. Past limit (when set) it
+// stops growing and latches full, so an op too large to frame is refused
+// without first being copied.
+type enc struct {
+	b     []byte
+	limit int
+	full  bool
 }
-func (e *enc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) str(s string) error {
-	if len(s) > maxStringLen {
-		return fmt.Errorf("wal: string of %d bytes exceeds the %d-byte payload limit", len(s), maxStringLen)
+
+func (e *enc) u32(v uint32)     { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
+func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) str(s string) {
+	if e.limit > 0 && len(e.b)+binary.MaxVarintLen64+len(s) > e.limit {
+		e.full = true
+		return
 	}
-	e.u16(uint16(len(s)))
+	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
-	return nil
 }
 
-// dec is the matching bounds-checked reader. The first out-of-bounds access
-// latches err; callers check err once at the end.
+// element writes an element token and its default value.
+func (e *enc) element(index uint32, hasValue bool, v float64, hasNamed bool) {
+	t := uint64(index) << 2
+	if hasValue {
+		t |= flagValue
+	}
+	if hasNamed {
+		t |= flagNamed
+	}
+	e.uvarint(t)
+	if hasValue {
+		e.f64(v)
+	}
+}
+
+// dec is the matching bounds-checked reader. The first failure latches err;
+// callers check err once at the end.
 type dec struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *dec) fail(what string) {
+func (d *dec) failf(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wal: truncated payload reading %s at offset %d", what, d.off)
+		d.err = fmt.Errorf("wal: "+format, args...)
 	}
 }
 
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail("u8")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
+func (d *dec) short(what string) { d.failf("truncated payload reading %s at offset %d", what, d.off) }
 
 func (d *dec) u16() uint16 {
 	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail("u16")
+		d.short("u16")
 		return 0
 	}
-	v := uint16(d.b[d.off]) | uint16(d.b[d.off+1])<<8
+	v := binary.LittleEndian.Uint16(d.b[d.off:])
 	d.off += 2
 	return v
 }
 
 func (d *dec) u32() uint32 {
 	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("u32")
+		d.short("u32")
 		return 0
 	}
-	v := uint32(d.b[d.off]) | uint32(d.b[d.off+1])<<8 | uint32(d.b[d.off+2])<<16 | uint32(d.b[d.off+3])<<24
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
 	d.off += 4
 	return v
 }
 
 func (d *dec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u16())
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail("string")
-		return ""
+	if d.err != nil || d.off+8 > len(d.b) {
+		d.short("u64")
+		return 0
 	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return v
 }
 
-// encodePayload serializes the op body (everything after kind+lsn).
-func (o *Op) encodePayload() ([]byte, error) {
-	e := &enc{}
-	switch o.Kind {
-	case OpAddRecord:
-		row := o.Row
-		if row == nil {
-			if o.Record == nil {
-				return nil, fmt.Errorf("wal: add-record op without a record")
-			}
-			row = o.Record.Row()
+// finite reads a measure value, refusing what no store holds.
+func (d *dec) finite() float64 {
+	v := math.Float64frombits(d.u64())
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.failf("non-finite measure %v", v)
+	}
+	return v
+}
+
+func (d *dec) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.short("uvarint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// count reads a uvarint count of items at least min bytes each, refusing one
+// the rest of the payload cannot hold before anything is sized by it.
+func (d *dec) count(what string, min int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64((len(d.b)-d.off)/min) {
+		d.failf("%s count %d exceeds the payload", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// rec reads a record id.
+func (d *dec) rec() uint32 {
+	v := d.uvarint()
+	if v > math.MaxUint32 {
+		d.failf("record id %d out of range", v)
+	}
+	return uint32(v)
+}
+
+// bytes reads a uvarint-length-prefixed byte string, aliasing the payload.
+func (d *dec) bytes() []byte { return d.take(d.uvarint()) }
+
+// take reads the next n bytes, aliasing the payload.
+func (d *dec) take(n uint64) []byte {
+	if d.err != nil || n > uint64(len(d.b)-d.off) {
+		d.short("string")
+		return nil
+	}
+	v := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return v
+}
+
+// encoder turns ops into frames against a log's key dictionary. A Log keeps
+// one and uses it under its mutex, so the scratch is reused from frame to
+// frame. The keys a frame declares join the dictionary only once the frame
+// is written (commit): until then they live in fresh and declared.
+type encoder struct {
+	// dict maps each declared key to its index; the writer never needs the
+	// reverse.
+	dict map[graph.EdgeKey]uint32
+	// idx holds a row's dictionary indexes between the two passes.
+	idx []uint32
+	// fresh maps each key the frame declares to its index; declared lists
+	// them in index order, from len(dict) on.
+	fresh    map[graph.EdgeKey]uint32
+	declared []graph.EdgeKey
+}
+
+// newEncoder starts from keys, the dictionary of a log's valid prefix in
+// index order.
+func newEncoder(keys []graph.EdgeKey) *encoder {
+	x := &encoder{dict: make(map[graph.EdgeKey]uint32, len(keys)), fresh: make(map[graph.EdgeKey]uint32)}
+	x.commit(keys)
+	return x
+}
+
+// index returns k's dictionary index, declaring k if neither the dictionary
+// nor the frame so far has it.
+func (x *encoder) index(k graph.EdgeKey) uint32 {
+	if i, ok := x.dict[k]; ok {
+		return i
+	}
+	if i, ok := x.fresh[k]; ok {
+		return i
+	}
+	i := uint32(len(x.dict) + len(x.declared))
+	x.fresh[k] = i
+	x.declared = append(x.declared, k)
+	return i
+}
+
+// encode encodes op as a whole frame against the dictionary, with its LSN
+// and CRC left for seal, and returns the keys the frame declares, cloned so
+// that the dictionary pins no caller's strings. The dictionary is not
+// changed: commit adds the keys once the frame is written. An op whose frame
+// body would exceed maxFrameLen is refused.
+func (x *encoder) encode(op *Op) (frame []byte, declared []graph.EdgeKey, err error) {
+	x.declared = x.declared[:0]
+	if len(x.fresh) > 0 {
+		clear(x.fresh)
+	}
+	e := &enc{limit: frameHeadLen + maxFrameLen}
+	// start sizes the frame buffer for about size payload bytes; past the
+	// limit the op is refused, so nothing that large is allocated.
+	start := func(size int) {
+		if size > maxFrameLen {
+			e.full, size = true, 0
 		}
-		e.b = make([]byte, 0, 4+32*len(row.Keys))
-		e.u32(uint32(len(row.Keys)))
-		for i, k := range row.Keys {
-			if err := e.str(k.From); err != nil {
-				return nil, err
+		e.b = make([]byte, frameHeadLen+frameBodyMin, frameHeadLen+frameBodyMin+size)
+	}
+	switch op.Kind {
+	case OpAddRecord:
+		row := op.Row
+		if row == nil {
+			if op.Record == nil {
+				return nil, nil, fmt.Errorf("wal: add-record op without a record")
 			}
-			if err := e.str(k.To); err != nil {
-				return nil, err
-			}
+			row = op.Record.Row()
+		}
+		x.idx = x.idx[:0]
+		for _, k := range row.Keys {
+			x.idx = append(x.idx, x.index(k))
+		}
+		start(x.declSize() + 12*len(row.Keys))
+		x.putDecls(e)
+		e.uvarint(uint64(len(row.Keys)))
+		for i := range row.Keys {
 			c := &row.Cells[i]
-			if c.HasValue {
-				e.u8(1)
-				e.f64(c.Value)
-			} else {
-				e.u8(0)
+			e.element(x.idx[i], c.HasValue, c.Value, len(c.Named) > 0)
+			if len(c.Named) == 0 {
+				continue
 			}
-			if len(c.Named) > maxStringLen {
-				return nil, fmt.Errorf("wal: element %s carries %d named measures, over the %d payload limit", k, len(c.Named), maxStringLen)
-			}
-			e.u16(uint16(len(c.Named)))
+			e.uvarint(uint64(len(c.Named)))
 			for _, nv := range c.Named {
-				if err := e.str(nv.Name); err != nil {
-					return nil, err
-				}
+				e.str(nv.Name)
 				e.f64(nv.Value)
 			}
 		}
 	case OpAppendEdge:
-		e.u32(o.Rec)
-		if err := e.str(o.From); err != nil {
-			return nil, err
-		}
-		if err := e.str(o.To); err != nil {
-			return nil, err
-		}
-		if err := e.str(o.Measure); err != nil {
-			return nil, err
-		}
-		if o.HasValue {
-			e.u8(1)
-			e.f64(o.Value)
-		} else {
-			e.u8(0)
+		i := x.index(graph.E(op.From, op.To))
+		start(x.declSize() + 24 + len(op.Measure))
+		x.putDecls(e)
+		e.uvarint(uint64(op.Rec))
+		e.element(i, op.HasValue, op.Value, op.Measure != "")
+		if op.Measure != "" {
+			e.str(op.Measure)
 		}
 	case OpDelete, OpUndelete:
-		e.u32(o.Rec)
+		start(binary.MaxVarintLen32)
+		e.uvarint(uint64(op.Rec))
 	case OpTag:
-		e.u32(o.Rec)
-		if err := e.str(o.Key); err != nil {
-			return nil, err
-		}
-		if err := e.str(o.Val); err != nil {
-			return nil, err
-		}
+		start(2*binary.MaxVarintLen64 + len(op.Key) + len(op.Val))
+		e.uvarint(uint64(op.Rec))
+		e.str(op.Key)
+		e.str(op.Val)
 	default:
-		return nil, fmt.Errorf("wal: cannot encode unknown op kind %d", o.Kind)
+		return nil, nil, fmt.Errorf("wal: cannot encode unknown op kind %d", op.Kind)
 	}
-	return e.b, nil
+	if e.full || len(e.b) > e.limit {
+		return nil, nil, fmt.Errorf("%w: the %s frame exceeds the %d-byte limit", ErrOpTooLarge, op.Kind, maxFrameLen)
+	}
+	binary.LittleEndian.PutUint32(e.b, uint32(len(e.b)-frameHeadLen))
+	e.b[frameHeadLen] = byte(op.Kind)
+	if len(x.declared) > 0 {
+		declared = make([]graph.EdgeKey, len(x.declared))
+		for i, k := range x.declared {
+			declared[i] = graph.E(strings.Clone(k.From), strings.Clone(k.To))
+		}
+	}
+	return e.b, declared, nil
 }
 
-// decodePayload parses a payload for kind into op. It either fully succeeds
-// or returns an error with op untouched semantically — a partial op is never
-// handed to the caller.
-func decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
-	op := Op{Kind: kind, LSN: lsn}
-	d := &dec{b: payload}
-	switch kind {
-	case OpAddRecord:
-		row, err := decodeRow(payload)
-		if err != nil {
-			return Op{}, err
-		}
-		op.Row = row
-		return op, nil
-	case OpAppendEdge:
-		op.Rec = d.u32()
-		op.From = d.str()
-		op.To = d.str()
-		op.Measure = d.str()
-		op.HasValue = d.u8() == 1
-		if op.HasValue {
-			op.Value = d.f64()
-			if d.err == nil && (math.IsNaN(op.Value) || math.IsInf(op.Value, 0)) {
-				return Op{}, fmt.Errorf("wal: append-edge measure must be finite, got %v", op.Value)
-			}
-		}
-	case OpDelete, OpUndelete:
-		op.Rec = d.u32()
-	case OpTag:
-		op.Rec = d.u32()
-		op.Key = d.str()
-		op.Val = d.str()
-		if d.err == nil && op.Key == "" {
-			return Op{}, fmt.Errorf("wal: tag op with empty key")
-		}
-	default:
-		return Op{}, fmt.Errorf("wal: unknown op kind %d", kind)
+// declSize is the encoded size of the frame's declarations, near enough to
+// size the buffer.
+func (x *encoder) declSize() int {
+	n := binary.MaxVarintLen32
+	for _, k := range x.declared {
+		n += 2*binary.MaxVarintLen32 + len(k.From) + len(k.To)
 	}
-	if d.err != nil {
-		return Op{}, d.err
-	}
-	if d.off != len(payload) {
-		return Op{}, fmt.Errorf("wal: %d trailing bytes after %s payload", len(payload)-d.off, kind)
-	}
-	return op, nil
+	return n
 }
 
-// decodeRow parses an add-record payload straight into a flat row: no
-// graph.Record, no maps. Element and measure names are substrings of one
-// string copy of the payload, so a frame costs a handful of allocations
-// however many elements it carries. The row comes back in payload order;
-// graph.NormalizeRow checks that order (the encoder writes it sorted) instead of
-// re-sorting.
-func decodeRow(payload []byte) (*graph.Row, error) {
-	elems, named, why := measureRow(payload)
-	if why != "" {
-		return nil, fmt.Errorf("wal: add-record payload of %d bytes: %s", len(payload), why)
+// putDecls writes the frame's declarations.
+func (x *encoder) putDecls(e *enc) {
+	e.uvarint(uint64(len(x.declared)))
+	for _, k := range x.declared {
+		e.str(k.From)
+		e.str(k.To)
 	}
-	row := &graph.Row{Keys: make([]graph.EdgeKey, elems), Cells: make([]colstore.Cell, elems)}
-	var backing []colstore.NamedValue
-	if named > 0 {
-		backing = make([]colstore.NamedValue, named)
-	}
-	if why := fillRow(row, backing, string(payload)); why != "" {
-		return nil, fmt.Errorf("wal: add-record payload: %s", why)
-	}
-	return row, nil
 }
 
-// le16 reads the little-endian u16 at b[off:], from payload bytes or from the
-// string copy of them.
-func le16[T []byte | string](b T, off int) int {
-	return int(uint16(b[off]) | uint16(b[off+1])<<8)
+// commit adds the keys a written frame declared to the dictionary.
+func (x *encoder) commit(declared []graph.EdgeKey) {
+	for _, k := range declared {
+		x.dict[k] = uint32(len(x.dict))
+	}
 }
 
-// measureRow walks an add-record payload without building anything: it
-// bounds-checks every length, so fillRow can slice freely, and counts the
-// elements and named measures so the row is allocated exactly once. why is
-// non-empty when the payload is not a whole add-record.
-//
-//grove:hotpath
-func measureRow(b []byte) (elems, named int, why string) {
-	if len(b) < 4 {
-		return 0, 0, "truncated element count"
-	}
-	elems = int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	off := 4
-	// Each element needs at least from+to lengths, a flag byte and a
-	// named-measure count: 7 bytes. Reject counts the payload cannot hold
-	// before anything is allocated for them.
-	if elems > (len(b)-off)/7 {
-		return 0, 0, "element count exceeds the payload"
-	}
-	for i := 0; i < elems; i++ {
-		for s := 0; s < 2; s++ { // from, to
-			if off+2 > len(b) {
-				return 0, 0, "truncated element name"
-			}
-			off += 2 + le16(b, off)
-		}
-		if off+1 > len(b) {
-			return 0, 0, "truncated element name"
-		}
-		if b[off] == 1 {
-			off += 8
-		}
-		off++
-		if off+2 > len(b) {
-			return 0, 0, "truncated element"
-		}
-		n := le16(b, off)
-		off += 2
-		named += n
-		for j := 0; j < n; j++ {
-			if off+2 > len(b) {
-				return 0, 0, "truncated measure name"
-			}
-			off += 2 + le16(b, off) + 8
-		}
-	}
-	if off != len(b) {
-		if off > len(b) {
-			return 0, 0, "truncated element"
-		}
-		return 0, 0, "trailing bytes"
-	}
-	return elems, named, ""
+// seal stamps a frame from encode with its LSN and CRC.
+func seal(frame []byte, lsn uint64) {
+	binary.LittleEndian.PutUint64(frame[frameHeadLen+1:], lsn)
+	binary.LittleEndian.PutUint32(frame[4:], checksum(frame[frameHeadLen:]))
 }
 
-// fillRow decodes s — an add-record payload measureRow accepted — into the
-// pre-sized row, carving each cell's named measures out of backing. It
-// rejects what the encoder never writes and the apply path must never see: a
-// non-finite value, or a named measure spelling out the default name.
-//
-//grove:hotpath
-func fillRow(row *graph.Row, backing []colstore.NamedValue, s string) (why string) {
-	off := 4
-	str := func() string {
-		n := le16(s, off)
-		v := s[off+2 : off+2+n]
-		off += 2 + n
-		return v
-	}
-	f64 := func() (float64, bool) {
-		var u uint64
-		for i := 7; i >= 0; i-- {
-			u = u<<8 | uint64(s[off+i])
-		}
-		off += 8
-		v := math.Float64frombits(u)
-		return v, !math.IsNaN(v) && !math.IsInf(v, 0)
-	}
-	for i := range row.Keys {
-		row.Keys[i].From = str()
-		row.Keys[i].To = str()
-		c := &row.Cells[i]
-		flag := s[off]
-		off++
-		if flag == 1 {
-			var ok bool
-			if c.Value, ok = f64(); !ok {
-				return "non-finite measure"
-			}
-			c.HasValue = true
-		}
-		n := le16(s, off)
-		off += 2
-		c.Named = backing[:n:n]
-		backing = backing[n:]
-		for j := range c.Named {
-			name := str()
-			v, ok := f64()
-			if !ok {
-				return "non-finite measure"
-			}
-			if name == graph.DefaultMeasure {
-				return "element names the default measure explicitly"
-			}
-			c.Named[j] = colstore.NamedValue{Name: name, Value: v}
-		}
-	}
-	return ""
+// decoder reads a log's frames in order, rebuilding its dictionary from the
+// declarations as it meets them. Node and measure names are interned, so a
+// name costs one allocation per scan and no decoded string pins a frame.
+type decoder struct {
+	// keys[i] is the key of index i; declared holds the same keys, to
+	// refuse a second declaration.
+	keys     []graph.EdgeKey
+	declared map[graph.EdgeKey]struct{}
+	names    map[string]string
 }
 
-// encodeFrame wraps a payload in the on-disk frame: length, CRC-32C of the
-// body, then the body (kind, lsn, payload).
-func encodeFrame(kind Kind, lsn uint64, payload []byte) ([]byte, error) {
-	bodyLen := frameBodyMin + len(payload)
-	if bodyLen > maxFrameLen {
-		return nil, fmt.Errorf("wal: frame body of %d bytes exceeds the %d-byte limit", bodyLen, maxFrameLen)
+func newDecoder() *decoder {
+	return &decoder{declared: make(map[graph.EdgeKey]struct{}), names: make(map[string]string)}
+}
+
+// name reads a string and interns it.
+func (x *decoder) name(d *dec) string {
+	b := d.bytes()
+	if s, ok := x.names[string(b)]; ok {
+		return s
 	}
-	e := &enc{b: make([]byte, 0, frameHeadLen+bodyLen)}
-	e.u32(uint32(bodyLen))
-	e.u32(0) // CRC placeholder
-	e.u8(uint8(kind))
-	e.u64(lsn)
-	e.b = append(e.b, payload...)
-	crc := checksum(e.b[frameHeadLen:])
-	e.b[4] = byte(crc)
-	e.b[5] = byte(crc >> 8)
-	e.b[6] = byte(crc >> 16)
-	e.b[7] = byte(crc >> 24)
-	return e.b, nil
+	s := string(b)
+	x.names[s] = s
+	return s
 }
 
 // decodeFrame parses the frame starting at b[0]. It returns the decoded op
 // and the total frame size. ok=false means the bytes do not contain a whole,
 // checksum-valid, decodable frame — the caller treats that point as the torn
-// tail. reason explains what broke for inspection tooling.
-func decodeFrame(b []byte, wantLSN uint64) (op Op, size int, ok bool, reason string) {
+// tail. reason explains what broke for inspection tooling. The dictionary
+// takes the frame's declarations only when ok.
+func (x *decoder) decodeFrame(b []byte, wantLSN uint64) (op Op, size int, ok bool, reason string) {
 	if len(b) < frameHeadLen {
 		return Op{}, 0, false, "short frame header"
 	}
-	d := &dec{b: b}
-	bodyLen := int(d.u32())
-	crc := d.u32()
+	bodyLen := int(binary.LittleEndian.Uint32(b))
+	crc := binary.LittleEndian.Uint32(b[4:])
 	if bodyLen < frameBodyMin || bodyLen > maxFrameLen {
 		return Op{}, 0, false, fmt.Sprintf("implausible frame length %d", bodyLen)
 	}
@@ -479,15 +462,126 @@ func decodeFrame(b []byte, wantLSN uint64) (op Op, size int, ok bool, reason str
 	if checksum(body) != crc {
 		return Op{}, 0, false, "frame CRC mismatch"
 	}
-	kind := Kind(body[0])
-	bd := &dec{b: body, off: 1}
-	lsn := bd.u64()
+	lsn := binary.LittleEndian.Uint64(body[1:])
 	if lsn != wantLSN {
 		return Op{}, 0, false, fmt.Sprintf("LSN %d breaks the chain (want %d)", lsn, wantLSN)
 	}
-	op, err := decodePayload(kind, lsn, body[bd.off:])
+	op, err := x.decodePayload(Kind(body[0]), lsn, body[frameBodyMin:])
 	if err != nil {
 		return Op{}, 0, false, err.Error()
 	}
 	return op, frameHeadLen + bodyLen, true, ""
+}
+
+// decodePayload parses a payload for kind into op. It either fully succeeds
+// or returns an error with the dictionary as it was — a partial op, or a
+// declaration of a refused frame, never survives. Beyond truncation it
+// refuses what the encoder never writes: an index not yet declared, a key
+// declared twice or out of first-use order or never used, a non-finite
+// value, a named measure spelling the default name, trailing bytes. Row
+// order is not checked here; replay checks it (graph.Row.Check).
+func (x *decoder) decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
+	op := Op{Kind: kind, LSN: lsn}
+	d := &dec{b: payload}
+	base := len(x.keys)
+	next := base // the next declared index a first use must name
+	element := func() (graph.EdgeKey, uint32, uint64) {
+		t := d.uvarint()
+		i := t >> 2
+		switch {
+		case d.err != nil:
+			return graph.EdgeKey{}, 0, 0
+		case i >= uint64(len(x.keys)):
+			d.failf("element index %d is not declared (%d keys)", i, len(x.keys))
+			return graph.EdgeKey{}, 0, 0
+		case i > uint64(next):
+			d.failf("element index %d is used before index %d", i, next)
+		case i == uint64(next):
+			next++
+		}
+		return x.keys[i], uint32(i), t & (flagValue | flagNamed)
+	}
+	switch kind {
+	case OpAddRecord, OpAppendEdge:
+		for n := d.count("declaration", 2); n > 0 && d.err == nil; n-- {
+			k := graph.EdgeKey{From: x.name(d), To: x.name(d)}
+			if _, dup := x.declared[k]; dup && d.err == nil {
+				d.failf("element %v declared twice", k)
+			}
+			if d.err == nil {
+				x.declared[k] = struct{}{}
+				x.keys = append(x.keys, k)
+			}
+		}
+	}
+	switch kind {
+	case OpAddRecord:
+		n := d.count("element", 1)
+		row := &graph.Row{Keys: make([]graph.EdgeKey, n), Cells: make([]colstore.Cell, n)}
+		var named []colstore.NamedValue
+		for i := 0; i < n && d.err == nil; i++ {
+			k, idx, flags := element()
+			c := &row.Cells[i]
+			row.Keys[i], c.Edge = k, colstore.EdgeID(idx)
+			if flags&flagValue != 0 {
+				c.Value, c.HasValue = d.finite(), true
+			}
+			if flags&flagNamed == 0 {
+				continue
+			}
+			m := d.count("named measure", 9)
+			if m == 0 {
+				d.failf("element %v flags named measures but holds none", k)
+			}
+			start := len(named)
+			for j := 0; j < m && d.err == nil; j++ {
+				name := x.name(d)
+				if name == graph.DefaultMeasure {
+					d.failf("element %v names the default measure explicitly", k)
+				}
+				named = append(named, colstore.NamedValue{Name: name, Value: d.finite()})
+			}
+			// A later append may move named; this cell keeps the old array,
+			// whose values are final.
+			c.Named = named[start:len(named):len(named)]
+		}
+		op.Row = row
+	case OpAppendEdge:
+		op.Rec = d.rec()
+		k, _, flags := element()
+		op.From, op.To = k.From, k.To
+		if flags&flagValue != 0 {
+			op.Value, op.HasValue = d.finite(), true
+		}
+		if flags&flagNamed != 0 {
+			if op.Measure = x.name(d); op.Measure == graph.DefaultMeasure {
+				d.failf("append-edge names the default measure explicitly")
+			}
+		}
+	case OpDelete, OpUndelete:
+		op.Rec = d.rec()
+	case OpTag:
+		op.Rec = d.rec()
+		op.Key = string(d.bytes())
+		op.Val = string(d.bytes())
+		if d.err == nil && op.Key == "" {
+			d.failf("tag op with empty key")
+		}
+	default:
+		d.failf("unknown op kind %d", kind)
+	}
+	if d.err == nil && next != len(x.keys) {
+		d.failf("declares %d keys its elements never use", len(x.keys)-next)
+	}
+	if d.err == nil && d.off != len(payload) {
+		d.failf("%d trailing bytes after %s payload", len(payload)-d.off, kind)
+	}
+	if d.err != nil {
+		for _, k := range x.keys[base:] {
+			delete(x.declared, k)
+		}
+		x.keys = x.keys[:base]
+		return Op{}, d.err
+	}
+	return op, nil
 }

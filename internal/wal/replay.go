@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"grove/internal/fsio"
+	"grove/internal/graph"
 )
 
 // ScanResult describes everything a scan learned about a log file: its
@@ -18,8 +20,17 @@ type ScanResult struct {
 	HeaderOK bool
 	// HeaderErr explains a false HeaderOK.
 	HeaderErr string
+	// VersionErr is set, wrapping ErrUnsupportedVersion, when the header is
+	// intact but of a format version this build does not read. Header then
+	// holds the log's identity, so a caller can tell whether the log
+	// extends the cut it loaded; no frame is decoded.
+	VersionErr error
 	// Ops is the valid prefix, in LSN order.
 	Ops []Op
+	// Dict is the key dictionary the valid prefix declares: Dict[i] is the
+	// element a frame's index i names, and a decoded add-record row's
+	// Cells[i].Edge holds such an index.
+	Dict []graph.EdgeKey
 	// NextLSN is one past the last valid frame (== Header.BaseLSN for an
 	// empty log).
 	NextLSN uint64
@@ -73,6 +84,9 @@ func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 	h, hlen, err := decodeHeader(b)
 	if err != nil {
 		res.HeaderErr = err.Error()
+		if errors.Is(err, ErrUnsupportedVersion) {
+			res.Header, res.VersionErr = h, err
+		}
 		return res, nil
 	}
 	res.Header = h
@@ -80,8 +94,9 @@ func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 	res.NextLSN = h.BaseLSN
 	res.GoodSize = int64(hlen)
 	off := hlen
+	x := newDecoder()
 	for off < len(b) {
-		op, size, ok, reason := decodeFrame(b[off:], res.NextLSN)
+		op, size, ok, reason := x.decodeFrame(b[off:], res.NextLSN)
 		if !ok {
 			res.TornReason = reason
 			break
@@ -91,5 +106,6 @@ func Scan(fs fsio.FS, path string) (*ScanResult, error) {
 		off += size
 		res.GoodSize = int64(off)
 	}
+	res.Dict = x.keys
 	return res, nil
 }

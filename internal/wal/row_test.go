@@ -7,9 +7,12 @@ import (
 	"grove/internal/graph"
 )
 
-// addRecordFrame returns one encoded add-record frame of elems edges with
-// default measures — 67 is the NY-like corpus's mean record — and its LSN.
-func addRecordFrame(tb testing.TB, elems int) ([]byte, uint64) {
+// addRecordFrame returns a decoder and one encoded add-record frame of elems
+// edges with default measures — 67 is the NY-like corpus's mean record —
+// with its LSN. The frame is a log's second: the first declared every key,
+// and the decoder has read it, so the frame is what a steady-state log
+// holds — one index and one value per element.
+func addRecordFrame(tb testing.TB, elems int) (*decoder, []byte, uint64) {
 	tb.Helper()
 	rec := graph.NewRecord()
 	for i := 0; i < elems; i++ {
@@ -17,47 +20,56 @@ func addRecordFrame(tb testing.TB, elems int) ([]byte, uint64) {
 			tb.Fatal(err)
 		}
 	}
+	x := newEncoder(nil)
 	op := Op{Kind: OpAddRecord, Record: rec}
-	payload, err := op.encodePayload()
+	first, declared, err := x.encode(&op)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	x.commit(declared)
+	frame, declared, err := x.encode(&op)
+	if err != nil || len(declared) != 0 {
+		tb.Fatalf("second frame: %d declarations, err %v", len(declared), err)
 	}
 	const lsn = 7
-	frame, err := encodeFrame(OpAddRecord, lsn, payload)
-	if err != nil {
-		tb.Fatal(err)
+	seal(first, lsn-1)
+	seal(frame, lsn)
+	d := newDecoder()
+	if _, _, ok, why := d.decodeFrame(first, lsn-1); !ok {
+		tb.Fatal(why)
 	}
-	return frame, lsn
+	return d, frame, lsn
 }
 
-// BenchmarkWALDecodeAddRecord decodes one 67-element add-record frame: CRC,
-// LSN check and the payload straight into a flat row. Up to commit 8591ddf
-// this built a graph.Record — 459 allocations for this frame; the row costs
-// four however many elements the frame carries.
+// BenchmarkWALDecodeAddRecord decodes one 67-element add-record frame of a
+// steady-state log: CRC, LSN check and the payload straight into a flat row
+// whose cells hold dictionary indexes. Up to commit 8591ddf this built a
+// graph.Record — 459 allocations for this frame; the row costs three
+// however many elements the frame carries.
 func BenchmarkWALDecodeAddRecord(b *testing.B) {
-	frame, lsn := addRecordFrame(b, 67)
+	d, frame, lsn := addRecordFrame(b, 67)
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok, why := decodeFrame(frame, lsn); !ok {
+		if _, _, ok, why := d.decodeFrame(frame, lsn); !ok {
 			b.Fatal(why)
 		}
 	}
 }
 
-// TestDecodeAddRecordAllocs guards the decoder: the row, its two slices and
-// the one string the names are cut from — nothing per element.
+// TestDecodeAddRecordAllocs guards the decoder: the row and its two slices
+// — nothing per element, no string, since the keys are the dictionary's.
 func TestDecodeAddRecordAllocs(t *testing.T) {
 	for _, elems := range []int{1, 67, 1000} {
-		frame, lsn := addRecordFrame(t, elems)
+		d, frame, lsn := addRecordFrame(t, elems)
 		avg := testing.AllocsPerRun(100, func() {
-			if _, _, ok, why := decodeFrame(frame, lsn); !ok {
+			if _, _, ok, why := d.decodeFrame(frame, lsn); !ok {
 				t.Fatal(why)
 			}
 		})
-		if avg > 4 {
-			t.Errorf("decoding a %d-element frame allocates %.0f objects, want ≤ 4", elems, avg)
+		if avg > 3 {
+			t.Errorf("decoding a %d-element frame allocates %.0f objects, want ≤ 3", elems, avg)
 		}
 	}
 }

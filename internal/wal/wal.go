@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"grove/internal/fsio"
+	"grove/internal/graph"
 )
 
 // castagnoli is the CRC-32C table, the same polynomial the snapshot format
@@ -19,8 +22,10 @@ func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 const (
 	// magic opens every log file.
 	magic = "GROVEWAL"
-	// formatVersion is bumped on incompatible layout changes.
-	formatVersion = 1
+	// formatVersion is bumped on incompatible layout changes. Version 1,
+	// written up to commit 3239f01, spelled every element out by name;
+	// version 2 names it by key-dictionary index.
+	formatVersion = 2
 	// FileName is the log's name inside a store (or shard) directory.
 	FileName = "wal.log"
 )
@@ -103,20 +108,33 @@ type Header struct {
 	Gen string
 }
 
+var (
+	// ErrUnsupportedVersion is wrapped by the error of a log whose header is
+	// intact but whose format version this build does not read.
+	ErrUnsupportedVersion = errors.New("wal: unsupported log format version")
+	// ErrOpTooLarge is wrapped by the error of an op whose frame would pass
+	// the log's frame limit: the log cannot hold it.
+	ErrOpTooLarge = errors.New("wal: op too large to log")
+)
+
 func encodeHeader(h Header) ([]byte, error) {
+	if len(h.Gen) > maxGenLen {
+		return nil, fmt.Errorf("wal: generation name of %d bytes exceeds the %d-byte header limit", len(h.Gen), maxGenLen)
+	}
 	e := &enc{}
 	e.b = append(e.b, magic...)
 	e.u32(h.Version)
 	e.u32(h.Shard)
 	e.u64(h.BaseLSN)
-	if err := e.str(h.Gen); err != nil {
-		return nil, err
-	}
+	e.b = binary.LittleEndian.AppendUint16(e.b, uint16(len(h.Gen)))
+	e.b = append(e.b, h.Gen...)
 	e.u32(checksum(e.b))
 	return e.b, nil
 }
 
 // decodeHeader parses a header from the front of b, returning its byte size.
+// An intact header of another format version comes back whole, with an
+// error wrapping ErrUnsupportedVersion that says how to convert the log.
 func decodeHeader(b []byte) (Header, int, error) {
 	if len(b) < len(magic) {
 		return Header{}, 0, fmt.Errorf("wal: file shorter than the magic string")
@@ -129,7 +147,7 @@ func decodeHeader(b []byte) (Header, int, error) {
 	h.Version = d.u32()
 	h.Shard = d.u32()
 	h.BaseLSN = d.u64()
-	h.Gen = d.str()
+	h.Gen = string(d.take(uint64(d.u16())))
 	end := d.off
 	crc := d.u32()
 	if d.err != nil {
@@ -138,8 +156,11 @@ func decodeHeader(b []byte) (Header, int, error) {
 	if checksum(b[:end]) != crc {
 		return Header{}, 0, fmt.Errorf("wal: header CRC mismatch")
 	}
-	if h.Version != formatVersion {
-		return Header{}, 0, fmt.Errorf("wal: unsupported format version %d (have %d)", h.Version, formatVersion)
+	switch {
+	case h.Version == 1:
+		return h, d.off, fmt.Errorf("%w 1 (this build reads %d): load the store with a build from commit 3239f01 or earlier and Save it once, which folds the log into a snapshot", ErrUnsupportedVersion, formatVersion)
+	case h.Version != formatVersion:
+		return h, d.off, fmt.Errorf("%w %d (this build reads %d)", ErrUnsupportedVersion, h.Version, formatVersion)
 	}
 	return h, d.off, nil
 }
@@ -163,8 +184,10 @@ type Stats struct {
 	Gen string
 }
 
-// Log is an open write-ahead log for one shard. Append serializes a frame
-// into the file; Commit makes it durable per the configured policy. A Log is
+// Log is an open write-ahead log for one shard. Append encodes an op against
+// the log's key dictionary and writes the frame; Commit makes it durable per
+// the configured policy. Prepare and Write split Append in two, so a caller
+// can learn that an op cannot be logged before it applies the op. A Log is
 // safe for concurrent use.
 //
 // The error model is a sticky latch: the first failed write or fsync poisons
@@ -177,7 +200,8 @@ type Log struct {
 	shard uint32
 	cfg   Config
 
-	// mu serializes frame writes and the lsn/size bookkeeping.
+	// mu serializes encoding and frame writes, so dictionary order is LSN
+	// order, and the lsn/size bookkeeping.
 	mu      sync.Mutex
 	f       fsio.File
 	gen     string
@@ -185,6 +209,8 @@ type Log struct {
 	nextLSN uint64 // LSN the next Append will claim
 	size    int64
 	failed  error // sticky write/fsync failure
+	enc     *encoder
+	epoch   uint64 // bumped when the file (and dictionary) starts over
 
 	// syncMu guards the group-commit state: one goroutine fsyncs while the
 	// rest wait on cond and re-check synced.
@@ -214,8 +240,9 @@ func Create(fs fsio.FS, path string, shard uint32, gen string, base uint64, cfg 
 
 // OpenAt attaches to an existing, already-scanned log for appending. The
 // torn tail past scan.GoodSize (if any) is truncated away first; appending
-// resumes at scan.NextLSN. The caller has already verified the header pins
-// the generation it expects.
+// resumes at scan.NextLSN with the dictionary the valid prefix declared, so a
+// resumed log stays one namespace. The caller has already verified the
+// header pins the generation it expects.
 func OpenAt(fs fsio.FS, path string, scan *ScanResult, cfg Config) (*Log, error) {
 	l := newLog(fs, path, scan.Header.Shard, cfg)
 	if scan.TornBytes() > 0 {
@@ -228,6 +255,7 @@ func OpenAt(fs fsio.FS, path string, scan *ScanResult, cfg Config) (*Log, error)
 		return nil, fmt.Errorf("wal: open %s for append: %w", path, err)
 	}
 	l.f = f
+	l.enc = newEncoder(scan.Dict)
 	l.gen = scan.Header.Gen
 	l.baseLSN = scan.Header.BaseLSN
 	l.nextLSN = scan.NextLSN
@@ -267,6 +295,8 @@ func (l *Log) createLocked(gen string, base uint64) error {
 		return fmt.Errorf("wal: sync header of %s: %w", l.path, err)
 	}
 	l.f = f
+	l.enc = newEncoder(nil)
+	l.epoch++
 	l.gen = gen
 	l.baseLSN = base
 	l.nextLSN = base
@@ -275,39 +305,76 @@ func (l *Log) createLocked(gen string, base uint64) error {
 	return nil
 }
 
-// Append serializes op into the file and returns its LSN. The frame is in
-// the OS buffer cache but NOT yet durable — call Commit(lsn) to make it so
-// under the configured policy. Append never blocks on an fsync.
-func (l *Log) Append(op Op) (uint64, error) {
-	payload, err := op.encodePayload()
-	if err != nil {
-		return 0, err
-	}
+// Pending is an op Prepare encoded and Write has yet to write.
+type Pending struct {
+	op       Op
+	frame    []byte
+	declared []graph.EdgeKey
+	// base and epoch identify the dictionary the frame was encoded against.
+	base  int
+	epoch uint64
+}
+
+// Prepare encodes op against the log's dictionary without writing it or
+// changing the dictionary. An error means the op cannot be logged at all —
+// its frame would exceed the frame limit, or it is malformed — so a caller
+// that must log what it applies refuses the op. A latched write failure is
+// not Prepare's concern: Write reports it.
+func (l *Log) Prepare(op Op) (Pending, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.prepareLocked(op)
+}
+
+func (l *Log) prepareLocked(op Op) (Pending, error) {
+	frame, declared, err := l.enc.encode(&op)
+	if err != nil {
+		return Pending{}, err
+	}
+	return Pending{op: op, frame: frame, declared: declared, base: len(l.enc.dict), epoch: l.epoch}, nil
+}
+
+// Write appends a prepared frame to the file, adds the keys it declares to
+// the dictionary and returns its LSN. A frame prepared against a dictionary
+// that has changed since (another append or a Reset came between) is
+// encoded again first. The frame is in the OS buffer cache but NOT yet
+// durable — call Commit(lsn) to make it so under the configured policy.
+// Write never blocks on an fsync.
+func (l *Log) Write(p Pending) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return 0, err
+		return 0, l.failed
+	}
+	if p.epoch != l.epoch || p.base != len(l.enc.dict) {
+		var err error
+		if p, err = l.prepareLocked(p.op); err != nil {
+			return 0, err
+		}
 	}
 	lsn := l.nextLSN
-	frame, err := encodeFrame(op.Kind, lsn, payload)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
+	seal(p.frame, lsn)
 	//grovevet:ignore lockorder the file write must happen under mu: frame order in the file must equal LSN order
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.f.Write(p.frame); err != nil {
 		l.failed = fmt.Errorf("wal: append to %s: %w", l.path, err)
-		err := l.failed
-		l.mu.Unlock()
+		return 0, l.failed
+	}
+	l.enc.commit(p.declared)
+	l.nextLSN++
+	l.size += int64(len(p.frame))
+	l.appends.Add(1)
+	l.bytes.Add(int64(len(p.frame)))
+	return lsn, nil
+}
+
+// Append encodes op, writes its frame and returns its LSN: Prepare, then
+// Write.
+func (l *Log) Append(op Op) (uint64, error) {
+	p, err := l.Prepare(op)
+	if err != nil {
 		return 0, err
 	}
-	l.nextLSN++
-	l.size += int64(len(frame))
-	l.mu.Unlock()
-	l.appends.Add(1)
-	l.bytes.Add(int64(len(frame)))
-	return lsn, nil
+	return l.Write(p)
 }
 
 // Commit makes the append that returned lsn durable according to the

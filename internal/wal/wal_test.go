@@ -5,9 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"grove/internal/colstore"
 	"grove/internal/fsio"
 	"grove/internal/graph"
 )
@@ -71,8 +74,36 @@ func TestHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded silently", n)
 		}
 	}
-	if _, err := encodeHeader(Header{Gen: string(make([]byte, maxStringLen+1))}); err == nil {
+	if _, err := encodeHeader(Header{Gen: string(make([]byte, maxGenLen+1))}); err == nil {
 		t.Fatal("oversized generation string accepted")
+	}
+}
+
+// TestUnsupportedVersionHeader: an intact header of another format version
+// — here a hand-built version-1 header, the layout every version shares — is
+// not a corrupt one. Scan returns its identity with an error wrapping
+// ErrUnsupportedVersion that names the conversion, and decodes no frame.
+func TestUnsupportedVersionHeader(t *testing.T) {
+	for _, v := range []uint32{1, formatVersion + 1} {
+		h := Header{Version: v, Shard: 2, BaseLSN: 9, Gen: "gen-000003"}
+		b, err := encodeHeader(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), FileName)
+		if err := os.WriteFile(path, append(b, 1, 2, 3), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Scan(fsio.OS(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HeaderOK || res.Header != h || len(res.Ops) != 0 || !errors.Is(res.VersionErr, ErrUnsupportedVersion) {
+			t.Fatalf("version %d: scan = %+v", v, res)
+		}
+		if fix := strings.Contains(res.VersionErr.Error(), "3239f01"); fix != (v == 1) {
+			t.Errorf("version %d: %q names the conversion build: %v", v, res.VersionErr, fix)
+		}
 	}
 }
 
@@ -456,12 +487,172 @@ func TestScanMissing(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsOversizedPayload: a string is as long as the frame lets
+// it be — a 70 000-byte tag key logs — and an op whose frame would pass the
+// limit is refused, by Prepare as by Append, before anything is written or
+// declared.
 func TestFrameRejectsOversizedPayload(t *testing.T) {
-	if _, err := encodeFrame(OpDelete, 1, make([]byte, maxFrameLen)); err == nil {
-		t.Fatal("oversized frame accepted")
+	path := filepath.Join(t.TempDir(), FileName)
+	l, err := Create(fsio.OS(), path, 0, "", 1, Config{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
-	op := Op{Kind: OpTag, Rec: 0, Key: string(bytes.Repeat([]byte("k"), maxStringLen+1)), Val: "v"}
-	if _, err := op.encodePayload(); err == nil {
-		t.Fatal("oversized tag key accepted")
+	long := string(bytes.Repeat([]byte("k"), 70000))
+	if _, err := l.Append(Op{Kind: OpTag, Key: long, Val: "v"}); err != nil {
+		t.Fatalf("a 70 000-byte tag key: %v", err)
+	}
+	huge := string(bytes.Repeat([]byte("x"), maxFrameLen))
+	for _, op := range []Op{
+		{Kind: OpTag, Key: huge, Val: "v"},
+		{Kind: OpAppendEdge, From: "a", To: huge},
+		{Kind: OpAddRecord, Row: &graph.Row{Keys: []graph.EdgeKey{graph.E("a", "b"), graph.E(huge, huge)}, Cells: make([]colstore.Cell, 2)}},
+	} {
+		if _, err := l.Prepare(op); err == nil {
+			t.Errorf("%s: an oversized frame was prepared", op.Kind)
+		}
+		if _, err := l.Append(op); err == nil {
+			t.Errorf("%s: an oversized frame was appended", op.Kind)
+		}
+	}
+	if st := l.Stats(); st.Appends != 1 || len(l.enc.dict) != 0 || l.Err() != nil {
+		t.Fatalf("after the refusals: %d appends, %d keys, err %v", st.Appends, len(l.enc.dict), l.Err())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDictionaryNamesEachKeyOnce: a key is spelled out by the first frame
+// that uses it, and only by index after that, across kinds; a frame written
+// after a Reset, or after OpenAt resumed the log, agrees with the scanner
+// about every index.
+func TestDictionaryNamesEachKeyOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), FileName)
+	l, err := Create(fsio.OS(), path, 0, "gen-000001", 1, Config{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(l *Log, elems ...graph.EdgeKey) {
+		t.Helper()
+		rec := graph.NewRecord()
+		for _, k := range elems {
+			if err := rec.SetElement(k, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Append(Op{Kind: OpAddRecord, Record: rec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ab, bc, cd := graph.E("a", "b"), graph.E("b", "c"), graph.E("c", "d")
+	add(l, ab, bc)
+	before := l.Stats().AppendedBytes
+	add(l, ab, bc)
+	if again := l.Stats().AppendedBytes - before; again != frameHeadLen+frameBodyMin+1+1+2*(1+8) {
+		t.Fatalf("a frame of two declared keys takes %d bytes", again)
+	}
+	if _, err := l.Append(Op{Kind: OpAppendEdge, From: "c", To: "d", Value: 2, HasValue: true}); err != nil {
+		t.Fatal(err)
+	}
+	add(l, bc, cd)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Scan(fsio.OS(), path)
+	if err != nil || len(res.Ops) != 4 || res.TornBytes() != 0 {
+		t.Fatalf("scan: %+v, err %v", res, err)
+	}
+	if want := []graph.EdgeKey{ab, bc, cd}; !reflect.DeepEqual(res.Dict, want) {
+		t.Fatalf("dictionary %v, want %v", res.Dict, want)
+	}
+	if e := res.Ops[3].Row.Cells; e[0].Edge != 1 || e[1].Edge != 2 {
+		t.Fatalf("the last row names indexes %d, %d, want 1, 2", e[0].Edge, e[1].Edge)
+	}
+
+	// Resumed, the log keeps its dictionary: c→d is not declared again.
+	l, err = OpenAt(fsio.OS(), path, res, Config{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(l, cd, graph.E("d", "e"))
+	if err := l.Reset("gen-000002"); err != nil {
+		t.Fatal(err)
+	}
+	add(l, cd) // declared afresh after the reset
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Scan(fsio.OS(), path)
+	if err != nil || len(res.Ops) != 1 || !reflect.DeepEqual(res.Dict, []graph.EdgeKey{cd}) {
+		t.Fatalf("after the reset: %d ops, dictionary %v, err %v", len(res.Ops), res.Dict, err)
+	}
+}
+
+// TestWriteReencodesAStalePrepare: a frame prepared against a dictionary
+// that another append has grown since is encoded again, so the file never
+// names an index the scanner has not been told.
+func TestWriteReencodesAStalePrepare(t *testing.T) {
+	path := filepath.Join(t.TempDir(), FileName)
+	l, err := Create(fsio.OS(), path, 0, "", 1, Config{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.Prepare(Op{Kind: OpAppendEdge, From: "x", To: "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(Op{Kind: OpAppendEdge, From: "u", To: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Scan(fsio.OS(), path)
+	if err != nil || len(res.Ops) != 2 || res.TornBytes() != 0 || res.Ops[1].From != "x" {
+		t.Fatalf("scan: %d ops, %d torn bytes (%s), err %v", len(res.Ops), res.TornBytes(), res.TornReason, err)
+	}
+}
+
+// TestDamagedFramesRefused: each way a frame can misuse the dictionary, and
+// each row the live path never logs, is refused — the first two by the
+// scanner, which ends the valid prefix there, the rows by graph.Row.Check,
+// replay's row check.
+func TestDamagedFramesRefused(t *testing.T) {
+	hdr := headerOf(t)
+	damaged := damagedPayloads()
+	valid := rawFrame(OpAddRecord, 1, damaged[2])
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		ops  int
+	}{
+		{"undeclared index", append(append([]byte(nil), hdr...), rawFrame(OpAddRecord, 1, damaged[0])...), 0},
+		{"key declared twice in a frame", append(append([]byte(nil), hdr...), rawFrame(OpAddRecord, 1, damaged[1])...), 0},
+		{"key declared again by a later frame", append(append(append([]byte(nil), hdr...), valid...), rawFrame(OpAddRecord, 2, damaged[2])...), 1},
+	} {
+		path := filepath.Join(t.TempDir(), FileName)
+		if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Scan(fsio.OS(), path)
+		if err != nil || len(res.Ops) != tc.ops || res.TornBytes() == 0 || len(res.Dict) != tc.ops {
+			t.Errorf("%s: %d ops, %d torn bytes, dictionary %v, err %v", tc.name, len(res.Ops), res.TornBytes(), res.Dict, err)
+		}
+	}
+	for i, row := range offPathRows() {
+		path := filepath.Join(t.TempDir(), FileName)
+		if err := os.WriteFile(path, logOf(t, row), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Scan(fsio.OS(), path)
+		if err != nil || len(res.Ops) != 1 {
+			t.Fatalf("row %d: %d ops, err %v", i, len(res.Ops), err)
+		}
+		if err := res.Ops[0].Row.Check(); !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
+			t.Errorf("row %d: check = %v", i, err)
+		}
 	}
 }

@@ -54,16 +54,16 @@ func pinnedCorpus(t testing.TB) []*graph.Record {
 	return recs
 }
 
-// TestLogBytesPinned: the flat-row codec writes, for the same input, the very
-// bytes the map-walking encoder of commit 8591ddf wrote. The hashes below
-// were taken by running this test's body at that commit, and re-taken once
-// when Append began to log the normalized row it applies: the corpus's
-// cyclic records are logged flattened (§6.2), while the log of its acyclic
-// records alone hashes as it did at 8591ddf.
+// TestLogBytesPinned pins the bytes the log writes for a fixed input. The
+// hashes were taken when the log format became version 2, which names each
+// element by its index in the log's key dictionary where version 1 spelled
+// it out: the input is the one the version-1 hashes were taken on, the
+// format is new. TestReplayedSnapshotPinned holds what a replay of either
+// format recovers to the same bytes.
 func TestLogBytesPinned(t *testing.T) {
 	want := map[int]string{
-		1: "9e9d7cfb9ea963af741e0255991de07193fbfd519d2747b04076c292f8a13dfd",
-		3: "767bfbade6a433d3a1d14278f28772e36ac1fb505b30a4f42d73890f05566d8f",
+		1: "c8bb2fb1b677b109b76fe56ef6bbe169aea27e9d7cffa4cb20bbb214375c8efc",
+		3: "6b1966b9f1bf8b8b205faa4ec9e3a38fc7b3c664a2f1f949800c88b63da6a6e1",
 	}
 	recs := pinnedCorpus(t)
 	for _, n := range []int{1, 3} {
@@ -95,6 +95,91 @@ func TestLogBytesPinned(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[n] {
 			t.Errorf("N=%d: log bytes hash %s, want %s", n, got, want[n])
+		}
+	}
+}
+
+// TestReplayedSnapshotPinned: a store recovered from its log saves the same
+// bytes whatever the log's format. The pinned corpus is appended to a
+// logged store with every other op kind mixed in — append-edges naming
+// elements no record has, tags, deletes and undeletes — and the store is
+// closed, loaded (the whole state comes back by replay) and saved into a
+// fresh directory. The hashes were taken by running this test's body at
+// 3239f01, whose log spelled every element out by name; ids, registry and
+// columns must come back byte-identical from the key-dictionary log.
+func TestReplayedSnapshotPinned(t *testing.T) {
+	want := map[int]string{
+		1: "a9df20d37e2f46a9c0230e5d67051f71278249fdba214a709c10fd3478025c79",
+		3: "55219aa0fd8c7e9da9a7157aea6e00228bb055316cc9d73ccdbf872e2151d417",
+	}
+	recs := pinnedCorpus(t)
+	for _, n := range []int{1, 3} {
+		dir := t.TempDir()
+		c := shard.New(n, 0)
+		if err := c.AttachWALFS(fsio.OS(), dir, wal.Config{Policy: wal.SyncNever}); err != nil {
+			t.Fatal(err)
+		}
+		ops := 0
+		for i, rec := range recs {
+			g, err := c.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops++
+			prev := g / 2
+			switch {
+			case i%7 == 3:
+				err = c.AppendEdge(prev, fmt.Sprintf("n%d", i%12), fmt.Sprintf("x%d", i%5), "", float64(i)/4, true)
+			case i%7 == 5:
+				err = c.AppendEdge(prev, fmt.Sprintf("y%d", i%3), fmt.Sprintf("y%d", i%3), "cost", -float64(i), true)
+			case i%11 == 4:
+				err = c.Tag(g, "kind", fmt.Sprint(i%3))
+			case i%13 == 6:
+				_, err = c.Delete(prev)
+			case i%17 == 8:
+				_, err = c.Delete(g)
+				if err == nil {
+					c.Undelete(g)
+					ops++
+				}
+			default:
+				ops--
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops++
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := shard.LoadFS(fsio.OS(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.WALStats().ReplayedOps; got != int64(ops) {
+			t.Fatalf("N=%d: replayed %d ops, logged %d", n, got, ops)
+		}
+		out := t.TempDir()
+		if err := loaded.SaveFS(fsio.OS(), out); err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := treeBytes(t, out)
+		paths := make([]string, 0, len(files))
+		for p := range files {
+			paths = append(paths, p)
+		}
+		slices.Sort(paths)
+		h := sha256.New()
+		for _, p := range paths {
+			fmt.Fprintf(h, "%s: %d bytes\n", p, len(files[p]))
+			h.Write([]byte(files[p]))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[n] {
+			t.Errorf("N=%d: recovered snapshot hash %s, want %s", n, got, want[n])
 		}
 	}
 }
