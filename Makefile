@@ -115,7 +115,9 @@ examples-smoke:
 # frame is refused before it applies; a log torn inside a frame that declares
 # new dictionary keys resumes and recovers to the acknowledged ops; replay
 # refuses a non-canonical or cyclic row and a log of an unsupported format
-# version that extends the loaded cut; a store recovered from the log saves
+# version that extends the loaded cut, and fails the load with the shard and
+# LSN when a log's second read (the apply) differs from its first (the
+# check); a store recovered from the log saves
 # the bytes pinned at the last version-1 build. Then the facade-vs-coordinator
 # byte-identity table, the shadowed-save refusal, recovery, GC, rollback and
 # cancellation paths, and the frame/scan unit suite.
@@ -123,7 +125,7 @@ durability:
 	$(GO) test ./internal/colstore/ -run \
 		'TestSaveFaultSweep|TestLoadFallbackRecovery|TestSnapshotGCKeepCount|TestGenerationsInventoryAndRollback|TestConcurrentSaveLoadMutate|TestLoadRejectsRetiredFormats' -v
 	$(GO) test ./internal/shard/ -run \
-		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout|TestRefusedWriteNotRecovered|TestRefusedOpsDifferential|TestUnencodableOpRefused|TestResumeAfterTornDeclaration|TestReplayRefusesBadRows|TestReplayRefusesUnsupportedVersion' -v
+		'TestShardedSaveFaultSweep|TestShardedRepeatedCrashedSavesKeepRollbackCut|TestShardedSaveLoadRoundTrip|TestOneShardManifestLayout|TestRefusedWriteNotRecovered|TestRefusedOpsDifferential|TestUnencodableOpRefused|TestResumeAfterTornDeclaration|TestReplayRefusesBadRows|TestReplayRefusesUnsupportedVersion|TestReplayDetectsALogChangedBetweenReads' -v
 	$(GO) test . -run \
 		'TestWALFaultSweep|TestShardedWALFaultSweep|TestWALCheckpointFaultSweep|TestIncrementalViewDifferential|TestOpenDurableLifecycle|TestShardedLoadManifestFallbacks|TestWALGenMismatchSkipped|TestOneDurabilityPath|TestShadowedSaveRefused|TestReplayedSnapshotPinned|TestLogBytesPinned' -v
 	$(GO) test ./internal/wal/ -count=1

@@ -183,16 +183,19 @@ func InspectWAL(dir string) ([]WALFileInfo, error) {
 			Gen:        res.Header.Gen,
 			BaseLSN:    res.Header.BaseLSN,
 			NextLSN:    res.NextLSN,
-			Ops:        len(res.Ops),
+			Ops:        res.NumOps(),
 			GoodBytes:  res.GoodSize,
 			TornBytes:  res.TornBytes(),
 			TornReason: res.TornReason,
 		}
-		if len(res.Ops) > 0 {
-			info.Kinds = make(map[string]int)
-			for _, op := range res.Ops {
-				info.Kinds[op.Kind.String()]++
+		for k, n := range res.Kinds {
+			if n == 0 {
+				continue
 			}
+			if info.Kinds == nil {
+				info.Kinds = make(map[string]int)
+			}
+			info.Kinds[wal.Kind(k).String()] = n
 		}
 		out = append(out, info)
 	}

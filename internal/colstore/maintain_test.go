@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"testing"
 
 	"grove/internal/agg"
@@ -104,4 +105,34 @@ func TestLoadedAggViewIsMaintainable(t *testing.T) {
 	if v, ok := got.AggView("p").Measure.Get(rec); !ok || v != 15 {
 		t.Errorf("reloaded view not maintained: %v,%v", v, ok)
 	}
+}
+
+// TestMaintainViewsAllocs: a record every aggregate view takes costs no
+// scratch per view — maintainViews folds each view's path in one buffer —
+// so appending it allocates only the columns' amortized growth.
+func TestMaintainViewsAllocs(t *testing.T) {
+	r := NewRelation(0)
+	cells := make([]Cell, 8)
+	for e := range cells {
+		cells[e] = Cell{Edge: EdgeID(e), Value: float64(e), HasValue: true}
+	}
+	r.AppendRow(cells)
+	for a := EdgeID(0); a < 8; a++ {
+		for b := EdgeID(0); b < 8; b++ {
+			if a == b {
+				continue
+			}
+			if _, err := r.MaterializeAggView(fmt.Sprintf("p%d-%d", a, b), []EdgeID{a, b}, agg.Sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		r.AppendRow(cells)
+	}
+	avg := testing.AllocsPerRun(1000, func() { r.AppendRow(cells) })
+	if avg > 8 {
+		t.Fatalf("appending a record 56 aggregate views take allocates %.1f objects, want ≤ 8", avg)
+	}
+	t.Logf("%.2f allocs per record", avg)
 }

@@ -429,19 +429,25 @@ func loadSnapshot(fs fsio.FS, dir string) (*Relation, error) {
 	if err := verifyChecksum(fs, dir, m); err != nil {
 		return nil, err
 	}
-	f, err := fs.Open(filepath.Join(dir, "data.bin"))
+	data := filepath.Join(dir, "data.bin")
+	fi, err := fs.Stat(data)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: load data: %w", err)
+	}
+	f, err := fs.Open(data)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: load data: %w", err)
 	}
 	defer f.Close()
 	// The counting reader tracks the absolute data.bin offset so the block
-	// indexes can record where each payload lives.
-	rd := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
+	// indexes can record where each payload lives. Its buffer is no larger
+	// than the file: most shards' data.bin is a fraction of a megabyte.
+	rd := &countingReader{r: bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))}
 
 	r := NewRelation(m.PartWidth)
 	r.numRecords.Store(m.NumRecords)
 
-	src := newPageSource(fs, filepath.Join(dir, "data.bin"))
+	src := newPageSource(fs, data)
 	r.pagePool = pagepool.New(DefaultPageCacheBytes)
 	r.pageSrcs = append(r.pageSrcs, src)
 	measureColumn := func() (*MeasureColumn, error) {

@@ -821,11 +821,17 @@ func (r *Relation) maintainViews(rec uint32) {
 			v.Col.Set(rec)
 		}
 	}
+	// One buffer serves every view; paths of up to 16 edges need no heap.
+	var buf [16]float64
+	vals := buf[:]
 	for _, v := range cat.aggViews {
 		if !v.fn.Valid() || !r.holdsAll(rec, v.Path, noEdge) {
 			continue
 		}
-		vals := make([]float64, len(v.Path))
+		if len(v.Path) > cap(vals) {
+			vals = make([]float64, len(v.Path))
+		}
+		vals = vals[:len(v.Path)]
 		if r.pathMeasures(rec, v.Path, v.MeasureName, vals) {
 			v.Measure.put(rec, v.fn.Aggregate(vals))
 			v.Col.Set(rec)

@@ -96,22 +96,25 @@ func (row *Row) Record() *Record {
 	return rec
 }
 
-// ErrRowOrder and ErrRowCycle are what Row.Check wraps.
+// ErrRowOrder and ErrRowCycle are what Row.CheckNodes wraps.
 var (
 	ErrRowOrder = errors.New("graph: row is not canonical")
 	ErrRowCycle = errors.New("graph: row has a directed cycle")
 )
 
-// Check reports whether row is in the form AppendRow appends as it stands,
-// and why not: an error wrapping ErrRowOrder for a row that is not what
-// Record.Row produces (keys strictly ascending, so no element repeats, and
-// every cell's named measures strictly ascending by a non-default name), or
-// wrapping ErrRowCycle for a row whose edges form a directed cycle.
-func (row *Row) Check() error {
+// CheckNodes reports whether row is in the form AppendRow appends as it
+// stands, and why not: an error wrapping ErrRowOrder for a row that is not
+// what Record.Row produces (keys strictly ascending, so no element repeats,
+// and every cell's named measures strictly ascending by a non-default name),
+// or wrapping ErrRowCycle for a row whose edges form a directed cycle. The
+// row's node names come numbered, one number per name: from[i] and to[i]
+// number Keys[i].From and Keys[i].To. The cycle check runs on the numbers,
+// in c's scratch, which the caller reuses from row to row.
+func (row *Row) CheckNodes(from, to []int32, c *Cycles) error {
 	if err := row.orderErr(); err != nil {
 		return err
 	}
-	if hasCycle(row.Keys) {
+	if c.Has(from, to) {
 		return ErrRowCycle
 	}
 	return nil
@@ -146,89 +149,149 @@ const (
 	black
 )
 
-// groupSeed keys the per-row node index of hasCycle.
+// groupSeed keys hasCycle's table from node name to group.
 var groupSeed = maphash.MakeSeed()
 
-// cycleCheck is the scratch of one hasCycle call. The keys are sorted by
-// From, so a node's successors are the contiguous range starting at its
-// group — the first key with that From. slots is an open-addressed table
-// from node name to group index + 1; a node with no outgoing edge has no
-// group and is never entered.
-type cycleCheck struct {
-	keys  []EdgeKey
+// Cycles is the scratch of the cycle check over numbered nodes, reused from
+// row to row: once it has grown to the longest row and the highest node
+// number it has met, a check allocates nothing, and it never compares or
+// hashes a name.
+type Cycles struct {
 	state []uint8
-	slots []int32
+	group []int32
+	mark  []uint32
+	epoch uint32
 }
 
-// hasCycle reports whether the proper edges among keys — sorted by From, as
-// a canonical row's or a graph's are — contain a directed cycle. Up to 128
-// keys are checked without allocating.
-func hasCycle(keys []EdgeKey) bool {
-	var stateBuf [128]uint8
-	var slotBuf [256]int32
-	c := cycleCheck{keys: keys, state: stateBuf[:], slots: slotBuf[:]}
-	if n := len(keys); n > len(stateBuf) {
-		size := 256
-		for size < 2*n {
-			size *= 2
-		}
-		c.state, c.slots = make([]uint8, n), make([]int32, size)
+// Has reports whether the proper edges from[i] → to[i] contain a directed
+// cycle. A node is a non-negative number, one per name; from must run in
+// contiguous groups, as the From names of a canonical row or a graph do, and
+// a key whose to equals its from is a node element, not an edge.
+func (c *Cycles) Has(from, to []int32) bool {
+	c.state = slices.Grow(c.state[:0], len(from))[:len(from)]
+	clear(c.state)
+	top := int32(-1)
+	for _, f := range from {
+		top = max(top, f)
 	}
-	for i, k := range c.keys {
-		if i == 0 || k.From != c.keys[i-1].From {
-			h := c.slot(k.From)
-			for c.slots[h] != 0 {
-				h = (h + 1) & (len(c.slots) - 1)
-			}
-			c.slots[h] = int32(i) + 1
+	if n := int(top) + 1; n > len(c.group) {
+		c.group = make([]int32, max(n, 2*len(c.group)))
+		c.mark = make([]uint32, len(c.group))
+		c.epoch = 0
+	}
+	if c.epoch++; c.epoch == 0 {
+		clear(c.mark)
+		c.epoch = 1
+	}
+	d := cycleDFS{from: from, to: to, state: c.state, group: c.group, mark: c.mark, epoch: c.epoch}
+	return d.has()
+}
+
+// cycleDFS is one cycle check: the row's node numbers and the scratch it
+// runs in. Its methods only index the slices, never store them, so a caller
+// can hand it stack arrays.
+type cycleDFS struct {
+	from, to []int32
+	// state holds the DFS colour of each From-group, at the index of the
+	// group's first key, all white on entry.
+	state []uint8
+	// group[n] is the index of node n's first key, valid only when
+	// mark[n] == epoch: a node with no out-edges has no group. mark holds no
+	// value equal to epoch on entry, and group and mark cover every From.
+	group []int32
+	mark  []uint32
+	epoch uint32
+}
+
+func (d *cycleDFS) has() bool {
+	for i, f := range d.from {
+		if i == 0 || f != d.from[i-1] {
+			d.group[f], d.mark[f] = int32(i), d.epoch
 		}
 	}
-	for i, k := range c.keys {
-		if (i == 0 || k.From != c.keys[i-1].From) && c.state[i] == white && c.visit(i) {
+	for i, f := range d.from {
+		if (i == 0 || f != d.from[i-1]) && d.state[i] == white && d.visit(i) {
 			return true
 		}
 	}
 	return false
 }
 
-func (c *cycleCheck) slot(node string) int {
-	return int(maphash.String(groupSeed, node)) & (len(c.slots) - 1)
-}
-
-// group returns the index of the first key whose From is node, or -1.
-func (c *cycleCheck) group(node string) int {
-	for h := c.slot(node); c.slots[h] != 0; h = (h + 1) & (len(c.slots) - 1) {
-		if g := int(c.slots[h]) - 1; c.keys[g].From == node {
-			return g
+// visit runs the DFS from the node whose out-edges start at key start.
+func (d *cycleDFS) visit(start int) bool {
+	d.state[start] = grey
+	f := d.from[start]
+	for j := start; j < len(d.from) && d.from[j] == f; j++ {
+		t := d.to[j]
+		if t == f || int(t) >= len(d.mark) || d.mark[t] != d.epoch {
+			continue // a node element, or a node with no out-edges
 		}
-	}
-	return -1
-}
-
-// visit runs the DFS from the node whose out-edges start at keys[start].
-func (c *cycleCheck) visit(start int) bool {
-	c.state[start] = grey
-	from := c.keys[start].From
-	for j := start; j < len(c.keys) && c.keys[j].From == from; j++ {
-		to := c.keys[j].To
-		if to == from {
-			continue // node element, not an edge
-		}
-		g := c.group(to)
-		if g < 0 {
-			continue
-		}
-		switch c.state[g] {
+		switch g := d.group[t]; d.state[g] {
 		case grey:
 			return true
 		case white:
-			if c.visit(g) {
+			if d.visit(int(g)) {
 				return true
 			}
 		}
 	}
-	c.state[start] = black
+	d.state[start] = black
 	return false
+}
+
+// hasCycle reports whether the proper edges among keys — sorted by From, as
+// a canonical row's or a graph's are — contain a directed cycle. It numbers
+// each From-group by its order, finds each To's group through an
+// open-addressed table from name to the index of the group's first key,
+// numbers a To with no group one past the groups, and runs the DFS of
+// Cycles.Has. Up to 128 keys are checked without allocating.
+func hasCycle(keys []EdgeKey) bool {
+	const stack = 128
+	var nodeBuf [2][stack]int32
+	var slotBuf [2 * stack]int32
+	var stateBuf [stack]uint8
+	var groupBuf [stack + 1]int32
+	var markBuf [stack + 1]uint32
+	n := len(keys)
+	d := cycleDFS{group: groupBuf[:], mark: markBuf[:], epoch: 1}
+	slots := slotBuf[:]
+	if n <= stack {
+		d.from, d.to, d.state = nodeBuf[0][:n], nodeBuf[1][:n], stateBuf[:n]
+	} else {
+		size := len(slotBuf)
+		for size < 2*n {
+			size *= 2
+		}
+		d.from, d.to, d.state, slots = make([]int32, n), make([]int32, n), make([]uint8, n), make([]int32, size)
+		d.group, d.mark = make([]int32, n+1), make([]uint32, n+1)
+	}
+	g := int32(-1)
+	for i, k := range keys {
+		if i == 0 || k.From != keys[i-1].From {
+			h := groupSlot(k.From, len(slots))
+			for slots[h] != 0 {
+				h = (h + 1) & (len(slots) - 1)
+			}
+			slots[h] = int32(i) + 1
+			g++
+		}
+		d.from[i] = g
+	}
+	for i, k := range keys {
+		d.to[i] = g + 1
+		for h := groupSlot(k.To, len(slots)); slots[h] != 0; h = (h + 1) & (len(slots) - 1) {
+			if first := slots[h] - 1; keys[first].From == k.To {
+				d.to[i] = d.from[first]
+				break
+			}
+		}
+	}
+	return d.has()
+}
+
+// groupSlot is node's home slot in a table of size entries, a power of two.
+func groupSlot(node string, size int) int {
+	return int(maphash.String(groupSeed, node)) & (size - 1)
 }
 
 // NormalizeRow returns row in the form AppendRow appends: canonical and

@@ -37,10 +37,23 @@ func randomRecord(rng *rand.Rand, nodes, elems int) (*Record, *refRecord) {
 }
 
 // TestRowHasCycleMatchesRecord holds the contiguous-run DFS to the map DFS
-// it replaced, past the 128-element stack buffers too, and checks that a
-// row survives the trip through Row.Record unchanged.
+// it replaced, past the 128-element stack buffers too, both as hasCycle runs
+// it on a row's names and as Cycles.Has runs it on node numbers — assigned
+// across all rows in first-seen order and the scratch reused from row to
+// row, as replay does — and checks that a row survives the trip through
+// Row.Record unchanged. The rows hold node elements (from == to) often.
 func TestRowHasCycleMatchesRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	numbers := map[string]int32{}
+	number := func(name string) int32 {
+		n, ok := numbers[name]
+		if !ok {
+			n = int32(len(numbers))
+			numbers[name] = n
+		}
+		return n
+	}
+	var cycles Cycles
 	cyclic := 0
 	for i := 0; i < 3000; i++ {
 		nodes, elems := 2+rng.Intn(40), 1+rng.Intn(30)
@@ -55,6 +68,21 @@ func TestRowHasCycleMatchesRecord(t *testing.T) {
 		want := m.hasCycle()
 		if got := hasCycle(row.Keys); got != want {
 			t.Fatalf("hasCycle = %v, the map DFS says %v: %v", got, want, row.Keys)
+		}
+		from, to := make([]int32, len(row.Keys)), make([]int32, len(row.Keys))
+		for j, k := range row.Keys {
+			from[j], to[j] = number(fmt.Sprintf("%d:%s", i%7, k.From)), number(fmt.Sprintf("%d:%s", i%7, k.To))
+		}
+		if got := cycles.Has(from, to); got != want {
+			t.Fatalf("Cycles.Has = %v, the map DFS says %v: %v", got, want, row.Keys)
+		}
+		if err := row.CheckNodes(from, to, &cycles); (err != nil) != want {
+			t.Fatalf("CheckNodes = %v, the map DFS says cyclic %v: %v", err, want, row.Keys)
+		}
+		if i == 2999 {
+			if avg := testing.AllocsPerRun(10, func() { cycles.Has(from, to) }); avg != 0 {
+				t.Fatalf("Cycles.Has allocates %.0f objects on scratch that has grown", avg)
+			}
 		}
 		if want {
 			cyclic++
@@ -80,7 +108,7 @@ func TestAppendRowSlowPath(t *testing.T) {
 			{Value: 5, HasValue: true},
 		},
 	}
-	if !errors.Is(row.Check(), ErrRowOrder) {
+	if !errors.Is(checkRow(row), ErrRowOrder) {
 		t.Fatal("unsorted row passed the canonical check")
 	}
 	rel, reg := colstore.NewRelation(0), NewRegistry()
@@ -260,8 +288,26 @@ func TestAppendRowSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.2f allocs per row", avg)
 }
 
-// TestRowCheck: Check accepts what Record.Row produces and names each way a
-// row can fall short of it.
+// checkRow is Row.CheckNodes with the row's node names numbered here.
+func checkRow(row *Row) error {
+	numbers := map[string]int32{}
+	number := func(name string) int32 {
+		n, ok := numbers[name]
+		if !ok {
+			n = int32(len(numbers))
+			numbers[name] = n
+		}
+		return n
+	}
+	from, to := make([]int32, len(row.Keys)), make([]int32, len(row.Keys))
+	for i, k := range row.Keys {
+		from[i], to[i] = number(k.From), number(k.To)
+	}
+	return row.CheckNodes(from, to, new(Cycles))
+}
+
+// TestRowCheck: CheckNodes accepts what Record.Row produces and names each
+// way a row can fall short of it.
 func TestRowCheck(t *testing.T) {
 	cell := colstore.Cell{Value: 1, HasValue: true}
 	named := func(names ...string) colstore.Cell {
@@ -282,8 +328,8 @@ func TestRowCheck(t *testing.T) {
 		{Row{Keys: []EdgeKey{E("A", "B")}, Cells: []colstore.Cell{named(DefaultMeasure)}}, ErrRowOrder},
 		{Row{Keys: []EdgeKey{E("A", "B"), E("B", "C"), E("C", "A")}, Cells: []colstore.Cell{cell, cell, cell}}, ErrRowCycle},
 	} {
-		if err := tc.row.Check(); !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
-			t.Errorf("Check(%v) = %v, want %v", tc.row.Keys, err, tc.want)
+		if err := checkRow(&tc.row); !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+			t.Errorf("CheckNodes(%v) = %v, want %v", tc.row.Keys, err, tc.want)
 		}
 	}
 }

@@ -419,3 +419,107 @@ func TestResumeAfterTornDeclaration(t *testing.T) {
 		})
 	}
 }
+
+// secondReadFS serves one log as it is to replay's first read of it and
+// changes what the second read sees: at the second Stat of the path it
+// rewrites the file with swap (when set), and from the second Open on every
+// read of the file fails with failRead (when set). Only the path's own
+// shard touches the counts.
+type secondReadFS struct {
+	fsio.FS
+	t            *testing.T
+	path         string
+	swap         []byte
+	failRead     error
+	stats, opens int
+}
+
+func (f *secondReadFS) Stat(name string) (os.FileInfo, error) {
+	if name == f.path {
+		if f.stats++; f.stats == 2 && f.swap != nil {
+			if err := os.WriteFile(name, f.swap, 0o644); err != nil {
+				f.t.Error(err)
+			}
+		}
+	}
+	return f.FS.Stat(name)
+}
+
+func (f *secondReadFS) Open(name string) (fsio.File, error) {
+	file, err := f.FS.Open(name)
+	if name == f.path && err == nil {
+		if f.opens++; f.opens >= 2 && f.failRead != nil {
+			return failingStream{file, f.failRead}, nil
+		}
+	}
+	return file, err
+}
+
+// failingStream is a file whose sequential reads fail.
+type failingStream struct {
+	fsio.File
+	err error
+}
+
+func (f failingStream) Read([]byte) (int, error) { return 0, f.err }
+
+// TestReplayDetectsALogChangedBetweenReads: replay reads each log twice —
+// once to check it, once to apply it — and a second read that does not give
+// back the frames the first checked fails the load with a ReplayError
+// naming the shard and the first LSN it could not apply, never a panic: a
+// changed frame, frames missing or added (also to a log that held none), a
+// changed header, a failed read.
+func TestReplayDetectsALogChangedBetweenReads(t *testing.T) {
+	ops := []wal.Op{addRow(t, graph.E("C", "D")), addRow(t, graph.E("D", "E")), {Kind: wal.OpDelete, Rec: 0}}
+	logBytes := func(gen string, ops []wal.Op) []byte {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Dir(walPath(dir, 1, 2)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeShardLog(t, dir, 1, 2, gen, ops)
+		b, err := os.ReadFile(walPath(dir, 1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	injected := errors.New("injected read failure")
+	for _, tc := range []struct {
+		name   string
+		logged []wal.Op // shard 1's log as the first read finds it
+		swap   func(gen string) []byte
+		fail   error
+		lsn    uint64
+		want   error
+	}{
+		{"frame changed", ops, func(gen string) []byte {
+			return logBytes(gen, []wal.Op{ops[0], addRow(t, graph.E("D", "F")), ops[2]})
+		}, nil, 2, ErrLogChanged},
+		{"frames missing", ops, func(gen string) []byte { return logBytes(gen, ops[:1]) }, nil, 2, ErrLogChanged},
+		{"frame added", ops, func(gen string) []byte {
+			return logBytes(gen, append(slices.Clone(ops), wal.Op{Kind: wal.OpUndelete, Rec: 0}))
+		}, nil, 4, ErrLogChanged},
+		{"frame added to an empty log", nil, func(gen string) []byte { return logBytes(gen, ops[:1]) }, nil, 1, ErrLogChanged},
+		{"header changed", ops, func(string) []byte { return logBytes("gen-999999", ops) }, nil, 1, ErrLogChanged},
+		{"read fails", ops, nil, injected, 1, injected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gens := saveReplayBase(t, dir, 2)
+			writeShardLog(t, dir, 0, 2, gens[0], ops[:1])
+			writeShardLog(t, dir, 1, 2, gens[1], tc.logged)
+			fs := &secondReadFS{FS: fsio.OS(), t: t, path: walPath(dir, 1, 2), failRead: tc.fail}
+			if tc.swap != nil {
+				fs.swap = tc.swap(gens[1])
+			}
+			_, err := LoadFS(fs, dir)
+			var re *ReplayError
+			if !errors.As(err, &re) || re.Shard != 1 || re.LSN != tc.lsn || !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want shard 1's ReplayError at LSN %d wrapping %v", err, tc.lsn, tc.want)
+			}
+			if fs.stats != 2 || fs.opens != 2 {
+				t.Fatalf("the log was stat'd %d and opened %d times, want twice each", fs.stats, fs.opens)
+			}
+		})
+	}
+}

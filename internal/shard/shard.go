@@ -202,7 +202,7 @@ func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err erro
 	if op.Kind == wal.OpAddRecord {
 		c.reg.ResolveRow(op.Row)
 	}
-	local, was, err = applyOp(u, c.reg, op)
+	local, was, err = applyOp(u, c.reg, &op)
 	if err != nil || w == nil {
 		u.ingestMu.Unlock()
 		return local, was, err
@@ -224,7 +224,7 @@ func (c *Coordinator) mutate(s int, op wal.Op) (local uint32, was bool, err erro
 // maintains views exactly as the live one did. local is the new record's
 // shard-local id (add-record); was reports whether a delete/undelete changed
 // the record.
-func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, err error) {
+func applyOp(u *Unit, reg *graph.Registry, op *wal.Op) (local uint32, was bool, err error) {
 	switch op.Kind {
 	case wal.OpAddRecord:
 		local = u.Rel.AppendRow(op.Row.Cells)
@@ -242,7 +242,7 @@ func applyOp(u *Unit, reg *graph.Registry, op wal.Op) (local uint32, was bool, e
 
 // checkOp rejects an op that applyOp cannot apply to a shard of n records: a
 // record id past the end, an add-record op without a row, an unknown kind.
-func checkOp(op wal.Op, n int) error {
+func checkOp(op *wal.Op, n int) error {
 	if op.Kind != wal.OpAddRecord && int64(op.Rec) >= int64(n) {
 		return fmt.Errorf("shard: %s targets record %d of %d", op.Kind, op.Rec, n)
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -130,25 +131,34 @@ func (c *Coordinator) WALStats() WALStats {
 // run through applyOp, the live mutators' own in-memory path, so replay
 // maintains views incrementally the same way live ingest does.
 //
-// The shards share nothing but the registry, so replay runs in three steps
-// and only the middle one is serial (DESIGN.md §14):
-//  1. per shard, concurrently (prepareReplay): scan the log, decide whether
-//     it applies, check every op and every add-record row, and look each
-//     key of the log's dictionary up in the registry — by lookup only;
+// A log is never held in memory: each shard streams it twice through a
+// wal.Reader, which holds one frame at a time. The shards share nothing but
+// the registry, so replay runs in three steps and only the middle one is
+// serial (DESIGN.md §14):
+//  1. per shard, concurrently (prepareReplay): read the header, decide
+//     whether the log applies, then stream it once, checking every op and
+//     every add-record row and keeping each frame's checksum; look each key
+//     of the log's dictionary up in the registry — by lookup only. Nothing is
+//     applied, so a bad frame anywhere fails the load before any shard
+//     changes;
 //  2. on the caller's goroutine, in shard order and then declaration
 //     order: assign ids to the dictionary keys step 1 did not find. This is
 //     the only step that writes the registry. A log declares each key in
 //     the frame that first uses it, in row order, so this is the order a
 //     one-at-a-time replay would meet them in, and a store replayed at 1
 //     shard and at N shards yields identical global state;
-//  3. per shard, concurrently: map each row's dictionary indexes to ids and
-//     apply the ops (applyOp).
+//  3. per shard, concurrently (applyTo): stream the log again, map each
+//     row's dictionary indexes to ids and apply the ops (applyOp). A frame
+//     whose checksum is not the one step 1 kept, a read error, or a frame
+//     count other than step 1's fails the load with a ReplayError wrapping
+//     ErrLogChanged or the read error.
 //
 // A one-shard store runs both per-shard steps inline, with no goroutine.
 // Every error is the lowest failing shard's. Every replay records one
-// wal-replay trace with a wal-scan span (file read + frame decode) and a
-// wal-apply span (steps 1 and 3 past the scan) per shard; on several shards
-// the spans overlap, so they need not sum to the trace's duration.
+// wal-replay trace with a wal-scan span (file reads + frame decodes, both
+// passes) and a wal-apply span (the checks and applies) per shard; on
+// several shards the spans overlap, so they need not sum to the trace's
+// duration.
 func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error {
 	// Always traced: a few clock reads per shard per load. The query-I/O
 	// deltas stay zero — replay fetches no column through the tracker.
@@ -167,7 +177,7 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 		}
 	}
 	if _, err := scatter(ctx, c, func(_ context.Context, s int, u *Unit) (struct{}, error) {
-		return struct{}{}, reps[s].applyTo(s, u, c.reg)
+		return struct{}{}, reps[s].applyTo(fs, s, u, c.reg)
 	}); err != nil {
 		return err
 	}
@@ -176,8 +186,8 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 		if rp.skipped {
 			c.walSkipped.Add(1)
 		}
-		c.walReplayed.Add(int64(len(rp.ops)))
-		anchors[s] = walAnchor{nextLSN: rp.next, applied: len(rp.ops), version: c.units[s].Rel.Version()}
+		c.walReplayed.Add(int64(len(rp.crcs)))
+		anchors[s] = walAnchor{nextLSN: rp.next, applied: len(rp.crcs), version: c.units[s].Rel.Version()}
 		root.AddSpan(obs.Span{Phase: obs.PhaseWALScan, Shard: s, DurationNanos: rp.scan.Nanoseconds()})
 		root.AddSpan(obs.Span{Phase: obs.PhaseWALApply, Shard: s, DurationNanos: rp.apply.Nanoseconds()})
 	}
@@ -199,7 +209,8 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 
 // ReplayError is a logged op that replay refused — one the shard cannot
 // apply, or an add-record row that is not canonical or is cyclic, which the
-// live path never logs. The load fails with it.
+// live path never logs — or a log that changed between replay's two reads
+// of it. The load fails with it.
 type ReplayError struct {
 	Shard int
 	LSN   uint64
@@ -212,11 +223,21 @@ func (e *ReplayError) Error() string {
 
 func (e *ReplayError) Unwrap() error { return e.Err }
 
+// ErrLogChanged is wrapped by the ReplayError of a log whose second read, the
+// one replay applies, did not give back the frames its first read checked.
+var ErrLogChanged = errors.New("shard: the log changed between replay's check and its apply")
+
 // shardReplay is one shard's part of a replay, carried from step 1 to
 // step 3 of ReplayWALFS.
 type shardReplay struct {
-	// ops are the frames to apply: none when the log is missing or skipped.
-	ops []wal.Op
+	path string
+	// checked marks a log step 1 read and checked: step 3 reads it back,
+	// even when it holds no frame. header is its header and crcs the
+	// checksum of each frame step 1 checked, in LSN order: what step 3 must
+	// read back, and nothing more.
+	checked bool
+	header  wal.Header
+	crcs    []uint32
 	// dict is the log's key dictionary and ids[i] the registry id of
 	// dict[i]; unknown lists, in declaration order, the indexes step 1 did
 	// not find in the registry, whose ids step 2 assigns.
@@ -233,22 +254,24 @@ type shardReplay struct {
 
 // prepareReplay is step 1 of ReplayWALFS for shard s, whose log is at path.
 // It checks every op against the shard's record count as that count will
-// stand when the op applies, and every add-record row's form, so that a log
-// which would fail part way fails here, before any shard applies anything.
-// A log of a format version this build cannot read fails the load when it
-// extends the loaded cut, and is skipped like any stale log when it does
-// not. It reads the registry and writes only its own result.
+// stand when the op applies, and every add-record row's form — its order,
+// then a cycle check on the reader's node numbers — so that a log which
+// would fail part way fails here, before any shard applies anything. A log of a format
+// version this build cannot read fails the load when it extends the loaded
+// cut, and is skipped like any stale log when it does not. It reads the
+// registry and writes only its own result.
 func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry, pinned []uint64) (*shardReplay, error) {
 	start := time.Now()
-	res, err := wal.Scan(fs, path)
+	r, err := wal.NewReader(fs, path)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", s, err)
 	}
-	scanned := time.Now()
-	rp := &shardReplay{next: 1, scan: scanned.Sub(start)}
+	defer r.Close()
+	rp := &shardReplay{path: path, next: 1, scan: time.Since(start)}
 	if pinned != nil && pinned[s] > 0 {
 		rp.next = pinned[s]
 	}
+	res := r.Result()
 	extendsCut := res.Header.Gen == u.Rel.SourceGeneration() &&
 		(pinned == nil || pinned[s] == 0 || res.Header.BaseLSN == pinned[s])
 	switch {
@@ -262,17 +285,27 @@ func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry,
 		rp.skipped = true
 	default:
 		n := u.Rel.NumRecords()
-		for _, op := range res.Ops {
-			err := checkOp(op, n)
+		var cycles graph.Cycles
+		for {
+			op, err := rp.read(r)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", s, err)
+			}
+			if op == nil {
+				break
+			}
+			err = checkOp(op, n)
 			if err == nil && op.Kind == wal.OpAddRecord {
-				err = op.Row.Check()
+				from, to := r.Nodes()
+				err = op.Row.CheckNodes(from, to, &cycles)
 				n++
 			}
 			if err != nil {
 				return nil, &ReplayError{Shard: s, LSN: op.LSN, Err: err}
 			}
+			rp.crcs = append(rp.crcs, r.Checksum())
 		}
-		rp.ops, rp.next, rp.dict = res.Ops, res.NextLSN, res.Dict
+		rp.checked, rp.header, rp.next, rp.dict = true, res.Header, res.NextLSN, res.Dict
 		rp.ids = make([]colstore.EdgeID, len(res.Dict))
 		for i, k := range res.Dict {
 			id, ok := reg.Lookup(k)
@@ -282,15 +315,49 @@ func prepareReplay(fs fsio.FS, path string, s int, u *Unit, reg *graph.Registry,
 			rp.ids[i] = id
 		}
 	}
-	rp.apply = time.Since(scanned)
+	rp.apply = time.Since(start) - rp.scan
 	return rp, nil
 }
 
-// applyTo is step 3 of ReplayWALFS: apply the shard's ops, in LSN order,
-// each add-record row's dictionary indexes mapped to registry ids.
-func (rp *shardReplay) applyTo(s int, u *Unit, reg *graph.Registry) error {
+// read is r.Next, timed into the wal-scan span.
+func (rp *shardReplay) read(r *wal.Reader) (*wal.Op, error) {
 	start := time.Now()
-	for _, op := range rp.ops {
+	op, err := r.Next()
+	rp.scan += time.Since(start)
+	return op, err
+}
+
+// applyTo is step 3 of ReplayWALFS: read the log again and apply its ops, in
+// LSN order, each add-record row's dictionary indexes mapped to registry
+// ids, checking that every frame is the one step 1 checked.
+func (rp *shardReplay) applyTo(fs fsio.FS, s int, u *Unit, reg *graph.Registry) error {
+	if !rp.checked {
+		return nil
+	}
+	start, scanned := time.Now(), rp.scan
+	lsn := rp.header.BaseLSN
+	changed := func(format string, args ...any) error {
+		return &ReplayError{Shard: s, LSN: lsn, Err: fmt.Errorf("%w: "+format, append([]any{ErrLogChanged}, args...)...)}
+	}
+	r, err := wal.NewReader(fs, rp.path)
+	rp.scan += time.Since(start)
+	if err != nil {
+		return &ReplayError{Shard: s, LSN: lsn, Err: err}
+	}
+	defer r.Close()
+	if res := r.Result(); !res.HeaderOK || res.Header != rp.header {
+		return changed("its header now reads %+v", res.Header)
+	}
+	for _, crc := range rp.crcs {
+		op, err := rp.read(r)
+		switch {
+		case err != nil:
+			return &ReplayError{Shard: s, LSN: lsn, Err: err}
+		case op == nil:
+			return changed("the valid prefix now ends here (%s)", r.Result().TornReason)
+		case r.Checksum() != crc || len(r.Result().Dict) > len(rp.ids):
+			return changed("the frame is not the one checked")
+		}
 		if op.Kind == wal.OpAddRecord {
 			for i := range op.Row.Cells {
 				c := &op.Row.Cells[i]
@@ -298,10 +365,16 @@ func (rp *shardReplay) applyTo(s int, u *Unit, reg *graph.Registry) error {
 			}
 		}
 		if _, _, err := applyOp(u, reg, op); err != nil {
-			return &ReplayError{Shard: s, LSN: op.LSN, Err: err}
+			return &ReplayError{Shard: s, LSN: lsn, Err: err}
 		}
+		lsn++
 	}
-	rp.apply += time.Since(start)
+	if op, err := rp.read(r); err != nil {
+		return &ReplayError{Shard: s, LSN: lsn, Err: err}
+	} else if op != nil {
+		return changed("the log now holds frames past the checked ones")
+	}
+	rp.apply += time.Since(start) - (rp.scan - scanned)
 	return nil
 }
 

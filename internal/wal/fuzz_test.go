@@ -20,7 +20,7 @@ import (
 // shape-shifting payloads. The seeds include a payload naming an undeclared
 // index and one declaring a key twice, which the decoder refuses, and rows
 // with a repeated element or out of order, which it passes on and
-// graph.Row.Check (replay's row check) refuses.
+// graph.Row.CheckNodes (replay's row check) refuses.
 func FuzzWALRecord(f *testing.F) {
 	rec := graph.NewRecord()
 	if err := rec.SetElement(graph.E("a", "b"), 2); err != nil {
@@ -61,12 +61,12 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		if op.Kind == OpAddRecord {
 			requireDictRow(t, op.Row, x.keys)
-			if err := op.Row.Check(); err != nil && !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
+			if err := checkRow(op.Row); err != nil && !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
 				t.Fatalf("row check failed with an unnamed reason: %v", err)
 			}
 		}
 		// Accepted payloads must round-trip stably.
-		frame, _, err := newEncoder(nil).encode(&op)
+		frame, _, err := newEncoder(nil).encode(op)
 		if err != nil {
 			t.Fatalf("decoded op failed to re-encode: %v", err)
 		}
@@ -92,11 +92,12 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// FuzzWALReplay throws arbitrary bytes at the log scanner as whole files: it
+// FuzzWALReplay throws arbitrary bytes at the log reader as whole files: it
 // must never panic and never yield anything but a valid prefix — every
 // returned op individually decodable, LSNs a contiguous chain from the
-// header's base, every row naming the dictionary's keys by their indexes.
-// A row replay's check (graph.Row.Check) accepts must load acyclic.
+// header's base, every row naming the dictionary's keys by their indexes —
+// and must yield exactly what the whole-file decode of the same bytes does.
+// A row replay's check (graph.Row.CheckNodes) accepts must load acyclic.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a real log so mutations explore near-valid shapes.
 	dir, err := os.MkdirTemp("", "grove-walfuzz-")
@@ -139,6 +140,7 @@ func FuzzWALReplay(f *testing.F) {
 	for _, row := range offPathRows() {
 		f.Add(logOf(f, row))
 	}
+	f.Add(logOf(f, alternatingRows()...))
 	// Frames the decoder refuses: an undeclared index; a key declared by a
 	// valid first frame and again by the second.
 	hdr := headerOf(f)
@@ -147,22 +149,20 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(append(hdr, rawFrame(OpAddRecord, 1, dup)...), rawFrame(OpAddRecord, 2, dup)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReaderMatches(t, "fuzz input", data)
 		p := filepath.Join(t.TempDir(), FileName)
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Scan(fsio.OS(), p)
-		if err != nil {
-			t.Fatalf("Scan errored on damage (must describe, not fail): %v", err)
-		}
+		res, ops := scanOps(t, p)
 		if !res.HeaderOK {
-			if len(res.Ops) != 0 {
-				t.Fatalf("ops decoded under a bad header: %d", len(res.Ops))
+			if len(ops) != 0 {
+				t.Fatalf("ops decoded under a bad header: %d", len(ops))
 			}
 			return
 		}
 		want := res.Header.BaseLSN
-		for i, op := range res.Ops {
+		for i, op := range ops {
 			if op.LSN != want {
 				t.Fatalf("op %d LSN %d breaks the chain (want %d)", i, op.LSN, want)
 			}
@@ -175,13 +175,13 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("GoodSize %d out of range (file %d)", res.GoodSize, res.FileSize)
 		}
 		// A clean scan of the untouched seed must see all four ops.
-		if string(data) == string(valid) && len(res.Ops) != 4 {
-			t.Fatalf("valid log scanned to %d ops", len(res.Ops))
+		if string(data) == string(valid) && len(ops) != 4 {
+			t.Fatalf("valid log scanned to %d ops", len(ops))
 		}
 		// Whatever add-record frames survived must name the dictionary's
 		// keys, and a row replay accepts must load acyclic.
 		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
-		for _, op := range res.Ops {
+		for _, op := range ops {
 			if op.Kind != OpAddRecord {
 				continue
 			}
@@ -189,7 +189,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("add-record op decoded to Record %v, Row %v", op.Record, op.Row)
 			}
 			requireDictRow(t, op.Row, res.Dict)
-			if op.Row.Check() != nil {
+			if checkRow(op.Row) != nil {
 				continue // replay refuses it
 			}
 			requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, op.Row))
@@ -252,14 +252,40 @@ func headerOf(tb testing.TB) []byte {
 }
 
 // logOf returns the bytes of a one-frame log holding row exactly as given.
-func logOf(tb testing.TB, row *graph.Row) []byte {
+func logOf(tb testing.TB, rows ...*graph.Row) []byte {
 	tb.Helper()
-	frame, _, err := newEncoder(nil).encode(&Op{Kind: OpAddRecord, Row: row})
-	if err != nil {
-		tb.Fatal(err)
+	log, enc := headerOf(tb), newEncoder(nil)
+	for i, row := range rows {
+		frame, declared, err := enc.encode(&Op{Kind: OpAddRecord, Row: row})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seal(frame, uint64(i+1))
+		log = append(log, frame...)
+		enc.commit(declared)
 	}
-	seal(frame, 1)
-	return append(headerOf(tb), frame...)
+	return log
+}
+
+// alternatingRows are rows over the same two elements whose cells switch,
+// frame by frame, between holding a value, named measures, both and
+// neither: a decode that reuses one row must clear what the frame before
+// it left in each cell.
+func alternatingRows() []*graph.Row {
+	keys := []graph.EdgeKey{graph.E("a", "b"), graph.E("b", "c")}
+	named := func(v float64) []colstore.NamedValue { return []colstore.NamedValue{{Name: "m", Value: v}} }
+	cells := [][]colstore.Cell{
+		{{Value: 1, HasValue: true, Named: named(2)}, {Named: named(3)}},
+		{{}, {Value: 4, HasValue: true}},
+		{{Named: named(5)}, {}},
+		{{Value: 6, HasValue: true}, {Value: 7, HasValue: true, Named: named(8)}},
+		{{}, {}},
+	}
+	rows := make([]*graph.Row, len(cells))
+	for i, c := range cells {
+		rows[i] = &graph.Row{Keys: keys, Cells: c}
+	}
+	return rows
 }
 
 // requireDictRow fails the test unless every cell of a decoded row holds the
@@ -300,18 +326,18 @@ func TestOffPathRowsTakeTheSlowPath(t *testing.T) {
 		if err := os.WriteFile(p, logOf(t, row), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Scan(fsio.OS(), p)
-		if err != nil || len(res.Ops) != 1 || res.TornBytes() != 0 {
-			t.Fatalf("row %d: scanned %d ops, %d torn bytes, err %v", i, len(res.Ops), res.TornBytes(), err)
+		res, ops := scanOps(t, p)
+		if len(ops) != 1 || res.TornBytes() != 0 {
+			t.Fatalf("row %d: scanned %d ops, %d torn bytes", i, len(ops), res.TornBytes())
 		}
-		if !reflect.DeepEqual(res.Ops[0].Row.Keys, row.Keys) {
-			t.Fatalf("row %d: the decoder reordered the keys: %v", i, res.Ops[0].Row.Keys)
+		if !reflect.DeepEqual(ops[0].Row.Keys, row.Keys) {
+			t.Fatalf("row %d: the decoder reordered the keys: %v", i, ops[0].Row.Keys)
 		}
-		if res.Ops[0].Row.Check() == nil {
+		if checkRow(ops[0].Row) == nil {
 			t.Fatalf("row %d: the row check accepted it", i)
 		}
 		rel, reg := colstore.NewRelation(0), graph.NewRegistry()
-		requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, res.Ops[0].Row))
+		requireAcyclic(t, rel, reg, graph.AppendRow(rel, reg, ops[0].Row))
 		if first, _ := reg.Key(0); first.From != "a" {
 			t.Fatalf("row %d: first id went to %v: the slow path must assign in sorted order", i, first)
 		}

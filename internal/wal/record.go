@@ -31,12 +31,21 @@
 // it is a torn tail from a crash mid-write and is truncated on reattach.
 // All I/O goes through internal/fsio so the crash sweep can fail every
 // single operation.
+//
+// Reading streams. A Reader holds one frame at a time: it reads the file
+// through a window that grows only to the largest frame it meets and decodes
+// each frame into one reused Op and row, valid until the next frame, with
+// the row's node names numbered for the cycle check. Scan is the summary a
+// Reader builds — header, dictionary, per-kind counts, where the valid
+// prefix ends and why — and keeps no op, so nothing that reads a log holds
+// more of it than its largest frame.
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"grove/internal/colstore"
@@ -416,128 +425,159 @@ func seal(frame []byte, lsn uint64) {
 }
 
 // decoder reads a log's frames in order, rebuilding its dictionary from the
-// declarations as it meets them. Node and measure names are interned, so a
-// name costs one allocation per scan and no decoded string pins a frame.
+// declarations as it meets them. Names are interned and numbered in the order
+// they are first met, so a name costs one allocation per scan, no decoded
+// string pins a frame, and replay's cycle check can compare node numbers. It
+// decodes every frame into the same Op, row and scratch, so a steady-state
+// frame allocates nothing, and a decoded op is valid until the next frame.
 type decoder struct {
-	// keys[i] is the key of index i; declared holds the same keys, to
-	// refuse a second declaration.
+	// keys[i] is the key of index i and nodes[i] the numbers of its From and
+	// To; declared holds the same keys, to refuse a second declaration.
 	keys     []graph.EdgeKey
+	nodes    [][2]int32
 	declared map[graph.EdgeKey]struct{}
-	names    map[string]string
+	// names maps each interned name to its number; strs[n] is name n.
+	names map[string]int32
+	strs  []string
+	// op is the frame last decoded, row its add-record row, named the slab
+	// of the row's named measures, from and to the node numbers of its keys.
+	op       Op
+	row      graph.Row
+	named    []colstore.NamedValue
+	from, to []int32
 }
 
 func newDecoder() *decoder {
-	return &decoder{declared: make(map[graph.EdgeKey]struct{}), names: make(map[string]string)}
+	return &decoder{declared: make(map[graph.EdgeKey]struct{}), names: make(map[string]int32)}
 }
 
-// name reads a string and interns it.
-func (x *decoder) name(d *dec) string {
+// name reads a string and interns it, returning it and its number.
+func (x *decoder) name(d *dec) (string, int32) {
 	b := d.bytes()
-	if s, ok := x.names[string(b)]; ok {
-		return s
+	if n, ok := x.names[string(b)]; ok {
+		return x.strs[n], n
 	}
-	s := string(b)
-	x.names[s] = s
-	return s
+	s, n := string(b), int32(len(x.strs))
+	x.names[s] = n
+	x.strs = append(x.strs, s)
+	return s, n
 }
 
-// decodeFrame parses the frame starting at b[0]. It returns the decoded op
-// and the total frame size. ok=false means the bytes do not contain a whole,
-// checksum-valid, decodable frame — the caller treats that point as the torn
-// tail. reason explains what broke for inspection tooling. The dictionary
-// takes the frame's declarations only when ok.
-func (x *decoder) decodeFrame(b []byte, wantLSN uint64) (op Op, size int, ok bool, reason string) {
+// decodeFrame parses the frame starting at b[0]. It returns the decoded op,
+// valid until the next call, and the total frame size. ok=false means the
+// bytes do not contain a whole, checksum-valid, decodable frame — the caller
+// treats that point as the torn tail. reason explains what broke for
+// inspection tooling. The dictionary takes the frame's declarations only
+// when ok.
+func (x *decoder) decodeFrame(b []byte, wantLSN uint64) (op *Op, size int, ok bool, reason string) {
 	if len(b) < frameHeadLen {
-		return Op{}, 0, false, "short frame header"
+		return nil, 0, false, "short frame header"
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(b))
 	crc := binary.LittleEndian.Uint32(b[4:])
 	if bodyLen < frameBodyMin || bodyLen > maxFrameLen {
-		return Op{}, 0, false, fmt.Sprintf("implausible frame length %d", bodyLen)
+		return nil, 0, false, fmt.Sprintf("implausible frame length %d", bodyLen)
 	}
 	if len(b) < frameHeadLen+bodyLen {
-		return Op{}, 0, false, "short frame body"
+		return nil, 0, false, "short frame body"
 	}
 	body := b[frameHeadLen : frameHeadLen+bodyLen]
 	if checksum(body) != crc {
-		return Op{}, 0, false, "frame CRC mismatch"
+		return nil, 0, false, "frame CRC mismatch"
 	}
 	lsn := binary.LittleEndian.Uint64(body[1:])
 	if lsn != wantLSN {
-		return Op{}, 0, false, fmt.Sprintf("LSN %d breaks the chain (want %d)", lsn, wantLSN)
+		return nil, 0, false, fmt.Sprintf("LSN %d breaks the chain (want %d)", lsn, wantLSN)
 	}
 	op, err := x.decodePayload(Kind(body[0]), lsn, body[frameBodyMin:])
 	if err != nil {
-		return Op{}, 0, false, err.Error()
+		return nil, 0, false, err.Error()
 	}
 	return op, frameHeadLen + bodyLen, true, ""
 }
 
-// decodePayload parses a payload for kind into op. It either fully succeeds
-// or returns an error with the dictionary as it was — a partial op, or a
-// declaration of a refused frame, never survives. Beyond truncation it
-// refuses what the encoder never writes: an index not yet declared, a key
-// declared twice or out of first-use order or never used, a non-finite
-// value, a named measure spelling the default name, trailing bytes. Row
-// order is not checked here; replay checks it (graph.Row.Check).
-func (x *decoder) decodePayload(kind Kind, lsn uint64, payload []byte) (Op, error) {
-	op := Op{Kind: kind, LSN: lsn}
+// decodePayload parses a payload for kind into the decoder's op, valid until
+// the next call. It either fully succeeds or returns an error with the
+// dictionary as it was — a partial op, or a declaration of a refused frame,
+// never survives. Beyond truncation it refuses what the encoder never
+// writes: an index not yet declared, a key declared twice or out of
+// first-use order or never used, a non-finite value, a named measure
+// spelling the default name, trailing bytes. Row order is not checked here;
+// replay checks it (graph.Row.CheckNodes).
+func (x *decoder) decodePayload(kind Kind, lsn uint64, payload []byte) (*Op, error) {
+	x.op = Op{Kind: kind, LSN: lsn}
+	op := &x.op
 	d := &dec{b: payload}
 	base := len(x.keys)
 	next := base // the next declared index a first use must name
-	element := func() (graph.EdgeKey, uint32, uint64) {
+	element := func() (uint32, uint64) {
 		t := d.uvarint()
 		i := t >> 2
 		switch {
 		case d.err != nil:
-			return graph.EdgeKey{}, 0, 0
+			return 0, 0
 		case i >= uint64(len(x.keys)):
 			d.failf("element index %d is not declared (%d keys)", i, len(x.keys))
-			return graph.EdgeKey{}, 0, 0
+			return 0, 0
 		case i > uint64(next):
 			d.failf("element index %d is used before index %d", i, next)
 		case i == uint64(next):
 			next++
 		}
-		return x.keys[i], uint32(i), t & (flagValue | flagNamed)
+		return uint32(i), t & (flagValue | flagNamed)
 	}
 	switch kind {
 	case OpAddRecord, OpAppendEdge:
 		for n := d.count("declaration", 2); n > 0 && d.err == nil; n-- {
-			k := graph.EdgeKey{From: x.name(d), To: x.name(d)}
+			from, fromNode := x.name(d)
+			to, toNode := x.name(d)
+			k := graph.EdgeKey{From: from, To: to}
 			if _, dup := x.declared[k]; dup && d.err == nil {
 				d.failf("element %v declared twice", k)
 			}
 			if d.err == nil {
 				x.declared[k] = struct{}{}
 				x.keys = append(x.keys, k)
+				x.nodes = append(x.nodes, [2]int32{fromNode, toNode})
 			}
 		}
 	}
 	switch kind {
 	case OpAddRecord:
 		n := d.count("element", 1)
-		row := &graph.Row{Keys: make([]graph.EdgeKey, n), Cells: make([]colstore.Cell, n)}
-		var named []colstore.NamedValue
+		row := &x.row
+		row.Cells = slices.Grow(row.Cells[:0], n)[:n]
+		row.Keys = slices.Grow(row.Keys[:0], n)[:n]
+		x.from = slices.Grow(x.from[:0], n)[:n]
+		x.to = slices.Grow(x.to[:0], n)[:n]
+		named := x.named[:0]
 		for i := 0; i < n && d.err == nil; i++ {
-			k, idx, flags := element()
+			idx, flags := element()
+			if d.err != nil {
+				break
+			}
 			c := &row.Cells[i]
-			row.Keys[i], c.Edge = k, colstore.EdgeID(idx)
+			c.Edge, c.Value, c.HasValue = colstore.EdgeID(idx), 0, false
+			row.Keys[i] = x.keys[idx]
+			x.from[i], x.to[i] = x.nodes[idx][0], x.nodes[idx][1]
 			if flags&flagValue != 0 {
 				c.Value, c.HasValue = d.finite(), true
 			}
 			if flags&flagNamed == 0 {
+				if c.Named != nil {
+					c.Named = nil // a pointer write costs a barrier while the GC marks
+				}
 				continue
 			}
 			m := d.count("named measure", 9)
 			if m == 0 {
-				d.failf("element %v flags named measures but holds none", k)
+				d.failf("element %v flags named measures but holds none", x.keys[idx])
 			}
 			start := len(named)
 			for j := 0; j < m && d.err == nil; j++ {
-				name := x.name(d)
+				name, _ := x.name(d)
 				if name == graph.DefaultMeasure {
-					d.failf("element %v names the default measure explicitly", k)
+					d.failf("element %v names the default measure explicitly", x.keys[idx])
 				}
 				named = append(named, colstore.NamedValue{Name: name, Value: d.finite()})
 			}
@@ -545,16 +585,19 @@ func (x *decoder) decodePayload(kind Kind, lsn uint64, payload []byte) (Op, erro
 			// whose values are final.
 			c.Named = named[start:len(named):len(named)]
 		}
+		x.named = named
 		op.Row = row
 	case OpAppendEdge:
 		op.Rec = d.rec()
-		k, _, flags := element()
-		op.From, op.To = k.From, k.To
+		idx, flags := element()
+		if d.err == nil {
+			op.From, op.To = x.keys[idx].From, x.keys[idx].To
+		}
 		if flags&flagValue != 0 {
 			op.Value, op.HasValue = d.finite(), true
 		}
 		if flags&flagNamed != 0 {
-			if op.Measure = x.name(d); op.Measure == graph.DefaultMeasure {
+			if op.Measure, _ = x.name(d); op.Measure == graph.DefaultMeasure {
 				d.failf("append-edge names the default measure explicitly")
 			}
 		}
@@ -580,8 +623,8 @@ func (x *decoder) decodePayload(kind Kind, lsn uint64, payload []byte) (Op, erro
 		for _, k := range x.keys[base:] {
 			delete(x.declared, k)
 		}
-		x.keys = x.keys[:base]
-		return Op{}, d.err
+		x.keys, x.nodes = x.keys[:base], x.nodes[:base]
+		return nil, d.err
 	}
 	return op, nil
 }

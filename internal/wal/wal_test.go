@@ -98,7 +98,7 @@ func TestUnsupportedVersionHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.HeaderOK || res.Header != h || len(res.Ops) != 0 || !errors.Is(res.VersionErr, ErrUnsupportedVersion) {
+		if res.HeaderOK || res.Header != h || res.NumOps() != 0 || !errors.Is(res.VersionErr, ErrUnsupportedVersion) {
 			t.Fatalf("version %d: scan = %+v", v, res)
 		}
 		if fix := strings.Contains(res.VersionErr.Error(), "3239f01"); fix != (v == 1) {
@@ -134,24 +134,21 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Scan(fsio.OS(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, got := scanOps(t, path)
 	if !res.HeaderOK || res.Header.Gen != "gen-000001" || res.Header.Shard != 2 || res.Header.BaseLSN != 1 {
 		t.Fatalf("header = %+v (ok=%v)", res.Header, res.HeaderOK)
 	}
-	if res.TornBytes() != 0 || res.NextLSN != uint64(len(ops)+1) || len(res.Ops) != len(ops) {
+	if res.TornBytes() != 0 || res.NextLSN != uint64(len(ops)+1) || len(got) != len(ops) || res.NumOps() != len(ops) {
 		t.Fatalf("scan = %+v", res)
 	}
-	for i, got := range res.Ops {
+	for i, op := range got {
 		want := ops[i]
-		if got.Kind != want.Kind || got.LSN != uint64(i+1) {
-			t.Fatalf("op %d = %+v, want kind %v", i, got, want.Kind)
+		if op.Kind != want.Kind || op.LSN != uint64(i+1) || res.Kinds[want.Kind] == 0 {
+			t.Fatalf("op %d = %+v, want kind %v", i, op, want.Kind)
 		}
 	}
 	// The add-record payload round-trips the record exactly.
-	rec := res.Ops[0].Row.Record()
+	rec := got[0].Row.Record()
 	want := testRecord(t)
 	if len(rec.Elements()) != len(want.Elements()) {
 		t.Fatalf("record elements = %v, want %v", rec.Elements(), want.Elements())
@@ -165,10 +162,10 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("named measure = %+v", m)
 	}
 	// The append-edge ops kept their fields.
-	if e := res.Ops[1]; e.From != "c" || e.To != "d" || e.Measure != "" || !e.HasValue || e.Value != 2 {
+	if e := got[1]; e.From != "c" || e.To != "d" || e.Measure != "" || !e.HasValue || e.Value != 2 {
 		t.Fatalf("append-edge = %+v", e)
 	}
-	if e := res.Ops[3]; e.Key != "type" || e.Val != "fast" {
+	if e := got[3]; e.Key != "type" || e.Val != "fast" {
 		t.Fatalf("tag = %+v", e)
 	}
 }
@@ -203,17 +200,14 @@ func TestScanPrefixUnderDamage(t *testing.T) {
 		if err := os.WriteFile(p, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Scan(fsio.OS(), p)
-		if err != nil {
-			t.Fatalf("%s: Scan errored: %v", label, err)
-		}
+		res, got := scanOps(t, p)
 		if !res.HeaderOK {
 			return // damaged header: the whole log is ignored, fine
 		}
-		if len(res.Ops) > len(ops) {
-			t.Fatalf("%s: scan invented ops: %d > %d", label, len(res.Ops), len(ops))
+		if len(got) > len(ops) {
+			t.Fatalf("%s: scan invented ops: %d > %d", label, len(got), len(ops))
 		}
-		for i, got := range res.Ops {
+		for i, got := range got {
 			if got.Kind != ops[i].Kind || got.LSN != uint64(i+1) {
 				t.Fatalf("%s: op %d = kind %v lsn %d, want kind %v lsn %d",
 					label, i, got.Kind, got.LSN, ops[i].Kind, i+1)
@@ -270,7 +264,7 @@ func TestOpenAtTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.TornBytes() != 5 || len(scan.Ops) != 3 {
+	if scan.TornBytes() != 5 || scan.NumOps() != 3 {
 		t.Fatalf("scan = %+v", scan)
 	}
 	l2, err := OpenAt(fsio.OS(), path, scan, Config{Policy: SyncAlways})
@@ -297,7 +291,7 @@ func TestOpenAtTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TornBytes() != 0 || len(res.Ops) != 4 || res.NextLSN != 5 {
+	if res.TornBytes() != 0 || res.NumOps() != 4 || res.NextLSN != 5 {
 		t.Fatalf("rescan = %+v", res)
 	}
 }
@@ -333,11 +327,8 @@ func TestResetContinuesLSNs(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(fsio.OS(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Header.Gen != "gen-000002" || res.Header.BaseLSN != 4 || len(res.Ops) != 1 || res.Ops[0].LSN != 4 {
+	res, ops := scanOps(t, path)
+	if res.Header.Gen != "gen-000002" || res.Header.BaseLSN != 4 || len(ops) != 1 || ops[0].LSN != 4 {
 		t.Fatalf("rescan after reset = %+v", res)
 	}
 }
@@ -368,17 +359,14 @@ func TestStickyLatch(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(fsio.OS(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, ops := scanOps(t, path)
 	// Depending on where the torn write cut, the file holds op 1 and possibly
 	// a torn fragment of op 2 — never op 3.
-	if len(res.Ops) > 2 {
+	if len(ops) > 2 {
 		t.Fatalf("ops past the latch reached the disk: %+v", res)
 	}
-	if len(res.Ops) >= 1 && (res.Ops[0].Rec != 0 || res.Ops[0].LSN != 1) {
-		t.Fatalf("first op corrupted: %+v", res.Ops[0])
+	if len(ops) >= 1 && (ops[0].Rec != 0 || ops[0].LSN != 1) {
+		t.Fatalf("first op corrupted: %+v", ops[0])
 	}
 }
 
@@ -433,8 +421,8 @@ func TestGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ops) != writers*perWriter || res.TornBytes() != 0 {
-		t.Fatalf("scan = %d ops, torn %d", len(res.Ops), res.TornBytes())
+	if res.NumOps() != writers*perWriter || res.TornBytes() != 0 {
+		t.Fatalf("scan = %d ops, torn %d", res.NumOps(), res.TornBytes())
 	}
 }
 
@@ -482,7 +470,7 @@ func TestScanMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Missing() || res.HeaderOK || len(res.Ops) != 0 {
+	if !res.Missing() || res.HeaderOK || res.NumOps() != 0 {
 		t.Fatalf("scan of absent file = %+v", res)
 	}
 }
@@ -558,14 +546,14 @@ func TestDictionaryNamesEachKeyOnce(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(fsio.OS(), path)
-	if err != nil || len(res.Ops) != 4 || res.TornBytes() != 0 {
-		t.Fatalf("scan: %+v, err %v", res, err)
+	res, ops := scanOps(t, path)
+	if len(ops) != 4 || res.TornBytes() != 0 {
+		t.Fatalf("scan: %+v", res)
 	}
 	if want := []graph.EdgeKey{ab, bc, cd}; !reflect.DeepEqual(res.Dict, want) {
 		t.Fatalf("dictionary %v, want %v", res.Dict, want)
 	}
-	if e := res.Ops[3].Row.Cells; e[0].Edge != 1 || e[1].Edge != 2 {
+	if e := ops[3].Row.Cells; e[0].Edge != 1 || e[1].Edge != 2 {
 		t.Fatalf("the last row names indexes %d, %d, want 1, 2", e[0].Edge, e[1].Edge)
 	}
 
@@ -583,8 +571,8 @@ func TestDictionaryNamesEachKeyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err = Scan(fsio.OS(), path)
-	if err != nil || len(res.Ops) != 1 || !reflect.DeepEqual(res.Dict, []graph.EdgeKey{cd}) {
-		t.Fatalf("after the reset: %d ops, dictionary %v, err %v", len(res.Ops), res.Dict, err)
+	if err != nil || res.NumOps() != 1 || !reflect.DeepEqual(res.Dict, []graph.EdgeKey{cd}) {
+		t.Fatalf("after the reset: %d ops, dictionary %v, err %v", res.NumOps(), res.Dict, err)
 	}
 }
 
@@ -610,15 +598,15 @@ func TestWriteReencodesAStalePrepare(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(fsio.OS(), path)
-	if err != nil || len(res.Ops) != 2 || res.TornBytes() != 0 || res.Ops[1].From != "x" {
-		t.Fatalf("scan: %d ops, %d torn bytes (%s), err %v", len(res.Ops), res.TornBytes(), res.TornReason, err)
+	res, ops := scanOps(t, path)
+	if len(ops) != 2 || res.TornBytes() != 0 || ops[1].From != "x" {
+		t.Fatalf("scan: %d ops, %d torn bytes (%s)", len(ops), res.TornBytes(), res.TornReason)
 	}
 }
 
 // TestDamagedFramesRefused: each way a frame can misuse the dictionary, and
 // each row the live path never logs, is refused — the first two by the
-// scanner, which ends the valid prefix there, the rows by graph.Row.Check,
+// scanner, which ends the valid prefix there, the rows by graph.Row.CheckNodes,
 // replay's row check.
 func TestDamagedFramesRefused(t *testing.T) {
 	hdr := headerOf(t)
@@ -638,8 +626,8 @@ func TestDamagedFramesRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Scan(fsio.OS(), path)
-		if err != nil || len(res.Ops) != tc.ops || res.TornBytes() == 0 || len(res.Dict) != tc.ops {
-			t.Errorf("%s: %d ops, %d torn bytes, dictionary %v, err %v", tc.name, len(res.Ops), res.TornBytes(), res.Dict, err)
+		if err != nil || res.NumOps() != tc.ops || res.TornBytes() == 0 || len(res.Dict) != tc.ops {
+			t.Errorf("%s: %d ops, %d torn bytes, dictionary %v, err %v", tc.name, res.NumOps(), res.TornBytes(), res.Dict, err)
 		}
 	}
 	for i, row := range offPathRows() {
@@ -647,11 +635,11 @@ func TestDamagedFramesRefused(t *testing.T) {
 		if err := os.WriteFile(path, logOf(t, row), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Scan(fsio.OS(), path)
-		if err != nil || len(res.Ops) != 1 {
-			t.Fatalf("row %d: %d ops, err %v", i, len(res.Ops), err)
+		_, ops := scanOps(t, path)
+		if len(ops) != 1 {
+			t.Fatalf("row %d: %d ops", i, len(ops))
 		}
-		if err := res.Ops[0].Row.Check(); !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
+		if err := checkRow(ops[0].Row); !errors.Is(err, graph.ErrRowOrder) && !errors.Is(err, graph.ErrRowCycle) {
 			t.Errorf("row %d: check = %v", i, err)
 		}
 	}

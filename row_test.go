@@ -228,7 +228,7 @@ func sameColumn(a, b *colstore.MeasureColumn) bool {
 }
 
 // TestRowAppendMatchesElementwiseLoad is the row-vs-record differential: the
-// pinned corpus goes encode → log file → Scan → graph.AppendRow into one
+// pinned corpus goes encode → log file → wal.Reader → graph.AppendRow into one
 // relation and through naiveLoadRecord into its twin, both maintaining the
 // same graph and aggregate views; afterwards the registries, every bitmap and
 // measure column (default and named) and every view must be bit-identical.
@@ -247,10 +247,11 @@ func TestRowAppendMatchesElementwiseLoad(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := wal.Scan(fsio.OS(), path)
-	if err != nil || len(res.Ops) != len(recs) || res.TornBytes() != 0 {
-		t.Fatalf("scan: %d ops, %d torn bytes, err %v", len(res.Ops), res.TornBytes(), err)
+	r, err := wal.NewReader(fsio.OS(), path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer r.Close()
 
 	type twin struct {
 		rel *colstore.Relation
@@ -276,13 +277,20 @@ func TestRowAppendMatchesElementwiseLoad(t *testing.T) {
 		if rec.HasCycle() {
 			cyclic++
 		}
-		if res.Ops[i].Record != nil {
+		op, err := r.Next()
+		if err != nil || op == nil {
+			t.Fatalf("frame %d: op %v, err %v", i, op, err)
+		}
+		if op.Record != nil {
 			t.Fatal("the decoder filled Op.Record")
 		}
-		got, want := graph.AppendRow(row.rel, row.reg, res.Ops[i].Row), naiveLoadRecord(t, ref.rel, ref.reg, rec)
+		got, want := graph.AppendRow(row.rel, row.reg, op.Row), naiveLoadRecord(t, ref.rel, ref.reg, rec)
 		if got != want {
 			t.Fatalf("record %d: row path id %d, reference id %d", i, got, want)
 		}
+	}
+	if op, err := r.Next(); op != nil || err != nil || r.Result().TornBytes() != 0 {
+		t.Fatalf("past the corpus: op %v, err %v, %d torn bytes", op, err, r.Result().TornBytes())
 	}
 	if cyclic < 20 || cyclic > 180 {
 		t.Fatalf("%d of %d corpus records are cyclic: both paths must be covered", cyclic, len(recs))
